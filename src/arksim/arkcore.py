@@ -38,10 +38,6 @@ class ArkError(Exception):
     pass
 
 
-class NotALeaf(ArkError):
-    pass
-
-
 def p2pk(pk: PublicKey) -> LockScript:
     """Plain key-path output."""
     return taproot(pk, ())
@@ -178,9 +174,6 @@ class Vtxt:
             cur = self.parent[cur]
         return [self.txs[t] for t in reversed(chain)]
 
-    def depth(self) -> int:
-        return max(len(self.path_to(leaf.txid)) for leaf in self.leaves)
-
 
 SignerTree = Dict[str, Tuple[PublicKey, ...]]
 
@@ -263,16 +256,6 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
     vtxt.root = vtxt.order[0]
     check_vtxt(vtxt)
     return vtxt, signers
-
-
-def path(vtxt: Vtxt, vtxo: Vtxo) -> List[Tx]:
-    """Root-to-leaf transaction sequence materializing the VTXO."""
-    for leaf in vtxt.leaves:
-        if vtxo.outpoint is not None and leaf.txid == vtxo.outpoint.txid:
-            return vtxt.path_to(leaf.txid)
-        if leaf.vtxo is vtxo:
-            return vtxt.path_to(leaf.txid)
-    raise NotALeaf("vtxo is not a leaf of this tree")
 
 
 @dataclass

@@ -3,8 +3,6 @@
 Subcommands:
   run <scenario>   drive a canned scenario and emit its JSON report
   footprint        print the virtual-size cost table (CSV)
-  bench-commit     time commitment assembly across batch sizes and fit a
-                   linear model
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict failed,
 2 bad usage or invalid configuration.
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional
 
 from . import footprint, harness
@@ -48,8 +45,6 @@ def cmd_run(args) -> int:
     config = {"seed": args.seed, "params": params}
     if args.no_resets:
         config["resets"] = False
-    if args.scenario == "ff_double_spend" or args.ff:
-        config.setdefault("delta", 1)
     report = harness.run_scenario(args.scenario, **config)
     text = harness.report_json(report)
     if args.out:
@@ -73,56 +68,6 @@ def cmd_footprint(args) -> int:
     return 0
 
 
-def cmd_bench_commit(args) -> int:
-    import numpy as np
-
-    from . import arkcore, crypto
-    from .arkcore import Vtxo, p2pk, vtxo_lock
-    from .ledger import Chain
-
-    try:
-        params = _load_params(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sizes = args.sizes or [2, 4, 8, 16, 32, 64, 128, 256]
-    op_sk, op_pk = crypto.keygen(b"bench-op")
-    rows = []
-    for n in sizes:
-        chain = Chain(params)
-        chain.register("bench")
-        leaves = []
-        for i in range(n):
-            sk, pk = crypto.keygen(b"bench-%d" % i)
-            leaves.append(Vtxo(1_000, vtxo_lock(pk, op_pk, params.t_u),
-                               f"u{i}", pk))
-        funding = chain.grant(1_000 * n, p2pk(op_pk))
-        t0 = time.perf_counter()
-        arkcore.build_vtxt(funding, leaves, op_pk,
-                           chain.height + 2 * params.k + params.t_e,
-                           params.arity)
-        rows.append((n, time.perf_counter() - t0))
-    xs = np.array([r[0] for r in rows], dtype=float)
-    ys = np.array([r[1] for r in rows], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    report = {
-        "sizes": sizes,
-        "seconds": [round(r[1], 6) for r in rows],
-        "fit": {"slope": slope, "intercept": intercept, "r_squared": r2},
-    }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if r2 >= 0.9 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arksim", description="commit-chain protocol simulator")
@@ -143,19 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-resets", action="store_true",
                        help="operator cosigns offchain spends without"
                             " holding reset transactions")
-    p_run.add_argument("--ff", action="store_true",
-                       help="enable the fast-finality overlay")
     p_run.set_defaults(func=cmd_run)
 
     p_fp = sub.add_parser("footprint", help="print the exit cost table")
     common(p_fp)
     p_fp.set_defaults(func=cmd_footprint)
-
-    p_bench = sub.add_parser("bench-commit",
-                             help="benchmark commitment assembly")
-    common(p_bench)
-    p_bench.add_argument("--sizes", type=int, nargs="+")
-    p_bench.set_defaults(func=cmd_bench_commit)
     return parser
 
 

@@ -41,7 +41,6 @@ class FfConfig:
     delta: int = 1              # gossip delivery bound (rounds)
     v: int = 0                  # total opted-in value
     c: int = 0                  # collateral, must exceed v
-    committee_size: int = 3
     t_p: int = 10_000           # collateral maturity
 
     def validate(self) -> None:
@@ -254,9 +253,7 @@ class FfCoordinator:
             if _nonce_bound_commitment(rst.outs[0].lock) is None:
                 self.rejected[member].append((payload, "incorrect output script"))
                 return
-        wallet = self.wallets[member]
-        ok = wallet._check_witnesses(payment) if hasattr(wallet, "_check_witnesses") else True
-        if not ok:
+        if not self.wallets[member]._check_witnesses(payment):
             self.rejected[member].append((payload, "invalid witnesses"))
             return
         # re-broadcast and wait 2 * delta before accepting
@@ -281,29 +278,28 @@ class FfCoordinator:
     def extract_and_burn(self, member: str, a: ArkPayment, b_tx: Tx) -> Optional[Tx]:
         """Recover the operator key from two nonce-bound signatures
         sharing R and submit the collateral burn."""
-        op_pk = self.ffop.operator.pk
-        sig_a = sig_b = None
-        for wit in a.ark.wits:
-            for s in wit.signatures:
-                for wit_b in b_tx.wits:
-                    for s2 in wit_b.signatures:
-                        if s.R == s2.R and s.s != s2.s:
-                            if crypto.verify(op_pk, a.ark.digest(), s) and \
-                                    crypto.verify(op_pk, b_tx.digest(), s2):
-                                sig_a, sig_b = s, s2
-        if sig_a is None:
-            return None
-        sk = crypto.extract_secret(op_pk, a.ark.digest(), sig_a,
-                                   b_tx.digest(), sig_b)
-        assert sk.public() == op_pk
         if self.burned:
             return None
-        burn = burn_collateral(self.collateral, sk, self.chain, member)
-        self.burned = True
-        self.burn_txid = burn.txid
-        self.events.append({"event": "collateral_burned", "by": member,
-                            "round": self.round})
-        return burn
+        op_pk = self.ffop.operator.pk
+        candidates = ((s, s2) for wit in a.ark.wits for s in wit.signatures
+                      for wit_b in b_tx.wits for s2 in wit_b.signatures
+                      if s.R == s2.R and s.s != s2.s)
+        for sig_a, sig_b in candidates:
+            # extract_secret verifies both signatures under op_pk; a pair
+            # that is not the operator's is skipped
+            try:
+                sk = crypto.extract_secret(op_pk, a.ark.digest(), sig_a,
+                                           b_tx.digest(), sig_b)
+            except crypto.CryptoError:
+                continue
+            assert sk.public() == op_pk
+            burn = burn_collateral(self.collateral, sk, self.chain, member)
+            self.burned = True
+            self.burn_txid = burn.txid
+            self.events.append({"event": "collateral_burned", "by": member,
+                                "round": self.round})
+            return burn
+        return None
 
     def step(self) -> None:
         """Deliver due gossip, resolve waits, detect conflicts."""
@@ -359,19 +355,3 @@ class FfCoordinator:
                         pass
         return reactions
 
-    def ff_balance(self, member: str) -> int:
-        h = self.chain.height
-        total = 0
-        seen_keys = set()
-        swapped = getattr(self.wallets.get(member), "holdings", {})
-        for payload in self.accepted[member]:
-            for v in payload.payment.outputs:
-                if v.owner != member or v.key() in seen_keys:
-                    continue
-                seen_keys.add(v.key())
-                hld = swapped.get(v.key())
-                if hld is not None and hld.kind == "batch":
-                    continue  # moved to the ordinary balance after its swap
-                if v.expiry - h > 2 * self.chain.params.k:
-                    total += v.value
-        return total

@@ -74,7 +74,7 @@ def exit_depth(n: int) -> int:
 
 def exit_vbytes(n: int) -> int:
     """Unilateral exit footprint for a binary batch of n VTXOs."""
-    return exit_depth(n) * 150 + 107
+    return exit_depth(n) * vbytes(NODE_SHAPE) + vbytes(LEAF_SHAPE)
 
 
 def exit_cost(n: int, fee_rate: int) -> int:

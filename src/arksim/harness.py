@@ -29,7 +29,6 @@ from .ledger import (
     Adversary,
     Chain,
     MaxDelay,
-    OutPoint,
     Output,
     Params,
     SubmitError,
@@ -73,13 +72,10 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
         else:
             for op in p.ark.ins:
                 consumed.add((op.txid, op.index))  # legacy: ark spends directly
-    swapped_outputs: Set[Tuple[str, int]] = set()
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid):
             continue
-        for key in b.gamma:
-            consumed.add(key)
-            swapped_outputs.add(key)
+        consumed.update(b.gamma)
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid) or b.batch is None:
             continue
@@ -130,7 +126,7 @@ class Simulation:
         self.wallets: Dict[str, Wallet] = {}
         self.payments: List[ArkPayment] = []
         self.all_bundles: List[Bundle] = []
-        self.events: List[dict] = []
+        self._distributed: Set[str] = set()
 
     # --- setup -----------------------------------------------------------
 
@@ -154,8 +150,6 @@ class Simulation:
                 self._distribute_confirmations()
 
     def _distribute_confirmations(self) -> None:
-        if not hasattr(self, "_distributed"):
-            self._distributed: Set[str] = set()
         for bundle in self.all_bundles:
             if bundle.commitment.txid in self._distributed:
                 continue
@@ -278,7 +272,6 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     leaves = [Vtxo(500, arkcore.vtxo_lock(a_pk, op_pk, params.t_u), "alice", a_pk),
               Vtxo(500, arkcore.vtxo_lock(b_pk, op_pk, params.t_u), "bob", b_pk)]
     expiry = 2 * k + t_e
-    probe = Tx(ins=(), outs=())  # placeholder
     # fund the batch directly at height 0
     members = crypto.aggregate([op_pk, a_pk, b_pk])
     lock = batch_lock(op_pk, members, expiry)
@@ -321,8 +314,6 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
                 pass
         chain.advance_round()
 
-    leaf_op = OutPoint(leaf_txid, 0)
-    leaf_rec = chain.records.get(leaf_txid)
     confirmed_h = chain.confirm_height(leaf_txid)
     return RaceResult(
         exit_confirmed_before_expiry=(confirmed_h is not None
@@ -372,7 +363,7 @@ def scenario_happy_path(seed: int = 0, params: Optional[Params] = None,
         _verdict("balances_positive", alice.balance() > 0),
     ]
     return _report("happy_path", seed, verdicts, sim.balances(),
-                   sim.fee_accounting().get("operator", {}), sim.events)
+                   sim.fee_accounting().get("operator", {}), [])
 
 
 def scenario_censoring_operator(seed: int = 0, params: Optional[Params] = None,

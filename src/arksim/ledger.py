@@ -27,9 +27,7 @@ class Params:
     t_r: int = 10          # commitment rollback timeout
     epsilon: int = 330     # dust anchor value (sats)
     fee_rate: int = 0      # sat/vB, burned by the miner model
-    u: int = 0             # backbone wait parameter; carried, unused (2k bound drives confirmation)
     arity: int = 2         # VTXT radix
-    operator_fee: int = 0  # flat per-request fee (sats)
 
     def validate(self, unsafe: bool = False) -> None:
         if not unsafe and self.t_u <= 4 * self.k:
@@ -160,7 +158,7 @@ class Chain:
         self.utxos: Dict[OutPoint, _Utxo] = {}
         self.spent_by: Dict[OutPoint, str] = {}
         self.records: Dict[str, _Record] = {}
-        self.mempool: List[_Pending] = []
+        self.mempool: Dict[str, _Pending] = {}   # txid -> pending, in submission order
         self.blocks: List[List[str]] = []   # txids per block, height = index + 1
         self.events: List[dict] = []
         self.parties: set[str] = set()
@@ -179,9 +177,6 @@ class Chain:
         return op
 
     # --- queries ---------------------------------------------------------
-
-    def stable_height(self) -> int:
-        return max(0, self.height - self.params.k)
 
     def is_stable(self, txid: str) -> bool:
         rec = self.records.get(txid)
@@ -222,12 +217,13 @@ class Chain:
 
     # --- submission ------------------------------------------------------
 
-    def _resolve_input(self, op: OutPoint, block_local: Dict[OutPoint, Output]) -> Optional[Output]:
+    def _resolve_input(self, op: OutPoint) -> Optional[Output]:
         entry = self.utxos.get(op)
         if entry is not None:
             return entry.output
-        if op in block_local:
-            return block_local[op]
+        parent = self.mempool.get(op.txid)
+        if parent is not None and 0 <= op.index < len(parent.tx.outs):
+            return parent.tx.outs[op.index]
         return None
 
     def submit(self, tx: Tx, by: str) -> bool:
@@ -236,15 +232,11 @@ class Chain:
         (package submission, parents first)."""
         if len(tx.wits) != len(tx.ins):
             raise InvalidWitness("witness count mismatch")
-        if self.is_confirmed(tx.txid) or any(p.tx.txid == tx.txid for p in self.mempool):
+        if self.is_confirmed(tx.txid) or tx.txid in self.mempool:
             return False
-        pending_outs: Dict[OutPoint, Output] = {}
-        for p in self.mempool:
-            for i, out in enumerate(p.tx.outs):
-                pending_outs[p.tx.outpoint(i)] = out
         in_total = 0
         for op in tx.ins:
-            resolved = self._resolve_input(op, pending_outs)
+            resolved = self._resolve_input(op)
             if resolved is None:
                 spender = self.spent_by.get(op)
                 if spender is not None:
@@ -262,7 +254,7 @@ class Chain:
         d = self.adversary.delay(tx, self.height, by)
         d = max(0, min(d, 2 * self.params.k - 1))
         due = self.height + 1 + min(d, self.params.k - 1)
-        self.mempool.append(_Pending(tx, by, self.height, due))
+        self.mempool[tx.txid] = _Pending(tx, by, self.height, due)
         return True
 
     def submit_package(self, txs: List[Tx], by: str) -> int:
@@ -270,11 +262,8 @@ class Chain:
         for tx in txs:
             if self.is_confirmed(tx.txid):
                 continue
-            try:
-                self.submit(tx, by)
-                count += 1
-            except SubmitError:
-                raise
+            self.submit(tx, by)
+            count += 1
         return count
 
     # --- block production ------------------------------------------------
@@ -365,18 +354,18 @@ class Chain:
         progress = True
         while progress:
             progress = False
-            for p in list(self.mempool):
+            for p in list(self.mempool.values()):
                 if p.due_height > self.height:
                     continue
                 if self._try_include(p, block_outs):
-                    self.mempool.remove(p)
+                    del self.mempool[p.tx.txid]
                     progress = True
         # drop pending txs that permanently lost their inputs to stable spends
-        for p in list(self.mempool):
+        for p in list(self.mempool.values()):
             for op in p.tx.ins:
                 spender = self.spent_by.get(op)
                 if spender and spender != p.tx.txid and self.is_stable(spender):
-                    self.mempool.remove(p)
+                    del self.mempool[p.tx.txid]
                     self.events.append({"event": "dropped", "txid": p.tx.txid,
                                         "height": self.height})
                     break

@@ -25,7 +25,6 @@ from .arkcore import (
     Vtxt,
     anchor_lock,
     batch_lock,
-    boarding_lock,
     build_connector,
     build_vtxt,
     classify_paths,
@@ -69,15 +68,8 @@ class Request:
 
 @dataclass
 class BatchingPolicy:
-    min_requests: int = 1
-    max_rounds: int = 1
     arity: int = 2
     fee: int = 0
-
-    def triggers(self, pending: int, rounds_since_last: int) -> bool:
-        if pending == 0:
-            return False
-        return pending >= self.min_requests or rounds_since_last >= self.max_rounds
 
 
 @dataclass
@@ -85,28 +77,17 @@ class OperatorBook:
     toBoard: List[Request] = field(default_factory=list)
     toBatchSwap: List[Request] = field(default_factory=list)
     toExit: List[Request] = field(default_factory=list)
-    unconfirmed: List[Vtxo] = field(default_factory=list)
     confirmedVTXO: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
     confirmedBatches: List["BatchRecord"] = field(default_factory=list)
-    expired: List["BatchRecord"] = field(default_factory=list)
-    unconfirmedSpent: List[Tuple[Vtxo, Tx]] = field(default_factory=list)
     spent: List[Tuple[Vtxo, Tx]] = field(default_factory=list)
-    replaced: List[Tx] = field(default_factory=list)
     preSpent: Set[Tuple[str, int]] = field(default_factory=set)
     preConfirmed: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
-    unconfirmedBoardings: List[Request] = field(default_factory=list)
-    unconfirmedBatchSwaps: List[Request] = field(default_factory=list)
-    unconfirmedExits: List[Request] = field(default_factory=list)
-    confirmedBoardings: List[Request] = field(default_factory=list)
-    confirmedBatchSwaps: List[Request] = field(default_factory=list)
-    confirmedExits: List[Request] = field(default_factory=list)
 
 
 @dataclass
 class BatchRecord:
     outpoint: OutPoint
     batch: BatchOutput
-    commitment_txid: str
 
 
 @dataclass
@@ -153,11 +134,9 @@ class Operator:
         self.signing_log: List[str] = []
         self.cosigned_spends: Dict[Tuple[str, int], str] = {}
         self.reset_sweeps: List[Tuple[OutPoint, int, int]] = []  # (outpoint, expiry, value)
-        self.connector_published: Set[str] = set()
-        self.rounds_since_commit = 0
         self.use_resets = True
-        self.events: List[dict] = []
         self.collected_fees = 0
+        self._confirmed_bundles: List[Bundle] = []
         chain.register(name)
 
     # --- funding ---------------------------------------------------------
@@ -213,11 +192,8 @@ class Operator:
         if key in self.book.preSpent:
             raise Reject("boarding output already pending")
         out = view["utxos"][r.boarding_outpoint]
-        lock = out.lock
-        expected = boarding_lock(r.outputs[0].owner_pk, self.pk, self.params.t_b) \
-            if r.outputs else None
         try:
-            classify_paths(lock, self.pk, self.params.t_b)
+            classify_paths(out.lock, self.pk, self.params.t_b)
         except arkcore.ArkError as e:
             raise Reject(f"boarding lock unsafe: {e}")
         if out.value < sum(s.value for s in r.outputs) + self.policy.fee:
@@ -517,27 +493,14 @@ class Operator:
         self.book.toBoard = [r for r in self.book.toBoard if r not in bundle.boardings]
         self.book.toBatchSwap = [r for r in self.book.toBatchSwap if r not in bundle.swaps]
         self.book.toExit = [r for r in self.book.toExit if r not in bundle.exits]
-        self.book.unconfirmedBoardings.extend(bundle.boardings)
-        self.book.unconfirmedBatchSwaps.extend(bundle.swaps)
-        self.book.unconfirmedExits.extend(bundle.exits)
-        if bundle.batch is not None:
-            for leaf in bundle.batch.vtxt.leaves:
-                self.book.unconfirmed.append(leaf.vtxo)
-        self.rounds_since_commit = 0
-        self.events.append({"event": "commitment_submitted",
-                            "txid": bundle.commitment.txid,
-                            "height": bundle.submit_height})
 
     def _apply_confirmed(self, bundle: Bundle) -> None:
         book = self.book
         if bundle.batch is not None:
-            record = BatchRecord(bundle.batch.vtxt.funding, bundle.batch,
-                                 bundle.commitment.txid)
-            book.confirmedBatches.append(record)
+            book.confirmedBatches.append(
+                BatchRecord(bundle.batch.vtxt.funding, bundle.batch))
             for leaf in bundle.batch.vtxt.leaves:
                 v = leaf.vtxo
-                if v in book.unconfirmed:
-                    book.unconfirmed.remove(v)
                 book.confirmedVTXO[v.key()] = v
                 book.preConfirmed.pop(v.key(), None)
         for r in bundle.swaps:
@@ -546,15 +509,6 @@ class Operator:
                 book.confirmedVTXO.pop(key, None)
                 book.preConfirmed.pop(key, None)
                 book.spent.append((v, bundle.forfeits[key]))
-        for lst_from, lst_to, reqs in (
-            (book.unconfirmedBoardings, book.confirmedBoardings, bundle.boardings),
-            (book.unconfirmedBatchSwaps, book.confirmedBatchSwaps, bundle.swaps),
-            (book.unconfirmedExits, book.confirmedExits, bundle.exits),
-        ):
-            for r in reqs:
-                if r in lst_from:
-                    lst_from.remove(r)
-                lst_to.append(r)
         self.collected_fees += bundle.account.get("F", 0)
         # spent funding outputs leave the liquidity list; change re-enters
         spent_ops = set(bundle.commitment.ins)
@@ -564,39 +518,24 @@ class Operator:
             if out.lock == p2pk(self.pk):
                 self.liquidity.append((bundle.commitment.outpoint(i), out))
         self._confirmed_bundles.append(bundle)
-        self.events.append({"event": "commitment_confirmed",
-                            "txid": bundle.commitment.txid,
-                            "height": self.chain.height})
 
     def _rollback(self, bundle: Bundle) -> None:
         book = self.book
         for r in bundle.boardings:
             key = (r.boarding_outpoint.txid, r.boarding_outpoint.index)
             book.preSpent.discard(key)
-            if r in book.unconfirmedBoardings:
-                book.unconfirmedBoardings.remove(r)
             book.toBoard.append(r)
         for r in bundle.swaps:
             for v in r.inputs:
                 book.preSpent.discard(v.key())
-            if r in book.unconfirmedBatchSwaps:
-                book.unconfirmedBatchSwaps.remove(r)
             book.toBatchSwap.append(r)
         for r in bundle.exits:
             for v in r.inputs:
                 book.preSpent.discard(v.key())
-            if r in book.unconfirmedExits:
-                book.unconfirmedExits.remove(r)
             book.toExit.append(r)
         if bundle.batch is not None:
             for leaf in bundle.batch.vtxt.leaves:
-                if leaf.vtxo in book.unconfirmed:
-                    book.unconfirmed.remove(leaf.vtxo)
                 book.preConfirmed.pop(leaf.vtxo.key(), None)
-        book.replaced.append(bundle.commitment)
-        self.events.append({"event": "commitment_rolled_back",
-                            "txid": bundle.commitment.txid,
-                            "height": self.chain.height})
 
     # --- sweeping --------------------------------------------------------
 
@@ -640,7 +579,6 @@ class Operator:
         their stored reset or forfeit transactions."""
         chain = self.chain
         submitted: List[Tx] = []
-        self.rounds_since_commit += 1
 
         for bundle in list(self.pending_bundles):
             if chain.is_stable(bundle.commitment.txid):
@@ -658,7 +596,6 @@ class Operator:
                 submitted.extend(self.sweep(record))
                 if chain.height >= record.batch.expiry:
                     self.book.confirmedBatches.remove(record)
-                    self.book.expired.append(record)
         # sweep reset outputs at their batch's expiry
         for entry in list(self.reset_sweeps):
             op, expiry, value = entry
@@ -705,9 +642,3 @@ class Operator:
 
     def _all_bundles(self) -> List[Bundle]:
         return self.pending_bundles + self._confirmed_bundles
-
-    @property
-    def _confirmed_bundles(self) -> List[Bundle]:
-        if not hasattr(self, "_confirmed_bundle_list"):
-            self._confirmed_bundle_list: List[Bundle] = []
-        return self._confirmed_bundle_list

@@ -41,7 +41,6 @@ class Wallet:
         self.holdings: Dict[Tuple[str, int], Holding] = {}
         self.boarding_outputs: List[Tuple[OutPoint, Output]] = []
         self.open_requests: List[Request] = []
-        self.exit_offset = 0        # >0 delays the deadline (negative controls)
         self.fee = 0                # operator's flat per-request fee
         self.log: List[dict] = []
         chain.register(name)
@@ -194,13 +193,15 @@ class Wallet:
                 self.open_requests.remove(r)
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
+        # the change inherits the inputs' transcripts, so read them before
+        # the inputs leave the holdings
+        transcript = self._input_transcripts(req) + list(payment.resets) \
+            + [payment.ark]
         for v in req.inputs:
             self.holdings.pop(v.key(), None)
         for out in payment.outputs:
             if out.owner == self.name:  # change output
-                transcript = self._input_transcripts(req) + list(payment.resets) \
-                    + [payment.ark]
-                self.holdings[out.key()] = Holding(out, transcript, "ark")
+                self.holdings[out.key()] = Holding(out, list(transcript), "ark")
 
     def _input_transcripts(self, req: Request) -> List[Tx]:
         txs: List[Tx] = []
@@ -286,20 +287,12 @@ class Wallet:
     def _check_witnesses(self, payment: ArkPayment) -> bool:
         """Replay check: every transcript tx must carry a witness that
         satisfies the output it spends."""
-        outputs: Dict[OutPoint, Output] = {}
-        for op, entry in self.chain.utxos.items():
-            outputs[op] = entry.output
-        for txid, rec in self.chain.records.items():
-            for i, out in enumerate(rec.tx.outs):
-                outputs.setdefault(rec.tx.outpoint(i), out)
         pool: List[Tx] = []
         for pth in payment.paths:
             pool.extend(pth)
         pool.extend(payment.resets)
         pool.append(payment.ark)
-        for tx in pool:
-            for i, out in enumerate(tx.outs):
-                outputs[tx.outpoint(i)] = out
+        pool_txs = {tx.txid: tx for tx in pool}
         h = self.chain.height
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
@@ -307,11 +300,14 @@ class Wallet:
                                  "reason": "missing witness"})
                 return False
             for op, wit in zip(tx.ins, tx.wits):
-                out = outputs.get(op)
-                if out is None:
+                src = pool_txs.get(op.txid)
+                if src is None and op.txid in self.chain.records:
+                    src = self.chain.records[op.txid].tx
+                if src is None or not 0 <= op.index < len(src.outs):
                     self.log.append({"event": "payment_rejected",
                                      "reason": "unknown input"})
                     return False
+                out = src.outs[op.index]
                 ctx = SpendContext(h, h, tx.digest())
                 if not evaluate(out.lock, wit, ctx):
                     self.log.append({"event": "payment_rejected",
@@ -350,7 +346,7 @@ class Wallet:
         for holding in list(self.holdings.values()):
             if holding.exited:
                 continue
-            deadline = holding.vtxo.expiry - 2 * self.params.k - 1 + self.exit_offset
+            deadline = holding.vtxo.expiry - 2 * self.params.k - 1
             if h >= deadline:
                 submitted.extend(self.unilateral_exit(holding.vtxo))
         return submitted
@@ -370,15 +366,3 @@ class Wallet:
                 total += out.value
         return total
 
-    def export_transcripts(self) -> dict:
-        return {
-            "party": self.name,
-            "vtxos": [
-                {"outpoint": {"txid": k[0], "index": k[1]},
-                 "value": hld.vtxo.value,
-                 "expiry": hld.vtxo.expiry,
-                 "kind": hld.kind,
-                 "transcript": [tx.json() for tx in hld.transcript]}
-                for k, hld in self.holdings.items()
-            ],
-        }

@@ -5,7 +5,6 @@ from arksim.arkcore import (
     BATCH_SWEEP_PATH,
     BATCH_UNROLL_PATH,
     ArkError,
-    NotALeaf,
     Vtxo,
     batch_lock,
     boarding_tx,

@@ -44,11 +44,3 @@ def test_unsafe_gate(tmp_path, capsys):
     assert main(["run", "censoring_operator", "--config", str(cfg),
                  "--unsafe", "--out", str(tmp_path / "r.json")]) == 0
 
-
-def test_bench_commit_small(tmp_path):
-    out = tmp_path / "bench.json"
-    code = main(["bench-commit", "--sizes", "2", "4", "8", "16",
-                 "--out", str(out)])
-    rep = json.loads(out.read_text())
-    assert "fit" in rep and "r_squared" in rep["fit"]
-    assert code in (0, 1)

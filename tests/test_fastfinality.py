@@ -138,3 +138,21 @@ def test_exhaustive_delta1_no_double_acceptance():
         assert not out["both_accepted"]
         assert out["burned"]
         assert out["collateral"] > out["coalition_gain"]
+
+
+def test_double_spend_trace_verify_count(monkeypatch):
+    # extract_secret is the only signature check in extract_and_burn, and
+    # a coordinator that has burned already does not verify again
+    calls = []
+    real = crypto.verify
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    for seed in range(5):
+        del calls[:]
+        outcome = ff_double_spend_trace(seed, PARAMS, 1)
+        assert outcome["burned"]
+        assert len(calls) == 14

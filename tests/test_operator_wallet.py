@@ -268,6 +268,17 @@ def test_unilateral_exit_confirms():
     assert sim.chain.unspent(v.outpoint)
 
 
+def test_change_vtxo_exits_unilaterally():
+    sim = boarded_sim(funds=10_000)
+    sim.add_wallet("bob", [])
+    alice = sim.wallets["alice"]
+    payment = sim.ark_pay("alice", "bob", [first_vtxo(sim)], 2_500)
+    change = next(v for v in payment.outputs if v.owner == "alice")
+    assert alice.unilateral_exit(change)
+    sim.tick(2 * PARAMS.k + 2, watch=False)
+    assert sim.chain.unspent(change.outpoint)
+
+
 def test_spend_policy_fires_at_deadline():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
