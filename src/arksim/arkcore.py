@@ -12,11 +12,11 @@ unroll), so the recursive sweep works at every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import crypto
-from .crypto import AggregateKey, PublicKey, SecretKey
+from .crypto import AggregateKey, PublicKey
 from .ledger import OutPoint, Output, Tx
 from .script import (
     UNSPENDABLE,
@@ -29,7 +29,6 @@ from .script import (
     NonceBound,
     Predicate,
     RelTimelock,
-    Witness,
     taproot,
 )
 

@@ -6,6 +6,24 @@ checking R = s*G - H(R || pk || m)*pk.  Aggregation is a deterministic
 coefficient-hashed n-of-n combine over a canonically ordered member set;
 the interactive signing session is modeled as a single synchronous call
 that either yields a full signature or aborts without output.
+
+Every scalar multiplication goes through `point_mul`, in Jacobian
+coordinates with one field inversion at the end:
+
+- Fixed base (p == G): a table of d * 16**i * G for i < 64 and d = 1..15,
+  built once at import and normalized to affine with one batched
+  inversion.  n * G is the sum of one entry per nonzero 4-bit digit of n:
+  at most 64 mixed additions and no doublings.
+- Variable base: the GLV endomorphism lambda * (x, y) = (beta * x, y)
+  (Gallant, Lambert and Vanstone, CRYPTO 2001) splits n into
+  k1 + k2 * lambda with |k1|, |k2| < 2**129.  Both halves are recoded as
+  width-5 NAFs and added into one shared chain of about 129 doublings,
+  from affine tables of the odd multiples p, 3p, ..., 15p and their
+  images (beta * x, y).  The endomorphism holds only on the curve, so an
+  off-curve point is rejected with `CryptoError`.
+
+The plain double-and-add ladder these replace is kept in
+`tests/secp_oracle.py`, and the tests check both paths against it.
 """
 
 from __future__ import annotations
@@ -61,55 +79,195 @@ def point_add(a: Point, b: Point) -> Point:
     return (x, (lam * (a[0] - x) - a[1]) % P)
 
 
+# --- Jacobian arithmetic ---------------------------------------------------
+# (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is infinity.
+
+_INF = (0, 0, 0)
+
+
+def _jdbl(x: int, y: int, z: int) -> Tuple[int, int, int]:
+    if z == 0 or y == 0:
+        return _INF
+    yy = y * y % P
+    s = 4 * x * yy % P
+    m = 3 * x * x % P  # curve a == 0
+    nx = (m * m - 2 * s) % P
+    return nx, (m * (s - nx) - 8 * yy * yy) % P, 2 * y * z % P
+
+
+def _jadd(x1: int, y1: int, z1: int, x2: int, y2: int, z2: int) -> Tuple[int, int, int]:
+    if z1 == 0:
+        return x2, y2, z2
+    if z2 == 0:
+        return x1, y1, z1
+    z1s, z2s = z1 * z1 % P, z2 * z2 % P
+    u1, u2 = x1 * z2s % P, x2 * z1s % P
+    s1, s2 = y1 * z2s * z2 % P, y2 * z1s * z1 % P
+    h = (u2 - u1) % P
+    r = (s2 - s1) % P
+    if h == 0:
+        return _jdbl(x1, y1, z1) if r == 0 else _INF
+    hh = h * h % P
+    hhh = hh * h % P
+    v = u1 * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    return nx, (r * (v - nx) - s1 * hhh) % P, h * z1 * z2 % P
+
+
+def _jadd_affine(x1: int, y1: int, z1: int, q: Tuple[int, int]) -> Tuple[int, int, int]:
+    """Mixed addition: Jacobian (x1, y1, z1) plus the affine point q."""
+    x2, y2 = q
+    if z1 == 0:
+        return x2, y2, 1
+    zz = z1 * z1 % P
+    h = (x2 * zz - x1) % P
+    r = (y2 * zz * z1 - y1) % P
+    if h == 0:
+        return _jdbl(x1, y1, z1) if r == 0 else _INF
+    hh = h * h % P
+    hhh = hh * h % P
+    v = x1 * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    return nx, (r * (v - nx) - y1 * hhh) % P, z1 * h % P
+
+
+def _batch_affine(points: Sequence[Tuple[int, int, int]]) -> list:
+    """Normalize finite Jacobian points with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    inv = _inv(acc)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        out[i] = (x * zi2 % P, y * zi2 * zi % P)
+    return out
+
+
+def _affine(x: int, y: int, z: int) -> Point:
+    return None if z == 0 else _batch_affine(((x, y, z),))[0]
+
+
+# --- fixed base: G ---------------------------------------------------------
+
+
+def _g_table() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Row i holds d * 16**i * G for d = 1..15, affine."""
+    rows = []
+    base = (G[0], G[1], 1)
+    for _ in range(64):
+        row = [base]
+        for _ in range(14):
+            row.append(_jadd(*row[-1], *base))
+        rows.append(row)
+        base = _jadd(*row[-1], *base)
+    flat = _batch_affine([pt for row in rows for pt in row])
+    return tuple(tuple(flat[i:i + 15]) for i in range(0, len(flat), 15))
+
+
+# A plain constant rather than a memo: it never changes, and emptying the
+# package's caches must not throw it away.
+_G_TABLE = _g_table()
+
+
+def _mul_g(n: int) -> Point:
+    # one mixed addition per nonzero 4-bit digit of n, no doublings
+    x = y = z = 0
+    for row in _G_TABLE:
+        d = n & 15
+        if d:
+            x, y, z = _jadd_affine(x, y, z, row[d - 1])
+        n >>= 4
+    return _affine(x, y, z)
+
+
+# --- variable base: GLV endomorphism + wNAF --------------------------------
+
+# lambda * (x, y) == (beta * x, y) for every point on the curve
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# a short basis (a1, b1), (a2, b2) of {(a, b) : a + b * lambda == 0 mod q}
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+
+def glv_split(n: int) -> Tuple[int, int]:
+    """Split 0 <= n < q into (k1, k2) with k1 + k2 * lambda == n (mod q)
+    and |k1|, |k2| < 2**129, by rounding n onto the lattice basis."""
+    c1 = (_B2 * n + Q // 2) // Q
+    c2 = (-_B1 * n + Q // 2) // Q
+    return n - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int) -> list:
+    """Width-5 NAF of k, least significant digit first: each digit is 0 or
+    odd in [-15, 15], and any nonzero digit is followed by four zeros."""
+    digits = []
+    while k:
+        if k & 1:
+            d = k & 31
+            if d > 16:
+                d -= 32
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _digit_table(odd: Sequence[Tuple[int, int]]) -> list:
+    """Index d in [-15, 15] odd to d * p, given p, 3p, ..., 15p; a negative
+    index wraps to the end of the list, where -d * p is stored."""
+    table = [None] * 32
+    for i, (x, y) in enumerate(odd):
+        table[2 * i + 1] = (x, y)
+        table[-2 * i - 1] = (x, P - y)
+    return table
+
+
+def _mul_var(p: Tuple[int, int], n: int) -> Point:
+    px, py = p
+    if (py * py - px * px * px - 7) % P:
+        raise CryptoError("point is not on secp256k1")
+    two = _jdbl(px, py, 1)
+    odd = [(px, py, 1)]
+    for _ in range(7):
+        odd.append(_jadd(*odd[-1], *two))
+    odd = _batch_affine(odd)
+    t1 = _digit_table(odd)
+    t2 = _digit_table([(BETA * ox % P, oy) for ox, oy in odd])
+    k1, k2 = glv_split(n)
+    w1, w2 = _wnaf(k1), _wnaf(k2)
+    width = max(len(w1), len(w2))
+    w1 += [0] * (width - len(w1))
+    w2 += [0] * (width - len(w2))
+    # both halves share one doubling chain
+    x = y = z = 0
+    for d1, d2 in zip(reversed(w1), reversed(w2)):
+        x, y, z = _jdbl(x, y, z)
+        if d1:
+            x, y, z = _jadd_affine(x, y, z, t1[d1])
+        if d2:
+            x, y, z = _jadd_affine(x, y, z, t2[d2])
+    return _affine(x, y, z)
+
+
 def point_mul(p: Point, n: int) -> Point:
-    # Jacobian ladder: one field inversion total instead of one per addition.
+    """n * p.  The single entry point for every scalar multiplication."""
     n %= Q
     if n == 0 or p is None:
         return None
-    jx, jy, jz = p[0], p[1], 1
-    rx, ry, rz = 0, 0, 0  # infinity marker: rz == 0
-
-    def jdbl(x, y, z):
-        if z == 0 or y == 0:
-            return (0, 0, 0)
-        s = 4 * x * y * y % P
-        m = 3 * x * x % P  # curve a == 0
-        nx = (m * m - 2 * s) % P
-        ny = (m * (s - nx) - 8 * y * y * y * y) % P
-        nz = 2 * y * z % P
-        return (nx, ny, nz)
-
-    def jadd(x1, y1, z1, x2, y2, z2):
-        if z1 == 0:
-            return (x2, y2, z2)
-        if z2 == 0:
-            return (x1, y1, z1)
-        z1s, z2s = z1 * z1 % P, z2 * z2 % P
-        u1, u2 = x1 * z2s % P, x2 * z1s % P
-        s1, s2 = y1 * z2s * z2 % P, y2 * z1s * z1 % P
-        if u1 == u2:
-            if s1 != s2:
-                return (0, 0, 0)
-            return jdbl(x1, y1, z1)
-        h = (u2 - u1) % P
-        r = (s2 - s1) % P
-        h2 = h * h % P
-        h3 = h2 * h % P
-        nx = (r * r - h3 - 2 * u1 * h2) % P
-        ny = (r * (u1 * h2 - nx) - s1 * h3) % P
-        nz = h * z1 * z2 % P
-        return (nx, ny, nz)
-
-    while n:
-        if n & 1:
-            rx, ry, rz = jadd(rx, ry, rz, jx, jy, jz)
-        jx, jy, jz = jdbl(jx, jy, jz)
-        n >>= 1
-    if rz == 0:
-        return None
-    zi = _inv(rz)
-    zi2 = zi * zi % P
-    return (rx * zi2 % P, ry * zi2 * zi % P)
+    if p == G:
+        return _mul_g(n)
+    return _mul_var(p, n)
 
 
 def compress(p: Point) -> bytes:

@@ -11,14 +11,14 @@ completes a committee-presigned burn of the collateral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import arkcore, crypto
-from .arkcore import Vtxo, classify_paths, p2pk, reset_tx
-from .crypto import Fixed, PublicKey, SecretKey, Signature
-from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
-from .operator_node import ArkPayment, Operator, Request, VtxoSpec
+from .arkcore import Vtxo, classify_paths, reset_tx
+from .crypto import Fixed, SecretKey, Signature
+from .ledger import Chain, OutPoint, Output, SubmitError, Tx
+from .operator_node import ArkPayment, Operator, VtxoSpec
 from .script import (
     UNSPENDABLE,
     AbsTimelock,
@@ -171,7 +171,6 @@ class FfCoordinator:
         self.burned = False
         self.burn_txid: Optional[str] = None
         self.round = 0
-        self.events: List[dict] = []
 
     # --- sending ---------------------------------------------------------
 
@@ -296,8 +295,6 @@ class FfCoordinator:
             burn = burn_collateral(self.collateral, sk, self.chain, member)
             self.burned = True
             self.burn_txid = burn.txid
-            self.events.append({"event": "collateral_burned", "by": member,
-                                "round": self.round})
             return burn
         return None
 
@@ -324,9 +321,6 @@ class FfCoordinator:
                 if self.round >= pend.accept_round:
                     self.pending[member].remove(pend)
                     self.accepted[member].append(pend.payload)
-                    self.events.append({"event": "ff_accept", "member": member,
-                                        "payload": pend.payload.payload_id,
-                                        "round": self.round})
 
     def monitor_step(self, member: str) -> List[Tx]:
         """React to onchain conflicts with accepted payments: extract and

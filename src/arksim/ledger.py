@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
-from .script import KEY_PATH, LockScript, SpendContext, Witness, evaluate
+from .script import LockScript, SpendContext, Witness, evaluate
 
 
 @dataclass(frozen=True)

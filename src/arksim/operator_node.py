@@ -15,15 +15,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto
 from .arkcore import (
-    BATCH_SWEEP_PATH,
     BATCH_UNROLL_PATH,
     BOARDING_COOP_PATH,
     BatchOutput,
     ConnectorOutput,
     SignerTree,
     Vtxo,
-    Vtxt,
-    anchor_lock,
     batch_lock,
     build_connector,
     build_vtxt,

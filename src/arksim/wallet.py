@@ -9,15 +9,15 @@ turn its balance into confirmed UTXOs without the operator's help.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import arkcore, crypto
-from .arkcore import Vtxo, classify_paths, p2pk, reset_tx, sweep_path_height, vtxo_lock
+from . import arkcore
+from .arkcore import Vtxo, p2pk, reset_tx, sweep_path_height, vtxo_lock
 from .crypto import PublicKey, SecretKey
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
-from .script import And, CheckAggSig, CheckSig, SpendContext, evaluate
+from .script import SpendContext, evaluate
 
 
 @dataclass

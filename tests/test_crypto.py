@@ -10,6 +10,7 @@ from arksim.crypto import (
     Fixed,
     HashCollision,
     NotReused,
+    PublicKey,
     SessionAborted,
     aggregate,
     aggregate_secret,
@@ -19,6 +20,10 @@ from arksim.crypto import (
     sign,
     verify,
 )
+from secp_oracle import ladder
+
+Q = crypto.Q
+OFF_CURVE = PublicKey((crypto.G[0], crypto.G[1] + 1))
 
 
 def test_keygen_deterministic():
@@ -156,9 +161,69 @@ def test_property_nonce_reuse_extracts(seed, r):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=crypto.Q - 1))
 def test_property_public_matches_ladder(x):
-    want = crypto.PublicKey(crypto.point_mul(crypto.G, x))
+    want = crypto.PublicKey(ladder(crypto.G, x))
     assert crypto.SecretKey(x).public() == want
     assert crypto.SecretKey(x).public() == crypto.SecretKey(x).public()
+
+
+EDGE_SCALARS = (0, 1, 2, Q - 1, Q, Q + 1, 2**128 - 1, 2**128 + 1)
+scalars = st.sampled_from(EDGE_SCALARS) | st.integers(min_value=0, max_value=3 * Q - 1)
+
+
+@st.composite
+def bases(draw):
+    """G, or a random multiple of G, or its negation."""
+    if draw(st.booleans()):
+        return crypto.G
+    x, y = ladder(crypto.G, draw(st.integers(min_value=1, max_value=Q - 1)))
+    return (x, crypto.P - y) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases(), scalars)
+def test_property_point_mul_matches_ladder(p, n):
+    assert crypto.point_mul(p, n) == ladder(p, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(EDGE_SCALARS) | st.integers(min_value=0, max_value=Q - 1))
+def test_property_glv_split(n):
+    k1, k2 = crypto.glv_split(n % Q)
+    assert (k1 + k2 * crypto.LAMBDA - n) % Q == 0
+    assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+def test_endomorphism_constants():
+    x, y = crypto.G
+    assert ladder(crypto.G, crypto.LAMBDA) == (crypto.BETA * x % crypto.P, y)
+
+
+def test_addition_of_equal_points_doubles():
+    p = ladder(crypto.G, 7)
+    two_p, neg_p = ladder(p, 2), (p[0], crypto.P - p[1])
+    jac = crypto._jdbl(*p, 1)   # 2p with z != 1, so the inputs differ in form
+    q = crypto._affine(*jac)
+    assert q == two_p
+    assert crypto._affine(*crypto._jadd_affine(*jac, q)) == ladder(p, 4)
+    assert crypto._affine(*crypto._jadd(*jac, *jac)) == ladder(p, 4)
+    assert crypto._affine(*crypto._jadd_affine(p[0], p[1], 1, neg_p)) is None
+    assert crypto._affine(*crypto._jadd(p[0], p[1], 1, neg_p[0], neg_p[1], 1)) is None
+
+
+def test_point_mul_rejects_off_curve_point():
+    with pytest.raises(CryptoError):
+        crypto.point_mul(OFF_CURVE.point, 5)
+
+
+def test_verify_under_off_curve_key_is_false():
+    sk, _ = keygen(b"a")
+    assert not verify(OFF_CURVE, b"m", sign(sk, b"m"))
+
+
+def test_aggregate_rejects_off_curve_member():
+    _, pk = keygen(b"a")
+    with pytest.raises(CryptoError):
+        aggregate([pk, OFF_CURVE])
 
 
 @pytest.fixture

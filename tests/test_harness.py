@@ -1,14 +1,19 @@
 import json
+from dataclasses import replace
 
+from arksim import harness
 from arksim.harness import (
     SCENARIOS,
+    RaceResult,
     Simulation,
     check_theorem,
     derive_state,
     exit_race,
     report_json,
     run_scenario,
+    scenario_censoring_operator,
     scenario_happy_path,
+    value_conserved,
 )
 from arksim.ledger import Params
 
@@ -101,3 +106,45 @@ def test_theorem_t2_balance_recoverable():
     out = check_theorem("T2", seed=3)
     assert out["pass"]
     assert out["claimed"] == out["recovered"]
+
+
+def test_censoring_late_exit_loses_the_race():
+    rep = scenario_censoring_operator(seed=0, late=True)
+    assert [v["pass"] for v in rep["verdicts"]] == [True, True]
+    assert rep["verdicts"][1]["detail"] == "sweep_confirmed=True"
+    # the late exit fires at the worst delays, whatever the seed
+    assert rep["events"] == [{"delays": [5, 5], "late": True}]
+
+
+def test_censoring_late_verdicts_fail_if_late_exit_wins(monkeypatch):
+    won = RaceResult(exit_confirmed_before_expiry=True, sweep_confirmed=False,
+                     leaf_stable=True)
+    monkeypatch.setattr(harness, "exit_race", lambda *args, **kwargs: won)
+    rep = scenario_censoring_operator(seed=0, late=True)
+    assert [v["pass"] for v in rep["verdicts"]] == [False, False]
+
+
+def test_happy_path_oracle_agreement_covers_spent_set(monkeypatch):
+    real = Simulation.book_projection
+
+    def without_spent(sim):
+        book = real(sim)
+        book.S = set()
+        return book
+
+    monkeypatch.setattr(Simulation, "book_projection", without_spent)
+    verdicts = {v["name"]: v["pass"] for v in scenario_happy_path(seed=0)["verdicts"]}
+    assert verdicts["oracle_agreement"] is False
+
+
+def test_value_conserved_sees_minted_value():
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(50_000)
+    sim.add_wallet("alice", [4_000])
+    sim.board("alice", [4_000])
+    sim.settle_commitment()
+    assert value_conserved(sim.chain)
+    # an output no transaction created breaks the identity
+    entry = next(iter(sim.chain.utxos.values()))
+    entry.output = replace(entry.output, value=entry.output.value + 1)
+    assert not value_conserved(sim.chain)
