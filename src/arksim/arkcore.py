@@ -56,7 +56,8 @@ class Vtxo:
     outpoint: Optional[OutPoint] = None
 
     def key(self) -> Tuple[str, int]:
-        assert self.outpoint is not None
+        if self.outpoint is None:
+            raise ArkError("VTXO has no outpoint yet")
         return (self.outpoint.txid, self.outpoint.index)
 
 

@@ -24,6 +24,15 @@ coordinates with one field inversion at the end:
 
 The plain double-and-add ladder these replace is kept in
 `tests/secp_oracle.py`, and the tests check both paths against it.
+
+Three pure functions are memoized in bounded `lru_cache`s: the public
+key of a scalar, the aggregate key of a member set, and the verdict of
+`verify`.  A transcript is checked again at inclusion, on every receipt
+and at exit, so the same (key, message, signature) triple recurs; as in
+Bitcoin Core's signature cache, each distinct triple is checked once.
+Each memo is keyed on every input its function reads (for `verify`, the
+key's point, the message, R and s), so a hit returns exactly what the
+full computation would, and any change to an input is a fresh check.
 """
 
 from __future__ import annotations
@@ -276,8 +285,9 @@ def compress(p: Point) -> bytes:
     return bytes([2 + (p[1] & 1)]) + p[0].to_bytes(32, "big")
 
 
-# Bound on each memo below: far above the keys and member sets one batch
-# uses, so a whole run hits, while a long process cannot grow without limit.
+# Bound on each memo below: far above the keys, member sets and signatures
+# one batch uses, so a whole run hits, while a long process cannot grow
+# without limit.
 _CACHE_SIZE = 4096
 
 
@@ -383,11 +393,18 @@ def sign(sk: SecretKey, m: bytes, nonce: Fresh | Fixed = Fresh()) -> Signature:
 
 
 def verify(pk: PublicKey, m: bytes, sig: Signature) -> bool:
+    return _verified(pk.point, m, sig.R, sig.s)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
+    # keyed on every field of (pk, m, sig): a changed bit is a fresh check
+    pk = PublicKey(point)
     try:
-        lhs = point_add(point_mul(G, sig.s), point_mul(pk.point, Q - challenge(sig.R, pk, m)))
+        lhs = point_add(point_mul(G, s), point_mul(point, Q - challenge(R, pk, m)))
     except CryptoError:
         return False
-    return lhs is not None and lhs == sig.R
+    return lhs is not None and lhs == R
 
 
 def _sorted_members(pks: Iterable[PublicKey]) -> Tuple[PublicKey, ...]:

@@ -63,6 +63,17 @@ class Request:
     input_expiries: Tuple[int, ...] = ()
 
 
+def _require_kind(r: Request, kind: str) -> None:
+    if r.kind != kind:
+        raise Reject(f"expected a {kind} request, got {r.kind!r}")
+
+
+def _input_key(v: Vtxo) -> Tuple[str, int]:
+    if v.outpoint is None:
+        raise Reject("input VTXO has no outpoint")
+    return v.key()
+
+
 @dataclass
 class BatchingPolicy:
     arity: int = 2
@@ -181,7 +192,9 @@ class Operator:
     # --- request intake --------------------------------------------------
 
     def verify_boarding(self, r: Request) -> None:
-        assert r.kind == "boarding" and r.boarding_outpoint is not None
+        _require_kind(r, "boarding")
+        if r.boarding_outpoint is None:
+            raise Reject("boarding request names no outpoint")
         key = (r.boarding_outpoint.txid, r.boarding_outpoint.index)
         view = self.chain.view(self.name, depth=self.params.k)
         if r.boarding_outpoint not in view["utxos"]:
@@ -201,15 +214,14 @@ class Operator:
 
     def _verify_vtxo_inputs(self, r: Request) -> None:
         for v in r.inputs:
-            assert v.outpoint is not None
-            key = v.key()
+            key = _input_key(v)
             if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
                 raise Reject(f"UnknownVtxo {key}")
             if key in self.book.preSpent:
                 raise Reject(f"AlreadyPending {key}")
 
     def verify_batch_swap(self, r: Request) -> None:
-        assert r.kind == "batch-swap"
+        _require_kind(r, "batch-swap")
         self._verify_vtxo_inputs(r)
         if sum(s.value for s in r.outputs) + self.policy.fee > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
@@ -218,7 +230,7 @@ class Operator:
             self.book.preSpent.add(v.key())
 
     def verify_exit(self, r: Request) -> None:
-        assert r.kind == "exit"
+        _require_kind(r, "exit")
         self._verify_vtxo_inputs(r)
         if sum(v for v, _ in r.exit_outputs) + self.policy.fee > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
@@ -233,9 +245,9 @@ class Operator:
         """Check and co-sign an offchain payment: the ark tx is signed
         first, the reset txs last, so the payer never holds a usable
         reset without the payment being complete."""
-        assert r.kind == "ark"
+        _require_kind(r, "ark")
         for v in r.inputs:
-            key = v.key()
+            key = _input_key(v)
             if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
                 raise Reject(f"DoubleSpend/unknown input {key}")
             if key in self.book.preSpent:

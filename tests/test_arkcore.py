@@ -183,3 +183,8 @@ def test_arity_three_tree():
     vtxt, _ = build_vtxt(funding, leaves, OP_PK, 50, 3)
     path = vtxt.path_to(vtxt.leaves[0].txid)
     assert len(path) == 3  # ceil(log3(9)) + 1
+
+
+def test_vtxo_key_needs_an_outpoint():
+    with pytest.raises(ArkError, match="no outpoint"):
+        Vtxo(1_000, p2pk(OP_PK), "op", OP_PK).key()

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,23 +224,6 @@ def test_aggregate_rejects_off_curve_member():
         aggregate([pk, OFF_CURVE])
 
 
-@pytest.fixture
-def point_mul_calls(monkeypatch):
-    """Count point multiplications, starting from an empty public-key memo."""
-    calls = []
-    real = crypto.point_mul
-
-    def counting(p, n):
-        calls.append(p)
-        return real(p, n)
-
-    monkeypatch.setattr(crypto, "point_mul", counting)
-    fresh = functools.lru_cache(maxsize=crypto._CACHE_SIZE)(
-        crypto._public_point.__wrapped__)
-    monkeypatch.setattr(crypto, "_public_point", fresh)
-    return calls
-
-
 def test_public_derived_once_per_scalar(point_mul_calls):
     sk, pk = keygen(b"op-count")
     assert len(point_mul_calls) == 1
@@ -260,3 +241,46 @@ def test_cosign_rederives_no_signer_key(point_mul_calls):
     # the three signers' keys come from the memo
     assert len(point_mul_calls) == 2
     assert verify(agg.point, b"digest", sig)
+
+
+# --- verification memo ---------------------------------------------------
+
+
+def test_verify_memo_checks_each_triple_once(point_mul_calls):
+    sk, pk = keygen(b"memo")
+    sig = sign(sk, b"m")
+    del point_mul_calls[:]
+    assert verify(pk, b"m", sig)
+    assert len(point_mul_calls) == 2
+    assert verify(pk, b"m", sig)
+    assert len(point_mul_calls) == 2
+
+
+def test_verify_memo_rechecks_every_changed_input(point_mul_calls):
+    sk, pk = keygen(b"memo")
+    sig = sign(sk, b"m")
+    assert verify(pk, b"m", sig)
+    other_sig = sign(sk, b"other")
+    _, other_pk = keygen(b"memo-other")
+    del point_mul_calls[:]
+    assert not verify(pk, b"m", crypto.Signature(sig.R, (sig.s + 1) % Q))
+    assert not verify(pk, b"m", crypto.Signature(other_sig.R, sig.s))
+    assert not verify(pk, b"other", sig)
+    assert not verify(other_pk, b"m", sig)
+    assert not verify(OFF_CURVE, b"m", sig)
+    # each was a fresh check; the off-curve key fails in its e*P
+    assert len(point_mul_calls) == 2 * 5
+
+
+def test_verify_memo_is_bounded():
+    assert crypto._verified.cache_info().maxsize == crypto._CACHE_SIZE
+
+
+def test_verify_memo_clears(point_mul_calls):
+    sk, pk = keygen(b"memo")
+    sig = sign(sk, b"m")
+    assert verify(pk, b"m", sig)
+    crypto._verified.cache_clear()
+    del point_mul_calls[:]
+    assert verify(pk, b"m", sig)
+    assert len(point_mul_calls) == 2

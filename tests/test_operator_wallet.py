@@ -67,6 +67,55 @@ def test_happy_boarding_yields_confirmed_vtxo():
     assert v.key() in sim.operator.book.confirmedVTXO
 
 
+# --- malformed requests ----------------------------------------------------
+
+
+@pytest.mark.parametrize("method, kind", [
+    ("verify_boarding", "boarding"), ("verify_batch_swap", "batch-swap"),
+    ("verify_exit", "exit"), ("verify_ark_request", "ark")])
+def test_intake_rejects_wrong_kind(method, kind):
+    sim = boarded_sim()
+    v = first_vtxo(sim)
+    alice = sim.wallets["alice"]
+    # a well-formed request, sent to the wrong intake
+    if kind == "batch-swap":
+        r = Request("exit", "alice", inputs=(v,),
+                    exit_outputs=((v.value, p2pk(alice.pk)),))
+    else:
+        r = Request("batch-swap", "alice", inputs=(v,),
+                    outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    args = (r, {alice.pk.hex(): alice.sk}) if kind == "ark" else (r,)
+    book = copy.deepcopy(sim.operator.book)
+    with pytest.raises(Reject, match=f"expected a {kind} request"):
+        getattr(sim.operator, method)(*args)
+    assert sim.operator.book == book
+
+
+def test_boarding_without_outpoint_rejected():
+    sim = Simulation(PARAMS, 1)
+    w = sim.add_wallet("alice", [1_000])
+    r = Request("boarding", "alice", outputs=(VtxoSpec(1_000, "alice", w.pk),))
+    with pytest.raises(Reject, match="no outpoint"):
+        sim.operator.verify_boarding(r)
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "ark"])
+def test_input_without_outpoint_rejected(kind):
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    v = copy.copy(first_vtxo(sim))
+    v.outpoint = None
+    r = Request(kind, "alice", inputs=(v,),
+                outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    book = copy.deepcopy(sim.operator.book)
+    with pytest.raises(Reject, match="no outpoint"):
+        if kind == "ark":
+            sim.operator.verify_ark_request(r, {alice.pk.hex(): alice.sk})
+        else:
+            sim.operator.verify_batch_swap(r)
+    assert sim.operator.book == book
+
+
 # --- single-spend discipline --------------------------------------------
 
 
@@ -233,6 +282,20 @@ def test_payment_receipt_and_swap():
     assert any(h.kind == "ark" and h.vtxo.value == 2_000
                for h in bob.holdings.values())
     assert any(e["event"] == "payment_accepted" for e in bob.log)
+
+
+def test_recheck_of_accepted_payment_is_free(point_mul_calls):
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    payment = sim.ark_pay("alice", "bob", [first_vtxo(sim)], 2_000)
+    bob = sim.wallets["bob"]
+    del point_mul_calls[:]
+    # every witness was verified on receipt, so the memo answers for all
+    assert bob._check_witnesses(payment)
+    assert point_mul_calls == []
+    crypto._verified.cache_clear()
+    assert bob._check_witnesses(payment)
+    assert point_mul_calls
 
 
 def test_payment_rejected_without_transcript():
