@@ -346,7 +346,8 @@ def reset_lock(vtxo: Vtxo, operator: PublicKey, expiry: int, t_u: int) -> LockSc
 def reset_tx(vtxo: Vtxo, operator: PublicKey, expiry: int, t_u: int) -> Tx:
     """Intermediate transaction that re-locks a spent VTXO so the
     operator can sweep it at the originating batch's expiry."""
-    assert vtxo.outpoint is not None
+    if vtxo.outpoint is None:
+        raise ArkError("VTXO has no outpoint yet")
     lock = reset_lock(vtxo, operator, expiry, t_u)
     return Tx(ins=(vtxo.outpoint,), outs=(Output(vtxo.value, lock),))
 
@@ -367,6 +368,7 @@ def ark_tx(reset_outs: Sequence[Tuple[OutPoint, int]], outputs: Sequence[Vtxo]) 
 def forfeit_tx(vtxo: Vtxo, anchor: OutPoint, operator: PublicKey, epsilon: int) -> Tx:
     """Give a VTXO (plus one connector anchor) to the operator; the
     SIGHASH_ALL digest binds it to the commitment holding the anchor."""
-    assert vtxo.outpoint is not None
+    if vtxo.outpoint is None:
+        raise ArkError("VTXO has no outpoint yet")
     return Tx(ins=(vtxo.outpoint, anchor),
               outs=(Output(vtxo.value + epsilon, p2pk(operator)),))

@@ -16,23 +16,35 @@ coordinates with one field inversion at the end:
   at most 64 mixed additions and no doublings.
 - Variable base: the GLV endomorphism lambda * (x, y) = (beta * x, y)
   (Gallant, Lambert and Vanstone, CRYPTO 2001) splits n into
-  k1 + k2 * lambda with |k1|, |k2| < 2**129.  Both halves are recoded as
-  width-5 NAFs and added into one shared chain of about 129 doublings,
-  from affine tables of the odd multiples p, 3p, ..., 15p and their
-  images (beta * x, y).  The endomorphism holds only on the curve, so an
-  off-curve point is rejected with `CryptoError`.
+  k1 + k2 * lambda with |k1|, |k2| < 2**129.  Each half is read as a
+  comb (Lim and Lee, CRYPTO '94) with four teeth 33 bits apart: a table
+  of the 15 nonzero subset sums of p, 2**33 p, 2**66 p and 2**99 p,
+  affine, serves both halves, since negating y gives -p's sums and
+  scaling x by beta gives lambda * p's.  One multiplication is 33
+  doublings and at most 66 mixed additions.  The endomorphism holds only
+  on the curve, so an off-curve point is rejected with `CryptoError`.
+
+Sums of several multiplications (an aggregate key, and s*G - e*P in
+`verify`) are added in Jacobian form too, and `verify` compares the sum
+with R without an inversion.
 
 The plain double-and-add ladder these replace is kept in
 `tests/secp_oracle.py`, and the tests check both paths against it.
 
-Three pure functions are memoized in bounded `lru_cache`s: the public
-key of a scalar, the aggregate key of a member set, and the verdict of
-`verify`.  A transcript is checked again at inclusion, on every receipt
-and at exit, so the same (key, message, signature) triple recurs; as in
-Bitcoin Core's signature cache, each distinct triple is checked once.
-Each memo is keyed on every input its function reads (for `verify`, the
-key's point, the message, R and s), so a hit returns exactly what the
-full computation would, and any change to an input is a fresh check.
+Four pure functions are memoized in bounded `lru_cache`s: the comb table
+of a variable base, the public key of a scalar, the aggregate key of a
+member set, and the verdict of `verify`.  A batch multiplies each signer
+key about log n times while aggregating its subtrees, so a table is
+built once per key and reused.  The table is a function of the point
+alone, and the point is checked to lie on the curve before anything is
+cached, so a hit is exactly the table a fresh build would give and an
+off-curve point never enters the memo.  A transcript is checked again at
+inclusion, on every receipt and at exit, so the same (key, message,
+signature) triple recurs; as in Bitcoin Core's signature cache, each
+distinct triple is checked once.  Each memo is keyed on every input its
+function reads (for `verify`, the key's point, the message, R and s), so
+a hit returns exactly what the full computation would, and any change
+to an input is a fresh check.
 """
 
 from __future__ import annotations
@@ -67,25 +79,6 @@ class NotReused(CryptoError):
 
 class HashCollision(CryptoError):
     """The two challenge hashes coincide mod q; extraction impossible."""
-
-
-def _inv(a: int, m: int = P) -> int:
-    return pow(a, -1, m)
-
-
-def point_add(a: Point, b: Point) -> Point:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] == b[0] and (a[1] + b[1]) % P == 0:
-        return None
-    if a == b:
-        lam = 3 * a[0] * a[0] * _inv(2 * a[1]) % P
-    else:
-        lam = (b[1] - a[1]) * _inv(b[0] - a[0]) % P
-    x = (lam * lam - a[0] - b[0]) % P
-    return (x, (lam * (a[0] - x) - a[1]) % P)
 
 
 # --- Jacobian arithmetic ---------------------------------------------------
@@ -147,7 +140,7 @@ def _batch_affine(points: Sequence[Tuple[int, int, int]]) -> list:
     for _, _, z in points:
         prefix.append(acc)
         acc = acc * z % P
-    inv = _inv(acc)
+    inv = pow(acc, -1, P)
     out = [None] * len(points)
     for i in range(len(points) - 1, -1, -1):
         x, y, z = points[i]
@@ -156,6 +149,15 @@ def _batch_affine(points: Sequence[Tuple[int, int, int]]) -> list:
         zi2 = zi * zi % P
         out[i] = (x * zi2 % P, y * zi2 * zi % P)
     return out
+
+
+def _jsum(points: Iterable[Point]) -> Tuple[int, int, int]:
+    """The sum of affine points, None among them, left in Jacobian form."""
+    x = y = z = 0
+    for q in points:
+        if q is not None:
+            x, y, z = _jadd_affine(x, y, z, q)
+    return x, y, z
 
 
 def _affine(x: int, y: int, z: int) -> Point:
@@ -195,7 +197,7 @@ def _mul_g(n: int) -> Point:
     return _affine(x, y, z)
 
 
-# --- variable base: GLV endomorphism + wNAF --------------------------------
+# --- variable base: GLV endomorphism + per-base comb -----------------------
 
 # lambda * (x, y) == (beta * x, y) for every point on the curve
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -215,57 +217,57 @@ def glv_split(n: int) -> Tuple[int, int]:
     return n - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _wnaf(k: int) -> list:
-    """Width-5 NAF of k, least significant digit first: each digit is 0 or
-    odd in [-15, 15], and any nonzero digit is followed by four zeros."""
-    digits = []
-    while k:
-        if k & 1:
-            d = k & 31
-            if d > 16:
-                d -= 32
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+# Four teeth 33 bits apart span 132 bits, enough for either GLV half.
+_COMB_SPACING = 33
+
+# Bound on the comb-table memo.  A table is about 2.8 KB, so 256 tables
+# are about 0.7 MB and hold the signer keys of a wide batch; the shared
+# bound below would also keep a table for every aggregate key verified once.
+_COMB_CACHE_SIZE = 256
 
 
-def _digit_table(odd: Sequence[Tuple[int, int]]) -> list:
-    """Index d in [-15, 15] odd to d * p, given p, 3p, ..., 15p; a negative
-    index wraps to the end of the list, where -d * p is stored."""
-    table = [None] * 32
-    for i, (x, y) in enumerate(odd):
-        table[2 * i + 1] = (x, y)
-        table[-2 * i - 1] = (x, P - y)
-    return table
-
-
-def _mul_var(p: Tuple[int, int], n: int) -> Point:
+@lru_cache(maxsize=_COMB_CACHE_SIZE)
+def _comb_table(p: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
+    """Entry i - 1 (i = 1..15) is the sum of the teeth p * 2**(33 * j)
+    for each bit j set in i, affine."""
     px, py = p
     if (py * py - px * px * px - 7) % P:
         raise CryptoError("point is not on secp256k1")
-    two = _jdbl(px, py, 1)
-    odd = [(px, py, 1)]
-    for _ in range(7):
-        odd.append(_jadd(*odd[-1], *two))
-    odd = _batch_affine(odd)
-    t1 = _digit_table(odd)
-    t2 = _digit_table([(BETA * ox % P, oy) for ox, oy in odd])
+    sums = [_INF] * 16
+    tooth = (px, py, 1)
+    for j in range(4):
+        if j:
+            for _ in range(_COMB_SPACING):
+                tooth = _jdbl(*tooth)
+        bit = 1 << j
+        sums[bit] = tooth
+        for low in range(1, bit):
+            sums[bit | low] = _jadd(*sums[low], *tooth)
+    return tuple(_batch_affine(sums[1:]))
+
+
+def _comb_columns(k: int) -> list:
+    """The 4-bit columns of 0 <= k < 2**132, most significant first:
+    column j holds bits j, j + 33, j + 66 and j + 99 of k."""
+    return [(k >> j & 1) | (k >> (j + 32) & 2) | (k >> (j + 64) & 4)
+            | (k >> (j + 96) & 8) for j in range(_COMB_SPACING - 1, -1, -1)]
+
+
+def _mul_var(p: Tuple[int, int], n: int) -> Point:
+    table = _comb_table(p)
     k1, k2 = glv_split(n)
-    w1, w2 = _wnaf(k1), _wnaf(k2)
-    width = max(len(w1), len(w2))
-    w1 += [0] * (width - len(w1))
-    w2 += [0] * (width - len(w2))
-    # both halves share one doubling chain
+    # a negative half negates y; k2 multiplies lambda * p, which is p with
+    # x scaled by beta
+    t1 = table if k1 >= 0 else [(x, P - y) for x, y in table]
+    t2 = [(BETA * x % P, y if k2 >= 0 else P - y) for x, y in table]
+    # both halves share one chain of 33 doublings
     x = y = z = 0
-    for d1, d2 in zip(reversed(w1), reversed(w2)):
+    for d1, d2 in zip(_comb_columns(abs(k1)), _comb_columns(abs(k2))):
         x, y, z = _jdbl(x, y, z)
         if d1:
-            x, y, z = _jadd_affine(x, y, z, t1[d1])
+            x, y, z = _jadd_affine(x, y, z, t1[d1 - 1])
         if d2:
-            x, y, z = _jadd_affine(x, y, z, t2[d2])
+            x, y, z = _jadd_affine(x, y, z, t2[d2 - 1])
     return _affine(x, y, z)
 
 
@@ -401,10 +403,16 @@ def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
     # keyed on every field of (pk, m, sig): a changed bit is a fresh check
     pk = PublicKey(point)
     try:
-        lhs = point_add(point_mul(G, s), point_mul(point, Q - challenge(R, pk, m)))
+        terms = (point_mul(G, s), point_mul(point, Q - challenge(R, pk, m)))
     except CryptoError:
         return False
-    return lhs is not None and lhs == R
+    x, y, z = _jsum(terms)
+    # s*G - e*P == R, compared in Jacobian form so no inversion is needed;
+    # as in an affine comparison, R's coordinates must be reduced
+    if z == 0 or not (0 <= R[0] < P and 0 <= R[1] < P):
+        return False
+    zz = z * z % P
+    return x == R[0] * zz % P and y == R[1] * zz * z % P
 
 
 def _sorted_members(pks: Iterable[PublicKey]) -> Tuple[PublicKey, ...]:
@@ -427,12 +435,11 @@ def aggregate(pks: Iterable[PublicKey]) -> AggregateKey:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _aggregate_members(members: Tuple[PublicKey, ...]) -> AggregateKey:
-    acc: Point = None
-    for pk, coef in zip(members, _coefficients(members)):
-        acc = point_add(acc, point_mul(pk.point, coef))
-    if acc is None:
+    x, y, z = _jsum(point_mul(pk.point, coef)
+                    for pk, coef in zip(members, _coefficients(members)))
+    if z == 0:
         raise CryptoError("degenerate aggregate key")
-    return AggregateKey(PublicKey(acc), members)
+    return AggregateKey(PublicKey(_affine(x, y, z)), members)
 
 
 def aggregate_secret(signers: Sequence[SecretKey]) -> SecretKey:

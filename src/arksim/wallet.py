@@ -91,7 +91,10 @@ class Wallet:
 
     def verify_path(self, bundle: Bundle, vtxo: Vtxo) -> bool:
         batch = bundle.batch
-        assert batch is not None and vtxo.outpoint is not None
+        if batch is None:
+            return self._fail("bundle has no batch")
+        if vtxo.outpoint is None:
+            return self._fail("leaf has no outpoint")
         try:
             txs = batch.vtxt.path_to(vtxo.outpoint.txid)
         except KeyError:
@@ -142,7 +145,8 @@ class Wallet:
         requests = bundle.boardings + bundle.swaps
         for i, r in enumerate(requests):
             for leaf in bundle.leaf_by_request[i]:
-                assert leaf.outpoint is not None
+                if leaf.outpoint is None:
+                    return self._fail("leaf has no outpoint")
                 key = leaf.key()
                 if key in seen:
                     return self._fail("two requests aliased to one output")
@@ -222,7 +226,11 @@ class Wallet:
             return None
         for v in mine:
             expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u)
-            assert v.outpoint is not None
+            if v.outpoint is None or \
+                    not 0 <= v.outpoint.index < len(payment.ark.outs):
+                self.log.append({"event": "payment_rejected",
+                                 "reason": "output not in the ark tx"})
+                return None
             out = payment.ark.outs[v.outpoint.index]
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 self.log.append({"event": "payment_rejected",

@@ -18,7 +18,7 @@ from arksim.arkcore import (
     sweep_path_height,
     vtxo_lock,
 )
-from arksim.ledger import Chain, Params
+from arksim.ledger import Chain, OutPoint, Params
 from arksim.script import UNSPENDABLE, And, CheckAggSig, CheckSig, RelTimelock, taproot
 
 PARAMS = Params(k=3, t_u=13, t_e=40)
@@ -188,3 +188,12 @@ def test_arity_three_tree():
 def test_vtxo_key_needs_an_outpoint():
     with pytest.raises(ArkError, match="no outpoint"):
         Vtxo(1_000, p2pk(OP_PK), "op", OP_PK).key()
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: reset_tx(v, OP_PK, 77, PARAMS.t_u),
+    lambda v: forfeit_tx(v, OutPoint("00" * 32, 0), OP_PK, 330),
+], ids=["reset", "forfeit"])
+def test_leaf_templates_need_an_outpoint(make):
+    with pytest.raises(ArkError, match="no outpoint"):
+        make(make_leaves(1)[0])

@@ -1,3 +1,6 @@
+import collections
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,9 +211,13 @@ def test_addition_of_equal_points_doubles():
     assert crypto._affine(*crypto._jadd(p[0], p[1], 1, neg_p[0], neg_p[1], 1)) is None
 
 
-def test_point_mul_rejects_off_curve_point():
-    with pytest.raises(CryptoError):
-        crypto.point_mul(OFF_CURVE.point, 5)
+def test_point_mul_rejects_off_curve_point(fresh_comb):
+    for _ in range(2):
+        with pytest.raises(CryptoError):
+            crypto.point_mul(OFF_CURVE.point, 5)
+    # rejected on every call, and never cached
+    assert fresh_comb.cache_info().misses == 2
+    assert fresh_comb.cache_info().currsize == 0
 
 
 def test_verify_under_off_curve_key_is_false():
@@ -218,10 +225,34 @@ def test_verify_under_off_curve_key_is_false():
     assert not verify(OFF_CURVE, b"m", sign(sk, b"m"))
 
 
+def test_verify_rejects_unreduced_nonce_point():
+    sk, pk = keygen(b"a")
+    r = 12345
+    R = crypto.point_mul(crypto.G, r)
+    # (x, y + p) encodes as -R, and the key holder can answer its challenge
+    # so that s*G - e*pk == R modulo p; it is still not R
+    odd_R = (R[0], R[1] + crypto.P)
+    s = (r + crypto.challenge(odd_R, pk, b"m") * sk.scalar) % Q
+    assert not verify(pk, b"m", crypto.Signature(odd_R, s))
+
+
 def test_aggregate_rejects_off_curve_member():
     _, pk = keygen(b"a")
     with pytest.raises(CryptoError):
         aggregate([pk, OFF_CURVE])
+
+
+def test_aggregate_skips_zero_terms_and_rejects_a_zero_sum(monkeypatch):
+    monkeypatch.setattr(crypto, "_aggregate_members", functools.lru_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._aggregate_members.__wrapped__))
+    _, pk = keygen(b"zero-sum")
+    neg = PublicKey((pk.point[0], crypto.P - pk.point[1]))
+    monkeypatch.setattr(crypto, "_coefficients", lambda members: [1, 1])
+    with pytest.raises(CryptoError, match="degenerate"):
+        aggregate([pk, neg])
+    monkeypatch.setattr(crypto, "_coefficients", lambda members: [0, 1])
+    agg = aggregate([pk, neg])
+    assert agg.point == agg.members[1]
 
 
 def test_public_derived_once_per_scalar(point_mul_calls):
@@ -284,3 +315,97 @@ def test_verify_memo_clears(point_mul_calls):
     del point_mul_calls[:]
     assert verify(pk, b"m", sig)
     assert len(point_mul_calls) == 2
+
+
+# --- variable-base comb --------------------------------------------------
+
+# scalars whose GLV halves take each sign pattern, the larger half 128 bits
+GLV_SIGN_CASES = (
+    0x31B1891A0593DBA20E28B64F4EB19FCAA64F7613B4642EA4696C63D6F5EAD066,
+    0x153E7C2A26A2C0BD3B1287FFF52DDF5D616499C9E25A7605AEC6F0245BD86D41,
+    0x7F26144B98289FCD59A54A7BB1FEE08F571242425051C1CCD17F9ACAE01F5058,
+    0x9E7D6B377936D536243D35702C1EEA1F265974A7CC966F46C6AA7D550101B812,
+)
+BASE = ladder(crypto.G, 0xC0FFEE)
+
+
+@pytest.fixture
+def fresh_comb(monkeypatch):
+    """An empty comb-table memo of the same bound, private to the test."""
+    fresh = functools.lru_cache(maxsize=crypto._COMB_CACHE_SIZE)(
+        crypto._comb_table.__wrapped__)
+    monkeypatch.setattr(crypto, "_comb_table", fresh)
+    return fresh
+
+
+@pytest.fixture
+def group_ops(monkeypatch):
+    """Count the Jacobian doublings and additions by name."""
+    counts = collections.Counter()
+    for name in ("_jdbl", "_jadd", "_jadd_affine"):
+        def counting(*args, _name=name, _real=getattr(crypto, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(crypto, name, counting)
+    return counts
+
+
+def test_glv_sign_cases_cover_every_sign():
+    halves = [crypto.glv_split(n) for n in GLV_SIGN_CASES]
+    assert {(k1 < 0, k2 < 0) for k1, k2 in halves} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    assert all(max(abs(k1), abs(k2)).bit_length() == 128 for k1, k2 in halves)
+
+
+@pytest.mark.parametrize("n", GLV_SIGN_CASES + (1, crypto.LAMBDA, Q - 1),
+                         ids=lambda n: hex(n)[:10])
+def test_comb_cold_and_cached_match_ladder(fresh_comb, n):
+    cold = crypto.point_mul(BASE, n)
+    assert fresh_comb.cache_info().currsize == 1
+    assert crypto.point_mul(BASE, n) == cold == ladder(BASE, n)
+    assert fresh_comb.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("t, u", [(12, 0), (-12, 0), (0, 12), (0, -12)])
+def test_comb_reads_halves_up_to_132_bits(monkeypatch, t, u):
+    # any k1 + k2 * lambda == n is a valid split; adding lattice vectors
+    # widens the halves past glv_split's 2**129 toward the comb's 2**132
+    real = crypto.glv_split
+
+    def wide(n):
+        k1, k2 = real(n)
+        return (k1 + t * crypto._A1 + u * crypto._A2,
+                k2 + t * crypto._B1 + u * crypto._B2)
+
+    monkeypatch.setattr(crypto, "glv_split", wide)
+    for n in GLV_SIGN_CASES:
+        assert 2**130 < max(abs(k) for k in wide(n)) < 2**132
+        assert crypto.point_mul(BASE, n) == ladder(BASE, n)
+
+
+def test_comb_cost_cold_then_cached(fresh_comb, group_ops):
+    crypto.point_mul(BASE, GLV_SIGN_CASES[0])
+    # the table: three teeth of 33 doublings each, and 11 subset sums
+    assert group_ops["_jdbl"] == 99 + 33
+    assert group_ops["_jadd"] == 11
+    assert group_ops["_jadd_affine"] <= 66
+    for n in GLV_SIGN_CASES:
+        group_ops.clear()
+        crypto.point_mul(BASE, n)
+        assert group_ops["_jdbl"] == 33
+        assert group_ops["_jadd"] == 0
+        assert group_ops["_jadd_affine"] <= 66
+
+
+def test_comb_memo_is_bounded():
+    assert crypto._comb_table.cache_info().maxsize == crypto._COMB_CACHE_SIZE
+
+
+def test_comb_memo_clears(group_ops):
+    crypto.point_mul(BASE, 5)
+    assert crypto._comb_table.cache_info().currsize >= 1
+    crypto._comb_table.cache_clear()
+    assert crypto._comb_table.cache_info().currsize == 0
+    group_ops.clear()
+    crypto.point_mul(BASE, 5)
+    assert group_ops["_jadd"] == 11   # the table was built again

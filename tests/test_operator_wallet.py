@@ -1,4 +1,8 @@
 import copy
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +10,7 @@ from arksim import crypto
 from arksim.arkcore import p2pk
 from arksim.crypto import SessionAborted
 from arksim.harness import Simulation
-from arksim.ledger import Output, Params, Tx
+from arksim.ledger import OutPoint, Output, Params, Tx
 from arksim.operator_node import BatchingPolicy, Reject, Request, VtxoSpec
 
 PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
@@ -270,7 +274,61 @@ def test_wallet_rejects_wrong_leaf_value():
     assert not sim.wallets["alice"].verify_commitment(bad)
 
 
+def test_wallet_rejects_bundle_without_batch():
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    bad = copy.deepcopy(bundle)
+    bad.batch = None
+    alice = sim.wallets["alice"]
+    assert not alice.verify_commitment(bad)
+    assert alice.log[-1] == {"event": "verify_failed", "reason": "bundle has no batch"}
+
+
+def test_wallet_rejects_leaf_without_outpoint():
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    bad = copy.deepcopy(bundle)
+    for leaves in bad.leaf_by_request.values():
+        for leaf in leaves:
+            leaf.outpoint = None
+    alice = sim.wallets["alice"]
+    assert not alice.verify_commitment(bad)
+    assert alice.log[-1] == {"event": "verify_failed", "reason": "leaf has no outpoint"}
+
+
+def test_wallet_path_check_rejects_leaf_without_outpoint():
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    leaf = copy.deepcopy(next(iter(bundle.leaf_by_request.values()))[0])
+    leaf.outpoint = None
+    alice = sim.wallets["alice"]
+    assert not alice.verify_path(bundle, leaf)
+    assert alice.log[-1] == {"event": "verify_failed", "reason": "leaf has no outpoint"}
+
+
 # --- payments and balances ----------------------------------------------
+
+
+def payment_to_bob(sim):
+    """Alice's payment of 2,000 to bob, as the operator returns it."""
+    sim.add_wallet("bob", [])
+    v = first_vtxo(sim)
+    alice = sim.wallets["alice"]
+    bob = sim.wallets["bob"]
+    req = alice.make_ark_request([v], [VtxoSpec(2_000, "bob", bob.pk),
+                                       VtxoSpec(v.value - 2_000, "alice", alice.pk)])
+    return sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+
+
+def outpointless_payment_receipt():
+    """Bob's answer to a payment whose outputs name no outpoint, and his
+    last log entry."""
+    sim = boarded_sim()
+    payment = payment_to_bob(sim)
+    for out in payment.outputs:
+        out.outpoint = None
+    bob = sim.wallets["bob"]
+    return bob.receive_payment(payment), bob.log[-1]
 
 
 def test_payment_receipt_and_swap():
@@ -300,16 +358,35 @@ def test_recheck_of_accepted_payment_is_free(point_mul_calls):
 
 def test_payment_rejected_without_transcript():
     sim = boarded_sim()
-    sim.add_wallet("bob", [])
-    v = first_vtxo(sim)
-    alice = sim.wallets["alice"]
+    payment = payment_to_bob(sim)
     bob = sim.wallets["bob"]
-    req = alice.make_ark_request([v], [VtxoSpec(2_000, "bob", bob.pk),
-                                       VtxoSpec(v.value - 2_000, "alice", alice.pk)])
-    payment = sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
     payment.paths = [[] for _ in payment.ark.ins]   # transcript withheld
     assert bob.receive_payment(payment) is None
     assert any(e["event"] == "payment_rejected" for e in bob.log)
+
+
+def test_payment_without_outpoints_rejected_under_optimize():
+    # asserts are stripped under -O, so the rejection must not rest on one
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")))))
+    code = "import test_operator_wallet as t; print(t.outpointless_payment_receipt())"
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("(None, {'event': 'payment_rejected', "
+                           "'reason': 'output not in the ark tx'})\n")
+
+
+def test_payment_rejected_on_output_outside_the_ark_tx():
+    sim = boarded_sim()
+    payment = payment_to_bob(sim)
+    for out in payment.outputs:
+        out.outpoint = OutPoint(out.outpoint.txid, len(payment.ark.outs))
+    bob = sim.wallets["bob"]
+    assert bob.receive_payment(payment) is None
+    assert bob.log[-1] == {"event": "payment_rejected",
+                           "reason": "output not in the ark tx"}
 
 
 def test_balance_counts_unexpired_only():
