@@ -10,10 +10,14 @@ that either yields a full signature or aborts without output.
 Every scalar multiplication goes through `point_mul`, in Jacobian
 coordinates with one field inversion at the end:
 
-- Fixed base (p == G): a table of d * 16**i * G for i < 64 and d = 1..15,
-  built once at import and normalized to affine with one batched
-  inversion.  n * G is the sum of one entry per nonzero 4-bit digit of n:
-  at most 64 mixed additions and no doublings.
+- Fixed base (p == G): n is recoded into 33 signed 8-bit digits in
+  [-128, 128] (a byte above 128 becomes byte - 256 and carries one into
+  the next digit), and a table of d * 256**i * G for i < 33 and
+  d = 1..128, affine, holds every digit's multiple; a negative digit
+  negates the entry's y.  n * G is the sum of one entry per nonzero
+  digit: at most 33 mixed additions and no doublings.  The 4,224 entries
+  are built once at import, column by column in affine coordinates with
+  one batched inversion per column: about 30 ms on a 2-core x86 machine.
 - Variable base: the GLV endomorphism lambda * (x, y) = (beta * x, y)
   (Gallant, Lambert and Vanstone, CRYPTO 2001) splits n into
   k1 + k2 * lambda with |k1|, |k2| < 2**129.  Each half is read as a
@@ -133,21 +137,28 @@ def _jadd_affine(x1: int, y1: int, z1: int, q: Tuple[int, int]) -> Tuple[int, in
     return nx, (r * (v - nx) - y1 * hhh) % P, z1 * h % P
 
 
-def _batch_affine(points: Sequence[Tuple[int, int, int]]) -> list:
-    """Normalize finite Jacobian points with one inversion (Montgomery's trick)."""
+def _batch_inverse(values: Sequence[int]) -> list:
+    """The inverses mod p of nonzero values, with one inversion
+    (Montgomery's trick)."""
     prefix = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * z % P
+        acc = acc * v % P
     inv = pow(acc, -1, P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zi = inv * prefix[i] % P
-        inv = inv * z % P
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % P
+        inv = inv * values[i] % P
+    return out
+
+
+def _batch_affine(points: Sequence[Tuple[int, int, int]]) -> list:
+    """Normalize finite Jacobian points with one inversion."""
+    out = []
+    for (x, y, _), zi in zip(points, _batch_inverse([z for _, _, z in points])):
         zi2 = zi * zi % P
-        out[i] = (x * zi2 % P, y * zi2 * zi % P)
+        out.append((x * zi2 % P, y * zi2 * zi % P))
     return out
 
 
@@ -167,18 +178,37 @@ def _affine(x: int, y: int, z: int) -> Point:
 # --- fixed base: G ---------------------------------------------------------
 
 
+# Signed digits of this many bits: 33 of them cover any n < 2**256, the
+# last one taking the final borrow, and each is in [-128, 128].
+_G_WINDOW = 8
+_G_MASK = (1 << _G_WINDOW) - 1
+_G_HALF = 1 << (_G_WINDOW - 1)
+_G_ROWS = 256 // _G_WINDOW + 1
+
+
 def _g_table() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Row i holds d * 16**i * G for d = 1..15, affine."""
-    rows = []
-    base = (G[0], G[1], 1)
-    for _ in range(64):
-        row = [base]
-        for _ in range(14):
-            row.append(_jadd(*row[-1], *base))
-        rows.append(row)
-        base = _jadd(*row[-1], *base)
-    flat = _batch_affine([pt for row in rows for pt in row])
-    return tuple(tuple(flat[i:i + 15]) for i in range(0, len(flat), 15))
+    """Row i holds d * 256**i * G for d = 1..128, affine."""
+    bases = [(G[0], G[1], 1)]
+    for _ in range(_G_ROWS - 1):
+        b = bases[-1]
+        for _ in range(_G_WINDOW):
+            b = _jdbl(*b)
+        bases.append(b)
+    bases = _batch_affine(bases)
+    # column d - 1 holds d * base for every row base; each column past the
+    # second adds the bases to the one before in affine coordinates, so the
+    # 33 chord slopes of a column share one batched inversion
+    cols = [bases, _batch_affine([_jdbl(x, y, 1) for x, y in bases])]
+    for _ in range(_G_HALF - 2):
+        prev = cols[-1]
+        invs = _batch_inverse([x - bx for (x, _), (bx, _) in zip(prev, bases)])
+        col = []
+        for (x, y), (bx, by), inv in zip(prev, bases, invs):
+            lam = (y - by) * inv % P
+            nx = (lam * lam - x - bx) % P
+            col.append((nx, (lam * (x - nx) - y) % P))
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 # A plain constant rather than a memo: it never changes, and emptying the
@@ -187,13 +217,19 @@ _G_TABLE = _g_table()
 
 
 def _mul_g(n: int) -> Point:
-    # one mixed addition per nonzero 4-bit digit of n, no doublings
+    # one mixed addition per nonzero signed digit of n, no doublings
     x = y = z = 0
     for row in _G_TABLE:
-        d = n & 15
-        if d:
+        d = n & _G_MASK
+        n >>= _G_WINDOW
+        if d > _G_HALF:
+            # the digit is d - 256: borrow one from the next digit and add
+            # the entry for 256 - d with y negated
+            n += 1
+            ex, ey = row[_G_MASK - d]
+            x, y, z = _jadd_affine(x, y, z, (ex, P - ey))
+        elif d:
             x, y, z = _jadd_affine(x, y, z, row[d - 1])
-        n >>= 4
     return _affine(x, y, z)
 
 
@@ -398,18 +434,27 @@ def verify(pk: PublicKey, m: bytes, sig: Signature) -> bool:
     return _verified(pk.point, m, sig.R, sig.s)
 
 
+def _reduced(p: Point) -> bool:
+    return p is not None and 0 <= p[0] < P and 0 <= p[1] < P
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
-    # keyed on every field of (pk, m, sig): a changed bit is a fresh check
+    # keyed on every field of (pk, m, sig): a changed bit is a fresh check.
+    # Only the canonical form verifies, as in BIP340: s + q would pass as a
+    # second form of the same signature, a key holder can make R's y + p
+    # satisfy the Jacobian equation, and a coordinate of 2**256 or more
+    # does not encode at all
+    if not (0 <= s < Q and _reduced(R) and _reduced(point)):
+        return False
     pk = PublicKey(point)
     try:
         terms = (point_mul(G, s), point_mul(point, Q - challenge(R, pk, m)))
     except CryptoError:
         return False
     x, y, z = _jsum(terms)
-    # s*G - e*P == R, compared in Jacobian form so no inversion is needed;
-    # as in an affine comparison, R's coordinates must be reduced
-    if z == 0 or not (0 <= R[0] < P and 0 <= R[1] < P):
+    # s*G - e*P == R, compared in Jacobian form so no inversion is needed
+    if z == 0:
         return False
     zz = z * z % P
     return x == R[0] * zz % P and y == R[1] * zz * z % P

@@ -236,6 +236,39 @@ def test_verify_rejects_unreduced_nonce_point():
     assert not verify(pk, b"m", crypto.Signature(odd_R, s))
 
 
+def _signed():
+    sk, pk = keygen(b"a")
+    return pk, sign(sk, b"m")
+
+
+def test_verify_rejects_s_of_q_or_more(point_mul_calls):
+    pk, sig = _signed()
+    del point_mul_calls[:]
+    # s + q passes the group equation, since s*G reduces s mod q
+    assert not verify(pk, b"m", crypto.Signature(sig.R, sig.s + Q))
+    assert not verify(pk, b"m", crypto.Signature(sig.R, sig.s - Q))
+    assert point_mul_calls == []
+
+
+@pytest.mark.parametrize("shift", [(crypto.P, 0), (2**256, 0), (0, 2**256)])
+def test_verify_rejects_unreduced_nonce_coordinate(point_mul_calls, shift):
+    pk, sig = _signed()
+    del point_mul_calls[:]
+    R = (sig.R[0] + shift[0], sig.R[1] + shift[1])
+    # an x of 2**256 or more does not even encode
+    assert not verify(pk, b"m", crypto.Signature(R, sig.s))
+    assert point_mul_calls == []
+
+
+@pytest.mark.parametrize("shift", [(crypto.P, 0), (0, crypto.P), (2**256, 0)])
+def test_verify_rejects_unreduced_key_coordinate(point_mul_calls, shift):
+    pk, sig = _signed()
+    del point_mul_calls[:]
+    key = PublicKey((pk.point[0] + shift[0], pk.point[1] + shift[1]))
+    assert not verify(key, b"m", sig)
+    assert point_mul_calls == []
+
+
 def test_aggregate_rejects_off_curve_member():
     _, pk = keygen(b"a")
     with pytest.raises(CryptoError):
@@ -409,3 +442,51 @@ def test_comb_memo_clears(group_ops):
     group_ops.clear()
     crypto.point_mul(BASE, 5)
     assert group_ops["_jadd"] == 11   # the table was built again
+
+
+def test_every_memo_is_bounded():
+    memos = [v for v in vars(crypto).values() if hasattr(v, "cache_info")]
+    assert {m.__name__ for m in memos} == {
+        "_comb_table", "_public_point", "_aggregate_members", "_verified"}
+    assert all(m.cache_info().maxsize is not None for m in memos)
+
+
+# --- fixed base: signed 8-bit digits -------------------------------------
+
+def _bytes_of(b):
+    return int.from_bytes(bytes([b]) * 32, "big")
+
+
+G_RECODING_CASES = {
+    "all_7f": _bytes_of(0x7F),   # every digit 127, no borrow
+    "all_80": _bytes_of(0x80),   # every digit 128, the largest without one
+    "all_81": _bytes_of(0x81),   # every digit -127, with a borrow
+    "all_ff": 2**256 - 1,        # every digit -1: the borrow reaches row 32
+    "2^255": 2**255,
+    "q-1": Q - 1,
+    **{f"128*256^{i}": 128 * 256**i for i in range(32)},
+}
+
+
+@pytest.mark.parametrize("n", G_RECODING_CASES.values(), ids=G_RECODING_CASES)
+def test_g_recoding_matches_ladder(group_ops, n):
+    # the raw recoding, since point_mul reduces 2**256 - 1 mod q first
+    assert crypto._mul_g(n) == ladder(crypto.G, n)
+    assert group_ops["_jadd_affine"] <= 33
+    assert group_ops["_jdbl"] == 0 and group_ops["_jadd"] == 0
+
+
+@pytest.mark.parametrize("i, d", [(0, 1), (0, 2), (0, 128), (13, 77),
+                                  (31, 128), (32, 1), (32, 128)])
+def test_g_table_entries(i, d):
+    assert crypto._G_TABLE[i][d - 1] == ladder(crypto.G, d * 256**i)
+
+
+def test_clearing_every_memo_keeps_the_g_table(group_ops):
+    # as a benchmark pass does before it starts
+    for value in vars(crypto).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    crypto.point_mul(crypto.G, GLV_SIGN_CASES[0])
+    # a rebuilt table would have doubled its row bases
+    assert group_ops["_jdbl"] == 0 and group_ops["_jadd"] == 0
