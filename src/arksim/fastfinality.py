@@ -167,7 +167,6 @@ class FfCoordinator:
         self.seen: Dict[str, List[FfPayload]] = {m: [] for m in cfg.members}
         self.pending: Dict[str, List[_PendingAccept]] = {m: [] for m in cfg.members}
         self.accepted: Dict[str, List[FfPayload]] = {m: [] for m in cfg.members}
-        self.rejected: Dict[str, List[Tuple[FfPayload, str]]] = {m: [] for m in cfg.members}
         self.burned = False
         self.burn_txid: Optional[str] = None
         self.round = 0
@@ -238,22 +237,25 @@ class FfCoordinator:
             return False
         return bool(set(a.ark.ins) & set(b.ark.ins))
 
+    def _reject(self, member: str, reason: str) -> None:
+        self.chain.note("fastfinality", member, "payment_rejected", reason)
+
     def _handle_arrival(self, member: str, payload: FfPayload) -> None:
         self.seen[member].append(payload)
         if payload.recipient != member:
             return
         payment = payload.payment
         if payload.sender not in self.cfg.members:
-            self.rejected[member].append((payload, "sender not opted in"))
+            self._reject(member, "sender not opted in")
             return
         for rst in payment.resets:
             # the reset's output must be nonce-bound, or conflicting
             # spends would not force nonce reuse
             if _nonce_bound_commitment(rst.outs[0].lock) is None:
-                self.rejected[member].append((payload, "incorrect output script"))
+                self._reject(member, "incorrect output script")
                 return
         if not self.wallets[member]._check_witnesses(payment):
-            self.rejected[member].append((payload, "invalid witnesses"))
+            self._reject(member, "invalid witnesses")
             return
         # re-broadcast and wait 2 * delta before accepting
         self._broadcast(member, payload)
@@ -314,7 +316,7 @@ class FfCoordinator:
                 conflict = self._find_conflict(member, pend.payload)
                 if conflict is not None:
                     self.pending[member].remove(pend)
-                    self.rejected[member].append((pend.payload, "conflict"))
+                    self._reject(member, "conflict")
                     self.extract_and_burn(member, pend.payload.payment,
                                           conflict.payment.ark)
                     continue

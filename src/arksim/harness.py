@@ -36,7 +36,6 @@ from .ledger import (
 from .operator_node import (
     ArkPayment,
     Bundle,
-    BatchingPolicy,
     Operator,
     Request,
     VtxoSpec,
@@ -113,14 +112,13 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
 class Simulation:
     def __init__(self, params: Optional[Params] = None, seed: int = 0,
                  adversary: Optional[Adversary] = None, use_resets: bool = True,
-                 policy: Optional[BatchingPolicy] = None):
+                 fee: int = 0):
         self.params = params or Params()
         self.seed = seed
         self.rng = random.Random(seed)
         self.chain = Chain(self.params, adversary)
         op_sk, _ = crypto.keygen(b"operator" + seed.to_bytes(8, "big"))
-        self.operator = Operator("operator", op_sk, self.chain, self.params,
-                                 policy or BatchingPolicy(arity=self.params.arity))
+        self.operator = Operator("operator", op_sk, self.chain, self.params, fee)
         self.operator.use_resets = use_resets
         self.wallets: Dict[str, Wallet] = {}
         self.payments: List[ArkPayment] = []
@@ -132,7 +130,7 @@ class Simulation:
     def add_wallet(self, name: str, funds: Sequence[int] = ()) -> Wallet:
         sk, _ = crypto.keygen(name.encode() + self.seed.to_bytes(8, "big"))
         w = Wallet(name, sk, self.chain, self.params, self.operator.pk)
-        w.fee = self.operator.policy.fee
+        w.fee = self.operator.fee
         w.funds = [(self.chain.grant(v, p2pk(w.pk)), v) for v in funds]
         self.wallets[name] = w
         return w
@@ -218,17 +216,13 @@ class Simulation:
     def fee_accounting(self) -> Dict[str, Dict[str, int]]:
         """Per-party published footprint: tx count, vbytes, burned sats."""
         acct: Dict[str, Dict[str, int]] = {}
-        for ev in self.chain.events:
-            if ev["event"] != "confirmed":
-                continue
-            rec = self.chain.records[ev["txid"]]
-            if rec.status != "confirmed":
-                continue
-            party = ev["party"]
-            entry = acct.setdefault(party, {"txs": 0, "vbytes": 0, "burned": 0})
+        for rec in self.chain.records.values():
+            if rec.status != "confirmed" or not rec.tx.ins:
+                continue    # grants are minted, not published
+            entry = acct.setdefault(rec.party, {"txs": 0, "vbytes": 0, "burned": 0})
             entry["txs"] += 1
             entry["vbytes"] += tx_vbytes(rec.tx)
-            entry["burned"] += ev.get("fee", 0)
+            entry["burned"] += burned_fee(self.chain, rec.tx)
         return acct
 
     def balances(self) -> Dict[str, int]:
@@ -237,19 +231,22 @@ class Simulation:
         return out
 
 
+def burned_fee(chain: Chain, tx: Tx) -> int:
+    """Input value minus output value of a confirmed tx."""
+    in_value = sum(chain.records[op.txid].tx.outs[op.index].value for op in tx.ins)
+    return in_value - sum(o.value for o in tx.outs)
+
+
 def value_conserved(chain: Chain) -> bool:
     """Granted value == UTXO value + the fees burned by confirmed txs."""
     granted = burned = 0
     for rec in chain.records.values():
         if rec.status != "confirmed":
             continue
-        out_value = sum(o.value for o in rec.tx.outs)
         if not rec.tx.ins:
-            granted += out_value
-            continue
-        in_value = sum(chain.records[op.txid].tx.outs[op.index].value
-                       for op in rec.tx.ins)
-        burned += in_value - out_value
+            granted += sum(o.value for o in rec.tx.outs)
+        else:
+            burned += burned_fee(chain, rec.tx)
     return granted == chain.total_value() + burned
 
 
@@ -596,8 +593,7 @@ def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
 def scenario_operator_shutdown(seed: int = 0, params: Optional[Params] = None,
                                fee: int = 0, **_) -> dict:
     p = params or Params(k=3, t_u=13, t_e=40, t_r=8)
-    policy = BatchingPolicy(arity=p.arity, fee=fee)
-    sim = Simulation(p, seed, policy=policy)
+    sim = Simulation(p, seed, fee=fee)
     op_initial = 200_000
     sim.operator.fund(op_initial)
     sim.add_wallet("alice", [10_000])

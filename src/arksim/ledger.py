@@ -6,6 +6,13 @@ bounded per-transaction inclusion delay and, for conflicting spends, may
 displace an already included transaction as long as it is not yet k
 blocks deep.  An honest submission at height h is therefore in every
 stable view by height h + 2k.
+
+The chain also keeps the run's one trace, `Chain.trace`: a list of
+`Event(round, layer, actor, event, reason)` records, written through
+`Chain.note`, which stamps the current height as the round.  The chain
+writes `confirmed`, `replaced` and `dropped` with the txid as the reason;
+the operator, wallets and fast-finality coordinator write their ceremony
+steps and rejections through the chain they already hold.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .script import LockScript, SpendContext, Witness, evaluate
 
@@ -128,6 +135,14 @@ class MaxDelay(Adversary):
         return self.prefer_new
 
 
+class Event(NamedTuple):
+    round: int
+    layer: str
+    actor: str
+    event: str
+    reason: str
+
+
 @dataclass
 class _Pending:
     tx: Tx
@@ -160,13 +175,16 @@ class Chain:
         self.records: Dict[str, _Record] = {}
         self.mempool: Dict[str, _Pending] = {}   # txid -> pending, in submission order
         self.blocks: List[List[str]] = []   # txids per block, height = index + 1
-        self.events: List[dict] = []
+        self.trace: List[Event] = []
         self.parties: set[str] = set()
 
     # --- setup -----------------------------------------------------------
 
     def register(self, party: str) -> None:
         self.parties.add(party)
+
+    def note(self, layer: str, actor: str, event: str, reason: str = "") -> None:
+        self.trace.append(Event(self.height, layer, actor, event, reason))
 
     def grant(self, value: int, lock: LockScript) -> OutPoint:
         """Mint a genesis-style output (initial funding only)."""
@@ -292,7 +310,7 @@ class Chain:
                 blk.remove(txid)
         rec.height = None
         rec.status = "replaced"
-        self.events.append({"event": "replaced", "txid": txid, "height": self.height})
+        self.note("ledger", rec.party, "replaced", txid)
 
     def _try_include(self, p: _Pending, block_outs: Dict[OutPoint, int]) -> bool:
         """Attempt to place one pending tx in the block being formed at
@@ -325,8 +343,7 @@ class Chain:
                     confirm_heights.append(src.height)
                     continue
             return False
-        fee = sum(o.value for o in resolved) - sum(o.value for o in tx.outs)
-        if fee < 0:
+        if sum(o.value for o in resolved) < sum(o.value for o in tx.outs):
             return False
         for op, wit, out, ch in zip(tx.ins, tx.wits, resolved, confirm_heights):
             ctx = SpendContext(self.height, ch, tx.digest())
@@ -343,8 +360,7 @@ class Chain:
             block_outs[op] = self.height
         self.records[tx.txid] = _Record(tx, p.party, self.height, "confirmed")
         self.blocks[-1].append(tx.txid)
-        self.events.append({"event": "confirmed", "txid": tx.txid,
-                            "height": self.height, "party": p.party, "fee": fee})
+        self.note("ledger", p.party, "confirmed", tx.txid)
         return True
 
     def advance_round(self) -> int:
@@ -366,13 +382,6 @@ class Chain:
                 spender = self.spent_by.get(op)
                 if spender and spender != p.tx.txid and self.is_stable(spender):
                     del self.mempool[p.tx.txid]
-                    self.events.append({"event": "dropped", "txid": p.tx.txid,
-                                        "height": self.height})
+                    self.note("ledger", p.party, "dropped", p.tx.txid)
                     break
         return self.height
-
-    def dump(self) -> List[str]:
-        lines = []
-        for i, blk in enumerate(self.blocks):
-            lines.append(json.dumps({"height": i + 1, "txs": blk}, sort_keys=True))
-        return lines

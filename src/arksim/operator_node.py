@@ -5,7 +5,8 @@ per-round watch loop.
 All effects flow through the book's request and VTXO lists; the signing
 ceremony releases nothing until every required signature (including all
 forfeits) is held, and the onchain watcher answers any unrolled spent
-VTXO with its stored reset or forfeit transaction.
+VTXO with its stored reset or forfeit transaction.  Each cosign and each
+funding signature is noted in the chain's trace under its step's label.
 """
 
 from __future__ import annotations
@@ -75,27 +76,15 @@ def _input_key(v: Vtxo) -> Tuple[str, int]:
 
 
 @dataclass
-class BatchingPolicy:
-    arity: int = 2
-    fee: int = 0
-
-
-@dataclass
 class OperatorBook:
     toBoard: List[Request] = field(default_factory=list)
     toBatchSwap: List[Request] = field(default_factory=list)
     toExit: List[Request] = field(default_factory=list)
     confirmedVTXO: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
-    confirmedBatches: List["BatchRecord"] = field(default_factory=list)
+    confirmedBatches: List[BatchOutput] = field(default_factory=list)
     spent: List[Tuple[Vtxo, Tx]] = field(default_factory=list)
     preSpent: Set[Tuple[str, int]] = field(default_factory=set)
     preConfirmed: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
-
-
-@dataclass
-class BatchRecord:
-    outpoint: OutPoint
-    batch: BatchOutput
 
 
 @dataclass
@@ -129,19 +118,18 @@ class ArkPayment:
 
 class Operator:
     def __init__(self, name: str, sk: SecretKey, chain: Chain, params: Params,
-                 policy: Optional[BatchingPolicy] = None):
+                 fee: int = 0):
         self.name = name
         self.sk = sk
         self.pk = sk.public()
         self.chain = chain
         self.params = params
-        self.policy = policy or BatchingPolicy(arity=params.arity)
+        self.fee = fee              # flat per-request fee
         self.book = OperatorBook()
         self.liquidity: List[Tuple[OutPoint, Output]] = []
         self.pending_bundles: List[Bundle] = []
-        self.signing_log: List[str] = []
         self.cosigned_spends: Dict[Tuple[str, int], str] = {}
-        self.reset_sweeps: List[Tuple[OutPoint, int, int]] = []  # (outpoint, expiry, value)
+        self.reset_sweeps: List[Tuple[OutPoint, int]] = []  # (outpoint, expiry)
         self.use_resets = True
         self.collected_fees = 0
         self._confirmed_bundles: List[Bundle] = []
@@ -184,7 +172,7 @@ class Operator:
                 raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
             sks.append(sk)
         sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members), nonce)
-        self.signing_log.append(f"{label}:{tx.txid[:8]}")
+        self.chain.note("operator_node", self.name, label, tx.txid[:8])
         for op in tx.ins:
             self.cosigned_spends[(op.txid, op.index)] = tx.txid
         return sig
@@ -206,7 +194,7 @@ class Operator:
             classify_paths(out.lock, self.pk, self.params.t_b)
         except arkcore.ArkError as e:
             raise Reject(f"boarding lock unsafe: {e}")
-        if out.value < sum(s.value for s in r.outputs) + self.policy.fee:
+        if out.value < sum(s.value for s in r.outputs) + self.fee:
             raise Reject("funds do not cover the requested VTXOs")
         r.boarding_output = out
         self.book.toBoard.append(r)
@@ -223,7 +211,7 @@ class Operator:
     def verify_batch_swap(self, r: Request) -> None:
         _require_kind(r, "batch-swap")
         self._verify_vtxo_inputs(r)
-        if sum(s.value for s in r.outputs) + self.policy.fee > sum(v.value for v in r.inputs):
+        if sum(s.value for s in r.outputs) + self.fee > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
         self.book.toBatchSwap.append(r)
         for v in r.inputs:
@@ -232,7 +220,7 @@ class Operator:
     def verify_exit(self, r: Request) -> None:
         _require_kind(r, "exit")
         self._verify_vtxo_inputs(r)
-        if sum(v for v, _ in r.exit_outputs) + self.policy.fee > sum(v.value for v in r.inputs):
+        if sum(v for v, _ in r.exit_outputs) + self.fee > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
         self.book.toExit.append(r)
         for v in r.inputs:
@@ -300,7 +288,7 @@ class Operator:
             self.book.preSpent.add(key)
             if rst is not None:
                 self.book.spent.append((v, rst))
-                self.reset_sweeps.append((rst.outpoint(0), v.expiry, rst.outs[0].value))
+                self.reset_sweeps.append((rst.outpoint(0), v.expiry))
         for out in outputs:
             self.book.preConfirmed[out.key()] = out
         return ArkPayment(ark, resets, [], list(r.input_expiries), outputs)
@@ -319,7 +307,6 @@ class Operator:
             return None
         h = self.chain.height
         expiry = h + 2 * self.params.k + self.params.t_e
-        fee = self.policy.fee
 
         leaves: List[Vtxo] = []
         leaf_by_request: Dict[int, List[Vtxo]] = {}
@@ -335,7 +322,7 @@ class Operator:
         exit_value = sum(v for v, _ in exit_outs)
         boarding_ins = [(r.boarding_outpoint, r.boarding_output) for r in boardings]
         boarding_value = sum(o.value for _, o in boarding_ins)
-        request_fees = fee * (len(boardings) + len(swaps) + len(exits))
+        request_fees = self.fee * (len(boardings) + len(swaps) + len(exits))
 
         # operator funding: batches + connectors + exits must be covered by
         # liquidity plus boarding inputs (swapped value returns via forfeits)
@@ -379,7 +366,7 @@ class Operator:
         if leaves:
             fund_op = commitment.outpoint(out_index["batch"])
             vtxt, signer_tree = build_vtxt(fund_op, leaves, self.pk, expiry,
-                                           self.policy.arity)
+                                           self.params.arity)
             batch = BatchOutput(batch_value, expiry, outs[out_index["batch"]].lock,
                                 vtxt, signer_tree)
         connector = None
@@ -387,7 +374,7 @@ class Operator:
         if forfeited:
             conn_op = commitment.outpoint(out_index["connector"])
             connector = build_connector(conn_op, len(forfeited), self.pk,
-                                        self.params.epsilon, self.policy.arity)
+                                        self.params.epsilon, self.params.arity)
             for v, anchor in zip(forfeited, connector.anchors):
                 gamma[v.key()] = anchor
 
@@ -484,7 +471,8 @@ class Operator:
                 bundle.commitment.wits.append(None)  # type: ignore[arg-type]
             sig = crypto.sign(self.sk, bundle.commitment.digest())
             bundle.commitment.wits[idx] = Witness(KEY_PATH, (sig,))
-            self.signing_log.append(f"fund:{bundle.commitment.txid[:8]}")
+            self.chain.note("operator_node", self.name, "fund",
+                            bundle.commitment.txid[:8])
         return bundle
 
     def _party_of(self, pk: PublicKey, wallets: Dict[str, "object"]) -> Optional[str]:
@@ -506,8 +494,7 @@ class Operator:
     def _apply_confirmed(self, bundle: Bundle) -> None:
         book = self.book
         if bundle.batch is not None:
-            book.confirmedBatches.append(
-                BatchRecord(bundle.batch.vtxt.funding, bundle.batch))
+            book.confirmedBatches.append(bundle.batch)
             for leaf in bundle.batch.vtxt.leaves:
                 v = leaf.vtxo
                 book.confirmedVTXO[v.key()] = v
@@ -548,7 +535,7 @@ class Operator:
 
     # --- sweeping --------------------------------------------------------
 
-    def _sweep_outpoint(self, op: OutPoint, value: int) -> List[Tx]:
+    def _sweep_outpoint(self, op: OutPoint) -> List[Tx]:
         """Routine-13 recursion: claim the output if still unspent, else
         descend into its unrolled children that carry a sweep path."""
         chain = self.chain
@@ -574,11 +561,11 @@ class Operator:
         child = chain.records[spender].tx
         for i, out in enumerate(child.outs):
             if sweep_path_height(out.lock) is not None:
-                submitted.extend(self._sweep_outpoint(child.outpoint(i), out.value))
+                submitted.extend(self._sweep_outpoint(child.outpoint(i)))
         return submitted
 
-    def sweep(self, record: BatchRecord) -> List[Tx]:
-        return self._sweep_outpoint(record.outpoint, record.batch.value)
+    def sweep(self, batch: BatchOutput) -> List[Tx]:
+        return self._sweep_outpoint(batch.vtxt.funding)
 
     # --- per-round watcher ----------------------------------------------
 
@@ -600,17 +587,17 @@ class Operator:
                 self.pending_bundles.remove(bundle)
 
         # sweep expired batches (timed so the sweep lands at expiry)
-        for record in list(self.book.confirmedBatches):
-            if chain.height >= record.batch.expiry - 1:
-                submitted.extend(self.sweep(record))
-                if chain.height >= record.batch.expiry:
-                    self.book.confirmedBatches.remove(record)
+        for batch in list(self.book.confirmedBatches):
+            if chain.height >= batch.expiry - 1:
+                submitted.extend(self.sweep(batch))
+                if chain.height >= batch.expiry:
+                    self.book.confirmedBatches.remove(batch)
         # sweep reset outputs at their batch's expiry
         for entry in list(self.reset_sweeps):
-            op, expiry, value = entry
+            op, expiry = entry
             if chain.height >= expiry - 1:
                 if op.txid in chain.records and chain.is_confirmed(op.txid):
-                    submitted.extend(self._sweep_outpoint(op, value))
+                    submitted.extend(self._sweep_outpoint(op))
                 if chain.height >= expiry:
                     self.reset_sweeps.remove(entry)
 

@@ -5,6 +5,8 @@ policy, and balance computation.
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.
+Every refused bundle or payment, accepted payment and unilateral exit is
+noted in the chain's trace, with the reason for a refusal.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class Wallet:
         self.boarding_outputs: List[Tuple[OutPoint, Output]] = []
         self.open_requests: List[Request] = []
         self.fee = 0                # operator's flat per-request fee
-        self.log: List[dict] = []
         chain.register(name)
 
     # --- request construction -------------------------------------------
@@ -86,7 +87,7 @@ class Wallet:
     # --- commitment verification (the user-side bundle audit) ------------
 
     def _fail(self, reason: str) -> bool:
-        self.log.append({"event": "verify_failed", "reason": reason})
+        self.chain.note("wallet", self.name, "verify_failed", reason)
         return False
 
     def verify_path(self, bundle: Bundle, vtxo: Vtxo) -> bool:
@@ -217,39 +218,37 @@ class Wallet:
                         txs.append(tx)
         return txs
 
-    def receive_payment(self, payment: ArkPayment) -> Optional[Request]:
-        """Audit a received payment; on acceptance store the transcript
-        and immediately request a batch swap of the new VTXO."""
-        mine = [v for v in payment.outputs if v.owner == self.name]
+    def _reject(self, reason: str) -> bool:
+        self.chain.note("wallet", self.name, "payment_rejected", reason)
+        return False
+
+    def _audit_payment(self, payment: ArkPayment, mine: List[Vtxo]) -> bool:
         if not mine:
-            self.log.append({"event": "payment_rejected", "reason": "no output"})
-            return None
+            return self._reject("no output")
         for v in mine:
             expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u)
             if v.outpoint is None or \
                     not 0 <= v.outpoint.index < len(payment.ark.outs):
-                self.log.append({"event": "payment_rejected",
-                                 "reason": "output not in the ark tx"})
-                return None
+                return self._reject("output not in the ark tx")
             out = payment.ark.outs[v.outpoint.index]
             if out.lock.commitment != expected.commitment or out.value != v.value:
-                self.log.append({"event": "payment_rejected",
-                                 "reason": "output script mismatch"})
-                return None
+                return self._reject("output script mismatch")
         if len(payment.paths) != len(payment.ark.ins) or \
                 len(payment.resets) != len(payment.ark.ins):
-            self.log.append({"event": "payment_rejected",
-                             "reason": "incomplete transcript"})
-            return None
+            return self._reject("incomplete transcript")
         for pth, rst, expiry in zip(payment.paths, payment.resets,
                                     payment.input_expiries):
             if not self._check_path(pth, rst, expiry):
-                return None
+                return False
             if rst.outpoint(0) not in payment.ark.ins:
-                self.log.append({"event": "payment_rejected",
-                                 "reason": "ark does not spend the reset"})
-                return None
-        if not self._check_witnesses(payment):
+                return self._reject("ark does not spend the reset")
+        return self._check_witnesses(payment)
+
+    def receive_payment(self, payment: ArkPayment) -> Optional[Request]:
+        """Audit a received payment; on acceptance store the transcript
+        and immediately request a batch swap of the new VTXO."""
+        mine = [v for v in payment.outputs if v.owner == self.name]
+        if not self._audit_payment(payment, mine):
             return None
         transcript: List[Tx] = []
         for pth in payment.paths:
@@ -261,35 +260,26 @@ class Wallet:
         for v in mine:
             v.expiry = min(payment.input_expiries)
             self.holdings[v.key()] = Holding(v, list(transcript), "ark")
-        self.log.append({"event": "payment_accepted",
-                         "value": sum(v.value for v in mine)})
+        self.chain.note("wallet", self.name, "payment_accepted",
+                        f"{sum(v.value for v in mine)} sat")
         values = [v.value for v in mine]
         values[0] -= self.fee   # swap fee comes out of the received value
         return self.make_swap(mine, values)
 
     def _check_path(self, pth: List[Tx], rst: Tx, expiry: int) -> bool:
         if not pth:
-            self.log.append({"event": "payment_rejected", "reason": "empty path"})
-            return False
+            return self._reject("empty path")
         root_src = pth[0].ins[0]
         if not self.chain.is_confirmed(root_src.txid):
-            self.log.append({"event": "payment_rejected",
-                             "reason": "path not rooted onchain"})
-            return False
+            return self._reject("path not rooted onchain")
         for parent, child in zip(pth, pth[1:]):
             if child.ins[0].txid != parent.txid:
-                self.log.append({"event": "payment_rejected",
-                                 "reason": "broken path"})
-                return False
+                return self._reject("broken path")
         if rst.ins[0].txid != pth[-1].txid:
-            self.log.append({"event": "payment_rejected",
-                             "reason": "reset does not spend the path leaf"})
-            return False
+            return self._reject("reset does not spend the path leaf")
         sweep = sweep_path_height(rst.outs[0].lock)
         if sweep != expiry:
-            self.log.append({"event": "payment_rejected",
-                             "reason": "reset expiry mismatch"})
-            return False
+            return self._reject("reset expiry mismatch")
         return True
 
     def _check_witnesses(self, payment: ArkPayment) -> bool:
@@ -304,23 +294,17 @@ class Wallet:
         h = self.chain.height
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
-                self.log.append({"event": "payment_rejected",
-                                 "reason": "missing witness"})
-                return False
+                return self._reject("missing witness")
             for op, wit in zip(tx.ins, tx.wits):
                 src = pool_txs.get(op.txid)
                 if src is None and op.txid in self.chain.records:
                     src = self.chain.records[op.txid].tx
                 if src is None or not 0 <= op.index < len(src.outs):
-                    self.log.append({"event": "payment_rejected",
-                                     "reason": "unknown input"})
-                    return False
+                    return self._reject("unknown input")
                 out = src.outs[op.index]
                 ctx = SpendContext(h, h, tx.digest())
                 if not evaluate(out.lock, wit, ctx):
-                    self.log.append({"event": "payment_rejected",
-                                     "reason": "invalid witness"})
-                    return False
+                    return self._reject("invalid witness")
         return True
 
     # --- exits -----------------------------------------------------------
@@ -339,11 +323,10 @@ class Wallet:
                 self.chain.submit(tx, self.name)
                 submitted.append(tx)
             except SubmitError as e:
-                self.log.append({"event": "exit_submit_failed",
-                                 "txid": tx.txid, "reason": str(e)})
+                self.chain.note("wallet", self.name, "exit_submit_failed", str(e))
         holding.exited = True
-        self.log.append({"event": "unilateral_exit", "count": len(submitted),
-                         "vtxo": vtxo.key()})
+        self.chain.note("wallet", self.name, "unilateral_exit",
+                        f"{len(submitted)} txs")
         return submitted
 
     def spend_policy_step(self) -> List[Tx]:

@@ -101,6 +101,9 @@ def test_double_sign_detected_and_burned():
         coord.step()
         sim.chain.advance_round()
     assert not (coord.accepted["alice"] and coord.accepted["bob"])
+    assert [e[1:] for e in sim.chain.trace if e.layer == "fastfinality"] == [
+        ("fastfinality", "alice", "payment_rejected", "conflict"),
+        ("fastfinality", "bob", "payment_rejected", "conflict")]
     assert coord.burned
     assert sim.chain.is_confirmed(coord.burn_txid)
     # the burn destroys the collateral: the burn tx has no outputs

@@ -1,7 +1,8 @@
 import json
 from dataclasses import replace
 
-from arksim import harness
+from arksim import crypto, harness
+from arksim.arkcore import p2pk
 from arksim.harness import (
     SCENARIOS,
     RaceResult,
@@ -15,7 +16,8 @@ from arksim.harness import (
     scenario_happy_path,
     value_conserved,
 )
-from arksim.ledger import Params
+from arksim.ledger import MaxDelay, Output, Params, Tx
+from arksim.script import KEY_PATH, Witness
 
 PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
@@ -148,3 +150,58 @@ def test_value_conserved_sees_minted_value():
     entry = next(iter(sim.chain.utxos.values()))
     entry.output = replace(entry.output, value=entry.output.value + 1)
     assert not value_conserved(sim.chain)
+
+
+def test_fee_accounting_bills_a_reconfirmed_tx_once():
+    sim = Simulation(PARAMS, 0, adversary=MaxDelay(prefer_new=True))
+    alice = sim.add_wallet("alice", [1_000])
+    bob = sim.add_wallet("bob", [])
+    (op, _), = alice.funds
+
+    def spend(value):
+        tx = Tx(ins=(op,), outs=(Output(value, p2pk(bob.pk)),))
+        tx.wits = [Witness(KEY_PATH, (crypto.sign(alice.sk, tx.digest()),))]
+        return tx
+
+    a, b = spend(900), spend(950)
+    sim.chain.submit(a, "alice")
+    sim.tick()
+    sim.chain.submit(b, "bob")      # displaces a
+    sim.tick()
+    sim.chain.submit(a, "alice")    # displaces b: a is confirmed twice
+    sim.tick()
+    assert [e.event for e in sim.chain.trace if e.reason == a.txid] == \
+        ["confirmed", "replaced", "confirmed"]
+    assert sim.chain.records[b.txid].status == "replaced"
+    assert sim.fee_accounting() == {
+        "alice": {"txs": 1, "vbytes": harness.tx_vbytes(a), "burned": 100}}
+    assert harness.tx_vbytes(a) == 111
+
+
+def traced_flow(seed):
+    """Board, settle, pay, swap the payment and exit it unilaterally."""
+    sim = Simulation(PARAMS, seed)
+    sim.operator.fund(50_000)
+    sim.add_wallet("alice", [4_000])
+    sim.add_wallet("bob", [])
+    sim.board("alice", [4_000])
+    sim.settle_commitment()
+    v = next(h.vtxo for h in sim.wallets["alice"].holdings.values())
+    sim.ark_pay("alice", "bob", [v], 1_500)
+    sim.settle_commitment()
+    bob = sim.wallets["bob"]
+    for h in list(bob.holdings.values()):
+        bob.unilateral_exit(h.vtxo)
+    sim.tick(2 * PARAMS.k)
+    return sim.chain.trace
+
+
+def test_trace_is_deterministic_and_ordered():
+    first, second = traced_flow(4), traced_flow(4)
+    assert first == second
+    rounds = [e.round for e in first]
+    assert rounds == sorted(rounds)
+    assert {"confirmed", "vtxt", "forfeit", "boarding", "fund", "ark",
+            "reset", "payment_accepted", "unilateral_exit"} <= \
+        {e.event for e in first}
+    assert {e.layer for e in first} == {"ledger", "operator_node", "wallet"}

@@ -11,14 +11,13 @@ from arksim.arkcore import p2pk
 from arksim.crypto import SessionAborted
 from arksim.harness import Simulation
 from arksim.ledger import OutPoint, Output, Params, Tx
-from arksim.operator_node import BatchingPolicy, Reject, Request, VtxoSpec
+from arksim.operator_node import Reject, Request, VtxoSpec
 
 PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
 
 def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
-    sim = Simulation(PARAMS, seed, use_resets=use_resets,
-                     policy=BatchingPolicy(arity=2, fee=fee))
+    sim = Simulation(PARAMS, seed, use_resets=use_resets, fee=fee)
     sim.operator.fund(100_000)
     sim.add_wallet("alice", [funds])
     sim.board("alice", [funds - fee])
@@ -179,14 +178,13 @@ def test_abort_releases_nothing():
     sim.operator.verify_batch_swap(alice.open_requests[-1])
     book_before = (dict(sim.operator.book.confirmedVTXO),
                    list(sim.operator.book.toBatchSwap))
-    log_before = len(sim.operator.signing_log)
+    trace_before = len(sim.chain.trace)
     with pytest.raises(SessionAborted):
         sim.settle_commitment(abort=lambda step, party: step == "fund")
     # the queue and confirmed set are unchanged; no commitment onchain
     assert dict(sim.operator.book.confirmedVTXO) == book_before[0]
     assert list(sim.operator.book.toBatchSwap) == book_before[1]
-    assert all(not e.startswith("fund:") for e in
-               sim.operator.signing_log[log_before:])
+    assert all(e.event != "fund" for e in sim.chain.trace[trace_before:])
 
 
 def test_rollback_requeues_requests():
@@ -209,15 +207,14 @@ def test_rollback_requeues_requests():
 
 def test_sweep_lands_at_expiry():
     sim = boarded_sim()
-    record = sim.operator.book.confirmedBatches[0]
-    expiry = record.batch.expiry
+    expiry = sim.operator.book.confirmedBatches[0].expiry
     while sim.chain.height < expiry + 2 * PARAMS.k:
         sim.tick(1)
-    swept = [ev for ev in sim.chain.events
-             if ev["event"] == "confirmed" and ev["party"] == "operator"
-             and ev["height"] >= expiry]
+    swept = [e for e in sim.chain.trace
+             if e.event == "confirmed" and e.actor == "operator"
+             and e.round >= expiry]
     assert swept, "no sweep confirmed at expiry"
-    assert min(ev["height"] for ev in swept) == expiry
+    assert min(e.round for e in swept) == expiry
 
 
 # --- wallet-side bundle audit -------------------------------------------
@@ -281,7 +278,8 @@ def test_wallet_rejects_bundle_without_batch():
     bad.batch = None
     alice = sim.wallets["alice"]
     assert not alice.verify_commitment(bad)
-    assert alice.log[-1] == {"event": "verify_failed", "reason": "bundle has no batch"}
+    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
+                                       "bundle has no batch")
 
 
 def test_wallet_rejects_leaf_without_outpoint():
@@ -293,7 +291,8 @@ def test_wallet_rejects_leaf_without_outpoint():
             leaf.outpoint = None
     alice = sim.wallets["alice"]
     assert not alice.verify_commitment(bad)
-    assert alice.log[-1] == {"event": "verify_failed", "reason": "leaf has no outpoint"}
+    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
+                                       "leaf has no outpoint")
 
 
 def test_wallet_path_check_rejects_leaf_without_outpoint():
@@ -303,7 +302,8 @@ def test_wallet_path_check_rejects_leaf_without_outpoint():
     leaf.outpoint = None
     alice = sim.wallets["alice"]
     assert not alice.verify_path(bundle, leaf)
-    assert alice.log[-1] == {"event": "verify_failed", "reason": "leaf has no outpoint"}
+    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
+                                       "leaf has no outpoint")
 
 
 # --- payments and balances ----------------------------------------------
@@ -321,14 +321,14 @@ def payment_to_bob(sim):
 
 
 def outpointless_payment_receipt():
-    """Bob's answer to a payment whose outputs name no outpoint, and his
-    last log entry."""
+    """Bob's answer to a payment whose outputs name no outpoint, and the
+    last trace record without its round."""
     sim = boarded_sim()
     payment = payment_to_bob(sim)
     for out in payment.outputs:
         out.outpoint = None
     bob = sim.wallets["bob"]
-    return bob.receive_payment(payment), bob.log[-1]
+    return bob.receive_payment(payment), sim.chain.trace[-1][1:]
 
 
 def test_payment_receipt_and_swap():
@@ -339,7 +339,8 @@ def test_payment_receipt_and_swap():
     bob = sim.wallets["bob"]
     assert any(h.kind == "ark" and h.vtxo.value == 2_000
                for h in bob.holdings.values())
-    assert any(e["event"] == "payment_accepted" for e in bob.log)
+    assert any(e.actor == "bob" and e.event == "payment_accepted"
+               for e in sim.chain.trace)
 
 
 def test_recheck_of_accepted_payment_is_free(point_mul_calls):
@@ -362,7 +363,8 @@ def test_payment_rejected_without_transcript():
     bob = sim.wallets["bob"]
     payment.paths = [[] for _ in payment.ark.ins]   # transcript withheld
     assert bob.receive_payment(payment) is None
-    assert any(e["event"] == "payment_rejected" for e in bob.log)
+    assert any(e.actor == "bob" and e.event == "payment_rejected"
+               for e in sim.chain.trace)
 
 
 def test_payment_without_outpoints_rejected_under_optimize():
@@ -374,8 +376,8 @@ def test_payment_without_outpoints_rejected_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == ("(None, {'event': 'payment_rejected', "
-                           "'reason': 'output not in the ark tx'})\n")
+    assert done.stdout == ("(None, ('wallet', 'bob', 'payment_rejected', "
+                           "'output not in the ark tx'))\n")
 
 
 def test_payment_rejected_on_output_outside_the_ark_tx():
@@ -385,8 +387,8 @@ def test_payment_rejected_on_output_outside_the_ark_tx():
         out.outpoint = OutPoint(out.outpoint.txid, len(payment.ark.outs))
     bob = sim.wallets["bob"]
     assert bob.receive_payment(payment) is None
-    assert bob.log[-1] == {"event": "payment_rejected",
-                           "reason": "output not in the ark tx"}
+    assert sim.chain.trace[-1][1:] == ("wallet", "bob", "payment_rejected",
+                                       "output not in the ark tx")
 
 
 def test_balance_counts_unexpired_only():
