@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands:
-  run <scenario>   drive a canned scenario and emit its JSON report
+  run <scenario>   drive a canned scenario and emit its JSON report; the
+                   scenario's own parameters apply unless --config is given
   footprint        print the virtual-size cost table (CSV)
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict failed,
-2 bad usage or invalid configuration.
+2 bad usage or invalid configuration (including an unknown --config key).
 """
 
 from __future__ import annotations
@@ -19,30 +20,29 @@ from . import footprint, harness
 from .ledger import Params
 
 
-def _load_params(args) -> Params:
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides.update(json.load(fh))
-    if getattr(args, "fee_rate", None) is not None:
-        overrides["fee_rate"] = args.fee_rate
-    p = Params(**{k: v for k, v in overrides.items()
-                  if k in Params.__dataclass_fields__})
-    p.validate(unsafe=args.unsafe)
+def _load_params(path: str, unsafe: bool) -> Params:
+    with open(path) as fh:
+        overrides = json.load(fh)
+    for key in overrides:
+        if key not in Params.__dataclass_fields__:
+            raise ValueError(f"unknown parameter {key!r} in {path}")
+    p = Params(**overrides)
+    p.validate(unsafe=unsafe)
     return p
 
 
 def cmd_run(args) -> int:
-    try:
-        params = _load_params(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = {"seed": args.seed}
+    if args.config:
+        try:
+            config["params"] = _load_params(args.config, args.unsafe)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.scenario not in harness.SCENARIOS:
         print(f"error: unknown scenario {args.scenario!r}; choose from "
               + ", ".join(sorted(harness.SCENARIOS)), file=sys.stderr)
         return 2
-    config = {"seed": args.seed, "params": params}
     if args.no_resets:
         config["resets"] = False
     report = harness.run_scenario(args.scenario, **config)
@@ -57,9 +57,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_footprint(args) -> int:
-    fee_rate = args.fee_rate if args.fee_rate is not None else 6
     ns = [2 ** i for i in range(11)]
-    text = footprint.cost_table_csv(ns, fee_rate)
+    text = footprint.cost_table_csv(ns, args.fee_rate)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -73,25 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arksim", description="commit-chain protocol simulator")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", help="JSON file of parameter overrides")
-        p.add_argument("--out", help="write output to this file")
-        p.add_argument("--unsafe", action="store_true",
-                       help="allow parameter combinations outside the safe"
-                            " region (e.g. renewal window <= 4k)")
-        p.add_argument("--fee-rate", type=int, default=None)
-
     p_run = sub.add_parser("run", help="run a scenario")
     p_run.add_argument("scenario")
-    common(p_run)
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--config", help="JSON file of parameters; replaces"
+                                        " the scenario's own")
+    p_run.add_argument("--out", help="write output to this file")
+    p_run.add_argument("--unsafe", action="store_true",
+                       help="allow parameter combinations outside the safe"
+                            " region (e.g. renewal window <= 4k)")
     p_run.add_argument("--no-resets", action="store_true",
                        help="operator cosigns offchain spends without"
                             " holding reset transactions")
     p_run.set_defaults(func=cmd_run)
 
     p_fp = sub.add_parser("footprint", help="print the exit cost table")
-    common(p_fp)
+    p_fp.add_argument("--fee-rate", type=int, default=6, help="sat/vB")
+    p_fp.add_argument("--out", help="write output to this file")
     p_fp.set_defaults(func=cmd_footprint)
     return parser
 

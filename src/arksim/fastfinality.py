@@ -254,8 +254,8 @@ class FfCoordinator:
             if _nonce_bound_commitment(rst.outs[0].lock) is None:
                 self._reject(member, "incorrect output script")
                 return
+        # the wallet notes the precise reason for a failed witness check
         if not self.wallets[member]._check_witnesses(payment):
-            self._reject(member, "invalid witnesses")
             return
         # re-broadcast and wait 2 * delta before accepting
         self._broadcast(member, payload)

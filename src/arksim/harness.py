@@ -423,10 +423,7 @@ def scenario_hostage_attack(seed: int = 0, params: Optional[Params] = None,
                           auto_receive=False)
     vtxo_m2 = payment.outputs[0]
     mallory.holdings[vtxo_m2.key()] = Holding(vtxo_m2, [], "ark")
-    swap = Request("batch-swap", "mallory", inputs=(vtxo_m2,),
-                   outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))
-    sim.operator.verify_batch_swap(swap)
-    mallory.open_requests.append(swap)
+    sim.operator.verify_batch_swap(mallory.make_swap([vtxo_m2], [5_000]))
     bundle2 = sim.settle_commitment()
 
     # mallory unrolls the original leaf, withholding the ark tx
@@ -505,10 +502,7 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
         current = payment.outputs[0]
         mallory.holdings[current.key()] = Holding(current, [], "ark")
     # swap the final vtxo, handing the operator its forfeit
-    swap = Request("batch-swap", "mallory", inputs=(current,),
-                   outputs=(VtxoSpec(current.value, "mallory", mallory.pk),))
-    sim.operator.verify_batch_swap(swap)
-    mallory.open_requests.append(swap)
+    sim.operator.verify_batch_swap(mallory.make_swap([current], [current.value]))
     sim.settle_commitment()
 
     # mallory publishes the whole chain herself

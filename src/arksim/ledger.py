@@ -33,7 +33,6 @@ class Params:
     t_b: int = 144         # boarding timeout
     t_r: int = 10          # commitment rollback timeout
     epsilon: int = 330     # dust anchor value (sats)
-    fee_rate: int = 0      # sat/vB, burned by the miner model
     arity: int = 2         # VTXT radix
 
     def validate(self, unsafe: bool = False) -> None:

@@ -1,8 +1,8 @@
 """Operator state machine: request intake and verification, commitment
-assembly, signing orchestration, list bookkeeping, sweeping, and the
+assembly, signing orchestration, the request queue, sweeping, and the
 per-round watch loop.
 
-All effects flow through the book's request and VTXO lists; the signing
+All effects flow through the book's request queue and VTXO sets; the signing
 ceremony releases nothing until every required signature (including all
 forfeits) is held, and the onchain watcher answers any unrolled spent
 VTXO with its stored reset or forfeit transaction.  Each cosign and each
@@ -50,8 +50,10 @@ class VtxoSpec:
     r_star: Optional[Tuple[int, int]] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
+    """One party's request; compared and hashed by identity, so the book
+    queues, bundles, re-queues and retires the request object itself."""
     kind: str                      # boarding | batch-swap | exit | ark
     party: str
     cosigners: Tuple[PublicKey, ...] = ()
@@ -75,11 +77,19 @@ def _input_key(v: Vtxo) -> Tuple[str, int]:
     return v.key()
 
 
+def _held_keys(r: Request) -> List[Tuple[str, int]]:
+    """The outpoints a queued request holds in `OperatorBook.preSpent`."""
+    if r.kind == "boarding":
+        return [(r.boarding_outpoint.txid, r.boarding_outpoint.index)]
+    return [v.key() for v in r.inputs]
+
+
 @dataclass
 class OperatorBook:
-    toBoard: List[Request] = field(default_factory=list)
-    toBatchSwap: List[Request] = field(default_factory=list)
-    toExit: List[Request] = field(default_factory=list)
+    """The operator's book.  `queue` holds the paper's three request lists
+    (to board, to batch-swap, to exit) as one list in arrival order, told
+    apart by `Request.kind`."""
+    queue: List[Request] = field(default_factory=list)
     confirmedVTXO: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
     confirmedBatches: List[BatchOutput] = field(default_factory=list)
     spent: List[Tuple[Vtxo, Tx]] = field(default_factory=list)
@@ -103,6 +113,11 @@ class Bundle:
     forfeits: Dict[Tuple[str, int], Tx] = field(default_factory=dict)
     submit_height: Optional[int] = None
     account: Dict[str, int] = field(default_factory=dict)  # Lemma-4 style flows
+
+    @property
+    def requests(self) -> List[Request]:
+        """Every request in the bundle: boardings, swaps, then exits."""
+        return self.boardings + self.swaps + self.exits
 
 
 @dataclass
@@ -179,15 +194,18 @@ class Operator:
 
     # --- request intake --------------------------------------------------
 
+    def _enqueue(self, r: Request) -> None:
+        self.book.queue.append(r)
+        self.book.preSpent.update(_held_keys(r))
+
     def verify_boarding(self, r: Request) -> None:
         _require_kind(r, "boarding")
         if r.boarding_outpoint is None:
             raise Reject("boarding request names no outpoint")
-        key = (r.boarding_outpoint.txid, r.boarding_outpoint.index)
         view = self.chain.view(self.name, depth=self.params.k)
         if r.boarding_outpoint not in view["utxos"]:
             raise Reject("boarding output not confirmed in the stable view")
-        if key in self.book.preSpent:
+        if _held_keys(r)[0] in self.book.preSpent:
             raise Reject("boarding output already pending")
         out = view["utxos"][r.boarding_outpoint]
         try:
@@ -197,34 +215,30 @@ class Operator:
         if out.value < sum(s.value for s in r.outputs) + self.fee:
             raise Reject("funds do not cover the requested VTXOs")
         r.boarding_output = out
-        self.book.toBoard.append(r)
-        self.book.preSpent.add(key)
+        self._enqueue(r)
 
-    def _verify_vtxo_inputs(self, r: Request) -> None:
+    def _check_inputs(self, r: Request, kind: str, out_value: int) -> None:
+        """The intake rule for every request that spends VTXOs: each input
+        is a known VTXO not already pending, and `out_value` (outputs plus
+        any fee) does not exceed the inputs."""
+        _require_kind(r, kind)
         for v in r.inputs:
             key = _input_key(v)
             if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
                 raise Reject(f"UnknownVtxo {key}")
             if key in self.book.preSpent:
                 raise Reject(f"AlreadyPending {key}")
+        if out_value > sum(v.value for v in r.inputs):
+            raise Reject("ValueExceeded")
 
     def verify_batch_swap(self, r: Request) -> None:
-        _require_kind(r, "batch-swap")
-        self._verify_vtxo_inputs(r)
-        if sum(s.value for s in r.outputs) + self.fee > sum(v.value for v in r.inputs):
-            raise Reject("ValueExceeded")
-        self.book.toBatchSwap.append(r)
-        for v in r.inputs:
-            self.book.preSpent.add(v.key())
+        self._check_inputs(r, "batch-swap",
+                           sum(s.value for s in r.outputs) + self.fee)
+        self._enqueue(r)
 
     def verify_exit(self, r: Request) -> None:
-        _require_kind(r, "exit")
-        self._verify_vtxo_inputs(r)
-        if sum(v for v, _ in r.exit_outputs) + self.fee > sum(v.value for v in r.inputs):
-            raise Reject("ValueExceeded")
-        self.book.toExit.append(r)
-        for v in r.inputs:
-            self.book.preSpent.add(v.key())
+        self._check_inputs(r, "exit", sum(v for v, _ in r.exit_outputs) + self.fee)
+        self._enqueue(r)
 
     # --- ark transactions ------------------------------------------------
 
@@ -233,15 +247,7 @@ class Operator:
         """Check and co-sign an offchain payment: the ark tx is signed
         first, the reset txs last, so the payer never holds a usable
         reset without the payment being complete."""
-        _require_kind(r, "ark")
-        for v in r.inputs:
-            key = _input_key(v)
-            if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
-                raise Reject(f"DoubleSpend/unknown input {key}")
-            if key in self.book.preSpent:
-                raise Reject(f"DoubleSpend {key}")
-        if sum(s.value for s in r.outputs) > sum(v.value for v in r.inputs):
-            raise Reject("ValueExceeded")
+        self._check_inputs(r, "ark", sum(s.value for s in r.outputs))
         all_secrets = dict(secrets)
         all_secrets[self.pk.hex()] = self.sk
         outputs = [self._make_leaf(s) for s in r.outputs]
@@ -300,9 +306,10 @@ class Operator:
         return Vtxo(spec.value, lock, spec.owner, spec.owner_pk)
 
     def assemble_commitment(self) -> Optional[Bundle]:
-        boardings = list(self.book.toBoard)
-        swaps = list(self.book.toBatchSwap)
-        exits = list(self.book.toExit)
+        queue = self.book.queue
+        boardings = [r for r in queue if r.kind == "boarding"]
+        swaps = [r for r in queue if r.kind == "batch-swap"]
+        exits = [r for r in queue if r.kind == "exit"]
         if not (boardings or swaps or exits):
             return None
         h = self.chain.height
@@ -405,7 +412,7 @@ class Operator:
             if abort is not None and abort(step, party):
                 raise SessionAborted(f"{step}: {party} unresponsive")
 
-        parties = {r.party for r in bundle.boardings + bundle.swaps + bundle.exits}
+        parties = {r.party for r in bundle.requests}
         # step 1: every involved party verifies the bundle
         for party in sorted(parties):
             maybe_abort("verify", party)
@@ -422,10 +429,11 @@ class Operator:
         # step 2: VTXT cosigning sessions, root first
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
+            party_of = {w.pk: name for name, w in wallets.items()}
             for txid in vtxt.order:
                 members = bundle.batch.signers[txid]
                 for m in members:
-                    owner = self._party_of(m, wallets)
+                    owner = party_of.get(m)
                     if owner is not None:
                         maybe_abort("vtxt", owner)
                 tx = vtxt.txs[txid]
@@ -452,34 +460,27 @@ class Operator:
                     raise SessionAborted("forfeit inputs do not match")
                 bundle.forfeits[v.key()] = ff
 
+        # the commitment spends the funding inputs first, then the
+        # boarding inputs (see assemble_commitment)
+        wits: List[Optional[Witness]] = [None] * len(bundle.commitment.ins)
+        n_funding = len(bundle.funding_ins)
+
         # step 4: boarding cosigns
-        for r, (op, out) in zip(bundle.boardings, bundle.boarding_ins):
+        for i, (r, (_, out)) in enumerate(zip(bundle.boardings, bundle.boarding_ins)):
             maybe_abort("boarding", r.party)
             members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
             sig = self._cosign(bundle.commitment, members, secrets, "boarding")
-            idx = bundle.commitment.ins.index(op)
-            while len(bundle.commitment.wits) <= idx:
-                bundle.commitment.wits.append(None)  # type: ignore[arg-type]
-            bundle.commitment.wits[idx] = Witness(
-                BOARDING_COOP_PATH, (sig,), out.lock.paths)
+            wits[n_funding + i] = Witness(BOARDING_COOP_PATH, (sig,), out.lock.paths)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)
-        for op, out in bundle.funding_ins:
-            idx = bundle.commitment.ins.index(op)
-            while len(bundle.commitment.wits) <= idx:
-                bundle.commitment.wits.append(None)  # type: ignore[arg-type]
+        for i in range(n_funding):
             sig = crypto.sign(self.sk, bundle.commitment.digest())
-            bundle.commitment.wits[idx] = Witness(KEY_PATH, (sig,))
+            wits[i] = Witness(KEY_PATH, (sig,))
             self.chain.note("operator_node", self.name, "fund",
                             bundle.commitment.txid[:8])
+        bundle.commitment.wits = wits  # type: ignore[assignment]
         return bundle
-
-    def _party_of(self, pk: PublicKey, wallets: Dict[str, "object"]) -> Optional[str]:
-        for name, w in wallets.items():
-            if w.pk == pk:
-                return name
-        return None
 
     # --- submission and tracking ----------------------------------------
 
@@ -487,9 +488,8 @@ class Operator:
         self.chain.submit(bundle.commitment, self.name)
         bundle.submit_height = self.chain.height
         self.pending_bundles.append(bundle)
-        self.book.toBoard = [r for r in self.book.toBoard if r not in bundle.boardings]
-        self.book.toBatchSwap = [r for r in self.book.toBatchSwap if r not in bundle.swaps]
-        self.book.toExit = [r for r in self.book.toExit if r not in bundle.exits]
+        taken = set(bundle.requests)
+        self.book.queue = [r for r in self.book.queue if r not in taken]
 
     def _apply_confirmed(self, bundle: Bundle) -> None:
         book = self.book
@@ -516,19 +516,9 @@ class Operator:
         self._confirmed_bundles.append(bundle)
 
     def _rollback(self, bundle: Bundle) -> None:
+        # the re-queued requests keep their outpoints in preSpent
         book = self.book
-        for r in bundle.boardings:
-            key = (r.boarding_outpoint.txid, r.boarding_outpoint.index)
-            book.preSpent.discard(key)
-            book.toBoard.append(r)
-        for r in bundle.swaps:
-            for v in r.inputs:
-                book.preSpent.discard(v.key())
-            book.toBatchSwap.append(r)
-        for r in bundle.exits:
-            for v in r.inputs:
-                book.preSpent.discard(v.key())
-            book.toExit.append(r)
+        book.queue.extend(bundle.requests)
         if bundle.batch is not None:
             for leaf in bundle.batch.vtxt.leaves:
                 book.preConfirmed.pop(leaf.vtxo.key(), None)
@@ -617,7 +607,8 @@ class Operator:
         """Connector-tree transactions needed before a forfeit's anchor
         input exists onchain."""
         need: List[Tx] = []
-        for bundle in self._all_bundles():
+        # a forfeit enters book.spent only when its bundle is confirmed
+        for bundle in self._confirmed_bundles:
             if bundle.connector is None or bundle.connector.vtxt is None:
                 continue
             vtxt = bundle.connector.vtxt
@@ -635,6 +626,3 @@ class Operator:
                         cur = vtxt.parent[cur]
                     need.extend(reversed(chainlink))
         return need
-
-    def _all_bundles(self) -> List[Bundle]:
-        return self.pending_bundles + self._confirmed_bundles

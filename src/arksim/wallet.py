@@ -12,7 +12,7 @@ noted in the chain's trace, with the reason for a refusal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import arkcore
 from .arkcore import Vtxo, p2pk, reset_tx, sweep_path_height, vtxo_lock
@@ -131,6 +131,16 @@ class Wallet:
             return self._fail("anchor value is not epsilon")
         return True
 
+    def _mine(self, bundle: Bundle) -> Iterator[Tuple[Request, List[Vtxo]]]:
+        """This wallet's requests in the bundle, each with the leaves made
+        for it; an exit has none."""
+        for i, r in enumerate(bundle.boardings + bundle.swaps):
+            if r.party == self.name:
+                yield r, bundle.leaf_by_request[i]
+        for r in bundle.exits:
+            if r.party == self.name:
+                yield r, []
+
     def verify_commitment(self, bundle: Bundle) -> bool:
         in_value = sum(o.value for _, o in bundle.funding_ins) \
             + sum(o.value for _, o in bundle.boarding_ins)
@@ -143,8 +153,7 @@ class Wallet:
             if bundle.batch.value < sum(l.vtxo.value for l in bundle.batch.vtxt.leaves):
                 return self._fail("batch value below the leaf total")
         seen: set[Tuple[str, int]] = set()
-        requests = bundle.boardings + bundle.swaps
-        for i, r in enumerate(requests):
+        for i in range(len(bundle.boardings) + len(bundle.swaps)):
             for leaf in bundle.leaf_by_request[i]:
                 if leaf.outpoint is None:
                     return self._fail("leaf has no outpoint")
@@ -152,11 +161,8 @@ class Wallet:
                 if key in seen:
                     return self._fail("two requests aliased to one output")
                 seen.add(key)
-        mine = [(i, r) for i, r in enumerate(requests) if r.party == self.name]
-        mine += [(None, r) for r in bundle.exits if r.party == self.name]
-        for i, r in mine:
+        for r, leaves in self._mine(bundle):
             if r.kind in ("boarding", "batch-swap"):
-                leaves = bundle.leaf_by_request[i]
                 if len(leaves) != len(r.outputs):
                     return self._fail("missing requested vtxo")
                 for leaf, spec in zip(leaves, r.outputs):
@@ -179,14 +185,10 @@ class Wallet:
     # --- lifecycle -------------------------------------------------------
 
     def on_commitment_confirmed(self, bundle: Bundle) -> None:
-        requests = bundle.boardings + bundle.swaps
-        mine = [(i, r) for i, r in enumerate(requests) if r.party == self.name]
-        mine += [(None, r) for r in bundle.exits if r.party == self.name]
-        for i, r in mine:
-            if r.kind in ("boarding", "batch-swap"):
-                for leaf in bundle.leaf_by_request[i]:
-                    transcript = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
-                    self.holdings[leaf.key()] = Holding(leaf, list(transcript), "batch")
+        for r, leaves in self._mine(bundle):
+            for leaf in leaves:
+                transcript = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
+                self.holdings[leaf.key()] = Holding(leaf, list(transcript), "batch")
             if r.kind in ("batch-swap", "exit"):
                 for v in r.inputs:
                     self.holdings.pop(v.key(), None)

@@ -1,8 +1,13 @@
 import json
+import pathlib
 
 import pytest
 
 from arksim.cli import main
+from arksim.harness import SCENARIOS
+
+GOLDEN = json.loads(
+    pathlib.Path(__file__).with_name("golden_reports.json").read_text())
 
 
 def test_no_command_exits_2(capsys):
@@ -44,3 +49,16 @@ def test_unsafe_gate(tmp_path, capsys):
     assert main(["run", "censoring_operator", "--config", str(cfg),
                  "--unsafe", "--out", str(tmp_path / "r.json")]) == 0
 
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_run_uses_the_scenarios_own_params(scenario, capsys):
+    main(["run", scenario, "--seed", "0"])
+    assert capsys.readouterr().out == GOLDEN[scenario]["0"]
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"k": 6, "fee_rate": 3}))
+    assert main(["run", "happy_path", "--config", str(cfg)]) == 2
+    assert "'fee_rate'" in capsys.readouterr().err

@@ -84,6 +84,23 @@ def test_honest_operator_refuses_double_sign():
                                         sim.wallets["bob"].pk)], [path])
 
 
+def test_payment_without_witnesses_rejected_once():
+    sim, coord, vtxo, cfg = ff_setup()
+    mallory = sim.wallets["mallory"]
+    path = mallory.holdings[vtxo.key()].transcript
+    pay = coord.make_ff_payment("mallory", [vtxo],
+                                [VtxoSpec(vtxo.value, "alice",
+                                          sim.wallets["alice"].pk)], [path])
+    pay.ark.wits = []
+    coord.ff_send("mallory", "alice", pay)
+    for _ in range(3 * cfg.delta + 2):
+        coord.step()
+        sim.chain.advance_round()
+    assert not coord.accepted["alice"]
+    assert [e[1:] for e in sim.chain.trace if e.event == "payment_rejected"] == [
+        ("wallet", "alice", "payment_rejected", "missing witness")]
+
+
 def test_double_sign_detected_and_burned():
     sim, coord, vtxo, cfg = ff_setup(byzantine=True)
     mallory = sim.wallets["mallory"]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,7 @@ from arksim.crypto import SessionAborted
 from arksim.harness import Simulation
 from arksim.ledger import OutPoint, Output, Params, Tx
 from arksim.operator_node import Reject, Request, VtxoSpec
+from arksim.script import KEY_PATH, Witness
 
 PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
@@ -27,6 +29,13 @@ def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
 
 def first_vtxo(sim, name="alice"):
     return next(h.vtxo for h in sim.wallets[name].holdings.values())
+
+
+def book_state(book):
+    """A deep copy of the book's fields, with the queue given by the
+    identities of its requests, since requests compare by identity."""
+    return (copy.deepcopy(dataclasses.replace(book, queue=[])),
+            [id(r) for r in book.queue])
 
 
 # --- boarding ------------------------------------------------------------
@@ -88,10 +97,10 @@ def test_intake_rejects_wrong_kind(method, kind):
         r = Request("batch-swap", "alice", inputs=(v,),
                     outputs=(VtxoSpec(v.value, "alice", alice.pk),))
     args = (r, {alice.pk.hex(): alice.sk}) if kind == "ark" else (r,)
-    book = copy.deepcopy(sim.operator.book)
+    book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=f"expected a {kind} request"):
         getattr(sim.operator, method)(*args)
-    assert sim.operator.book == book
+    assert book_state(sim.operator.book) == book
 
 
 def test_boarding_without_outpoint_rejected():
@@ -110,13 +119,52 @@ def test_input_without_outpoint_rejected(kind):
     v.outpoint = None
     r = Request(kind, "alice", inputs=(v,),
                 outputs=(VtxoSpec(v.value, "alice", alice.pk),))
-    book = copy.deepcopy(sim.operator.book)
+    book = book_state(sim.operator.book)
     with pytest.raises(Reject, match="no outpoint"):
         if kind == "ark":
             sim.operator.verify_ark_request(r, {alice.pk.hex(): alice.sk})
         else:
             sim.operator.verify_batch_swap(r)
-    assert sim.operator.book == book
+    assert book_state(sim.operator.book) == book
+
+
+def spend_request(kind, owner, v, value):
+    """A `kind` request spending `v` for `value` back to `owner`."""
+    if kind == "exit":
+        return Request("exit", owner.name, inputs=(v,),
+                       exit_outputs=((value, p2pk(owner.pk)),))
+    return Request(kind, owner.name, inputs=(v,),
+                   outputs=(VtxoSpec(value, owner.name, owner.pk),))
+
+
+def submit_spend(sim, r):
+    alice = sim.wallets["alice"]
+    if r.kind == "ark":
+        return sim.operator.verify_ark_request(r, {alice.pk.hex(): alice.sk})
+    if r.kind == "exit":
+        return sim.operator.verify_exit(r)
+    return sim.operator.verify_batch_swap(r)
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "exit", "ark"])
+@pytest.mark.parametrize("fault, reason", [
+    ("unknown", "UnknownVtxo"), ("pending", "AlreadyPending"),
+    ("value", "ValueExceeded")])
+def test_spending_intake_shares_one_rule(kind, fault, reason):
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    v = first_vtxo(sim)
+    value = v.value
+    if fault == "unknown":
+        v = dataclasses.replace(v, outpoint=OutPoint("ab" * 32, 7))
+    elif fault == "pending":
+        sim.operator.verify_exit(spend_request("exit", alice, v, v.value))
+    else:
+        value += 1
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match=f"^{reason}"):
+        submit_spend(sim, spend_request(kind, alice, v, value))
+    assert book_state(sim.operator.book) == book
 
 
 # --- single-spend discipline --------------------------------------------
@@ -177,13 +225,13 @@ def test_abort_releases_nothing():
     alice.make_swap([v], [v.value])
     sim.operator.verify_batch_swap(alice.open_requests[-1])
     book_before = (dict(sim.operator.book.confirmedVTXO),
-                   list(sim.operator.book.toBatchSwap))
+                   list(sim.operator.book.queue))
     trace_before = len(sim.chain.trace)
     with pytest.raises(SessionAborted):
         sim.settle_commitment(abort=lambda step, party: step == "fund")
     # the queue and confirmed set are unchanged; no commitment onchain
     assert dict(sim.operator.book.confirmedVTXO) == book_before[0]
-    assert list(sim.operator.book.toBatchSwap) == book_before[1]
+    assert list(sim.operator.book.queue) == book_before[1]
     assert all(e.event != "fund" for e in sim.chain.trace[trace_before:])
 
 
@@ -201,8 +249,51 @@ def test_rollback_requeues_requests():
     bundle.submit_height = sim.chain.height
     sim.tick(PARAMS.t_r + 2)
     assert bundle not in sim.operator.pending_bundles
-    assert any(r.kind == "batch-swap" for r in sim.operator.book.toBatchSwap)
+    assert any(r.kind == "batch-swap" for r in sim.operator.book.queue)
     assert v.key() in sim.operator.book.confirmedVTXO
+
+
+def test_rollback_requeues_every_kind_in_order():
+    sim = Simulation(PARAMS, 2)
+    sim.operator.fund(100_000)
+    for name in ("alice", "bob", "carol", "dave"):
+        sim.add_wallet(name, [5_000])
+    for name in ("alice", "bob", "carol"):
+        sim.board(name, [5_000])
+    sim.settle_commitment()
+    w = sim.wallets
+    dave = w["dave"]
+    tx, boarding = dave.make_boarding(dave.funds, [5_000])
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(dave.sk, tx.digest()),))
+               for _ in tx.ins]
+    sim.chain.submit(tx, "dave")
+    sim.tick(PARAMS.k + 1)
+    exit_ = w["carol"].make_exit([first_vtxo(sim, "carol")], [5_000])
+    swap_b = w["bob"].make_swap([first_vtxo(sim, "bob")], [5_000])
+    swap_a = w["alice"].make_swap([first_vtxo(sim, "alice")], [5_000])
+    # arrival order mixes the kinds; assembly takes them per kind
+    for verify, r in ((sim.operator.verify_exit, exit_),
+                      (sim.operator.verify_batch_swap, swap_b),
+                      (sim.operator.verify_boarding, boarding),
+                      (sim.operator.verify_batch_swap, swap_a)):
+        verify(r)
+    bundle = sim.operator.assemble_commitment()
+    assert bundle.requests == [boarding, swap_b, swap_a, exit_]
+    sim.operator.run_signing(bundle, sim.wallets)
+    sim.operator.submit_and_track(bundle)
+    assert sim.operator.book.queue == []
+    # the commitment leaves the mempool unmined, so it never confirms
+    del sim.chain.mempool[bundle.commitment.txid]
+    sim.tick(PARAMS.t_r + 2)
+    assert bundle not in sim.operator.pending_bundles
+    assert sim.operator.book.queue == bundle.requests
+    # the re-queued swap still holds its input
+    with pytest.raises(Reject, match="^AlreadyPending"):
+        sim.operator.verify_batch_swap(spend_request(
+            "batch-swap", w["alice"], swap_a.inputs[0], 5_000))
+    again = sim.operator.assemble_commitment()
+    assert (again.boardings, again.swaps, again.exits) == \
+        ([boarding], [swap_b, swap_a], [exit_])
 
 
 def test_sweep_lands_at_expiry():
