@@ -6,7 +6,7 @@ Subcommands:
   footprint        print the virtual-size cost table (CSV)
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict failed,
-2 bad usage or invalid configuration (including an unknown --config key).
+2 bad usage or a bad --config file (see `_load_params`, `Params.validate`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,13 @@ from .ledger import Params
 
 
 def _load_params(path: str, unsafe: bool) -> Params:
-    with open(path) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{path} must hold a JSON object of parameters")
     for key in overrides:
         if key not in Params.__dataclass_fields__:
             raise ValueError(f"unknown parameter {key!r} in {path}")

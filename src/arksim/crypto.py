@@ -500,7 +500,6 @@ def cosign(
     tx_digest: bytes,
     signers: Sequence[SecretKey],
     expected: AggregateKey | None = None,
-    nonce: Fresh | Fixed = Fresh(),
 ) -> Signature:
     """One simulated n-of-n signing session.
 
@@ -514,7 +513,7 @@ def cosign(
         raise SessionAborted("duplicate signer")
     if expected is not None and present != expected.members:
         raise SessionAborted("signer set does not match the aggregate key")
-    return sign(aggregate_secret(signers), tx_digest, nonce)
+    return sign(aggregate_secret(signers), tx_digest)
 
 
 def extract_secret(

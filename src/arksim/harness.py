@@ -115,7 +115,6 @@ class Simulation:
                  fee: int = 0):
         self.params = params or Params()
         self.seed = seed
-        self.rng = random.Random(seed)
         self.chain = Chain(self.params, adversary)
         op_sk, _ = crypto.keygen(b"operator" + seed.to_bytes(8, "big"))
         self.operator = Operator("operator", op_sk, self.chain, self.params, fee)
@@ -271,6 +270,19 @@ class RaceResult:
     leaf_stable: bool
 
 
+def cosign_vtxt(vtxt: arkcore.Vtxt, signers: arkcore.SignerTree,
+                secrets: Dict[str, crypto.SecretKey]) -> None:
+    """Cosign every node of `vtxt`, root first, under its signer set's
+    aggregate key (`secrets` maps each member's hex key to its secret),
+    and attach the batch-unroll witness."""
+    for txid in vtxt.order:
+        tx = vtxt.txs[txid]
+        sks = [secrets[m.hex()] for m in signers[txid]]
+        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(signers[txid]))
+        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
+                           vtxt.input_locks[txid].paths)]
+
+
 def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
               t_e: int = 30) -> RaceResult:
     """Minimal sweep-versus-exit race: a two-leaf batch, a user exit
@@ -294,13 +306,8 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     chain.register("operator")
     funding = chain.grant(1000, lock)
     vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
-    secrets = {op_pk.hex(): op_sk, a_pk.hex(): a_sk, b_pk.hex(): b_sk}
-    for txid in vtxt.order:
-        tx = vtxt.txs[txid]
-        sks = [secrets[m.hex()] for m in signers[txid]]
-        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(signers[txid]))
-        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
-                           vtxt.input_locks[txid].paths)]
+    cosign_vtxt(vtxt, signers,
+                {op_pk.hex(): op_sk, a_pk.hex(): a_sk, b_pk.hex(): b_sk})
 
     path_txs = vtxt.path_to(vtxt.leaves[0].txid)
     delay_map = {tx.txid: d for tx, d in zip(path_txs, delays)}
@@ -594,8 +601,7 @@ def scenario_operator_shutdown(seed: int = 0, params: Optional[Params] = None,
     sim.add_wallet("bob", [8_000])
     sim.board("alice", [10_000 - fee])
     sim.board("bob", [8_000 - fee])
-    first_bundle = sim.settle_commitment()
-    commit_height = first_bundle.submit_height
+    sim.settle_commitment()
 
     alice, bob = sim.wallets["alice"], sim.wallets["bob"]
     a_vtxo = next(h.vtxo for h in alice.holdings.values())
@@ -735,14 +741,8 @@ def ff_double_spend_trace(seed: int, p: Params, delta: int,
     members = crypto.aggregate([sim.operator.pk, mallory.pk])
     funding = sim.chain.grant(value, batch_lock(sim.operator.pk, members, expiry))
     vtxt, signers = arkcore.build_vtxt(funding, [vtxo], sim.operator.pk, expiry, 2)
-    for txid in vtxt.order:
-        tx = vtxt.txs[txid]
-        sks = [({sim.operator.pk.hex(): sim.operator.sk,
-                 mallory.pk.hex(): mallory.sk})[m.hex()] for m in signers[txid]]
-        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH,
-                           (crypto.cosign(tx.digest(), sks,
-                                          crypto.aggregate(signers[txid])),),
-                           vtxt.input_locks[txid].paths)]
+    cosign_vtxt(vtxt, signers, {sim.operator.pk.hex(): sim.operator.sk,
+                                mallory.pk.hex(): mallory.sk})
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")
 

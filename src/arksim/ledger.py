@@ -36,6 +36,13 @@ class Params:
     arity: int = 2         # VTXT radix
 
     def validate(self, unsafe: bool = False) -> None:
+        """Every field is an int, k >= 1, arity >= 2 and the rest >= 0;
+        unless `unsafe`, also t_u > 4k."""
+        for name in self.__dataclass_fields__:
+            value, least = getattr(self, name), {"k": 1, "arity": 2}.get(name, 0)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"parameter {name!r} must be an integer >= {least},"
+                                 f" got {value!r}")
         if not unsafe and self.t_u <= 4 * self.k:
             raise ValueError(f"t_u must exceed 4k (t_u={self.t_u}, k={self.k})")
 
@@ -146,7 +153,6 @@ class Event(NamedTuple):
 class _Pending:
     tx: Tx
     party: str
-    submit_height: int
     due_height: int
 
 
@@ -271,7 +277,7 @@ class Chain:
         d = self.adversary.delay(tx, self.height, by)
         d = max(0, min(d, 2 * self.params.k - 1))
         due = self.height + 1 + min(d, self.params.k - 1)
-        self.mempool[tx.txid] = _Pending(tx, by, self.height, due)
+        self.mempool[tx.txid] = _Pending(tx, by, due)
         return True
 
     def submit_package(self, txs: List[Tx], by: str) -> int:

@@ -99,25 +99,21 @@ class OperatorBook:
 
 @dataclass
 class Bundle:
-    """Everything the parties inspect and sign for one commitment."""
+    """Everything the parties inspect and sign for one commitment.
+    `requests` holds the bundled requests in assembly order (boarding
+    requests, then batch swaps, then exits), and `leaves[i]` the leaf
+    VTXOs made for `requests[i]`; an exit's list is empty.  The commitment
+    spends `funding_ins` first, then each boarding request's output."""
     commitment: Tx
     batch: Optional[BatchOutput]
     connector: Optional[ConnectorOutput]
     gamma: Dict[Tuple[str, int], OutPoint]          # forfeited vtxo -> anchor
-    boardings: List[Request]
-    swaps: List[Request]
-    exits: List[Request]
+    requests: List[Request]
+    leaves: List[List[Vtxo]]
     funding_ins: List[Tuple[OutPoint, Output]]      # operator liquidity inputs
-    boarding_ins: List[Tuple[OutPoint, Output]]
-    leaf_by_request: Dict[int, List[Vtxo]]          # request position -> leaf vtxos
     forfeits: Dict[Tuple[str, int], Tx] = field(default_factory=dict)
     submit_height: Optional[int] = None
     account: Dict[str, int] = field(default_factory=dict)  # Lemma-4 style flows
-
-    @property
-    def requests(self) -> List[Request]:
-        """Every request in the bundle: boardings, swaps, then exits."""
-        return self.boardings + self.swaps + self.exits
 
 
 @dataclass
@@ -171,8 +167,7 @@ class Operator:
     # --- instrumented cosigning -----------------------------------------
 
     def _cosign(self, tx: Tx, members: Sequence[PublicKey],
-                secrets: Dict[str, SecretKey], label: str,
-                nonce: crypto.Fresh | crypto.Fixed = crypto.Fresh()) -> crypto.Signature:
+                secrets: Dict[str, SecretKey], label: str) -> crypto.Signature:
         # honest single-spend discipline: never co-sign two different
         # transactions spending the same input
         for op in tx.ins:
@@ -186,7 +181,7 @@ class Operator:
             if sk is None:
                 raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
             sks.append(sk)
-        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members), nonce)
+        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
         self.chain.note("operator_node", self.name, label, tx.txid[:8])
         for op in tx.ins:
             self.cosigned_spends[(op.txid, op.index)] = tx.txid
@@ -306,30 +301,25 @@ class Operator:
         return Vtxo(spec.value, lock, spec.owner, spec.owner_pk)
 
     def assemble_commitment(self) -> Optional[Bundle]:
-        queue = self.book.queue
-        boardings = [r for r in queue if r.kind == "boarding"]
-        swaps = [r for r in queue if r.kind == "batch-swap"]
-        exits = [r for r in queue if r.kind == "exit"]
-        if not (boardings or swaps or exits):
+        requests = [r for kind in ("boarding", "batch-swap", "exit")
+                    for r in self.book.queue if r.kind == kind]
+        if not requests:
             return None
         h = self.chain.height
         expiry = h + 2 * self.params.k + self.params.t_e
 
-        leaves: List[Vtxo] = []
-        leaf_by_request: Dict[int, List[Vtxo]] = {}
-        for i, r in enumerate(boardings + swaps):
-            made = [self._make_leaf(s) for s in r.outputs]
-            leaf_by_request[i] = made
-            leaves.extend(made)
-        forfeited: List[Vtxo] = [v for r in swaps for v in r.inputs]
-        exit_outs = [(v, lock) for r in exits for (v, lock) in r.exit_outputs]
+        made = [[self._make_leaf(s) for s in r.outputs] for r in requests]
+        leaves = [v for vs in made for v in vs]
+        forfeited = [v for r in requests if r.kind == "batch-swap" for v in r.inputs]
+        exit_outs = [o for r in requests if r.kind == "exit" for o in r.exit_outputs]
+        boarded = [(r.boarding_outpoint, r.boarding_output)
+                   for r in requests if r.kind == "boarding"]
 
         batch_value = sum(v.value for v in leaves)
         connector_value = len(forfeited) * self.params.epsilon
         exit_value = sum(v for v, _ in exit_outs)
-        boarding_ins = [(r.boarding_outpoint, r.boarding_output) for r in boardings]
-        boarding_value = sum(o.value for _, o in boarding_ins)
-        request_fees = self.fee * (len(boardings) + len(swaps) + len(exits))
+        boarding_value = sum(o.value for _, o in boarded)
+        request_fees = self.fee * len(requests)
 
         # operator funding: batches + connectors + exits must be covered by
         # liquidity plus boarding inputs (swapped value returns via forfeits)
@@ -349,7 +339,7 @@ class Operator:
         if change < 0:
             raise Reject("InsufficientLiquidity")
 
-        ins = [op for op, _ in funding] + [op for op, _ in boarding_ins]
+        ins = [op for op, _ in funding] + [op for op, _ in boarded]
         outs: List[Output] = []
         out_index: Dict[str, int] = {}
         if leaves:
@@ -394,9 +384,8 @@ class Operator:
         assert account["L"] + account["B"] == \
             account["V"] + account["U"] + account["M"] + connector_value
 
-        return Bundle(commitment, batch, connector, gamma, boardings, swaps,
-                      exits, funding, boarding_ins, leaf_by_request,
-                      account=account)
+        return Bundle(commitment, batch, connector, gamma, requests, made,
+                      funding, account=account)
 
     # --- signing ceremony ------------------------------------------------
 
@@ -444,17 +433,16 @@ class Operator:
         # step 3: forfeit transactions, collected and checked; the spent
         # path is the input lock's own collaborative aggregate, which may
         # name a previous operator (handover)
-        for r in bundle.swaps:
+        swaps = [r for r in bundle.requests if r.kind == "batch-swap"]
+        for r in swaps:
             for v in r.inputs:
                 maybe_abort("forfeit", r.party)
                 anchor = bundle.gamma[v.key()]
                 ff = forfeit_tx(v, anchor, self.pk, self.params.epsilon)
-                collab_idx0, agg = collab_aggregate(v.lock)
-                collab_idx = [collab_idx0]
-                members = agg.members
-                sig = self._cosign(ff, members, secrets, "forfeit")
+                collab_idx, agg = collab_aggregate(v.lock)
+                sig = self._cosign(ff, agg.members, secrets, "forfeit")
                 anchor_sig = crypto.sign(self.sk, ff.digest())
-                ff.wits = [Witness(collab_idx[0], (sig,), v.lock.paths),
+                ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
                            Witness(KEY_PATH, (anchor_sig,))]
                 if ff.ins != (v.outpoint, anchor):
                     raise SessionAborted("forfeit inputs do not match")
@@ -466,11 +454,13 @@ class Operator:
         n_funding = len(bundle.funding_ins)
 
         # step 4: boarding cosigns
-        for i, (r, (_, out)) in enumerate(zip(bundle.boardings, bundle.boarding_ins)):
+        to_board = [r for r in bundle.requests if r.kind == "boarding"]
+        for i, r in enumerate(to_board, start=n_funding):
             maybe_abort("boarding", r.party)
             members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
             sig = self._cosign(bundle.commitment, members, secrets, "boarding")
-            wits[n_funding + i] = Witness(BOARDING_COOP_PATH, (sig,), out.lock.paths)
+            wits[i] = Witness(BOARDING_COOP_PATH, (sig,),
+                              r.boarding_output.lock.paths)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)
@@ -499,7 +489,8 @@ class Operator:
                 v = leaf.vtxo
                 book.confirmedVTXO[v.key()] = v
                 book.preConfirmed.pop(v.key(), None)
-        for r in bundle.swaps:
+        swaps = [r for r in bundle.requests if r.kind == "batch-swap"]
+        for r in swaps:
             for v in r.inputs:
                 key = v.key()
                 book.confirmedVTXO.pop(key, None)
@@ -614,15 +605,10 @@ class Operator:
             vtxt = bundle.connector.vtxt
             for op in tx.ins:
                 if op.txid in vtxt.txs:
-                    chainlink = []
-                    cur: Optional[str] = op.txid
-                    while cur is not None:
-                        node = vtxt.txs[cur]
-                        if not self.chain.is_confirmed(cur):
+                    for node in vtxt.path_to(op.txid):
+                        if not self.chain.is_confirmed(node.txid):
                             if not node.wits:
                                 sig = crypto.sign(self.sk, node.digest())
                                 node.wits = [Witness(KEY_PATH, (sig,))]
-                            chainlink.append(node)
-                        cur = vtxt.parent[cur]
-                    need.extend(reversed(chainlink))
+                            need.append(node)
         return need

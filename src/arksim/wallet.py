@@ -134,16 +134,19 @@ class Wallet:
     def _mine(self, bundle: Bundle) -> Iterator[Tuple[Request, List[Vtxo]]]:
         """This wallet's requests in the bundle, each with the leaves made
         for it; an exit has none."""
-        for i, r in enumerate(bundle.boardings + bundle.swaps):
+        for r, leaves in zip(bundle.requests, bundle.leaves):
             if r.party == self.name:
-                yield r, bundle.leaf_by_request[i]
-        for r in bundle.exits:
-            if r.party == self.name:
-                yield r, []
+                yield r, leaves
 
     def verify_commitment(self, bundle: Bundle) -> bool:
+        if len(bundle.leaves) != len(bundle.requests):
+            return self._fail("leaf lists do not match the requests")
+        boarded = [r.boarding_output for r in bundle.requests
+                   if r.kind == "boarding"]
+        if any(o is None for o in boarded):
+            return self._fail("boarding request without its output")
         in_value = sum(o.value for _, o in bundle.funding_ins) \
-            + sum(o.value for _, o in bundle.boarding_ins)
+            + sum(o.value for o in boarded)
         if in_value < sum(o.value for o in bundle.commitment.outs):
             return self._fail("commitment creates value")
         if bundle.batch is not None:
@@ -153,8 +156,8 @@ class Wallet:
             if bundle.batch.value < sum(l.vtxo.value for l in bundle.batch.vtxt.leaves):
                 return self._fail("batch value below the leaf total")
         seen: set[Tuple[str, int]] = set()
-        for i in range(len(bundle.boardings) + len(bundle.swaps)):
-            for leaf in bundle.leaf_by_request[i]:
+        for leaves in bundle.leaves:
+            for leaf in leaves:
                 if leaf.outpoint is None:
                     return self._fail("leaf has no outpoint")
                 key = leaf.key()

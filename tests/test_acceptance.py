@@ -13,6 +13,7 @@ from arksim import arkcore, crypto, footprint
 from arksim.arkcore import Vtxo, p2pk, vtxo_lock
 from arksim.crypto import Fixed, extract_secret, keygen, sign
 from arksim.harness import (
+    cosign_vtxt,
     exit_race,
     ff_double_spend_trace,
     run_scenario,
@@ -202,13 +203,7 @@ def test_criterion_09_commitment_timing_linear():
                                            params.arity)
         secrets = {pk.hex(): sk for sk, pk in users}
         secrets[op_pk.hex()] = op_sk
-        for txid in vtxt.order:
-            tx = vtxt.txs[txid]
-            agg = crypto.aggregate(signers[txid])
-            sig = crypto.cosign(tx.digest(),
-                                [secrets[m.hex()] for m in signers[txid]], agg)
-            tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
-                               vtxt.input_locks[txid].paths)]
+        cosign_vtxt(vtxt, signers, secrets)
         times.append(time.perf_counter() - t1)
     xs, ys = np.array(sizes, float), np.array(times, float)
     slope, intercept = np.polyfit(xs, ys, 1)

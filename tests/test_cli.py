@@ -62,3 +62,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"k": 6, "fee_rate": 3}))
     assert main(["run", "happy_path", "--config", str(cfg)]) == 2
     assert "'fee_rate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unsafe", [[], ["--unsafe"]], ids=["safe", "unsafe"])
+@pytest.mark.parametrize("content, named", [
+    ('{"k": "x"}', "'k'"),
+    ('{"k": true}', "'k'"),
+    ("[1]", "JSON object"),
+    ('{"k": -1}', "'k'"),
+    ('{"arity": 1}', "'arity'"),
+    (None, "cannot read"),
+], ids=["string", "bool", "list", "negative-k", "arity-1", "missing-file"])
+def test_bad_config_exits_2(tmp_path, capsys, content, named, unsafe):
+    # --unsafe waives only the t_u > 4k gate, never the type and range rules
+    cfg = tmp_path / "p.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["run", "happy_path", "--config", str(cfg)] + unsafe) == 2
+    assert named in capsys.readouterr().err

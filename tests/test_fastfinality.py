@@ -9,10 +9,9 @@ from arksim.fastfinality import (
     FfCoordinator,
     setup_collateral,
 )
-from arksim.harness import Simulation, ff_double_spend_trace
+from arksim.harness import Simulation, cosign_vtxt, ff_double_spend_trace
 from arksim.ledger import Params
 from arksim.operator_node import VtxoSpec
-from arksim.script import Witness
 from arksim.wallet import Holding
 
 PARAMS = Params(k=3, t_u=13, t_e=60, t_r=8)
@@ -37,14 +36,8 @@ def ff_setup(seed=0, byzantine=False, delta=1):
     members = crypto.aggregate([sim.operator.pk, mallory.pk])
     funding = sim.chain.grant(value, batch_lock(sim.operator.pk, members, expiry))
     vtxt, signers = arkcore.build_vtxt(funding, [vtxo], sim.operator.pk, expiry, 2)
-    sks = {sim.operator.pk.hex(): sim.operator.sk, mallory.pk.hex(): mallory.sk}
-    for txid in vtxt.order:
-        tx = vtxt.txs[txid]
-        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH,
-                           (crypto.cosign(tx.digest(),
-                                          [sks[m.hex()] for m in signers[txid]],
-                                          crypto.aggregate(signers[txid])),),
-                           vtxt.input_locks[txid].paths)]
+    cosign_vtxt(vtxt, signers, {sim.operator.pk.hex(): sim.operator.sk,
+                                mallory.pk.hex(): mallory.sk})
     mallory.holdings[vtxo.key()] = Holding(
         vtxo, vtxt.path_to(vtxo.outpoint.txid), "batch")
     coord = FfCoordinator(cfg, sim.chain, ffop, dict(sim.wallets), collateral)

@@ -239,17 +239,17 @@ def test_rollback_requeues_requests():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
     v = first_vtxo(sim)
-    alice.make_swap([v], [v.value])
-    sim.operator.verify_batch_swap(alice.open_requests[-1])
+    swap = alice.make_swap([v], [v.value])
+    sim.operator.verify_batch_swap(swap)
     bundle = sim.operator.assemble_commitment()
     sim.operator.run_signing(bundle, sim.wallets)
-    # sabotage: strip witnesses so the commitment can never confirm
-    bundle.commitment.wits = []
-    sim.operator.pending_bundles.append(bundle)
-    bundle.submit_height = sim.chain.height
+    sim.operator.submit_and_track(bundle)
+    assert sim.operator.book.queue == []
+    # the commitment leaves the mempool unmined, so it never confirms
+    del sim.chain.mempool[bundle.commitment.txid]
     sim.tick(PARAMS.t_r + 2)
     assert bundle not in sim.operator.pending_bundles
-    assert any(r.kind == "batch-swap" for r in sim.operator.book.queue)
+    assert sim.operator.book.queue == [swap]
     assert v.key() in sim.operator.book.confirmedVTXO
 
 
@@ -292,8 +292,8 @@ def test_rollback_requeues_every_kind_in_order():
         sim.operator.verify_batch_swap(spend_request(
             "batch-swap", w["alice"], swap_a.inputs[0], 5_000))
     again = sim.operator.assemble_commitment()
-    assert (again.boardings, again.swaps, again.exits) == \
-        ([boarding], [swap_b, swap_a], [exit_])
+    assert again.requests == [boarding, swap_b, swap_a, exit_]
+    assert [len(leaves) for leaves in again.leaves] == [1, 1, 1, 0]
 
 
 def test_sweep_lands_at_expiry():
@@ -347,8 +347,7 @@ def test_wallet_rejects_missing_own_leaf():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
-    for i in bad.leaf_by_request:
-        bad.leaf_by_request[i] = []
+    bad.leaves = [[] for _ in bad.leaves]
     assert not sim.wallets["alice"].verify_commitment(bad)
 
 
@@ -356,10 +355,38 @@ def test_wallet_rejects_wrong_leaf_value():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
-    for leaves in bad.leaf_by_request.values():
+    for leaves in bad.leaves:
         for leaf in leaves:
             leaf.value -= 1
     assert not sim.wallets["alice"].verify_commitment(bad)
+
+
+def test_wallet_rejects_leaf_lists_shorter_than_requests():
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    bad = copy.deepcopy(bundle)
+    bad.leaves = bad.leaves[:-1]
+    alice = sim.wallets["alice"]
+    assert not alice.verify_commitment(bad)
+    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
+                                       "leaf lists do not match the requests")
+
+
+def test_wallet_rejects_boarding_request_without_its_output():
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000])
+    tx, boarding = alice.make_boarding(alice.funds, [5_000])
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(alice.sk, tx.digest()),))
+               for _ in tx.ins]
+    sim.chain.submit(tx, "alice")
+    sim.tick(PARAMS.k + 1)
+    sim.operator.verify_boarding(boarding)
+    bad = copy.deepcopy(sim.operator.assemble_commitment())
+    bad.requests[0].boarding_output = None
+    assert not alice.verify_commitment(bad)
+    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
+                                       "boarding request without its output")
 
 
 def test_wallet_rejects_bundle_without_batch():
@@ -377,7 +404,7 @@ def test_wallet_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
-    for leaves in bad.leaf_by_request.values():
+    for leaves in bad.leaves:
         for leaf in leaves:
             leaf.outpoint = None
     alice = sim.wallets["alice"]
@@ -389,7 +416,7 @@ def test_wallet_rejects_leaf_without_outpoint():
 def test_wallet_path_check_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
-    leaf = copy.deepcopy(next(iter(bundle.leaf_by_request.values()))[0])
+    leaf = copy.deepcopy(bundle.leaves[0][0])
     leaf.outpoint = None
     alice = sim.wallets["alice"]
     assert not alice.verify_path(bundle, leaf)
