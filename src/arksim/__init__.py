@@ -17,6 +17,7 @@ from .crypto import (
     sign,
     verify,
 )
+from .errors import InvariantError
 from .ledger import Adversary, Chain, MaxDelay, OutPoint, Output, Params, Tx
 from .script import KEY_PATH, LockScript, Witness, taproot
 
@@ -24,7 +25,7 @@ __all__ = [
     "AggregateKey", "PublicKey", "SecretKey", "SessionAborted", "Signature",
     "aggregate", "cosign", "extract_secret", "keygen", "sign", "verify",
     "Adversary", "Chain", "MaxDelay", "OutPoint", "Output", "Params", "Tx",
-    "KEY_PATH", "LockScript", "Witness", "taproot",
+    "KEY_PATH", "LockScript", "Witness", "taproot", "InvariantError",
 ]
 
 __version__ = "0.1.0"

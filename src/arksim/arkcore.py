@@ -221,38 +221,34 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
             pks[v.owner_pk.encode()] = v.owner_pk
         return tuple(pks[k] for k in sorted(pks))
 
-    def build(outpoint: OutPoint, in_value: int, in_lock: LockScript,
-              group: List[Vtxo], parent_txid: Optional[str]) -> None:
+    total = sum(v.value for v in leaves)
+    root_lock = batch_lock(operator, crypto.aggregate(subtree_members(list(leaves))), expiry)
+    # preorder, root first: a node's children are pushed last to first, so
+    # the first child's subtree is built before the second child
+    stack = [(funding, total, root_lock, list(leaves), None)]
+    while stack:
+        outpoint, in_value, in_lock, group, parent_txid = stack.pop()
         if len(group) == 1:
             v = group[0]
             tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, anchor_lock())))
             v.outpoint = tx.outpoint(0)
             v.expiry = expiry
-            vtxt.txs[tx.txid] = tx
-            vtxt.parent[tx.txid] = parent_txid
-            vtxt.order.append(tx.txid)
-            vtxt.input_locks[tx.txid] = in_lock
-            vtxt.input_values[tx.txid] = in_value
             vtxt.leaves.append(LeafRef(tx.txid, 0, v))
-            signers[tx.txid] = subtree_members(group)
-            return
-        groups = _chunks(group, arity)
-        outs = [Output(sum(v.value for v in g),
-                       batch_lock(operator, crypto.aggregate(subtree_members(g)), expiry))
-                for g in groups]
-        tx = Tx(ins=(outpoint,), outs=tuple(outs) + (Output(0, anchor_lock()),))
+            groups = []
+        else:
+            groups = _chunks(group, arity)
+            outs = [Output(sum(v.value for v in g),
+                           batch_lock(operator, crypto.aggregate(subtree_members(g)), expiry))
+                    for g in groups]
+            tx = Tx(ins=(outpoint,), outs=tuple(outs) + (Output(0, anchor_lock()),))
         vtxt.txs[tx.txid] = tx
         vtxt.parent[tx.txid] = parent_txid
         vtxt.order.append(tx.txid)
         vtxt.input_locks[tx.txid] = in_lock
         vtxt.input_values[tx.txid] = in_value
         signers[tx.txid] = subtree_members(group)
-        for i, g in enumerate(groups):
-            build(tx.outpoint(i), tx.outs[i].value, tx.outs[i].lock, g, tx.txid)
-
-    total = sum(v.value for v in leaves)
-    root_lock = batch_lock(operator, crypto.aggregate(subtree_members(list(leaves))), expiry)
-    build(funding, total, root_lock, list(leaves), None)
+        stack.extend((tx.outpoint(i), tx.outs[i].value, tx.outs[i].lock, g, tx.txid)
+                     for i, g in reversed(list(enumerate(groups))))
     vtxt.root = vtxt.order[0]
     check_vtxt(vtxt)
     return vtxt, signers
@@ -287,29 +283,24 @@ def build_connector(funding: OutPoint, anchor_count: int, operator: PublicKey,
     vtxt = Vtxt(funding=funding)
     anchors: List[OutPoint] = []
 
-    def build(outpoint: OutPoint, count: int, in_lock: LockScript,
-              parent_txid: Optional[str]) -> None:
+    # preorder, root first, as in build_vtxt; a popped count of 1 is an
+    # anchor, so anchors keep the order of a depth-first walk
+    stack: List[Tuple[OutPoint, int, Optional[str]]] = [(funding, anchor_count, None)]
+    while stack:
+        outpoint, count, parent_txid = stack.pop()
+        if count == 1:
+            anchors.append(outpoint)
+            vtxt.leaves.append(LeafRef(outpoint.txid, outpoint.index, None))  # type: ignore[arg-type]
+            continue
         groups = _chunks(list(range(count)), arity)
-        outs = []
-        for g in groups:
-            if len(g) == 1:
-                outs.append(Output(epsilon, op_lock))
-            else:
-                outs.append(Output(len(g) * epsilon, op_lock))
-        tx = Tx(ins=(outpoint,), outs=tuple(outs))
+        tx = Tx(ins=(outpoint,), outs=tuple(Output(len(g) * epsilon, op_lock) for g in groups))
         vtxt.txs[tx.txid] = tx
         vtxt.parent[tx.txid] = parent_txid
         vtxt.order.append(tx.txid)
-        vtxt.input_locks[tx.txid] = in_lock
+        vtxt.input_locks[tx.txid] = op_lock
         vtxt.input_values[tx.txid] = count * epsilon
-        for i, g in enumerate(groups):
-            if len(g) == 1:
-                anchors.append(tx.outpoint(i))
-                vtxt.leaves.append(LeafRef(tx.txid, i, None))  # type: ignore[arg-type]
-            else:
-                build(tx.outpoint(i), len(g), tx.outs[i].lock, tx.txid)
-
-    build(funding, anchor_count, op_lock, None)
+        stack.extend((tx.outpoint(i), len(g), tx.txid)
+                     for i, g in reversed(list(enumerate(groups))))
     vtxt.root = vtxt.order[0]
     return ConnectorOutput(anchor_count * epsilon, op_lock, vtxt, anchors)
 

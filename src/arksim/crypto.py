@@ -32,14 +32,44 @@ Sums of several multiplications (an aggregate key, and s*G - e*P in
 `verify`) are added in Jacobian form too, and `verify` compares the sum
 with R without an inversion.
 
+`verify_batch` checks many signatures in one equation (BIP340 batch
+verification; Wuille, Nick and Ruffing 2020):
+
+    (sum a_i s_i) * G == sum a_i * R_i + sum (a_i e_i) * P_i
+
+- Coefficients: a_0 = 1, and each other a_i is the top 128 bits of a
+  tagged hash of the whole batch and i.  A run stays byte-deterministic,
+  and no signer can fit a bad signature to the a_i, since any change to
+  the batch draws new ones.
+- Multiplications: G goes through `point_mul` once.  The R_i and the GLV
+  halves of each (a_i e_i) * P_i (the coefficients of one key summed
+  first) go through one Pippenger bucket pass (Pippenger 1976) over
+  signed digits, with the digit width picked from the number of terms.
+  That pass builds no comb table, so a key verified once, such as a
+  VTXT node's aggregate key, costs no table.
+- Left out: a triple `verify` rejects before any multiplication (s >= q,
+  or an unreduced coordinate) and one with an off-curve R or key, on
+  which the group law does not hold.  So is the whole batch when fewer
+  than `BATCH_MIN` triples remain.
+- Results: when the equation holds, each triple gets a `True` verdict in
+  the verify memo.  When it fails, nothing is recorded and `verify` later
+  checks each signature singly, so every verdict and rejection stays per
+  signature.
+- Crossover: on a 2-core x86 machine, medians of 9 runs, a batch of n
+  fresh signatures took 0.70x (n = 8), 0.60x (12) and 0.56x (16) of
+  single verification with cold comb tables, and 1.13x, 1.00x and 0.96x
+  with warm ones; at 127 signatures, 0.32x and 0.52x.  `BATCH_MIN` = 16
+  is the smallest measured size that wins either way.
+
 The plain double-and-add ladder these replace is kept in
 `tests/secp_oracle.py`, and the tests check both paths against it.
 
-Four pure functions are memoized in bounded `lru_cache`s: the comb table
-of a variable base, the public key of a scalar, the aggregate key of a
-member set, and the verdict of `verify`.  A batch multiplies each signer
-key about log n times while aggregating its subtrees, so a table is
-built once per key and reused.  The table is a function of the point
+Four pure functions are memoized in bounded least-recently-used caches:
+the comb table of a variable base, the public key of a scalar, the
+aggregate key of a member set, and the verdict of `verify`.  The last is
+an `_insertable_cache`, so that `verify_batch` can record its verdicts.
+A batch multiplies each signer key about log n times while aggregating
+its subtrees, so a table is built once per key and reused.  The table is a function of the point
 alone, and the point is checked to lie on the curve before anything is
 cached, so a hit is exactly the table a fresh build would give and an
 off-curve point never enters the memo.  A transcript is checked again at
@@ -53,10 +83,12 @@ to an input is a fresh check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 # secp256k1 parameters
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -175,6 +207,10 @@ def _affine(x: int, y: int, z: int) -> Point:
     return None if z == 0 else _batch_affine(((x, y, z),))[0]
 
 
+def _on_curve(p: Tuple[int, int]) -> bool:
+    return (p[1] * p[1] - p[0] * p[0] * p[0] - 7) % P == 0
+
+
 # --- fixed base: G ---------------------------------------------------------
 
 
@@ -266,9 +302,9 @@ _COMB_CACHE_SIZE = 256
 def _comb_table(p: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
     """Entry i - 1 (i = 1..15) is the sum of the teeth p * 2**(33 * j)
     for each bit j set in i, affine."""
-    px, py = p
-    if (py * py - px * px * px - 7) % P:
+    if not _on_curve(p):
         raise CryptoError("point is not on secp256k1")
+    px, py = p
     sums = [_INF] * 16
     tooth = (px, py, 1)
     for j in range(4):
@@ -438,7 +474,54 @@ def _reduced(p: Point) -> bool:
     return p is not None and 0 <= p[0] < P and 0 <= p[1] < P
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _insertable_cache(maxsize: int):
+    """A bounded least-recently-used memo of a pure function, with the
+    `cache_info()` and `cache_clear()` of `lru_cache`, that also takes
+    results computed elsewhere: `insert(args, result)`, and
+    `peek(args)`, the recorded result or None without counting a hit."""
+    def decorate(fn):
+        entries: OrderedDict = OrderedDict()
+        stats = [0, 0]   # hits, misses
+
+        def insert(key: tuple, value) -> None:
+            entries[key] = value
+            entries.move_to_end(key)
+            if len(entries) > maxsize:
+                entries.popitem(last=False)
+
+        @functools.wraps(fn)
+        def memo(*key):
+            try:
+                value = entries[key]
+            except KeyError:
+                stats[1] += 1
+                value = fn(*key)
+                insert(key, value)
+                return value
+            stats[0] += 1
+            entries.move_to_end(key)
+            return value
+
+        def cache_clear() -> None:
+            entries.clear()
+            stats[:] = [0, 0]
+
+        memo.insert = insert
+        memo.peek = entries.get
+        memo.cache_info = lambda: _CacheInfo(stats[0], stats[1], maxsize, len(entries))
+        memo.cache_clear = cache_clear
+        return memo
+    return decorate
+
+
+@_insertable_cache(maxsize=_CACHE_SIZE)
 def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
     # keyed on every field of (pk, m, sig): a changed bit is a fresh check.
     # Only the canonical form verifies, as in BIP340: s + q would pass as a
@@ -454,10 +537,129 @@ def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
         return False
     x, y, z = _jsum(terms)
     # s*G - e*P == R, compared in Jacobian form so no inversion is needed
-    if z == 0:
-        return False
+    return _equals(x, y, z, R)
+
+
+def _equals(x: int, y: int, z: int, p: Point) -> bool:
+    """Whether Jacobian (x, y, z) is the affine point p (None: infinity),
+    without an inversion."""
+    if p is None or z == 0:
+        return p is None and z == 0
     zz = z * z % P
-    return x == R[0] * zz % P and y == R[1] * zz * z % P
+    return x == p[0] * zz % P and y == p[1] * zz * z % P
+
+
+# --- batch verification ----------------------------------------------------
+
+# Below this many signatures to check, a batch is left to `verify`: see the
+# module docstring for the measurement.  A caller that counts fewer
+# signatures can skip collecting them.
+BATCH_MIN = 16
+
+Check = Tuple[Tuple[int, int], bytes, Signature]
+
+
+def verify_batch(checks: Iterable[Check]) -> bool:
+    """Check the (key point, message, signature) triples the verify memo
+    has no verdict for in one equation, and record a `True` verdict for
+    each when it holds.  Returns whether every triple is now known to
+    verify.  Nothing is recorded for a failed equation, a triple left out
+    of it, or a batch below `BATCH_MIN`: `verify` checks those one by
+    one, as it would without this call."""
+    keys = list(dict.fromkeys((point, m, sig.R, sig.s) for point, m, sig in checks))
+    # a triple `verify` rejects before any multiplication stays out, and
+    # so does an off-curve point, on which the group law does not hold
+    batch = [k for k in keys if _verified.peek(k) is None
+             and 0 <= k[3] < Q and _reduced(k[0]) and _reduced(k[2])
+             and _on_curve(k[0]) and _on_curve(k[2])]
+    if len(batch) >= BATCH_MIN and _batch_holds(batch):
+        for k in batch:
+            _verified.insert(k, True)
+    return all(_verified.peek(k) for k in keys)
+
+
+def _batch_coefficients(batch: Sequence[tuple]) -> list[int]:
+    """a_0 = 1, and a_i for i > 0 the top 128 bits of a hash of the whole
+    batch and i (1 in the negligible case that they are 0), so a run is
+    deterministic while no signer can choose a batch's coefficients
+    without changing the batch."""
+    h = hashlib.sha256(b"arksim/batch")
+    for point, m, R, s in batch:
+        h.update(compress(point) + compress(R) + s.to_bytes(32, "big")
+                 + len(m).to_bytes(4, "big") + m)
+    seed = h.digest()
+    return [1] + [(_tagged("arksim/batchcoef", seed, i.to_bytes(4, "big")) >> 128) or 1
+                  for i in range(1, len(batch))]
+
+
+def _batch_holds(batch: Sequence[tuple]) -> bool:
+    """(sum a_i s_i) * G == sum a_i * R_i + sum (a_i e_i) * P_i."""
+    total = 0
+    terms = []
+    per_key: dict = {}   # a key that signs several times is one term
+    for a, (point, m, R, s) in zip(_batch_coefficients(batch), batch):
+        total += a * s
+        terms.append((a, R))
+        per_key[point] = per_key.get(point, 0) + a * challenge(R, PublicKey(point), m)
+    for point, n in per_key.items():
+        terms.extend(_glv_terms(point, n % Q))
+    return _equals(*_multi_mul(terms), point_mul(G, total))
+
+
+def _glv_terms(p: Tuple[int, int], n: int) -> Tuple[Tuple[int, Tuple[int, int]], ...]:
+    """n * p as two terms k * p' with 0 <= k < 2**129: the GLV halves over
+    p and lambda * p, each point negated where its half is negative."""
+    k1, k2 = glv_split(n)
+    x, y = p
+    return ((abs(k1), (x, y if k1 >= 0 else P - y)),
+            (abs(k2), (BETA * x % P, y if k2 >= 0 else P - y)))
+
+
+def _window(terms: int) -> int:
+    """The digit width that minimises the estimated additions of
+    `_multi_mul` over 130-bit scalars: per window one mixed addition a
+    term, and two additions a bucket."""
+    return min(range(1, 13), key=lambda c: (130 // c + 1) * (terms + 2 ** c))
+
+
+def _multi_mul(terms: Sequence[Tuple[int, Tuple[int, int]]]) -> Tuple[int, int, int]:
+    """sum k * p over the terms, k >= 0, p affine and on the curve, in
+    Jacobian form, by Pippenger's bucket method over signed digits: no
+    comb table, one chain of doublings for all terms."""
+    c = _window(len(terms))
+    half, full, mask = 1 << (c - 1), 1 << c, (1 << c) - 1
+    windows = max(k.bit_length() for k, _ in terms) // c + 1
+    # each scalar as `windows` signed digits in (-half, half], least first
+    digits = []
+    for k, _ in terms:
+        row = []
+        for _ in range(windows):
+            d = k & mask
+            k >>= c
+            if d > half:
+                d -= full
+                k += 1
+            row.append(d)
+        digits.append(row)
+    points = [p for _, p in terms]
+    acc = _INF
+    for w in range(windows - 1, -1, -1):
+        for _ in range(c):
+            acc = _jdbl(*acc)
+        buckets = [_INF] * half
+        for row, (x, y) in zip(digits, points):
+            d = row[w]
+            if d > 0:
+                buckets[d - 1] = _jadd_affine(*buckets[d - 1], (x, y))
+            elif d < 0:
+                buckets[-d - 1] = _jadd_affine(*buckets[-d - 1], (x, P - y))
+        # sum of j * bucket[j - 1], as running sums from the top bucket down
+        running = window = _INF
+        for b in reversed(buckets):
+            running = _jadd(*running, *b)
+            window = _jadd(*window, *running)
+        acc = _jadd(*acc, *window)
+    return acc
 
 
 def _sorted_members(pks: Iterable[PublicKey]) -> Tuple[PublicKey, ...]:

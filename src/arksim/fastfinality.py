@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import arkcore, crypto
 from .arkcore import Vtxo, classify_paths, reset_tx
 from .crypto import Fixed, SecretKey, Signature
+from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, SubmitError, Tx
 from .operator_node import ArkPayment, Operator, VtxoSpec
 from .script import (
@@ -293,7 +294,8 @@ class FfCoordinator:
                                            b_tx.digest(), sig_b)
             except crypto.CryptoError:
                 continue
-            assert sk.public() == op_pk
+            if sk.public() != op_pk:
+                raise InvariantError("extracted key is not the operator's")
             burn = burn_collateral(self.collateral, sk, self.chain, member)
             self.burned = True
             self.burn_txid = burn.txid

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List
 
+from .errors import InvariantError
+
 
 @dataclass(frozen=True)
 class SizeModel:
@@ -44,9 +46,10 @@ def calibrate(overhead: Fraction = Fraction(21, 2), p2tr: Fraction = Fraction(43
     key_in = Fraction(197) - overhead - 3 * p2tr
     script_in = Fraction(150) - overhead - 2 * p2tr - anchor
     model = SizeModel(overhead, key_in, script_in, p2tr, anchor)
-    assert vbytes(COMMITMENT_SHAPE, model) == 197
-    assert vbytes(NODE_SHAPE, model) == 150
-    assert vbytes(LEAF_SHAPE, model) == 107
+    for shape, want in ((COMMITMENT_SHAPE, 197), (NODE_SHAPE, 150), (LEAF_SHAPE, 107)):
+        got = vbytes(shape, model)
+        if got != want:
+            raise InvariantError(f"{shape} weighs {got} vB under the calibration, not {want}")
     return model
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from . import arkcore, crypto, footprint
 from .arkcore import Vtxo, anchor_lock, batch_lock, p2pk
 from .crypto import SessionAborted
+from .errors import InvariantError
 from .fastfinality import (
     FfConfig,
     FfCoordinator,
@@ -51,8 +52,11 @@ class ArkState:
     S: Set[Tuple[str, int]] = field(default_factory=set)
 
     def check(self) -> None:
-        assert not (self.C & self.F)
-        assert not (self.S & (self.C | self.F))
+        """C, F and S are disjoint."""
+        if self.C & self.F:
+            raise InvariantError(f"in both C and F: {sorted(self.C & self.F)}")
+        if self.S & (self.C | self.F):
+            raise InvariantError(f"in S and in C or F: {sorted(self.S & (self.C | self.F))}")
 
     def as_tuple(self):
         return (frozenset(self.C), frozenset(self.F), frozenset(self.S))

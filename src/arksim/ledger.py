@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .script import LockScript, SpendContext, Witness, evaluate
+from .crypto import BATCH_MIN, Check, verify_batch
+from .script import LockScript, SpendContext, Witness, evaluate, signature_checks
 
 
 @dataclass(frozen=True)
@@ -368,19 +369,44 @@ class Chain:
         self.note("ledger", p.party, "confirmed", tx.txid)
         return True
 
+    def _signature_checks(self, txs: List[Tx]) -> List[Check]:
+        """The signature checks of txs that may confirm in the block being
+        formed, each against the lock of the output it spends, whether
+        that output is confirmed or comes from a tx in the mempool."""
+        checks: List[Check] = []
+        for tx in txs:
+            digest = tx.digest()
+            for op, wit in zip(tx.ins, tx.wits):
+                src = self.records.get(op.txid) or self.mempool.get(op.txid)
+                if src is None or not 0 <= op.index < len(src.tx.outs):
+                    continue
+                entry = self.utxos.get(op)
+                height = entry.confirm_height if entry is not None else self.height
+                checks += signature_checks(src.tx.outs[op.index].lock, wit,
+                                           SpendContext(self.height, height, digest))
+        return checks
+
     def advance_round(self) -> int:
         self.height += 1
         self.blocks.append([])
+        due = [p for p in self.mempool.values() if p.due_height <= self.height]
+        # one batch equation for the due txs' signatures, when they are
+        # enough for one; the inclusion loop below then finds their
+        # verdicts in the verify memo
+        if due and sum(len(w.signatures) for p in due for w in p.tx.wits) >= BATCH_MIN:
+            verify_batch(self._signature_checks([p.tx for p in due]))
         block_outs: Dict[OutPoint, int] = {}
         progress = True
         while progress:
             progress = False
-            for p in list(self.mempool.values()):
-                if p.due_height > self.height:
-                    continue
+            left = []
+            for p in due:
                 if self._try_include(p, block_outs):
                     del self.mempool[p.tx.txid]
                     progress = True
+                else:
+                    left.append(p)
+            due = left
         # drop pending txs that permanently lost their inputs to stable spends
         for p in list(self.mempool.values()):
             for op in p.tx.ins:

@@ -33,6 +33,7 @@ from .arkcore import (
     sweep_path_height,
 )
 from .crypto import PublicKey, SecretKey, SessionAborted
+from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .script import KEY_PATH, UNSPENDABLE, LockScript, Witness, taproot
 
@@ -75,6 +76,14 @@ def _input_key(v: Vtxo) -> Tuple[str, int]:
     if v.outpoint is None:
         raise Reject("input VTXO has no outpoint")
     return v.key()
+
+
+def check_conservation(account: Dict[str, int]) -> None:
+    """The commitment's conservation identity: liquidity and boarding
+    inputs equal the batch, exit, change and connector outputs."""
+    if account["L"] + account["B"] != (account["V"] + account["U"] + account["M"]
+                                       + account["connector"]):
+        raise InvariantError(f"commitment does not conserve value: {account}")
 
 
 def _held_keys(r: Request) -> List[Tuple[str, int]]:
@@ -380,9 +389,7 @@ class Operator:
             "U": exit_value, "M": change, "F": request_fees,
             "connector": connector_value,
         }
-        # conservation-tx identity: everything in equals everything out
-        assert account["L"] + account["B"] == \
-            account["V"] + account["U"] + account["M"] + connector_value
+        check_conservation(account)
 
         return Bundle(commitment, batch, connector, gamma, requests, made,
                       funding, account=account)
@@ -584,7 +591,8 @@ class Operator:
 
         # answer unrolled spent VTXOs
         for v, tx in list(self.book.spent):
-            assert v.outpoint is not None
+            if v.outpoint is None:
+                raise InvariantError(f"spent VTXO of {v.owner} in the book has no outpoint")
             if chain.unspent(v.outpoint) and not chain.is_confirmed(tx.txid):
                 package = self._prerequisites(tx) + [tx]
                 try:

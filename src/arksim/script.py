@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Callable, Iterator, List, Tuple, Union
 
 from . import crypto
 from .crypto import AggregateKey, PublicKey, Signature
@@ -145,17 +145,21 @@ class SpendContext:
     tx_digest: bytes
 
 
-def _eval(p: Predicate, sigs: Iterator[Signature], ctx: SpendContext) -> bool:
+# what a walk does at each signature: (key, message, signature) -> verdict
+Verifier = Callable[[PublicKey, bytes, Signature], bool]
+
+
+def _eval(p: Predicate, sigs: Iterator[Signature], ctx: SpendContext, check: Verifier) -> bool:
     if isinstance(p, CheckSig):
         sig = next(sigs, None)
-        return sig is not None and crypto.verify(p.pk, ctx.tx_digest, sig)
+        return sig is not None and check(p.pk, ctx.tx_digest, sig)
     if isinstance(p, CheckAggSig):
         sig = next(sigs, None)
-        return sig is not None and crypto.verify(p.key.point, ctx.tx_digest, sig)
+        return sig is not None and check(p.key.point, ctx.tx_digest, sig)
     if isinstance(p, NonceBound):
         sig = next(sigs, None)
         return (sig is not None and sig.R == p.r_star
-                and crypto.verify(p.pk, ctx.tx_digest, sig))
+                and check(p.pk, ctx.tx_digest, sig))
     if isinstance(p, AbsTimelock):
         return ctx.chain_height >= p.height
     if isinstance(p, RelTimelock):
@@ -163,18 +167,41 @@ def _eval(p: Predicate, sigs: Iterator[Signature], ctx: SpendContext) -> bool:
     if isinstance(p, AlwaysTrue):
         return True
     if isinstance(p, And):
-        return all(_eval(c, sigs, ctx) for c in p.children)
+        return all(_eval(c, sigs, ctx, check) for c in p.children)
     return False
 
 
-def evaluate(lock: LockScript, wit: Witness, ctx: SpendContext) -> bool:
+def _walk(lock: LockScript, wit: Witness, ctx: SpendContext, check: Verifier) -> bool:
+    """Evaluate the witness's path with `check` for each signature; the
+    path commitment is left to the caller."""
     if wit.path_index == KEY_PATH:
         if isinstance(lock.internal_key, Unspendable):
             return False
         sig = wit.signatures[0] if wit.signatures else None
-        return sig is not None and crypto.verify(lock.internal_key, ctx.tx_digest, sig)
-    if _commitment(lock.internal_key, wit.revealed_paths) != lock.commitment:
-        return False
+        return sig is not None and check(lock.internal_key, ctx.tx_digest, sig)
     if not 0 <= wit.path_index < len(wit.revealed_paths):
         return False
-    return _eval(wit.revealed_paths[wit.path_index], iter(wit.signatures), ctx)
+    return _eval(wit.revealed_paths[wit.path_index], iter(wit.signatures), ctx, check)
+
+
+def evaluate(lock: LockScript, wit: Witness, ctx: SpendContext) -> bool:
+    if (wit.path_index != KEY_PATH
+            and _commitment(lock.internal_key, wit.revealed_paths) != lock.commitment):
+        return False
+    return _walk(lock, wit, ctx, crypto.verify)
+
+
+def signature_checks(lock: LockScript, wit: Witness,
+                     ctx: SpendContext) -> List[crypto.Check]:
+    """The (key point, message, signature) triples `evaluate` passes to
+    `crypto.verify` when each of them verifies, for `crypto.verify_batch`.
+    The path commitment, a hash of every revealed path, is not checked: a
+    spend it would reject only costs the batch the work of its triples."""
+    found: List[crypto.Check] = []
+
+    def collect(pk: PublicKey, m: bytes, sig: Signature) -> bool:
+        found.append((pk.point, m, sig))
+        return True
+
+    _walk(lock, wit, ctx, collect)
+    return found

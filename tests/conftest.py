@@ -17,8 +17,9 @@ def point_mul_calls(monkeypatch):
         return real(p, n)
 
     monkeypatch.setattr(crypto, "point_mul", counting)
-    for name in ("_public_point", "_verified"):
-        fresh = functools.lru_cache(maxsize=crypto._CACHE_SIZE)(
-            getattr(crypto, name).__wrapped__)
-        monkeypatch.setattr(crypto, name, fresh)
+    monkeypatch.setattr(crypto, "_public_point", functools.lru_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._public_point.__wrapped__))
+    # the verify memo also takes the verdicts of crypto.verify_batch
+    monkeypatch.setattr(crypto, "_verified", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._verified.__wrapped__))
     return calls

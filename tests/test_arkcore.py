@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from arksim import arkcore, crypto
@@ -197,3 +199,23 @@ def test_vtxo_key_needs_an_outpoint():
 def test_leaf_templates_need_an_outpoint(make):
     with pytest.raises(ArkError, match="no outpoint"):
         make(make_leaves(1)[0])
+
+
+def test_building_trees_leaves_no_cyclic_garbage():
+    # a tree must be freed by reference counting once it is dropped, not
+    # kept alive through a cycle until the cyclic collector runs
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        vtxt, _ = build_vtxt(OutPoint("ab" * 32, 0), make_leaves(8), OP_PK, 50, 2)
+        connector = build_connector(OutPoint("cd" * 32, 0), 5, OP_PK, 330, 2)
+        assert len(vtxt.txs) == 15 and len(connector.anchors) == 5
+        del vtxt, connector
+        gc.collect()
+        leaked = [o for o in gc.garbage if getattr(o, "__qualname__", "").startswith(
+            ("build_vtxt.<locals>", "build_connector.<locals>"))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []

@@ -490,3 +490,108 @@ def test_clearing_every_memo_keeps_the_g_table(group_ops):
     crypto.point_mul(crypto.G, GLV_SIGN_CASES[0])
     # a rebuilt table would have doubled its row bases
     assert group_ops["_jdbl"] == 0 and group_ops["_jadd"] == 0
+
+
+# --- batch verification --------------------------------------------------
+
+def _signed_triple(i):
+    sk, pk = keygen(b"batch-%d" % i)
+    m = b"batch-msg-%d" % i
+    return pk.point, m, sign(sk, m)
+
+
+BATCH_POOL = [_signed_triple(i) for i in range(41)]
+
+# each corruption takes (triple, a valid triple of another key) to a
+# triple that fails `verify`
+BATCH_CORRUPTIONS = {
+    "s+1": lambda t, o: (t[0], t[1], crypto.Signature(t[2].R, (t[2].s + 1) % Q)),
+    "message": lambda t, o: (t[0], t[1] + b"!", t[2]),
+    "swapped R": lambda t, o: (t[0], t[1], crypto.Signature(o[2].R, t[2].s)),
+    "key": lambda t, o: (o[0], t[1], t[2]),
+    "s >= q": lambda t, o: (t[0], t[1], crypto.Signature(t[2].R, t[2].s + Q)),
+    "off-curve R": lambda t, o: (t[0], t[1], crypto.Signature(
+        (t[2].R[0], t[2].R[1] + 1), t[2].s)),
+    "unreduced R": lambda t, o: (t[0], t[1], crypto.Signature(
+        (t[2].R[0], t[2].R[1] + crypto.P), t[2].s)),
+    "unreduced key": lambda t, o: ((t[0][0] + crypto.P, t[0][1]), t[1], t[2]),
+}
+# these the batch leaves to `verify`; the others break its equation
+LEFT_OUT = {"s >= q", "off-curve R", "unreduced R", "unreduced key"}
+
+
+def _memo_key(t):
+    point, m, sig = t
+    return (point, m, sig.R, sig.s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=8, max_value=40), st.data())
+def test_verify_batch_proves_exactly_the_valid_batches(size, data):
+    batch = list(BATCH_POOL[:size])
+    kind = data.draw(st.sampled_from([None] + sorted(BATCH_CORRUPTIONS)))
+    if kind is not None:
+        i = data.draw(st.integers(min_value=0, max_value=size - 1))
+        batch[i] = BATCH_CORRUPTIONS[kind](batch[i], BATCH_POOL[-1])
+    saved = crypto.BATCH_MIN
+    crypto.BATCH_MIN = 8
+    try:
+        crypto._verified.cache_clear()
+        proven = crypto.verify_batch(batch)
+        recorded = {k: crypto._verified.peek(k) for k in map(_memo_key, batch)}
+        crypto._verified.cache_clear()
+        singly = [verify(PublicKey(point), m, sig) for point, m, sig in batch]
+    finally:
+        crypto.BATCH_MIN = saved
+    assert proven == all(singly) == (kind is None)
+    # only True verdicts are recorded, and only for triples that verify
+    assert all(v in (None, True) for v in recorded.values())
+    assert all(ok for k, ok in zip(recorded, singly) if recorded[k])
+    if kind is None:
+        assert all(recorded.values())
+    elif kind in LEFT_OUT:
+        # the rest still make a batch from 8 triples up, and hold
+        missing = sum(v is None for v in recorded.values())
+        assert missing == (1 if size - 1 >= 8 else size)
+    else:
+        assert not any(recorded.values())
+
+
+def test_batch_coefficients_repeat():
+    keys = [_memo_key(t) for t in BATCH_POOL[:20]]
+    coefs = crypto._batch_coefficients(keys)
+    assert crypto._batch_coefficients(list(keys)) == coefs
+    assert coefs[0] == 1 and all(0 < a < 2**128 for a in coefs)
+    assert len(set(coefs)) == 20
+    # any change to the batch draws other coefficients
+    assert crypto._batch_coefficients(keys[1:])[1:] != coefs[2:]
+    assert crypto._batch_coefficients(keys[:19] + [_memo_key(BATCH_POOL[40])])[1:] \
+        != coefs[1:]
+
+
+def test_verify_batch_below_the_crossover_is_left_to_verify(point_mul_calls):
+    small = BATCH_POOL[:crypto.BATCH_MIN - 1]
+    assert not crypto.verify_batch(small)
+    assert point_mul_calls == []
+    assert crypto._verified.cache_info().currsize == 0
+
+
+def test_verify_batch_costs_one_g_multiplication(point_mul_calls, fresh_comb):
+    batch = BATCH_POOL[:crypto.BATCH_MIN]
+    assert crypto.verify_batch(batch)
+    assert point_mul_calls == [crypto.G]
+    assert fresh_comb.cache_info().misses == 0
+    # every verdict is now a memo hit; a repeat call checks nothing
+    del point_mul_calls[:]
+    assert all(verify(PublicKey(point), m, sig) for point, m, sig in batch)
+    assert crypto.verify_batch(batch)
+    assert point_mul_calls == []
+
+
+def test_multi_mul_matches_separate_multiplications():
+    points = [crypto.point_mul(crypto.G, 0xBA7C4 + 7919 * i) for i in range(20)]
+    for count, scalars in ((1, [100]), (3, [0, 1, 2**130 - 1]),
+                           (20, [(0x9E37 * i) ** 9 % 2**129 for i in range(20)])):
+        terms = list(zip(scalars, points[:count]))
+        want = crypto._jsum(ladder(p, k) for k, p in terms)
+        assert crypto._affine(*crypto._multi_mul(terms)) == crypto._affine(*want)

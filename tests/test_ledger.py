@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arksim import crypto
-from arksim.arkcore import p2pk
+from arksim.arkcore import Vtxo, batch_lock, build_vtxt, p2pk, vtxo_lock
+from arksim.harness import cosign_vtxt
 from arksim.ledger import (
     Adversary,
     Chain,
@@ -236,3 +237,72 @@ def test_property_total_value_never_increases(splits, delay):
     for _ in range(delay + 2):
         chain.advance_round()
         assert chain.total_value() <= start
+
+
+# --- one batch equation per block ----------------------------------------
+
+TREE_PARAMS = Params(k=3, t_u=13, t_e=60)
+
+
+@pytest.fixture(scope="module")
+def tree():
+    """A cosigned 64-leaf VTXT over a granted batch output: unrolling it
+    confirms all 127 txs in one block."""
+    op_sk, op_pk = crypto.keygen(b"tree-op")
+    keys = [crypto.keygen(b"tree-user-%d" % i) for i in range(64)]
+    leaves = [Vtxo(1_000, vtxo_lock(pk, op_pk, TREE_PARAMS.t_u), f"u{i}", pk)
+              for i, (_, pk) in enumerate(keys)]
+    expiry = 100
+    lock = batch_lock(op_pk, crypto.aggregate([op_pk] + [pk for _, pk in keys]), expiry)
+    funding = Chain(TREE_PARAMS).grant(64_000, lock)
+    vtxt, signers = build_vtxt(funding, leaves, op_pk, expiry, 2)
+    cosign_vtxt(vtxt, signers, {pk.hex(): sk for sk, pk in [(op_sk, op_pk)] + keys})
+    return lock, vtxt
+
+
+def unroll_in_one_block(tree, replace=None):
+    """A chain holding the tree's batch output, after the block that
+    unrolls the tree; `replace` maps a txid to the tx submitted in its
+    place."""
+    lock, vtxt = tree
+    chain = Chain(TREE_PARAMS)
+    chain.grant(64_000, lock)
+    for txid in vtxt.order:
+        chain.submit((replace or {}).get(txid, vtxt.txs[txid]), "user")
+    chain.advance_round()
+    return chain
+
+
+def test_tree_block_is_one_batch_equation(tree, point_mul_calls):
+    _, vtxt = tree
+    comb = crypto._comb_table.cache_info()
+    chain = unroll_in_one_block(tree)
+    assert chain.blocks == [vtxt.order]
+    # the batch's one G multiplication; no e*P, and no comb table built
+    assert point_mul_calls == [crypto.G]
+    assert crypto._comb_table.cache_info().misses == comb.misses
+    assert crypto._verified.cache_info().currsize == len(vtxt.order)
+
+
+def test_bad_witness_in_a_batched_block(tree, point_mul_calls, monkeypatch):
+    _, vtxt = tree
+    bad_txid = vtxt.leaves[-1].txid
+    good = vtxt.txs[bad_txid]
+    sig = good.wits[0].signatures[0]
+    bad = Tx(good.ins, good.outs, [Witness(
+        good.wits[0].path_index, (crypto.Signature(sig.R, (sig.s + 1) % crypto.Q),),
+        good.wits[0].revealed_paths)])
+    assert len(vtxt.order) >= crypto.BATCH_MIN
+    batched = unroll_in_one_block(tree, {bad_txid: bad})
+    assert batched.blocks == [[t for t in vtxt.order if t != bad_txid]]
+    assert bad_txid in batched.mempool
+    # the failed equation records nothing: each signature is then checked
+    # singly, with one G and one e*P multiplication
+    assert point_mul_calls.count(crypto.G) == 1 + len(vtxt.order)
+    assert len(point_mul_calls) == 1 + 2 * len(vtxt.order)
+    # the same block with every signature checked singly
+    crypto._verified.cache_clear()
+    monkeypatch.setattr(crypto, "BATCH_MIN", len(vtxt.order) + 1)
+    single = unroll_in_one_block(tree, {bad_txid: bad})
+    assert single.trace == batched.trace and single.blocks == batched.blocks
+    assert single.mempool.keys() == batched.mempool.keys()

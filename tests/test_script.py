@@ -14,6 +14,7 @@ from arksim.script import (
     SpendContext,
     Witness,
     evaluate,
+    signature_checks,
     taproot,
 )
 
@@ -133,3 +134,41 @@ def test_golden_lock_json():
     # the commitment hash is frozen: any serialization change must be deliberate
     assert j["commitment"] == (
         "0b244d2aec092b818507541560335a8c182ea1414e453dd8e9cf029761a9eda6")
+
+
+def test_signature_checks_are_what_evaluate_verifies(monkeypatch):
+    agg = crypto.aggregate([PK, PK2])
+    r_star = crypto.sign(SK2, b"nonce").R
+    lock = taproot(PK, [And(CheckSig(PK), RelTimelock(5)), CheckAggSig(agg),
+                        And(NonceBound(PK2, r_star), CheckSig(PK))])
+    c = ctx()
+    own = crypto.sign(SK, c.tx_digest)
+    nonce_bound = crypto.sign(SK2, c.tx_digest, crypto.Fixed(7))
+    witnesses = [
+        Witness(KEY_PATH, (own,)),
+        Witness(0, (own,), lock.paths),
+        Witness(1, (own,), lock.paths),
+        Witness(2, (nonce_bound, own), lock.paths),   # R is not r_star
+        Witness(3, (own,), lock.paths),               # no such path
+        Witness(KEY_PATH, ()),
+    ]
+    for height in (3, 10):                            # before and after t = 5
+        c = ctx(height=height, confirm=0)
+        for wit in witnesses:
+            seen = []
+
+            def recording(pk, m, sig):
+                seen.append((pk.point, m, sig))
+                return True
+
+            monkeypatch.setattr(crypto, "verify", recording)
+            evaluate(lock, wit, c)
+            monkeypatch.undo()
+            assert signature_checks(lock, wit, c) == seen
+    assert signature_checks(lock, witnesses[1], c) == [(PK.point, c.tx_digest, own)]
+    assert signature_checks(lock, witnesses[3], c) == []
+    # the revealed paths are not checked against the lock's commitment;
+    # `evaluate` rejects such a spend before it verifies anything
+    forged = Witness(0, (own,), (CheckSig(PK),))
+    assert signature_checks(lock, forged, c) == [(PK.point, c.tx_digest, own)]
+    assert not evaluate(lock, forged, c)
