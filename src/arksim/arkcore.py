@@ -42,8 +42,9 @@ def p2pk(pk: PublicKey) -> LockScript:
     return taproot(pk, ())
 
 
-def anchor_lock() -> LockScript:
-    return taproot(UNSPENDABLE, [AlwaysTrue()])
+# the anyone-can-spend anchor output's lock, built once: a LockScript is
+# frozen and compares by value, so every anchor shares this one
+ANCHOR_LOCK = taproot(UNSPENDABLE, [AlwaysTrue()])
 
 
 @dataclass
@@ -230,7 +231,7 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
         outpoint, in_value, in_lock, group, parent_txid = stack.pop()
         if len(group) == 1:
             v = group[0]
-            tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, anchor_lock())))
+            tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, ANCHOR_LOCK)))
             v.outpoint = tx.outpoint(0)
             v.expiry = expiry
             vtxt.leaves.append(LeafRef(tx.txid, 0, v))
@@ -240,7 +241,7 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
             outs = [Output(sum(v.value for v in g),
                            batch_lock(operator, crypto.aggregate(subtree_members(g)), expiry))
                     for g in groups]
-            tx = Tx(ins=(outpoint,), outs=tuple(outs) + (Output(0, anchor_lock()),))
+            tx = Tx(ins=(outpoint,), outs=tuple(outs) + (Output(0, ANCHOR_LOCK),))
         vtxt.txs[tx.txid] = tx
         vtxt.parent[tx.txid] = parent_txid
         vtxt.order.append(tx.txid)

@@ -64,10 +64,11 @@ verification; Wuille, Nick and Ruffing 2020):
 The plain double-and-add ladder these replace is kept in
 `tests/secp_oracle.py`, and the tests check both paths against it.
 
-Four pure functions are memoized in bounded least-recently-used caches:
+Five pure functions are memoized in bounded least-recently-used caches:
 the comb table of a variable base, the public key of a scalar, the
-aggregate key of a member set, and the verdict of `verify`.  The last is
-an `_insertable_cache`, so that `verify_batch` can record its verdicts.
+aggregate key of a member set, the signature `sign` returns, and the
+verdict of `verify`.  The last is an `_insertable_cache`, so that
+`verify_batch` can record its verdicts.
 A batch multiplies each signer key about log n times while aggregating
 its subtrees, so a table is built once per key and reused.  The table is a function of the point
 alone, and the point is checked to lie on the curve before anything is
@@ -79,6 +80,16 @@ distinct triple is checked once.  Each memo is keyed on every input its
 function reads (for `verify`, the key's point, the message, R and s), so
 a hit returns exactly what the full computation would, and any change
 to an input is a fresh check.
+
+Signing is deterministic (the nonce is a tagged hash of the key and the
+message, as in BIP340 and RFC 6979), and a trace re-signs the same
+transactions under one fixed key set, so the signing memo is keyed on the
+secret scalar, the message and the nonce (`Fresh()` or `Fixed(r)`): two
+messages under one fixed nonce are still two signatures, and
+`extract_secret` still sees them.  Its bound is 256, not the shared 4096:
+the largest repeated working set measured (acceptance criterion 8) needs
+209 entries, while at 4096 a benchmark workload whose signatures are all
+new kept every one, which raised its peak RSS by about 4%.
 """
 
 from __future__ import annotations
@@ -297,6 +308,9 @@ _COMB_SPACING = 33
 # bound below would also keep a table for every aggregate key verified once.
 _COMB_CACHE_SIZE = 256
 
+# Bound on the signing memo: see the module docstring for the measurement.
+_SIGN_CACHE_SIZE = 256
+
 
 @lru_cache(maxsize=_COMB_CACHE_SIZE)
 def _comb_table(p: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
@@ -453,6 +467,13 @@ def keygen(seed: bytes) -> Tuple[SecretKey, PublicKey]:
 def sign(sk: SecretKey, m: bytes, nonce: Fresh | Fixed = Fresh()) -> Signature:
     if not m:
         raise CryptoError("empty message")
+    return _signature(sk, m, nonce)
+
+
+@lru_cache(maxsize=_SIGN_CACHE_SIZE)
+def _signature(sk: SecretKey, m: bytes, nonce: Fresh | Fixed) -> Signature:
+    # a SecretKey hashes and compares by its scalar, so the memo is keyed
+    # on every input the body reads
     if isinstance(nonce, Fixed):
         r = nonce.r % Q
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto, footprint
-from .arkcore import Vtxo, anchor_lock, batch_lock, p2pk
+from .arkcore import ANCHOR_LOCK, Vtxo, batch_lock, p2pk
 from .crypto import SessionAborted
 from .errors import InvariantError
 from .fastfinality import (
@@ -256,7 +256,7 @@ def value_conserved(chain: Chain) -> bool:
 def tx_vbytes(tx: Tx) -> int:
     key_ins = sum(1 for w in tx.wits if w is not None and w.path_index == KEY_PATH)
     script_ins = len(tx.ins) - key_ins
-    anchors = sum(1 for o in tx.outs if o.lock == anchor_lock())
+    anchors = sum(1 for o in tx.outs if o.lock == ANCHOR_LOCK)
     p2tr = len(tx.outs) - anchors
     shape = footprint.TxShape(key_ins, script_ins, p2tr, anchors)
     if len(tx.ins) == 0:

@@ -1,14 +1,18 @@
 import collections
 import functools
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arksim
 from arksim import crypto
 from arksim.crypto import (
     CryptoError,
     Fixed,
+    Fresh,
     HashCollision,
     NotReused,
     PublicKey,
@@ -350,6 +354,75 @@ def test_verify_memo_clears(point_mul_calls):
     assert len(point_mul_calls) == 2
 
 
+# --- signing memo --------------------------------------------------------
+
+nonces = st.just(Fresh()) | st.builds(Fixed, st.integers(min_value=1, max_value=Q - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=Q - 1), st.binary(min_size=1, max_size=64), nonces)
+def test_property_signing_memo_matches_the_uncached_body(x, m, nonce):
+    sk = crypto.SecretKey(x)
+    want = crypto._signature.__wrapped__(sk, m, nonce)
+    assert sign(sk, m, nonce) == want
+    assert sign(crypto.SecretKey(x), m, nonce) == want   # a hit on an equal key
+
+
+def test_repeated_sign_costs_no_multiplication(point_mul_calls):
+    sk, _ = keygen(b"sign-memo")
+    del point_mul_calls[:]
+    first = sign(sk, b"m")
+    assert point_mul_calls == [crypto.G]   # the nonce point; the key is memoized
+    pub = crypto._public_point.cache_info()
+    assert sign(sk, b"m") == first
+    assert point_mul_calls == [crypto.G]
+    assert crypto._public_point.cache_info() == pub   # no public() lookup
+
+
+def test_repeated_cosign_costs_no_multiplication(point_mul_calls):
+    sks = [keygen(b"sign-memo-%d" % i)[0] for i in range(3)]
+    agg = aggregate([sk.public() for sk in sks])
+    sig = cosign(b"digest", sks, agg)
+    del point_mul_calls[:]
+    assert cosign(b"digest", sks, agg) == sig
+    assert point_mul_calls == []
+
+
+def test_empty_message_is_rejected_before_the_signing_memo(point_mul_calls):
+    sk, _ = keygen(b"sign-memo")
+    for nonce in (Fresh(), Fixed(5)):
+        with pytest.raises(CryptoError, match="empty message"):
+            sign(sk, b"", nonce)
+    info = crypto._signature.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_signing_memo_keeps_one_signature_per_message(point_mul_calls):
+    sk, pk = keygen(b"victim")
+    nonce = Fixed(987654321)
+    s1, s2 = sign(sk, b"m1", nonce), sign(sk, b"m2", nonce)
+    assert sign(sk, b"m1", nonce) == s1 and sign(sk, b"m2", nonce) == s2
+    assert s1 != s2 and s1.R == s2.R
+    assert crypto._signature.cache_info().currsize == 2
+    assert extract_secret(pk, b"m1", s1, b"m2", s2).scalar == sk.scalar
+
+
+def test_signing_memo_is_bounded(monkeypatch):
+    bound = crypto._signature.cache_info().maxsize
+    assert bound == crypto._SIGN_CACHE_SIZE
+    # an empty memo of the same bound, private to the test
+    memo = functools.lru_cache(maxsize=bound)(crypto._signature.__wrapped__)
+    monkeypatch.setattr(crypto, "_signature", memo)
+    sk, _ = keygen(b"sign-memo")
+    for i in range(bound + 8):
+        sign(sk, b"m-%d" % i)
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
+    misses = memo.cache_info().misses
+    sign(sk, b"m-0")   # the oldest entry was evicted, so it is signed again
+    assert memo.cache_info().misses == misses + 1
+
+
 # --- variable-base comb --------------------------------------------------
 
 # scalars whose GLV halves take each sign pattern, the larger half 128 bits
@@ -445,10 +518,18 @@ def test_comb_memo_clears(group_ops):
 
 
 def test_every_memo_is_bounded():
-    memos = [v for v in vars(crypto).values() if hasattr(v, "cache_info")]
-    assert {m.__name__ for m in memos} == {
-        "_comb_table", "_public_point", "_aggregate_members", "_verified"}
-    assert all(m.cache_info().maxsize is not None for m in memos)
+    # every module but __main__, which runs the command line on import
+    modules = [importlib.import_module(f"arksim.{info.name}")
+               for info in pkgutil.iter_modules(arksim.__path__)
+               if info.name != "__main__"]
+    memos = {f"{m.__name__}.{name}": v for m in modules
+             for name, v in vars(m).items() if hasattr(v, "cache_info")}
+    assert set(memos) == {
+        "arksim.crypto._comb_table", "arksim.crypto._public_point",
+        "arksim.crypto._aggregate_members", "arksim.crypto._signature",
+        "arksim.crypto._verified"}
+    # lru_cache(maxsize=None) is unbounded
+    assert all(isinstance(m.cache_info().maxsize, int) for m in memos.values())
 
 
 # --- fixed base: signed 8-bit digits -------------------------------------
