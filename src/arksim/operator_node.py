@@ -206,12 +206,11 @@ class Operator:
         _require_kind(r, "boarding")
         if r.boarding_outpoint is None:
             raise Reject("boarding request names no outpoint")
-        view = self.chain.view(self.name, depth=self.params.k)
-        if r.boarding_outpoint not in view["utxos"]:
+        if not self.chain.unspent(r.boarding_outpoint, depth=self.params.k):
             raise Reject("boarding output not confirmed in the stable view")
         if _held_keys(r)[0] in self.book.preSpent:
             raise Reject("boarding output already pending")
-        out = view["utxos"][r.boarding_outpoint]
+        out = self.chain.utxos[r.boarding_outpoint].output
         try:
             classify_paths(out.lock, self.pk, self.params.t_b)
         except arkcore.ArkError as e:

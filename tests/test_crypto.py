@@ -527,7 +527,7 @@ def test_every_memo_is_bounded():
     assert set(memos) == {
         "arksim.crypto._comb_table", "arksim.crypto._public_point",
         "arksim.crypto._aggregate_members", "arksim.crypto._signature",
-        "arksim.crypto._verified"}
+        "arksim.crypto._verified", "arksim.script._lock"}
     # lru_cache(maxsize=None) is unbounded
     assert all(isinstance(m.cache_info().maxsize, int) for m in memos.values())
 

@@ -1,6 +1,11 @@
-import pytest
+import hashlib
+import json
 
-from arksim import crypto
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arksim import crypto, harness, ledger, script
 from arksim.script import (
     KEY_PATH,
     UNSPENDABLE,
@@ -9,10 +14,12 @@ from arksim.script import (
     And,
     CheckAggSig,
     CheckSig,
+    LockScript,
     NonceBound,
     RelTimelock,
     SpendContext,
     Witness,
+    _commitment,
     evaluate,
     signature_checks,
     taproot,
@@ -172,3 +179,120 @@ def test_signature_checks_are_what_evaluate_verifies(monkeypatch):
     forged = Witness(0, (own,), (CheckSig(PK),))
     assert signature_checks(lock, forged, c) == [(PK.point, c.tx_digest, own)]
     assert not evaluate(lock, forged, c)
+
+
+# --- the lock memo ---------------------------------------------------------
+
+def test_list_of_revealed_paths_is_judged_as_its_tuple():
+    lock = taproot(UNSPENDABLE, [CheckSig(PK), CheckSig(PK2)])
+    c = ctx()
+    sig = crypto.sign(SK, c.tx_digest)
+    assert evaluate(lock, Witness(0, (sig,), list(lock.paths)), c)
+
+
+def test_mismatched_list_of_revealed_paths_rejected():
+    lock = taproot(UNSPENDABLE, [CheckSig(PK)])
+    c = ctx()
+    sig = crypto.sign(SK, c.tx_digest)
+    assert evaluate(lock, Witness(0, (sig,), [CheckSig(PK), AlwaysTrue()]), c) is False
+
+
+def test_wrong_revealed_paths_rejected_after_right_ones_memoized():
+    lock = taproot(PK2, [CheckSig(PK), AlwaysTrue()])
+    c = ctx()
+    sig = crypto.sign(SK, c.tx_digest)
+    assert evaluate(lock, Witness(0, (sig,), lock.paths), c)
+    # the wrong list memoizes a lock of its own, which commits differently
+    for wrong in ([CheckSig(PK)], (CheckSig(PK), AlwaysTrue(), AlwaysTrue()),
+                  [CheckSig(PK2), AlwaysTrue()], ()):
+        assert not evaluate(lock, Witness(0, (sig,), wrong), c)
+    assert evaluate(lock, Witness(0, (sig,), list(lock.paths)), c)
+
+
+AGG = crypto.aggregate([PK, PK2])
+R_STAR = crypto.sign(SK2, b"r-star").R
+
+leaf_predicates = st.one_of(
+    st.sampled_from([PK, PK2]).map(CheckSig),
+    st.just(CheckAggSig(AGG)),
+    st.integers(min_value=0, max_value=10**6).map(AbsTimelock),
+    st.integers(min_value=0, max_value=10**6).map(RelTimelock),
+    st.sampled_from([PK, PK2]).map(lambda pk: NonceBound(pk, R_STAR)),
+    st.just(AlwaysTrue()),
+)
+predicates = st.recursive(
+    leaf_predicates,
+    lambda children: st.lists(children, min_size=1, max_size=3).map(lambda cs: And(*cs)),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([UNSPENDABLE, PK, PK2]), st.lists(predicates, max_size=4),
+       st.booleans())
+def test_memoized_taproot_equals_a_fresh_build(internal, paths, as_tuple):
+    if internal is UNSPENDABLE and not paths:
+        paths = [AlwaysTrue()]
+    given_paths = tuple(paths) if as_tuple else list(paths)
+    fresh = LockScript(internal, tuple(paths), _commitment(internal, tuple(paths)))
+    first = taproot(internal, given_paths)
+    again = taproot(internal, list(paths))        # a hit
+    assert first == fresh and again is first
+    assert first.json_text == fresh.json_text == json.dumps(
+        fresh.json(), sort_keys=True, separators=(",", ":"))
+
+
+def test_equal_locks_are_one_object_hashed_once():
+    script._lock.cache_clear()
+    a = taproot(PK, [And(CheckSig(PK2), RelTimelock(9))])
+    b = taproot(PK, (And(CheckSig(PK2), RelTimelock(9)),))
+    assert a is b
+    info = script._lock.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_lock_memo_is_bounded():
+    bound = script._LOCK_CACHE_SIZE
+    assert script._lock.cache_info().maxsize == bound
+    for height in range(bound + 10):
+        taproot(UNSPENDABLE, [AbsTimelock(height)])
+    assert script._lock.cache_info().currsize == bound
+
+
+def _reference_txid(tx: ledger.Tx) -> str:
+    blob = json.dumps(tx.json(), sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(b"arksim/txid" + blob).hexdigest()
+
+
+def test_txid_escapes_like_the_reference():
+    lock = taproot(PK, [])
+    tx = ledger.Tx((ledger.OutPoint('q"\\é\n', 3), ledger.OutPoint("genesis", 0)),
+                   (ledger.Output(330, lock), ledger.Output(0, lock)))
+    assert tx.txid == _reference_txid(tx)
+    assert ledger.Tx((), ()).txid == _reference_txid(ledger.Tx((), ()))
+    # types the protocol never builds still hash as their JSON text
+    odd = ledger.Tx((ledger.OutPoint(7, True),), (ledger.Output(1.5, lock),))
+    assert odd.txid == _reference_txid(odd)
+
+
+def test_every_scenario_txid_matches_the_reference(monkeypatch):
+    made = []
+    post_init = ledger.Tx.__post_init__
+
+    def recording(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(ledger.Tx, "__post_init__", recording)
+    for name in sorted(harness.SCENARIOS):
+        harness.run_scenario(name, seed=0)
+    assert len(made) > 100
+    assert all(tx.txid == _reference_txid(tx) for tx in made)
+
+
+def test_timelock_refuses_what_equals_an_int_but_encodes_otherwise():
+    # AbsTimelock(True) == AbsTimelock(1), so a revealed path holding it would
+    # hit the memoized lock although its own commitment differs
+    for make in (AbsTimelock, RelTimelock):
+        for value in (True, 1.0):
+            with pytest.raises(TypeError):
+                make(value)
