@@ -4,7 +4,7 @@ import importlib
 import pkgutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arksim
@@ -311,6 +311,36 @@ def test_cosign_rederives_no_signer_key(point_mul_calls):
     assert verify(agg.point, b"digest", sig)
 
 
+def test_each_key_is_encoded_once(point_mul_calls, monkeypatch):
+    encoded = collections.Counter()
+    real = crypto.compress
+
+    def counting(p):
+        encoded[p] += 1
+        return real(p)
+
+    monkeypatch.setattr(crypto, "compress", counting)
+    sks = [keygen(b"encode-once-%d" % i)[0] for i in range(4)]
+    for _ in range(3):
+        # sorting, the coefficients, the aggregate secret and the signer
+        # check all read the members' encodings, memo hits included
+        agg = aggregate(sk.public() for sk in reversed(sks))
+        assert aggregate(sk.public() for sk in sks) is agg
+        cosign(b"digest", sks, agg)
+        assert [sk.public().hex() for sk in sks]
+    # the signers and the key of their aggregate secret, which signs
+    keys = [sk.public() for sk in sks] + [aggregate_secret(sks).public()]
+    assert [encoded[pk.point] for pk in keys] == [1] * 5
+
+
+def test_cached_encoding_leaves_equality_hash_and_repr():
+    _, pk = keygen(b"encode-field")
+    pk.encode()
+    twin = PublicKey(pk.point)
+    assert twin == pk and hash(twin) == hash(pk) and repr(twin) == repr(pk)
+    assert twin.encode() == pk.encode() == crypto.compress(pk.point)
+
+
 # --- verification memo ---------------------------------------------------
 
 
@@ -435,6 +465,21 @@ GLV_SIGN_CASES = (
 BASE = ladder(crypto.G, 0xC0FFEE)
 
 
+def _halves_parity(n):
+    k1, k2 = crypto.glv_split(n)
+    return k1 & 1, k2 & 1
+
+
+# scalars whose GLV halves are (even, even), (odd, even) and (even, odd):
+# the comb reads odd halves only, so each needs a different lattice vector
+# (adding 1 to n adds 1 to k1, and adding lambda adds 1 to k2)
+EVEN_HALF_CASES = tuple(
+    next(n for n in ((GLV_SIGN_CASES[0] + i + j * crypto.LAMBDA) % Q
+                     for i in range(2) for j in range(2))
+         if _halves_parity(n) == want)
+    for want in ((0, 0), (1, 0), (0, 1)))
+
+
 @pytest.fixture
 def fresh_comb(monkeypatch):
     """An empty comb-table memo of the same bound, private to the test."""
@@ -489,18 +534,124 @@ def test_comb_reads_halves_up_to_132_bits(monkeypatch, t, u):
         assert crypto.point_mul(BASE, n) == ladder(BASE, n)
 
 
+def test_even_half_cases_cover_every_parity():
+    assert {_halves_parity(n) for n in EVEN_HALF_CASES} == {(0, 0), (1, 0), (0, 1)}
+    # the parity fix-up: each lattice vector keeps n and makes both halves odd
+    for n in EVEN_HALF_CASES:
+        k1, k2 = crypto.glv_split(n)
+        a, b = crypto._ODD_SHIFT[k1 & 1, k2 & 1]
+        assert (a + b * crypto.LAMBDA) % Q == 0
+        assert (k1 + a) & 1 and (k2 + b) & 1
+        assert max(abs(k1 + a), abs(k2 + b)) < 2**130
+
+
+@st.composite
+def curve_points(draw):
+    """A random point on the curve, with no known discrete logarithm: the
+    first x from a random start whose x**3 + 7 is a square, and either
+    root."""
+    x = draw(st.integers(min_value=0, max_value=crypto.P - 1))
+    while True:
+        rhs = (x * x * x + 7) % crypto.P
+        y = pow(rhs, (crypto.P + 1) // 4, crypto.P)   # p == 3 mod 4
+        if y * y % crypto.P == rhs:
+            break
+        x = (x + 1) % crypto.P
+    return (x, crypto.P - y) if draw(st.booleans()) else (x, y)
+
+
+comb_scalars = (st.sampled_from(GLV_SIGN_CASES + EVEN_HALF_CASES
+                                + (1, 2, Q - 1, crypto.LAMBDA))
+                | st.integers(min_value=1, max_value=Q - 1)
+                | st.integers(min_value=1, max_value=Q - 1).filter(
+                    lambda n: _halves_parity(n) != (1, 1)))
+
+
+def _private_comb(mp):
+    fresh = functools.lru_cache(maxsize=crypto._COMB_CACHE_SIZE)(
+        crypto._comb_table.__wrapped__)
+    mp.setattr(crypto, "_comb_table", fresh)
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve_points(), comb_scalars)
+def test_property_comb_cold_and_cached_match_ladder(p, n):
+    want = ladder(p, n)
+    with pytest.MonkeyPatch.context() as mp:
+        memo = _private_comb(mp)
+        assert crypto.point_mul(p, n) == want
+        assert memo.cache_info().misses == 1
+        assert crypto.point_mul(p, n) == want
+        assert memo.cache_info().hits == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(curve_points(), st.integers(min_value=1, max_value=crypto.P - 1))
+def test_comb_memo_never_holds_an_off_curve_point(p, dy):
+    off = (p[0], (p[1] + dy) % crypto.P)
+    # the only other point with p's x is -p
+    assume(off[1] != crypto.P - p[1])
+    n = GLV_SIGN_CASES[0]
+    with pytest.MonkeyPatch.context() as mp:
+        memo = _private_comb(mp)
+        with pytest.raises(CryptoError):
+            crypto.point_mul(off, n)
+        crypto.point_mul(p, n)
+        with pytest.raises(CryptoError):
+            crypto.point_mul(off, n)
+        assert memo.cache_info().currsize == 1
+        # the one table held is p's, and every entry lies on the curve
+        table = memo(p)
+        assert memo.cache_info().hits == 1
+        assert len(table) == 32 and all(crypto._on_curve(e) for e in table)
+
+
+# (t, u): the lattice multiples added to GLV_SIGN_CASES[0]'s split that
+# leave both halves below 2**132 but would push one past it when the
+# parity vector is added, for halves (odd, even), (even, odd), (even, even)
+WIDE_EVEN_SPLITS = ((-20, -11), (-9, 15), (1, 14))
+
+
+@pytest.mark.parametrize("t, u", WIDE_EVEN_SPLITS)
+def test_comb_reads_wide_even_halves_with_a_final_addition(
+        monkeypatch, group_ops, t, u):
+    real = crypto.glv_split
+    n = GLV_SIGN_CASES[0]
+    crypto.point_mul(BASE, n)   # the table, built before counting
+
+    def wide(n):
+        k1, k2 = real(n)
+        return (k1 + t * crypto._A1 + u * crypto._A2,
+                k2 + t * crypto._B1 + u * crypto._B2)
+
+    k1, k2 = wide(n)
+    a, b = crypto._ODD_SHIFT[k1 & 1, k2 & 1]
+    assert max(abs(k1), abs(k2)) < 2**132 <= max(abs(k1 + a), abs(k2 + b))
+    monkeypatch.setattr(crypto, "glv_split", wide)
+    group_ops.clear()
+    assert crypto.point_mul(BASE, n) == ladder(BASE, n)
+    # an even half is read as one less, and p or lambda * p added back
+    evens = (k1 & 1 == 0) + (k2 & 1 == 0)
+    assert group_ops["_jdbl"] == 22
+    assert group_ops["_jadd_affine"] == 44 + evens
+
+
 def test_comb_cost_cold_then_cached(fresh_comb, group_ops):
     crypto.point_mul(BASE, GLV_SIGN_CASES[0])
-    # the table: three teeth of 33 doublings each, and 11 subset sums
-    assert group_ops["_jdbl"] == 99 + 33
-    assert group_ops["_jadd"] == 11
-    assert group_ops["_jadd_affine"] <= 66
-    for n in GLV_SIGN_CASES:
+    # the table: five teeth of 22 doublings each and one doubling of each
+    # lower tooth; 5 additions for entry 0 and 1 + 2 + 4 + 8 + 16 more
+    assert group_ops["_jdbl"] == 110 + 5 + 22
+    assert group_ops["_jadd"] == 36
+    assert group_ops["_jadd_affine"] == 44
+    for n in GLV_SIGN_CASES + EVEN_HALF_CASES + (1, 2, Q - 1, crypto.LAMBDA):
         group_ops.clear()
         crypto.point_mul(BASE, n)
-        assert group_ops["_jdbl"] == 33
+        # one doubling per column, the first on infinity, and one mixed
+        # addition per column and half: every signed digit is nonzero
+        assert group_ops["_jdbl"] == 22
         assert group_ops["_jadd"] == 0
-        assert group_ops["_jadd_affine"] <= 66
+        assert group_ops["_jadd_affine"] == 44
 
 
 def test_comb_memo_is_bounded():
@@ -514,7 +665,7 @@ def test_comb_memo_clears(group_ops):
     assert crypto._comb_table.cache_info().currsize == 0
     group_ops.clear()
     crypto.point_mul(BASE, 5)
-    assert group_ops["_jadd"] == 11   # the table was built again
+    assert group_ops["_jadd"] == 36   # the table was built again
 
 
 def test_every_memo_is_bounded():
