@@ -271,6 +271,11 @@ class ConnectorOutput:
     vtxt: Optional[Vtxt]                     # None when the output itself is the anchor
     anchors: List[OutPoint]
 
+    @property
+    def funding(self) -> OutPoint:
+        """The commitment output the anchors come from."""
+        return self.anchors[0] if self.vtxt is None else self.vtxt.funding
+
 
 def build_connector(funding: OutPoint, anchor_count: int, operator: PublicKey,
                     epsilon: int, arity: int = 2) -> ConnectorOutput:

@@ -49,7 +49,8 @@ verification; Wuille, Nick and Ruffing 2020):
 - Coefficients: a_0 = 1, and each other a_i is the top 128 bits of a
   tagged hash of the whole batch and i.  A run stays byte-deterministic,
   and no signer can fit a bad signature to the a_i, since any change to
-  the batch draws new ones.
+  the batch draws new ones.  Each distinct key and R is compressed once,
+  and those bytes serve both this hash and the challenges e_i.
 - Multiplications: G goes through `point_mul` once.  The R_i and the GLV
   halves of each (a_i e_i) * P_i (the coefficients of one key summed
   first) go through one Pippenger bucket pass (Pippenger 1976) over
@@ -512,8 +513,12 @@ class Fixed:
 
 
 def challenge(R: Point, pk: PublicKey, m: bytes) -> int:
-    # H(R || pk || m), reduced mod q
-    return _tagged("arksim/challenge", compress(R), pk.encode(), m) % Q
+    return _challenge(compress(R), pk.encode(), m)
+
+
+def _challenge(R: bytes, pk: bytes, m: bytes) -> int:
+    # H(R || pk || m) over the encodings, reduced mod q
+    return _tagged("arksim/challenge", R, pk, m) % Q
 
 
 def keygen(seed: bytes) -> Tuple[SecretKey, PublicKey]:
@@ -552,7 +557,7 @@ def _signature(sk: SecretKey, m: bytes, nonce: Fresh | Fixed) -> Signature:
 
 
 def verify(pk: PublicKey, m: bytes, sig: Signature) -> bool:
-    return _verified(pk.point, m, sig.R, sig.s)
+    return _verified(pk.point, m, sig.R, sig.s, pk=pk)
 
 
 def _reduced(p: Point) -> bool:
@@ -570,7 +575,9 @@ def _insertable_cache(maxsize: int):
     """A bounded least-recently-used memo of a pure function, with the
     `cache_info()` and `cache_clear()` of `lru_cache`, that also takes
     results computed elsewhere: `insert(args, result)`, and
-    `peek(args)`, the recorded result or None without counting a hit."""
+    `peek(args)`, the recorded result or None without counting a hit.
+    Keyword arguments are not part of the key: they are hints a miss
+    passes on to `fn`, which may make it cheaper but not change it."""
     def decorate(fn):
         entries: OrderedDict = OrderedDict()
         stats = [0, 0]   # hits, misses
@@ -582,12 +589,12 @@ def _insertable_cache(maxsize: int):
                 entries.popitem(last=False)
 
         @functools.wraps(fn)
-        def memo(*key):
+        def memo(*key, **hints):
             try:
                 value = entries[key]
             except KeyError:
                 stats[1] += 1
-                value = fn(*key)
+                value = fn(*key, **hints)
                 insert(key, value)
                 return value
             stats[0] += 1
@@ -607,17 +614,20 @@ def _insertable_cache(maxsize: int):
 
 
 @_insertable_cache(maxsize=_CACHE_SIZE)
-def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int) -> bool:
+def _verified(point: Tuple[int, int], m: bytes, R: Point, s: int,
+              pk: Optional[PublicKey] = None) -> bool:
     # keyed on every field of (pk, m, sig): a changed bit is a fresh check.
-    # Only the canonical form verifies, as in BIP340: s + q would pass as a
-    # second form of the same signature, a key holder can make R's y + p
-    # satisfy the Jacobian equation, and a coordinate of 2**256 or more
-    # does not encode at all
+    # `pk`, the key object of `point` when the caller holds one, is a hint:
+    # its kept encoding spares a compression.  Only the canonical form
+    # verifies, as in BIP340: s + q would pass as a second form of the same
+    # signature, a key holder can make R's y + p satisfy the Jacobian
+    # equation, and a coordinate of 2**256 or more does not encode at all
     if not (0 <= s < Q and _reduced(R) and _reduced(point)):
         return False
-    pk = PublicKey(point)
     try:
-        terms = (point_mul(G, s), point_mul(point, Q - challenge(R, pk, m)))
+        key = pk.encode() if pk is not None else compress(point)
+        e = _challenge(compress(R), key, m)
+        terms = (point_mul(G, s), point_mul(point, Q - e))
     except CryptoError:
         return False
     x, y, z = _jsum(terms)
@@ -663,14 +673,24 @@ def verify_batch(checks: Iterable[Check]) -> bool:
     return all(_verified.peek(k) for k in keys)
 
 
-def _batch_coefficients(batch: Sequence[tuple]) -> list[int]:
+def _encodings(batch: Sequence[tuple]) -> dict:
+    """The encoding of each distinct key and R in a batch, each compressed
+    once, for its coefficients and its challenges."""
+    points = dict.fromkeys(p for point, _, R, _ in batch for p in (point, R))
+    return {p: compress(p) for p in points}
+
+
+def _batch_coefficients(batch: Sequence[tuple],
+                        encoded: Optional[dict] = None) -> list[int]:
     """a_0 = 1, and a_i for i > 0 the top 128 bits of a hash of the whole
     batch and i (1 in the negligible case that they are 0), so a run is
     deterministic while no signer can choose a batch's coefficients
     without changing the batch."""
+    if encoded is None:
+        encoded = _encodings(batch)
     h = hashlib.sha256(b"arksim/batch")
     for point, m, R, s in batch:
-        h.update(compress(point) + compress(R) + s.to_bytes(32, "big")
+        h.update(encoded[point] + encoded[R] + s.to_bytes(32, "big")
                  + len(m).to_bytes(4, "big") + m)
     seed = h.digest()
     return [1] + [(_tagged("arksim/batchcoef", seed, i.to_bytes(4, "big")) >> 128) or 1
@@ -682,10 +702,12 @@ def _batch_holds(batch: Sequence[tuple]) -> bool:
     total = 0
     terms = []
     per_key: dict = {}   # a key that signs several times is one term
-    for a, (point, m, R, s) in zip(_batch_coefficients(batch), batch):
+    encoded = _encodings(batch)
+    for a, (point, m, R, s) in zip(_batch_coefficients(batch, encoded), batch):
         total += a * s
         terms.append((a, R))
-        per_key[point] = per_key.get(point, 0) + a * challenge(R, PublicKey(point), m)
+        e = _challenge(encoded[R], encoded[point], m)
+        per_key[point] = per_key.get(point, 0) + a * e
     for point, n in per_key.items():
         terms.extend(_glv_terms(point, n % Q))
     return _equals(*_multi_mul(terms), point_mul(G, total))

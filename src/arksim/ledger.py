@@ -408,6 +408,9 @@ class Chain:
     def advance_round(self) -> int:
         self.height += 1
         self.blocks.append([])
+        if not self.mempool:
+            # an empty block: nothing to include and nothing to drop
+            return self.height
         due = [p for p in self.mempool.values() if p.due_height <= self.height]
         # one batch equation for the due txs' signatures, when they are
         # enough for one; the inclusion loop below then finds their

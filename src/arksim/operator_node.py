@@ -147,6 +147,9 @@ class Operator:
         self.fee = fee              # flat per-request fee
         self.book = OperatorBook()
         self.liquidity: List[Tuple[OutPoint, Output]] = []
+        # connector outputs kept out of funding: outpoint -> (output,
+        # release height); see _apply_confirmed
+        self.connectors: Dict[OutPoint, Tuple[Output, int]] = {}
         self.pending_bundles: List[Bundle] = []
         self.cosigned_spends: Dict[Tuple[str, int], str] = {}
         self.reset_sweeps: List[Tuple[OutPoint, int]] = []  # (outpoint, expiry)
@@ -341,6 +344,8 @@ class Operator:
             have += out.value
         if have + boarding_value < batch_value + connector_value + exit_value:
             raise Reject("InsufficientLiquidity")
+        if any(op in self.connectors for op, _ in funding):
+            raise InvariantError("funding spends a reserved connector output")
         # each verified request already carries fee headroom, so the fee
         # surplus accrues inside the change output
         change = have + boarding_value - batch_value - connector_value - exit_value
@@ -488,6 +493,15 @@ class Operator:
         self.book.queue = [r for r in self.book.queue if r not in taken]
 
     def _apply_confirmed(self, bundle: Bundle) -> None:
+        """Book a stable commitment.  Its change re-enters `liquidity`; its
+        connector output is reserved in `connectors` until the height
+        max(v.expiry) + t_u over the VTXOs it backs has passed.  Until
+        its batch expires and the operator sweeps the tree, a forfeited
+        VTXO can still be unrolled, and its owner's unilateral path opens
+        t_u blocks after the leaf confirms; the forfeit that must win
+        that race spends one of the connector's anchors, so a commitment
+        that spent the connector as funding would let the owner be paid
+        twice."""
         book = self.book
         if bundle.batch is not None:
             book.confirmedBatches.append(bundle.batch)
@@ -507,9 +521,14 @@ class Operator:
         spent_ops = set(bundle.commitment.ins)
         self.liquidity = [(op, out) for op, out in self.liquidity
                           if op not in spent_ops]
+        connector = bundle.connector.funding if bundle.connector else None
         for i, out in enumerate(bundle.commitment.outs):
-            if out.lock == p2pk(self.pk):
-                self.liquidity.append((bundle.commitment.outpoint(i), out))
+            op = bundle.commitment.outpoint(i)
+            if op == connector:
+                release = max(v.expiry for r in swaps for v in r.inputs) + self.params.t_u
+                self.connectors[op] = (out, release)
+            elif out.lock == p2pk(self.pk):
+                self.liquidity.append((op, out))
         self._confirmed_bundles.append(bundle)
 
     def _rollback(self, bundle: Bundle) -> None:
@@ -557,7 +576,8 @@ class Operator:
     # --- per-round watcher ----------------------------------------------
 
     def watch_step(self) -> List[Tx]:
-        """Routine-19 loop: track pending commitments, sweep expired
+        """Routine-19 loop: track pending commitments, release connector
+        outputs past their release height to liquidity, sweep expired
         batches and reset outputs, and answer unrolled spent VTXOs with
         their stored reset or forfeit transactions."""
         chain = self.chain
@@ -572,6 +592,11 @@ class Operator:
                   and not chain.is_confirmed(bundle.commitment.txid)):
                 self._rollback(bundle)
                 self.pending_bundles.remove(bundle)
+        for op, (out, release) in list(self.connectors.items()):
+            if chain.height > release:
+                del self.connectors[op]
+                if chain.unspent(op):   # else a forfeit or its tree spent it
+                    self.liquidity.append((op, out))
 
         # sweep expired batches (timed so the sweep lands at expiry)
         for batch in list(self.book.confirmedBatches):

@@ -311,7 +311,8 @@ def test_cosign_rederives_no_signer_key(point_mul_calls):
     assert verify(agg.point, b"digest", sig)
 
 
-def test_each_key_is_encoded_once(point_mul_calls, monkeypatch):
+def counting_compress(monkeypatch):
+    """Count `crypto.compress` calls per point from here on."""
     encoded = collections.Counter()
     real = crypto.compress
 
@@ -320,6 +321,11 @@ def test_each_key_is_encoded_once(point_mul_calls, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(crypto, "compress", counting)
+    return encoded
+
+
+def test_each_key_is_encoded_once(point_mul_calls, monkeypatch):
+    encoded = counting_compress(monkeypatch)
     sks = [keygen(b"encode-once-%d" % i)[0] for i in range(4)]
     for _ in range(3):
         # sorting, the coefficients, the aggregate secret and the signer
@@ -827,3 +833,30 @@ def test_multi_mul_matches_separate_multiplications():
         terms = list(zip(scalars, points[:count]))
         want = crypto._jsum(ladder(p, k) for k, p in terms)
         assert crypto._affine(*crypto._multi_mul(terms)) == crypto._affine(*want)
+
+
+def test_verify_batch_encodes_each_point_once(point_mul_calls, monkeypatch):
+    # one key signs three times, so its encoding serves three challenges
+    sk, pk = keygen(b"batch-0")
+    extra = [(pk.point, m, sign(sk, m)) for m in (b"again-1", b"again-2")]
+    batch = BATCH_POOL[:crypto.BATCH_MIN] + extra
+    del point_mul_calls[:]
+    encoded = counting_compress(monkeypatch)
+    assert crypto.verify_batch(batch)
+    points = {point for point, _, _ in batch} | {sig.R for _, _, sig in batch}
+    assert len(points) == 2 * len(batch) - 2
+    assert encoded == dict.fromkeys(points, 1)
+    assert point_mul_calls == [crypto.G]
+
+
+def test_verify_reads_the_encoding_its_key_holds(point_mul_calls, monkeypatch):
+    sk, pk = keygen(b"verify-encoding")
+    sig = sign(sk, b"m")
+    pk.encode()
+    encoded = counting_compress(monkeypatch)
+    assert verify(pk, b"m", sig)
+    assert encoded == {sig.R: 1}
+    # without a key object the point is compressed once, to the same verdict
+    crypto._verified.cache_clear()
+    assert crypto._verified(pk.point, b"m", sig.R, sig.s)
+    assert encoded == {sig.R: 2, pk.point: 1}

@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from arksim import crypto, harness
 from arksim.arkcore import p2pk
 from arksim.harness import (
@@ -205,3 +207,29 @@ def test_trace_is_deterministic_and_ordered():
             "reset", "payment_accepted", "unilateral_exit"} <= \
         {e.event for e in first}
     assert {e.layer for e in first} == {"ledger", "operator_node", "wallet"}
+
+
+def test_every_swap_commitment_weighs_197_vb():
+    # the paper's constant footprint: one funding input, and the batch,
+    # connector and change outputs, whatever came before
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    names = ("alice", "bob")
+    for name in names:
+        sim.add_wallet(name, [5_000])
+        sim.board(name, [5_000])
+    sim.settle_commitment()
+    swaps = []
+    for r in range(5):
+        for name in names:
+            w = sim.wallets[name]
+            v = next(h.vtxo for h in w.holdings.values())
+            sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+        if r == 2:
+            # bob drops out at the forfeit step; the round is assembled again
+            with pytest.raises(crypto.SessionAborted):
+                sim.settle_commitment(lambda step, party: (step, party) == ("forfeit", "bob"))
+        swaps.append(sim.settle_commitment())
+    assert all(sim.chain.is_confirmed(b.commitment.txid) for b in swaps)
+    assert [len(b.funding_ins) for b in swaps] == [1] * 5
+    assert [harness.tx_vbytes(b.commitment) for b in swaps] == [197] * 5

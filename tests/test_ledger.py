@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arksim import crypto
+from arksim import crypto, harness
 from arksim.arkcore import Vtxo, batch_lock, build_vtxt, p2pk, vtxo_lock
 from arksim.harness import cosign_vtxt
 from arksim.ledger import (
@@ -306,3 +306,43 @@ def test_bad_witness_in_a_batched_block(tree, point_mul_calls, monkeypatch):
     single = unroll_in_one_block(tree, {bad_txid: bad})
     assert single.trace == batched.trace and single.blocks == batched.blocks
     assert single.mempool.keys() == batched.mempool.keys()
+
+
+# --- empty rounds --------------------------------------------------------
+
+
+class _NeverEmpty(dict):
+    """A mempool that never reads as empty, so `advance_round` always runs
+    its full body."""
+
+    def __bool__(self):
+        return True
+
+
+def race_chain(monkeypatch, late_by, full):
+    """The chain of one `exit_race`, with or without the empty-round path."""
+    made = []
+
+    class Recording(Chain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if full:
+                self.mempool = _NeverEmpty()
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Chain", Recording)
+    harness.exit_race(3, [2, 1, 0], late_by=late_by)
+    return made[0]
+
+
+@pytest.mark.parametrize("late_by", [0, 4])
+def test_empty_rounds_match_the_full_body(monkeypatch, late_by):
+    fast = race_chain(monkeypatch, late_by, full=False)
+    full = race_chain(monkeypatch, late_by, full=True)
+    assert sum(not block for block in fast.blocks) > len(fast.blocks) // 2
+    assert fast.height == full.height and fast.blocks == full.blocks
+    assert fast.trace == full.trace
+    assert ([(t, r.party, r.height, r.status) for t, r in fast.records.items()]
+            == [(t, r.party, r.height, r.status) for t, r in full.records.items()])
+    assert fast.utxos == full.utxos and fast.spent_by == full.spent_by
+    assert not fast.mempool and not dict(full.mempool)

@@ -10,6 +10,7 @@ import pytest
 from arksim import crypto
 from arksim.arkcore import p2pk
 from arksim.crypto import SessionAborted
+from arksim.errors import InvariantError
 from arksim.harness import Simulation
 from arksim.ledger import OutPoint, Output, Params, Tx
 from arksim.operator_node import Reject, Request, VtxoSpec
@@ -306,6 +307,63 @@ def test_sweep_lands_at_expiry():
              and e.round >= expiry]
     assert swept, "no sweep confirmed at expiry"
     assert min(e.round for e in swept) == expiry
+
+
+# --- connector outputs ---------------------------------------------------
+
+
+def swap_round(sim, name="alice"):
+    """Swap the named wallet's first VTXO in one settled round."""
+    w = sim.wallets[name]
+    v = first_vtxo(sim, name)
+    sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+    return sim.settle_commitment()
+
+
+def test_forfeit_confirms_after_the_next_round():
+    sim = boarded_sim()
+    old = first_vtxo(sim)
+    transcript = list(sim.wallets["alice"].holdings[old.key()].transcript)
+    forfeit = swap_round(sim).forfeits[old.key()]   # round B forfeits `old`
+    swap_round(sim)                                  # round C
+    # alice unrolls the VTXO she forfeited in round B; the watcher must
+    # answer before her unilateral path opens t_u blocks after the leaf
+    for tx in transcript:
+        sim.chain.submit(tx, "alice")
+    sim.tick(PARAMS.t_u - 1)
+    assert sim.chain.is_confirmed(transcript[-1].txid)
+    assert sim.chain.spent_by.get(old.outpoint) == forfeit.txid
+    assert sim.chain.is_confirmed(forfeit.txid)
+
+
+def test_connector_is_released_after_the_last_backed_expiry_plus_t_u():
+    sim = boarded_sim()
+    old = first_vtxo(sim)
+    bundle = swap_round(sim)
+    op = bundle.connector.funding
+    out, release = sim.operator.connectors[op]
+    assert release == old.expiry + PARAMS.t_u
+    assert out == bundle.commitment.outs[op.index] and out.value == PARAMS.epsilon
+    while sim.chain.height <= release:
+        assert op in sim.operator.connectors
+        assert op not in {o for o, _ in sim.operator.liquidity}
+        sim.tick(1)
+    # the last tick watched at the release height itself
+    assert op in sim.operator.connectors
+    sim.operator.watch_step()
+    assert op not in sim.operator.connectors
+    assert (op, out) in sim.operator.liquidity
+
+
+def test_funding_a_reserved_connector_is_an_invariant_error():
+    sim = boarded_sim()
+    op = swap_round(sim).connector.funding
+    out, _ = sim.operator.connectors[op]
+    sim.operator.liquidity.insert(0, (op, out))
+    v = first_vtxo(sim)
+    sim.operator.verify_batch_swap(sim.wallets["alice"].make_swap([v], [v.value]))
+    with pytest.raises(InvariantError, match="reserved connector"):
+        sim.operator.assemble_commitment()
 
 
 # --- wallet-side bundle audit -------------------------------------------
