@@ -170,7 +170,6 @@ class Simulation:
         w.funds = []
         self.tick(self.params.k + 1)
         self.operator.verify_boarding(req)
-        w.open_requests.append(req)
         return req
 
     def settle_commitment(self, abort=None) -> Optional[Bundle]:
@@ -213,7 +212,7 @@ class Simulation:
         return ArkState(
             C=set(book.confirmedVTXO.keys()),
             F=set(book.preConfirmed.keys()),
-            S={v.key() for v, _ in book.spent},
+            S=set(book.spent),
         )
 
     def fee_accounting(self) -> Dict[str, Dict[str, int]]:
@@ -514,7 +513,7 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
         mallory.holdings[current.key()] = Holding(current, [], "ark")
     # swap the final vtxo, handing the operator its forfeit
     sim.operator.verify_batch_swap(mallory.make_swap([current], [current.value]))
-    sim.settle_commitment()
+    forfeit = sim.settle_commitment().forfeits[current.key()]
 
     # mallory publishes the whole chain herself
     published: List[Tx] = []
@@ -537,10 +536,8 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
     onchain_ark = {t for t in ark_txids if sim.chain.is_confirmed(t)}
     attacker_paid_arks = all(
         sim.chain.records[t].party == "mallory" for t in onchain_ark)
-    forfeit_value = None
-    for v, tx in sim.operator.book.spent:
-        if v.key() == current.key() and sim.chain.is_confirmed(tx.txid):
-            forfeit_value = tx.outs[0].value
+    forfeit_value = (forfeit.outs[0].value if sim.chain.is_confirmed(forfeit.txid)
+                     else None)
     expected_forfeit = current.value + p.epsilon
     verdicts = [
         _verdict("attacker_publishes_ark_chain",
@@ -658,7 +655,6 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
                    outputs=(VtxoSpec(old_vtxo.value, "alice2", alice.pk),))
     op2.book.confirmedVTXO[old_vtxo.key()] = old_vtxo
     op2.verify_batch_swap(swap)
-    w2.open_requests.append(swap)
     bundle2 = op2.assemble_commitment()
     # the outgoing operator cooperates in the ceremony: it countersigns
     # the forfeit of its own vtxo in exchange for the reimbursement
@@ -673,8 +669,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
 
     # reimbursement: O1 pays v to O2, anchored in O2's commitment
     anchor = bundle2.gamma[old_vtxo.key()]
-    o1_fund = next(op for op, out in sim.operator._spendable_liquidity())
-    o1_out = next(out for op, out in sim.operator._spendable_liquidity())
+    o1_fund, o1_out = sim.operator.spendable_liquidity()[0]
     reimb = Tx(ins=(o1_fund, anchor),
                outs=(Output(old_vtxo.value + p.epsilon, p2pk(op2.pk)),
                      Output(o1_out.value - old_vtxo.value, p2pk(sim.operator.pk))))
@@ -691,7 +686,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     sim.tick(p.k + 2)
 
     new_holding = [h for h in w2.holdings.values() if h.kind == "batch"]
-    forfeit_held = old_vtxo.key() in {v.key() for v, _ in op2.book.spent}
+    forfeit_held = old_vtxo.key() in op2.book.spent
     verdicts = [
         _verdict("user_holds_vtxo_with_new_operator", bool(new_holding)),
         _verdict("old_operator_compensated",

@@ -4,15 +4,16 @@ per-round watch loop.
 
 All effects flow through the book's request queue and VTXO sets; the signing
 ceremony releases nothing until every required signature (including all
-forfeits) is held, and the onchain watcher answers any unrolled spent
-VTXO with its stored reset or forfeit transaction.  Each cosign and each
-funding signature is noted in the chain's trace under its step's label.
+forfeits) is held.  The operator's funding is derived from the chain, and
+one deadline table drives its watcher: sweeps at expiry (Routine 13),
+answers to unrolled spent VTXOs (Routine 19) and connector reservations.
+Each cosign, funding signature, sweep and release is noted in the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto
 from .arkcore import (
@@ -22,6 +23,7 @@ from .arkcore import (
     ConnectorOutput,
     SignerTree,
     Vtxo,
+    Vtxt,
     batch_lock,
     build_connector,
     build_vtxt,
@@ -57,7 +59,6 @@ class Request:
     queues, bundles, re-queues and retires the request object itself."""
     kind: str                      # boarding | batch-swap | exit | ark
     party: str
-    cosigners: Tuple[PublicKey, ...] = ()
     boarding_outpoint: Optional[OutPoint] = None
     boarding_output: Optional[Output] = None
     inputs: Tuple[Vtxo, ...] = ()
@@ -70,12 +71,6 @@ class Request:
 def _require_kind(r: Request, kind: str) -> None:
     if r.kind != kind:
         raise Reject(f"expected a {kind} request, got {r.kind!r}")
-
-
-def _input_key(v: Vtxo) -> Tuple[str, int]:
-    if v.outpoint is None:
-        raise Reject("input VTXO has no outpoint")
-    return v.key()
 
 
 def check_conservation(account: Dict[str, int]) -> None:
@@ -100,10 +95,23 @@ class OperatorBook:
     apart by `Request.kind`."""
     queue: List[Request] = field(default_factory=list)
     confirmedVTXO: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
-    confirmedBatches: List[BatchOutput] = field(default_factory=list)
-    spent: List[Tuple[Vtxo, Tx]] = field(default_factory=list)
+    spent: Set[Tuple[str, int]] = field(default_factory=set)  # S: reset or forfeited
     preSpent: Set[Tuple[str, int]] = field(default_factory=set)
     preConfirmed: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
+
+
+class Deadline(NamedTuple):
+    """A deadline table entry: due from height `not_before` on, dropped at
+    `drop_at`.  The payload is the batch to sweep, the answer's tx and
+    connector tree, or the outpoints a reservation keeps out of funding."""
+    action: str                    # one of WATCH_ORDER
+    not_before: int
+    drop_at: int
+    payload: object = None
+
+
+# watch_step's order; the entries of one action run in insertion order
+WATCH_ORDER = ("reserve", "sweep-batch", "sweep-reset", "answer")
 
 
 @dataclass
@@ -146,35 +154,41 @@ class Operator:
         self.params = params
         self.fee = fee              # flat per-request fee
         self.book = OperatorBook()
-        self.liquidity: List[Tuple[OutPoint, Output]] = []
-        # connector outputs kept out of funding: outpoint -> (output,
-        # release height); see _apply_confirmed
-        self.connectors: Dict[OutPoint, Tuple[Output, int]] = {}
         self.pending_bundles: List[Bundle] = []
         self.cosigned_spends: Dict[Tuple[str, int], str] = {}
-        self.reset_sweeps: List[Tuple[OutPoint, int]] = []  # (outpoint, expiry)
+        self.deadlines: Dict[OutPoint, Deadline] = {}
         self.use_resets = True
         self.collected_fees = 0
-        self._confirmed_bundles: List[Bundle] = []
         chain.register(name)
 
     # --- funding ---------------------------------------------------------
 
     def fund(self, value: int) -> OutPoint:
-        op = self.chain.grant(value, p2pk(self.pk))
-        self.liquidity.append((op, Output(value, p2pk(self.pk))))
-        return op
+        return self.chain.grant(value, p2pk(self.pk))
 
-    def _spendable_liquidity(self) -> List[Tuple[OutPoint, Output]]:
-        return [(op, out) for op, out in self.liquidity if self.chain.unspent(op)]
+    def _own_utxos(self) -> List[Tuple[OutPoint, int, Output]]:
+        """(outpoint, confirm height, output) of each operator UTXO."""
+        lock = p2pk(self.pk)
+        return [(op, e.confirm_height, e.output)
+                for op, e in self.chain.utxos.items() if e.output.lock == lock]
+
+    def reserved(self) -> Set[OutPoint]:
+        """The outpoints of every connector still held out of funding."""
+        return {op for d in self.deadlines.values() if d.action == "reserve"
+                for op in d.payload}
+
+    def spendable_liquidity(self) -> List[Tuple[OutPoint, Output]]:
+        """The operator's funding, derived from the chain: its outputs that
+        are k blocks deep or were minted by `Chain.grant`, less the
+        reserved connector outputs, largest first and then by outpoint."""
+        chain, reserved = self.chain, self.reserved()
+        found = [(op, out) for op, height, out in self._own_utxos()
+                 if op not in reserved and (chain.height - height >= self.params.k
+                                            or not chain.records[op.txid].tx.ins)]
+        return sorted(found, key=lambda f: (-f[1].value, f[0].txid, f[0].index))
 
     def onchain_balance(self) -> int:
-        total = 0
-        for op, entry in self.chain.utxos.items():
-            lock = entry.output.lock
-            if lock == p2pk(self.pk):
-                total += entry.output.value
-        return total
+        return sum(out.value for _, _, out in self._own_utxos())
 
     # --- instrumented cosigning -----------------------------------------
 
@@ -229,7 +243,9 @@ class Operator:
         any fee) does not exceed the inputs."""
         _require_kind(r, kind)
         for v in r.inputs:
-            key = _input_key(v)
+            if v.outpoint is None:
+                raise Reject("input VTXO has no outpoint")
+            key = v.key()
             if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
                 raise Reject(f"UnknownVtxo {key}")
             if key in self.book.preSpent:
@@ -293,14 +309,13 @@ class Operator:
                 members = crypto.aggregate([v.owner_pk, self.pk]).members
                 sig = self._cosign(ark, members, all_secrets, "ark")
                 ark.wits.append(Witness(collab_idx[0], (sig,), v.lock.paths))
-        for v, rst in zip(r.inputs, resets or [None] * len(r.inputs)):
-            key = v.key()
-            self.book.confirmedVTXO.pop(key, None)
-            self.book.preConfirmed.pop(key, None)
-            self.book.preSpent.add(key)
-            if rst is not None:
-                self.book.spent.append((v, rst))
-                self.reset_sweeps.append((rst.outpoint(0), v.expiry))
+        for v in r.inputs:
+            self.book.confirmedVTXO.pop(v.key(), None)
+            self.book.preConfirmed.pop(v.key(), None)
+            self.book.preSpent.add(v.key())
+        for v, rst in zip(r.inputs, resets):
+            self._answer(v, rst)
+            self.deadlines[rst.outpoint(0)] = Deadline("sweep-reset", v.expiry - 1, v.expiry)
         for out in outputs:
             self.book.preConfirmed[out.key()] = out
         return ArkPayment(ark, resets, [], list(r.input_expiries), outputs)
@@ -316,8 +331,7 @@ class Operator:
                     for r in self.book.queue if r.kind == kind]
         if not requests:
             return None
-        h = self.chain.height
-        expiry = h + 2 * self.params.k + self.params.t_e
+        expiry = self.chain.height + 2 * self.params.k + self.params.t_e
 
         made = [[self._make_leaf(s) for s in r.outputs] for r in requests]
         leaves = [v for vs in made for v in vs]
@@ -332,25 +346,23 @@ class Operator:
         boarding_value = sum(o.value for _, o in boarded)
         request_fees = self.fee * len(requests)
 
-        # operator funding: batches + connectors + exits must be covered by
-        # liquidity plus boarding inputs (swapped value returns via forfeits)
+        # operator funding, largest first, until it covers the batches,
+        # connectors and exits less the boarding inputs (swapped value
+        # returns via forfeits); each verified request carries fee headroom,
+        # so the fee surplus accrues inside the change output
         need = batch_value + connector_value + exit_value - boarding_value
         funding: List[Tuple[OutPoint, Output]] = []
         have = 0
-        for op, out in self._spendable_liquidity():
-            if have >= max(need, 0) + 1:
+        for op, out in self.spendable_liquidity():
+            if have > max(need, 0):
                 break
             funding.append((op, out))
             have += out.value
-        if have + boarding_value < batch_value + connector_value + exit_value:
-            raise Reject("InsufficientLiquidity")
-        if any(op in self.connectors for op, _ in funding):
-            raise InvariantError("funding spends a reserved connector output")
-        # each verified request already carries fee headroom, so the fee
-        # surplus accrues inside the change output
-        change = have + boarding_value - batch_value - connector_value - exit_value
+        change = have - need
         if change < 0:
             raise Reject("InsufficientLiquidity")
+        if not self.reserved().isdisjoint(op for op, _ in funding):
+            raise InvariantError("funding spends a reserved connector output")
 
         ins = [op for op, _ in funding] + [op for op, _ in boarded]
         outs: List[Output] = []
@@ -385,8 +397,7 @@ class Operator:
             conn_op = commitment.outpoint(out_index["connector"])
             connector = build_connector(conn_op, len(forfeited), self.pk,
                                         self.params.epsilon, self.params.arity)
-            for v, anchor in zip(forfeited, connector.anchors):
-                gamma[v.key()] = anchor
+            gamma = {v.key(): anchor for v, anchor in zip(forfeited, connector.anchors)}
 
         account = {
             "L": have, "B": boarding_value, "V": batch_value,
@@ -416,8 +427,7 @@ class Operator:
         # step 1: every involved party verifies the bundle
         for party in sorted(parties):
             maybe_abort("verify", party)
-            wallet = wallets[party]
-            if not wallet.verify_commitment(bundle):
+            if not wallets[party].verify_commitment(bundle):
                 raise SessionAborted(f"verify: {party} rejected the bundle")
 
         secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
@@ -493,43 +503,47 @@ class Operator:
         self.book.queue = [r for r in self.book.queue if r not in taken]
 
     def _apply_confirmed(self, bundle: Bundle) -> None:
-        """Book a stable commitment.  Its change re-enters `liquidity`; its
-        connector output is reserved in `connectors` until the height
-        max(v.expiry) + t_u over the VTXOs it backs has passed.  Until
-        its batch expires and the operator sweeps the tree, a forfeited
-        VTXO can still be unrolled, and its owner's unilateral path opens
-        t_u blocks after the leaf confirms; the forfeit that must win
-        that race spends one of the connector's anchors, so a commitment
-        that spent the connector as funding would let the owner be paid
-        twice."""
-        book = self.book
-        if bundle.batch is not None:
-            book.confirmedBatches.append(bundle.batch)
-            for leaf in bundle.batch.vtxt.leaves:
+        """Book a stable commitment: sweep its batch at expiry, answer each
+        VTXO it forfeits with its forfeit, and reserve every output of its
+        connector tree until max(v.expiry) + t_u over those VTXOs.  Until
+        then an unrolled forfeited VTXO's owner can still claim it, and
+        the forfeit that must win that race spends a connector anchor.
+        Boarding and swap inputs leave `preSpent`, which intake no longer
+        needs for them; an exit's stay, as the book keeps its VTXO in C."""
+        book, batch = self.book, bundle.batch
+        if batch is not None:
+            self.deadlines[batch.vtxt.funding] = Deadline(
+                "sweep-batch", batch.expiry - 1, batch.expiry, batch)
+            for leaf in batch.vtxt.leaves:
                 v = leaf.vtxo
                 book.confirmedVTXO[v.key()] = v
                 book.preConfirmed.pop(v.key(), None)
-        swaps = [r for r in bundle.requests if r.kind == "batch-swap"]
-        for r in swaps:
-            for v in r.inputs:
-                key = v.key()
-                book.confirmedVTXO.pop(key, None)
-                book.preConfirmed.pop(key, None)
-                book.spent.append((v, bundle.forfeits[key]))
+        forfeited = [v for r in bundle.requests if r.kind == "batch-swap"
+                     for v in r.inputs]
+        tree = bundle.connector.vtxt if bundle.connector else None
+        for v in forfeited:
+            book.confirmedVTXO.pop(v.key(), None)
+            book.preConfirmed.pop(v.key(), None)
+            self._answer(v, bundle.forfeits[v.key()], tree)
+        for r in bundle.requests:
+            if r.kind != "exit":
+                book.preSpent.difference_update(_held_keys(r))
         self.collected_fees += bundle.account.get("F", 0)
-        # spent funding outputs leave the liquidity list; change re-enters
-        spent_ops = set(bundle.commitment.ins)
-        self.liquidity = [(op, out) for op, out in self.liquidity
-                          if op not in spent_ops]
-        connector = bundle.connector.funding if bundle.connector else None
-        for i, out in enumerate(bundle.commitment.outs):
-            op = bundle.commitment.outpoint(i)
-            if op == connector:
-                release = max(v.expiry for r in swaps for v in r.inputs) + self.params.t_u
-                self.connectors[op] = (out, release)
-            elif out.lock == p2pk(self.pk):
-                self.liquidity.append((op, out))
-        self._confirmed_bundles.append(bundle)
+        if bundle.connector is not None:
+            op = bundle.connector.funding
+            nodes = tree.txs.values() if tree else ()
+            held = [op] + [tx.outpoint(i) for tx in nodes for i in range(len(tx.outs))]
+            released = max(v.expiry for v in forfeited) + self.params.t_u + 1
+            self.deadlines[op] = Deadline("reserve", released, released, frozenset(held))
+
+    def _answer(self, v: Vtxo, tx: Tx, tree: Optional[Vtxt] = None) -> None:
+        """Book `v` as spent, and answer any unroll of it with `tx` until
+        v.expiry + t_u, the last height its owner's claim can open at."""
+        if v.outpoint is None:
+            raise InvariantError(f"spent VTXO of {v.owner} in the book has no outpoint")
+        self.book.spent.add(v.key())
+        self.deadlines[v.outpoint] = Deadline(
+            "answer", self.chain.height, v.expiry + self.params.t_u + 1, (tx, tree))
 
     def _rollback(self, bundle: Bundle) -> None:
         # the re-queued requests keep their outpoints in preSpent
@@ -556,7 +570,8 @@ class Operator:
             sig = crypto.sign(self.sk, sweep.digest())
             sweep.wits = [Witness(idx, (sig,), entry.output.lock.paths)]
             try:
-                chain.submit(sweep, self.name)
+                if chain.submit(sweep, self.name):
+                    chain.note("operator_node", self.name, "sweep", sweep.txid[:8])
             except SubmitError:
                 return []
             return [sweep]
@@ -576,10 +591,10 @@ class Operator:
     # --- per-round watcher ----------------------------------------------
 
     def watch_step(self) -> List[Tx]:
-        """Routine-19 loop: track pending commitments, release connector
-        outputs past their release height to liquidity, sweep expired
-        batches and reset outputs, and answer unrolled spent VTXOs with
-        their stored reset or forfeit transactions."""
+        """Routine-19 loop: book stable commitments, roll back lost ones,
+        then run the table's due entries: release connectors, sweep expired
+        batches and reset outputs, and answer each unrolled spent VTXO
+        with its stored reset or forfeit transaction."""
         chain = self.chain
         submitted: List[Tx] = []
 
@@ -592,55 +607,38 @@ class Operator:
                   and not chain.is_confirmed(bundle.commitment.txid)):
                 self._rollback(bundle)
                 self.pending_bundles.remove(bundle)
-        for op, (out, release) in list(self.connectors.items()):
-            if chain.height > release:
-                del self.connectors[op]
-                if chain.unspent(op):   # else a forfeit or its tree spent it
-                    self.liquidity.append((op, out))
 
-        # sweep expired batches (timed so the sweep lands at expiry)
-        for batch in list(self.book.confirmedBatches):
-            if chain.height >= batch.expiry - 1:
-                submitted.extend(self.sweep(batch))
-                if chain.height >= batch.expiry:
-                    self.book.confirmedBatches.remove(batch)
-        # sweep reset outputs at their batch's expiry
-        for entry in list(self.reset_sweeps):
-            op, expiry = entry
-            if chain.height >= expiry - 1:
-                if op.txid in chain.records and chain.is_confirmed(op.txid):
+        due = [(op, d) for op, d in self.deadlines.items() if chain.height >= d.not_before]
+        for action in WATCH_ORDER:
+            for op, d in (item for item in due if item[1].action == action):
+                if action == "reserve":
+                    chain.note("operator_node", self.name, "release", op.txid[:8])
+                elif action == "sweep-batch":
+                    submitted.extend(self.sweep(d.payload))
+                elif action == "sweep-reset":
                     submitted.extend(self._sweep_outpoint(op))
-                if chain.height >= expiry:
-                    self.reset_sweeps.remove(entry)
-
-        # answer unrolled spent VTXOs
-        for v, tx in list(self.book.spent):
-            if v.outpoint is None:
-                raise InvariantError(f"spent VTXO of {v.owner} in the book has no outpoint")
-            if chain.unspent(v.outpoint) and not chain.is_confirmed(tx.txid):
-                package = self._prerequisites(tx) + [tx]
-                try:
-                    chain.submit_package(package, self.name)
-                    submitted.extend(package)
-                except SubmitError:
-                    pass
+                else:
+                    tx, tree = d.payload
+                    if chain.unspent(op) and not chain.is_confirmed(tx.txid):
+                        package = self._prerequisites(tx, tree) + [tx]
+                        try:
+                            chain.submit_package(package, self.name)
+                            submitted.extend(package)
+                        except SubmitError:
+                            pass
+        for op, d in due:
+            if chain.height >= d.drop_at:
+                del self.deadlines[op]
         return submitted
 
-    def _prerequisites(self, tx: Tx) -> List[Tx]:
-        """Connector-tree transactions needed before a forfeit's anchor
-        input exists onchain."""
-        need: List[Tx] = []
-        # a forfeit enters book.spent only when its bundle is confirmed
-        for bundle in self._confirmed_bundles:
-            if bundle.connector is None or bundle.connector.vtxt is None:
-                continue
-            vtxt = bundle.connector.vtxt
-            for op in tx.ins:
-                if op.txid in vtxt.txs:
-                    for node in vtxt.path_to(op.txid):
-                        if not self.chain.is_confirmed(node.txid):
-                            if not node.wits:
-                                sig = crypto.sign(self.sk, node.digest())
-                                node.wits = [Witness(KEY_PATH, (sig,))]
-                            need.append(node)
+    def _prerequisites(self, tx: Tx, tree: Optional[Vtxt]) -> List[Tx]:
+        """The connector-tree transactions needed before a forfeit's anchor
+        input (its last) exists onchain."""
+        if tree is None or tx.ins[-1].txid not in tree.txs:
+            return []
+        need = [node for node in tree.path_to(tx.ins[-1].txid)
+                if not self.chain.is_confirmed(node.txid)]
+        for node in need:
+            if not node.wits:
+                node.wits = [Witness(KEY_PATH, (crypto.sign(self.sk, node.digest()),))]
         return need

@@ -42,6 +42,8 @@ class Wallet:
         self.operator_pk = operator_pk
         self.holdings: Dict[Tuple[str, int], Holding] = {}
         self.boarding_outputs: List[Tuple[OutPoint, Output]] = []
+        # never read or written here; kept only because the benchmark's
+        # workloads (perfbench/workloads.py) still append to it
         self.open_requests: List[Request] = []
         self.fee = 0                # operator's flat per-request fee
         chain.register(name)
@@ -62,7 +64,6 @@ class Wallet:
         req = Request("batch-swap", self.name, inputs=tuple(vtxos), outputs=specs)
         for v in vtxos:
             self.holdings[v.key()].intent = "swap"
-        self.open_requests.append(req)
         return req
 
     def make_exit(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
@@ -70,7 +71,6 @@ class Wallet:
         req = Request("exit", self.name, inputs=tuple(vtxos), exit_outputs=outs)
         for v in vtxos:
             self.holdings[v.key()].intent = "exit"
-        self.open_requests.append(req)
         return req
 
     def make_ark_request(self, vtxos: Sequence[Vtxo],
@@ -199,8 +199,6 @@ class Wallet:
                 self.boarding_outputs = [
                     (op, out) for op, out in self.boarding_outputs
                     if op != r.boarding_outpoint]
-            if r in self.open_requests:
-                self.open_requests.remove(r)
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
         # the change inherits the inputs' transcripts, so read them before

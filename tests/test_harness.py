@@ -211,16 +211,18 @@ def test_trace_is_deterministic_and_ordered():
 
 def test_every_swap_commitment_weighs_197_vb():
     # the paper's constant footprint: one funding input, and the batch,
-    # connector and change outputs, whatever came before
-    sim = Simulation(PARAMS, 0)
-    sim.operator.fund(100_000)
+    # connector and change outputs, whatever came before; with t_e = 20
+    # the first connectors are released from round 8 on, and the dust
+    # they return is not spent
+    sim = Simulation(Params(k=3, t_u=13, t_e=20, t_r=8), 0)
+    sim.operator.fund(1_000_000)
     names = ("alice", "bob")
     for name in names:
         sim.add_wallet(name, [5_000])
         sim.board(name, [5_000])
     sim.settle_commitment()
     swaps = []
-    for r in range(5):
+    for r in range(14):
         for name in names:
             w = sim.wallets[name]
             v = next(h.vtxo for h in w.holdings.values())
@@ -231,5 +233,5 @@ def test_every_swap_commitment_weighs_197_vb():
                 sim.settle_commitment(lambda step, party: (step, party) == ("forfeit", "bob"))
         swaps.append(sim.settle_commitment())
     assert all(sim.chain.is_confirmed(b.commitment.txid) for b in swaps)
-    assert [len(b.funding_ins) for b in swaps] == [1] * 5
-    assert [harness.tx_vbytes(b.commitment) for b in swaps] == [197] * 5
+    assert [len(b.funding_ins) for b in swaps] == [1] * 14
+    assert [harness.tx_vbytes(b.commitment) for b in swaps] == [197] * 14

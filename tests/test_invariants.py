@@ -52,8 +52,7 @@ def broken_spent_book() -> str:
     sim = Simulation(PARAMS, 0)
     _, pk = crypto.keygen(b"invariant-owner")
     vtxo = Vtxo(1_000, p2pk(pk), "alice", pk)   # never given an outpoint
-    sim.operator.book.spent.append((vtxo, Tx(ins=(), outs=())))
-    return _raised(sim.operator.watch_step)
+    return _raised(lambda: sim.operator._answer(vtxo, Tx(ins=(), outs=())))
 
 
 def broken_extraction() -> str:

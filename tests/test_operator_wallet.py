@@ -168,6 +168,33 @@ def test_spending_intake_shares_one_rule(kind, fault, reason):
     assert book_state(sim.operator.book) == book
 
 
+def test_a_settled_boarding_is_refused_again():
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    sim.add_wallet("alice", [5_000])
+    req = sim.board("alice", [5_000])
+    sim.settle_commitment()
+    assert sim.operator.book.preSpent == set()
+    with pytest.raises(Reject, match="not confirmed"):
+        sim.operator.verify_boarding(req)
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "exit"])
+def test_a_settled_input_is_refused_again(kind):
+    # a booked swap's inputs leave preSpent, as the book no longer knows
+    # them; an exited VTXO stays in confirmedVTXO, so it stays held
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    v = first_vtxo(sim)
+    submit_spend(sim, spend_request(kind, alice, v, v.value))
+    sim.settle_commitment()
+    assert not sim.operator.pending_bundles
+    reason = "UnknownVtxo" if kind == "batch-swap" else "AlreadyPending"
+    for again in ("batch-swap", "exit", "ark"):
+        with pytest.raises(Reject, match=f"^{reason}"):
+            submit_spend(sim, spend_request(again, alice, v, v.value))
+
+
 # --- single-spend discipline --------------------------------------------
 
 
@@ -223,8 +250,7 @@ def test_abort_releases_nothing():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
     v = first_vtxo(sim)
-    alice.make_swap([v], [v.value])
-    sim.operator.verify_batch_swap(alice.open_requests[-1])
+    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
     book_before = (dict(sim.operator.book.confirmedVTXO),
                    list(sim.operator.book.queue))
     trace_before = len(sim.chain.trace)
@@ -299,7 +325,7 @@ def test_rollback_requeues_every_kind_in_order():
 
 def test_sweep_lands_at_expiry():
     sim = boarded_sim()
-    expiry = sim.operator.book.confirmedBatches[0].expiry
+    expiry = sim.all_bundles[0].batch.expiry
     while sim.chain.height < expiry + 2 * PARAMS.k:
         sim.tick(1)
     swept = [e for e in sim.chain.trace
@@ -307,6 +333,9 @@ def test_sweep_lands_at_expiry():
              and e.round >= expiry]
     assert swept, "no sweep confirmed at expiry"
     assert min(e.round for e in swept) == expiry
+    # the watcher notes the one sweep it submits, a block before expiry
+    assert [e[1:3] + (e.round,) for e in sim.chain.trace if e.event == "sweep"] == \
+        [("operator_node", "operator", expiry - 1)]
 
 
 # --- connector outputs ---------------------------------------------------
@@ -336,34 +365,107 @@ def test_forfeit_confirms_after_the_next_round():
     assert sim.chain.is_confirmed(forfeit.txid)
 
 
+def funding(sim):
+    """The outpoints the operator would fund its next commitment from."""
+    return [op for op, _ in sim.operator.spendable_liquidity()]
+
+
 def test_connector_is_released_after_the_last_backed_expiry_plus_t_u():
     sim = boarded_sim()
     old = first_vtxo(sim)
     bundle = swap_round(sim)
     op = bundle.connector.funding
-    out, release = sim.operator.connectors[op]
-    assert release == old.expiry + PARAMS.t_u
-    assert out == bundle.commitment.outs[op.index] and out.value == PARAMS.epsilon
+    release = old.expiry + PARAMS.t_u
+    entry = sim.operator.deadlines[op]
+    assert (entry.action, entry.not_before, entry.payload) == ("reserve", release + 1, {op})
+    assert bundle.commitment.outs[op.index].value == PARAMS.epsilon
     while sim.chain.height <= release:
-        assert op in sim.operator.connectors
-        assert op not in {o for o, _ in sim.operator.liquidity}
+        assert op in sim.operator.reserved()
+        assert op not in funding(sim)
         sim.tick(1)
     # the last tick watched at the release height itself
-    assert op in sim.operator.connectors
+    assert op in sim.operator.reserved()
     sim.operator.watch_step()
-    assert op not in sim.operator.connectors
-    assert (op, out) in sim.operator.liquidity
+    assert op not in sim.operator.deadlines
+    assert sim.chain.trace[-1][1:] == ("operator_node", "operator", "release",
+                                       op.txid[:8])
+    # released, the dust output is funding of last resort
+    assert funding(sim)[-1] == op
 
 
 def test_funding_a_reserved_connector_is_an_invariant_error():
     sim = boarded_sim()
     op = swap_round(sim).connector.funding
-    out, _ = sim.operator.connectors[op]
-    sim.operator.liquidity.insert(0, (op, out))
+    out = sim.chain.utxos[op].output
+    derived = sim.operator.spendable_liquidity
+    sim.operator.spendable_liquidity = lambda: [(op, out)] + derived()
     v = first_vtxo(sim)
     sim.operator.verify_batch_swap(sim.wallets["alice"].make_swap([v], [v.value]))
     with pytest.raises(InvariantError, match="reserved connector"):
         sim.operator.assemble_commitment()
+
+
+def test_every_output_of_an_unrolled_connector_tree_stays_reserved():
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    for name in ("alice", "bob"):
+        sim.add_wallet(name, [5_000])
+        sim.board(name, [5_000])
+    sim.settle_commitment()
+    old = first_vtxo(sim)
+    transcript = list(sim.wallets["alice"].holdings[old.key()].transcript)
+    for name in ("alice", "bob"):
+        w = sim.wallets[name]
+        v = first_vtxo(sim, name)
+        sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+    bundle = sim.settle_commitment()
+    tree = bundle.connector.vtxt
+    (node,) = tree.txs.values()             # two anchors under one node
+    root = bundle.connector.funding
+    outs = [node.outpoint(i) for i in range(len(node.outs))]
+    release = max(v.expiry for r in bundle.requests for v in r.inputs) + PARAMS.t_u
+    # alice unrolls the VTXO she forfeited; the watcher answers with the
+    # connector node and her forfeit
+    for tx in transcript:
+        sim.chain.submit(tx, "alice")
+    sim.tick(PARAMS.t_u - 1)
+    forfeit = bundle.forfeits[old.key()]
+    assert sim.chain.is_confirmed(node.txid) and sim.chain.is_confirmed(forfeit.txid)
+    unspent = [op for op in outs if sim.chain.unspent(op)]
+    assert len(unspent) == 1 and unspent[0] not in forfeit.ins
+    while sim.chain.height <= release:
+        assert sim.operator.reserved() == {root, *outs}
+        assert not {root, *outs} & set(funding(sim))
+        sim.tick(1)
+    sim.operator.watch_step()
+    assert sim.operator.reserved() == set()
+    assert funding(sim)[-1] == unspent[0]
+
+
+def test_sixty_swap_rounds_keep_funding_and_the_table_steady():
+    # each swap locks 5,330 sats until the old batch is swept and the
+    # connector released; both come back into funding, so the operator's
+    # spendable sats and its table settle into a cycle instead of draining
+    params = Params(k=3, t_u=13, t_e=20, t_r=8)
+    sim = Simulation(params, 0)
+    sim.operator.fund(100_000)
+    sim.add_wallet("alice", [5_000])
+    sim.board("alice", [5_000])
+    sim.settle_commitment()
+    op, chain, lock = sim.operator, sim.chain, p2pk(sim.operator.pk)
+    seen = {}
+    for r in range(1, 61):
+        swap_round(sim)
+        assert op.book.preSpent == set()
+        reserved = op.reserved()
+        own = [(o, e) for o, e in chain.utxos.items() if e.output.lock == lock]
+        spendable = sum(out.value for _, out in op.spendable_liquidity())
+        held = sum(e.output.value for o, e in own if o in reserved)
+        young = sum(e.output.value for o, e in own if o not in reserved
+                    and chain.height - e.confirm_height < params.k)
+        assert spendable + held + young == op.onchain_balance()
+        seen[r] = (spendable, len(op.deadlines))
+    assert seen[30] == seen[60]
 
 
 # --- wallet-side bundle audit -------------------------------------------
@@ -372,8 +474,7 @@ def test_funding_a_reserved_connector_is_an_invariant_error():
 def swap_bundle(sim):
     alice = sim.wallets["alice"]
     v = first_vtxo(sim)
-    alice.make_swap([v], [v.value])
-    sim.operator.verify_batch_swap(alice.open_requests[-1])
+    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
     return sim.operator.assemble_commitment()
 
 
