@@ -20,7 +20,7 @@ sim.settle_commitment()
 print(f"alice off-chain balance: {sim.wallets['alice'].balance()} sats")
 
 print("\n== off-chain payment ==")
-vtxo = next(h.vtxo for h in sim.wallets["alice"].holdings.values())
+vtxo = sim.vtxos("alice")[0]
 sim.ark_pay("alice", "bob", [vtxo], 3_000)
 print(f"alice: {sim.wallets['alice'].balance()}  bob: {sim.wallets['bob'].balance()}")
 

@@ -41,8 +41,12 @@ from .operator_node import (
     Request,
     VtxoSpec,
 )
-from .script import KEY_PATH, Witness
+from .script import KEY_PATH, LockScript, Witness
 from .wallet import Holding, Wallet
+
+# the canned scenarios' parameters: a short and a long batch expiry
+PARAMS_TE40 = Params(k=3, t_u=13, t_e=40, t_r=8)
+PARAMS_TE60 = Params(k=3, t_u=13, t_e=60, t_r=8)
 
 
 @dataclass
@@ -202,6 +206,33 @@ class Simulation:
                 self.operator.verify_batch_swap(swap_req)
         return payment
 
+    def vtxos(self, name: str) -> List[Vtxo]:
+        return [h.vtxo for h in self.wallets[name].holdings.values()]
+
+    def swap(self, name: str, vtxos: Sequence[Vtxo]) -> Request:
+        """Queue `name`'s swap of `vtxos` into the next batch, value for value."""
+        req = self.wallets[name].make_swap(vtxos, [v.value for v in vtxos])
+        self.operator.verify_batch_swap(req)
+        return req
+
+    def exit(self, name: str, vtxos: Sequence[Vtxo]) -> Request:
+        """Queue `name`'s cooperative exit of `vtxos` to one onchain output
+        of their sum less the operator's fee."""
+        req = self.wallets[name].make_exit(
+            vtxos, [sum(v.value for v in vtxos) - self.operator.fee])
+        self.operator.verify_exit(req)
+        return req
+
+    def unroll(self, name: str, vtxo: Vtxo, then: Sequence[Tx] = ()) -> None:
+        """Publish as `name` the path from `vtxo`'s batch output to its
+        leaf, then `then`, skipping txs already confirmed."""
+        path = next(b.batch.vtxt.path_to(vtxo.outpoint.txid)
+                    for b in self.all_bundles
+                    if b.batch is not None and vtxo.outpoint.txid in b.batch.vtxt.txs)
+        for tx in (*path, *then):
+            if not self.chain.is_confirmed(tx.txid):
+                self.chain.submit(tx, name)
+
     # --- oracles ---------------------------------------------------------
 
     def state(self) -> ArkState:
@@ -286,6 +317,28 @@ def cosign_vtxt(vtxt: arkcore.Vtxt, signers: arkcore.SignerTree,
                            vtxt.input_locks[txid].paths)]
 
 
+def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
+                 keys: Sequence[Tuple[crypto.SecretKey, crypto.PublicKey]],
+                 expiry: int) -> Tuple[LockScript, arkcore.Vtxt]:
+    """Grant on `chain` a batch output paying `leaves`, build its VTXT and
+    cosign every node.  `keys` are the (secret, public) pairs of every
+    cosigner, the operator's first."""
+    op_pk = keys[0][1]
+    lock = batch_lock(op_pk, crypto.aggregate([pk for _, pk in keys]), expiry)
+    funding = chain.grant(sum(v.value for v in leaves), lock)
+    vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
+    cosign_vtxt(vtxt, signers, {pk.hex(): sk for sk, pk in keys})
+    return lock, vtxt
+
+
+def leaf_spend(vtxo: Vtxo, path: int, sk: crypto.SecretKey) -> Tx:
+    """A tx paying `vtxo`'s whole value to `sk`'s key, signed by `sk` on
+    the lock's path `path`."""
+    tx = Tx(ins=(vtxo.outpoint,), outs=(Output(vtxo.value, p2pk(sk.public())),))
+    tx.wits = [Witness(path, (crypto.sign(sk, tx.digest()),), vtxo.lock.paths)]
+    return tx
+
+
 def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
               t_e: int = 30) -> RaceResult:
     """Minimal sweep-versus-exit race: a two-leaf batch, a user exit
@@ -299,25 +352,20 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     leaves = [Vtxo(500, arkcore.vtxo_lock(a_pk, op_pk, params.t_u), "alice", a_pk),
               Vtxo(500, arkcore.vtxo_lock(b_pk, op_pk, params.t_u), "bob", b_pk)]
     expiry = 2 * k + t_e
-    # fund the batch directly at height 0
-    members = crypto.aggregate([op_pk, a_pk, b_pk])
-    lock = batch_lock(op_pk, members, expiry)
-
     adversary = MaxDelay(prefer_new=True)
     chain = Chain(params, adversary)
     chain.register("alice")
     chain.register("operator")
-    funding = chain.grant(1000, lock)
-    vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
-    cosign_vtxt(vtxt, signers,
-                {op_pk.hex(): op_sk, a_pk.hex(): a_sk, b_pk.hex(): b_sk})
+    # fund the batch directly at height 0
+    lock, vtxt = signed_batch(chain, leaves, [(op_sk, op_pk), (a_sk, a_pk), (b_sk, b_pk)],
+                              expiry)
 
     path_txs = vtxt.path_to(vtxt.leaves[0].txid)
     delay_map = {tx.txid: d for tx, d in zip(path_txs, delays)}
     adversary.per_tx = delay_map
     adversary.exempt = ("operator",)
 
-    sweep = Tx(ins=(funding,), outs=(Output(1000, p2pk(op_pk)),))
+    sweep = Tx(ins=(vtxt.funding,), outs=(Output(1000, p2pk(op_pk)),))
     sweep.wits = [Witness(arkcore.BATCH_SWEEP_PATH,
                           (crypto.sign(op_sk, sweep.digest()),), lock.paths)]
 
@@ -368,8 +416,7 @@ def scenario_happy_path(seed: int = 0, params: Optional[Params] = None,
     sim.board("alice", [6_000, 4_000])
     sim.settle_commitment()
     alice = sim.wallets["alice"]
-    vtxos = [h.vtxo for h in alice.holdings.values()]
-    payment = sim.ark_pay("alice", "bob", vtxos[:1], 2_500)
+    sim.ark_pay("alice", "bob", sim.vtxos("alice")[:1], 2_500)
     sim.settle_commitment()     # bob's follow-up batch swap
     sim.tick(2)
     state = sim.state()
@@ -390,7 +437,7 @@ def scenario_happy_path(seed: int = 0, params: Optional[Params] = None,
 
 def scenario_censoring_operator(seed: int = 0, params: Optional[Params] = None,
                                 late: bool = False, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=40, t_r=8)
+    p = params or PARAMS_TE40
     k = p.k
     if late:
         # a user who fires one round late at the worst delays loses the race
@@ -411,58 +458,36 @@ def scenario_censoring_operator(seed: int = 0, params: Optional[Params] = None,
                    {}, [{"delays": delays, "late": late}])
 
 
-def _settle_all(sim: Simulation, horizon: int) -> None:
-    while sim.chain.height < horizon:
-        sim.tick(1)
-
-
 def scenario_hostage_attack(seed: int = 0, params: Optional[Params] = None,
                             resets: bool = True, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=40, t_r=8)
+    p = params or PARAMS_TE40
     sim = Simulation(p, seed, use_resets=resets)
     op_initial = 100_000
     sim.operator.fund(op_initial)
     mallory = sim.add_wallet("mallory", [5_000])
     sim.board("mallory", [5_000])
     sim.settle_commitment()
-    vtxo_m = next(h.vtxo for h in mallory.holdings.values())
+    vtxo_m = sim.vtxos("mallory")[0]
     hostage_value = vtxo_m.value
 
     # offchain self-payment, then swap the new vtxo into the next batch
     payment = sim.ark_pay("mallory", "mallory", [vtxo_m], 5_000,
                           auto_receive=False)
-    vtxo_m2 = payment.outputs[0]
-    mallory.holdings[vtxo_m2.key()] = Holding(vtxo_m2, [], "ark")
-    sim.operator.verify_batch_swap(mallory.make_swap([vtxo_m2], [5_000]))
-    bundle2 = sim.settle_commitment()
+    sim.swap("mallory", payment.outputs)
+    sim.settle_commitment()
 
     # mallory unrolls the original leaf, withholding the ark tx
-    path_txs = None
-    for b in sim.all_bundles:
-        if b.batch is not None:
-            try:
-                path_txs = b.batch.vtxt.path_to(vtxo_m.outpoint.txid)
-                break
-            except KeyError:
-                continue
-    for tx in path_txs:
-        if not sim.chain.is_confirmed(tx.txid):
-            sim.chain.submit(tx, "mallory")
+    sim.unroll("mallory", vtxo_m)
     sim.tick(1)
 
     # mallory also exits her batch-2 vtxo (the legitimately swapped one),
     # so the operator cannot recoup via that batch's expiry sweep
-    for h in list(mallory.holdings.values()):
-        if h.kind == "batch" and h.vtxo.key() != vtxo_m.key():
-            mallory.unilateral_exit(h.vtxo)
+    for v in sim.vtxos("mallory"):
+        mallory.unilateral_exit(v)
 
     # wait out t_u, then mallory tries the unilateral leaf spend
-    claim = Tx(ins=(vtxo_m.outpoint,),
-               outs=(Output(vtxo_m.value, p2pk(mallory.pk)),))
-    _, unilateral_idx = arkcore.classify_paths(vtxo_m.lock, sim.operator.pk, p.t_u)
-    claim.wits = [Witness(unilateral_idx[0],
-                          (crypto.sign(mallory.sk, claim.digest()),),
-                          vtxo_m.lock.paths)]
+    _, unilateral = arkcore.classify_paths(vtxo_m.lock, sim.operator.pk, p.t_u)
+    claim = leaf_spend(vtxo_m, unilateral[0], mallory.sk)
     claimed = False
     horizon = sim.chain.height + p.t_u + p.t_e + 6 * p.k
     while sim.chain.height < horizon:
@@ -495,13 +520,13 @@ def scenario_hostage_attack(seed: int = 0, params: Optional[Params] = None,
 
 def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
                          hops: int = 3, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=60, t_r=8)
+    p = params or PARAMS_TE60
     sim = Simulation(p, seed)
     sim.operator.fund(100_000)
-    mallory = sim.add_wallet("mallory", [5_000])
+    sim.add_wallet("mallory", [5_000])
     sim.board("mallory", [5_000])
     sim.settle_commitment()
-    vtxo = next(h.vtxo for h in mallory.holdings.values())
+    vtxo = sim.vtxos("mallory")[0]
 
     chain_payments: List[ArkPayment] = []
     current = vtxo
@@ -510,28 +535,18 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
                               auto_receive=False)
         chain_payments.append(payment)
         current = payment.outputs[0]
-        mallory.holdings[current.key()] = Holding(current, [], "ark")
     # swap the final vtxo, handing the operator its forfeit
-    sim.operator.verify_batch_swap(mallory.make_swap([current], [current.value]))
+    sim.swap("mallory", [current])
     forfeit = sim.settle_commitment().forfeits[current.key()]
 
     # mallory publishes the whole chain herself
-    published: List[Tx] = []
-    for b in sim.all_bundles:
-        if b.batch is not None and vtxo.outpoint.txid in b.batch.vtxt.txs:
-            published.extend(b.batch.vtxt.path_to(vtxo.outpoint.txid))
-    for payment in chain_payments:
-        published.extend(payment.resets)
-        published.append(payment.ark)
-    for tx in published:
-        if not sim.chain.is_confirmed(tx.txid):
-            sim.chain.submit(tx, "mallory")
+    sim.unroll("mallory", vtxo,
+               [tx for pm in chain_payments for tx in (*pm.resets, pm.ark)])
     sim.tick(2 * p.k + 2)
 
     # the operator's watcher answers with the forfeit for the final vtxo
     sim.tick(2 * p.k + 2)
     acct = sim.fee_accounting()
-    mallory_published = {tx.txid for tx in published}
     ark_txids = {pm.ark.txid for pm in chain_payments}
     onchain_ark = {t for t in ark_txids if sim.chain.is_confirmed(t)}
     attacker_paid_arks = all(
@@ -560,7 +575,7 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
 def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
                       n: int = 8, **_) -> dict:
     import math
-    p = params or Params(k=3, t_u=13, t_e=60, t_r=8)
+    p = params or PARAMS_TE60
     sim = Simulation(p, seed)
     sim.operator.fund(1_000_000)
     names = [f"user{i}" for i in range(n)]
@@ -570,15 +585,12 @@ def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
     sim.settle_commitment()
     submitted = 0
     for name in names:
-        w = sim.wallets[name]
-        for h in list(w.holdings.values()):
-            submitted += len(w.unilateral_exit(h.vtxo))
+        for v in sim.vtxos(name):
+            submitted += len(sim.wallets[name].unilateral_exit(v))
     sim.tick(2 * p.k + 1)
     bound = n * (math.ceil(math.log2(n)) + 1) if n > 1 else 1
-    all_exited = all(
-        sim.chain.unspent(h.vtxo.outpoint)
-        for w in (sim.wallets[nm] for nm in names)
-        for h in w.holdings.values())
+    all_exited = all(sim.chain.unspent(v.outpoint)
+                     for name in names for v in sim.vtxos(name))
     verdicts = [
         _verdict("exit_txs_within_bound", submitted <= bound,
                  f"submitted={submitted} bound={bound} "
@@ -594,7 +606,7 @@ def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
 
 def scenario_operator_shutdown(seed: int = 0, params: Optional[Params] = None,
                                fee: int = 0, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=40, t_r=8)
+    p = params or PARAMS_TE40
     sim = Simulation(p, seed, fee=fee)
     op_initial = 200_000
     sim.operator.fund(op_initial)
@@ -604,21 +616,17 @@ def scenario_operator_shutdown(seed: int = 0, params: Optional[Params] = None,
     sim.board("bob", [8_000 - fee])
     sim.settle_commitment()
 
-    alice, bob = sim.wallets["alice"], sim.wallets["bob"]
-    a_vtxo = next(h.vtxo for h in alice.holdings.values())
-    sim.ark_pay("alice", "bob", [a_vtxo], 4_000)
+    sim.ark_pay("alice", "bob", sim.vtxos("alice")[:1], 4_000)
     sim.settle_commitment()     # bob's swap of the received vtxo
     # everyone exits collaboratively before the shutdown
-    for w in (alice, bob):
-        vtxos = [h.vtxo for h in w.holdings.values()]
-        if vtxos:
-            req = w.make_exit(vtxos, [sum(v.value for v in vtxos) - fee])
-            sim.operator.verify_exit(req)
+    for name in ("alice", "bob"):
+        if sim.vtxos(name):
+            sim.exit(name, sim.vtxos(name))
     sim.settle_commitment()
     # operator stops; run to the conservation horizon and sweep
     commit_height = sim.all_bundles[-1].submit_height
     horizon = commit_height + 4 * p.k + p.t_e
-    _settle_all(sim, horizon)
+    sim.tick(horizon - sim.chain.height)
 
     fees = sim.operator.collected_fees
     op_final = sim.operator.onchain_balance()
@@ -637,13 +645,13 @@ def scenario_operator_shutdown(seed: int = 0, params: Optional[Params] = None,
 
 
 def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=40, t_r=8)
+    p = params or PARAMS_TE40
     sim = Simulation(p, seed)
     sim.operator.fund(100_000)
     alice = sim.add_wallet("alice", [5_000])
     sim.board("alice", [5_000])
     sim.settle_commitment()
-    old_vtxo = next(h.vtxo for h in alice.holdings.values())
+    old_vtxo = sim.vtxos("alice")[0]
 
     # second operator with its own book and liquidity
     o2_sk, _ = crypto.keygen(b"operator2" + seed.to_bytes(8, "big"))
@@ -700,7 +708,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
 def scenario_ff_double_spend(seed: int = 0, params: Optional[Params] = None,
                              delta: int = 1, edge_delays: Optional[dict] = None,
                              send_offset: int = 0, **_) -> dict:
-    p = params or Params(k=3, t_u=13, t_e=60, t_r=8)
+    p = params or PARAMS_TE60
     outcome = ff_double_spend_trace(seed, p, delta, edge_delays, send_offset)
     verdicts = [
         _verdict("no_two_honest_acceptances", not outcome["both_accepted"],
@@ -714,16 +722,17 @@ def scenario_ff_double_spend(seed: int = 0, params: Optional[Params] = None,
     return rep
 
 
-def ff_double_spend_trace(seed: int, p: Params, delta: int,
-                          edge_delays: Optional[dict] = None,
-                          send_offset: int = 0) -> dict:
-    """One double-sign trace: Mallory pays the same nonce-bound VTXO to
-    Alice and Bob; a byzantine operator signs both."""
+def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = None
+             ) -> Tuple[Simulation, FfCoordinator, Vtxo]:
+    """Members mallory, alice and bob around a byzantine fast-finality
+    operator, and mallory's nonce-bound VTXO, funded as a single-leaf
+    batch.  `edge_delays` maps (sender, receiver) to gossip rounds, 1 by
+    default."""
     sim = Simulation(p, seed)
     sim.operator.fund(100_000)
-    mallory = sim.add_wallet("mallory", [])
-    alice = sim.add_wallet("alice", [])
-    bob = sim.add_wallet("bob", [])
+    for name in ("mallory", "alice", "bob"):
+        sim.add_wallet(name, [])
+    mallory = sim.wallets["mallory"]
 
     ffop = FfOperator(sim.operator, byzantine=True)
     value = 5_000
@@ -732,30 +741,33 @@ def ff_double_spend_trace(seed: int, p: Params, delta: int,
     collateral = setup_collateral(
         ffop.operator, [b"member-%d" % i for i in range(3)], cfg, sim.chain)
 
-    # a nonce-bound vtxo for mallory, funded as a single-leaf batch
     _, r_star = ffop.fresh_nonce(b"mallory-vtxo")
     lock = arkcore.vtxo_lock(mallory.pk, sim.operator.pk, p.t_u, r_star)
     vtxo = Vtxo(value, lock, "mallory", mallory.pk)
-    expiry = sim.chain.height + 2 * p.k + p.t_e
-    members = crypto.aggregate([sim.operator.pk, mallory.pk])
-    funding = sim.chain.grant(value, batch_lock(sim.operator.pk, members, expiry))
-    vtxt, signers = arkcore.build_vtxt(funding, [vtxo], sim.operator.pk, expiry, 2)
-    cosign_vtxt(vtxt, signers, {sim.operator.pk.hex(): sim.operator.sk,
-                                mallory.pk.hex(): mallory.sk})
+    _, vtxt = signed_batch(sim.chain, [vtxo],
+                           [(sim.operator.sk, sim.operator.pk), (mallory.sk, mallory.pk)],
+                           sim.chain.height + 2 * p.k + p.t_e)
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")
 
     delays = edge_delays or {}
-    coord = FfCoordinator(
-        cfg, sim.chain, ffop,
-        {"mallory": mallory, "alice": alice, "bob": bob}, collateral,
-        edge_delay=lambda s, r, pid: delays.get((s, r), 1))
+    coord = FfCoordinator(cfg, sim.chain, ffop, dict(sim.wallets), collateral,
+                          edge_delay=lambda s, r, pid: delays.get((s, r), 1))
+    return sim, coord, vtxo
 
-    path = mallory.holdings[vtxo.key()].transcript
+
+def ff_double_spend_trace(seed: int, p: Params, delta: int,
+                          edge_delays: Optional[dict] = None,
+                          send_offset: int = 0) -> dict:
+    """One double-sign trace: Mallory pays the same nonce-bound VTXO to
+    Alice and Bob; a byzantine operator signs both."""
+    sim, coord, vtxo = ff_setup(seed, p, delta, edge_delays)
+    alice, bob = sim.wallets["alice"], sim.wallets["bob"]
+    path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
     pay_a = coord.make_ff_payment("mallory", [vtxo],
-                                  [VtxoSpec(value, "alice", alice.pk)], [path])
+                                  [VtxoSpec(vtxo.value, "alice", alice.pk)], [path])
     pay_b = coord.make_ff_payment("mallory", [vtxo],
-                                  [VtxoSpec(value, "bob", bob.pk)], [path],
+                                  [VtxoSpec(vtxo.value, "bob", bob.pk)], [path],
                                   allow_conflict=True)
     coord.ff_send("mallory", "alice", pay_a)
     for _ in range(send_offset):
@@ -772,9 +784,9 @@ def ff_double_spend_trace(seed: int, p: Params, delta: int,
     # coalition gain: conflicting value finalized to coalition control is
     # anything double-collected; with at most one acceptance the coalition
     # merely moved its own value
-    gain = value if both else 0
+    gain = vtxo.value if both else 0
     return {"accepted": accepted, "both_accepted": both,
-            "burned": coord.burned, "collateral": cfg.c,
+            "burned": coord.burned, "collateral": coord.cfg.c,
             "coalition_gain": gain, "burn_txid": coord.burn_txid,
             "payloads": sorted([pay_a.ark.txid[:8], pay_b.ark.txid[:8]])}
 
@@ -817,19 +829,15 @@ def check_theorem(theorem_id: str, **config) -> dict:
 def _check_t1_safety(seed: int = 0, **_) -> dict:
     """No unexpired committed VTXO with honest cosigners is spent onchain
     except by its own path txs or an owner-cosigned witness."""
-    sim = Simulation(Params(k=3, t_u=13, t_e=40, t_r=8), seed)
+    sim = Simulation(PARAMS_TE40, seed)
     sim.operator.fund(100_000)
     sim.add_wallet("alice", [5_000])
     sim.board("alice", [5_000])
     sim.settle_commitment()
-    alice = sim.wallets["alice"]
-    vtxo = next(h.vtxo for h in alice.holdings.values())
+    vtxo = sim.vtxos("alice")[0]
     sim.tick(5)
     # the operator alone cannot move the leaf before expiry
-    theft = Tx(ins=(vtxo.outpoint,),
-               outs=(Output(vtxo.value, p2pk(sim.operator.pk)),))
-    theft.wits = [Witness(0, (crypto.sign(sim.operator.sk, theft.digest()),),
-                          vtxo.lock.paths)]
+    theft = leaf_spend(vtxo, 0, sim.operator.sk)
     stolen = False
     try:
         sim.chain.submit(theft, "operator")
@@ -863,7 +871,7 @@ def _check_t1_liveness(k: int = 3, samples: Optional[int] = None,
 def _check_t2(seed: int = 0, **_) -> dict:
     """Ark balance is recoverable via unilateral exits under an
     unresponsive operator."""
-    p = Params(k=3, t_u=13, t_e=60, t_r=8)
+    p = PARAMS_TE60
     sim = Simulation(p, seed)
     sim.operator.fund(100_000)
     sim.add_wallet("alice", [5_000])
@@ -871,14 +879,11 @@ def _check_t2(seed: int = 0, **_) -> dict:
     sim.settle_commitment()
     alice = sim.wallets["alice"]
     claimed_balance = alice.balance()
-    recovered = 0
-    for h in list(alice.holdings.values()):
-        alice.unilateral_exit(h.vtxo)
+    for v in sim.vtxos("alice"):
+        alice.unilateral_exit(v)
     sim.tick(2 * p.k + 1, watch=False)
-    for h in alice.holdings.values():
-        op = h.vtxo.outpoint
-        if sim.chain.unspent(op):
-            recovered += h.vtxo.value
+    recovered = sum(v.value for v in sim.vtxos("alice")
+                    if sim.chain.unspent(v.outpoint))
     return {"theorem": "T2", "pass": recovered == claimed_balance,
             "claimed": claimed_balance, "recovered": recovered}
 
@@ -898,10 +903,7 @@ def _check_t3(traces: int = 200, seed: int = 0, **_) -> dict:
         sim.add_wallet("alice", [5_000])
         sim.board("alice", [5_000])
         sim.settle_commitment()
-        alice = sim.wallets["alice"]
-        vtxos = [h.vtxo for h in alice.holdings.values()]
-        req = alice.make_swap(vtxos, [v.value for v in vtxos])
-        sim.operator.verify_batch_swap(req)
+        sim.swap("alice", sim.vtxos("alice"))
         before = sim.state().as_tuple()
         aborted = False
         try:

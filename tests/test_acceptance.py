@@ -13,6 +13,7 @@ from arksim import arkcore, crypto, footprint
 from arksim.arkcore import Vtxo, p2pk, vtxo_lock
 from arksim.crypto import Fixed, extract_secret, keygen, sign
 from arksim.harness import (
+    PARAMS_TE60,
     cosign_vtxt,
     exit_race,
     ff_double_spend_trace,
@@ -152,7 +153,7 @@ def test_criterion_07_spam_fee_accounting():
 
 
 def test_criterion_08_fast_finality():
-    p = Params(k=3, t_u=13, t_e=60, t_r=8)
+    p = PARAMS_TE60
     double_accepts = 0
     missing_burns = 0
     runs = 0

@@ -1,47 +1,23 @@
 import pytest
 
-from arksim import arkcore, crypto
-from arksim.arkcore import Vtxo, batch_lock, vtxo_lock
-from arksim.fastfinality import (
-    FfConfig,
-    FfError,
-    FfOperator,
-    FfCoordinator,
-    setup_collateral,
-)
-from arksim.harness import Simulation, cosign_vtxt, ff_double_spend_trace
-from arksim.ledger import Params
+from arksim import crypto
+from arksim.fastfinality import FfConfig, FfError
+from arksim.harness import PARAMS_TE60 as PARAMS, ff_double_spend_trace, ff_setup
 from arksim.operator_node import VtxoSpec
-from arksim.wallet import Holding
-
-PARAMS = Params(k=3, t_u=13, t_e=60, t_r=8)
 
 
-def ff_setup(seed=0, byzantine=False, delta=1):
-    sim = Simulation(PARAMS, seed)
-    sim.operator.fund(100_000)
-    for name in ("mallory", "alice", "bob"):
-        sim.add_wallet(name, [])
-    ffop = FfOperator(sim.operator, byzantine=byzantine)
-    value = 5_000
-    cfg = FfConfig(members=("mallory", "alice", "bob"), delta=delta,
-                   v=value, c=value + 1_000, t_p=10_000)
-    collateral = setup_collateral(ffop.operator, [b"c1", b"c2", b"c3"],
-                                  cfg, sim.chain)
-    mallory = sim.wallets["mallory"]
-    _, r_star = ffop.fresh_nonce(b"vtxo-nonce")
-    lock = vtxo_lock(mallory.pk, sim.operator.pk, PARAMS.t_u, r_star)
-    vtxo = Vtxo(value, lock, "mallory", mallory.pk)
-    expiry = sim.chain.height + 2 * PARAMS.k + PARAMS.t_e
-    members = crypto.aggregate([sim.operator.pk, mallory.pk])
-    funding = sim.chain.grant(value, batch_lock(sim.operator.pk, members, expiry))
-    vtxt, signers = arkcore.build_vtxt(funding, [vtxo], sim.operator.pk, expiry, 2)
-    cosign_vtxt(vtxt, signers, {sim.operator.pk.hex(): sim.operator.sk,
-                                mallory.pk.hex(): mallory.sk})
-    mallory.holdings[vtxo.key()] = Holding(
-        vtxo, vtxt.path_to(vtxo.outpoint.txid), "batch")
-    coord = FfCoordinator(cfg, sim.chain, ffop, dict(sim.wallets), collateral)
-    return sim, coord, vtxo, cfg
+def payment(sim, coord, vtxo, to, allow_conflict=False):
+    """Mallory's fast-finality payment of `vtxo` to `to`."""
+    path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
+    return coord.make_ff_payment(
+        "mallory", [vtxo], [VtxoSpec(vtxo.value, to, sim.wallets[to].pk)], [path],
+        allow_conflict=allow_conflict)
+
+
+def run(sim, coord, rounds):
+    for _ in range(rounds):
+        coord.step()
+        sim.chain.advance_round()
 
 
 def test_config_requires_collateral_exceeding_value():
@@ -50,66 +26,37 @@ def test_config_requires_collateral_exceeding_value():
 
 
 def test_honest_payment_accepted_after_2delta():
-    sim, coord, vtxo, cfg = ff_setup()
-    mallory = sim.wallets["mallory"]
-    path = mallory.holdings[vtxo.key()].transcript
-    pay = coord.make_ff_payment("mallory", [vtxo],
-                                [VtxoSpec(vtxo.value, "alice",
-                                          sim.wallets["alice"].pk)], [path])
-    coord.ff_send("mallory", "alice", pay)
-    for _ in range(3 * cfg.delta + 2):
-        coord.step()
-        sim.chain.advance_round()
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    coord.ff_send("mallory", "alice", payment(sim, coord, vtxo, "alice"))
+    run(sim, coord, 3 * coord.cfg.delta + 2)
     assert coord.accepted["alice"]
     assert not coord.burned
 
 
 def test_honest_operator_refuses_double_sign():
-    sim, coord, vtxo, cfg = ff_setup(byzantine=False)
-    mallory = sim.wallets["mallory"]
-    path = mallory.holdings[vtxo.key()].transcript
-    coord.make_ff_payment("mallory", [vtxo],
-                          [VtxoSpec(vtxo.value, "alice",
-                                    sim.wallets["alice"].pk)], [path])
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    coord.ffop.byzantine = False
+    payment(sim, coord, vtxo, "alice")
     with pytest.raises(FfError):
-        coord.make_ff_payment("mallory", [vtxo],
-                              [VtxoSpec(vtxo.value, "bob",
-                                        sim.wallets["bob"].pk)], [path])
+        payment(sim, coord, vtxo, "bob")
 
 
 def test_payment_without_witnesses_rejected_once():
-    sim, coord, vtxo, cfg = ff_setup()
-    mallory = sim.wallets["mallory"]
-    path = mallory.holdings[vtxo.key()].transcript
-    pay = coord.make_ff_payment("mallory", [vtxo],
-                                [VtxoSpec(vtxo.value, "alice",
-                                          sim.wallets["alice"].pk)], [path])
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    pay = payment(sim, coord, vtxo, "alice")
     pay.ark.wits = []
     coord.ff_send("mallory", "alice", pay)
-    for _ in range(3 * cfg.delta + 2):
-        coord.step()
-        sim.chain.advance_round()
+    run(sim, coord, 3 * coord.cfg.delta + 2)
     assert not coord.accepted["alice"]
     assert [e[1:] for e in sim.chain.trace if e.event == "payment_rejected"] == [
         ("wallet", "alice", "payment_rejected", "missing witness")]
 
 
 def test_double_sign_detected_and_burned():
-    sim, coord, vtxo, cfg = ff_setup(byzantine=True)
-    mallory = sim.wallets["mallory"]
-    path = mallory.holdings[vtxo.key()].transcript
-    p1 = coord.make_ff_payment("mallory", [vtxo],
-                               [VtxoSpec(vtxo.value, "alice",
-                                         sim.wallets["alice"].pk)], [path])
-    p2 = coord.make_ff_payment("mallory", [vtxo],
-                               [VtxoSpec(vtxo.value, "bob",
-                                         sim.wallets["bob"].pk)], [path],
-                               allow_conflict=True)
-    coord.ff_send("mallory", "alice", p1)
-    coord.ff_send("mallory", "bob", p2)
-    for _ in range(6 * cfg.delta + 4):
-        coord.step()
-        sim.chain.advance_round()
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    coord.ff_send("mallory", "alice", payment(sim, coord, vtxo, "alice"))
+    coord.ff_send("mallory", "bob", payment(sim, coord, vtxo, "bob", allow_conflict=True))
+    run(sim, coord, 6 * coord.cfg.delta + 4)
     assert not (coord.accepted["alice"] and coord.accepted["bob"])
     assert [e[1:] for e in sim.chain.trace if e.layer == "fastfinality"] == [
         ("fastfinality", "alice", "payment_rejected", "conflict"),
@@ -122,16 +69,9 @@ def test_double_sign_detected_and_burned():
 
 
 def test_extracted_key_is_operator_key():
-    sim, coord, vtxo, cfg = ff_setup(byzantine=True)
-    mallory = sim.wallets["mallory"]
-    path = mallory.holdings[vtxo.key()].transcript
-    p1 = coord.make_ff_payment("mallory", [vtxo],
-                               [VtxoSpec(vtxo.value, "alice",
-                                         sim.wallets["alice"].pk)], [path])
-    p2 = coord.make_ff_payment("mallory", [vtxo],
-                               [VtxoSpec(vtxo.value, "bob",
-                                         sim.wallets["bob"].pk)], [path],
-                               allow_conflict=True)
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    p1 = payment(sim, coord, vtxo, "alice")
+    p2 = payment(sim, coord, vtxo, "bob", allow_conflict=True)
     pair = None
     for wa in p1.ark.wits:
         for sa in wa.signatures:

@@ -6,6 +6,7 @@ import pytest
 from arksim import crypto, harness
 from arksim.arkcore import p2pk
 from arksim.harness import (
+    PARAMS_TE40 as PARAMS,
     SCENARIOS,
     RaceResult,
     Simulation,
@@ -20,8 +21,6 @@ from arksim.harness import (
 )
 from arksim.ledger import MaxDelay, Output, Params, Tx
 from arksim.script import KEY_PATH, Witness
-
-PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
 
 def test_all_scenarios_registered():
@@ -49,7 +48,7 @@ def test_oracle_agrees_with_operator_book():
     sim.add_wallet("bob", [])
     sim.board("alice", [4_000])
     sim.settle_commitment()
-    v = next(h.vtxo for h in sim.wallets["alice"].holdings.values())
+    v = sim.vtxos("alice")[0]
     sim.ark_pay("alice", "bob", [v], 1_500)
     state, book = sim.state(), sim.book_projection()
     assert state.C == book.C
@@ -63,7 +62,7 @@ def test_ark_payment_moves_vtxo_to_spent():
     sim.add_wallet("bob", [])
     sim.board("alice", [4_000])
     sim.settle_commitment()
-    v = next(h.vtxo for h in sim.wallets["alice"].holdings.values())
+    v = sim.vtxos("alice")[0]
     before = sim.state()
     assert v.key() in before.C
     sim.ark_pay("alice", "bob", [v], 1_500, auto_receive=False)
@@ -188,12 +187,11 @@ def traced_flow(seed):
     sim.add_wallet("bob", [])
     sim.board("alice", [4_000])
     sim.settle_commitment()
-    v = next(h.vtxo for h in sim.wallets["alice"].holdings.values())
+    v = sim.vtxos("alice")[0]
     sim.ark_pay("alice", "bob", [v], 1_500)
     sim.settle_commitment()
-    bob = sim.wallets["bob"]
-    for h in list(bob.holdings.values()):
-        bob.unilateral_exit(h.vtxo)
+    for v in sim.vtxos("bob"):
+        sim.wallets["bob"].unilateral_exit(v)
     sim.tick(2 * PARAMS.k)
     return sim.chain.trace
 
@@ -224,9 +222,7 @@ def test_every_swap_commitment_weighs_197_vb():
     swaps = []
     for r in range(14):
         for name in names:
-            w = sim.wallets[name]
-            v = next(h.vtxo for h in w.holdings.values())
-            sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+            sim.swap(name, sim.vtxos(name))
         if r == 2:
             # bob drops out at the forfeit step; the round is assembled again
             with pytest.raises(crypto.SessionAborted):

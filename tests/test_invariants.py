@@ -16,12 +16,11 @@ import pytest
 
 from arksim import InvariantError, crypto, footprint, harness, operator_node
 from arksim.arkcore import Vtxo, p2pk
-from arksim.harness import ArkState, Simulation
-from arksim.ledger import Params, Tx
+from arksim.harness import PARAMS_TE40 as PARAMS, ArkState, Simulation
+from arksim.ledger import Tx
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "arksim"
-PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
 
 def _raised(fn) -> str:

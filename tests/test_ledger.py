@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arksim import crypto, harness
-from arksim.arkcore import Vtxo, batch_lock, build_vtxt, p2pk, vtxo_lock
-from arksim.harness import cosign_vtxt
+from arksim.arkcore import Vtxo, p2pk, vtxo_lock
+from arksim.harness import signed_batch
 from arksim.ledger import (
     Adversary,
     Chain,
@@ -248,16 +248,11 @@ TREE_PARAMS = Params(k=3, t_u=13, t_e=60)
 def tree():
     """A cosigned 64-leaf VTXT over a granted batch output: unrolling it
     confirms all 127 txs in one block."""
-    op_sk, op_pk = crypto.keygen(b"tree-op")
+    op = crypto.keygen(b"tree-op")
     keys = [crypto.keygen(b"tree-user-%d" % i) for i in range(64)]
-    leaves = [Vtxo(1_000, vtxo_lock(pk, op_pk, TREE_PARAMS.t_u), f"u{i}", pk)
+    leaves = [Vtxo(1_000, vtxo_lock(pk, op[1], TREE_PARAMS.t_u), f"u{i}", pk)
               for i, (_, pk) in enumerate(keys)]
-    expiry = 100
-    lock = batch_lock(op_pk, crypto.aggregate([op_pk] + [pk for _, pk in keys]), expiry)
-    funding = Chain(TREE_PARAMS).grant(64_000, lock)
-    vtxt, signers = build_vtxt(funding, leaves, op_pk, expiry, 2)
-    cosign_vtxt(vtxt, signers, {pk.hex(): sk for sk, pk in [(op_sk, op_pk)] + keys})
-    return lock, vtxt
+    return signed_batch(Chain(TREE_PARAMS), leaves, [op] + keys, 100)
 
 
 def unroll_in_one_block(tree, replace=None):

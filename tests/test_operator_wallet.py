@@ -8,15 +8,13 @@ import sys
 import pytest
 
 from arksim import crypto
-from arksim.arkcore import p2pk
+from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
-from arksim.harness import Simulation
-from arksim.ledger import OutPoint, Output, Params, Tx
+from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
+from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
 from arksim.operator_node import Reject, Request, VtxoSpec
 from arksim.script import KEY_PATH, Witness
-
-PARAMS = Params(k=3, t_u=13, t_e=40, t_r=8)
 
 
 def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
@@ -26,10 +24,6 @@ def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
     sim.board("alice", [funds - fee])
     sim.settle_commitment()
     return sim
-
-
-def first_vtxo(sim, name="alice"):
-    return next(h.vtxo for h in sim.wallets[name].holdings.values())
 
 
 def book_state(book):
@@ -75,7 +69,7 @@ def test_boarding_value_must_cover_request():
 
 def test_happy_boarding_yields_confirmed_vtxo():
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     assert v.value == 5_000
     assert v.key() in sim.operator.book.confirmedVTXO
 
@@ -88,7 +82,7 @@ def test_happy_boarding_yields_confirmed_vtxo():
     ("verify_exit", "exit"), ("verify_ark_request", "ark")])
 def test_intake_rejects_wrong_kind(method, kind):
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     # a well-formed request, sent to the wrong intake
     if kind == "batch-swap":
@@ -116,7 +110,7 @@ def test_boarding_without_outpoint_rejected():
 def test_input_without_outpoint_rejected(kind):
     sim = boarded_sim()
     alice = sim.wallets["alice"]
-    v = copy.copy(first_vtxo(sim))
+    v = copy.copy(sim.vtxos("alice")[0])
     v.outpoint = None
     r = Request(kind, "alice", inputs=(v,),
                 outputs=(VtxoSpec(v.value, "alice", alice.pk),))
@@ -154,7 +148,7 @@ def submit_spend(sim, r):
 def test_spending_intake_shares_one_rule(kind, fault, reason):
     sim = boarded_sim()
     alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     value = v.value
     if fault == "unknown":
         v = dataclasses.replace(v, outpoint=OutPoint("ab" * 32, 7))
@@ -185,7 +179,7 @@ def test_a_settled_input_is_refused_again(kind):
     # them; an exited VTXO stays in confirmedVTXO, so it stays held
     sim = boarded_sim()
     alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     submit_spend(sim, spend_request(kind, alice, v, v.value))
     sim.settle_commitment()
     assert not sim.operator.pending_bundles
@@ -200,7 +194,7 @@ def test_a_settled_input_is_refused_again(kind):
 
 def test_operator_refuses_double_swap_of_same_vtxo():
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     r1 = Request("batch-swap", "alice", inputs=(v,),
                  outputs=(VtxoSpec(v.value, "alice", alice.pk),))
@@ -213,7 +207,7 @@ def test_operator_refuses_double_swap_of_same_vtxo():
 
 def test_operator_refuses_ark_after_swap():
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     sim.operator.verify_batch_swap(
         Request("batch-swap", "alice", inputs=(v,),
@@ -225,7 +219,7 @@ def test_operator_refuses_ark_after_swap():
 
 def test_ark_request_value_bounded():
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     req = alice.make_ark_request([v], [VtxoSpec(v.value + 1, "alice", alice.pk)])
     with pytest.raises(Reject):
@@ -234,7 +228,7 @@ def test_ark_request_value_bounded():
 
 def test_ark_request_requires_matching_reset():
     sim = boarded_sim()
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     req = alice.make_ark_request([v], [VtxoSpec(v.value, "alice", alice.pk)])
     req = Request("ark", "alice", inputs=req.inputs, outputs=req.outputs,
@@ -243,14 +237,33 @@ def test_ark_request_requires_matching_reset():
         sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_a_cooperatively_exited_vtxo_cannot_be_claimed_again():
+    # alice is paid onchain for her VTXO, then unrolls its old leaf; an
+    # exit leaves the operator no forfeit to answer with, so her claim
+    # after t_u pays her a second time
+    sim = boarded_sim()
+    (v,) = sim.vtxos("alice")
+    sim.exit("alice", [v])
+    sim.settle_commitment()
+    sim.unroll("alice", v)
+    _, unilateral = classify_paths(v.lock, sim.operator.pk, PARAMS.t_u)
+    claim = leaf_spend(v, unilateral[0], sim.wallets["alice"].sk)
+    for _ in range(PARAMS.t_u + 4 * PARAMS.k):
+        try:
+            sim.chain.submit(claim, "alice")
+        except SubmitError:
+            pass
+        sim.tick(1)
+    assert not sim.chain.is_confirmed(claim.txid)
+
+
 # --- ceremony and rollback ----------------------------------------------
 
 
 def test_abort_releases_nothing():
     sim = boarded_sim()
-    alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
-    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
+    sim.swap("alice", sim.vtxos("alice"))
     book_before = (dict(sim.operator.book.confirmedVTXO),
                    list(sim.operator.book.queue))
     trace_before = len(sim.chain.trace)
@@ -264,10 +277,8 @@ def test_abort_releases_nothing():
 
 def test_rollback_requeues_requests():
     sim = boarded_sim()
-    alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
-    swap = alice.make_swap([v], [v.value])
-    sim.operator.verify_batch_swap(swap)
+    (v,) = sim.vtxos("alice")
+    swap = sim.swap("alice", [v])
     bundle = sim.operator.assemble_commitment()
     sim.operator.run_signing(bundle, sim.wallets)
     sim.operator.submit_and_track(bundle)
@@ -295,15 +306,11 @@ def test_rollback_requeues_every_kind_in_order():
                for _ in tx.ins]
     sim.chain.submit(tx, "dave")
     sim.tick(PARAMS.k + 1)
-    exit_ = w["carol"].make_exit([first_vtxo(sim, "carol")], [5_000])
-    swap_b = w["bob"].make_swap([first_vtxo(sim, "bob")], [5_000])
-    swap_a = w["alice"].make_swap([first_vtxo(sim, "alice")], [5_000])
     # arrival order mixes the kinds; assembly takes them per kind
-    for verify, r in ((sim.operator.verify_exit, exit_),
-                      (sim.operator.verify_batch_swap, swap_b),
-                      (sim.operator.verify_boarding, boarding),
-                      (sim.operator.verify_batch_swap, swap_a)):
-        verify(r)
+    exit_ = sim.exit("carol", sim.vtxos("carol"))
+    swap_b = sim.swap("bob", sim.vtxos("bob"))
+    sim.operator.verify_boarding(boarding)
+    swap_a = sim.swap("alice", sim.vtxos("alice"))
     bundle = sim.operator.assemble_commitment()
     assert bundle.requests == [boarding, swap_b, swap_a, exit_]
     sim.operator.run_signing(bundle, sim.wallets)
@@ -343,15 +350,13 @@ def test_sweep_lands_at_expiry():
 
 def swap_round(sim, name="alice"):
     """Swap the named wallet's first VTXO in one settled round."""
-    w = sim.wallets[name]
-    v = first_vtxo(sim, name)
-    sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+    sim.swap(name, sim.vtxos(name)[:1])
     return sim.settle_commitment()
 
 
 def test_forfeit_confirms_after_the_next_round():
     sim = boarded_sim()
-    old = first_vtxo(sim)
+    old = sim.vtxos("alice")[0]
     transcript = list(sim.wallets["alice"].holdings[old.key()].transcript)
     forfeit = swap_round(sim).forfeits[old.key()]   # round B forfeits `old`
     swap_round(sim)                                  # round C
@@ -372,7 +377,7 @@ def funding(sim):
 
 def test_connector_is_released_after_the_last_backed_expiry_plus_t_u():
     sim = boarded_sim()
-    old = first_vtxo(sim)
+    old = sim.vtxos("alice")[0]
     bundle = swap_round(sim)
     op = bundle.connector.funding
     release = old.expiry + PARAMS.t_u
@@ -399,8 +404,7 @@ def test_funding_a_reserved_connector_is_an_invariant_error():
     out = sim.chain.utxos[op].output
     derived = sim.operator.spendable_liquidity
     sim.operator.spendable_liquidity = lambda: [(op, out)] + derived()
-    v = first_vtxo(sim)
-    sim.operator.verify_batch_swap(sim.wallets["alice"].make_swap([v], [v.value]))
+    sim.swap("alice", sim.vtxos("alice"))
     with pytest.raises(InvariantError, match="reserved connector"):
         sim.operator.assemble_commitment()
 
@@ -412,12 +416,10 @@ def test_every_output_of_an_unrolled_connector_tree_stays_reserved():
         sim.add_wallet(name, [5_000])
         sim.board(name, [5_000])
     sim.settle_commitment()
-    old = first_vtxo(sim)
+    old = sim.vtxos("alice")[0]
     transcript = list(sim.wallets["alice"].holdings[old.key()].transcript)
     for name in ("alice", "bob"):
-        w = sim.wallets[name]
-        v = first_vtxo(sim, name)
-        sim.operator.verify_batch_swap(w.make_swap([v], [v.value]))
+        sim.swap(name, sim.vtxos(name))
     bundle = sim.settle_commitment()
     tree = bundle.connector.vtxt
     (node,) = tree.txs.values()             # two anchors under one node
@@ -472,9 +474,7 @@ def test_sixty_swap_rounds_keep_funding_and_the_table_steady():
 
 
 def swap_bundle(sim):
-    alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
-    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
+    sim.swap("alice", sim.vtxos("alice"))
     return sim.operator.assemble_commitment()
 
 
@@ -589,7 +589,7 @@ def test_wallet_path_check_rejects_leaf_without_outpoint():
 def payment_to_bob(sim):
     """Alice's payment of 2,000 to bob, as the operator returns it."""
     sim.add_wallet("bob", [])
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     bob = sim.wallets["bob"]
     req = alice.make_ark_request([v], [VtxoSpec(2_000, "bob", bob.pk),
@@ -611,7 +611,7 @@ def outpointless_payment_receipt():
 def test_payment_receipt_and_swap():
     sim = boarded_sim()
     sim.add_wallet("bob", [])
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     payment = sim.ark_pay("alice", "bob", [v], 2_000)
     bob = sim.wallets["bob"]
     assert any(h.kind == "ark" and h.vtxo.value == 2_000
@@ -623,7 +623,7 @@ def test_payment_receipt_and_swap():
 def test_recheck_of_accepted_payment_is_free(point_mul_calls):
     sim = boarded_sim()
     sim.add_wallet("bob", [])
-    payment = sim.ark_pay("alice", "bob", [first_vtxo(sim)], 2_000)
+    payment = sim.ark_pay("alice", "bob", [sim.vtxos("alice")[0]], 2_000)
     bob = sim.wallets["bob"]
     del point_mul_calls[:]
     # every witness was verified on receipt, so the memo answers for all
@@ -672,7 +672,7 @@ def test_balance_counts_unexpired_only():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
     assert alice.balance() == 5_000
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     while sim.chain.height < v.expiry - 2 * PARAMS.k:
         sim.tick(1, watch=False)
     assert alice.balance() == 0     # too close to expiry to be safe
@@ -681,7 +681,7 @@ def test_balance_counts_unexpired_only():
 def test_unilateral_exit_confirms():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     alice.unilateral_exit(v)
     sim.tick(2 * PARAMS.k, watch=False)
     assert sim.chain.unspent(v.outpoint)
@@ -691,7 +691,7 @@ def test_change_vtxo_exits_unilaterally():
     sim = boarded_sim(funds=10_000)
     sim.add_wallet("bob", [])
     alice = sim.wallets["alice"]
-    payment = sim.ark_pay("alice", "bob", [first_vtxo(sim)], 2_500)
+    payment = sim.ark_pay("alice", "bob", [sim.vtxos("alice")[0]], 2_500)
     change = next(v for v in payment.outputs if v.owner == "alice")
     assert alice.unilateral_exit(change)
     sim.tick(2 * PARAMS.k + 2, watch=False)
@@ -701,7 +701,7 @@ def test_change_vtxo_exits_unilaterally():
 def test_spend_policy_fires_at_deadline():
     sim = boarded_sim()
     alice = sim.wallets["alice"]
-    v = first_vtxo(sim)
+    v = sim.vtxos("alice")[0]
     deadline = v.expiry - 2 * PARAMS.k - 1
     while sim.chain.height < deadline - 1:
         sim.tick(1, watch=False)
