@@ -29,6 +29,8 @@ from .script import (
     NonceBound,
     Predicate,
     RelTimelock,
+    SpendContext,
+    signature_checks,
     taproot,
 )
 
@@ -177,6 +179,20 @@ class Vtxt:
 
 
 SignerTree = Dict[str, Tuple[PublicKey, ...]]
+
+
+def tree_signature_checks(vtxt: Vtxt, height: int) -> List[crypto.Check]:
+    """The signature checks of every signed node of a tree, each against
+    the lock its input spends, as `script.evaluate` makes them at
+    `height`: the triples a wallet's audit of any path through the tree
+    would verify, for `crypto.verify_batch`."""
+    checks: List[crypto.Check] = []
+    for txid in vtxt.order:
+        tx = vtxt.txs[txid]
+        ctx = SpendContext(height, height, tx.digest())
+        for wit in tx.wits[:1]:     # tree nodes are single-input
+            checks += signature_checks(vtxt.input_locks[txid], wit, ctx)
+    return checks
 
 
 def check_vtxt(vtxt: Vtxt) -> None:

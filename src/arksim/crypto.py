@@ -55,8 +55,12 @@ verification; Wuille, Nick and Ruffing 2020):
   halves of each (a_i e_i) * P_i (the coefficients of one key summed
   first) go through one Pippenger bucket pass (Pippenger 1976) over
   signed digits, with the digit width picked from the number of terms.
-  That pass builds no comb table, so a key verified once, such as a
-  VTXT node's aggregate key, costs no table.
+  That pass builds no comb table, so a key verified once costs no table.
+  A wallet checks every signature of a VTXT it cosigned in one batch on
+  its first audit of a path from it (see `wallet`), so in a tree of at
+  least `BATCH_MIN` signatures the aggregate key of each internal node,
+  which signs once, gets no table.  A key that `verify` checks singly
+  still builds one.
 - Left out: a triple `verify` rejects before any multiplication (s >= q,
   or an unreduced coordinate) and one with an off-curve R or key, on
   which the group law does not hold.  So is the whole batch when fewer
@@ -327,7 +331,7 @@ _ODD_SHIFT = {(1, 1): (0, 0), (0, 0): (_A1, _B1), (1, 0): (_A2, _B2),
 
 # Bound on the comb-table memo.  A table is about 5.9 KB, so 256 tables
 # are about 1.5 MB and hold the signer keys of a wide batch; the shared
-# bound below would also keep a table for every aggregate key verified once.
+# bound below would also keep a table for every key `verify` checks once.
 _COMB_CACHE_SIZE = 256
 
 # Bound on the signing memo: see the module docstring for the measurement.

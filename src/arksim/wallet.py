@@ -7,6 +7,17 @@ reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.
 Every refused bundle or payment, accepted payment and unilateral exit is
 noted in the chain's trace, with the reason for a refusal.
+
+A wallet also remembers the signed VTXT of every batch it cosigns, keyed
+by the tree's funding outpoint, from the batch's confirmation until its
+first audit of a payment path rooted in that tree, or until the batch
+expires, whichever comes first.  That first audit checks every signature
+in the tree in one `crypto.verify_batch` equation, so a later audit of
+any path through the tree finds its node signatures in the verify memo.
+Most of a tree's signatures are under internal-node aggregate keys that
+are each verified once, and the batch spares `verify` a comb table for
+every one of them.  A tree of fewer than `crypto.BATCH_MIN` signatures
+is left to `verify`.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import arkcore
-from .arkcore import Vtxo, p2pk, reset_tx, sweep_path_height, vtxo_lock
-from .crypto import PublicKey, SecretKey
+from .arkcore import BatchOutput, Vtxo, p2pk, reset_tx, sweep_path_height, vtxo_lock
+from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
 from .script import SpendContext, evaluate
@@ -42,6 +53,9 @@ class Wallet:
         self.operator_pk = operator_pk
         self.holdings: Dict[Tuple[str, int], Holding] = {}
         self.boarding_outputs: List[Tuple[OutPoint, Output]] = []
+        # the batches this wallet cosigned whose trees it has not audited
+        # yet, by funding outpoint: see the module docstring
+        self.trees: Dict[OutPoint, BatchOutput] = {}
         # never read or written here; kept only because the benchmark's
         # workloads (perfbench/workloads.py) still append to it
         self.open_requests: List[Request] = []
@@ -188,10 +202,13 @@ class Wallet:
     # --- lifecycle -------------------------------------------------------
 
     def on_commitment_confirmed(self, bundle: Bundle) -> None:
+        h = self.chain.height
+        self.trees = {op: b for op, b in self.trees.items() if b.expiry > h}
         for r, leaves in self._mine(bundle):
             for leaf in leaves:
                 transcript = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
                 self.holdings[leaf.key()] = Holding(leaf, list(transcript), "batch")
+                self.trees[bundle.batch.vtxt.funding] = bundle.batch
             if r.kind in ("batch-swap", "exit"):
                 for v in r.inputs:
                     self.holdings.pop(v.key(), None)
@@ -287,14 +304,27 @@ class Wallet:
 
     def _check_witnesses(self, payment: ArkPayment) -> bool:
         """Replay check: every transcript tx must carry a witness that
-        satisfies the output it spends."""
+        satisfies the output it spends.
+
+        A path rooted in a remembered tree is that tree's first audit: the
+        tree is forgotten, and every signature in it is first checked in
+        one batch equation.  The batch only records `True` verdicts for
+        signatures that verify, and records nothing when its equation
+        fails, so the loop below reaches the same verdict on every witness
+        as it would without it; only the work moves."""
+        h = self.chain.height
         pool: List[Tx] = []
         for pth in payment.paths:
             pool.extend(pth)
+            funding = pth[0].ins[0] if pth and pth[0].ins else None
+            batch = self.trees.pop(funding, None)
+            # each node of a signed tree carries one signature
+            if batch is not None and batch.expiry > h \
+                    and len(batch.vtxt.order) >= BATCH_MIN:
+                verify_batch(arkcore.tree_signature_checks(batch.vtxt, h))
         pool.extend(payment.resets)
         pool.append(payment.ark)
         pool_txs = {tx.txid: tx for tx in pool}
-        h = self.chain.height
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
                 return self._reject("missing witness")

@@ -26,6 +26,17 @@ def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
     return sim
 
 
+def submit_boarding(sim, name, values):
+    """`name`'s boarding tx for `values`, signed and submitted, and its
+    request; the operator can verify the request once the tx is k deep."""
+    w = sim.wallets[name]
+    tx, req = w.make_boarding(w.funds, values)
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(w.sk, tx.digest()),))
+               for _ in tx.ins]
+    sim.chain.submit(tx, name)
+    return tx, req
+
+
 def book_state(book):
     """A deep copy of the book's fields, with the queue given by the
     identities of its requests, since requests compare by identity."""
@@ -39,12 +50,8 @@ def book_state(book):
 def test_boarding_requires_stable_confirmation():
     sim = Simulation(PARAMS, 1)
     sim.operator.fund(10_000)
-    w = sim.add_wallet("alice", [1_000])
-    tx, req = w.make_boarding(w.funds, [1_000])
-    from arksim.script import KEY_PATH, Witness
-    tx.wits = [Witness(KEY_PATH, (crypto.sign(w.sk, tx.digest()),))
-               for _ in tx.ins]
-    sim.chain.submit(tx, "alice")
+    sim.add_wallet("alice", [1_000])
+    _, req = submit_boarding(sim, "alice", [1_000])
     sim.tick(1)     # confirmed but not yet k-deep
     with pytest.raises(Reject):
         sim.operator.verify_boarding(req)
@@ -54,14 +61,10 @@ def test_boarding_value_must_cover_request():
     sim = Simulation(PARAMS, 1)
     sim.operator.fund(10_000)
     w = sim.add_wallet("alice", [1_000])
-    tx, req = w.make_boarding(w.funds, [1_000])
+    tx, _ = submit_boarding(sim, "alice", [1_000])
     bad = Request("boarding", "alice", boarding_outpoint=tx.outpoint(0),
                   boarding_output=None,
                   outputs=(VtxoSpec(2_000, "alice", w.pk),))
-    from arksim.script import KEY_PATH, Witness
-    tx.wits = [Witness(KEY_PATH, (crypto.sign(w.sk, tx.digest()),))
-               for _ in tx.ins]
-    sim.chain.submit(tx, "alice")
     sim.tick(PARAMS.k + 1)
     with pytest.raises(Reject):
         sim.operator.verify_boarding(bad)
@@ -300,11 +303,7 @@ def test_rollback_requeues_every_kind_in_order():
         sim.board(name, [5_000])
     sim.settle_commitment()
     w = sim.wallets
-    dave = w["dave"]
-    tx, boarding = dave.make_boarding(dave.funds, [5_000])
-    tx.wits = [Witness(KEY_PATH, (crypto.sign(dave.sk, tx.digest()),))
-               for _ in tx.ins]
-    sim.chain.submit(tx, "dave")
+    _, boarding = submit_boarding(sim, "dave", [5_000])
     sim.tick(PARAMS.k + 1)
     # arrival order mixes the kinds; assembly takes them per kind
     exit_ = sim.exit("carol", sim.vtxos("carol"))
@@ -535,10 +534,7 @@ def test_wallet_rejects_boarding_request_without_its_output():
     sim = Simulation(PARAMS, 0)
     sim.operator.fund(100_000)
     alice = sim.add_wallet("alice", [5_000])
-    tx, boarding = alice.make_boarding(alice.funds, [5_000])
-    tx.wits = [Witness(KEY_PATH, (crypto.sign(alice.sk, tx.digest()),))
-               for _ in tx.ins]
-    sim.chain.submit(tx, "alice")
+    _, boarding = submit_boarding(sim, "alice", [5_000])
     sim.tick(PARAMS.k + 1)
     sim.operator.verify_boarding(boarding)
     bad = copy.deepcopy(sim.operator.assemble_commitment())
@@ -632,6 +628,154 @@ def test_recheck_of_accepted_payment_is_free(point_mul_calls):
     crypto._verified.cache_clear()
     assert bob._check_witnesses(payment)
     assert point_mul_calls
+
+
+# --- the first audit of a tree ---------------------------------------------
+
+TREE_USERS = 16
+
+
+def tree_sim(seed=0):
+    """`TREE_USERS` users boarded into one batch, plus "outsider", a
+    wallet that took no part in it."""
+    sim = Simulation(PARAMS, seed)
+    sim.operator.fund(100_000)
+    names = [f"user{i}" for i in range(TREE_USERS)]
+    for name in names:
+        sim.add_wallet(name, [5_000])
+    sim.add_wallet("outsider", [])
+    requests = [submit_boarding(sim, name, [5_000])[1] for name in names]
+    sim.tick(PARAMS.k + 1)
+    for req in requests:
+        sim.operator.verify_boarding(req)
+    sim.settle_commitment()
+    return sim
+
+
+def internal_node_keys(batch):
+    """The aggregate key point that each internal node of the batch's tree
+    is signed under.  A leaf node is signed under its owner's key with the
+    operator's, the key of the owner's resets and ark spends too."""
+    leaves = {leaf.txid for leaf in batch.vtxt.leaves}
+    return {crypto.aggregate(members).point.point
+            for txid, members in batch.signers.items() if txid not in leaves}
+
+
+def receipt(sim, sender, recipient):
+    """`recipient`'s verdict on 1,000 sat from `sender`'s VTXO: the last
+    trace record without its round."""
+    payment = sim.ark_pay(sender, recipient, sim.vtxos(sender), 1_000,
+                          auto_receive=False)
+    sim.wallets[recipient].receive_payment(payment)
+    return sim.chain.trace[-1][1:]
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The size of every batch equation checked, and its outcome."""
+    sizes = []
+    real = crypto._batch_holds
+
+    def counting(batch):
+        sizes.append((len(batch), real(batch)))
+        return sizes[-1][1]
+
+    monkeypatch.setattr(crypto, "_batch_holds", counting)
+    return sizes
+
+
+def test_first_receipt_checks_the_whole_tree_in_one_equation(point_mul_calls,
+                                                              batch_sizes):
+    sim = tree_sim()
+    batch = sim.all_bundles[-1].batch
+    assert len(batch.vtxt.order) == 2 * TREE_USERS - 1
+    payment = sim.ark_pay("user0", "user1", sim.vtxos("user0"), 1_000,
+                          auto_receive=False)
+    del point_mul_calls[:], batch_sizes[:]
+    assert sim.wallets["user1"].receive_payment(payment) is not None
+    assert batch_sizes == [(2 * TREE_USERS - 1, True)]
+    # no internal node's key is multiplied, so none gets a comb table
+    assert not set(point_mul_calls) & internal_node_keys(batch)
+
+
+def test_a_second_receipt_from_the_tree_checks_only_its_reset_and_ark(
+        point_mul_calls, batch_sizes):
+    sim = tree_sim()
+    assert receipt(sim, "user0", "user1")[2] == "payment_accepted"
+    payment = sim.ark_pay("user2", "user3", sim.vtxos("user2"), 1_000,
+                          auto_receive=False)
+    del point_mul_calls[:], batch_sizes[:]
+    assert sim.wallets["user3"].receive_payment(payment) is not None
+    assert batch_sizes == []
+    # s * G and e * P for the reset's signature, then for the ark's, both
+    # under user2's key with the operator's
+    key = crypto.aggregate([sim.wallets["user2"].pk, sim.operator.pk]).point.point
+    assert point_mul_calls == [crypto.G, key, crypto.G, key]
+
+
+def tampered_receipts(monkeypatch, batch_min=None):
+    """The verdicts on a payment whose path runs through a node with a bad
+    signature, and on one whose path avoids it, from a fresh verify
+    memo; with `batch_min`, `crypto.BATCH_MIN` is set to it."""
+    if batch_min is not None:
+        monkeypatch.setattr(crypto, "BATCH_MIN", batch_min)
+    crypto._verified.cache_clear()
+    sim = tree_sim()
+    vtxt = sim.all_bundles[-1].batch.vtxt
+    node = vtxt.txs[vtxt.order[1]]          # the root's first child
+    wit = node.wits[0]
+    sig = wit.signatures[0]
+    node.wits = [Witness(wit.path_index, (crypto.Signature(sig.R, sig.s + 1),),
+                         wit.revealed_paths)]
+    through, avoids = (leaf.vtxo.owner for leaf in (vtxt.leaves[0], vtxt.leaves[-1]))
+    assert node in vtxt.path_to(vtxt.leaves[0].txid)
+    assert node not in vtxt.path_to(vtxt.leaves[-1].txid)
+    return receipt(sim, through, "user5"), receipt(sim, avoids, "user6")
+
+
+def test_a_bad_node_signature_rejects_exactly_the_paths_through_it(
+        point_mul_calls, batch_sizes, monkeypatch):
+    batched = tampered_receipts(monkeypatch)
+    assert batched[0] == ("wallet", "user5", "payment_rejected", "invalid witness")
+    assert batched[1][:3] == ("wallet", "user6", "payment_accepted")
+    # after the blocks' equations, the first tree equation held the bad
+    # signature and failed; the second left out the two signatures (root
+    # and bad node) that the first receipt then checked singly
+    assert batch_sizes[-2:] == [(2 * TREE_USERS - 1, False),
+                                (2 * TREE_USERS - 3, True)]
+    del batch_sizes[:]
+    assert tampered_receipts(monkeypatch, 2 * TREE_USERS) == batched
+    assert batch_sizes == []
+
+
+def test_a_remembered_tree_is_dropped_at_its_first_audit():
+    sim = tree_sim()
+    batch = sim.all_bundles[-1].batch
+    remembered = {batch.vtxt.funding: batch}
+    assert all(sim.wallets[f"user{i}"].trees == remembered
+               for i in range(TREE_USERS))
+    assert sim.wallets["outsider"].trees == {}
+    receipt(sim, "user0", "user1")
+    assert sim.wallets["user1"].trees == {}
+    assert sim.wallets["user2"].trees == remembered
+
+
+def test_a_remembered_tree_is_dropped_at_expiry():
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    first = sim.all_bundles[-1].batch
+    sim.add_wallet("bob", [5_000])
+    sim.board("bob", [5_000])
+    sim.settle_commitment()
+    # bob's batch does not hold alice, and hers has not expired yet
+    assert alice.trees == {first.vtxt.funding: first}
+    sim.tick(first.expiry - sim.chain.height)
+    sim.add_wallet("carol", [5_000])
+    sim.board("carol", [5_000])
+    sim.settle_commitment()
+    assert alice.trees == {}
+    second = sim.all_bundles[-2].batch
+    assert sim.wallets["bob"].trees == {second.vtxt.funding: second}
 
 
 def test_payment_rejected_without_transcript():
