@@ -7,13 +7,19 @@ requiring the operator's signature, and at least one unilateral path
 delayed by t_u.  A batch output commits to a VTXT whose internal nodes
 reuse the batch lock shape (operator sweep after expiry + cosigner
 unroll), so the recursive sweep works at every level.
+
+A `Vtxt` holds only the funding outpoint, the output it names
+(`funding_out`), the txs (root first, in preorder) and the leaves.  The
+output a node spends, its cosigners (that output's unroll key), a leaf's
+path and a batch's expiry are derived from them, so whoever reads them
+reads what was signed, not a copy of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .crypto import AggregateKey, PublicKey
@@ -154,31 +160,36 @@ def sweep_path_height(lock: LockScript) -> Optional[int]:
 @dataclass
 class LeafRef:
     txid: str
-    index: int
     vtxo: Vtxo
 
 
 @dataclass
 class Vtxt:
     funding: OutPoint
+    funding_out: Output
     txs: Dict[str, Tx] = field(default_factory=dict)
-    parent: Dict[str, Optional[str]] = field(default_factory=dict)
-    order: List[str] = field(default_factory=list)      # root first, topological
-    input_locks: Dict[str, LockScript] = field(default_factory=dict)
-    input_values: Dict[str, int] = field(default_factory=dict)
-    root: str = ""
     leaves: List[LeafRef] = field(default_factory=list)
 
+    @property
+    def root(self) -> str:
+        return next(iter(self.txs))
+
+    def spent(self, txid: str) -> Output:
+        """The output node `txid` spends: its parent's, or `funding_out` for the root."""
+        op = self.txs[txid].ins[0]
+        return self.funding_out if op == self.funding else self.txs[op.txid].outs[op.index]
+
+    def signers(self, txid: str) -> Tuple[PublicKey, ...]:
+        """The members of the unroll key of the output node `txid` spends."""
+        paths = self.spent(txid).lock.paths
+        unroll = paths[BATCH_UNROLL_PATH] if len(paths) > BATCH_UNROLL_PATH else None
+        return unroll.key.members if isinstance(unroll, CheckAggSig) else ()
+
     def path_to(self, leaf_txid: str) -> List[Tx]:
-        chain: List[str] = []
-        cur: Optional[str] = leaf_txid
-        while cur is not None:
-            chain.append(cur)
-            cur = self.parent[cur]
-        return [self.txs[t] for t in reversed(chain)]
-
-
-SignerTree = Dict[str, Tuple[PublicKey, ...]]
+        path = [self.txs[leaf_txid]]
+        while path[-1].ins[0].txid in self.txs:
+            path.append(self.txs[path[-1].ins[0].txid])
+        return path[::-1]
 
 
 def tree_signature_checks(vtxt: Vtxt, height: int) -> List[crypto.Check]:
@@ -187,30 +198,39 @@ def tree_signature_checks(vtxt: Vtxt, height: int) -> List[crypto.Check]:
     `height`: the triples a wallet's audit of any path through the tree
     would verify, for `crypto.verify_batch`."""
     checks: List[crypto.Check] = []
-    for txid in vtxt.order:
-        tx = vtxt.txs[txid]
+    for txid, tx in vtxt.txs.items():
         ctx = SpendContext(height, height, tx.digest())
         for wit in tx.wits[:1]:     # tree nodes are single-input
-            checks += signature_checks(vtxt.input_locks[txid], wit, ctx)
+            checks += signature_checks(vtxt.spent(txid).lock, wit, ctx)
     return checks
 
 
 def check_vtxt(vtxt: Vtxt) -> None:
-    """Structural validity: one root, unique parents, single-input nodes,
-    and the edge condition (a child's input is an output of its parent)."""
-    roots = [t for t, p in vtxt.parent.items() if p is None]
-    if roots != [vtxt.root] :
-        raise ArkError("tree must have exactly one root")
+    """Structural validity: single-input nodes keyed by their txids; a
+    first node, the root, that spends the funding outpoint; every other node
+    spends an existing output of an earlier node, its unique parent (the
+    edge condition); and no two nodes spend one outpoint."""
+    earlier: Dict[str, Tx] = {}
+    spent: Set[OutPoint] = set()
     for txid, tx in vtxt.txs.items():
         if len(tx.ins) != 1:
             raise ArkError("tree nodes are single-input transactions")
-        parent = vtxt.parent[txid]
-        if parent is None:
-            if tx.ins[0] != vtxt.funding:
+        if tx.txid != txid:
+            raise ArkError("tree node not keyed by its txid")
+        op = tx.ins[0]
+        if op in spent:
+            raise ArkError("two tree nodes spend one output")
+        if not earlier:
+            if op != vtxt.funding:
                 raise ArkError("root must spend the funding outpoint")
-        else:
-            if tx.ins[0].txid != parent:
-                raise ArkError("edge condition violated")
+        elif op.txid not in earlier:
+            raise ArkError("edge condition violated")
+        elif op.index >= len(earlier[op.txid].outs):
+            raise ArkError("input index past its parent's outputs")
+        earlier[txid] = tx
+        spent.add(op)
+    if not earlier:
+        raise ArkError("tree has no root")
 
 
 def _chunks(items: List, arity: int) -> List[List]:
@@ -219,71 +239,61 @@ def _chunks(items: List, arity: int) -> List[List]:
     return [items[i:i + width] for i in range(0, n, width)]
 
 
+def batch_output(leaves: Sequence[Vtxo], operator: PublicKey, expiry: int) -> Output:
+    """The batch-shaped output paying `leaves`, unrolled by their owners
+    with the operator: a batch's commitment output, or a tree node's."""
+    pks = {operator.encode(): operator}
+    for v in leaves:
+        pks[v.owner_pk.encode()] = v.owner_pk
+    return Output(sum(v.value for v in leaves),
+                  batch_lock(operator, crypto.aggregate(pks.values()), expiry))
+
+
 def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
-               expiry: int, arity: int = 2) -> Tuple[Vtxt, SignerTree]:
-    """Balanced VTXT over the funding outpoint.  Internal node outputs
-    are batch-shaped over the cosigners of their subtree (path-only
+               expiry: int, arity: int = 2) -> Tuple[Vtxt, Output]:
+    """Balanced VTXT over the funding outpoint, and the batch output that
+    outpoint must name (`vtxt.funding_out`).  Internal node outputs are
+    batch-shaped over the cosigners of their subtree (path-only
     cosigning); each leaf transaction carries its VTXO plus a zero-value
     fee anchor."""
     if not leaves:
         raise ArkError("empty leaf set")
     if arity < 2:
         raise ArkError("arity must be at least 2")
-    vtxt = Vtxt(funding=funding)
-    signers: SignerTree = {}
-
-    def subtree_members(group: Sequence[Vtxo]) -> Tuple[PublicKey, ...]:
-        pks = {operator.encode(): operator}
-        for v in group:
-            pks[v.owner_pk.encode()] = v.owner_pk
-        return tuple(pks[k] for k in sorted(pks))
-
-    total = sum(v.value for v in leaves)
-    root_lock = batch_lock(operator, crypto.aggregate(subtree_members(list(leaves))), expiry)
+    vtxt = Vtxt(funding, batch_output(leaves, operator, expiry))
     # preorder, root first: a node's children are pushed last to first, so
     # the first child's subtree is built before the second child
-    stack = [(funding, total, root_lock, list(leaves), None)]
+    stack = [(funding, list(leaves))]
     while stack:
-        outpoint, in_value, in_lock, group, parent_txid = stack.pop()
+        outpoint, group = stack.pop()
         if len(group) == 1:
             v = group[0]
             tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, ANCHOR_LOCK)))
             v.outpoint = tx.outpoint(0)
             v.expiry = expiry
-            vtxt.leaves.append(LeafRef(tx.txid, 0, v))
+            vtxt.leaves.append(LeafRef(tx.txid, v))
             groups = []
         else:
             groups = _chunks(group, arity)
-            outs = [Output(sum(v.value for v in g),
-                           batch_lock(operator, crypto.aggregate(subtree_members(g)), expiry))
-                    for g in groups]
-            tx = Tx(ins=(outpoint,), outs=tuple(outs) + (Output(0, ANCHOR_LOCK),))
+            tx = Tx(ins=(outpoint,), outs=(*(batch_output(g, operator, expiry) for g in groups),
+                                           Output(0, ANCHOR_LOCK)))
         vtxt.txs[tx.txid] = tx
-        vtxt.parent[tx.txid] = parent_txid
-        vtxt.order.append(tx.txid)
-        vtxt.input_locks[tx.txid] = in_lock
-        vtxt.input_values[tx.txid] = in_value
-        signers[tx.txid] = subtree_members(group)
-        stack.extend((tx.outpoint(i), tx.outs[i].value, tx.outs[i].lock, g, tx.txid)
-                     for i, g in reversed(list(enumerate(groups))))
-    vtxt.root = vtxt.order[0]
+        stack.extend((tx.outpoint(i), g) for i, g in reversed(list(enumerate(groups))))
     check_vtxt(vtxt)
-    return vtxt, signers
+    return vtxt, vtxt.funding_out
 
 
 @dataclass
 class BatchOutput:
-    value: int
-    expiry: int
-    lock: LockScript
-    vtxt: Vtxt
-    signers: SignerTree
+    vtxt: Vtxt                               # its funding_out is the batch output
+
+    @property
+    def expiry(self) -> Optional[int]:
+        return sweep_path_height(self.vtxt.funding_out.lock)
 
 
 @dataclass
 class ConnectorOutput:
-    value: int
-    lock: LockScript
     vtxt: Optional[Vtxt]                     # None when the output itself is the anchor
     anchors: List[OutPoint]
 
@@ -301,30 +311,23 @@ def build_connector(funding: OutPoint, anchor_count: int, operator: PublicKey,
         raise ArkError("need at least one anchor")
     op_lock = p2pk(operator)
     if anchor_count == 1:
-        return ConnectorOutput(epsilon, op_lock, None, [funding])
-    vtxt = Vtxt(funding=funding)
+        return ConnectorOutput(None, [funding])
+    vtxt = Vtxt(funding, Output(anchor_count * epsilon, op_lock))
     anchors: List[OutPoint] = []
 
     # preorder, root first, as in build_vtxt; a popped count of 1 is an
     # anchor, so anchors keep the order of a depth-first walk
-    stack: List[Tuple[OutPoint, int, Optional[str]]] = [(funding, anchor_count, None)]
+    stack: List[Tuple[OutPoint, int]] = [(funding, anchor_count)]
     while stack:
-        outpoint, count, parent_txid = stack.pop()
+        outpoint, count = stack.pop()
         if count == 1:
             anchors.append(outpoint)
-            vtxt.leaves.append(LeafRef(outpoint.txid, outpoint.index, None))  # type: ignore[arg-type]
             continue
         groups = _chunks(list(range(count)), arity)
         tx = Tx(ins=(outpoint,), outs=tuple(Output(len(g) * epsilon, op_lock) for g in groups))
         vtxt.txs[tx.txid] = tx
-        vtxt.parent[tx.txid] = parent_txid
-        vtxt.order.append(tx.txid)
-        vtxt.input_locks[tx.txid] = op_lock
-        vtxt.input_values[tx.txid] = count * epsilon
-        stack.extend((tx.outpoint(i), len(g), tx.txid)
-                     for i, g in reversed(list(enumerate(groups))))
-    vtxt.root = vtxt.order[0]
-    return ConnectorOutput(anchor_count * epsilon, op_lock, vtxt, anchors)
+        stack.extend((tx.outpoint(i), len(g)) for i, g in reversed(list(enumerate(groups))))
+    return ConnectorOutput(vtxt, anchors)
 
 
 def boarding_lock(owner: PublicKey, operator: PublicKey, t_b: int) -> LockScript:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto, footprint
-from .arkcore import ANCHOR_LOCK, Vtxo, batch_lock, p2pk
+from .arkcore import ANCHOR_LOCK, Vtxo, p2pk
 from .crypto import SessionAborted
 from .errors import InvariantError
 from .fastfinality import (
@@ -304,17 +304,15 @@ class RaceResult:
     leaf_stable: bool
 
 
-def cosign_vtxt(vtxt: arkcore.Vtxt, signers: arkcore.SignerTree,
-                secrets: Dict[str, crypto.SecretKey]) -> None:
-    """Cosign every node of `vtxt`, root first, under its signer set's
-    aggregate key (`secrets` maps each member's hex key to its secret),
-    and attach the batch-unroll witness."""
-    for txid in vtxt.order:
-        tx = vtxt.txs[txid]
-        sks = [secrets[m.hex()] for m in signers[txid]]
-        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(signers[txid]))
-        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
-                           vtxt.input_locks[txid].paths)]
+def cosign_vtxt(vtxt: arkcore.Vtxt, secrets: Dict[str, crypto.SecretKey]) -> None:
+    """Cosign every node of `vtxt`, root first, under the unroll key of
+    the output it spends (`secrets` maps each member's hex key to its
+    secret), and attach the batch-unroll witness."""
+    for txid, tx in vtxt.txs.items():
+        members = vtxt.signers(txid)
+        sks = [secrets[m.hex()] for m in members]
+        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
+        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
 
 
 def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
@@ -324,11 +322,10 @@ def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
     cosign every node.  `keys` are the (secret, public) pairs of every
     cosigner, the operator's first."""
     op_pk = keys[0][1]
-    lock = batch_lock(op_pk, crypto.aggregate([pk for _, pk in keys]), expiry)
-    funding = chain.grant(sum(v.value for v in leaves), lock)
-    vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
-    cosign_vtxt(vtxt, signers, {pk.hex(): sk for sk, pk in keys})
-    return lock, vtxt
+    out = arkcore.batch_output(leaves, op_pk, expiry)
+    vtxt, _ = arkcore.build_vtxt(chain.grant(out.value, out.lock), leaves, op_pk, expiry, 2)
+    cosign_vtxt(vtxt, {pk.hex(): sk for sk, pk in keys})
+    return out.lock, vtxt
 
 
 def leaf_spend(vtxo: Vtxo, path: int, sk: crypto.SecretKey) -> Tx:
@@ -574,7 +571,6 @@ def scenario_spam_attack(seed: int = 0, params: Optional[Params] = None,
 
 def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
                       n: int = 8, **_) -> dict:
-    import math
     p = params or PARAMS_TE60
     sim = Simulation(p, seed)
     sim.operator.fund(1_000_000)
@@ -588,7 +584,7 @@ def scenario_bank_run(seed: int = 0, params: Optional[Params] = None,
         for v in sim.vtxos(name):
             submitted += len(sim.wallets[name].unilateral_exit(v))
     sim.tick(2 * p.k + 1)
-    bound = n * (math.ceil(math.log2(n)) + 1) if n > 1 else 1
+    bound = n * (footprint.exit_depth(n) + 1)
     all_exited = all(sim.chain.unspent(v.outpoint)
                      for name in names for v in sim.vtxos(name))
     verdicts = [

@@ -21,10 +21,8 @@ from .arkcore import (
     BOARDING_COOP_PATH,
     BatchOutput,
     ConnectorOutput,
-    SignerTree,
     Vtxo,
     Vtxt,
-    batch_lock,
     build_connector,
     build_vtxt,
     classify_paths,
@@ -369,10 +367,7 @@ class Operator:
         out_index: Dict[str, int] = {}
         if leaves:
             out_index["batch"] = len(outs)
-            members = [self.pk] + [v.owner_pk for v in leaves]
-            uniq = {m.hex(): m for m in members}
-            outs.append(Output(batch_value, batch_lock(
-                self.pk, crypto.aggregate(uniq.values()), expiry)))
+            outs.append(arkcore.batch_output(leaves, self.pk, expiry))
         if forfeited:
             out_index["connector"] = len(outs)
             outs.append(Output(connector_value, p2pk(self.pk)))
@@ -384,13 +379,10 @@ class Operator:
         commitment = Tx(ins=tuple(ins), outs=tuple(outs))
 
         batch = None
-        signer_tree: SignerTree = {}
         if leaves:
             fund_op = commitment.outpoint(out_index["batch"])
-            vtxt, signer_tree = build_vtxt(fund_op, leaves, self.pk, expiry,
-                                           self.params.arity)
-            batch = BatchOutput(batch_value, expiry, outs[out_index["batch"]].lock,
-                                vtxt, signer_tree)
+            vtxt, _ = build_vtxt(fund_op, leaves, self.pk, expiry, self.params.arity)
+            batch = BatchOutput(vtxt)
         connector = None
         gamma: Dict[Tuple[str, int], OutPoint] = {}
         if forfeited:
@@ -440,16 +432,14 @@ class Operator:
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
             party_of = {w.pk: name for name, w in wallets.items()}
-            for txid in vtxt.order:
-                members = bundle.batch.signers[txid]
+            for txid, tx in vtxt.txs.items():
+                members = vtxt.signers(txid)
                 for m in members:
                     owner = party_of.get(m)
                     if owner is not None:
                         maybe_abort("vtxt", owner)
-                tx = vtxt.txs[txid]
                 sig = self._cosign(tx, members, secrets, "vtxt")
-                tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,),
-                                   vtxt.input_locks[txid].paths)]
+                tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
 
         # step 3: forfeit transactions, collected and checked; the spent
         # path is the input lock's own collaborative aggregate, which may

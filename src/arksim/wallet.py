@@ -2,6 +2,12 @@
 verification, payment receipt, unilateral exit, the exit-deadline
 policy, and balance computation.
 
+The bundle audit reads only the commitment and the signed txs.  The
+commitment must create the batch tree's funding output, whose sweep
+height is the batch expiry; the tree must pass `arkcore.check_vtxt`; and
+every node on the wallet's path must need its key, create no value and
+sweep-lock its outputs at the expiry.
+
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.
@@ -110,23 +116,21 @@ class Wallet:
             return self._fail("bundle has no batch")
         if vtxo.outpoint is None:
             return self._fail("leaf has no outpoint")
+        vtxt, expiry = batch.vtxt, batch.expiry
         try:
-            txs = batch.vtxt.path_to(vtxo.outpoint.txid)
+            txs = vtxt.path_to(vtxo.outpoint.txid)
         except KeyError:
             return self._fail("leaf missing from the tree")
         for tx in txs:
-            members = batch.signers.get(tx.txid, ())
-            if self.pk not in members:
+            if self.pk not in vtxt.signers(tx.txid):
                 return self._fail("own key missing from a path cosigner set")
-            in_value = batch.vtxt.input_values[tx.txid]
-            if in_value < sum(o.value for o in tx.outs):
+            if vtxt.spent(tx.txid).value < sum(o.value for o in tx.outs):
                 return self._fail("value increases down the tree")
             for out in tx.outs[:-1] if tx.txid != vtxo.outpoint.txid else ():
-                if sweep_path_height(out.lock) != batch.expiry:
+                if sweep_path_height(out.lock) != expiry:
                     return self._fail("internal output is not sweep-shaped at expiry")
-        leaf_tx = txs[-1]
-        out = leaf_tx.outs[vtxo.outpoint.index]
-        if out.value != vtxo.value or out.lock != vtxo.lock:
+        i = vtxo.outpoint.index
+        if txs[-1].outs[i:i + 1] != (Output(vtxo.value, vtxo.lock),):
             return self._fail("leaf output mismatch")
         return True
 
@@ -136,12 +140,10 @@ class Wallet:
             return self._fail("no anchor for forfeited vtxo")
         if anchor not in bundle.connector.anchors:
             return self._fail("anchor not in the connector")
-        if bundle.connector.vtxt is None:
-            value = bundle.connector.value
-        else:
-            tx = bundle.connector.vtxt.txs[anchor.txid]
-            value = tx.outs[anchor.index].value
-        if value != self.params.epsilon:
+        tree = bundle.connector.vtxt.txs if bundle.connector.vtxt else {}
+        tx = tree.get(anchor.txid, bundle.commitment)   # or else the commitment made it
+        outs = tx.outs[anchor.index:anchor.index + 1] if tx.txid == anchor.txid else ()
+        if [o.value for o in outs] != [self.params.epsilon]:
             return self._fail("anchor value is not epsilon")
         return True
 
@@ -164,10 +166,18 @@ class Wallet:
         if in_value < sum(o.value for o in bundle.commitment.outs):
             return self._fail("commitment creates value")
         if bundle.batch is not None:
+            vtxt, i = bundle.batch.vtxt, bundle.batch.vtxt.funding.index
+            if vtxt.funding.txid != bundle.commitment.txid \
+                    or bundle.commitment.outs[i:i + 1] != (vtxt.funding_out,):
+                return self._fail("batch tree not funded by the commitment")
+            try:
+                arkcore.check_vtxt(vtxt)
+            except arkcore.ArkError as e:
+                return self._fail(f"malformed batch tree: {e}")
             floor = self.chain.height + 2 * self.params.k + self.params.t_e
-            if bundle.batch.expiry < floor:
+            if (bundle.batch.expiry or 0) < floor:
                 return self._fail("batch expiry below the local bound")
-            if bundle.batch.value < sum(l.vtxo.value for l in bundle.batch.vtxt.leaves):
+            if vtxt.funding_out.value < sum(l.vtxo.value for l in vtxt.leaves):
                 return self._fail("batch value below the leaf total")
         seen: set[Tuple[str, int]] = set()
         for leaves in bundle.leaves:
@@ -320,7 +330,7 @@ class Wallet:
             batch = self.trees.pop(funding, None)
             # each node of a signed tree carries one signature
             if batch is not None and batch.expiry > h \
-                    and len(batch.vtxt.order) >= BATCH_MIN:
+                    and len(batch.vtxt.txs) >= BATCH_MIN:
                 verify_batch(arkcore.tree_signature_checks(batch.vtxt, h))
         pool.extend(payment.resets)
         pool.append(payment.ark)

@@ -60,13 +60,13 @@ def test_criterion_02_exit_scaling():
         funding = chain.grant(
             100 * n, arkcore.batch_lock(op_pk, crypto.aggregate([op_pk, pk]),
                                         expiry))
-        vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
+        vtxt, _ = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
         target = vtxt.leaves[0]
         for tx in vtxt.path_to(target.txid):
-            agg = crypto.aggregate(signers[tx.txid])
+            agg = crypto.aggregate(vtxt.signers(tx.txid))
             sig = crypto.cosign(tx.digest(), [op_sk, sk], agg)
             tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
-                               vtxt.input_locks[tx.txid].paths)]
+                               vtxt.spent(tx.txid).lock.paths)]
         wallet.holdings[target.vtxo.key()] = Holding(
             target.vtxo, vtxt.path_to(target.txid), "batch")
         submitted = wallet.unilateral_exit(target.vtxo)
@@ -200,11 +200,10 @@ def test_criterion_09_commitment_timing_linear():
                   for i, (_, pk) in enumerate(users)]
         funding = chain.grant(100 * n, p2pk(op_pk))
         t1 = time.perf_counter()
-        vtxt, signers = arkcore.build_vtxt(funding, leaves, op_pk, 300,
-                                           params.arity)
+        vtxt, _ = arkcore.build_vtxt(funding, leaves, op_pk, 300, params.arity)
         secrets = {pk.hex(): sk for sk, pk in users}
         secrets[op_pk.hex()] = op_sk
-        cosign_vtxt(vtxt, signers, secrets)
+        cosign_vtxt(vtxt, secrets)
         times.append(time.perf_counter() - t1)
     xs, ys = np.array(sizes, float), np.array(times, float)
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -12,6 +12,7 @@ from arksim.arkcore import (
     boarding_tx,
     build_connector,
     build_vtxt,
+    check_vtxt,
     classify_paths,
     collab_aggregate,
     forfeit_tx,
@@ -20,7 +21,7 @@ from arksim.arkcore import (
     sweep_path_height,
     vtxo_lock,
 )
-from arksim.ledger import Chain, OutPoint, Params
+from arksim.ledger import Chain, OutPoint, Output, Params, Tx
 from arksim.script import UNSPENDABLE, And, CheckAggSig, CheckSig, RelTimelock, taproot
 
 PARAMS = Params(k=3, t_u=13, t_e=40)
@@ -66,8 +67,10 @@ def test_collab_aggregate_finds_members():
 def test_build_vtxt_single_leaf():
     leaves = make_leaves(1)
     _, funding = funded_chain(100)
-    vtxt, signers = build_vtxt(funding, leaves, OP_PK, 50, 2)
+    vtxt, funding_out = build_vtxt(funding, leaves, OP_PK, 50, 2)
     assert len(vtxt.txs) == 1
+    assert funding_out == vtxt.funding_out == vtxt.spent(vtxt.root)
+    assert sweep_path_height(funding_out.lock) == 50
     assert vtxt.leaves[0].vtxo.outpoint is not None
     assert vtxt.leaves[0].vtxo.expiry == 50
 
@@ -76,15 +79,15 @@ def test_build_vtxt_structure():
     n = 8
     leaves = make_leaves(n)
     _, funding = funded_chain(100 * n)
-    vtxt, signers = build_vtxt(funding, leaves, OP_PK, 50, 2)
+    vtxt, _ = build_vtxt(funding, leaves, OP_PK, 50, 2)
     assert len(vtxt.leaves) == n
     # complete binary tree: 2n - 1 transactions
     assert len(vtxt.txs) == 2 * n - 1
-    # every non-root references its parent, roots first in order
+    # the root first, then every node after the node it spends
     seen = set()
-    for txid in vtxt.order:
-        parent = vtxt.parent[txid]
-        assert parent is None or parent in seen
+    for txid, tx in vtxt.txs.items():
+        assert (txid == vtxt.root) == (tx.ins[0] == funding)
+        assert txid == vtxt.root or tx.ins[0].txid in seen
         seen.add(txid)
 
 
@@ -92,24 +95,48 @@ def test_vtxt_value_conservation_per_node():
     leaves = make_leaves(8)
     _, funding = funded_chain(800)
     vtxt, _ = build_vtxt(funding, leaves, OP_PK, 50, 2)
+    assert vtxt.funding_out.value == 800
     for txid, tx in vtxt.txs.items():
-        parent = vtxt.parent[txid]
-        if parent is None:
-            in_value = 800
-        else:
-            src = vtxt.txs[parent]
-            in_value = src.outs[tx.ins[0].index].value
-        assert in_value >= sum(o.value for o in tx.outs)
+        assert vtxt.spent(txid).value >= sum(o.value for o in tx.outs)
 
 
 def test_signer_sets_cover_subtrees():
     leaves = make_leaves(4)
     _, funding = funded_chain(400)
-    vtxt, signers = build_vtxt(funding, leaves, OP_PK, 50, 2)
+    vtxt, _ = build_vtxt(funding, leaves, OP_PK, 50, 2)
     for ref in vtxt.leaves:
         for tx in vtxt.path_to(ref.txid):
-            assert ref.vtxo.owner_pk in signers[tx.txid]
-            assert OP_PK in signers[tx.txid]
+            assert ref.vtxo.owner_pk in vtxt.signers(tx.txid)
+            assert OP_PK in vtxt.signers(tx.txid)
+
+
+def twin_of_root_output(vtxt):
+    root = vtxt.txs[vtxt.root]
+    return Tx(ins=(root.outpoint(0),), outs=(Output(1, p2pk(OP_PK)),))
+
+
+def past_root_outputs(vtxt):
+    root = vtxt.txs[vtxt.root]
+    return Tx(ins=(root.outpoint(len(root.outs)),), outs=(Output(1, p2pk(OP_PK)),))
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (twin_of_root_output, "two tree nodes spend one output"),
+    (past_root_outputs, "input index past its parent's outputs"),
+], ids=["double-spent-output", "index-past-outputs"])
+def test_check_vtxt_refuses_a_node_without_a_unique_parent_output(extra, reason):
+    vtxt, _ = build_vtxt(OutPoint("ab" * 32, 0), make_leaves(4), OP_PK, 50, 2)
+    node = extra(vtxt)
+    vtxt.txs[node.txid] = node
+    with pytest.raises(ArkError, match=reason):
+        check_vtxt(vtxt)
+
+
+def test_check_vtxt_refuses_an_empty_tree():
+    vtxt, _ = build_vtxt(OutPoint("ab" * 32, 0), make_leaves(4), OP_PK, 50, 2)
+    vtxt.txs.clear()
+    with pytest.raises(ArkError, match="no root"):
+        check_vtxt(vtxt)
 
 
 def test_path_to_length():

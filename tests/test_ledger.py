@@ -262,8 +262,8 @@ def unroll_in_one_block(tree, replace=None):
     lock, vtxt = tree
     chain = Chain(TREE_PARAMS)
     chain.grant(64_000, lock)
-    for txid in vtxt.order:
-        chain.submit((replace or {}).get(txid, vtxt.txs[txid]), "user")
+    for txid, tx in vtxt.txs.items():
+        chain.submit((replace or {}).get(txid, tx), "user")
     chain.advance_round()
     return chain
 
@@ -272,11 +272,11 @@ def test_tree_block_is_one_batch_equation(tree, point_mul_calls):
     _, vtxt = tree
     comb = crypto._comb_table.cache_info()
     chain = unroll_in_one_block(tree)
-    assert chain.blocks == [vtxt.order]
+    assert chain.blocks == [list(vtxt.txs)]
     # the batch's one G multiplication; no e*P, and no comb table built
     assert point_mul_calls == [crypto.G]
     assert crypto._comb_table.cache_info().misses == comb.misses
-    assert crypto._verified.cache_info().currsize == len(vtxt.order)
+    assert crypto._verified.cache_info().currsize == len(vtxt.txs)
 
 
 def test_bad_witness_in_a_batched_block(tree, point_mul_calls, monkeypatch):
@@ -287,17 +287,17 @@ def test_bad_witness_in_a_batched_block(tree, point_mul_calls, monkeypatch):
     bad = Tx(good.ins, good.outs, [Witness(
         good.wits[0].path_index, (crypto.Signature(sig.R, (sig.s + 1) % crypto.Q),),
         good.wits[0].revealed_paths)])
-    assert len(vtxt.order) >= crypto.BATCH_MIN
+    assert len(vtxt.txs) >= crypto.BATCH_MIN
     batched = unroll_in_one_block(tree, {bad_txid: bad})
-    assert batched.blocks == [[t for t in vtxt.order if t != bad_txid]]
+    assert batched.blocks == [[t for t in vtxt.txs if t != bad_txid]]
     assert bad_txid in batched.mempool
     # the failed equation records nothing: each signature is then checked
     # singly, with one G and one e*P multiplication
-    assert point_mul_calls.count(crypto.G) == 1 + len(vtxt.order)
-    assert len(point_mul_calls) == 1 + 2 * len(vtxt.order)
+    assert point_mul_calls.count(crypto.G) == 1 + len(vtxt.txs)
+    assert len(point_mul_calls) == 1 + 2 * len(vtxt.txs)
     # the same block with every signature checked singly
     crypto._verified.cache_clear()
-    monkeypatch.setattr(crypto, "BATCH_MIN", len(vtxt.order) + 1)
+    monkeypatch.setattr(crypto, "BATCH_MIN", len(vtxt.txs) + 1)
     single = unroll_in_one_block(tree, {bad_txid: bad})
     assert single.trace == batched.trace and single.blocks == batched.blocks
     assert single.mempool.keys() == batched.mempool.keys()

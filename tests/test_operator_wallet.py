@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from arksim import crypto
+from arksim import arkcore, crypto
 from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
@@ -481,6 +482,9 @@ def test_wallet_accepts_honest_bundle():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     assert sim.wallets["alice"].verify_commitment(bundle)
+    sim, bundle = pair_bundle()
+    assert len(bundle.batch.vtxt.txs) == 3
+    assert all(sim.wallets[n].verify_commitment(bundle) for n in ("alice", "bob"))
 
 
 def test_wallet_rejects_value_creation():
@@ -493,12 +497,89 @@ def test_wallet_rejects_value_creation():
     assert not sim.wallets["alice"].verify_commitment(bad)
 
 
+def last_refusal(sim):
+    return sim.chain.trace[-1][1:]
+
+
 def test_wallet_rejects_short_expiry():
+    # the operator locks the whole batch, tree and all, one block below
+    # the wallet's bound
     sim = boarded_sim()
+    sim.operator.params = dataclasses.replace(PARAMS, t_e=PARAMS.t_e - 1)
     bundle = swap_bundle(sim)
-    bad = copy.deepcopy(bundle)
-    bad.batch.expiry = sim.chain.height + 2 * PARAMS.k + PARAMS.t_e - 1
-    assert not sim.wallets["alice"].verify_commitment(bad)
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "batch expiry below the local bound")
+
+
+def pair_bundle(monkeypatch=None, forged_lock=None):
+    """A sim in which alice and bob have boarded, and the bundle that
+    batches them, assembled with `arkcore.batch_lock` replaced by
+    `forged_lock(real_batch_lock, operator, cosigners, expiry)`."""
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    for name in ("alice", "bob"):
+        sim.add_wallet(name, [5_000])
+        sim.board(name, [5_000])
+    if forged_lock is not None:
+        monkeypatch.setattr(arkcore, "batch_lock",
+                            functools.partial(forged_lock, arkcore.batch_lock))
+    return sim, sim.operator.assemble_commitment()
+
+
+def test_wallet_rejects_operator_only_unroll_keys(monkeypatch):
+    # the operator alone could sign another tree over the batch output
+    sim, bundle = pair_bundle(monkeypatch, lambda real, op, _, expiry:
+                              real(op, crypto.aggregate([op]), expiry))
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "own key missing from a path cosigner set")
+
+
+def short_root(real, op, cosigners, expiry):
+    """The lock of the batch output over every cosigner, the commitment's,
+    sweepable at height 10; every other lock honest."""
+    return real(op, cosigners, 10 if len(cosigners.members) == 3 else expiry)
+
+
+def test_wallet_rejects_a_short_commitment_batch_lock(monkeypatch):
+    sim, bundle = pair_bundle(monkeypatch, short_root)
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "batch expiry below the local bound")
+
+
+def test_wallet_rejects_a_tree_the_commitment_does_not_fund():
+    # only the commitment's batch output is swapped for a short one, so
+    # the tree's batch output is not the commitment's
+    sim, bundle = pair_bundle()
+    outs = list(bundle.commitment.outs)
+    idx = bundle.batch.vtxt.funding.index
+    outs[idx] = Output(outs[idx].value, arkcore.batch_lock(
+        sim.operator.pk, outs[idx].lock.paths[arkcore.BATCH_UNROLL_PATH].key, 10))
+    bundle.commitment = Tx(ins=bundle.commitment.ins, outs=tuple(outs))
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "batch tree not funded by the commitment")
+
+
+def test_wallet_rejects_a_leaf_index_past_its_tx():
+    sim, bundle = pair_bundle()
+    leaf = bundle.leaves[0][0]
+    leaf.outpoint = OutPoint(leaf.outpoint.txid, 5)
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed", "leaf output mismatch")
+
+
+def test_wallet_rejects_a_tree_that_spends_one_output_twice():
+    sim, bundle = pair_bundle()
+    vtxt = bundle.batch.vtxt
+    root = vtxt.txs[vtxt.root]
+    twin = Tx(ins=(root.outpoint(0),), outs=(Output(1, p2pk(sim.operator.pk)),))
+    vtxt.txs[twin.txid] = twin
+    assert not sim.wallets["alice"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "malformed batch tree: two tree nodes spend one output")
 
 
 def test_wallet_rejects_missing_own_leaf():
@@ -657,8 +738,8 @@ def internal_node_keys(batch):
     is signed under.  A leaf node is signed under its owner's key with the
     operator's, the key of the owner's resets and ark spends too."""
     leaves = {leaf.txid for leaf in batch.vtxt.leaves}
-    return {crypto.aggregate(members).point.point
-            for txid, members in batch.signers.items() if txid not in leaves}
+    return {crypto.aggregate(batch.vtxt.signers(txid)).point.point
+            for txid in batch.vtxt.txs if txid not in leaves}
 
 
 def receipt(sim, sender, recipient):
@@ -688,7 +769,7 @@ def test_first_receipt_checks_the_whole_tree_in_one_equation(point_mul_calls,
                                                               batch_sizes):
     sim = tree_sim()
     batch = sim.all_bundles[-1].batch
-    assert len(batch.vtxt.order) == 2 * TREE_USERS - 1
+    assert len(batch.vtxt.txs) == 2 * TREE_USERS - 1
     payment = sim.ark_pay("user0", "user1", sim.vtxos("user0"), 1_000,
                           auto_receive=False)
     del point_mul_calls[:], batch_sizes[:]
@@ -722,7 +803,7 @@ def tampered_receipts(monkeypatch, batch_min=None):
     crypto._verified.cache_clear()
     sim = tree_sim()
     vtxt = sim.all_bundles[-1].batch.vtxt
-    node = vtxt.txs[vtxt.order[1]]          # the root's first child
+    node = list(vtxt.txs.values())[1]       # the root's first child
     wit = node.wits[0]
     sig = wit.signatures[0]
     node.wits = [Witness(wit.path_index, (crypto.Signature(sig.R, sig.s + 1),),
