@@ -239,6 +239,18 @@ def _chunks(items: List, arity: int) -> List[List]:
     return [items[i:i + width] for i in range(0, n, width)]
 
 
+def _leaf_groups(leaves: Sequence[Vtxo], arity: int) -> List[List[Vtxo]]:
+    """The leaf group of every output a tree over `leaves` pays: the
+    whole set, then each node's child groups."""
+    out, stack = [], [list(leaves)]
+    while stack:
+        group = stack.pop()
+        out.append(group)
+        if len(group) > 1:
+            stack.extend(_chunks(group, arity))
+    return out
+
+
 def batch_output(leaves: Sequence[Vtxo], operator: PublicKey, expiry: int) -> Output:
     """The batch-shaped output paying `leaves`, unrolled by their owners
     with the operator: a batch's commitment output, or a tree node's."""
@@ -260,6 +272,11 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
         raise ArkError("empty leaf set")
     if arity < 2:
         raise ArkError("arity must be at least 2")
+    # every node output's key, the batch output's included, in one pass,
+    # unless the tree's terms fall short of the batch minimum
+    groups = _leaf_groups(leaves, arity)
+    if sum(map(len, groups)) + len(groups) >= crypto.AGGREGATE_BATCH_MIN:
+        crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
     vtxt = Vtxt(funding, batch_output(leaves, operator, expiry))
     # preorder, root first: a node's children are pushed last to first, so
     # the first child's subtree is built before the second child

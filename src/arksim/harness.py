@@ -40,6 +40,8 @@ from .operator_node import (
     Operator,
     Request,
     VtxoSpec,
+    chunked,
+    sign_ahead,
 )
 from .script import KEY_PATH, LockScript, Witness
 from .wallet import Holding, Wallet
@@ -130,6 +132,10 @@ class Simulation:
         self.wallets: Dict[str, Wallet] = {}
         self.payments: List[ArkPayment] = []
         self.all_bundles: List[Bundle] = []
+        # the bundles not yet distributed to the wallets, in order, and how
+        # many of all_bundles have joined them
+        self._undistributed: List[Bundle] = []
+        self._seen = 0
         self._distributed: Set[str] = set()
 
     # --- setup -----------------------------------------------------------
@@ -154,13 +160,21 @@ class Simulation:
                 self._distribute_confirmations()
 
     def _distribute_confirmations(self) -> None:
-        for bundle in self.all_bundles:
+        # bundles appended since the last call, by settle_commitment or
+        # directly, join the undistributed ones; only those are walked
+        self._undistributed += self.all_bundles[self._seen:]
+        self._seen = len(self.all_bundles)
+        waiting = []
+        for bundle in self._undistributed:
             if bundle.commitment.txid in self._distributed:
                 continue
             if self.chain.is_stable(bundle.commitment.txid):
                 for w in self.wallets.values():
                     w.on_commitment_confirmed(bundle)
                 self._distributed.add(bundle.commitment.txid)
+            else:
+                waiting.append(bundle)
+        self._undistributed = waiting
 
     # --- flows -----------------------------------------------------------
 
@@ -307,12 +321,15 @@ class RaceResult:
 def cosign_vtxt(vtxt: arkcore.Vtxt, secrets: Dict[str, crypto.SecretKey]) -> None:
     """Cosign every node of `vtxt`, root first, under the unroll key of
     the output it spends (`secrets` maps each member's hex key to its
-    secret), and attach the batch-unroll witness."""
-    for txid, tx in vtxt.txs.items():
-        members = vtxt.signers(txid)
-        sks = [secrets[m.hex()] for m in members]
-        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
-        tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
+    secret), and attach the batch-unroll witness.  Each chunk of nodes is
+    signed ahead in one `crypto.sign_batch` pass."""
+    nodes = [(txid, tx, vtxt.signers(txid)) for txid, tx in vtxt.txs.items()]
+    for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
+        sign_ahead([(tx, members) for _, tx, members in chunk], secrets)
+        for txid, tx, members in chunk:
+            sks = [secrets[m.hex()] for m in members]
+            sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
+            tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
 
 
 def signed_batch(chain: Chain, leaves: Sequence[Vtxo],

@@ -42,6 +42,31 @@ class Reject(Exception):
     pass
 
 
+def chunked(items: Sequence, size: int) -> List[Sequence]:
+    """`items` in consecutive slices of at most `size`."""
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def sign_ahead(sessions: Sequence[Tuple[Tx, Sequence[PublicKey]]],
+               secrets: Dict[str, SecretKey],
+               solo: Sequence[Tuple[SecretKey, Tx]] = ()) -> None:
+    """Fill the signing memo, in one `crypto.sign_batch` pass, with what
+    a ceremony is about to sign: the cosignature of each (tx, members)
+    session whose members all have a secret in `secrets` (hex key ->
+    secret), and each (secret, tx) of `solo` signed alone.  A caller then
+    signs as before, its checks and aborts first, and finds each signature
+    in the memo, so it passes at most `crypto.SIGN_BATCH_MAX` signatures.
+    Below `crypto.SIGN_BATCH_MIN` nothing is computed."""
+    if len(sessions) + len(solo) < crypto.SIGN_BATCH_MIN:
+        return
+    pairs = [(sk, tx.digest()) for sk, tx in solo]
+    for tx, members in sessions:
+        sks = [secrets.get(m.hex()) for m in members]
+        if all(sk is not None for sk in sks):
+            pairs.append((crypto.aggregate_secret(sks), tx.digest()))
+    crypto.sign_batch(pairs)
+
+
 @dataclass
 class VtxoSpec:
     """Requested output: value to a fresh single-signature VTXO."""
@@ -428,29 +453,36 @@ class Operator:
         if extra_secrets:
             secrets.update(extra_secrets)
 
+        # steps 2-4 sign each chunk of sessions ahead (`sign_ahead`)
         # step 2: VTXT cosigning sessions, root first
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
             party_of = {w.pk: name for name, w in wallets.items()}
-            for txid, tx in vtxt.txs.items():
-                members = vtxt.signers(txid)
-                for m in members:
-                    owner = party_of.get(m)
-                    if owner is not None:
-                        maybe_abort("vtxt", owner)
-                sig = self._cosign(tx, members, secrets, "vtxt")
-                tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
+            nodes = [(txid, tx, vtxt.signers(txid)) for txid, tx in vtxt.txs.items()]
+            for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
+                sign_ahead([(tx, members) for _, tx, members in chunk], secrets)
+                for txid, tx, members in chunk:
+                    for m in members:
+                        owner = party_of.get(m)
+                        if owner is not None:
+                            maybe_abort("vtxt", owner)
+                    sig = self._cosign(tx, members, secrets, "vtxt")
+                    tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
 
         # step 3: forfeit transactions, collected and checked; the spent
         # path is the input lock's own collaborative aggregate, which may
-        # name a previous operator (handover)
-        swaps = [r for r in bundle.requests if r.kind == "batch-swap"]
-        for r in swaps:
-            for v in r.inputs:
+        # name a previous operator (handover).  Each forfeit takes two
+        # signatures
+        swapped = [(r, v) for r in bundle.requests if r.kind == "batch-swap"
+                   for v in r.inputs]
+        for chunk in chunked(swapped, crypto.SIGN_BATCH_MAX // 2):
+            forfeits = [(forfeit_tx(v, bundle.gamma[v.key()], self.pk, self.params.epsilon),
+                         *collab_aggregate(v.lock)) for _, v in chunk]
+            sign_ahead([(ff, agg.members) for ff, _, agg in forfeits],
+                       secrets, [(self.sk, ff) for ff, _, _ in forfeits])
+            for (r, v), (ff, collab_idx, agg) in zip(chunk, forfeits):
                 maybe_abort("forfeit", r.party)
                 anchor = bundle.gamma[v.key()]
-                ff = forfeit_tx(v, anchor, self.pk, self.params.epsilon)
-                collab_idx, agg = collab_aggregate(v.lock)
                 sig = self._cosign(ff, agg.members, secrets, "forfeit")
                 anchor_sig = crypto.sign(self.sk, ff.digest())
                 ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
@@ -465,13 +497,17 @@ class Operator:
         n_funding = len(bundle.funding_ins)
 
         # step 4: boarding cosigns
-        to_board = [r for r in bundle.requests if r.kind == "boarding"]
-        for i, r in enumerate(to_board, start=n_funding):
-            maybe_abort("boarding", r.party)
-            members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
-            sig = self._cosign(bundle.commitment, members, secrets, "boarding")
-            wits[i] = Witness(BOARDING_COOP_PATH, (sig,),
-                              r.boarding_output.lock.paths)
+        to_board = list(enumerate((r for r in bundle.requests if r.kind == "boarding"),
+                                  start=n_funding))
+        for chunk in chunked(to_board, crypto.SIGN_BATCH_MAX):
+            sign_ahead([(bundle.commitment, (wallets[r.party].pk, self.pk))
+                        for _, r in chunk], secrets)
+            for i, r in chunk:
+                maybe_abort("boarding", r.party)
+                members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
+                sig = self._cosign(bundle.commitment, members, secrets, "boarding")
+                wits[i] = Witness(BOARDING_COOP_PATH, (sig,),
+                                  r.boarding_output.lock.paths)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from arksim import crypto
@@ -17,11 +15,12 @@ def point_mul_calls(monkeypatch):
         return real(p, n)
 
     monkeypatch.setattr(crypto, "point_mul", counting)
-    monkeypatch.setattr(crypto, "_public_point", functools.lru_cache(
-        maxsize=crypto._CACHE_SIZE)(crypto._public_point.__wrapped__))
-    monkeypatch.setattr(crypto, "_signature", functools.lru_cache(
-        maxsize=crypto._SIGN_CACHE_SIZE)(crypto._signature.__wrapped__))
-    # the verify memo also takes the verdicts of crypto.verify_batch
-    monkeypatch.setattr(crypto, "_verified", crypto._insertable_cache(
-        maxsize=crypto._CACHE_SIZE)(crypto._verified.__wrapped__))
+    # memos of the same kind: the public-key and signing memos also take
+    # the results of crypto.sign_batch, and the verify memo the verdicts of
+    # crypto.verify_batch
+    for name, bound in (("_public_point", crypto._CACHE_SIZE),
+                        ("_signature", crypto._SIGN_CACHE_SIZE),
+                        ("_verified", crypto._CACHE_SIZE)):
+        monkeypatch.setattr(crypto, name, crypto._insertable_cache(
+            maxsize=bound)(getattr(crypto, name).__wrapped__))
     return calls

@@ -1,3 +1,4 @@
+import functools
 import gc
 
 import pytest
@@ -21,6 +22,7 @@ from arksim.arkcore import (
     sweep_path_height,
     vtxo_lock,
 )
+from arksim.harness import cosign_vtxt
 from arksim.ledger import Chain, OutPoint, Output, Params, Tx
 from arksim.script import UNSPENDABLE, And, CheckAggSig, CheckSig, RelTimelock, taproot
 
@@ -246,3 +248,41 @@ def test_building_trees_leaves_no_cyclic_garbage():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert leaked == []
+
+
+def test_build_vtxt_fetches_each_comb_table_once(monkeypatch):
+    # criterion 9's widest tree: 256 users and the operator are 257 bases,
+    # one more than the comb memo holds.  build_vtxt sums every node key in
+    # one pass that fetches each base's table once; key by key, the memo
+    # evicted tables and built them again (518 misses here)
+    op_pk = crypto.keygen(b"thrash-op")[1]
+    users = [crypto.keygen(b"thrash-%d" % i)[1] for i in range(256)]
+    leaves = [Vtxo(100, p2pk(pk), f"u{i}", pk) for i, pk in enumerate(users)]
+    monkeypatch.setattr(crypto, "_aggregate_members", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._aggregate_members.__wrapped__))
+    comb = functools.lru_cache(maxsize=crypto._COMB_CACHE_SIZE)(
+        crypto._comb_table.__wrapped__)
+    monkeypatch.setattr(crypto, "_comb_table", comb)
+    _, funding = funded_chain(100 * 256)
+    vtxt, _ = build_vtxt(funding, leaves, op_pk, 300, PARAMS.arity)
+    assert len(vtxt.txs) == 511
+    assert comb.cache_info().misses == 257
+
+
+def test_cosigning_a_tree_signs_it_ahead(point_mul_calls):
+    # 72 leaves make 143 nodes, signed ahead in two chunks (128 and 15):
+    # no node's nonce point or aggregate secret key is multiplied alone
+    leaves = make_leaves(72)
+    _, funding = funded_chain(100 * 72)
+    vtxt, _ = build_vtxt(funding, leaves, OP_PK, 300, PARAMS.arity)
+    secrets = {pk.hex(): sk for sk, pk in
+               [(OP_SK, OP_PK)] + [crypto.keygen(b"leaf-%d" % i) for i in range(72)]}
+    for sk in secrets.values():
+        sk.public()   # the signers' own keys, into the emptied memo
+    del point_mul_calls[:]
+    cosign_vtxt(vtxt, secrets)
+    assert point_mul_calls == []
+    assert len(vtxt.txs) == 143 > crypto.SIGN_BATCH_MAX
+    checks = arkcore.tree_signature_checks(vtxt, 0)
+    assert len(checks) == 143
+    assert all(crypto.verify(crypto.PublicKey(point), m, sig) for point, m, sig in checks)

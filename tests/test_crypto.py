@@ -860,3 +860,164 @@ def test_verify_reads_the_encoding_its_key_holds(point_mul_calls, monkeypatch):
     crypto._verified.cache_clear()
     assert crypto._verified(pk.point, b"m", sig.R, sig.s)
     assert encoded == {sig.R: 2, pk.point: 1}
+
+
+# --- batched curve work --------------------------------------------------
+
+BATCH_KEYS = [keygen(b"lockstep-%d" % i)[1] for i in range(72)]
+
+
+def _neg(pk):
+    return PublicKey((pk.point[0], crypto.P - pk.point[1]))
+
+
+@pytest.fixture
+def batch_memos(monkeypatch):
+    """Empty aggregate and signing memos of the same kind and bound,
+    private to the test, and batch minimums of 0, so that every batch
+    call does its work."""
+    memos = {}
+    for name, bound in (("_aggregate_members", crypto._CACHE_SIZE),
+                        ("_signature", crypto._SIGN_CACHE_SIZE)):
+        memos[name] = crypto._insertable_cache(maxsize=bound)(
+            getattr(crypto, name).__wrapped__)
+        monkeypatch.setattr(crypto, name, memos[name])
+    monkeypatch.setattr(crypto, "AGGREGATE_BATCH_MIN", 0)
+    monkeypatch.setattr(crypto, "SIGN_BATCH_MIN", 0)
+    return memos
+
+
+def _memo_state():
+    return [m.cache_info() for m in (crypto._aggregate_members, crypto._signature,
+                                     crypto._public_point, crypto._verified)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(range(len(BATCH_KEYS))), min_size=1,
+                         max_size=70, unique=True), min_size=1, max_size=3))
+def test_property_aggregate_batch_matches_aggregate(picks):
+    sets = [[BATCH_KEYS[i] for i in pick] for pick in picks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_aggregate_members", crypto._insertable_cache(
+            maxsize=crypto._CACHE_SIZE)(crypto._aggregate_members.__wrapped__))
+        mp.setattr(crypto, "AGGREGATE_BATCH_MIN", 0)
+        crypto.aggregate_batch(sets)
+        memo = crypto._aggregate_members
+        for pks in sets:
+            members = crypto._sorted_members(pks)
+            recorded = memo.peek((members,))
+            # the per-item body, uncached, on the same members
+            assert recorded == memo.__wrapped__(members)
+            misses = memo.cache_info().misses
+            assert aggregate(reversed(pks)) is recorded   # a hit
+            assert memo.cache_info().misses == misses
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=Q - 1),
+                          st.binary(min_size=1, max_size=8)),
+                min_size=1, max_size=40))
+def test_property_sign_batch_matches_sign(pairs):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, bound in (("_signature", crypto._SIGN_CACHE_SIZE),
+                            ("_public_point", crypto._CACHE_SIZE)):
+            mp.setattr(crypto, name, crypto._insertable_cache(maxsize=bound)(
+                getattr(crypto, name).__wrapped__))
+        mp.setattr(crypto, "SIGN_BATCH_MIN", 0)
+        crypto.sign_batch((crypto.SecretKey(x), m) for x, m in pairs)
+        for x, m in pairs:
+            sk = crypto.SecretKey(x)
+            recorded = crypto._signature.peek((sk, m, Fresh()))
+            assert recorded == crypto._signature.__wrapped__(sk, m, Fresh())
+            assert sign(sk, m) is recorded
+            # the signer's key is recorded as public() would derive it
+            key = crypto._public_point.peek((x,))
+            assert key == crypto._public_point.__wrapped__(x)
+            assert sk.public() is key
+            assert verify(key, m, recorded)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(range(len(BATCH_KEYS))), min_size=1,
+                         max_size=9), min_size=1, max_size=5))
+def test_property_affine_sums_match_jacobian_sums(picks):
+    # repeats and negations among a list's points meet equal x somewhere
+    lists = [[BATCH_KEYS[i // 2].point if i % 2 else _neg(BATCH_KEYS[i // 2]).point
+              for i in pick] for pick in picks]
+    for pts, got in zip(lists, crypto._affine_sums(lists)):
+        if got is not None:
+            assert got == crypto._affine(*crypto._jsum(pts))
+        else:
+            assert len({x for x, _ in pts}) < len(pts)
+
+
+def test_affine_sums_refuse_an_addition_of_equal_x():
+    p, q = BATCH_KEYS[0].point, BATCH_KEYS[1].point
+    neg_p = _neg(BATCH_KEYS[0]).point
+    sums = crypto._affine_sums([[p, p], [p, neg_p], [p, q], [q]])
+    assert sums == [None, None, crypto._affine(*crypto._jsum([p, q])), q]
+    two_p = crypto._affine(*crypto._jdbl(*p, 1))
+    assert crypto._affine_doubles([p, q]) == [two_p, crypto._affine(*crypto._jdbl(*q, 1))]
+
+
+def test_aggregate_batch_leaves_an_exceptional_sum_to_aggregate(batch_memos, monkeypatch):
+    # P and -P first among the members, with every coefficient 1: the first
+    # column's pairwise sums give X and -X, so the batch meets equal x,
+    # while the aggregate, P - P + Q = Q, is a point
+    p = next(pk for pk in BATCH_KEYS if pk.encode()[0] == 2)
+    q = next(pk for pk in BATCH_KEYS if pk.encode()[0] == 3 and pk.point[0] > p.point[0])
+    members = crypto._sorted_members([q, _neg(p), p])
+    assert members == (p, _neg(p), q)
+    monkeypatch.setattr(crypto, "_coefficients", lambda members: [1] * len(members))
+    crypto.aggregate_batch([members])
+    memo = batch_memos["_aggregate_members"]
+    assert memo.peek((members,)) is None
+    assert memo.cache_info().currsize == 0
+    assert aggregate(members).point == q
+
+
+def test_batches_leave_rejected_inputs_to_the_per_item_path(batch_memos, monkeypatch):
+    sk, pk = keygen(b"lockstep-reject")
+    p = BATCH_KEYS[0]
+    crypto.point_mul(p.point, 1), crypto.point_mul(_neg(p).point, 1)   # warm tables
+    before, tables = _memo_state(), crypto._comb_table.cache_info().currsize
+    with monkeypatch.context() as mp:
+        # {P, -P} with equal coefficients sums to infinity
+        mp.setattr(crypto, "_coefficients", lambda members: [1] * len(members))
+        crypto.aggregate_batch([[p, _neg(p)]])
+        assert _memo_state() == before
+        with pytest.raises(CryptoError, match="degenerate"):
+            aggregate([p, _neg(p)])
+    before = _memo_state()
+    crypto.aggregate_batch([[], [pk, pk], [OFF_CURVE, pk]])
+    crypto.sign_batch([(sk, b""), (sk, b"")])
+    assert _memo_state() == before
+    assert crypto._comb_table.cache_info().currsize == tables
+    with pytest.raises(CryptoError, match="empty member set"):
+        aggregate([])
+    with pytest.raises(CryptoError, match="duplicate member"):
+        aggregate([pk, pk])
+    with pytest.raises(CryptoError, match="not on secp256k1"):
+        aggregate([OFF_CURVE, pk])
+    with pytest.raises(CryptoError, match="empty message"):
+        sign(sk, b"")
+
+
+def test_batches_below_their_minimum_do_nothing(monkeypatch):
+    fresh = [crypto.SecretKey(0x10C5 + i) for i in range(crypto.SIGN_BATCH_MIN - 1)]
+    before = _memo_state()
+    crypto.sign_batch((sk, b"m") for sk in fresh)
+    small = [BATCH_KEYS[:3], BATCH_KEYS[3:6]]
+    assert sum(map(len, small)) < crypto.AGGREGATE_BATCH_MIN
+    crypto.aggregate_batch(small)
+    assert _memo_state() == before
+
+
+def test_aggregate_batch_reads_each_comb_table_once(batch_memos, fresh_comb, point_mul_calls):
+    # three sets over four bases: a table is fetched once per pass, not
+    # once per term, and no term goes through point_mul
+    sets = [BATCH_KEYS[:4], BATCH_KEYS[1:4], BATCH_KEYS[:2]]
+    crypto.aggregate_batch(sets)
+    assert fresh_comb.cache_info() == (0, 4, crypto._COMB_CACHE_SIZE, 4)
+    assert point_mul_calls == []
+    assert batch_memos["_aggregate_members"].cache_info().currsize == 3

@@ -231,3 +231,47 @@ def test_every_swap_commitment_weighs_197_vb():
     assert all(sim.chain.is_confirmed(b.commitment.txid) for b in swaps)
     assert [len(b.funding_ins) for b in swaps] == [1] * 14
     assert [harness.tx_vbytes(b.commitment) for b in swaps] == [197] * 14
+
+
+def test_each_tick_walks_only_the_bundles_not_yet_distributed(monkeypatch):
+    # a tick's distribution visits the bundles whose commitment is not yet
+    # stable, not every bundle ever settled, so its work does not grow
+    # with the run's history; a bundle visited reads its commitment's txid
+    sim = Simulation(Params(k=3, t_u=13, t_e=20, t_r=8), 0)
+    sim.operator.fund(1_000_000)
+    sim.add_wallet("alice", [5_000])
+    sim.board("alice", [5_000])
+    read, visits = [], []
+    real_txid = Tx.txid
+    monkeypatch.setattr(Tx, "txid", property(
+        lambda tx: read.append(tx) or real_txid.fget(tx)))
+    distribute = sim._distribute_confirmations
+
+    def counting():
+        del read[:]
+        distribute()
+        commitments = {id(b.commitment) for b in sim.all_bundles}
+        visits.append(len({id(tx) for tx in read if id(tx) in commitments}))
+
+    monkeypatch.setattr(sim, "_distribute_confirmations", counting)
+    sim.settle_commitment()
+    per_round = []
+    for _ in range(60):
+        sim.swap("alice", sim.vtxos("alice"))
+        del visits[:]
+        sim.settle_commitment()
+        per_round.append(list(visits))
+    assert len(sim.all_bundles) == 61
+    # each round's k + 2 ticks visit its own bundle until it is stable
+    assert per_round == [[1, 1, 1, 1, 0]] * 60
+    # a bundle appended directly, as a caller running the ceremony itself
+    # does, is still picked up, after the ones before it
+    sim.swap("alice", sim.vtxos("alice"))
+    bundle = sim.operator.assemble_commitment()
+    sim.operator.run_signing(bundle, sim.wallets)
+    sim.operator.submit_and_track(bundle)
+    sim.all_bundles.append(bundle)
+    seen = []
+    monkeypatch.setattr(sim.wallets["alice"], "on_commitment_confirmed", seen.append)
+    sim.tick(sim.params.k + 2)
+    assert seen == [bundle]

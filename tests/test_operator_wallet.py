@@ -733,6 +733,35 @@ def tree_sim(seed=0):
     return sim
 
 
+@pytest.mark.parametrize("kind", ["boarding", "batch-swap"])
+def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, kind):
+    # a round of TREE_USERS users: the 31 tree nodes (step 2), and the 16
+    # forfeits with their anchor signatures (step 3) or the 16 boarding
+    # cosigns (step 4), are signed ahead in batches; only the funding
+    # signature (step 5) is multiplied alone
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    names = [f"user{i}" for i in range(TREE_USERS)]
+    for name in names:
+        sim.add_wallet(name, [5_000])
+    requests = [submit_boarding(sim, name, [5_000])[1] for name in names]
+    sim.tick(PARAMS.k + 1)
+    for req in requests:
+        sim.operator.verify_boarding(req)
+    if kind == "batch-swap":
+        sim.settle_commitment()
+        for name in names:
+            sim.swap(name, sim.vtxos(name))
+    op = sim.operator
+    bundle = op.assemble_commitment()
+    assert {r.kind for r in bundle.requests} == {kind}
+    for sk in [op.sk] + [sim.wallets[name].sk for name in names]:
+        sk.public()   # the signers' own keys, into the emptied memo
+    del point_mul_calls[:]
+    op.run_signing(bundle, sim.wallets)
+    assert point_mul_calls == [crypto.G]
+
+
 def internal_node_keys(batch):
     """The aggregate key point that each internal node of the batch's tree
     is signed under.  A leaf node is signed under its owner's key with the
