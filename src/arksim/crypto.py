@@ -78,13 +78,20 @@ verification; Wuille, Nick and Ruffing 2020):
 The plain double-and-add ladder these replace is kept in
 `tests/secp_oracle.py`, and the tests check both paths against it.
 
-Five pure functions are memoized in bounded least-recently-used caches:
+Six pure functions are memoized in bounded least-recently-used caches:
 the comb table of a variable base, the public key of a scalar (one
 `PublicKey` object per scalar, which compresses its point once), the
-aggregate key of a member set, the signature `sign` returns, and the
-verdict of `verify`.  The last four are `_insertable_cache`s, so that
+aggregate key of a member set, the aggregate secret of a signer list, the
+signature `sign` returns, and the verdict of `verify`.  The last five are
+`_insertable_cache`s, so that `cache_clear` empties each one, and so that
 `aggregate_batch`, `sign_batch` and `verify_batch` can record results
 (see below).
+The aggregate secret is keyed on the signer list exactly as the caller
+passes it, not on the sorted member set: sorting needs each signer's
+public key and encoding, which is most of what a hit saves.  Every caller
+lists a session's signers in its lock's member order, so the ceremony's
+`sign_ahead` and the `cosign` that follows share one entry; a list in
+another order is another entry with the same secret.
 A batch multiplies each signer key about log n times while aggregating
 its subtrees, so a table is built once per key and reused.  The table is a function of the point
 alone, and the point is checked to lie on the curve before anything is
@@ -127,12 +134,22 @@ still equals a fresh computation.
   evicted and rebuilt about half of them (518 misses).  Entries are made
   one column at a time, so only one column's are held.
 - `sign_batch(pairs)` computes the deterministic nonce point R of each
-  (secret, message) pair the signing memo lacks, and each of those
-  secrets' public keys the public-key memo lacks, from the G table, 32
-  scalars at a time: all 254 of a `wide_batch` round at once raised its
-  peak RSS by about 1 MB.  The keys are recorded too: a later signature
-  under the same aggregate secret, such as a payment's cosignature under
-  the forfeit's owner and operator, then finds its key.
+  (secret, message) or (signers, message) pair the signing memo lacks,
+  and each of those secrets' public keys the public-key memo lacks, from
+  the G table, 32 scalars at a time: all 254 of a `wide_batch` round at
+  once raised its peak RSS by about 1 MB.  The keys are recorded too: a
+  later signature under the same aggregate secret, such as a payment's
+  cosignature under the forfeit's owner and operator, then finds its key.
+- Known keys: a session's aggregate secret sum a_i x_i has the key
+  sum a_i P_i, which the aggregate memo already holds when the round
+  built the lock it signs.  So `sign_batch` takes that key from the
+  aggregate memo, when its entry's members are exactly the signers' sorted
+  keys, instead of a G multiplication: a 64-user `wide_batch` round makes
+  257 fixed-base multiplications instead of 319, and its set-up 322
+  instead of 449.  The rule lives only here.  `cosign` is
+  called with the signers and an expected key, and reading the key there
+  would skip the multiplication that the per-item path, and the counts
+  pinned on it, make.
 - Exceptional pairs: two points with equal x (a doubling, or a sum to
   infinity) are never added.  The list that meets them is dropped, and
   nothing is recorded for its set or pair.  Nothing is recorded either for
@@ -869,6 +886,13 @@ def _aggregate_members(members: Tuple[PublicKey, ...]) -> AggregateKey:
 
 
 def aggregate_secret(signers: Sequence[SecretKey]) -> SecretKey:
+    return _aggregate_secret(tuple(signers))
+
+
+@_insertable_cache(maxsize=_CACHE_SIZE)
+def _aggregate_secret(signers: Tuple[SecretKey, ...]) -> SecretKey:
+    # keyed on the signer list as given, not sorted (see the module
+    # docstring): a hit costs no public() lookup and no sort
     members = _sorted_members(sk.public() for sk in signers)
     by_pk = {sk.public(): sk for sk in signers}
     total = 0
@@ -1044,20 +1068,39 @@ def _g_multiples(scalars: Sequence[int]) -> list:
     return out
 
 
-def sign_batch(pairs: Iterable[Tuple[SecretKey, bytes]]) -> None:
-    """Record in the signing memo the signature `sign(sk, m)` returns for
-    every (sk, m) pair it lacks, each nonce point and each signer's key
-    computed from the G table in one pass.  An empty message, which `sign`
-    rejects, is left out, and so is a pair whose nonce point or key meets
-    equal x."""
-    nonces: dict = {}   # memo key -> nonce
-    for sk, m in pairs:
+def sign_batch(pairs: Iterable[Tuple[SecretKey | Sequence[SecretKey], bytes]]) -> None:
+    """Record in the signing memo the signature of every pair it lacks,
+    each nonce point and each signing key computed from the G table in
+    one pass.  A pair is a secret and a message, signed as `sign` signs
+    it, or a session's signers and a message, signed as `cosign` signs
+    it, under their aggregate secret.  That secret's key is not computed
+    when the aggregate memo holds the key of exactly the signers' keys:
+    sum a_i x_i * G is sum a_i P_i, the same point.  A session without
+    signers and an empty message, which `cosign` and `sign` reject, are
+    left out, and so is a pair whose nonce point or key meets equal x."""
+    nonces: dict = {}     # memo key -> nonce
+    sessions: dict = {}   # aggregate secret's scalar -> its signers
+    for signer, m in pairs:
+        if isinstance(signer, SecretKey):
+            sk = signer
+        elif signer:
+            sk = aggregate_secret(signer)
+            sessions[sk.scalar] = signer
+        else:
+            continue
         key = (sk, m, Fresh())
         if isinstance(m, bytes) and m and key not in nonces and _signature.peek(key) is None:
             nonces[key] = _nonce(sk, m)
     if len(nonces) < SIGN_BATCH_MIN:
         return
     keys = {sk.scalar: _public_point.peek((sk.scalar,)) for sk, _, _ in nonces}
+    for n, pk in keys.items():
+        if pk is None and n in sessions:
+            members = _sorted_members(s.public() for s in sessions[n])
+            known = _aggregate_members.peek((members,))
+            if known is not None:
+                keys[n] = known.point
+                _public_point.insert((n,), known.point)
     missing = [n for n, pk in keys.items() if pk is None]
     points = _g_multiples([*nonces.values(), *missing])
     for n, point in zip(missing, points[len(nonces):]):

@@ -136,7 +136,6 @@ class Simulation:
         # many of all_bundles have joined them
         self._undistributed: List[Bundle] = []
         self._seen = 0
-        self._distributed: Set[str] = set()
 
     # --- setup -----------------------------------------------------------
 
@@ -161,17 +160,17 @@ class Simulation:
 
     def _distribute_confirmations(self) -> None:
         # bundles appended since the last call, by settle_commitment or
-        # directly, join the undistributed ones; only those are walked
+        # directly, join the undistributed ones; only those are walked.
+        # Each bundle joins once, by its position in all_bundles, and leaves
+        # once distributed; no caller appends a bundle twice, so none is
+        # distributed twice
         self._undistributed += self.all_bundles[self._seen:]
         self._seen = len(self.all_bundles)
         waiting = []
         for bundle in self._undistributed:
-            if bundle.commitment.txid in self._distributed:
-                continue
             if self.chain.is_stable(bundle.commitment.txid):
                 for w in self.wallets.values():
                     w.on_commitment_confirmed(bundle)
-                self._distributed.add(bundle.commitment.txid)
             else:
                 waiting.append(bundle)
         self._undistributed = waiting

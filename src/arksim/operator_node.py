@@ -53,17 +53,19 @@ def sign_ahead(sessions: Sequence[Tuple[Tx, Sequence[PublicKey]]],
     """Fill the signing memo, in one `crypto.sign_batch` pass, with what
     a ceremony is about to sign: the cosignature of each (tx, members)
     session whose members all have a secret in `secrets` (hex key ->
-    secret), and each (secret, tx) of `solo` signed alone.  A caller then
+    secret), and each (secret, tx) of `solo` signed alone.  A session's
+    secrets are listed in its members' order, as `Operator._cosign` lists
+    them, so the two share one aggregate-secret memo entry.  A caller then
     signs as before, its checks and aborts first, and finds each signature
     in the memo, so it passes at most `crypto.SIGN_BATCH_MAX` signatures.
     Below `crypto.SIGN_BATCH_MIN` nothing is computed."""
     if len(sessions) + len(solo) < crypto.SIGN_BATCH_MIN:
         return
-    pairs = [(sk, tx.digest()) for sk, tx in solo]
+    pairs: list = [(sk, tx.digest()) for sk, tx in solo]
     for tx, members in sessions:
         sks = [secrets.get(m.hex()) for m in members]
         if all(sk is not None for sk in sks):
-            pairs.append((crypto.aggregate_secret(sks), tx.digest()))
+            pairs.append((sks, tx.digest()))
     crypto.sign_batch(pairs)
 
 

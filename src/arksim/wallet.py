@@ -263,8 +263,8 @@ class Wallet:
             out = payment.ark.outs[v.outpoint.index]
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 return self._reject("output script mismatch")
-        if len(payment.paths) != len(payment.ark.ins) or \
-                len(payment.resets) != len(payment.ark.ins):
+        if not len(payment.paths) == len(payment.resets) == \
+                len(payment.input_expiries) == len(payment.ark.ins):
             return self._reject("incomplete transcript")
         for pth, rst, expiry in zip(payment.paths, payment.resets,
                                     payment.input_expiries):
@@ -299,6 +299,12 @@ class Wallet:
     def _check_path(self, pth: List[Tx], rst: Tx, expiry: int) -> bool:
         if not pth:
             return self._reject("empty path")
+        if not all(tx.ins for tx in pth):
+            return self._reject("path tx without inputs")
+        if not rst.ins:
+            return self._reject("reset without inputs")
+        if not rst.outs:
+            return self._reject("reset without outputs")
         root_src = pth[0].ins[0]
         if not self.chain.is_confirmed(root_src.txid):
             return self._reject("path not rooted onchain")

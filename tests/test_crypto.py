@@ -555,12 +555,14 @@ def test_even_half_cases_cover_every_parity():
 def curve_points(draw):
     """A random point on the curve, with no known discrete logarithm: the
     first x from a random start whose x**3 + 7 is a square, and either
-    root."""
+    root.  G's x is stepped over: Hypothesis also draws the integer
+    literals of the code under test, and point_mul(G, n) reads the fixed
+    G table, not a comb."""
     x = draw(st.integers(min_value=0, max_value=crypto.P - 1))
     while True:
         rhs = (x * x * x + 7) % crypto.P
         y = pow(rhs, (crypto.P + 1) // 4, crypto.P)   # p == 3 mod 4
-        if y * y % crypto.P == rhs:
+        if y * y % crypto.P == rhs and x != crypto.G[0]:
             break
         x = (x + 1) % crypto.P
     return (x, crypto.P - y) if draw(st.booleans()) else (x, y)
@@ -683,10 +685,18 @@ def test_every_memo_is_bounded():
              for name, v in vars(m).items() if hasattr(v, "cache_info")}
     assert set(memos) == {
         "arksim.crypto._comb_table", "arksim.crypto._public_point",
-        "arksim.crypto._aggregate_members", "arksim.crypto._signature",
-        "arksim.crypto._verified", "arksim.script._lock"}
+        "arksim.crypto._aggregate_members", "arksim.crypto._aggregate_secret",
+        "arksim.crypto._signature", "arksim.crypto._verified",
+        "arksim.script._lock"}
     # lru_cache(maxsize=None) is unbounded
     assert all(isinstance(m.cache_info().maxsize, int) for m in memos.values())
+    # every memo empties on cache_clear, as a benchmark's cold set-up
+    # needs: a memo kept out of its reach would leave that set-up warm
+    aggregate_secret([crypto.SecretKey(0x5EED_C1EA)])
+    assert memos["arksim.crypto._aggregate_secret"].cache_info().currsize > 0
+    for m in memos.values():
+        m.cache_clear()
+    assert all(m.cache_info().currsize == 0 for m in memos.values())
 
 
 # --- fixed base: signed 8-bit digits -------------------------------------
@@ -935,6 +945,77 @@ def test_property_sign_batch_matches_sign(pairs):
             assert key == crypto._public_point.__wrapped__(x)
             assert sk.public() is key
             assert verify(key, m, recorded)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=Q - 1), min_size=1,
+                max_size=6, unique=True))
+def test_property_aggregate_secret_memo_matches_its_body(scalars):
+    sks = [crypto.SecretKey(x) for x in scalars]
+    memo = crypto._aggregate_secret
+    secret = aggregate_secret(sks)
+    assert secret == memo.__wrapped__(tuple(sks))
+    hits = memo.cache_info().hits
+    assert aggregate_secret(list(sks)) is secret   # the list as given: a hit
+    assert memo.cache_info().hits == hits + 1
+    assert secret.public() == aggregate([sk.public() for sk in sks]).point
+    # another order is another entry with the same secret
+    assert aggregate_secret(sks[::-1]) == secret
+
+
+def test_aggregate_secret_of_no_signers_raises_and_records_nothing():
+    memo = crypto._aggregate_secret
+    size = memo.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(CryptoError, match="out of range"):
+            aggregate_secret([])
+        assert memo.peek(((),)) is None
+        assert memo.cache_info().currsize == size
+
+
+def _sessions(count, size, seed):
+    """`count` signer lists of `size` fresh secrets each, and a message
+    for each."""
+    return [([crypto.SecretKey(seed + 97 * i + j) for j in range(size)], b"s%d" % i)
+            for i in range(count)]
+
+
+def test_sign_batch_signs_a_session_as_cosign_does(batch_memos, monkeypatch):
+    monkeypatch.setattr(crypto, "_public_point", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._public_point.__wrapped__))
+    sessions = _sessions(6, 3, 0x5E55_0000)
+    # the aggregate memo holds the keys of the first three signer sets
+    known = [aggregate([sk.public() for sk in sks]) for sks, _ in sessions[:3]]
+    scalars, real = [], crypto._g_multiples
+    monkeypatch.setattr(crypto, "_g_multiples",
+                        lambda ns: scalars.extend(ns) or real(ns))
+    crypto.sign_batch(sessions + [([], b"none")])
+    secrets = [aggregate_secret(sks).scalar for sks, _ in sessions]
+    # six nonces, and the keys of the three sets the aggregate memo lacks
+    assert len(scalars) == 9 and scalars[6:] == secrets[3:]
+    for (sks, m), n in zip(sessions, secrets):
+        key = crypto._public_point.peek((n,))
+        assert key == crypto._public_point.__wrapped__(n)
+        recorded = crypto._signature.peek((crypto.SecretKey(n), m, Fresh()))
+        assert recorded is not None
+        assert cosign(m, sks) is recorded
+        assert verify(key, m, recorded)
+    assert [crypto._public_point.peek((n,)) for n in secrets[:3]] == \
+        [agg.point for agg in known]
+
+
+def test_sign_batch_takes_no_key_from_another_member_set(batch_memos, monkeypatch):
+    # the aggregate memo holds a key of a superset of the signers' keys:
+    # the signers' aggregate secret has another key, which is computed
+    monkeypatch.setattr(crypto, "_public_point", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._public_point.__wrapped__))
+    (sks, m), = _sessions(1, 3, 0x5E55_1000)
+    extra = crypto.SecretKey(0x5E55_2000)
+    aggregate([sk.public() for sk in sks + [extra]])
+    crypto.sign_batch([(sks, m)])
+    n = aggregate_secret(sks).scalar
+    assert crypto._public_point.peek((n,)) == crypto._public_point.__wrapped__(n)
+    assert verify(aggregate([sk.public() for sk in sks]).point, m, cosign(m, sks))
 
 
 @settings(max_examples=30, deadline=None)

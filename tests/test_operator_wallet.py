@@ -571,6 +571,40 @@ def test_wallet_rejects_a_leaf_index_past_its_tx():
     assert last_refusal(sim) == ("wallet", "alice", "verify_failed", "leaf output mismatch")
 
 
+def strip_path_inputs(payment):
+    payment.paths[0][-1] = dataclasses.replace(payment.paths[0][-1], ins=())
+
+
+def strip_reset_inputs(payment):
+    payment.resets[0] = dataclasses.replace(payment.resets[0], ins=())
+
+
+def strip_reset_outputs(payment):
+    payment.resets[0] = dataclasses.replace(payment.resets[0], outs=())
+
+
+def drop_expiries(payment):
+    payment.input_expiries = []
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (strip_path_inputs, "path tx without inputs"),
+    (strip_reset_inputs, "reset without inputs"),
+    (strip_reset_outputs, "reset without outputs"),
+    (drop_expiries, "incomplete transcript"),
+])
+def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
+    # a rejection with its reason in the trace, not an IndexError or a
+    # ValueError out of receive_payment
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    payment = sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000,
+                          auto_receive=False)
+    damage(payment)
+    assert sim.wallets["bob"].receive_payment(payment) is None
+    assert last_refusal(sim) == ("wallet", "bob", "payment_rejected", reason)
+
+
 def test_wallet_rejects_a_tree_that_spends_one_output_twice():
     sim, bundle = pair_bundle()
     vtxt = bundle.batch.vtxt
@@ -733,12 +767,9 @@ def tree_sim(seed=0):
     return sim
 
 
-@pytest.mark.parametrize("kind", ["boarding", "batch-swap"])
-def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, kind):
-    # a round of TREE_USERS users: the 31 tree nodes (step 2), and the 16
-    # forfeits with their anchor signatures (step 3) or the 16 boarding
-    # cosigns (step 4), are signed ahead in batches; only the funding
-    # signature (step 5) is multiplied alone
+def ceremony_round(kind):
+    """A round of `TREE_USERS` users, all of request `kind`, assembled
+    and not yet signed: the sim and its bundle."""
     sim = Simulation(PARAMS, 0)
     sim.operator.fund(100_000)
     names = [f"user{i}" for i in range(TREE_USERS)]
@@ -752,14 +783,57 @@ def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, kind):
         sim.settle_commitment()
         for name in names:
             sim.swap(name, sim.vtxos(name))
-    op = sim.operator
-    bundle = op.assemble_commitment()
+    bundle = sim.operator.assemble_commitment()
     assert {r.kind for r in bundle.requests} == {kind}
+    return sim, bundle
+
+
+@pytest.mark.parametrize("kind", ["boarding", "batch-swap"])
+def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, monkeypatch, kind):
+    # a round of TREE_USERS users: the 31 tree nodes (step 2), and the 16
+    # forfeits with their anchor signatures (step 3) or the 16 boarding
+    # cosigns (step 4), are signed ahead in batches; only the funding
+    # signature (step 5) is multiplied alone
+    sim, bundle = ceremony_round(kind)
+    op = sim.operator
+    names = [f"user{i}" for i in range(TREE_USERS)]
     for sk in [op.sk] + [sim.wallets[name].sk for name in names]:
         sk.public()   # the signers' own keys, into the emptied memo
     del point_mul_calls[:]
+    batches, real = [], crypto._g_multiples
+    monkeypatch.setattr(crypto, "_g_multiples",
+                        lambda scalars: batches.append(len(scalars)) or real(scalars))
     op.run_signing(bundle, sim.wallets)
     assert point_mul_calls == [crypto.G]
+    # every batched scalar is a nonce: the nodes' aggregate keys come from
+    # the aggregate memo, and a forfeit or boarding input is signed by a
+    # leaf node's owner and operator, whose key step 2 recorded
+    assert batches == [2 * TREE_USERS - 1,
+                       2 * TREE_USERS if kind == "batch-swap" else TREE_USERS]
+
+
+def test_a_swap_ceremony_derives_each_aggregate_secret_once(monkeypatch):
+    # signing ahead derives the aggregate secret of each distinct signer
+    # list once, and every cosign that follows finds it in the memo.  The
+    # 16 forfeits are signed by their owners' leaf nodes' lists (owner and
+    # operator), so 47 sessions have 31 distinct lists
+    sim, bundle = ceremony_round("batch-swap")
+    memo = crypto._aggregate_secret
+    memo.cache_clear()
+    lists, misses, real = [], [], crypto.cosign
+
+    def cosign(digest, signers, expected=None):
+        before = memo.cache_info().misses
+        sig = real(digest, signers, expected)
+        lists.append(tuple(signers))
+        misses.append(memo.cache_info().misses - before)
+        return sig
+
+    monkeypatch.setattr(crypto, "cosign", cosign)
+    sim.operator.run_signing(bundle, sim.wallets)
+    assert len(lists) == 2 * TREE_USERS - 1 + TREE_USERS
+    assert memo.cache_info().misses == len(set(lists)) == 2 * TREE_USERS - 1
+    assert misses == [0] * len(lists)
 
 
 def internal_node_keys(batch):

@@ -1,0 +1,162 @@
+"""Record the benchmark's end-to-end metrics of this checkout in one file.
+
+    python3 tools/bench_record.py --label baseline
+
+runs `perfbench/run.py --trace 0` on every workload, `--runs` times each on
+the fixed seeds 1, 2, ..., one run at a time and the workloads interleaved,
+and writes `BENCH_<label>.json` at the repo root (or into `--out`).  Per
+workload, the file holds the median and quartiles of each end-to-end
+metric, whether every run was `correct`, the failed operations summed over
+the runs, and `onchain_vb`; for the machine, the git commit, whether the
+measured code (`src/`, `perfbench/`) differed from it, the Python version,
+`os.cpu_count()` and the median reference-work time, by which files from
+different machines can be scaled.  The exit status is 1 if the file
+records an incorrect run, a failed operation or a commitment that weighs
+other than the paper's figure.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from typing import Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(ROOT, "perfbench", "run.py")
+WORKLOADS = ("wide_batch", "payment_stream", "adversarial_traces")
+METRICS = ("setup_s", "wall_s", "op_ms", "onchain_vb", "peak_rss_mb")
+# the vbytes each workload confirms per pass: a 64-user batch and its
+# exits, one 197 vB commitment, and the adversarial traces' ledgers
+ONCHAIN_VB = {"wide_batch": 16495, "payment_stream": 197,
+              "adversarial_traces": 3417}
+KEYS = ("label", "commit", "dirty", "python", "cpu_count", "reference_ms",
+        "runs", "seconds", "seeds", "workloads")
+WORKLOAD_KEYS = ("correct", "failed", "onchain_vb", "reference_ms", "metrics")
+_REFERENCE = re.compile(r"^\s+reference_ms\s+(\S+)\s+ms$", re.M)
+
+
+def spread(values: List[float]) -> Dict[str, float]:
+    """The median and quartiles of `values` (inclusive method, so one value
+    is its own quartiles)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def run_once(workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run: its JSON result line, plus its reference time.
+    The run's first line is printed as it ends."""
+    proc = subprocess.run(
+        [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        stdout=subprocess.PIPE, text=True, cwd=ROOT)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"bench_record: {workload} seed {seed} printed no result"
+                         f" (exit {proc.returncode})")
+    print(lines[0], flush=True)   # the run's header, with its fingerprint
+    result = json.loads(lines[-1])
+    found = _REFERENCE.search(proc.stdout)
+    result["reference_ms"] = float(found.group(1)) if found else None
+    return result
+
+
+def summarize(results: Dict[str, List[dict]]) -> dict:
+    """Per workload, the spread of each end-to-end metric over its runs."""
+    out = {}
+    for workload, runs in results.items():
+        metrics = {}
+        for name in METRICS:
+            values = [r["metrics"][name]["value"] for r in runs]
+            metrics[name] = dict(spread(values), unit=runs[0]["metrics"][name]["unit"])
+        references = [r["reference_ms"] for r in runs if r["reference_ms"] is not None]
+        out[workload] = {
+            "correct": all(r["correct"] is True for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "onchain_vb": metrics["onchain_vb"]["median"],
+            "reference_ms": statistics.median(references) if references else None,
+            "metrics": metrics,
+        }
+    return out
+
+
+def check(record: dict) -> List[str]:
+    """What is wrong with a recorded file: missing keys, an incorrect run,
+    a failed operation, or a commitment off the paper's figure."""
+    problems = [f"missing key {k}" for k in KEYS if k not in record]
+    for workload in WORKLOADS:
+        entry = record.get("workloads", {}).get(workload)
+        if entry is None:
+            problems.append(f"missing workload {workload}")
+            continue
+        problems += [f"{workload}: missing key {k}" for k in WORKLOAD_KEYS if k not in entry]
+        problems += [f"{workload}: missing metric {m}" for m in METRICS
+                     if m not in entry.get("metrics", {})]
+        if entry.get("correct") is not True:
+            problems.append(f"{workload}: a run was not correct")
+        if entry.get("failed") != 0:
+            problems.append(f"{workload}: {entry.get('failed')} operations failed")
+        if entry.get("onchain_vb") != ONCHAIN_VB[workload]:
+            problems.append(f"{workload}: onchain_vb {entry.get('onchain_vb')},"
+                            f" not {ONCHAIN_VB[workload]}")
+    return problems
+
+
+def _git(*args: str) -> str:
+    proc = subprocess.run(["git", *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, cwd=ROOT)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--runs", type=int, default=5,
+                        help="runs per workload, on seeds 1..runs (default 5)")
+    parser.add_argument("--seconds", type=float, default=15,
+                        help="each run's --seconds (default 15)")
+    parser.add_argument("--out", default=ROOT, help="directory to write into")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    seeds = list(range(1, args.runs + 1))
+    results: Dict[str, List[dict]] = {w: [] for w in WORKLOADS}
+    for seed in seeds:
+        for workload in WORKLOADS:
+            results[workload].append(run_once(workload, seed, args.seconds))
+    workloads = summarize(results)
+    references = [r["reference_ms"] for runs in results.values() for r in runs
+                  if r["reference_ms"] is not None]
+    record = {
+        "label": args.label,
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no",
+                           "--", "src", "perfbench")),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "reference_ms": statistics.median(references) if references else None,
+        "runs": args.runs,
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "workloads": workloads,
+    }
+    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    problems = check(record)
+    print(path)
+    print("\n".join(problems) or "ok")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
