@@ -201,7 +201,8 @@ class FfCoordinator:
                 spec = VtxoSpec(spec.value, spec.owner, spec.owner_pk, R)
             made.append(spec)
         leaves = [Vtxo(s.value, arkcore.vtxo_lock(s.owner_pk, op.pk, params.t_u,
-                                                  s.r_star), s.owner, s.owner_pk)
+                                                  s.r_star), s.owner, s.owner_pk,
+                       min(v.expiry for v in vtxos))
                   for s in made]
         ark = arkcore.ark_tx([(r.outpoint(0), r.outs[0].value) for r in resets],
                              leaves)
@@ -211,10 +212,7 @@ class FfCoordinator:
                                                 allow_conflict=allow_conflict)
             owner_sig = crypto.sign(self.wallets[v.owner].sk, ark.digest())
             ark.wits.append(Witness(0, (op_sig, owner_sig), rst.outs[0].lock.paths))
-        for leaf in leaves:
-            leaf.expiry = min(v.expiry for v in vtxos)
-        return ArkPayment(ark, resets, [list(p) for p in paths],
-                          [v.expiry for v in vtxos], leaves)
+        return ArkPayment(ark, resets, [list(p) for p in paths], leaves)
 
     def ff_send(self, sender: str, recipient: str, payment: ArkPayment) -> str:
         if sender not in self.cfg.members or recipient not in self.cfg.members:
@@ -273,7 +271,7 @@ class FfCoordinator:
             if spender is not None and spender != payload.payment.ark.txid:
                 other_tx = self.chain.records[spender].tx
                 return FfPayload(
-                    ArkPayment(other_tx, [], [], [], []), "chain", member,
+                    ArkPayment(other_tx, [], [], []), "chain", member,
                     other_tx.txid)
         return None
 

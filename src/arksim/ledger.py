@@ -275,6 +275,9 @@ class Chain:
         (package submission, parents first)."""
         if len(tx.wits) != len(tx.ins):
             raise InvalidWitness("witness count mismatch")
+        if len(tx.ins) > 1 and len(set(tx.ins)) < len(tx.ins):
+            op = next(op for i, op in enumerate(tx.ins) if op in tx.ins[:i])
+            raise DoubleSpend(f"{op} spent twice in one tx")
         if self.is_confirmed(tx.txid) or tx.txid in self.mempool:
             return False
         in_total = 0

@@ -2,12 +2,14 @@
 assembly, signing orchestration, the request queue, sweeping, and the
 per-round watch loop.
 
-All effects flow through the book's request queue and VTXO sets; the signing
-ceremony releases nothing until every required signature (including all
-forfeits) is held.  The operator's funding is derived from the chain, and
-one deadline table drives its watcher: sweeps at expiry (Routine 13),
-answers to unrolled spent VTXOs (Routine 19) and connector reservations.
-Each cosign, funding signature, sweep and release is noted in the trace.
+Intake reads every input as booked, and derives each reset and expiry
+itself.  All effects flow through the book's request queue and VTXO sets;
+the signing ceremony releases nothing until every required signature
+(including all forfeits) is held.  The operator's funding is derived from
+the chain, and one deadline table drives its watcher: sweeps at expiry
+(Routine 13), answers to unrolled spent VTXOs (Routine 19) and connector
+reservations.  Each cosign, funding signature, sweep and release is noted
+in the trace.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ class Request:
     inputs: Tuple[Vtxo, ...] = ()
     outputs: Tuple[VtxoSpec, ...] = ()
     exit_outputs: Tuple[Tuple[int, LockScript], ...] = ()
-    resets: Tuple[Tx, ...] = ()
-    input_expiries: Tuple[int, ...] = ()
 
 
 def _require_kind(r: Request, kind: str) -> None:
@@ -161,11 +161,10 @@ class Bundle:
 @dataclass
 class ArkPayment:
     """Signed payload handed to a payee: the ark tx, its reset txs, and
-    per-input unroll paths with their batch expiries."""
+    per-input unroll paths; each reset's sweep height is its input's expiry."""
     ark: Tx
     resets: List[Tx]
     paths: List[List[Tx]]
-    input_expiries: List[int]
     outputs: List[Vtxo]
 
 
@@ -264,17 +263,24 @@ class Operator:
 
     def _check_inputs(self, r: Request, kind: str, out_value: int) -> None:
         """The intake rule for every request that spends VTXOs: each input
-        is a known VTXO not already pending, and `out_value` (outputs plus
-        any fee) does not exceed the inputs."""
+        is a distinct VTXO the book holds, not pending, and given exactly as
+        booked, and `out_value` (outputs plus any fee) does not exceed them."""
         _require_kind(r, kind)
-        for v in r.inputs:
+        if not r.inputs:
+            raise Reject("NoInput")
+        for i, v in enumerate(r.inputs):
             if v.outpoint is None:
                 raise Reject("input VTXO has no outpoint")
             key = v.key()
-            if key not in self.book.confirmedVTXO and key not in self.book.preConfirmed:
+            booked = self.book.confirmedVTXO.get(key) or self.book.preConfirmed.get(key)
+            if booked is None:
                 raise Reject(f"UnknownVtxo {key}")
             if key in self.book.preSpent:
                 raise Reject(f"AlreadyPending {key}")
+            if v != booked:
+                raise Reject(f"InputMismatch {key}")
+            if v in r.inputs[:i]:
+                raise Reject(f"DuplicateInput {key}")
         if out_value > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
 
@@ -295,21 +301,12 @@ class Operator:
         first, the reset txs last, so the payer never holds a usable
         reset without the payment being complete."""
         self._check_inputs(r, "ark", sum(s.value for s in r.outputs))
-        all_secrets = dict(secrets)
-        all_secrets[self.pk.hex()] = self.sk
+        all_secrets = {**secrets, self.pk.hex(): self.sk}
         outputs = [self._make_leaf(s) for s in r.outputs]
         for out in outputs:
-            out.expiry = min(r.input_expiries)  # inherits the earliest input expiry
+            out.expiry = min(v.expiry for v in r.inputs)  # the earliest input expiry
         if self.use_resets:
-            if len(r.resets) != len(r.inputs):
-                raise Reject("MissingReset")
-            resets = list(r.resets)
-            for v, rst, exp in zip(r.inputs, resets, r.input_expiries):
-                if exp != v.expiry:
-                    raise Reject("MissingReset: wrong expiry")
-                expected = reset_tx(v, self.pk, v.expiry, self.params.t_u)
-                if rst.txid != expected.txid:
-                    raise Reject("MissingReset: reset does not re-lock the input")
+            resets = [reset_tx(v, self.pk, v.expiry, self.params.t_u) for v in r.inputs]
             ark = arkcore.ark_tx(
                 [(rst.outpoint(0), rst.outs[0].value) for rst in resets], outputs)
             # sign the ark tx first ...
@@ -327,8 +324,7 @@ class Operator:
             # legacy shape without reset transactions: the ark tx spends
             # the input VTXOs directly (the hostage-attack configuration)
             resets = []
-            ark = arkcore.ark_tx(
-                [(v.outpoint, v.value) for v in r.inputs], outputs)
+            ark = arkcore.ark_tx([(v.outpoint, v.value) for v in r.inputs], outputs)
             for v in r.inputs:
                 collab_idx, _ = classify_paths(v.lock, self.pk, self.params.t_u)
                 members = crypto.aggregate([v.owner_pk, self.pk]).members
@@ -343,7 +339,7 @@ class Operator:
             self.deadlines[rst.outpoint(0)] = Deadline("sweep-reset", v.expiry - 1, v.expiry)
         for out in outputs:
             self.book.preConfirmed[out.key()] = out
-        return ArkPayment(ark, resets, [], list(r.input_expiries), outputs)
+        return ArkPayment(ark, resets, [], outputs)
 
     # --- commitment assembly --------------------------------------------
 

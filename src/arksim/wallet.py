@@ -10,7 +10,9 @@ sweep-lock its outputs at the expiry.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
-turn its balance into confirmed UTXOs without the operator's help.
+turn its balance into confirmed UTXOs without the operator's help.  A
+payee refuses a transcript tx that creates value, and takes each input's
+expiry from its reset's sweep height, no later than its path's batch's.
 Every refused bundle or payment, accepted payment and unilateral exit is
 noted in the chain's trace, with the reason for a refusal.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import arkcore
-from .arkcore import BatchOutput, Vtxo, p2pk, reset_tx, sweep_path_height, vtxo_lock
+from .arkcore import BatchOutput, Vtxo, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
@@ -95,11 +97,7 @@ class Wallet:
 
     def make_ark_request(self, vtxos: Sequence[Vtxo],
                          outputs: Sequence[VtxoSpec]) -> Request:
-        resets = tuple(reset_tx(v, self.operator_pk, v.expiry, self.params.t_u)
-                       for v in vtxos)
-        req = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs),
-                      resets=resets,
-                      input_expiries=tuple(v.expiry for v in vtxos))
+        req = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs))
         for v in vtxos:
             self.holdings[v.key()].intent = "pay"
         return req
@@ -263,12 +261,10 @@ class Wallet:
             out = payment.ark.outs[v.outpoint.index]
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 return self._reject("output script mismatch")
-        if not len(payment.paths) == len(payment.resets) == \
-                len(payment.input_expiries) == len(payment.ark.ins):
+        if not len(payment.paths) == len(payment.resets) == len(payment.ark.ins):
             return self._reject("incomplete transcript")
-        for pth, rst, expiry in zip(payment.paths, payment.resets,
-                                    payment.input_expiries):
-            if not self._check_path(pth, rst, expiry):
+        for pth, rst in zip(payment.paths, payment.resets):
+            if not self._check_path(pth, rst):
                 return False
             if rst.outpoint(0) not in payment.ark.ins:
                 return self._reject("ark does not spend the reset")
@@ -288,7 +284,7 @@ class Wallet:
         transcript.extend(payment.resets)
         transcript.append(payment.ark)
         for v in mine:
-            v.expiry = min(payment.input_expiries)
+            v.expiry = min(sweep_path_height(rst.outs[0].lock) for rst in payment.resets)
             self.holdings[v.key()] = Holding(v, list(transcript), "ark")
         self.chain.note("wallet", self.name, "payment_accepted",
                         f"{sum(v.value for v in mine)} sat")
@@ -296,7 +292,7 @@ class Wallet:
         values[0] -= self.fee   # swap fee comes out of the received value
         return self.make_swap(mine, values)
 
-    def _check_path(self, pth: List[Tx], rst: Tx, expiry: int) -> bool:
+    def _check_path(self, pth: List[Tx], rst: Tx) -> bool:
         if not pth:
             return self._reject("empty path")
         if not all(tx.ins for tx in pth):
@@ -305,22 +301,23 @@ class Wallet:
             return self._reject("reset without inputs")
         if not rst.outs:
             return self._reject("reset without outputs")
-        root_src = pth[0].ins[0]
-        if not self.chain.is_confirmed(root_src.txid):
+        root = pth[0].ins[0]
+        outs = self.chain.records[root.txid].tx.outs if self.chain.is_confirmed(root.txid) else ()
+        if not 0 <= root.index < len(outs):
             return self._reject("path not rooted onchain")
         for parent, child in zip(pth, pth[1:]):
             if child.ins[0].txid != parent.txid:
                 return self._reject("broken path")
         if rst.ins[0].txid != pth[-1].txid:
             return self._reject("reset does not spend the path leaf")
-        sweep = sweep_path_height(rst.outs[0].lock)
-        if sweep != expiry:
+        sweep, batch = (sweep_path_height(o.lock) for o in (rst.outs[0], outs[root.index]))
+        if sweep is None or batch is None or sweep > batch:
             return self._reject("reset expiry mismatch")
         return True
 
     def _check_witnesses(self, payment: ArkPayment) -> bool:
         """Replay check: every transcript tx must carry a witness that
-        satisfies the output it spends.
+        satisfies the output it spends, and create no value.
 
         A path rooted in a remembered tree is that tree's first audit: the
         tree is forgotten, and every signature in it is first checked in
@@ -344,6 +341,7 @@ class Wallet:
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
                 return self._reject("missing witness")
+            in_value = 0
             for op, wit in zip(tx.ins, tx.wits):
                 src = pool_txs.get(op.txid)
                 if src is None and op.txid in self.chain.records:
@@ -351,9 +349,12 @@ class Wallet:
                 if src is None or not 0 <= op.index < len(src.outs):
                     return self._reject("unknown input")
                 out = src.outs[op.index]
+                in_value += out.value
                 ctx = SpendContext(h, h, tx.digest())
                 if not evaluate(out.lock, wit, ctx):
                     return self._reject("invalid witness")
+            if in_value < sum(o.value for o in tx.outs):
+                return self._reject("transcript creates value")
         return True
 
     # --- exits -----------------------------------------------------------

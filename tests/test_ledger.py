@@ -74,6 +74,21 @@ def test_value_creation_rejected():
         chain.submit(spend(op, 1001, PK2), "user")
 
 
+def test_an_outpoint_spent_twice_in_one_tx_is_refused():
+    # the duplicate-input fault of Bitcoin Core's CVE-2018-17144: a
+    # 1,000-sat grant listed twice would fund a 2,000-sat output
+    chain = make_chain()
+    op = chain.grant(1000, p2pk(PK))
+    tx = Tx(ins=(op, op), outs=(Output(2000, p2pk(PK2)),))
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(SK, tx.digest()),))] * 2
+    with pytest.raises(DoubleSpend, match="spent twice in one tx"):
+        chain.submit(tx, "user")
+    chain.advance_round()
+    assert not chain.is_confirmed(tx.txid)
+    assert chain.unspent(op)
+    assert chain.total_value() == 1000
+
+
 def test_witness_count_checked():
     chain = make_chain()
     op = chain.grant(1000, p2pk(PK))

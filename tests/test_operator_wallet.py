@@ -14,8 +14,8 @@ from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
 from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
 from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
-from arksim.operator_node import Reject, Request, VtxoSpec
-from arksim.script import KEY_PATH, Witness
+from arksim.operator_node import ArkPayment, Reject, Request, VtxoSpec
+from arksim.script import KEY_PATH, UNSPENDABLE, AbsTimelock, And, Witness, taproot
 
 
 def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
@@ -127,19 +127,21 @@ def test_input_without_outpoint_rejected(kind):
     assert book_state(sim.operator.book) == book
 
 
-def spend_request(kind, owner, v, value):
-    """A `kind` request spending `v` for `value` back to `owner`."""
+def spend_request(kind, owner, v, value, inputs=None):
+    """A `kind` request spending `v` (or the tuple `inputs`) for `value`
+    back to `owner`."""
+    inputs = (v,) if inputs is None else inputs
     if kind == "exit":
-        return Request("exit", owner.name, inputs=(v,),
+        return Request("exit", owner.name, inputs=inputs,
                        exit_outputs=((value, p2pk(owner.pk)),))
-    return Request(kind, owner.name, inputs=(v,),
+    return Request(kind, owner.name, inputs=inputs,
                    outputs=(VtxoSpec(value, owner.name, owner.pk),))
 
 
 def submit_spend(sim, r):
-    alice = sim.wallets["alice"]
+    payer = sim.wallets[r.party]
     if r.kind == "ark":
-        return sim.operator.verify_ark_request(r, {alice.pk.hex(): alice.sk})
+        return sim.operator.verify_ark_request(r, {payer.pk.hex(): payer.sk})
     if r.kind == "exit":
         return sim.operator.verify_exit(r)
     return sim.operator.verify_batch_swap(r)
@@ -148,21 +150,38 @@ def submit_spend(sim, r):
 @pytest.mark.parametrize("kind", ["batch-swap", "exit", "ark"])
 @pytest.mark.parametrize("fault, reason", [
     ("unknown", "UnknownVtxo"), ("pending", "AlreadyPending"),
-    ("value", "ValueExceeded")])
+    ("value", "ValueExceeded"), ("empty", "NoInput"),
+    ("duplicate", "DuplicateInput"), ("inflated", "InputMismatch"),
+    ("foreign", "InputMismatch")])
 def test_spending_intake_shares_one_rule(kind, fault, reason):
+    # every value, lock and expiry the operator reads after intake is the
+    # book's: a copy that differs from its booked VTXO is refused
     sim = boarded_sim()
-    alice = sim.wallets["alice"]
+    payer = sim.wallets["alice"]
     v = sim.vtxos("alice")[0]
-    value = v.value
+    inputs, value = (v,), v.value
     if fault == "unknown":
-        v = dataclasses.replace(v, outpoint=OutPoint("ab" * 32, 7))
+        inputs = (dataclasses.replace(v, outpoint=OutPoint("ab" * 32, 7)),)
     elif fault == "pending":
-        sim.operator.verify_exit(spend_request("exit", alice, v, v.value))
-    else:
+        sim.operator.verify_exit(spend_request("exit", payer, v, v.value))
+    elif fault == "value":
         value += 1
+    elif fault == "empty":
+        inputs, value = (), 0
+    elif fault == "duplicate":
+        inputs, value = (v, v), 2 * v.value
+    elif fault == "inflated":
+        inputs, value = (dataclasses.replace(v, value=10 * v.value),), 10 * v.value
+    else:
+        # a wallet with no funds puts its own lock, owner and key on a copy
+        # of alice's VTXO
+        payer = sim.add_wallet("mallory", [])
+        lock = arkcore.vtxo_lock(payer.pk, sim.operator.pk, PARAMS.t_u)
+        inputs = (dataclasses.replace(v, lock=lock, owner="mallory",
+                                      owner_pk=payer.pk),)
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=f"^{reason}"):
-        submit_spend(sim, spend_request(kind, alice, v, value))
+        submit_spend(sim, spend_request(kind, payer, v, value, inputs))
     assert book_state(sim.operator.book) == book
 
 
@@ -230,15 +249,25 @@ def test_ark_request_value_bounded():
         sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
 
 
-def test_ark_request_requires_matching_reset():
+def test_the_operator_derives_every_reset_of_a_payment():
+    # a request carries no reset or expiry: the operator builds each reset
+    # from the booked input, and the outputs inherit the earliest expiry
+    assert not {"resets", "input_expiries"} & {f.name for f in dataclasses.fields(Request)}
+    assert "input_expiries" not in {f.name for f in dataclasses.fields(ArkPayment)}
     sim = boarded_sim()
-    v = sim.vtxos("alice")[0]
-    alice = sim.wallets["alice"]
-    req = alice.make_ark_request([v], [VtxoSpec(v.value, "alice", alice.pk)])
-    req = Request("ark", "alice", inputs=req.inputs, outputs=req.outputs,
-                  resets=(), input_expiries=req.input_expiries)
-    with pytest.raises(Reject):
-        sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+    alice, op = sim.wallets["alice"], sim.operator
+    alice.funds = [(sim.chain.grant(6_000, p2pk(alice.pk)), 6_000)]
+    sim.board("alice", [6_000])
+    sim.settle_commitment()
+    vs = sorted(sim.vtxos("alice"), key=lambda v: v.expiry)
+    assert vs[0].expiry < vs[1].expiry
+    sim.add_wallet("bob", [])
+    payment = sim.ark_pay("alice", "bob", vs, 2_000)
+    assert [rst.txid for rst in payment.resets] == \
+        [arkcore.reset_tx(v, op.pk, v.expiry, PARAMS.t_u).txid for v in vs]
+    assert {out.expiry for out in payment.outputs} == {vs[0].expiry}
+    (received,) = [h.vtxo for h in sim.wallets["bob"].holdings.values()]
+    assert received.expiry == vs[0].expiry
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
@@ -583,15 +612,34 @@ def strip_reset_outputs(payment):
     payment.resets[0] = dataclasses.replace(payment.resets[0], outs=())
 
 
-def drop_expiries(payment):
-    payment.input_expiries = []
+def sweep_after_the_batch(payment):
+    # the reset's output is sweepable one block after the batch it
+    # descends from expires
+    rst = payment.resets[0]
+    *collab, sweep = rst.outs[0].lock.paths
+    later = And(*(AbsTimelock(c.height + 1) if isinstance(c, AbsTimelock) else c
+                  for c in sweep.children))
+    lock = taproot(UNSPENDABLE, (*collab, later))
+    payment.resets[0] = dataclasses.replace(rst, outs=(Output(rst.outs[0].value, lock),))
+
+
+def root_past_its_tx(payment):
+    # the path and its reset, relinked from an output index past the
+    # confirmed root tx's outputs
+    pth, rst = payment.paths[0], payment.resets[0]
+    spent = OutPoint(pth[0].ins[0].txid, 99)
+    for i, tx in enumerate(pth):
+        pth[i] = dataclasses.replace(tx, ins=(spent,) + tx.ins[1:])
+        spent = OutPoint(pth[i].txid, (pth + [rst])[i + 1].ins[0].index)
+    payment.resets[0] = dataclasses.replace(rst, ins=(spent,))
 
 
 @pytest.mark.parametrize("damage, reason", [
     (strip_path_inputs, "path tx without inputs"),
+    (root_past_its_tx, "path not rooted onchain"),
     (strip_reset_inputs, "reset without inputs"),
     (strip_reset_outputs, "reset without outputs"),
-    (drop_expiries, "incomplete transcript"),
+    (sweep_after_the_batch, "reset expiry mismatch"),
 ])
 def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
     # a rejection with its reason in the trace, not an IndexError or a
@@ -603,6 +651,32 @@ def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
     damage(payment)
     assert sim.wallets["bob"].receive_payment(payment) is None
     assert last_refusal(sim) == ("wallet", "bob", "payment_rejected", reason)
+
+
+def test_wallet_rejects_a_transcript_that_creates_value():
+    # a reset that turns alice's 5,000-sat leaf into 50,000 sats, and an ark
+    # tx that pays bob all of it: only an operator that colludes with the
+    # payer signs these, and the transcript can never confirm
+    sim = boarded_sim()
+    bob = sim.add_wallet("bob", [])
+    alice, op = sim.wallets["alice"], sim.operator
+    (v,) = sim.vtxos("alice")
+    payment = sim.ark_pay("alice", "bob", [v], 2_000, auto_receive=False)
+    agg = crypto.aggregate([alice.pk, op.pk])
+    sks = {alice.pk: alice.sk, op.pk: op.sk}
+    rst = payment.resets[0]
+    reset = Tx(ins=rst.ins, outs=(Output(50_000, rst.outs[0].lock),))
+    paid = arkcore.Vtxo(50_000, arkcore.vtxo_lock(bob.pk, op.pk, PARAMS.t_u),
+                        "bob", bob.pk)
+    ark = arkcore.ark_tx([(reset.outpoint(0), 50_000)], [paid])
+    for tx, wit in ((reset, rst.wits[0]), (ark, payment.ark.wits[0])):
+        sig = crypto.cosign(tx.digest(), [sks[m] for m in agg.members], agg)
+        tx.wits = [Witness(wit.path_index, (sig,), wit.revealed_paths)]
+    forged = dataclasses.replace(payment, ark=ark, resets=[reset], outputs=[paid])
+    assert bob.receive_payment(forged) is None
+    assert last_refusal(sim) == ("wallet", "bob", "payment_rejected",
+                                 "transcript creates value")
+    assert bob.holdings == {}
 
 
 def test_wallet_rejects_a_tree_that_spends_one_output_twice():
