@@ -234,21 +234,11 @@ def check_vtxt(vtxt: Vtxt) -> None:
 
 
 def _chunks(items: List, arity: int) -> List[List]:
+    if arity < 2:
+        raise ArkError("arity must be at least 2")
     n = len(items)
     width = math.ceil(n / arity)
     return [items[i:i + width] for i in range(0, n, width)]
-
-
-def _leaf_groups(leaves: Sequence[Vtxo], arity: int) -> List[List[Vtxo]]:
-    """The leaf group of every output a tree over `leaves` pays: the
-    whole set, then each node's child groups."""
-    out, stack = [], [list(leaves)]
-    while stack:
-        group = stack.pop()
-        out.append(group)
-        if len(group) > 1:
-            stack.extend(_chunks(group, arity))
-    return out
 
 
 def batch_output(leaves: Sequence[Vtxo], operator: PublicKey, expiry: int) -> Output:
@@ -261,6 +251,19 @@ def batch_output(leaves: Sequence[Vtxo], operator: PublicKey, expiry: int) -> Ou
                   batch_lock(operator, crypto.aggregate(pks.values()), expiry))
 
 
+def tree_keys(leaves: Sequence[Vtxo], operator: PublicKey, arity: int = 2) -> None:
+    """Aggregate the key of every output a tree over `leaves` pays, the
+    batch output's included, in one pass unless their terms fall short of
+    the batch minimum; run before `batch_output` and `build_vtxt`."""
+    groups, stack = [], [list(leaves)]
+    while stack:
+        groups.append(stack.pop())
+        if len(groups[-1]) > 1:
+            stack.extend(_chunks(groups[-1], arity))
+    if sum(map(len, groups)) + len(groups) >= crypto.AGGREGATE_BATCH_MIN:
+        crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
+
+
 def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
                expiry: int, arity: int = 2) -> Tuple[Vtxt, Output]:
     """Balanced VTXT over the funding outpoint, and the batch output that
@@ -270,13 +273,6 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
     fee anchor."""
     if not leaves:
         raise ArkError("empty leaf set")
-    if arity < 2:
-        raise ArkError("arity must be at least 2")
-    # every node output's key, the batch output's included, in one pass,
-    # unless the tree's terms fall short of the batch minimum
-    groups = _leaf_groups(leaves, arity)
-    if sum(map(len, groups)) + len(groups) >= crypto.AGGREGATE_BATCH_MIN:
-        crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
     vtxt = Vtxt(funding, batch_output(leaves, operator, expiry))
     # preorder, root first: a node's children are pushed last to first, so
     # the first child's subtree is built before the second child

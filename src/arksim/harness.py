@@ -83,7 +83,7 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid):
             continue
-        consumed.update(b.gamma)
+        consumed.update((op.txid, op.index) for op in b.anchors())  # the forfeited
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid) or b.batch is None:
             continue
@@ -338,6 +338,7 @@ def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
     cosign every node.  `keys` are the (secret, public) pairs of every
     cosigner, the operator's first."""
     op_pk = keys[0][1]
+    arkcore.tree_keys(leaves, op_pk)
     out = arkcore.batch_output(leaves, op_pk, expiry)
     vtxt, _ = arkcore.build_vtxt(chain.grant(out.value, out.lock), leaves, op_pk, expiry, 2)
     cosign_vtxt(vtxt, {pk.hex(): sk for sk, pk in keys})
@@ -688,7 +689,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     w2.on_commitment_confirmed(bundle2)
 
     # reimbursement: O1 pays v to O2, anchored in O2's commitment
-    anchor = bundle2.gamma[old_vtxo.key()]
+    anchor = bundle2.anchors()[old_vtxo.outpoint]
     o1_fund, o1_out = sim.operator.spendable_liquidity()[0]
     reimb = Tx(ins=(o1_fund, anchor),
                outs=(Output(old_vtxo.value + p.epsilon, p2pk(op2.pk)),

@@ -83,11 +83,11 @@ class VtxoSpec:
 @dataclass(eq=False)
 class Request:
     """One party's request; compared and hashed by identity, so the book
-    queues, bundles, re-queues and retires the request object itself."""
+    queues, bundles, re-queues and retires the request object itself.  The
+    operator reads a boarding output from the chain, an input from its book."""
     kind: str                      # boarding | batch-swap | exit | ark
     party: str
     boarding_outpoint: Optional[OutPoint] = None
-    boarding_output: Optional[Output] = None
     inputs: Tuple[Vtxo, ...] = ()
     outputs: Tuple[VtxoSpec, ...] = ()
     exit_outputs: Tuple[Tuple[int, LockScript], ...] = ()
@@ -143,19 +143,22 @@ WATCH_ORDER = ("reserve", "sweep-batch", "sweep-reset", "answer")
 class Bundle:
     """Everything the parties inspect and sign for one commitment.
     `requests` holds the bundled requests in assembly order (boarding
-    requests, then batch swaps, then exits), and `leaves[i]` the leaf
-    VTXOs made for `requests[i]`; an exit's list is empty.  The commitment
-    spends `funding_ins` first, then each boarding request's output."""
+    requests, then batch swaps, then exits), and the batch tree's leaves
+    are their outputs in that order.  The commitment spends the funding
+    inputs first, then each boarding request's output."""
     commitment: Tx
     batch: Optional[BatchOutput]
     connector: Optional[ConnectorOutput]
-    gamma: Dict[Tuple[str, int], OutPoint]          # forfeited vtxo -> anchor
     requests: List[Request]
-    leaves: List[List[Vtxo]]
-    funding_ins: List[Tuple[OutPoint, Output]]      # operator liquidity inputs
     forfeits: Dict[Tuple[str, int], Tx] = field(default_factory=dict)
     submit_height: Optional[int] = None
     account: Dict[str, int] = field(default_factory=dict)  # Lemma-4 style flows
+
+    def anchors(self) -> Dict[Optional[OutPoint], OutPoint]:
+        """Each forfeited VTXO's connector anchor, by the VTXO's outpoint:
+        the swaps' inputs, in request order, paired with the connector's."""
+        swapped = (v.outpoint for r in self.requests if r.kind == "batch-swap" for v in r.inputs)
+        return dict(zip(swapped, self.connector.anchors if self.connector else ()))
 
 
 @dataclass
@@ -258,7 +261,6 @@ class Operator:
             raise Reject(f"boarding lock unsafe: {e}")
         if out.value < sum(s.value for s in r.outputs) + self.fee:
             raise Reject("funds do not cover the requested VTXOs")
-        r.boarding_output = out
         self._enqueue(r)
 
     def _check_inputs(self, r: Request, kind: str, out_value: int) -> None:
@@ -348,23 +350,28 @@ class Operator:
         return Vtxo(spec.value, lock, spec.owner, spec.owner_pk)
 
     def assemble_commitment(self) -> Optional[Bundle]:
+        # a boarding output its owner reclaimed after t_b leaves the queue
+        for r in [r for r in self.book.queue if r.kind == "boarding"
+                  and not self.chain.unspent(r.boarding_outpoint)]:
+            self.book.queue.remove(r)
+            self.book.preSpent.difference_update(_held_keys(r))
+            self.chain.note("operator_node", self.name, "drop",
+                            f"boarding output spent {r.boarding_outpoint.txid[:8]}")
         requests = [r for kind in ("boarding", "batch-swap", "exit")
                     for r in self.book.queue if r.kind == kind]
         if not requests:
             return None
         expiry = self.chain.height + 2 * self.params.k + self.params.t_e
 
-        made = [[self._make_leaf(s) for s in r.outputs] for r in requests]
-        leaves = [v for vs in made for v in vs]
+        leaves = [self._make_leaf(s) for r in requests for s in r.outputs]
         forfeited = [v for r in requests if r.kind == "batch-swap" for v in r.inputs]
         exit_outs = [o for r in requests if r.kind == "exit" for o in r.exit_outputs]
-        boarded = [(r.boarding_outpoint, r.boarding_output)
-                   for r in requests if r.kind == "boarding"]
+        boarded = [r.boarding_outpoint for r in requests if r.kind == "boarding"]
 
         batch_value = sum(v.value for v in leaves)
         connector_value = len(forfeited) * self.params.epsilon
         exit_value = sum(v for v, _ in exit_outs)
-        boarding_value = sum(o.value for _, o in boarded)
+        boarding_value = sum(self.chain.utxos[op].output.value for op in boarded)
         request_fees = self.fee * len(requests)
 
         # operator funding, largest first, until it covers the batches,
@@ -385,10 +392,11 @@ class Operator:
         if not self.reserved().isdisjoint(op for op, _ in funding):
             raise InvariantError("funding spends a reserved connector output")
 
-        ins = [op for op, _ in funding] + [op for op, _ in boarded]
+        ins = [op for op, _ in funding] + boarded
         outs: List[Output] = []
         out_index: Dict[str, int] = {}
         if leaves:
+            arkcore.tree_keys(leaves, self.pk, self.params.arity)
             out_index["batch"] = len(outs)
             outs.append(arkcore.batch_output(leaves, self.pk, expiry))
         if forfeited:
@@ -407,12 +415,10 @@ class Operator:
             vtxt, _ = build_vtxt(fund_op, leaves, self.pk, expiry, self.params.arity)
             batch = BatchOutput(vtxt)
         connector = None
-        gamma: Dict[Tuple[str, int], OutPoint] = {}
         if forfeited:
             conn_op = commitment.outpoint(out_index["connector"])
             connector = build_connector(conn_op, len(forfeited), self.pk,
                                         self.params.epsilon, self.params.arity)
-            gamma = {v.key(): anchor for v, anchor in zip(forfeited, connector.anchors)}
 
         account = {
             "L": have, "B": boarding_value, "V": batch_value,
@@ -421,8 +427,7 @@ class Operator:
         }
         check_conservation(account)
 
-        return Bundle(commitment, batch, connector, gamma, requests, made,
-                      funding, account=account)
+        return Bundle(commitment, batch, connector, requests, account=account)
 
     # --- signing ceremony ------------------------------------------------
 
@@ -471,32 +476,30 @@ class Operator:
         # path is the input lock's own collaborative aggregate, which may
         # name a previous operator (handover).  Each forfeit takes two
         # signatures
-        swapped = [(r, v) for r in bundle.requests if r.kind == "batch-swap"
-                   for v in r.inputs]
+        anchors = bundle.anchors()
+        swapped = [(r, v, anchors[v.outpoint]) for r in bundle.requests
+                   if r.kind == "batch-swap" for v in r.inputs]
         for chunk in chunked(swapped, crypto.SIGN_BATCH_MAX // 2):
-            forfeits = [(forfeit_tx(v, bundle.gamma[v.key()], self.pk, self.params.epsilon),
-                         *collab_aggregate(v.lock)) for _, v in chunk]
+            forfeits = [(forfeit_tx(v, anchor, self.pk, self.params.epsilon),
+                         *collab_aggregate(v.lock)) for _, v, anchor in chunk]
             sign_ahead([(ff, agg.members) for ff, _, agg in forfeits],
                        secrets, [(self.sk, ff) for ff, _, _ in forfeits])
-            for (r, v), (ff, collab_idx, agg) in zip(chunk, forfeits):
+            for (r, v, _), (ff, collab_idx, agg) in zip(chunk, forfeits):
                 maybe_abort("forfeit", r.party)
-                anchor = bundle.gamma[v.key()]
                 sig = self._cosign(ff, agg.members, secrets, "forfeit")
                 anchor_sig = crypto.sign(self.sk, ff.digest())
                 ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
                            Witness(KEY_PATH, (anchor_sig,))]
-                if ff.ins != (v.outpoint, anchor):
-                    raise SessionAborted("forfeit inputs do not match")
                 bundle.forfeits[v.key()] = ff
 
         # the commitment spends the funding inputs first, then the
         # boarding inputs (see assemble_commitment)
         wits: List[Optional[Witness]] = [None] * len(bundle.commitment.ins)
-        n_funding = len(bundle.funding_ins)
+        boarding = [r for r in bundle.requests if r.kind == "boarding"]
+        n_funding = len(wits) - len(boarding)
 
         # step 4: boarding cosigns
-        to_board = list(enumerate((r for r in bundle.requests if r.kind == "boarding"),
-                                  start=n_funding))
+        to_board = list(enumerate(boarding, start=n_funding))
         for chunk in chunked(to_board, crypto.SIGN_BATCH_MAX):
             sign_ahead([(bundle.commitment, (wallets[r.party].pk, self.pk))
                         for _, r in chunk], secrets)
@@ -504,8 +507,8 @@ class Operator:
                 maybe_abort("boarding", r.party)
                 members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
                 sig = self._cosign(bundle.commitment, members, secrets, "boarding")
-                wits[i] = Witness(BOARDING_COOP_PATH, (sig,),
-                                  r.boarding_output.lock.paths)
+                out = self.chain.utxos[bundle.commitment.ins[i]].output
+                wits[i] = Witness(BOARDING_COOP_PATH, (sig,), out.lock.paths)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)

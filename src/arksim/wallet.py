@@ -2,19 +2,23 @@
 verification, payment receipt, unilateral exit, the exit-deadline
 policy, and balance computation.
 
-The bundle audit reads only the commitment and the signed txs.  The
-commitment must create the batch tree's funding output, whose sweep
-height is the batch expiry; the tree must pass `arkcore.check_vtxt`; and
-every node on the wallet's path must need its key, create no value and
-sweep-lock its outputs at the expiry.
+The bundle audit reads only the chain, the commitment and the signed
+txs.  The commitment must spend outputs the chain holds, create no value
+and create the batch tree's funding output, whose sweep height is the
+batch expiry; the tree must pass `arkcore.check_vtxt`.  Its leaves are
+the requests' outputs in request order: the wallet takes its own from
+there and refuses two at one outpoint (another owner's leaf fails the
+lock check).  Every node on the wallet's path must need its key, create
+no value and sweep-lock its outputs at the expiry.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.  A
-payee refuses a transcript tx that creates value, and takes each input's
-expiry from its reset's sweep height, no later than its path's batch's.
-Every refused bundle or payment, accepted payment and unilateral exit is
-noted in the chain's trace, with the reason for a refusal.
+payee refuses a transcript tx that creates value or spends an output
+twice, and takes each input's expiry from its reset's sweep height, no
+later than its path's batch's.  Every refused bundle or payment,
+accepted payment and unilateral exit is noted in the chain's trace, with
+the reason for a refusal.
 
 A wallet also remembers the signed VTXT of every batch it cosigns, keyed
 by the tree's funding outpoint, from the batch's confirmation until its
@@ -132,12 +136,10 @@ class Wallet:
             return self._fail("leaf output mismatch")
         return True
 
-    def verify_connector(self, bundle: Bundle, vtxo: Vtxo) -> bool:
-        anchor = bundle.gamma.get(vtxo.key())
-        if anchor is None or bundle.connector is None:
+    def verify_connector(self, bundle: Bundle, anchor: Optional[OutPoint]) -> bool:
+        """A forfeited VTXO's anchor (`Bundle.anchors`) is an epsilon output."""
+        if anchor is None:
             return self._fail("no anchor for forfeited vtxo")
-        if anchor not in bundle.connector.anchors:
-            return self._fail("anchor not in the connector")
         tree = bundle.connector.vtxt.txs if bundle.connector.vtxt else {}
         tx = tree.get(anchor.txid, bundle.commitment)   # or else the commitment made it
         outs = tx.outs[anchor.index:anchor.index + 1] if tx.txid == anchor.txid else ()
@@ -146,22 +148,23 @@ class Wallet:
         return True
 
     def _mine(self, bundle: Bundle) -> Iterator[Tuple[Request, List[Vtxo]]]:
-        """This wallet's requests in the bundle, each with the leaves made
-        for it; an exit has none."""
-        for r, leaves in zip(bundle.requests, bundle.leaves):
+        """This wallet's requests in the bundle, each with the tree's leaves
+        made for its outputs; an exit has none."""
+        leaves = bundle.batch.vtxt.leaves if bundle.batch is not None else []
+        end = 0
+        for r in bundle.requests:
+            start, end = end, end + len(r.outputs)
             if r.party == self.name:
-                yield r, leaves
+                yield r, [leaf.vtxo for leaf in leaves[start:end]]
 
     def verify_commitment(self, bundle: Bundle) -> bool:
-        if len(bundle.leaves) != len(bundle.requests):
-            return self._fail("leaf lists do not match the requests")
-        boarded = [r.boarding_output for r in bundle.requests
-                   if r.kind == "boarding"]
-        if any(o is None for o in boarded):
-            return self._fail("boarding request without its output")
-        in_value = sum(o.value for _, o in bundle.funding_ins) \
-            + sum(o.value for o in boarded)
-        if in_value < sum(o.value for o in bundle.commitment.outs):
+        leaves = bundle.batch.vtxt.leaves if bundle.batch is not None else []
+        if len(leaves) != sum(len(r.outputs) for r in bundle.requests):
+            return self._fail("tree leaves do not match the requests")
+        spent = [self.chain.utxos.get(op) for op in bundle.commitment.ins]
+        if any(e is None for e in spent):
+            return self._fail("commitment spends an unknown output")
+        if sum(e.output.value for e in spent) < sum(o.value for o in bundle.commitment.outs):
             return self._fail("commitment creates value")
         if bundle.batch is not None:
             vtxt, i = bundle.batch.vtxt, bundle.batch.vtxt.funding.index
@@ -175,31 +178,24 @@ class Wallet:
             floor = self.chain.height + 2 * self.params.k + self.params.t_e
             if (bundle.batch.expiry or 0) < floor:
                 return self._fail("batch expiry below the local bound")
-            if vtxt.funding_out.value < sum(l.vtxo.value for l in vtxt.leaves):
+            if vtxt.funding_out.value < sum(l.vtxo.value for l in leaves):
                 return self._fail("batch value below the leaf total")
+        anchors = bundle.anchors()
         seen: set[Tuple[str, int]] = set()
-        for leaves in bundle.leaves:
-            for leaf in leaves:
-                if leaf.outpoint is None:
-                    return self._fail("leaf has no outpoint")
-                key = leaf.key()
-                if key in seen:
+        for r, made in self._mine(bundle):
+            for leaf, spec in zip(made, r.outputs):
+                expected = vtxo_lock(spec.owner_pk, self.operator_pk,
+                                     self.params.t_u, spec.r_star)
+                if leaf.value != spec.value or leaf.lock != expected:
+                    return self._fail("requested vtxo mismatch")
+                if not self.verify_path(bundle, leaf):
+                    return False
+                if leaf.key() in seen:
                     return self._fail("two requests aliased to one output")
-                seen.add(key)
-        for r, leaves in self._mine(bundle):
-            if r.kind in ("boarding", "batch-swap"):
-                if len(leaves) != len(r.outputs):
-                    return self._fail("missing requested vtxo")
-                for leaf, spec in zip(leaves, r.outputs):
-                    expected = vtxo_lock(spec.owner_pk, self.operator_pk,
-                                         self.params.t_u, spec.r_star)
-                    if leaf.value != spec.value or leaf.lock != expected:
-                        return self._fail("requested vtxo mismatch")
-                    if not self.verify_path(bundle, leaf):
-                        return False
+                seen.add(leaf.key())
             if r.kind == "batch-swap":
                 for v in r.inputs:
-                    if not self.verify_connector(bundle, v):
+                    if not self.verify_connector(bundle, anchors.get(v.outpoint)):
                         return False
             if r.kind == "exit":
                 for value, lock in r.exit_outputs:
@@ -317,7 +313,8 @@ class Wallet:
 
     def _check_witnesses(self, payment: ArkPayment) -> bool:
         """Replay check: every transcript tx must carry a witness that
-        satisfies the output it spends, and create no value.
+        satisfies the output it spends, spend each output once and create
+        no value.
 
         A path rooted in a remembered tree is that tree's first audit: the
         tree is forgotten, and every signature in it is first checked in
@@ -341,6 +338,8 @@ class Wallet:
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
                 return self._reject("missing witness")
+            if len(set(tx.ins)) < len(tx.ins):
+                return self._reject("transcript tx spends an output twice")
             in_value = 0
             for op, wit in zip(tx.ins, tx.wits):
                 src = pool_txs.get(op.txid)

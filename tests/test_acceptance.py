@@ -200,6 +200,8 @@ def test_criterion_09_commitment_timing_linear():
                   for i, (_, pk) in enumerate(users)]
         funding = chain.grant(100 * n, p2pk(op_pk))
         t1 = time.perf_counter()
+        # as the operator builds a tree: every node key in one pass first
+        arkcore.tree_keys(leaves, op_pk, params.arity)
         vtxt, _ = arkcore.build_vtxt(funding, leaves, op_pk, 300, params.arity)
         secrets = {pk.hex(): sk for sk, pk in users}
         secrets[op_pk.hex()] = op_sk

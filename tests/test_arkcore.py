@@ -252,9 +252,10 @@ def test_building_trees_leaves_no_cyclic_garbage():
 
 def test_build_vtxt_fetches_each_comb_table_once(monkeypatch):
     # criterion 9's widest tree: 256 users and the operator are 257 bases,
-    # one more than the comb memo holds.  build_vtxt sums every node key in
-    # one pass that fetches each base's table once; key by key, the memo
-    # evicted tables and built them again (518 misses here)
+    # one more than the comb memo holds.  tree_keys sums every node key in
+    # one pass that fetches each base's table once, and build_vtxt then
+    # finds each key in the memo; key by key, the memo evicted tables and
+    # built them again (518 misses here)
     op_pk = crypto.keygen(b"thrash-op")[1]
     users = [crypto.keygen(b"thrash-%d" % i)[1] for i in range(256)]
     leaves = [Vtxo(100, p2pk(pk), f"u{i}", pk) for i, pk in enumerate(users)]
@@ -264,6 +265,7 @@ def test_build_vtxt_fetches_each_comb_table_once(monkeypatch):
         crypto._comb_table.__wrapped__)
     monkeypatch.setattr(crypto, "_comb_table", comb)
     _, funding = funded_chain(100 * 256)
+    arkcore.tree_keys(leaves, op_pk, PARAMS.arity)
     vtxt, _ = build_vtxt(funding, leaves, op_pk, 300, PARAMS.arity)
     assert len(vtxt.txs) == 511
     assert comb.cache_info().misses == 257

@@ -229,7 +229,8 @@ def test_every_swap_commitment_weighs_197_vb():
                 sim.settle_commitment(lambda step, party: (step, party) == ("forfeit", "bob"))
         swaps.append(sim.settle_commitment())
     assert all(sim.chain.is_confirmed(b.commitment.txid) for b in swaps)
-    assert [len(b.funding_ins) for b in swaps] == [1] * 14
+    # a swap commitment spends the operator's funding and nothing else
+    assert [len(b.commitment.ins) for b in swaps] == [1] * 14
     assert [harness.tx_vbytes(b.commitment) for b in swaps] == [197] * 14
 
 

@@ -64,7 +64,6 @@ def test_boarding_value_must_cover_request():
     w = sim.add_wallet("alice", [1_000])
     tx, _ = submit_boarding(sim, "alice", [1_000])
     bad = Request("boarding", "alice", boarding_outpoint=tx.outpoint(0),
-                  boarding_output=None,
                   outputs=(VtxoSpec(2_000, "alice", w.pk),))
     sim.tick(PARAMS.k + 1)
     with pytest.raises(Reject):
@@ -100,6 +99,35 @@ def test_intake_rejects_wrong_kind(method, kind):
     with pytest.raises(Reject, match=f"expected a {kind} request"):
         getattr(sim.operator, method)(*args)
     assert book_state(sim.operator.book) == book
+
+
+def test_a_reclaimed_boarding_output_leaves_the_queue():
+    # alice's queued boarding output outlives t_b unsettled, and she
+    # reclaims it on its exit path.  Assembly reads each boarding output
+    # from the chain, so it drops her request with a reason and releases
+    # its key, and bob's boarding settles
+    params = Params(k=3, t_u=13, t_e=40, t_b=5, t_r=8)
+    sim = Simulation(params, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000])
+    sim.add_wallet("bob", [5_000])
+    op = sim.board("alice", [5_000]).boarding_outpoint
+    sim.tick(params.t_b + 1)
+    out = sim.chain.utxos[op].output
+    reclaim = Tx(ins=(op,), outs=(Output(out.value, p2pk(alice.pk)),))
+    reclaim.wits = [Witness(arkcore.BOARDING_EXIT_PATH,
+                            (crypto.sign(alice.sk, reclaim.digest()),), out.lock.paths)]
+    sim.chain.submit(reclaim, "alice")
+    sim.tick(1)
+    assert sim.chain.is_confirmed(reclaim.txid)
+    bob_request = sim.board("bob", [5_000])
+    bundle = sim.settle_commitment()
+    assert bundle.requests == [bob_request]
+    assert sim.chain.is_stable(bundle.commitment.txid)
+    assert [v.value for v in sim.vtxos("bob")] == [5_000]
+    assert sim.operator.book.queue == [] and sim.operator.book.preSpent == set()
+    assert [e[1:] for e in sim.chain.trace if e.event == "drop"] == [
+        ("operator_node", "operator", "drop", f"boarding output spent {op.txid[:8]}")]
 
 
 def test_boarding_without_outpoint_rejected():
@@ -356,7 +384,8 @@ def test_rollback_requeues_every_kind_in_order():
             "batch-swap", w["alice"], swap_a.inputs[0], 5_000))
     again = sim.operator.assemble_commitment()
     assert again.requests == [boarding, swap_b, swap_a, exit_]
-    assert [len(leaves) for leaves in again.leaves] == [1, 1, 1, 0]
+    # the tree's leaves are the requests' outputs, in request order
+    assert [leaf.vtxo.owner for leaf in again.batch.vtxt.leaves] == ["dave", "bob", "alice"]
 
 
 def test_sweep_lands_at_expiry():
@@ -594,7 +623,7 @@ def test_wallet_rejects_a_tree_the_commitment_does_not_fund():
 
 def test_wallet_rejects_a_leaf_index_past_its_tx():
     sim, bundle = pair_bundle()
-    leaf = bundle.leaves[0][0]
+    leaf = bundle.batch.vtxt.leaves[0].vtxo     # alice's
     leaf.outpoint = OutPoint(leaf.outpoint.txid, 5)
     assert not sim.wallets["alice"].verify_commitment(bundle)
     assert last_refusal(sim) == ("wallet", "alice", "verify_failed", "leaf output mismatch")
@@ -653,10 +682,11 @@ def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
     assert last_refusal(sim) == ("wallet", "bob", "payment_rejected", reason)
 
 
-def test_wallet_rejects_a_transcript_that_creates_value():
-    # a reset that turns alice's 5,000-sat leaf into 50,000 sats, and an ark
-    # tx that pays bob all of it: only an operator that colludes with the
-    # payer signs these, and the transcript can never confirm
+def colluding_payment(value, spends=1):
+    """A sim and alice's payment to bob of `value` sats, out of a reset
+    that spends her 5,000-sat leaf `spends` times: only an operator that
+    colludes with the payer signs these, and the transcript can never
+    confirm."""
     sim = boarded_sim()
     bob = sim.add_wallet("bob", [])
     alice, op = sim.wallets["alice"], sim.operator
@@ -665,18 +695,39 @@ def test_wallet_rejects_a_transcript_that_creates_value():
     agg = crypto.aggregate([alice.pk, op.pk])
     sks = {alice.pk: alice.sk, op.pk: op.sk}
     rst = payment.resets[0]
-    reset = Tx(ins=rst.ins, outs=(Output(50_000, rst.outs[0].lock),))
-    paid = arkcore.Vtxo(50_000, arkcore.vtxo_lock(bob.pk, op.pk, PARAMS.t_u),
+    reset = Tx(ins=rst.ins * spends, outs=(Output(value, rst.outs[0].lock),))
+    paid = arkcore.Vtxo(value, arkcore.vtxo_lock(bob.pk, op.pk, PARAMS.t_u),
                         "bob", bob.pk)
-    ark = arkcore.ark_tx([(reset.outpoint(0), 50_000)], [paid])
+    ark = arkcore.ark_tx([(reset.outpoint(0), value)], [paid])
     for tx, wit in ((reset, rst.wits[0]), (ark, payment.ark.wits[0])):
         sig = crypto.cosign(tx.digest(), [sks[m] for m in agg.members], agg)
-        tx.wits = [Witness(wit.path_index, (sig,), wit.revealed_paths)]
-    forged = dataclasses.replace(payment, ark=ark, resets=[reset], outputs=[paid])
+        tx.wits = [Witness(wit.path_index, (sig,), wit.revealed_paths)] * len(tx.ins)
+    return sim, dataclasses.replace(payment, ark=ark, resets=[reset], outputs=[paid])
+
+
+def test_wallet_rejects_a_transcript_that_creates_value():
+    # a reset that turns alice's 5,000-sat leaf into 50,000 sats, and an ark
+    # tx that pays bob all of it
+    sim, forged = colluding_payment(50_000)
+    bob = sim.wallets["bob"]
     assert bob.receive_payment(forged) is None
     assert last_refusal(sim) == ("wallet", "bob", "payment_rejected",
                                  "transcript creates value")
     assert bob.holdings == {}
+
+
+def test_wallet_rejects_a_transcript_tx_that_spends_an_output_twice():
+    # a reset that lists alice's 5,000-sat leaf twice, for 10,000 sats: each
+    # input carries a valid witness and the sums balance, but the chain
+    # refuses the tx, so bob could never exit what he is paid
+    sim, forged = colluding_payment(10_000, spends=2)
+    bob = sim.wallets["bob"]
+    assert bob.receive_payment(forged) is None
+    assert last_refusal(sim) == ("wallet", "bob", "payment_rejected",
+                                 "transcript tx spends an output twice")
+    assert bob.holdings == {}
+    with pytest.raises(SubmitError, match="spent twice in one tx"):
+        sim.chain.submit(forged.resets[0], "bob")
 
 
 def test_wallet_rejects_a_tree_that_spends_one_output_twice():
@@ -692,80 +743,142 @@ def test_wallet_rejects_a_tree_that_spends_one_output_twice():
 
 def test_wallet_rejects_missing_own_leaf():
     sim = boarded_sim()
-    bundle = swap_bundle(sim)
-    bad = copy.deepcopy(bundle)
-    bad.leaves = [[] for _ in bad.leaves]
+    bad = copy.deepcopy(swap_bundle(sim))
+    bad.batch.vtxt.leaves = []
     assert not sim.wallets["alice"].verify_commitment(bad)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "tree leaves do not match the requests")
 
 
 def test_wallet_rejects_wrong_leaf_value():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
-    for leaves in bad.leaves:
-        for leaf in leaves:
-            leaf.value -= 1
+    for leaf in bad.batch.vtxt.leaves:
+        leaf.vtxo.value -= 1
     assert not sim.wallets["alice"].verify_commitment(bad)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "requested vtxo mismatch")
 
 
 def test_wallet_rejects_leaf_lists_shorter_than_requests():
-    sim = boarded_sim()
-    bundle = swap_bundle(sim)
-    bad = copy.deepcopy(bundle)
-    bad.leaves = bad.leaves[:-1]
-    alice = sim.wallets["alice"]
-    assert not alice.verify_commitment(bad)
-    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
-                                       "leaf lists do not match the requests")
+    # a tree one leaf short: bob's leaf is gone, and alice, whose own leaf
+    # is still there, refuses too, since she cannot tell whose leaf is
+    # missing
+    sim, bundle = pair_bundle()
+    bundle.batch.vtxt.leaves.pop()
+    for name in ("alice", "bob"):
+        assert not sim.wallets[name].verify_commitment(bundle)
+        assert last_refusal(sim) == ("wallet", name, "verify_failed",
+                                     "tree leaves do not match the requests")
+
+
+def test_wallet_rejects_two_of_its_requests_given_one_leaf():
+    # alice's two swaps are paid by one leaf listed twice: each looks
+    # right alone, and the leaf total still fits the batch output
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000])
+    sim.board("alice", [2_500, 2_500])
+    sim.settle_commitment()
+    for v in sim.vtxos("alice"):
+        sim.swap("alice", [v])
+    bundle = sim.operator.assemble_commitment()
+    assert alice.verify_commitment(bundle)
+    leaves = bundle.batch.vtxt.leaves
+    leaves[1] = leaves[0]
+    assert not alice.verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "two requests aliased to one output")
 
 
 def test_wallet_rejects_boarding_request_without_its_output():
+    # the commitment spends, in place of alice's boarding output, an
+    # output the chain never held
     sim = Simulation(PARAMS, 0)
     sim.operator.fund(100_000)
     alice = sim.add_wallet("alice", [5_000])
     _, boarding = submit_boarding(sim, "alice", [5_000])
     sim.tick(PARAMS.k + 1)
     sim.operator.verify_boarding(boarding)
-    bad = copy.deepcopy(sim.operator.assemble_commitment())
-    bad.requests[0].boarding_output = None
+    bad = sim.operator.assemble_commitment()
+    assert bad.commitment.ins[-1] == boarding.boarding_outpoint
+    unknown = OutPoint("ee" * 32, 0)
+    bad.commitment = Tx(ins=bad.commitment.ins[:-1] + (unknown,), outs=bad.commitment.outs)
     assert not alice.verify_commitment(bad)
-    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
-                                       "boarding request without its output")
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "commitment spends an unknown output")
+
+
+def test_wallet_rejects_a_commitment_that_spends_a_spent_output():
+    # the funding input is swapped for alice's own funds, which her
+    # boarding tx spent long ago: the commitment could never confirm
+    sim = boarded_sim()
+    bad = swap_bundle(sim)
+    alice = sim.wallets["alice"]
+    boarding_tx = sim.chain.records[sim.all_bundles[0].commitment.ins[-1].txid].tx
+    spent = boarding_tx.ins[0]
+    assert not sim.chain.unspent(spent)
+    bad.commitment = Tx(ins=(spent,) + bad.commitment.ins[1:], outs=bad.commitment.outs)
+    assert not alice.verify_commitment(bad)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "commitment spends an unknown output")
+
+
+def test_wallet_rejects_a_connector_one_anchor_short():
+    # alice's and bob's swaps forfeit against the connector's two anchors
+    # in request order; with the last anchor gone, bob's VTXO has none
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    for name in ("alice", "bob"):
+        sim.add_wallet(name, [5_000])
+        sim.board(name, [5_000])
+    sim.settle_commitment()
+    for name in ("alice", "bob"):
+        sim.swap(name, sim.vtxos(name))
+    bundle = sim.operator.assemble_commitment()
+    anchors = bundle.anchors()
+    assert list(anchors.values()) == bundle.connector.anchors
+    bundle.connector.anchors.pop()
+    assert sim.wallets["alice"].verify_commitment(bundle)
+    assert not sim.wallets["bob"].verify_commitment(bundle)
+    assert last_refusal(sim) == ("wallet", "bob", "verify_failed",
+                                 "no anchor for forfeited vtxo")
 
 
 def test_wallet_rejects_bundle_without_batch():
+    # the swap asks for a leaf, and a bundle without a tree has none
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
     bad.batch = None
     alice = sim.wallets["alice"]
     assert not alice.verify_commitment(bad)
-    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
-                                       "bundle has no batch")
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "tree leaves do not match the requests")
 
 
 def test_wallet_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
     bad = copy.deepcopy(bundle)
-    for leaves in bad.leaves:
-        for leaf in leaves:
-            leaf.outpoint = None
+    for leaf in bad.batch.vtxt.leaves:
+        leaf.vtxo.outpoint = None
     alice = sim.wallets["alice"]
     assert not alice.verify_commitment(bad)
-    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
-                                       "leaf has no outpoint")
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "leaf has no outpoint")
 
 
 def test_wallet_path_check_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
-    leaf = copy.deepcopy(bundle.leaves[0][0])
+    leaf = copy.deepcopy(bundle.batch.vtxt.leaves[0].vtxo)
     leaf.outpoint = None
     alice = sim.wallets["alice"]
     assert not alice.verify_path(bundle, leaf)
-    assert sim.chain.trace[-1][1:] == ("wallet", "alice", "verify_failed",
-                                       "leaf has no outpoint")
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "leaf has no outpoint")
 
 
 # --- payments and balances ----------------------------------------------
@@ -824,19 +937,26 @@ def test_recheck_of_accepted_payment_is_free(point_mul_calls):
 TREE_USERS = 16
 
 
-def tree_sim(seed=0):
-    """`TREE_USERS` users boarded into one batch, plus "outsider", a
-    wallet that took no part in it."""
+def queued_boardings(seed=0):
+    """A sim in which `TREE_USERS` users' boarding requests are verified
+    and queued."""
     sim = Simulation(PARAMS, seed)
     sim.operator.fund(100_000)
     names = [f"user{i}" for i in range(TREE_USERS)]
     for name in names:
         sim.add_wallet(name, [5_000])
-    sim.add_wallet("outsider", [])
     requests = [submit_boarding(sim, name, [5_000])[1] for name in names]
     sim.tick(PARAMS.k + 1)
     for req in requests:
         sim.operator.verify_boarding(req)
+    return sim
+
+
+def tree_sim(seed=0):
+    """`TREE_USERS` users boarded into one batch, plus "outsider", a
+    wallet that took no part in it."""
+    sim = queued_boardings(seed)
+    sim.add_wallet("outsider", [])
     sim.settle_commitment()
     return sim
 
@@ -844,18 +964,10 @@ def tree_sim(seed=0):
 def ceremony_round(kind):
     """A round of `TREE_USERS` users, all of request `kind`, assembled
     and not yet signed: the sim and its bundle."""
-    sim = Simulation(PARAMS, 0)
-    sim.operator.fund(100_000)
-    names = [f"user{i}" for i in range(TREE_USERS)]
-    for name in names:
-        sim.add_wallet(name, [5_000])
-    requests = [submit_boarding(sim, name, [5_000])[1] for name in names]
-    sim.tick(PARAMS.k + 1)
-    for req in requests:
-        sim.operator.verify_boarding(req)
+    sim = queued_boardings()
     if kind == "batch-swap":
         sim.settle_commitment()
-        for name in names:
+        for name in list(sim.wallets):
             sim.swap(name, sim.vtxos(name))
     bundle = sim.operator.assemble_commitment()
     assert {r.kind for r in bundle.requests} == {kind}
@@ -884,6 +996,20 @@ def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, monkeypatch, kin
     # leaf node's owner and operator, whose key step 2 recorded
     assert batches == [2 * TREE_USERS - 1,
                        2 * TREE_USERS if kind == "batch-swap" else TREE_USERS]
+
+
+def test_assembly_aggregates_a_fresh_tree_in_one_pass(point_mul_calls, monkeypatch):
+    # a fresh round of TREE_USERS users: every key of the tree, the
+    # commitment's batch output's included, comes from one batch pass, so
+    # assembly multiplies no variable base one by one (the batch output's
+    # key over all 17 members took 17 such multiplications)
+    monkeypatch.setattr(crypto, "_aggregate_members", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._aggregate_members.__wrapped__))
+    sim = queued_boardings()
+    del point_mul_calls[:]
+    bundle = sim.operator.assemble_commitment()
+    assert len(bundle.batch.vtxt.txs) == 2 * TREE_USERS - 1
+    assert [p for p in point_mul_calls if p != crypto.G] == []
 
 
 def test_a_swap_ceremony_derives_each_aggregate_secret_once(monkeypatch):
