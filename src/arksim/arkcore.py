@@ -186,9 +186,20 @@ class Vtxt:
         return unroll.key.members if isinstance(unroll, CheckAggSig) else ()
 
     def path_to(self, leaf_txid: str) -> List[Tx]:
-        path = [self.txs[leaf_txid]]
-        while path[-1].ins[0].txid in self.txs:
-            path.append(self.txs[path[-1].ins[0].txid])
+        """The nodes from the root down to node `leaf_txid`.  Raises
+        `ArkError` unless each is single-input, keyed by its txid and spends
+        an output of the node before it, the root the funding outpoint; so
+        the walk ends on any tree, forged or not."""
+        path, key = [self.txs[leaf_txid]], leaf_txid
+        while path[-1].ins != (self.funding,) or path[-1].txid != key:
+            if path[-1].txid != key or len(path) > len(self.txs):
+                raise ArkError("tree node not keyed by its txid")
+            if len(path[-1].ins) != 1:
+                raise ArkError("tree nodes are single-input transactions")
+            key, index = path[-1].ins[0].txid, path[-1].ins[0].index
+            if index >= len(self.txs[key].outs if key in self.txs else ()):
+                raise ArkError("node spends no output of the node before it")
+            path.append(self.txs[key])
         return path[::-1]
 
 

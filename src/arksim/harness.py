@@ -929,7 +929,7 @@ def _check_t3(traces: int = 200, seed: int = 0, **_) -> dict:
                 violations.append({"trace": t, "step": step, "why": "partial"})
         else:
             new_c = set(after[0]) - set(before[0])
-            if step != "none" and not new_c:
+            if not new_c:
                 violations.append({"trace": t, "step": step, "why": "no effect"})
     return {"theorem": "T3", "pass": not violations, "traces": traces,
             "violations": violations}

@@ -435,20 +435,35 @@ class Operator:
                     abort: Optional[Callable[[str, str], bool]] = None,
                     extra_secrets: Optional[Dict[str, SecretKey]] = None) -> Bundle:
         """Gather every signature for a commitment, in the safe order:
-        (1) parties verify the bundle, (2) VTXT cosign sessions,
-        (3) forfeits collected and checked, (4) boarding cosigns,
-        (5) only then the operator signs its funding inputs.
-        Any failure aborts with no witnesses released to anyone."""
+        (1) parties audit the bundle and approve digests, (2) VTXT cosign
+        sessions, (3) forfeits collected and checked, (4) boarding cosigns,
+        (5) only then the operator signs its funding inputs.  A session that
+        names a wallet's key over a digest it did not approve aborts
+        unsigned.  Any failure aborts with no witnesses released to anyone."""
         def maybe_abort(step: str, party: str) -> None:
             if abort is not None and abort(step, party):
                 raise SessionAborted(f"{step}: {party} unresponsive")
 
         parties = {r.party for r in bundle.requests}
-        # step 1: every involved party verifies the bundle
+        party_of = {w.pk: name for name, w in wallets.items()}
+        # step 1: each party audits the bundle; other wallets approve nothing
+        approved: Dict[str, Optional[Set[bytes]]] = {name: set() for name in wallets}
         for party in sorted(parties):
             maybe_abort("verify", party)
-            if not wallets[party].verify_commitment(bundle):
+            approved[party] = wallets[party].verify_commitment(bundle)
+            if approved[party] is None:
                 raise SessionAborted(f"verify: {party} rejected the bundle")
+
+        def refuser(tx: Tx, members: Sequence[PublicKey]) -> Optional[str]:
+            """The first wallet named in `members` that did not approve `tx`."""
+            digest = tx.digest()
+            return next((party_of[m] for m in members
+                         if m in party_of and digest not in approved[party_of[m]]), None)
+
+        def consent(label: str, tx: Tx, members: Sequence[PublicKey]) -> None:
+            owner = refuser(tx, members)
+            if owner is not None:
+                raise SessionAborted(f"{label}: {owner} did not approve {tx.txid[:8]}")
 
         secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
         for party in parties:
@@ -456,19 +471,20 @@ class Operator:
         if extra_secrets:
             secrets.update(extra_secrets)
 
-        # steps 2-4 sign each chunk of sessions ahead (`sign_ahead`)
+        # steps 2-4 sign each chunk's approved sessions ahead (`sign_ahead`)
         # step 2: VTXT cosigning sessions, root first
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
-            party_of = {w.pk: name for name, w in wallets.items()}
             nodes = [(txid, tx, vtxt.signers(txid)) for txid, tx in vtxt.txs.items()]
             for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
-                sign_ahead([(tx, members) for _, tx, members in chunk], secrets)
+                sign_ahead([(tx, members) for _, tx, members in chunk
+                            if refuser(tx, members) is None], secrets)
                 for txid, tx, members in chunk:
                     for m in members:
                         owner = party_of.get(m)
                         if owner is not None:
                             maybe_abort("vtxt", owner)
+                    consent("vtxt", tx, members)
                     sig = self._cosign(tx, members, secrets, "vtxt")
                     tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
 
@@ -482,10 +498,12 @@ class Operator:
         for chunk in chunked(swapped, crypto.SIGN_BATCH_MAX // 2):
             forfeits = [(forfeit_tx(v, anchor, self.pk, self.params.epsilon),
                          *collab_aggregate(v.lock)) for _, v, anchor in chunk]
-            sign_ahead([(ff, agg.members) for ff, _, agg in forfeits],
-                       secrets, [(self.sk, ff) for ff, _, _ in forfeits])
+            agreed = [(ff, agg) for ff, _, agg in forfeits if refuser(ff, agg.members) is None]
+            sign_ahead([(ff, agg.members) for ff, agg in agreed],
+                       secrets, [(self.sk, ff) for ff, _ in agreed])
             for (r, v, _), (ff, collab_idx, agg) in zip(chunk, forfeits):
                 maybe_abort("forfeit", r.party)
+                consent("forfeit", ff, agg.members)
                 sig = self._cosign(ff, agg.members, secrets, "forfeit")
                 anchor_sig = crypto.sign(self.sk, ff.digest())
                 ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
@@ -501,11 +519,12 @@ class Operator:
         # step 4: boarding cosigns
         to_board = list(enumerate(boarding, start=n_funding))
         for chunk in chunked(to_board, crypto.SIGN_BATCH_MAX):
-            sign_ahead([(bundle.commitment, (wallets[r.party].pk, self.pk))
-                        for _, r in chunk], secrets)
+            sessions = [(bundle.commitment, (wallets[r.party].pk, self.pk)) for _, r in chunk]
+            sign_ahead([(tx, m) for tx, m in sessions if refuser(tx, m) is None], secrets)
             for i, r in chunk:
                 maybe_abort("boarding", r.party)
                 members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
+                consent("boarding", bundle.commitment, members)
                 sig = self._cosign(bundle.commitment, members, secrets, "boarding")
                 out = self.chain.utxos[bundle.commitment.ins[i]].output
                 wits[i] = Witness(BOARDING_COOP_PATH, (sig,), out.lock.paths)

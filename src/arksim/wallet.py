@@ -2,14 +2,16 @@
 verification, payment receipt, unilateral exit, the exit-deadline
 policy, and balance computation.
 
-The bundle audit reads only the chain, the commitment and the signed
-txs.  The commitment must spend outputs the chain holds, create no value
-and create the batch tree's funding output, whose sweep height is the
-batch expiry; the tree must pass `arkcore.check_vtxt`.  Its leaves are
-the requests' outputs in request order: the wallet takes its own from
-there and refuses two at one outpoint (another owner's leaf fails the
-lock check).  Every node on the wallet's path must need its key, create
-no value and sweep-lock its outputs at the expiry.
+The bundle audit reads only the chain, the commitment and the wallet's
+branch of the batch tree.  The commitment must spend outputs the chain
+holds, create no value and create the tree's funding output, whose sweep
+height is the batch expiry.  The tree's leaves are the requests' outputs
+in request order: the wallet takes its own from there and refuses two at
+one outpoint (another owner's leaf fails the lock check).  Every node on
+the path to each (`Vtxt.path_to`) must need its key, create no value and
+sweep-lock its outputs at the expiry.  The audit approves what the
+ceremony may sign under the wallet's key: those nodes, the forfeit of
+each VTXO it swaps and the commitment it boards into.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -35,10 +37,10 @@ is left to `verify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore
-from .arkcore import BatchOutput, Vtxo, p2pk, sweep_path_height, vtxo_lock
+from .arkcore import BatchOutput, Vtxo, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
@@ -108,11 +110,11 @@ class Wallet:
 
     # --- commitment verification (the user-side bundle audit) ------------
 
-    def _fail(self, reason: str) -> bool:
+    def _fail(self, reason: str) -> None:
         self.chain.note("wallet", self.name, "verify_failed", reason)
-        return False
 
-    def verify_path(self, bundle: Bundle, vtxo: Vtxo) -> bool:
+    def verify_path(self, bundle: Bundle, vtxo: Vtxo) -> Optional[List[Tx]]:
+        """The tree's path to `vtxo`, root first, or None to refuse it."""
         batch = bundle.batch
         if batch is None:
             return self._fail("bundle has no batch")
@@ -123,6 +125,8 @@ class Wallet:
             txs = vtxt.path_to(vtxo.outpoint.txid)
         except KeyError:
             return self._fail("leaf missing from the tree")
+        except arkcore.ArkError as e:
+            return self._fail(f"malformed batch tree: {e}")
         for tx in txs:
             if self.pk not in vtxt.signers(tx.txid):
                 return self._fail("own key missing from a path cosigner set")
@@ -134,10 +138,10 @@ class Wallet:
         i = vtxo.outpoint.index
         if txs[-1].outs[i:i + 1] != (Output(vtxo.value, vtxo.lock),):
             return self._fail("leaf output mismatch")
-        return True
+        return txs
 
-    def verify_connector(self, bundle: Bundle, anchor: Optional[OutPoint]) -> bool:
-        """A forfeited VTXO's anchor (`Bundle.anchors`) is an epsilon output."""
+    def verify_connector(self, bundle: Bundle, anchor: Optional[OutPoint]) -> Optional[OutPoint]:
+        """A forfeited VTXO's anchor (`Bundle.anchors`), if it is an epsilon output."""
         if anchor is None:
             return self._fail("no anchor for forfeited vtxo")
         tree = bundle.connector.vtxt.txs if bundle.connector.vtxt else {}
@@ -145,7 +149,7 @@ class Wallet:
         outs = tx.outs[anchor.index:anchor.index + 1] if tx.txid == anchor.txid else ()
         if [o.value for o in outs] != [self.params.epsilon]:
             return self._fail("anchor value is not epsilon")
-        return True
+        return anchor
 
     def _mine(self, bundle: Bundle) -> Iterator[Tuple[Request, List[Vtxo]]]:
         """This wallet's requests in the bundle, each with the tree's leaves
@@ -157,7 +161,8 @@ class Wallet:
             if r.party == self.name:
                 yield r, [leaf.vtxo for leaf in leaves[start:end]]
 
-    def verify_commitment(self, bundle: Bundle) -> bool:
+    def verify_commitment(self, bundle: Bundle) -> Optional[Set[bytes]]:
+        """The digests this wallet approves (module docstring), or None to refuse."""
         leaves = bundle.batch.vtxt.leaves if bundle.batch is not None else []
         if len(leaves) != sum(len(r.outputs) for r in bundle.requests):
             return self._fail("tree leaves do not match the requests")
@@ -171,16 +176,11 @@ class Wallet:
             if vtxt.funding.txid != bundle.commitment.txid \
                     or bundle.commitment.outs[i:i + 1] != (vtxt.funding_out,):
                 return self._fail("batch tree not funded by the commitment")
-            try:
-                arkcore.check_vtxt(vtxt)
-            except arkcore.ArkError as e:
-                return self._fail(f"malformed batch tree: {e}")
             floor = self.chain.height + 2 * self.params.k + self.params.t_e
             if (bundle.batch.expiry or 0) < floor:
                 return self._fail("batch expiry below the local bound")
-            if vtxt.funding_out.value < sum(l.vtxo.value for l in leaves):
-                return self._fail("batch value below the leaf total")
         anchors = bundle.anchors()
+        approved: Set[bytes] = set()
         seen: set[Tuple[str, int]] = set()
         for r, made in self._mine(bundle):
             for leaf, spec in zip(made, r.outputs):
@@ -188,20 +188,26 @@ class Wallet:
                                      self.params.t_u, spec.r_star)
                 if leaf.value != spec.value or leaf.lock != expected:
                     return self._fail("requested vtxo mismatch")
-                if not self.verify_path(bundle, leaf):
-                    return False
+                path = self.verify_path(bundle, leaf)
+                if path is None:
+                    return None
                 if leaf.key() in seen:
                     return self._fail("two requests aliased to one output")
                 seen.add(leaf.key())
+                approved.update(tx.digest() for tx in path)
             if r.kind == "batch-swap":
                 for v in r.inputs:
-                    if not self.verify_connector(bundle, anchors.get(v.outpoint)):
-                        return False
+                    anchor = self.verify_connector(bundle, v.outpoint and anchors.get(v.outpoint))
+                    if anchor is None:
+                        return None
+                    approved.add(forfeit_tx(v, anchor, self.operator_pk, self.params.epsilon).digest())
+            if r.kind == "boarding":
+                approved.add(bundle.commitment.digest())
             if r.kind == "exit":
                 for value, lock in r.exit_outputs:
                     if Output(value, lock) not in bundle.commitment.outs:
                         return self._fail("exit output missing")
-        return True
+        return approved
 
     # --- lifecycle -------------------------------------------------------
 
@@ -216,10 +222,9 @@ class Wallet:
             if r.kind in ("batch-swap", "exit"):
                 for v in r.inputs:
                     self.holdings.pop(v.key(), None)
-            if r.kind == "boarding":
-                self.boarding_outputs = [
-                    (op, out) for op, out in self.boarding_outputs
-                    if op != r.boarding_outpoint]
+        # a boarding output leaves once spent by a stable commitment or reclaim
+        self.boarding_outputs = [(op, out) for op, out in self.boarding_outputs
+                                 if not self.chain.is_stable(self.chain.spent_by.get(op, ""))]
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
         # the change inherits the inputs' transcripts, so read them before
@@ -394,6 +399,8 @@ class Wallet:
     # --- balance ---------------------------------------------------------
 
     def balance(self) -> int:
+        """Unexpired VTXOs and unspent boarding outputs; a reclaimed boarding
+        output is a plain onchain output, outside the Ark balance."""
         h = self.chain.height
         total = 0
         for holding in self.holdings.values():

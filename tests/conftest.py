@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from arksim import crypto
@@ -24,3 +26,17 @@ def point_mul_calls(monkeypatch):
         monkeypatch.setattr(crypto, name, crypto._insertable_cache(
             maxsize=bound)(getattr(crypto, name).__wrapped__))
     return calls
+
+
+@pytest.fixture
+def no_hang():
+    """Fail the test, instead of hanging, if it runs longer than 10 s: a
+    walk that never ends raises `TimeoutError` out of its loop."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)

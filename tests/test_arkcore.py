@@ -141,6 +141,64 @@ def test_check_vtxt_refuses_an_empty_tree():
         check_vtxt(vtxt)
 
 
+def rekeyed(vtxt, txid, tx):
+    """The tree with node `txid` replaced by `tx`, stored under `tx`'s txid
+    and named by the leaf that named `txid`."""
+    del vtxt.txs[txid]
+    vtxt.txs[tx.txid] = tx
+    for ref in vtxt.leaves:
+        if ref.txid == txid:
+            ref.txid, ref.vtxo.outpoint = tx.txid, tx.outpoint(0)
+    return tx.txid
+
+
+def two_inputs(vtxt, leaf, parent):
+    return rekeyed(vtxt, leaf.txid, Tx(ins=(leaf.ins[0], OutPoint("ee" * 32, 0)),
+                                      outs=leaf.outs))
+
+
+def index_past_the_parent(vtxt, leaf, parent):
+    return rekeyed(vtxt, leaf.txid, Tx(ins=(parent.outpoint(len(parent.outs)),),
+                                      outs=leaf.outs))
+
+
+def unrooted(vtxt, leaf, parent):
+    vtxt.funding = OutPoint("cd" * 32, 0)
+    return leaf.txid
+
+
+def stored_under_each_others_keys(vtxt, leaf, parent):
+    # the walk up from the parent's key reads the leaf, whose input names
+    # the parent's key again
+    vtxt.txs[leaf.txid], vtxt.txs[parent.txid] = parent, leaf
+    return parent.txid
+
+
+def cycle_of_stale_txids(vtxt, leaf, parent):
+    # the parent's txid is cached before its input is rewritten to spend
+    # the leaf, so each node is stored under the txid it reports
+    cached = parent.txid
+    parent.ins = (leaf.outpoint(0),)
+    assert parent.txid == cached
+    return leaf.txid
+
+
+@pytest.mark.parametrize("forge, reason", [
+    (two_inputs, "tree nodes are single-input transactions"),
+    (index_past_the_parent, "node spends no output of the node before it"),
+    (unrooted, "node spends no output of the node before it"),
+    (stored_under_each_others_keys, "tree node not keyed by its txid"),
+    (cycle_of_stale_txids, "tree node not keyed by its txid"),
+])
+def test_path_to_refuses_a_forged_path_and_ends(no_hang, forge, reason):
+    vtxt, _ = build_vtxt(OutPoint("ab" * 32, 0), make_leaves(4), OP_PK, 50, 2)
+    leaf = vtxt.txs[vtxt.leaves[0].txid]
+    parent = vtxt.txs[leaf.ins[0].txid]
+    start = forge(vtxt, leaf, parent)
+    with pytest.raises(ArkError, match=f"^{reason}$"):
+        vtxt.path_to(start)
+
+
 def test_path_to_length():
     leaves = make_leaves(8)
     _, funding = funded_chain(800)

@@ -128,6 +128,8 @@ def test_a_reclaimed_boarding_output_leaves_the_queue():
     assert sim.operator.book.queue == [] and sim.operator.book.preSpent == set()
     assert [e[1:] for e in sim.chain.trace if e.event == "drop"] == [
         ("operator_node", "operator", "drop", f"boarding output spent {op.txid[:8]}")]
+    # her wallet forgets the reclaimed output too; it counted 0 already
+    assert alice.boarding_outputs == [] and alice.balance() == 0
 
 
 def test_boarding_without_outpoint_rejected():
@@ -730,15 +732,81 @@ def test_wallet_rejects_a_transcript_tx_that_spends_an_output_twice():
         sim.chain.submit(forged.resets[0], "bob")
 
 
-def test_wallet_rejects_a_tree_that_spends_one_output_twice():
+def test_the_ceremony_refuses_a_tree_that_spends_one_output_twice():
+    # a twin of alice's leaf spends her branch's output to the operator.
+    # Each wallet audits only its own branch, and both approve, but the
+    # twin's session names alice's key over a digest she did not approve:
+    # the ceremony aborts before signing it, and funds nothing
     sim, bundle = pair_bundle()
     vtxt = bundle.batch.vtxt
     root = vtxt.txs[vtxt.root]
     twin = Tx(ins=(root.outpoint(0),), outs=(Output(1, p2pk(sim.operator.pk)),))
     vtxt.txs[twin.txid] = twin
-    assert not sim.wallets["alice"].verify_commitment(bundle)
-    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
-                                 "malformed batch tree: two tree nodes spend one output")
+    assert all(sim.wallets[n].verify_commitment(bundle) for n in ("alice", "bob"))
+    book, trace = book_state(sim.operator.book), len(sim.chain.trace)
+    with pytest.raises(SessionAborted, match=f"^vtxt: alice did not approve {twin.txid[:8]}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert twin.wits == [] and bundle.commitment.wits == []
+    assert all(e.event != "fund" for e in sim.chain.trace[trace:])
+    assert book_state(sim.operator.book) == book
+
+
+def rekey_leaf(vtxt, i, tx):
+    """Leaf `i`'s node replaced by `tx`, stored under its txid."""
+    ref = vtxt.leaves[i]
+    del vtxt.txs[ref.txid]
+    vtxt.txs[tx.txid] = tx
+    ref.txid, ref.vtxo.outpoint = tx.txid, tx.outpoint(0)
+
+
+def leaf_with_two_inputs(vtxt):
+    leaf = vtxt.txs[vtxt.leaves[0].txid]
+    rekey_leaf(vtxt, 0, Tx(ins=leaf.ins + (OutPoint("ee" * 32, 0),), outs=leaf.outs))
+
+
+def leaf_past_the_root_outputs(vtxt):
+    leaf, root = vtxt.txs[vtxt.leaves[0].txid], vtxt.txs[vtxt.root]
+    rekey_leaf(vtxt, 0, Tx(ins=(root.outpoint(len(root.outs)),), outs=leaf.outs))
+
+
+def leaf_and_root_under_each_others_keys(vtxt):
+    # alice's leaf names the root's key, where her leaf node is stored; its
+    # input names the root's key again
+    ref, root = vtxt.leaves[0], vtxt.txs[vtxt.root]
+    leaf = vtxt.txs[ref.txid]
+    vtxt.txs[root.txid], vtxt.txs[leaf.txid] = leaf, root
+    ref.txid, ref.vtxo.outpoint = root.txid, OutPoint(root.txid, 0)
+
+
+def underfunded_leaf(vtxt):
+    # bob's leaf pays 1,000 more than the root's output it spends
+    leaf = vtxt.txs[vtxt.leaves[1].txid]
+    extra = Output(1_000, leaf.outs[0].lock)
+    rekey_leaf(vtxt, 1, Tx(ins=leaf.ins, outs=leaf.outs + (extra,)))
+
+
+@pytest.mark.parametrize("forge, owner, bystander, reason", [
+    (leaf_with_two_inputs, "alice", "bob",
+     "malformed batch tree: tree nodes are single-input transactions"),
+    (leaf_past_the_root_outputs, "alice", "bob",
+     "malformed batch tree: node spends no output of the node before it"),
+    # the root is on bob's branch too
+    (leaf_and_root_under_each_others_keys, "alice", None,
+     "malformed batch tree: tree node not keyed by its txid"),
+    (underfunded_leaf, "bob", "alice", "value increases down the tree"),
+])
+def test_a_wallet_refuses_a_forged_branch_with_a_reason(no_hang, forge, owner, bystander,
+                                                        reason):
+    # a wallet whose branch the forgery misses approves it; the owner of
+    # the forged branch refuses, and the ceremony stops there
+    sim, bundle = pair_bundle()
+    forge(bundle.batch.vtxt)
+    if bystander is not None:
+        assert sim.wallets[bystander].verify_commitment(bundle) is not None
+    assert sim.wallets[owner].verify_commitment(bundle) is None
+    assert last_refusal(sim) == ("wallet", owner, "verify_failed", reason)
+    with pytest.raises(SessionAborted, match=f"^verify: {owner} rejected the bundle$"):
+        sim.operator.run_signing(bundle, sim.wallets)
 
 
 def test_wallet_rejects_missing_own_leaf():
@@ -870,6 +938,16 @@ def test_wallet_rejects_leaf_without_outpoint():
                                  "leaf has no outpoint")
 
 
+def test_wallet_rejects_a_forfeited_vtxo_without_outpoint():
+    # its forfeit could not be built, so there is nothing to approve
+    sim = boarded_sim()
+    bad = copy.deepcopy(swap_bundle(sim))
+    bad.requests[0].inputs[0].outpoint = None
+    assert sim.wallets["alice"].verify_commitment(bad) is None
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
+                                 "no anchor for forfeited vtxo")
+
+
 def test_wallet_path_check_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
@@ -937,12 +1015,12 @@ def test_recheck_of_accepted_payment_is_free(point_mul_calls):
 TREE_USERS = 16
 
 
-def queued_boardings(seed=0):
-    """A sim in which `TREE_USERS` users' boarding requests are verified
-    and queued."""
+def queued_boardings(seed=0, users=TREE_USERS):
+    """A sim in which `users` users' boarding requests are verified and
+    queued."""
     sim = Simulation(PARAMS, seed)
     sim.operator.fund(100_000)
-    names = [f"user{i}" for i in range(TREE_USERS)]
+    names = [f"user{i}" for i in range(users)]
     for name in names:
         sim.add_wallet(name, [5_000])
     requests = [submit_boarding(sim, name, [5_000])[1] for name in names]
@@ -961,12 +1039,13 @@ def tree_sim(seed=0):
     return sim
 
 
-def ceremony_round(kind):
-    """A round of `TREE_USERS` users, all of request `kind`, assembled
-    and not yet signed: the sim and its bundle."""
-    sim = queued_boardings()
+def ceremony_round(kind, users=TREE_USERS):
+    """A round of `users` users, all of request `kind`, assembled and not
+    yet signed: the sim and its bundle."""
+    sim = queued_boardings(users=users)
     if kind == "batch-swap":
         sim.settle_commitment()
+        sim.operator.fund(5_000 * users)
         for name in list(sim.wallets):
             sim.swap(name, sim.vtxos(name))
     bundle = sim.operator.assemble_commitment()
@@ -1034,6 +1113,107 @@ def test_a_swap_ceremony_derives_each_aggregate_secret_once(monkeypatch):
     assert len(lists) == 2 * TREE_USERS - 1 + TREE_USERS
     assert memo.cache_info().misses == len(set(lists)) == 2 * TREE_USERS - 1
     assert misses == [0] * len(lists)
+
+
+def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
+    # a second root over the funding outpoint pays the batch to the
+    # operator.  Every wallet approves its own branch, which the twin is
+    # not on; its session names every wallet's key, so the ceremony aborts
+    # at it, and nothing under a wallet's key was signed over its digest,
+    # not even ahead
+    sim, bundle = ceremony_round("boarding")
+    vtxt, op = bundle.batch.vtxt, sim.operator
+    twin = Tx(ins=(vtxt.funding,), outs=(Output(vtxt.funding_out.value, p2pk(op.pk)),))
+    vtxt.txs[twin.txid] = twin
+    assert all(w.verify_commitment(bundle) for w in sim.wallets.values())
+    signed = []
+    real_batch, real_cosign = crypto.sign_batch, crypto.cosign
+    monkeypatch.setattr(crypto, "sign_batch", lambda pairs: signed.extend(
+        d for _, d in pairs) or real_batch(pairs))
+    monkeypatch.setattr(crypto, "cosign", lambda digest, *a: signed.append(digest)
+                        or real_cosign(digest, *a))
+    first = next(name for m in vtxt.signers(twin.txid)
+                 for name, w in sim.wallets.items() if w.pk == m)
+    with pytest.raises(SessionAborted, match=f"^vtxt: {first} did not approve {twin.txid[:8]}$"):
+        op.run_signing(bundle, sim.wallets)
+    # the honest nodes, each signed ahead and then cosigned from the memo
+    assert len(signed) == 2 * (2 * TREE_USERS - 1)
+    assert twin.digest() not in signed
+    assert all(e.event != "fund" for e in sim.chain.trace)
+
+
+def test_a_swap_of_another_wallets_vtxo_aborts_unsigned():
+    # mallory asks to swap alice's VTXO, given exactly as booked.  She
+    # approves its forfeit, but alice, outside the bundle, approves nothing
+    sim = boarded_sim()
+    mallory = sim.add_wallet("mallory", [])
+    (v,) = sim.vtxos("alice")
+    sim.operator.verify_batch_swap(Request(
+        "batch-swap", "mallory", inputs=(v,), outputs=(VtxoSpec(v.value, "mallory", mallory.pk),)))
+    bundle = sim.operator.assemble_commitment()
+    forfeit = arkcore.forfeit_tx(v, bundle.anchors()[v.outpoint], sim.operator.pk,
+                                 PARAMS.epsilon)
+    assert forfeit.digest() in mallory.verify_commitment(bundle)
+    with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit.txid[:8]}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert bundle.forfeits == {}
+
+
+class ReadRecordingDict(dict):
+    """A tree's txs that record each key read and each walk over them."""
+
+    def __init__(self, txs):
+        super().__init__(txs)
+        self.reads, self.walks = set(), 0
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.add(key)
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_a_wallet_audits_only_its_own_branch():
+    # 64 users swap into one batch.  Each wallet reads at most depth + 2
+    # nodes of the tree, never walks it, and approves exactly its path and
+    # its forfeit; the whole-tree audit read all 127 nodes per wallet
+    users = 64
+    sim, bundle = ceremony_round("batch-swap", users=users)
+    vtxt, op = bundle.batch.vtxt, sim.operator
+    depth = len(vtxt.path_to(vtxt.leaves[0].txid)) - 1
+    assert depth == 6
+    anchors = bundle.anchors()
+    vtxt.txs = ReadRecordingDict(vtxt.txs)
+    for r, ref in zip(bundle.requests, list(vtxt.leaves)):
+        vtxt.txs.reads.clear()
+        approved = sim.wallets[r.party].verify_commitment(bundle)
+        assert len(vtxt.txs.reads) <= depth + 2 and vtxt.txs.walks == 0, r.party
+        (v,) = r.inputs
+        forfeit = arkcore.forfeit_tx(v, anchors[v.outpoint], op.pk, PARAMS.epsilon)
+        path = vtxt.path_to(ref.txid)
+        assert approved == {tx.digest() for tx in path} | {forfeit.digest()}
 
 
 def internal_node_keys(batch):
