@@ -10,9 +10,15 @@ unroll), so the recursive sweep works at every level.
 
 A `Vtxt` holds only the funding outpoint, the output it names
 (`funding_out`), the txs (root first, in preorder) and the leaves.  The
-output a node spends, its cosigners (that output's unroll key), a leaf's
+output a node spends, its cosigners (that output's cosigned key), a leaf's
 path and a batch's expiry are derived from them, so whoever reads them
 reads what was signed, not a copy of it.
+
+The lock readers `collab_aggregate` and `sweep_path` are the one source
+of signer sets and path indices: every spend takes the index of the path
+it satisfies, and for a cosigned path its aggregate key, from the lock it
+spends, never from the position a builder put it at or from a member list
+rebuilt out of wallet keys.
 """
 
 from __future__ import annotations
@@ -146,15 +152,20 @@ BATCH_SWEEP_PATH = 0
 BATCH_UNROLL_PATH = 1
 
 
-def sweep_path_height(lock: LockScript) -> Optional[int]:
-    """Expiry height of a batch-shaped lock, if it has one."""
-    for p in lock.paths:
+def sweep_path(lock: LockScript) -> Optional[Tuple[int, int]]:
+    """Index and expiry height of a lock's sweep path, if it has one."""
+    for i, p in enumerate(lock.paths):
         if isinstance(p, And):
             locks = [c for c in p.children if isinstance(c, AbsTimelock)]
             sigs = [c for c in p.children if isinstance(c, CheckSig)]
             if locks and sigs:
-                return locks[0].height
+                return i, locks[0].height
     return None
+
+
+def sweep_path_height(lock: LockScript) -> Optional[int]:
+    """Expiry height of a batch-shaped lock, if it has one."""
+    return (sweep_path(lock) or (None, None))[1]
 
 
 @dataclass
@@ -179,11 +190,17 @@ class Vtxt:
         op = self.txs[txid].ins[0]
         return self.funding_out if op == self.funding else self.txs[op.txid].outs[op.index]
 
-    def signers(self, txid: str) -> Tuple[PublicKey, ...]:
-        """The members of the unroll key of the output node `txid` spends."""
-        paths = self.spent(txid).lock.paths
-        unroll = paths[BATCH_UNROLL_PATH] if len(paths) > BATCH_UNROLL_PATH else None
-        return unroll.key.members if isinstance(unroll, CheckAggSig) else ()
+    def session(self, txid: str) -> Tuple[LockScript, int, AggregateKey]:
+        """(lock, index, key): the lock node `txid` spends and its cosigned
+        path, the node's signing session; `ArkError` if there is none."""
+        try:
+            lock = self.spent(txid).lock
+        except (KeyError, IndexError):
+            raise ArkError(f"{txid[:8]} spends no output of the tree") from None
+        try:
+            return (lock, *collab_aggregate(lock))
+        except ArkError:
+            raise ArkError(f"{txid[:8]} spends no cosigned output") from None
 
     def path_to(self, leaf_txid: str) -> List[Tx]:
         """The nodes from the root down to node `leaf_txid`.  Raises

@@ -318,17 +318,16 @@ class RaceResult:
 
 
 def cosign_vtxt(vtxt: arkcore.Vtxt, secrets: Dict[str, crypto.SecretKey]) -> None:
-    """Cosign every node of `vtxt`, root first, under the unroll key of
-    the output it spends (`secrets` maps each member's hex key to its
-    secret), and attach the batch-unroll witness.  Each chunk of nodes is
+    """Cosign every node of `vtxt`, root first, under the cosigned key of
+    the lock it spends (`secrets` maps each member's hex key to its
+    secret), and attach that path's witness.  Each chunk of nodes is
     signed ahead in one `crypto.sign_batch` pass."""
-    nodes = [(txid, tx, vtxt.signers(txid)) for txid, tx in vtxt.txs.items()]
+    nodes = [(tx, *vtxt.session(txid)) for txid, tx in vtxt.txs.items()]
     for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
-        sign_ahead([(tx, members) for _, tx, members in chunk], secrets)
-        for txid, tx, members in chunk:
-            sks = [secrets[m.hex()] for m in members]
-            sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
-            tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
+        sign_ahead([(tx, key.members) for tx, _, _, key in chunk], secrets)
+        for tx, lock, idx, key in chunk:
+            sig = crypto.cosign(tx.digest(), [secrets[m.hex()] for m in key.members], key)
+            tx.wits = [Witness(idx, (sig,), lock.paths)]
 
 
 def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
@@ -380,8 +379,8 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     adversary.exempt = ("operator",)
 
     sweep = Tx(ins=(vtxt.funding,), outs=(Output(1000, p2pk(op_pk)),))
-    sweep.wits = [Witness(arkcore.BATCH_SWEEP_PATH,
-                          (crypto.sign(op_sk, sweep.digest()),), lock.paths)]
+    sweep_index, _ = arkcore.sweep_path(lock)
+    sweep.wits = [Witness(sweep_index, (crypto.sign(op_sk, sweep.digest()),), lock.paths)]
 
     exit_height = expiry - 2 * k - 1 + late_by
     leaf_txid = vtxt.leaves[0].txid

@@ -19,8 +19,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from . import arkcore, crypto
 from .arkcore import (
-    BATCH_UNROLL_PATH,
-    BOARDING_COOP_PATH,
     BatchOutput,
     ConnectorOutput,
     Vtxo,
@@ -32,12 +30,12 @@ from .arkcore import (
     forfeit_tx,
     p2pk,
     reset_tx,
-    sweep_path_height,
+    sweep_path,
 )
-from .crypto import PublicKey, SecretKey, SessionAborted
+from .crypto import AggregateKey, PublicKey, SecretKey, SessionAborted
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
-from .script import KEY_PATH, UNSPENDABLE, LockScript, Witness, taproot
+from .script import KEY_PATH, LockScript, Witness
 
 
 class Reject(Exception):
@@ -219,7 +217,7 @@ class Operator:
 
     # --- instrumented cosigning -----------------------------------------
 
-    def _cosign(self, tx: Tx, members: Sequence[PublicKey],
+    def _cosign(self, tx: Tx, agg: AggregateKey,
                 secrets: Dict[str, SecretKey], label: str) -> crypto.Signature:
         # honest single-spend discipline: never co-sign two different
         # transactions spending the same input
@@ -229,12 +227,12 @@ class Operator:
             if prior is not None and prior != tx.txid and label not in ("forfeit", "boarding"):
                 raise Reject(f"operator already co-signed a spend of {key}")
         sks = []
-        for m in members:
+        for m in agg.members:
             sk = secrets.get(m.hex())
             if sk is None:
                 raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
             sks.append(sk)
-        sig = crypto.cosign(tx.digest(), sks, crypto.aggregate(members))
+        sig = crypto.cosign(tx.digest(), sks, agg)
         self.chain.note("operator_node", self.name, label, tx.txid[:8])
         for op in tx.ins:
             self.cosigned_spends[(op.txid, op.index)] = tx.txid
@@ -245,6 +243,12 @@ class Operator:
     def _enqueue(self, r: Request) -> None:
         self.book.queue.append(r)
         self.book.preSpent.update(_held_keys(r))
+
+    def _drop(self, r: Request, reason: str) -> None:
+        """Take queued request `r` off the queue and release what it holds."""
+        self.book.queue.remove(r)
+        self.book.preSpent.difference_update(_held_keys(r))
+        self.chain.note("operator_node", self.name, "drop", reason)
 
     def verify_boarding(self, r: Request) -> None:
         _require_kind(r, "boarding")
@@ -257,6 +261,7 @@ class Operator:
         out = self.chain.utxos[r.boarding_outpoint].output
         try:
             classify_paths(out.lock, self.pk, self.params.t_b)
+            collab_aggregate(out.lock)      # the key its boarding cosign is under
         except arkcore.ArkError as e:
             raise Reject(f"boarding lock unsafe: {e}")
         if out.value < sum(s.value for s in r.outputs) + self.fee:
@@ -266,7 +271,8 @@ class Operator:
     def _check_inputs(self, r: Request, kind: str, out_value: int) -> None:
         """The intake rule for every request that spends VTXOs: each input
         is a distinct VTXO the book holds, not pending, and given exactly as
-        booked, and `out_value` (outputs plus any fee) does not exceed them."""
+        booked, with a cosigned path for its forfeit or reset unless it
+        exits, and `out_value` (outputs plus any fee) does not exceed them."""
         _require_kind(r, kind)
         if not r.inputs:
             raise Reject("NoInput")
@@ -283,6 +289,11 @@ class Operator:
                 raise Reject(f"InputMismatch {key}")
             if v in r.inputs[:i]:
                 raise Reject(f"DuplicateInput {key}")
+            if kind != "exit":
+                try:
+                    collab_aggregate(v.lock)
+                except arkcore.ArkError:
+                    raise Reject(f"NotCosignable {key}") from None
         if out_value > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
 
@@ -311,27 +322,20 @@ class Operator:
             resets = [reset_tx(v, self.pk, v.expiry, self.params.t_u) for v in r.inputs]
             ark = arkcore.ark_tx(
                 [(rst.outpoint(0), rst.outs[0].value) for rst in resets], outputs)
-            # sign the ark tx first ...
-            for v, rst in zip(r.inputs, resets):
-                members = crypto.aggregate([v.owner_pk, self.pk]).members
-                sig = self._cosign(ark, members, all_secrets, "ark")
-                ark.wits.append(Witness(0, (sig,), rst.outs[0].lock.paths))
-            # ... the reset txs last
-            for v, rst in zip(r.inputs, resets):
-                collab_idx, _ = classify_paths(v.lock, self.pk, self.params.t_u)
-                members = crypto.aggregate([v.owner_pk, self.pk]).members
-                sig = self._cosign(rst, members, all_secrets, "reset")
-                rst.wits = [Witness(collab_idx[0], (sig,), v.lock.paths)]
+            # the ark tx first, spending the resets, the reset txs last
+            spends = [(ark, rst.outs[0].lock) for rst in resets] \
+                + [(rst, v.lock) for v, rst in zip(r.inputs, resets)]
         else:
             # legacy shape without reset transactions: the ark tx spends
             # the input VTXOs directly (the hostage-attack configuration)
             resets = []
             ark = arkcore.ark_tx([(v.outpoint, v.value) for v in r.inputs], outputs)
-            for v in r.inputs:
-                collab_idx, _ = classify_paths(v.lock, self.pk, self.params.t_u)
-                members = crypto.aggregate([v.owner_pk, self.pk]).members
-                sig = self._cosign(ark, members, all_secrets, "ark")
-                ark.wits.append(Witness(collab_idx[0], (sig,), v.lock.paths))
+            spends = [(ark, v.lock) for v in r.inputs]
+        # each input is signed on its lock's cosigned path, under its key
+        for tx, lock in spends:
+            idx, key = collab_aggregate(lock)
+            sig = self._cosign(tx, key, all_secrets, "ark" if tx is ark else "reset")
+            tx.wits.append(Witness(idx, (sig,), lock.paths))
         for v in r.inputs:
             self.book.confirmedVTXO.pop(v.key(), None)
             self.book.preConfirmed.pop(v.key(), None)
@@ -353,10 +357,7 @@ class Operator:
         # a boarding output its owner reclaimed after t_b leaves the queue
         for r in [r for r in self.book.queue if r.kind == "boarding"
                   and not self.chain.unspent(r.boarding_outpoint)]:
-            self.book.queue.remove(r)
-            self.book.preSpent.difference_update(_held_keys(r))
-            self.chain.note("operator_node", self.name, "drop",
-                            f"boarding output spent {r.boarding_outpoint.txid[:8]}")
+            self._drop(r, f"boarding output spent {r.boarding_outpoint.txid[:8]}")
         requests = [r for kind in ("boarding", "batch-swap", "exit")
                     for r in self.book.queue if r.kind == kind]
         if not requests:
@@ -439,7 +440,8 @@ class Operator:
         sessions, (3) forfeits collected and checked, (4) boarding cosigns,
         (5) only then the operator signs its funding inputs.  A session that
         names a wallet's key over a digest it did not approve aborts
-        unsigned.  Any failure aborts with no witnesses released to anyone."""
+        unsigned, and drops the forfeit or boarding request that named it.
+        Any failure aborts with no witnesses released to anyone."""
         def maybe_abort(step: str, party: str) -> None:
             if abort is not None and abort(step, party):
                 raise SessionAborted(f"{step}: {party} unresponsive")
@@ -460,10 +462,16 @@ class Operator:
             return next((party_of[m] for m in members
                          if m in party_of and digest not in approved[party_of[m]]), None)
 
-        def consent(label: str, tx: Tx, members: Sequence[PublicKey]) -> None:
+        def consent(label: str, tx: Tx, members: Sequence[PublicKey],
+                    r: Optional[Request] = None) -> None:
+            """Abort unless every wallet in `members` approved `tx`; the
+            request `r` that named a refused session leaves the queue."""
             owner = refuser(tx, members)
-            if owner is not None:
-                raise SessionAborted(f"{label}: {owner} did not approve {tx.txid[:8]}")
+            if owner is None:
+                return
+            if r is not None:
+                self._drop(r, f"{label} refused by {owner} {tx.txid[:8]}")
+            raise SessionAborted(f"{label}: {owner} did not approve {tx.txid[:8]}")
 
         secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
         for party in parties:
@@ -472,21 +480,25 @@ class Operator:
             secrets.update(extra_secrets)
 
         # steps 2-4 sign each chunk's approved sessions ahead (`sign_ahead`)
-        # step 2: VTXT cosigning sessions, root first
+        # step 2: VTXT cosigning sessions, root first, every one derived
+        # before any is signed
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
-            nodes = [(txid, tx, vtxt.signers(txid)) for txid, tx in vtxt.txs.items()]
+            try:
+                nodes = [(tx, *vtxt.session(txid)) for txid, tx in vtxt.txs.items()]
+            except arkcore.ArkError as e:
+                raise SessionAborted(f"vtxt: {e}")
             for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
-                sign_ahead([(tx, members) for _, tx, members in chunk
-                            if refuser(tx, members) is None], secrets)
-                for txid, tx, members in chunk:
-                    for m in members:
+                sign_ahead([(tx, key.members) for tx, _, _, key in chunk
+                            if refuser(tx, key.members) is None], secrets)
+                for tx, lock, idx, key in chunk:
+                    for m in key.members:
                         owner = party_of.get(m)
                         if owner is not None:
                             maybe_abort("vtxt", owner)
-                    consent("vtxt", tx, members)
-                    sig = self._cosign(tx, members, secrets, "vtxt")
-                    tx.wits = [Witness(BATCH_UNROLL_PATH, (sig,), vtxt.spent(txid).lock.paths)]
+                    consent("vtxt", tx, key.members)
+                    sig = self._cosign(tx, key, secrets, "vtxt")
+                    tx.wits = [Witness(idx, (sig,), lock.paths)]
 
         # step 3: forfeit transactions, collected and checked; the spent
         # path is the input lock's own collaborative aggregate, which may
@@ -503,8 +515,8 @@ class Operator:
                        secrets, [(self.sk, ff) for ff, _ in agreed])
             for (r, v, _), (ff, collab_idx, agg) in zip(chunk, forfeits):
                 maybe_abort("forfeit", r.party)
-                consent("forfeit", ff, agg.members)
-                sig = self._cosign(ff, agg.members, secrets, "forfeit")
+                consent("forfeit", ff, agg.members, r)
+                sig = self._cosign(ff, agg, secrets, "forfeit")
                 anchor_sig = crypto.sign(self.sk, ff.digest())
                 ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
                            Witness(KEY_PATH, (anchor_sig,))]
@@ -516,18 +528,18 @@ class Operator:
         boarding = [r for r in bundle.requests if r.kind == "boarding"]
         n_funding = len(wits) - len(boarding)
 
-        # step 4: boarding cosigns
-        to_board = list(enumerate(boarding, start=n_funding))
+        # step 4: boarding cosigns, each on its boarding output's lock
+        to_board = [(i, r, self.chain.utxos[bundle.commitment.ins[i]].output.lock)
+                    for i, r in enumerate(boarding, start=n_funding)]
         for chunk in chunked(to_board, crypto.SIGN_BATCH_MAX):
-            sessions = [(bundle.commitment, (wallets[r.party].pk, self.pk)) for _, r in chunk]
-            sign_ahead([(tx, m) for tx, m in sessions if refuser(tx, m) is None], secrets)
-            for i, r in chunk:
+            sessions = [(i, r, lock, *collab_aggregate(lock)) for i, r, lock in chunk]
+            sign_ahead([(bundle.commitment, key.members) for *_, key in sessions
+                        if refuser(bundle.commitment, key.members) is None], secrets)
+            for i, r, lock, idx, key in sessions:
                 maybe_abort("boarding", r.party)
-                members = crypto.aggregate([wallets[r.party].pk, self.pk]).members
-                consent("boarding", bundle.commitment, members)
-                sig = self._cosign(bundle.commitment, members, secrets, "boarding")
-                out = self.chain.utxos[bundle.commitment.ins[i]].output
-                wits[i] = Witness(BOARDING_COOP_PATH, (sig,), out.lock.paths)
+                consent("boarding", bundle.commitment, key.members, r)
+                sig = self._cosign(bundle.commitment, key, secrets, "boarding")
+                wits[i] = Witness(idx, (sig,), lock.paths)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)
@@ -607,14 +619,12 @@ class Operator:
         chain = self.chain
         if chain.unspent(op):
             entry = chain.utxos[op]
-            height = sweep_path_height(entry.output.lock)
-            if height is None:
+            found = sweep_path(entry.output.lock)
+            if found is None:
                 return []
             sweep = Tx(ins=(op,), outs=(Output(entry.output.value, p2pk(self.pk)),))
-            idx = next(i for i, p in enumerate(entry.output.lock.paths)
-                       if sweep_path_height(taproot(UNSPENDABLE, [p])) == height)
             sig = crypto.sign(self.sk, sweep.digest())
-            sweep.wits = [Witness(idx, (sig,), entry.output.lock.paths)]
+            sweep.wits = [Witness(found[0], (sig,), entry.output.lock.paths)]
             try:
                 if chain.submit(sweep, self.name):
                     chain.note("operator_node", self.name, "sweep", sweep.txid[:8])
@@ -627,7 +637,7 @@ class Operator:
         submitted: List[Tx] = []
         child = chain.records[spender].tx
         for i, out in enumerate(child.outs):
-            if sweep_path_height(out.lock) is not None:
+            if sweep_path(out.lock) is not None:
                 submitted.extend(self._sweep_outpoint(child.outpoint(i)))
         return submitted
 

@@ -123,12 +123,13 @@ class Wallet:
         vtxt, expiry = batch.vtxt, batch.expiry
         try:
             txs = vtxt.path_to(vtxo.outpoint.txid)
+            keys = [vtxt.session(tx.txid)[2] for tx in txs]
         except KeyError:
             return self._fail("leaf missing from the tree")
         except arkcore.ArkError as e:
             return self._fail(f"malformed batch tree: {e}")
-        for tx in txs:
-            if self.pk not in vtxt.signers(tx.txid):
+        for tx, key in zip(txs, keys):
+            if self.pk not in key.members:
                 return self._fail("own key missing from a path cosigner set")
             if vtxt.spent(tx.txid).value < sum(o.value for o in tx.outs):
                 return self._fail("value increases down the tree")

@@ -63,10 +63,9 @@ def test_criterion_02_exit_scaling():
         vtxt, _ = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
         target = vtxt.leaves[0]
         for tx in vtxt.path_to(target.txid):
-            agg = crypto.aggregate(vtxt.signers(tx.txid))
+            lock, idx, agg = vtxt.session(tx.txid)
             sig = crypto.cosign(tx.digest(), [op_sk, sk], agg)
-            tx.wits = [Witness(arkcore.BATCH_UNROLL_PATH, (sig,),
-                               vtxt.spent(tx.txid).lock.paths)]
+            tx.wits = [Witness(idx, (sig,), lock.paths)]
         wallet.holdings[target.vtxo.key()] = Holding(
             target.vtxo, vtxt.path_to(target.txid), "batch")
         submitted = wallet.unilateral_exit(target.vtxo)

@@ -10,6 +10,7 @@ from arksim.arkcore import (
     ArkError,
     Vtxo,
     batch_lock,
+    boarding_lock,
     boarding_tx,
     build_connector,
     build_vtxt,
@@ -18,7 +19,9 @@ from arksim.arkcore import (
     collab_aggregate,
     forfeit_tx,
     p2pk,
+    reset_lock,
     reset_tx,
+    sweep_path,
     sweep_path_height,
     vtxo_lock,
 )
@@ -60,10 +63,32 @@ def test_vtxo_lock_rejects_short_delay():
         classify_paths(lock, OP_PK, PARAMS.t_u)
 
 
+def users_reset_lock():
+    v = Vtxo(100, vtxo_lock(U_PK, OP_PK, PARAMS.t_u), "u", U_PK)
+    return reset_lock(v, OP_PK, 77, PARAMS.t_u)
+
+
+# each lock shape over the user's and the operator's keys, with the index
+# of its cosigned path, and the index and height of its sweep path, which
+# is a reset lock's last
+LOCKS = {
+    "vtxo": (lambda: vtxo_lock(U_PK, OP_PK, PARAMS.t_u), 0, None),
+    "boarding": (lambda: boarding_lock(U_PK, OP_PK, PARAMS.t_b), 0, None),
+    "reset": (users_reset_lock, 0, (1, 77)),
+    "batch": (lambda: batch_lock(OP_PK, crypto.aggregate([U_PK, OP_PK]), 99), 1, (0, 99)),
+}
+
+
 def test_collab_aggregate_finds_members():
-    lock = vtxo_lock(U_PK, OP_PK, PARAMS.t_u)
-    idx, agg = collab_aggregate(lock)
-    assert set(agg.members) == {U_PK, OP_PK}
+    for shape, (make, index, _) in LOCKS.items():
+        assert collab_aggregate(make()) == (index, crypto.aggregate([U_PK, OP_PK])), shape
+
+
+@pytest.mark.parametrize("shape", LOCKS)
+def test_sweep_path_reads_index_and_height(shape):
+    make, _, sweep = LOCKS[shape]
+    assert sweep_path(make()) == sweep
+    assert sweep_path_height(make()) == (sweep and sweep[1])
 
 
 def test_build_vtxt_single_leaf():
@@ -108,8 +133,8 @@ def test_signer_sets_cover_subtrees():
     vtxt, _ = build_vtxt(funding, leaves, OP_PK, 50, 2)
     for ref in vtxt.leaves:
         for tx in vtxt.path_to(ref.txid):
-            assert ref.vtxo.owner_pk in vtxt.signers(tx.txid)
-            assert OP_PK in vtxt.signers(tx.txid)
+            _, _, key = vtxt.session(tx.txid)
+            assert ref.vtxo.owner_pk in key.members and OP_PK in key.members
 
 
 def twin_of_root_output(vtxt):
@@ -120,6 +145,26 @@ def twin_of_root_output(vtxt):
 def past_root_outputs(vtxt):
     root = vtxt.txs[vtxt.root]
     return Tx(ins=(root.outpoint(len(root.outs)),), outs=(Output(1, p2pk(OP_PK)),))
+
+
+def root_anchor_spender(vtxt):
+    root = vtxt.txs[vtxt.root]
+    return Tx(ins=(root.outpoint(len(root.outs) - 1),), outs=(Output(0, p2pk(OP_PK)),))
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (root_anchor_spender, "spends no cosigned output"),
+    (past_root_outputs, "spends no output of the tree"),
+])
+def test_a_session_names_a_node_outside_every_cosigned_output(extra, reason):
+    vtxt, _ = build_vtxt(OutPoint("ab" * 32, 0), make_leaves(4), OP_PK, 50, 2)
+    node = extra(vtxt)
+    vtxt.txs[node.txid] = node
+    with pytest.raises(ArkError, match=f"^{node.txid[:8]} {reason}$"):
+        vtxt.session(node.txid)
+    lock, idx, key = vtxt.session(vtxt.root)
+    assert lock == vtxt.funding_out.lock and idx == 1
+    assert set(key.members) == {OP_PK, *(v.vtxo.owner_pk for v in vtxt.leaves)}
 
 
 @pytest.mark.parametrize("extra, reason", [

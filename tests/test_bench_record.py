@@ -5,6 +5,8 @@ summarizes was correct, failed nothing and confirmed the paper's vbytes."""
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -60,3 +62,35 @@ def test_check_names_what_is_wrong():
         "wide_batch: onchain_vb 3.0, not 16495",
         "payment_stream: 2 operations failed",
         "missing workload adversarial_traces"]
+
+
+def test_check_refuses_a_malformed_tree_digest():
+    record = json.loads(RECORDS[0].read_text())
+    record["tree_sha256"] = "ab" * 32
+    assert bench_record.check(record) == []
+    for bad in ("ab" * 31, "AB" * 32, 7):
+        record["tree_sha256"] = bad
+        assert bench_record.check(record) == [f"malformed tree_sha256 {bad!r}"]
+
+
+def test_the_tree_digest_is_stable_and_moves_with_one_byte(tmp_path):
+    # a copy of the tracked files under src/ and perfbench/, tracked in a
+    # repository of its own: the same paths and bytes give the same digest,
+    # and one byte changed under src/ gives another
+    tracked = subprocess.run(["git", "ls-files", "--", "src", "perfbench"], cwd=ROOT,
+                             stdout=subprocess.PIPE, text=True, check=True).stdout.split()
+    if not tracked:
+        pytest.skip("the checkout is not a git repository")
+    for path in tracked:
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(ROOT / path, tmp_path / path)
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(["git", "add", "--", "src", "perfbench"], cwd=tmp_path, check=True)
+    digest = bench_record.tree_sha256(str(tmp_path))
+    assert bench_record._SHA256.fullmatch(digest)
+    assert bench_record.tree_sha256(str(tmp_path)) == digest == bench_record.tree_sha256()
+    target = tmp_path / "src" / "arksim" / "errors.py"
+    data = bytearray(target.read_bytes())
+    data[0] ^= 1
+    target.write_bytes(bytes(data))
+    assert bench_record.tree_sha256(str(tmp_path)) != digest

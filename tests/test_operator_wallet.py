@@ -12,6 +12,7 @@ from arksim import arkcore, crypto
 from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
+from arksim.fastfinality import FfOperator
 from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
 from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
 from arksim.operator_node import ArkPayment, Reject, Request, VtxoSpec
@@ -240,6 +241,31 @@ def test_a_settled_input_is_refused_again(kind):
     for again in ("batch-swap", "exit", "ark"):
         with pytest.raises(Reject, match=f"^{reason}"):
             submit_spend(sim, spend_request(again, alice, v, v.value))
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "ark"])
+def test_an_input_without_a_cosigned_path_is_refused_where_it_would_be_cosigned(kind):
+    # alice boards into a nonce-bound VTXO: its collaborative path takes
+    # the operator's nonce-bound signature and hers, not an aggregate key,
+    # so no forfeit or reset of it can be cosigned.  A swap or a payment of
+    # it is refused at intake, where it stayed queued and raised in every
+    # later ceremony; its exit is still accepted
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000])
+    _, r_star = FfOperator(sim.operator).fresh_nonce(b"alice-vtxo")
+    _, req = submit_boarding(sim, "alice", [5_000])
+    req.outputs = (VtxoSpec(5_000, "alice", alice.pk, r_star),)
+    sim.tick(PARAMS.k + 1)
+    sim.operator.verify_boarding(req)
+    sim.settle_commitment()
+    (v,) = sim.vtxos("alice")
+    assert v.key() in sim.operator.book.confirmedVTXO
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match=rf"^NotCosignable \('{v.outpoint.txid}', 0\)$"):
+        submit_spend(sim, spend_request(kind, alice, v, v.value))
+    assert book_state(sim.operator.book) == book
+    submit_spend(sim, spend_request("exit", alice, v, v.value))
 
 
 # --- single-spend discipline --------------------------------------------
@@ -751,6 +777,37 @@ def test_the_ceremony_refuses_a_tree_that_spends_one_output_twice():
     assert book_state(sim.operator.book) == book
 
 
+def root_anchor_spender(vtxt, op_pk):
+    root = vtxt.txs[vtxt.root]
+    return Tx(ins=(root.outpoint(len(root.outs) - 1),), outs=(Output(0, p2pk(op_pk)),))
+
+
+def past_root_outputs_spender(vtxt, op_pk):
+    root = vtxt.txs[vtxt.root]
+    return Tx(ins=(root.outpoint(len(root.outs)),), outs=(Output(0, p2pk(op_pk)),))
+
+
+@pytest.mark.parametrize("forge, reason", [
+    (root_anchor_spender, "spends no cosigned output"),
+    (past_root_outputs_spender, "spends no output of the tree"),
+])
+def test_the_ceremony_aborts_at_a_node_with_no_cosigned_session(forge, reason):
+    # an extra node on neither wallet's branch, which both approve.  Every
+    # node's session is read from the lock it spends before any is signed,
+    # so the ceremony aborts with the node's reason and signs nothing
+    sim, bundle = pair_bundle()
+    vtxt = bundle.batch.vtxt
+    node = forge(vtxt, sim.operator.pk)
+    vtxt.txs[node.txid] = node
+    assert all(sim.wallets[n].verify_commitment(bundle) for n in ("alice", "bob"))
+    book, trace = book_state(sim.operator.book), len(sim.chain.trace)
+    with pytest.raises(SessionAborted, match=f"^vtxt: {node.txid[:8]} {reason}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert all(tx.wits == [] for tx in vtxt.txs.values())
+    assert [e.event for e in sim.chain.trace[trace:]] == []
+    assert book_state(sim.operator.book) == book
+
+
 def rekey_leaf(vtxt, i, tx):
     """Leaf `i`'s node replaced by `tx`, stored under its txid."""
     ref = vtxt.leaves[i]
@@ -1132,7 +1189,7 @@ def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
         d for _, d in pairs) or real_batch(pairs))
     monkeypatch.setattr(crypto, "cosign", lambda digest, *a: signed.append(digest)
                         or real_cosign(digest, *a))
-    first = next(name for m in vtxt.signers(twin.txid)
+    first = next(name for m in vtxt.session(twin.txid)[2].members
                  for name, w in sim.wallets.items() if w.pk == m)
     with pytest.raises(SessionAborted, match=f"^vtxt: {first} did not approve {twin.txid[:8]}$"):
         op.run_signing(bundle, sim.wallets)
@@ -1157,6 +1214,73 @@ def test_a_swap_of_another_wallets_vtxo_aborts_unsigned():
     with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit.txid[:8]}$"):
         sim.operator.run_signing(bundle, sim.wallets)
     assert bundle.forfeits == {}
+
+
+def drops(sim):
+    return [e[1:] for e in sim.chain.trace if e.event == "drop"]
+
+
+def test_a_refused_swap_leaves_the_queue_and_the_next_round_settles():
+    # mallory's swap of alice's booked VTXO is refused by alice at its
+    # forfeit, so the ceremony drops it; bob's honest swap, aborted with
+    # it, settles in the next round, and alice keeps her VTXO
+    sim = boarded_sim()
+    sim.add_wallet("bob", [5_000])
+    sim.board("bob", [5_000])
+    sim.settle_commitment()
+    mallory = sim.add_wallet("mallory", [])
+    (v,) = sim.vtxos("alice")
+    mallory_request = Request("batch-swap", "mallory", inputs=(v,),
+                              outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
+    sim.operator.verify_batch_swap(mallory_request)
+    bob_request = sim.swap("bob", sim.vtxos("bob"))
+    bundle = sim.operator.assemble_commitment()
+    forfeit = arkcore.forfeit_tx(v, bundle.anchors()[v.outpoint], sim.operator.pk,
+                                 PARAMS.epsilon)
+    with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit.txid[:8]}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"forfeit refused by alice {forfeit.txid[:8]}")]
+    assert sim.operator.book.queue == [bob_request]
+    assert v.key() not in sim.operator.book.preSpent
+    settled = sim.settle_commitment()
+    assert settled.requests == [bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert [u.value for u in sim.vtxos("bob")] == [5_000]
+    assert sim.vtxos("bob")[0].outpoint.txid in settled.batch.vtxt.txs
+    assert sim.vtxos("alice") == [v] and v.key() in sim.operator.book.confirmedVTXO
+
+
+def test_a_refused_boarding_leaves_the_queue_and_the_next_round_settles():
+    # mallory asks to board alice's boarding output.  Its cosign is read
+    # from that output's lock, which names alice's key, not mallory's, so
+    # alice refuses it and the ceremony drops it; bob's honest boarding
+    # settles in the next round, and alice can still board her output
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    sim.add_wallet("alice", [5_000])
+    sim.add_wallet("bob", [5_000])
+    mallory = sim.add_wallet("mallory", [])
+    alice_tx, alice_request = submit_boarding(sim, "alice", [5_000])
+    sim.tick(PARAMS.k + 1)
+    mallory_request = Request("boarding", "mallory", boarding_outpoint=alice_tx.outpoint(0),
+                              outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))
+    sim.operator.verify_boarding(mallory_request)
+    bob_request = sim.board("bob", [5_000])
+    bundle = sim.operator.assemble_commitment()
+    txid8 = bundle.commitment.txid[:8]
+    with pytest.raises(SessionAborted, match=f"^boarding: alice did not approve {txid8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"boarding refused by alice {txid8}")]
+    assert sim.operator.book.queue == [bob_request]
+    settled = sim.settle_commitment()
+    assert settled.requests == [bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert [u.value for u in sim.vtxos("bob")] == [5_000]
+    assert sim.chain.unspent(alice_tx.outpoint(0))
+    sim.operator.verify_boarding(alice_request)
+    assert sim.operator.book.queue == [alice_request]
 
 
 class ReadRecordingDict(dict):
@@ -1221,7 +1345,7 @@ def internal_node_keys(batch):
     is signed under.  A leaf node is signed under its owner's key with the
     operator's, the key of the owner's resets and ark spends too."""
     leaves = {leaf.txid for leaf in batch.vtxt.leaves}
-    return {crypto.aggregate(batch.vtxt.signers(txid)).point.point
+    return {batch.vtxt.session(txid)[2].point.point
             for txid in batch.vtxt.txs if txid not in leaves}
 
 

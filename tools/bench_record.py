@@ -8,7 +8,9 @@ and writes `BENCH_<label>.json` at the repo root (or into `--out`).  Per
 workload, the file holds the median and quartiles of each end-to-end
 metric, whether every run was `correct`, the failed operations summed over
 the runs, and `onchain_vb`; for the machine, the git commit, whether the
-measured code (`src/`, `perfbench/`) differed from it, the Python version,
+measured code (`src/`, `perfbench/`) differed from it, a digest of that
+code as measured (`tree_sha256`, so a record made before its own commit
+names the tree it measured), the Python version,
 `os.cpu_count()` and the median reference-work time, by which files from
 different machines can be scaled.  The exit status is 1 if the file
 records an incorrect run, a failed operation or a commitment that weighs
@@ -18,6 +20,7 @@ other than the paper's figure.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -39,6 +42,7 @@ KEYS = ("label", "commit", "dirty", "python", "cpu_count", "reference_ms",
         "runs", "seconds", "seeds", "workloads")
 WORKLOAD_KEYS = ("correct", "failed", "onchain_vb", "reference_ms", "metrics")
 _REFERENCE = re.compile(r"^\s+reference_ms\s+(\S+)\s+ms$", re.M)
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 def spread(values: List[float]) -> Dict[str, float]:
@@ -89,9 +93,13 @@ def summarize(results: Dict[str, List[dict]]) -> dict:
 
 
 def check(record: dict) -> List[str]:
-    """What is wrong with a recorded file: missing keys, an incorrect run,
-    a failed operation, or a commitment off the paper's figure."""
+    """What is wrong with a recorded file: missing keys, a malformed tree
+    digest, an incorrect run, a failed operation, or a commitment off the
+    paper's figure."""
     problems = [f"missing key {k}" for k in KEYS if k not in record]
+    digest = record.get("tree_sha256")
+    if digest is not None and not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+        problems.append(f"malformed tree_sha256 {digest!r}")
     for workload in WORKLOADS:
         entry = record.get("workloads", {}).get(workload)
         if entry is None:
@@ -110,10 +118,25 @@ def check(record: dict) -> List[str]:
     return problems
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, root: str = ROOT) -> str:
     proc = subprocess.run(["git", *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True, cwd=ROOT)
+                          stderr=subprocess.DEVNULL, text=True, cwd=root)
     return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def tree_sha256(root: str = ROOT) -> str:
+    """SHA-256 over every file git tracks under `root`'s src/ and
+    perfbench/, in path order: each relative path and length, then its
+    bytes as they are on disk (a tracked file deleted from disk is left
+    out)."""
+    digest = hashlib.sha256()
+    for path in sorted(_git("ls-files", "--", "src", "perfbench", root=root).splitlines()):
+        full = os.path.join(root, path)
+        if os.path.isfile(full):
+            with open(full, "rb") as fh:
+                data = fh.read()
+            digest.update(b"%s\0%d\0" % (path.encode(), len(data)) + data)
+    return digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -128,6 +151,7 @@ def main(argv=None) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     seeds = list(range(1, args.runs + 1))
+    tree = tree_sha256()    # the code as it is measured
     results: Dict[str, List[dict]] = {w: [] for w in WORKLOADS}
     for seed in seeds:
         for workload in WORKLOADS:
@@ -140,6 +164,7 @@ def main(argv=None) -> int:
         "commit": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no",
                            "--", "src", "perfbench")),
+        "tree_sha256": tree,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "reference_ms": statistics.median(references) if references else None,
