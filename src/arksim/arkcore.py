@@ -14,8 +14,8 @@ output a node spends, its cosigners (that output's cosigned key), a leaf's
 path and a batch's expiry are derived from them, so whoever reads them
 reads what was signed, not a copy of it.
 
-The lock readers `collab_aggregate` and `sweep_path` are the one source
-of signer sets and path indices: every spend takes the index of the path
+The lock readers `collab_aggregate`, `cosigners` and `sweep_path` are the
+one source of signer sets and path indices: every spend takes the index of the path
 it satisfies, and for a cosigned path its aggregate key, from the lock it
 spends, never from the position a builder put it at or from a member list
 rebuilt out of wallet keys.
@@ -139,6 +139,11 @@ def collab_aggregate(lock: LockScript) -> Tuple[int, AggregateKey]:
         if isinstance(p, CheckAggSig):
             return i, p.key
     raise ArkError("no aggregate collaborative path")
+
+
+def cosigners(lock: LockScript) -> Set[PublicKey]:
+    """Every key that one of the lock's cosigned paths names."""
+    return {m for p in lock.paths if isinstance(p, CheckAggSig) for m in p.key.members}
 
 
 def batch_lock(operator: PublicKey, cosigners: AggregateKey, expiry: int) -> LockScript:
@@ -378,7 +383,6 @@ def boarding_lock(owner: PublicKey, operator: PublicKey, t_b: int) -> LockScript
     ])
 
 
-BOARDING_COOP_PATH = 0
 BOARDING_EXIT_PATH = 1
 
 

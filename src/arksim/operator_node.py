@@ -439,8 +439,9 @@ class Operator:
         (1) parties audit the bundle and approve digests, (2) VTXT cosign
         sessions, (3) forfeits collected and checked, (4) boarding cosigns,
         (5) only then the operator signs its funding inputs.  A session that
-        names a wallet's key over a digest it did not approve aborts
-        unsigned, and drops the forfeit or boarding request that named it.
+        names a wallet's key over a digest it did not approve, or a key no
+        signer holds, aborts unsigned, and drops the forfeit or boarding
+        request that named it.
         Any failure aborts with no witnesses released to anyone."""
         def maybe_abort(step: str, party: str) -> None:
             if abort is not None and abort(step, party):
@@ -456,28 +457,34 @@ class Operator:
             if approved[party] is None:
                 raise SessionAborted(f"verify: {party} rejected the bundle")
 
+        secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
+        for party in parties:
+            secrets[wallets[party].pk.hex()] = wallets[party].sk
+        if extra_secrets:
+            secrets.update(extra_secrets)
+
         def refuser(tx: Tx, members: Sequence[PublicKey]) -> Optional[str]:
-            """The first wallet named in `members` that did not approve `tx`."""
+            """The first member that may not sign `tx`: a wallet that did not
+            approve it, or a key no signer here holds (by its hex prefix)."""
             digest = tx.digest()
-            return next((party_of[m] for m in members
-                         if m in party_of and digest not in approved[party_of[m]]), None)
+            for m in members:
+                if m in party_of:
+                    if digest not in approved[party_of[m]]:
+                        return party_of[m]
+                elif m.hex() not in secrets:
+                    return m.hex()[:8]
+            return None
 
         def consent(label: str, tx: Tx, members: Sequence[PublicKey],
                     r: Optional[Request] = None) -> None:
-            """Abort unless every wallet in `members` approved `tx`; the
-            request `r` that named a refused session leaves the queue."""
+            """Abort unless every member may sign `tx`; the request `r`
+            that named a refused session leaves the queue."""
             owner = refuser(tx, members)
             if owner is None:
                 return
             if r is not None:
                 self._drop(r, f"{label} refused by {owner} {tx.txid[:8]}")
             raise SessionAborted(f"{label}: {owner} did not approve {tx.txid[:8]}")
-
-        secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
-        for party in parties:
-            secrets[wallets[party].pk.hex()] = wallets[party].sk
-        if extra_secrets:
-            secrets.update(extra_secrets)
 
         # steps 2-4 sign each chunk's approved sessions ahead (`sign_ahead`)
         # step 2: VTXT cosigning sessions, root first, every one derived
@@ -528,17 +535,30 @@ class Operator:
         boarding = [r for r in bundle.requests if r.kind == "boarding"]
         n_funding = len(wits) - len(boarding)
 
-        # step 4: boarding cosigns, each on its boarding output's lock
-        to_board = [(i, r, self.chain.utxos[bundle.commitment.ins[i]].output.lock)
+        # step 4: boarding cosigns, each on its boarding output's lock, none
+        # while one is refused.  A wallet refuses its own boarding only when
+        # another request boards an output locked to its key, so the
+        # requests refused by another party than their own are dropped, or
+        # else every refused one
+        commitment, txid8 = bundle.commitment, bundle.commitment.txid[:8]
+        to_board = [(i, r, self.chain.utxos[commitment.ins[i]].output.lock)
                     for i, r in enumerate(boarding, start=n_funding)]
-        for chunk in chunked(to_board, crypto.SIGN_BATCH_MAX):
-            sessions = [(i, r, lock, *collab_aggregate(lock)) for i, r, lock in chunk]
-            sign_ahead([(bundle.commitment, key.members) for *_, key in sessions
-                        if refuser(bundle.commitment, key.members) is None], secrets)
-            for i, r, lock, idx, key in sessions:
+        sessions = [(i, r, lock, *collab_aggregate(lock)) for i, r, lock in to_board]
+        refused = []
+        for _, r, _, _, key in sessions:
+            owner = refuser(commitment, key.members)
+            if owner is not None:
+                refused.append((r, owner))
+        culprits = [(r, owner) for r, owner in refused if owner != r.party] or refused
+        for r, owner in culprits:
+            self._drop(r, f"boarding refused by {owner} {txid8}")
+        if culprits:
+            raise SessionAborted(f"boarding: {culprits[0][1]} did not approve {txid8}")
+        for chunk in chunked(sessions, crypto.SIGN_BATCH_MAX):
+            sign_ahead([(commitment, key.members) for *_, key in chunk], secrets)
+            for i, r, lock, idx, key in chunk:
                 maybe_abort("boarding", r.party)
-                consent("boarding", bundle.commitment, key.members, r)
-                sig = self._cosign(bundle.commitment, key, secrets, "boarding")
+                sig = self._cosign(commitment, key, secrets, "boarding")
                 wits[i] = Witness(idx, (sig,), lock.paths)
 
         # step 5: the operator funds the commitment only now

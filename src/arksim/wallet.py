@@ -11,7 +11,8 @@ one outpoint (another owner's leaf fails the lock check).  Every node on
 the path to each (`Vtxt.path_to`) must need its key, create no value and
 sweep-lock its outputs at the expiry.  The audit approves what the
 ceremony may sign under the wallet's key: those nodes, the forfeit of
-each VTXO it swaps and the commitment it boards into.
+each VTXO it swaps and the commitment it boards into, if every input of
+the commitment locked to its key is one it boards.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore
-from .arkcore import BatchOutput, Vtxo, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
+from .arkcore import BatchOutput, Vtxo, cosigners, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
@@ -183,6 +184,7 @@ class Wallet:
         anchors = bundle.anchors()
         approved: Set[bytes] = set()
         seen: set[Tuple[str, int]] = set()
+        boards: Set[OutPoint] = set()
         for r, made in self._mine(bundle):
             for leaf, spec in zip(made, r.outputs):
                 expected = vtxo_lock(spec.owner_pk, self.operator_pk,
@@ -203,11 +205,17 @@ class Wallet:
                         return None
                     approved.add(forfeit_tx(v, anchor, self.operator_pk, self.params.epsilon).digest())
             if r.kind == "boarding":
-                approved.add(bundle.commitment.digest())
+                boards.add(r.boarding_outpoint)
             if r.kind == "exit":
                 for value, lock in r.exit_outputs:
                     if Output(value, lock) not in bundle.commitment.outs:
                         return self._fail("exit output missing")
+        # the commitment has one digest for all its inputs, so approving it
+        # approves each input locked to this wallet's key: only if it boards
+        # every one of them
+        if boards and all(op in boards for op, e in zip(bundle.commitment.ins, spent)
+                          if self.pk in cosigners(e.output.lock)):
+            approved.add(bundle.commitment.digest())
         return approved
 
     # --- lifecycle -------------------------------------------------------

@@ -28,11 +28,12 @@ def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
     return sim
 
 
-def submit_boarding(sim, name, values):
-    """`name`'s boarding tx for `values`, signed and submitted, and its
-    request; the operator can verify the request once the tx is k deep."""
+def submit_boarding(sim, name, values, funds=None):
+    """`name`'s boarding tx for `values` from `funds` (all its funds by
+    default), signed and submitted, and its request; the operator can
+    verify the request once the tx is k deep."""
     w = sim.wallets[name]
-    tx, req = w.make_boarding(w.funds, values)
+    tx, req = w.make_boarding(w.funds if funds is None else funds, values)
     tx.wits = [Witness(KEY_PATH, (crypto.sign(w.sk, tx.digest()),))
                for _ in tx.ins]
     sim.chain.submit(tx, name)
@@ -1281,6 +1282,78 @@ def test_a_refused_boarding_leaves_the_queue_and_the_next_round_settles():
     assert sim.chain.unspent(alice_tx.outpoint(0))
     sim.operator.verify_boarding(alice_request)
     assert sim.operator.book.queue == [alice_request]
+
+
+@pytest.mark.parametrize("mallory_first", [False, True])
+def test_a_boarding_of_another_wallets_output_beside_its_own_is_dropped(mallory_first):
+    # alice boards her output A while mallory asks to board alice's output
+    # B in the same round.  The commitment has one digest, so approving it
+    # for A would let B be signed under alice's key too: alice approves no
+    # commitment that boards B for another party, and the ceremony drops
+    # mallory's request whichever comes first.  The next round boards A
+    # and bob's output, and B stays unspent
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000, 3_000])
+    sim.add_wallet("bob", [5_000])
+    mallory = sim.add_wallet("mallory", [])
+    _, alice_request = submit_boarding(sim, "alice", [5_000], alice.funds[:1])
+    b_tx, _ = submit_boarding(sim, "alice", [3_000], alice.funds[1:])
+    sim.tick(PARAMS.k + 1)
+    mallory_request = Request("boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
+                              outputs=(VtxoSpec(3_000, "mallory", mallory.pk),))
+    queued = [mallory_request, alice_request] if mallory_first else [alice_request, mallory_request]
+    for r in queued:
+        sim.operator.verify_boarding(r)
+    bob_request = sim.board("bob", [5_000])
+    bundle = sim.operator.assemble_commitment()
+    txid8 = bundle.commitment.txid[:8]
+    assert bundle.commitment.digest() not in alice.verify_commitment(bundle)
+    with pytest.raises(SessionAborted, match=f"^boarding: alice did not approve {txid8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert [e for e in sim.chain.trace if e.event in ("boarding", "fund")] == []
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"boarding refused by alice {txid8}")]
+    assert sim.operator.book.queue == [alice_request, bob_request]
+    assert (b_tx.txid, 0) not in sim.operator.book.preSpent
+    settled = sim.settle_commitment()
+    assert settled.requests == [alice_request, bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert [v.value for v in sim.vtxos("alice")] == [5_000]
+    assert [v.value for v in sim.vtxos("bob")] == [5_000]
+    assert sim.vtxos("mallory") == []
+    assert sim.chain.unspent(b_tx.outpoint(0))
+
+
+def test_a_boarding_lock_naming_no_signers_key_is_dropped():
+    # mallory boards an output locked to a key of hers that no wallet
+    # holds, so no signer here can cosign it: the ceremony drops her
+    # request as refused by that key, and bob's boarding settles next
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    mallory = sim.add_wallet("mallory", [5_000])
+    sim.add_wallet("bob", [5_000])
+    _, stranger = crypto.keygen(b"stranger")
+    tx = arkcore.boarding_tx(mallory.funds, stranger, sim.operator.pk, PARAMS.t_b, 5_000)
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(mallory.sk, tx.digest()),))]
+    sim.chain.submit(tx, "mallory")
+    sim.tick(PARAMS.k + 1)
+    mallory_request = Request("boarding", "mallory", boarding_outpoint=tx.outpoint(0),
+                              outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))
+    sim.operator.verify_boarding(mallory_request)
+    bob_request = sim.board("bob", [5_000])
+    bundle = sim.operator.assemble_commitment()
+    txid8, key8 = bundle.commitment.txid[:8], stranger.hex()[:8]
+    with pytest.raises(SessionAborted, match=f"^boarding: {key8} did not approve {txid8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"boarding refused by {key8} {txid8}")]
+    assert sim.operator.book.queue == [bob_request]
+    settled = sim.settle_commitment()
+    assert settled.requests == [bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert [v.value for v in sim.vtxos("bob")] == [5_000]
+    assert sim.chain.unspent(tx.outpoint(0))
 
 
 class ReadRecordingDict(dict):
