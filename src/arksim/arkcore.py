@@ -14,11 +14,11 @@ output a node spends, its cosigners (that output's cosigned key), a leaf's
 path and a batch's expiry are derived from them, so whoever reads them
 reads what was signed, not a copy of it.
 
-The lock readers `collab_aggregate`, `cosigners` and `sweep_path` are the
-one source of signer sets and path indices: every spend takes the index of the path
-it satisfies, and for a cosigned path its aggregate key, from the lock it
-spends, never from the position a builder put it at or from a member list
-rebuilt out of wallet keys.
+The lock readers `collab_aggregate`, `cosigners`, `nonce_bound_path` and
+`sweep_path` are the one source of signer sets and path indices: every
+spend takes the index of the path it satisfies, and for a cosigned path its
+aggregate key, from the lock it spends, never from the position a builder
+put it at or from a member list rebuilt out of wallet keys.
 """
 
 from __future__ import annotations
@@ -144,6 +144,24 @@ def collab_aggregate(lock: LockScript) -> Tuple[int, AggregateKey]:
 def cosigners(lock: LockScript) -> Set[PublicKey]:
     """Every key that one of the lock's cosigned paths names."""
     return {m for p in lock.paths if isinstance(p, CheckAggSig) for m in p.key.members}
+
+
+def _fixed_nonce(p: Predicate) -> Optional[Tuple[int, int]]:
+    if isinstance(p, NonceBound):
+        return p.r_star
+    if isinstance(p, And):
+        return next(filter(None, map(_fixed_nonce, p.children)), None)
+    return None
+
+
+def nonce_bound_path(lock: LockScript) -> Optional[Tuple[int, Tuple[int, int]]]:
+    """Index of a lock's nonce-bound path and the operator nonce `r*` it
+    fixes, if it has one: a fast-finality VTXO's lock or its reset's."""
+    for i, p in enumerate(lock.paths):
+        r_star = _fixed_nonce(p)
+        if r_star is not None:
+            return i, r_star
+    return None
 
 
 def batch_lock(operator: PublicKey, cosigners: AggregateKey, expiry: int) -> LockScript:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import arkcore, crypto
-from .arkcore import Vtxo, classify_paths, reset_tx
+from .arkcore import Vtxo, nonce_bound_path, reset_tx
 from .crypto import Fixed, SecretKey, Signature
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, SubmitError, Tx
@@ -26,7 +26,6 @@ from .script import (
     And,
     CheckAggSig,
     CheckSig,
-    NonceBound,
     Witness,
     taproot,
 )
@@ -92,18 +91,6 @@ def burn_collateral(col: Collateral, operator_sk: SecretKey, chain: Chain,
                                 col.output.lock.paths)]
     chain.submit(col.burn_tx, by)
     return col.burn_tx
-
-
-def _nonce_bound_commitment(lock) -> Optional[Tuple[int, int]]:
-    for p in lock.paths:
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            if isinstance(q, NonceBound):
-                return q.r_star
-            if isinstance(q, And):
-                stack.extend(q.children)
-    return None
 
 
 @dataclass
@@ -184,14 +171,13 @@ class FfCoordinator:
         resets = []
         for v in vtxos:
             rst = reset_tx(v, op.pk, v.expiry, params.t_u)
-            r_star = _nonce_bound_commitment(v.lock)
-            if r_star is None:
+            path = nonce_bound_path(v.lock)
+            if path is None:
                 raise FfError("incorrect output script: no nonce commitment")
-            owner_sk = self.wallets[v.owner].sk
+            idx, r_star = path
             op_sig = self.ffop.sign_nonce_bound(rst, r_star)
-            owner_sig = crypto.sign(owner_sk, rst.digest())
-            collab_idx, _ = classify_paths(v.lock, op.pk, params.t_u)
-            rst.wits = [Witness(collab_idx[0], (op_sig, owner_sig), v.lock.paths)]
+            owner_sig = crypto.sign(self.wallets[v.owner].sk, rst.digest())
+            rst.wits = [Witness(idx, (op_sig, owner_sig), v.lock.paths)]
             resets.append(rst)
         made = []
         for spec in outputs:
@@ -207,11 +193,11 @@ class FfCoordinator:
         ark = arkcore.ark_tx([(r.outpoint(0), r.outs[0].value) for r in resets],
                              leaves)
         for v, rst in zip(vtxos, resets):
-            r_star = _nonce_bound_commitment(rst.outs[0].lock)
+            idx, r_star = nonce_bound_path(rst.outs[0].lock)
             op_sig = self.ffop.sign_nonce_bound(ark, r_star,
                                                 allow_conflict=allow_conflict)
             owner_sig = crypto.sign(self.wallets[v.owner].sk, ark.digest())
-            ark.wits.append(Witness(0, (op_sig, owner_sig), rst.outs[0].lock.paths))
+            ark.wits.append(Witness(idx, (op_sig, owner_sig), rst.outs[0].lock.paths))
         return ArkPayment(ark, resets, [list(p) for p in paths], leaves)
 
     def ff_send(self, sender: str, recipient: str, payment: ArkPayment) -> str:
@@ -250,7 +236,7 @@ class FfCoordinator:
         for rst in payment.resets:
             # the reset's output must be nonce-bound, or conflicting
             # spends would not force nonce reuse
-            if _nonce_bound_commitment(rst.outs[0].lock) is None:
+            if nonce_bound_path(rst.outs[0].lock) is None:
                 self._reject(member, "incorrect output script")
                 return
         # the wallet notes the precise reason for a failed witness check

@@ -3,8 +3,10 @@ assembly, signing orchestration, the request queue, sweeping, and the
 per-round watch loop.
 
 Intake reads every input as booked, and derives each reset and expiry
-itself.  All effects flow through the book's request queue and VTXO sets;
-the signing ceremony releases nothing until every required signature
+itself.  All effects flow through the book's request queue and VTXO sets.
+The signing ceremony derives every session of a commitment (tree nodes,
+forfeits, boarding inputs and exits), checks consent for all of them, and
+signs them in order, so it releases nothing until every required signature
 (including all forfeits) is held.  The operator's funding is derived from
 the chain, and one deadline table drives its watcher: sweeps at expiry
 (Routine 13), answers to unrolled spent VTXOs (Routine 19) and connector
@@ -52,21 +54,18 @@ def sign_ahead(sessions: Sequence[Tuple[Tx, Sequence[PublicKey]]],
                solo: Sequence[Tuple[SecretKey, Tx]] = ()) -> None:
     """Fill the signing memo, in one `crypto.sign_batch` pass, with what
     a ceremony is about to sign: the cosignature of each (tx, members)
-    session whose members all have a secret in `secrets` (hex key ->
-    secret), and each (secret, tx) of `solo` signed alone.  A session's
-    secrets are listed in its members' order, as `Operator._cosign` lists
-    them, so the two share one aggregate-secret memo entry.  A caller then
-    signs as before, its checks and aborts first, and finds each signature
-    in the memo, so it passes at most `crypto.SIGN_BATCH_MAX` signatures.
-    Below `crypto.SIGN_BATCH_MIN` nothing is computed."""
+    session, under its members' secrets in `secrets` (hex key -> secret),
+    and each (secret, tx) of `solo` signed alone.  A session's secrets are
+    listed in its members' order, as `Operator._cosign` lists them, so the
+    two share one aggregate-secret memo entry.  A caller then signs as
+    before, its checks and aborts first, and finds each signature in the
+    memo, so it passes at most `crypto.SIGN_BATCH_MAX` signatures.  Below
+    `crypto.SIGN_BATCH_MIN` nothing is computed."""
     if len(sessions) + len(solo) < crypto.SIGN_BATCH_MIN:
         return
-    pairs: list = [(sk, tx.digest()) for sk, tx in solo]
-    for tx, members in sessions:
-        sks = [secrets.get(m.hex()) for m in members]
-        if all(sk is not None for sk in sks):
-            pairs.append((sks, tx.digest()))
-    crypto.sign_batch(pairs)
+    crypto.sign_batch([(sk, tx.digest()) for sk, tx in solo]
+                      + [([secrets[m.hex()] for m in members], tx.digest())
+                         for tx, members in sessions])
 
 
 @dataclass
@@ -157,6 +156,22 @@ class Bundle:
         the swaps' inputs, in request order, paired with the connector's."""
         swapped = (v.outpoint for r in self.requests if r.kind == "batch-swap" for v in r.inputs)
         return dict(zip(swapped, self.connector.anchors if self.connector else ()))
+
+
+class Session(NamedTuple):
+    """One session of a ceremony: `tx` on path `idx` of `lock`, cosigned
+    under `key`, and the request that named it (None for a tree node).  An
+    exit signs nothing: its VTXO's `owner` only approves the commitment."""
+    label: str                     # vtxt | forfeit | boarding | exit
+    request: Optional[Request]
+    tx: Tx
+    lock: LockScript
+    idx: int
+    key: Optional[AggregateKey]
+    owner: Optional[PublicKey] = None
+
+    def signers(self) -> Tuple[PublicKey, ...]:
+        return self.key.members if self.key is not None else (self.owner,)
 
 
 @dataclass
@@ -436,12 +451,11 @@ class Operator:
                     abort: Optional[Callable[[str, str], bool]] = None,
                     extra_secrets: Optional[Dict[str, SecretKey]] = None) -> Bundle:
         """Gather every signature for a commitment, in the safe order:
-        (1) parties audit the bundle and approve digests, (2) VTXT cosign
-        sessions, (3) forfeits collected and checked, (4) boarding cosigns,
-        (5) only then the operator signs its funding inputs.  A session that
-        names a wallet's key over a digest it did not approve, or a key no
-        signer holds, aborts unsigned, and drops the forfeit or boarding
-        request that named it.
+        (1) parties audit the bundle and approve digests, (2) every session
+        is derived: the VTXT nodes (root first), the forfeits, the boarding
+        inputs and the exits, (3) consent is checked for all of them, (4)
+        they are signed in that order, (5) only then does the operator sign
+        its funding inputs.
         Any failure aborts with no witnesses released to anyone."""
         def maybe_abort(step: str, party: str) -> None:
             if abort is not None and abort(step, party):
@@ -457,118 +471,89 @@ class Operator:
             if approved[party] is None:
                 raise SessionAborted(f"verify: {party} rejected the bundle")
 
-        secrets: Dict[str, SecretKey] = {self.pk.hex(): self.sk}
-        for party in parties:
-            secrets[wallets[party].pk.hex()] = wallets[party].sk
-        if extra_secrets:
-            secrets.update(extra_secrets)
+        secrets: Dict[str, SecretKey] = {
+            self.pk.hex(): self.sk, **{wallets[p].pk.hex(): wallets[p].sk for p in parties},
+            **(extra_secrets or {})}
 
-        def refuser(tx: Tx, members: Sequence[PublicKey]) -> Optional[str]:
-            """The first member that may not sign `tx`: a wallet that did not
-            approve it, or a key no signer here holds (by its hex prefix)."""
-            digest = tx.digest()
-            for m in members:
-                if m in party_of:
-                    if digest not in approved[party_of[m]]:
-                        return party_of[m]
-                elif m.hex() not in secrets:
-                    return m.hex()[:8]
-            return None
-
-        def consent(label: str, tx: Tx, members: Sequence[PublicKey],
-                    r: Optional[Request] = None) -> None:
-            """Abort unless every member may sign `tx`; the request `r`
-            that named a refused session leaves the queue."""
-            owner = refuser(tx, members)
-            if owner is None:
-                return
-            if r is not None:
-                self._drop(r, f"{label} refused by {owner} {tx.txid[:8]}")
-            raise SessionAborted(f"{label}: {owner} did not approve {tx.txid[:8]}")
-
-        # steps 2-4 sign each chunk's approved sessions ahead (`sign_ahead`)
-        # step 2: VTXT cosigning sessions, root first, every one derived
-        # before any is signed
+        # step 2: every session, each read from the lock it spends.  A
+        # forfeit's aggregate may name a previous operator (handover); the
+        # commitment spends the funding inputs first, then the boarding
+        # inputs (see assemble_commitment)
+        commitment, sessions = bundle.commitment, []
         if bundle.batch is not None:
             vtxt = bundle.batch.vtxt
             try:
-                nodes = [(tx, *vtxt.session(txid)) for txid, tx in vtxt.txs.items()]
+                sessions = [Session("vtxt", None, tx, *vtxt.session(txid))
+                            for txid, tx in vtxt.txs.items()]
             except arkcore.ArkError as e:
                 raise SessionAborted(f"vtxt: {e}")
-            for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
-                sign_ahead([(tx, key.members) for tx, _, _, key in chunk
-                            if refuser(tx, key.members) is None], secrets)
-                for tx, lock, idx, key in chunk:
-                    for m in key.members:
-                        owner = party_of.get(m)
-                        if owner is not None:
-                            maybe_abort("vtxt", owner)
-                    consent("vtxt", tx, key.members)
-                    sig = self._cosign(tx, key, secrets, "vtxt")
-                    tx.wits = [Witness(idx, (sig,), lock.paths)]
-
-        # step 3: forfeit transactions, collected and checked; the spent
-        # path is the input lock's own collaborative aggregate, which may
-        # name a previous operator (handover).  Each forfeit takes two
-        # signatures
         anchors = bundle.anchors()
-        swapped = [(r, v, anchors[v.outpoint]) for r in bundle.requests
-                   if r.kind == "batch-swap" for v in r.inputs]
-        for chunk in chunked(swapped, crypto.SIGN_BATCH_MAX // 2):
-            forfeits = [(forfeit_tx(v, anchor, self.pk, self.params.epsilon),
-                         *collab_aggregate(v.lock)) for _, v, anchor in chunk]
-            agreed = [(ff, agg) for ff, _, agg in forfeits if refuser(ff, agg.members) is None]
-            sign_ahead([(ff, agg.members) for ff, agg in agreed],
-                       secrets, [(self.sk, ff) for ff, _ in agreed])
-            for (r, v, _), (ff, collab_idx, agg) in zip(chunk, forfeits):
-                maybe_abort("forfeit", r.party)
-                consent("forfeit", ff, agg.members, r)
-                sig = self._cosign(ff, agg, secrets, "forfeit")
-                anchor_sig = crypto.sign(self.sk, ff.digest())
-                ff.wits = [Witness(collab_idx, (sig,), v.lock.paths),
-                           Witness(KEY_PATH, (anchor_sig,))]
-                bundle.forfeits[v.key()] = ff
-
-        # the commitment spends the funding inputs first, then the
-        # boarding inputs (see assemble_commitment)
-        wits: List[Optional[Witness]] = [None] * len(bundle.commitment.ins)
+        sessions += [Session("forfeit", r, forfeit_tx(v, anchors[v.outpoint], self.pk,
+                                                      self.params.epsilon),
+                             v.lock, *collab_aggregate(v.lock))
+                     for r in bundle.requests if r.kind == "batch-swap" for v in r.inputs]
         boarding = [r for r in bundle.requests if r.kind == "boarding"]
-        n_funding = len(wits) - len(boarding)
+        n_funding = len(commitment.ins) - len(boarding)
+        locks = [self.chain.utxos[op].output.lock for op in commitment.ins[n_funding:]]
+        sessions += [Session("boarding", r, commitment, lock, *collab_aggregate(lock))
+                     for r, lock in zip(boarding, locks)]
+        sessions += [Session("exit", r, commitment, v.lock, 0, None, v.owner_pk)
+                     for r in bundle.requests if r.kind == "exit" for v in r.inputs]
 
-        # step 4: boarding cosigns, each on its boarding output's lock, none
-        # while one is refused.  A wallet refuses its own boarding only when
-        # another request boards an output locked to its key, so the
-        # requests refused by another party than their own are dropped, or
-        # else every refused one
-        commitment, txid8 = bundle.commitment, bundle.commitment.txid[:8]
-        to_board = [(i, r, self.chain.utxos[commitment.ins[i]].output.lock)
-                    for i, r in enumerate(boarding, start=n_funding)]
-        sessions = [(i, r, lock, *collab_aggregate(lock)) for i, r, lock in to_board]
+        # step 3: consent, for every session before any is signed.  A
+        # session that names a wallet's key over a digest it did not
+        # approve, or a key no signer here holds, is refused.  A wallet
+        # refuses its own request only when another request spends what its
+        # key locks, so the requests refused by another party than their
+        # requester are dropped, or else every refused one, each once
         refused = []
-        for _, r, _, _, key in sessions:
-            owner = refuser(commitment, key.members)
-            if owner is not None:
-                refused.append((r, owner))
-        culprits = [(r, owner) for r, owner in refused if owner != r.party] or refused
-        for r, owner in culprits:
-            self._drop(r, f"boarding refused by {owner} {txid8}")
-        if culprits:
-            raise SessionAborted(f"boarding: {culprits[0][1]} did not approve {txid8}")
-        for chunk in chunked(sessions, crypto.SIGN_BATCH_MAX):
-            sign_ahead([(commitment, key.members) for *_, key in chunk], secrets)
-            for i, r, lock, idx, key in chunk:
-                maybe_abort("boarding", r.party)
-                sig = self._cosign(commitment, key, secrets, "boarding")
-                wits[i] = Witness(idx, (sig,), lock.paths)
+        for s in sessions:
+            digest = s.tx.digest()
+            for m in s.signers():
+                who = party_of.get(m)
+                if not (digest in approved[who] if who else m.hex() in secrets):
+                    refused.append((s, who or m.hex()[:8]))
+                    break
+        if refused:
+            culprits = [(s, who) for s, who in refused
+                        if s.request is not None and who != s.request.party] or refused
+            for s, who in culprits:
+                if s.request in self.book.queue:
+                    self._drop(s.request, f"{s.label} refused by {who} {s.tx.txid[:8]}")
+            s, who = refused[0]
+            raise SessionAborted(f"{s.label}: {who} did not approve {s.tx.txid[:8]}")
+
+        # step 4: each kind's sessions signed ahead in chunks (`sign_ahead`),
+        # a forfeit with its anchor signature, then cosigned one by one;
+        # each wallet that signs a session may abort it
+        boarded: List[Witness] = []
+        for label, size in (("vtxt", crypto.SIGN_BATCH_MAX),
+                            ("forfeit", crypto.SIGN_BATCH_MAX // 2),
+                            ("boarding", crypto.SIGN_BATCH_MAX)):
+            for chunk in chunked([s for s in sessions if s.label == label], size):
+                sign_ahead([(s.tx, s.key.members) for s in chunk], secrets,
+                           [(self.sk, s.tx) for s in chunk if label == "forfeit"])
+                for s in chunk:
+                    for party in (party_of[m] for m in s.key.members if m in party_of):
+                        maybe_abort(label, party)
+                    wit = Witness(s.idx, (self._cosign(s.tx, s.key, secrets, label),),
+                                  s.lock.paths)
+                    if label == "vtxt":
+                        s.tx.wits = [wit]
+                    elif label == "forfeit":
+                        anchor_sig = crypto.sign(self.sk, s.tx.digest())
+                        s.tx.wits = [wit, Witness(KEY_PATH, (anchor_sig,))]
+                        bundle.forfeits[(s.tx.ins[0].txid, s.tx.ins[0].index)] = s.tx
+                    else:
+                        boarded.append(wit)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)
-        for i in range(n_funding):
-            sig = crypto.sign(self.sk, bundle.commitment.digest())
-            wits[i] = Witness(KEY_PATH, (sig,))
-            self.chain.note("operator_node", self.name, "fund",
-                            bundle.commitment.txid[:8])
-        bundle.commitment.wits = wits  # type: ignore[assignment]
+        wits = []
+        for _ in range(n_funding):
+            wits.append(Witness(KEY_PATH, (crypto.sign(self.sk, commitment.digest()),)))
+            self.chain.note("operator_node", self.name, "fund", commitment.txid[:8])
+        commitment.wits = wits + boarded
         return bundle
 
     # --- submission and tracking ----------------------------------------

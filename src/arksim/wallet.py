@@ -11,8 +11,9 @@ one outpoint (another owner's leaf fails the lock check).  Every node on
 the path to each (`Vtxt.path_to`) must need its key, create no value and
 sweep-lock its outputs at the expiry.  The audit approves what the
 ceremony may sign under the wallet's key: those nodes, the forfeit of
-each VTXO it swaps and the commitment it boards into, if every input of
-the commitment locked to its key is one it boards.
+each VTXO it swaps and the commitment it boards into or exits from, if
+every input of the commitment locked to its key is one it boards and every
+exit of a VTXO of its key is one it asked for.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -185,6 +186,7 @@ class Wallet:
         approved: Set[bytes] = set()
         seen: set[Tuple[str, int]] = set()
         boards: Set[OutPoint] = set()
+        exits: Set[OutPoint] = set()
         for r, made in self._mine(bundle):
             for leaf, spec in zip(made, r.outputs):
                 expected = vtxo_lock(spec.owner_pk, self.operator_pk,
@@ -207,14 +209,18 @@ class Wallet:
             if r.kind == "boarding":
                 boards.add(r.boarding_outpoint)
             if r.kind == "exit":
+                exits.update(v.outpoint for v in r.inputs)
                 for value, lock in r.exit_outputs:
                     if Output(value, lock) not in bundle.commitment.outs:
                         return self._fail("exit output missing")
-        # the commitment has one digest for all its inputs, so approving it
-        # approves each input locked to this wallet's key: only if it boards
-        # every one of them
-        if boards and all(op in boards for op, e in zip(bundle.commitment.ins, spent)
-                          if self.pk in cosigners(e.output.lock)):
+        # the commitment has one digest for all its inputs and exits, so
+        # approving it approves each input locked to this wallet's key and
+        # each exit of its VTXOs: only if it boards or exits every one of them
+        locked = {op for op, e in zip(bundle.commitment.ins, spent)
+                  if self.pk in cosigners(e.output.lock)}
+        exited = {v.outpoint for r in bundle.requests if r.kind == "exit"
+                  for v in r.inputs if v.owner_pk == self.pk}
+        if (boards or exits) and locked <= boards and exited <= exits:
             approved.add(bundle.commitment.digest())
         return approved
 

@@ -18,6 +18,7 @@ from arksim.arkcore import (
     classify_paths,
     collab_aggregate,
     forfeit_tx,
+    nonce_bound_path,
     p2pk,
     reset_lock,
     reset_tx,
@@ -89,6 +90,17 @@ def test_sweep_path_reads_index_and_height(shape):
     make, _, sweep = LOCKS[shape]
     assert sweep_path(make()) == sweep
     assert sweep_path_height(make()) == (sweep and sweep[1])
+
+
+def test_nonce_bound_path_reads_index_and_nonce():
+    # a fast-finality VTXO's lock and its reset's pin the operator's nonce
+    # on their first path; a plain VTXO lock and a batch lock pin none
+    r_star = crypto.point_mul(crypto.G, 7)
+    v = Vtxo(100, vtxo_lock(U_PK, OP_PK, PARAMS.t_u, r_star), "u", U_PK)
+    assert nonce_bound_path(v.lock) == (0, r_star)
+    assert nonce_bound_path(reset_lock(v, OP_PK, 77, PARAMS.t_u)) == (0, r_star)
+    assert nonce_bound_path(LOCKS["vtxo"][0]()) is None
+    assert nonce_bound_path(LOCKS["batch"][0]()) is None
 
 
 def test_build_vtxt_single_leaf():

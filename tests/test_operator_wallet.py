@@ -1177,8 +1177,8 @@ def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
     # a second root over the funding outpoint pays the batch to the
     # operator.  Every wallet approves its own branch, which the twin is
     # not on; its session names every wallet's key, so the ceremony aborts
-    # at it, and nothing under a wallet's key was signed over its digest,
-    # not even ahead
+    # at it.  Consent is checked for every session before any is signed,
+    # so nothing is signed at all, not even ahead
     sim, bundle = ceremony_round("boarding")
     vtxt, op = bundle.batch.vtxt, sim.operator
     twin = Tx(ins=(vtxt.funding,), outs=(Output(vtxt.funding_out.value, p2pk(op.pk)),))
@@ -1194,9 +1194,7 @@ def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
                  for name, w in sim.wallets.items() if w.pk == m)
     with pytest.raises(SessionAborted, match=f"^vtxt: {first} did not approve {twin.txid[:8]}$"):
         op.run_signing(bundle, sim.wallets)
-    # the honest nodes, each signed ahead and then cosigned from the memo
-    assert len(signed) == 2 * (2 * TREE_USERS - 1)
-    assert twin.digest() not in signed
+    assert signed == []
     assert all(e.event != "fund" for e in sim.chain.trace)
 
 
@@ -1354,6 +1352,139 @@ def test_a_boarding_lock_naming_no_signers_key_is_dropped():
     assert sim.chain.is_stable(settled.commitment.txid)
     assert [v.value for v in sim.vtxos("bob")] == [5_000]
     assert sim.chain.unspent(tx.outpoint(0))
+
+
+def two_vtxo_sim():
+    """Alice holds two 5,000-sat VTXOs and an unrequested 3,000-sat
+    boarding output, bob one VTXO; mallory holds nothing.  Returns the sim,
+    alice's VTXOs and her boarding tx."""
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [10_000, 3_000])
+    sim.add_wallet("bob", [5_000])
+    sim.add_wallet("mallory", [])
+    _, alice_request = submit_boarding(sim, "alice", [5_000, 5_000], alice.funds[:1])
+    sim.tick(PARAMS.k + 1)
+    sim.operator.verify_boarding(alice_request)
+    sim.board("bob", [5_000])
+    sim.settle_commitment()
+    b_tx, _ = submit_boarding(sim, "alice", [3_000], alice.funds[1:])
+    sim.tick(PARAMS.k + 1)
+    return sim, sim.vtxos("alice"), b_tx
+
+
+def pays(sim, name):
+    """Every output on the chain locked to `name`'s key alone."""
+    lock = p2pk(sim.wallets[name].pk)
+    return [o for rec in sim.chain.records.values() for o in rec.tx.outs if o.lock == lock]
+
+
+def test_an_exit_of_another_wallets_vtxo_is_refused_by_its_owner():
+    # mallory asks to exit alice's booked VTXO to herself.  An exit signs
+    # nothing, but the VTXO's owner must approve the commitment that pays
+    # it out, and alice, outside the bundle, approves nothing: the ceremony
+    # drops the exit, bob's swap settles in the next round, no output pays
+    # mallory, and alice keeps her VTXO
+    sim = boarded_sim()
+    sim.add_wallet("bob", [5_000])
+    sim.board("bob", [5_000])
+    sim.settle_commitment()
+    mallory = sim.add_wallet("mallory", [])
+    (v,) = sim.vtxos("alice")
+    sim.operator.verify_exit(Request("exit", "mallory", inputs=(v,),
+                                     exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    bob_request = sim.swap("bob", sim.vtxos("bob"))
+    bundle = sim.operator.assemble_commitment()
+    txid8 = bundle.commitment.txid[:8]
+    with pytest.raises(SessionAborted, match=f"^exit: alice did not approve {txid8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"exit refused by alice {txid8}")]
+    assert bundle.commitment.wits == [] and bundle.forfeits == {}
+    assert sim.operator.book.queue == [bob_request]
+    settled = sim.settle_commitment()
+    assert settled.requests == [bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert pays(sim, "mallory") == []
+    assert sim.vtxos("alice") == [v] and v.key() in sim.operator.book.confirmedVTXO
+
+
+def test_one_abort_drops_every_foreign_request_of_a_round():
+    # mallory swaps one of alice's VTXOs, boards her unrequested boarding
+    # output and exits her other VTXO, beside bob's honest swap.  Consent
+    # is checked for every session before any is signed, so one abort
+    # drops all three, and the next round settles bob's swap alone
+    sim, (v1, v2), b_tx = two_vtxo_sim()
+    mallory = sim.wallets["mallory"]
+    op = sim.operator
+    op.verify_batch_swap(Request("batch-swap", "mallory", inputs=(v1,),
+                                 outputs=(VtxoSpec(5_000, "mallory", mallory.pk),)))
+    op.verify_boarding(Request("boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
+                               outputs=(VtxoSpec(3_000, "mallory", mallory.pk),)))
+    op.verify_exit(Request("exit", "mallory", inputs=(v2,),
+                           exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    bob_request = sim.swap("bob", sim.vtxos("bob"))
+    bundle = op.assemble_commitment()
+    forfeit8 = arkcore.forfeit_tx(v1, bundle.anchors()[v1.outpoint], op.pk,
+                                  PARAMS.epsilon).txid[:8]
+    txid8, trace = bundle.commitment.txid[:8], len(sim.chain.trace)
+    with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit8}$"):
+        op.run_signing(bundle, sim.wallets)
+    # nothing was signed, not even the honest tree nodes
+    assert [e[1:] for e in sim.chain.trace[trace:]] == [
+        ("operator_node", "operator", "drop", reason) for reason in (
+            f"forfeit refused by alice {forfeit8}", f"boarding refused by alice {txid8}",
+            f"exit refused by alice {txid8}")]
+    assert op.book.queue == [bob_request]
+    settled = sim.settle_commitment()
+    assert settled.requests == [bob_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert pays(sim, "mallory") == [] and sim.vtxos("mallory") == []
+    assert sim.vtxos("alice") == [v1, v2] and sim.chain.unspent(b_tx.outpoint(0))
+
+
+def test_a_swap_naming_two_foreign_vtxos_is_dropped_once():
+    # mallory's one swap names both of alice's VTXOs: both forfeits are
+    # refused, and the request leaves the queue with one drop note
+    sim, (v1, v2), _ = two_vtxo_sim()
+    mallory = sim.wallets["mallory"]
+    sim.operator.verify_batch_swap(Request(
+        "batch-swap", "mallory", inputs=(v1, v2),
+        outputs=(VtxoSpec(10_000, "mallory", mallory.pk),)))
+    bundle = sim.operator.assemble_commitment()
+    forfeit8 = arkcore.forfeit_tx(v1, bundle.anchors()[v1.outpoint], sim.operator.pk,
+                                  PARAMS.epsilon).txid[:8]
+    with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"forfeit refused by alice {forfeit8}")]
+    assert sim.operator.book.queue == []
+
+
+def test_an_exit_of_its_own_vtxo_approves_no_foreign_exit():
+    # alice exits one VTXO while mallory exits her other one in the same
+    # round.  The commitment has one digest for both exits, so alice
+    # approves it for neither: the ceremony drops mallory's exit only, and
+    # the next round pays alice's exit and nothing to mallory
+    sim, (v1, v2), _ = two_vtxo_sim()
+    mallory = sim.wallets["mallory"]
+    alice_request = sim.exit("alice", [v1])
+    sim.operator.verify_exit(Request("exit", "mallory", inputs=(v2,),
+                                     exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    bundle = sim.operator.assemble_commitment()
+    txid8 = bundle.commitment.txid[:8]
+    assert bundle.commitment.digest() not in sim.wallets["alice"].verify_commitment(bundle)
+    with pytest.raises(SessionAborted, match=f"^exit: alice did not approve {txid8}$"):
+        sim.operator.run_signing(bundle, sim.wallets)
+    assert drops(sim) == [("operator_node", "operator", "drop",
+                           f"exit refused by alice {txid8}")]
+    assert sim.operator.book.queue == [alice_request]
+    settled = sim.settle_commitment()
+    assert settled.requests == [alice_request]
+    assert sim.chain.is_stable(settled.commitment.txid)
+    assert pays(sim, "mallory") == []
+    assert Output(5_000, p2pk(sim.wallets["alice"].pk)) in settled.commitment.outs
+    assert sim.vtxos("alice") == [v2]
 
 
 class ReadRecordingDict(dict):
