@@ -3,7 +3,9 @@ collaborative spends, broadcast gossip with bounded delay, conflict
 detection against the unordered offchain ledger, and collateral burning
 through nonce-reuse key extraction.
 
-The operator's signature on any fast-finality spend is forced to use a
+A fast-finality payment is an ordinary payment, taken in, built and
+booked by the operator (`Operator.verify_ark_request`) and signed with the
+sender's key alone.  Only the operator's signature differs: it uses the
 nonce commitment fixed in the output script, so signing two conflicting
 spends of one output reveals the operator's private key; that key
 completes a committee-presigned burn of the collateral.
@@ -14,21 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import arkcore, crypto
-from .arkcore import Vtxo, nonce_bound_path, reset_tx
+from . import crypto
+from .arkcore import Vtxo, nonce_bound_path
 from .crypto import Fixed, SecretKey, Signature
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, SubmitError, Tx
-from .operator_node import ArkPayment, Operator, VtxoSpec
-from .script import (
-    UNSPENDABLE,
-    AbsTimelock,
-    And,
-    CheckAggSig,
-    CheckSig,
-    Witness,
-    taproot,
-)
+from .operator_node import ArkPayment, Operator, Request, VtxoSpec
+from .script import UNSPENDABLE, AbsTimelock, And, CheckAggSig, CheckSig, Witness, taproot
 
 
 class FfError(Exception):
@@ -108,14 +102,13 @@ class _PendingAccept:
 
 
 class FfOperator:
-    """Fast-finality signing front end for the operator: every spend of a
-    nonce-bound output is signed with that output's fixed nonce."""
+    """The operator's nonce-bound signer, which `Operator.build_payment`
+    calls for every spend of a nonce-bound output: it signs with the nonce
+    the lock fixes, under the single-spend rule of `cosigned_spends`."""
 
-    def __init__(self, operator: Operator, byzantine: bool = False):
+    def __init__(self, operator: Operator):
         self.operator = operator
-        self.byzantine = byzantine
         self.nonces: Dict[bytes, int] = {}      # commitment hex -> scalar
-        self.signed: Dict[Tuple[str, int], str] = {}  # outpoint -> ark txid
 
     def fresh_nonce(self, seed: bytes) -> Tuple[int, Tuple[int, int]]:
         r = crypto._tagged("arksim/ffnonce", seed) % crypto.Q or 1
@@ -125,15 +118,17 @@ class FfOperator:
 
     def sign_nonce_bound(self, tx: Tx, r_star: Tuple[int, int],
                          allow_conflict: bool = False) -> Signature:
+        """Sign `tx` with the nonce `r_star`, refusing a second, different
+        spend of any of its inputs unless `allow_conflict`: the byzantine
+        operator's double sign, which reveals its key."""
         r = self.nonces.get(crypto.compress(r_star))
         if r is None:
             raise FfError("unknown nonce commitment")
-        key = (tx.ins[0].txid, tx.ins[0].index)
-        prior = self.signed.get(key)
-        if prior is not None and prior != tx.txid:
-            if not (self.byzantine or allow_conflict):
-                raise FfError("refusing to double-sign a nonce-bound spend")
-        self.signed[key] = tx.txid
+        spends = self.operator.cosigned_spends
+        keys = [(op.txid, op.index) for op in tx.ins]
+        if not allow_conflict and any(spends.get(k, tx.txid) != tx.txid for k in keys):
+            raise FfError("refusing to double-sign a nonce-bound spend")
+        spends.update(dict.fromkeys(keys, tx.txid))
         return crypto.sign(self.operator.sk, tx.digest(), Fixed(r))
 
 
@@ -164,41 +159,17 @@ class FfCoordinator:
     def make_ff_payment(self, sender: str, vtxos: Sequence[Vtxo],
                         outputs: Sequence[VtxoSpec], paths: List[List[Tx]],
                         allow_conflict: bool = False) -> ArkPayment:
-        """Build and operator-cosign a nonce-bound payment (resets first
-        exist unsigned; the ark tx spends the reset outputs)."""
-        op = self.ffop.operator
-        params = op.params
-        resets = []
-        for v in vtxos:
-            rst = reset_tx(v, op.pk, v.expiry, params.t_u)
-            path = nonce_bound_path(v.lock)
-            if path is None:
-                raise FfError("incorrect output script: no nonce commitment")
-            idx, r_star = path
-            op_sig = self.ffop.sign_nonce_bound(rst, r_star)
-            owner_sig = crypto.sign(self.wallets[v.owner].sk, rst.digest())
-            rst.wits = [Witness(idx, (op_sig, owner_sig), v.lock.paths)]
-            resets.append(rst)
-        made = []
-        for spec in outputs:
-            if spec.r_star is None:
-                _, R = self.ffop.fresh_nonce(
-                    bytes.fromhex(resets[0].txid) + spec.owner_pk.encode())
-                spec = VtxoSpec(spec.value, spec.owner, spec.owner_pk, R)
-            made.append(spec)
-        leaves = [Vtxo(s.value, arkcore.vtxo_lock(s.owner_pk, op.pk, params.t_u,
-                                                  s.r_star), s.owner, s.owner_pk,
-                       min(v.expiry for v in vtxos))
-                  for s in made]
-        ark = arkcore.ark_tx([(r.outpoint(0), r.outs[0].value) for r in resets],
-                             leaves)
-        for v, rst in zip(vtxos, resets):
-            idx, r_star = nonce_bound_path(rst.outs[0].lock)
-            op_sig = self.ffop.sign_nonce_bound(ark, r_star,
-                                                allow_conflict=allow_conflict)
-            owner_sig = crypto.sign(self.wallets[v.owner].sk, ark.digest())
-            ark.wits.append(Witness(idx, (op_sig, owner_sig), rst.outs[0].lock.paths))
-        return ArkPayment(ark, resets, [list(p) for p in paths], leaves)
+        """`sender`'s payment of its nonce-bound `vtxos`, signed with its key
+        alone: through the operator's intake, builder and book, or, with
+        `allow_conflict`, a byzantine operator's second spend of them, which
+        only the builder sees."""
+        op, w = self.ffop.operator, self.wallets[sender]
+        r = Request("ark", sender, inputs=tuple(vtxos), outputs=tuple(outputs))
+        secrets = {w.pk.hex(): w.sk}
+        payment = op.build_payment(r, secrets, self.ffop, allow_conflict=True) if allow_conflict \
+            else op.verify_ark_request(r, secrets, self.ffop)
+        payment.paths = [list(p) for p in paths]
+        return payment
 
     def ff_send(self, sender: str, recipient: str, payment: ArkPayment) -> str:
         if sender not in self.cfg.members or recipient not in self.cfg.members:
@@ -240,7 +211,7 @@ class FfCoordinator:
                 self._reject(member, "incorrect output script")
                 return
         # the wallet notes the precise reason for a failed witness check
-        if not self.wallets[member]._check_witnesses(payment):
+        if not self.wallets[member].check_witnesses(payment):
             return
         # re-broadcast and wait 2 * delta before accepting
         self._broadcast(member, payload)

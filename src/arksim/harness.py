@@ -736,17 +736,16 @@ def scenario_ff_double_spend(seed: int = 0, params: Optional[Params] = None,
 
 def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = None
              ) -> Tuple[Simulation, FfCoordinator, Vtxo]:
-    """Members mallory, alice and bob around a byzantine fast-finality
-    operator, and mallory's nonce-bound VTXO, funded as a single-leaf
-    batch.  `edge_delays` maps (sender, receiver) to gossip rounds, 1 by
-    default."""
+    """Members mallory, alice and bob around a fast-finality operator, and
+    mallory's nonce-bound VTXO, funded as a single-leaf batch and booked.
+    `edge_delays` maps (sender, receiver) to gossip rounds, 1 by default."""
     sim = Simulation(p, seed)
     sim.operator.fund(100_000)
     for name in ("mallory", "alice", "bob"):
         sim.add_wallet(name, [])
     mallory = sim.wallets["mallory"]
 
-    ffop = FfOperator(sim.operator, byzantine=True)
+    ffop = FfOperator(sim.operator)
     value = 5_000
     cfg = FfConfig(members=("mallory", "alice", "bob"), delta=delta,
                    v=value, c=value + 1_000, t_p=10_000)
@@ -761,6 +760,7 @@ def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = Non
                            sim.chain.height + 2 * p.k + p.t_e)
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")
+    sim.operator.book.confirmedVTXO[vtxo.key()] = vtxo
 
     delays = edge_delays or {}
     coord = FfCoordinator(cfg, sim.chain, ffop, dict(sim.wallets), collateral,

@@ -16,8 +16,8 @@ in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto
 from .arkcore import (
@@ -29,7 +29,9 @@ from .arkcore import (
     build_vtxt,
     classify_paths,
     collab_aggregate,
+    cosigners,
     forfeit_tx,
+    nonce_bound_path,
     p2pk,
     reset_tx,
     sweep_path,
@@ -38,6 +40,9 @@ from .crypto import AggregateKey, PublicKey, SecretKey, SessionAborted
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
 from .script import KEY_PATH, LockScript, Witness
+
+if TYPE_CHECKING:
+    from .fastfinality import FfOperator
 
 
 class Reject(Exception):
@@ -283,11 +288,14 @@ class Operator:
             raise Reject("funds do not cover the requested VTXOs")
         self._enqueue(r)
 
-    def _check_inputs(self, r: Request, kind: str, out_value: int) -> None:
+    def _check_inputs(self, r: Request, kind: str, out_value: int,
+                      ffop: Optional[FfOperator] = None) -> None:
         """The intake rule for every request that spends VTXOs: each input
         is a distinct VTXO the book holds, not pending, and given exactly as
-        booked, with a cosigned path for its forfeit or reset unless it
-        exits, and `out_value` (outputs plus any fee) does not exceed them."""
+        booked, and `out_value` (outputs plus any fee) does not exceed them.
+        An input that does not exit needs a cosigned path for its forfeit or
+        reset, or, paid in an ark request, a nonce-bound path whose nonce
+        `ffop` holds."""
         _require_kind(r, kind)
         if not r.inputs:
             raise Reject("NoInput")
@@ -304,11 +312,10 @@ class Operator:
                 raise Reject(f"InputMismatch {key}")
             if v in r.inputs[:i]:
                 raise Reject(f"DuplicateInput {key}")
-            if kind != "exit":
-                try:
-                    collab_aggregate(v.lock)
-                except arkcore.ArkError:
-                    raise Reject(f"NotCosignable {key}") from None
+            bound = nonce_bound_path(v.lock) if kind == "ark" and ffop else None
+            if kind != "exit" and not cosigners(v.lock) \
+                    and not (bound and crypto.compress(bound[1]) in ffop.nonces):
+                raise Reject(f"NotCosignable {key}")
         if out_value > sum(v.value for v in r.inputs):
             raise Reject("ValueExceeded")
 
@@ -323,50 +330,71 @@ class Operator:
 
     # --- ark transactions ------------------------------------------------
 
-    def verify_ark_request(self, r: Request, secrets: Dict[str, SecretKey]
-                           ) -> ArkPayment:
-        """Check and co-sign an offchain payment: the ark tx is signed
-        first, the reset txs last, so the payer never holds a usable
-        reset without the payment being complete."""
-        self._check_inputs(r, "ark", sum(s.value for s in r.outputs))
-        all_secrets = {**secrets, self.pk.hex(): self.sk}
-        outputs = [self._make_leaf(s) for s in r.outputs]
-        for out in outputs:
-            out.expiry = min(v.expiry for v in r.inputs)  # the earliest input expiry
-        if self.use_resets:
-            resets = [reset_tx(v, self.pk, v.expiry, self.params.t_u) for v in r.inputs]
-            ark = arkcore.ark_tx(
-                [(rst.outpoint(0), rst.outs[0].value) for rst in resets], outputs)
-            # the ark tx first, spending the resets, the reset txs last
-            spends = [(ark, rst.outs[0].lock) for rst in resets] \
-                + [(rst, v.lock) for v, rst in zip(r.inputs, resets)]
-        else:
-            # legacy shape without reset transactions: the ark tx spends
-            # the input VTXOs directly (the hostage-attack configuration)
-            resets = []
-            ark = arkcore.ark_tx([(v.outpoint, v.value) for v in r.inputs], outputs)
-            spends = [(ark, v.lock) for v in r.inputs]
-        # each input is signed on its lock's cosigned path, under its key
-        for tx, lock in spends:
-            idx, key = collab_aggregate(lock)
-            sig = self._cosign(tx, key, all_secrets, "ark" if tx is ark else "reset")
-            tx.wits.append(Witness(idx, (sig,), lock.paths))
+    def verify_ark_request(self, r: Request, secrets: Dict[str, SecretKey],
+                           ffop: Optional[FfOperator] = None) -> ArkPayment:
+        """Take in an offchain payment: intake (`_check_inputs`), then
+        `build_payment`, then the book: each input is spent and its unroll
+        answered with its reset, each output preconfirmed."""
+        self._check_inputs(r, "ark", sum(s.value for s in r.outputs), ffop)
+        payment = self.build_payment(r, secrets, ffop)
         for v in r.inputs:
             self.book.confirmedVTXO.pop(v.key(), None)
             self.book.preConfirmed.pop(v.key(), None)
             self.book.preSpent.add(v.key())
-        for v, rst in zip(r.inputs, resets):
+        for v, rst in zip(r.inputs, payment.resets):
             self._answer(v, rst)
             self.deadlines[rst.outpoint(0)] = Deadline("sweep-reset", v.expiry - 1, v.expiry)
-        for out in outputs:
+        for out in payment.outputs:
             self.book.preConfirmed[out.key()] = out
+        return payment
+
+    def build_payment(self, r: Request, secrets: Dict[str, SecretKey],
+                      ffop: Optional[FfOperator] = None,
+                      allow_conflict: bool = False) -> ArkPayment:
+        """Build and sign, booking nothing, the payment `r` asks for: a reset
+        per input and the ark tx, signed first, the resets last, so the payer
+        never holds a usable reset without the payment being complete.  Each
+        spend is signed on the path its lock offers: the cosigned path, or a
+        nonce-bound one by the owner's key in `secrets` and by `ffop` with the
+        lock's nonce (a second spend of an input only if `allow_conflict`).
+        With `ffop`, an output that fixes no nonce gets a fresh one."""
+        all_secrets = {**secrets, self.pk.hex(): self.sk}
+        resets = [reset_tx(v, self.pk, v.expiry, self.params.t_u)
+                  for v in r.inputs] if self.use_resets else []
+        specs = [s if ffop is None or s.r_star is not None else replace(
+            s, r_star=ffop.fresh_nonce(bytes.fromhex(resets[0].txid) + s.owner_pk.encode())[1])
+            for s in r.outputs]
+        # each output expires with the earliest input
+        outputs = [self._make_leaf(s, min(v.expiry for v in r.inputs)) for s in specs]
+        # the ark tx spends each reset's output, or, in the legacy shape
+        # without resets (the hostage-attack configuration), each input VTXO
+        spent = [(rst.outpoint(0), rst.outs[0]) for rst in resets] \
+            or [(v.outpoint, Output(v.value, v.lock)) for v in r.inputs]
+        ark = arkcore.ark_tx([(op, out.value) for op, out in spent], outputs)
+        # the ark tx first, the reset txs last
+        spends = [(ark, out.lock, v) for (_, out), v in zip(spent, r.inputs)] \
+            + [(rst, v.lock, v) for v, rst in zip(r.inputs, resets)]
+        for tx, lock, v in spends:
+            label = "ark" if tx is ark else "reset"
+            bound = nonce_bound_path(lock)
+            if bound is None:
+                idx, key = collab_aggregate(lock)
+                sigs = (self._cosign(tx, key, all_secrets, label),)
+            else:
+                idx, r_star = bound
+                owner_sk = all_secrets.get(v.owner_pk.hex())
+                if owner_sk is None:
+                    raise SessionAborted(f"{label}: signer {v.owner_pk.hex()[:8]} absent")
+                sigs = (ffop.sign_nonce_bound(tx, r_star, allow_conflict),
+                        crypto.sign(owner_sk, tx.digest()))
+            tx.wits.append(Witness(idx, sigs, lock.paths))
         return ArkPayment(ark, resets, [], outputs)
 
     # --- commitment assembly --------------------------------------------
 
-    def _make_leaf(self, spec: VtxoSpec) -> Vtxo:
+    def _make_leaf(self, spec: VtxoSpec, expiry: int = 0) -> Vtxo:
         lock = arkcore.vtxo_lock(spec.owner_pk, self.pk, self.params.t_u, spec.r_star)
-        return Vtxo(spec.value, lock, spec.owner, spec.owner_pk)
+        return Vtxo(spec.value, lock, spec.owner, spec.owner_pk, expiry)
 
     def assemble_commitment(self) -> Optional[Bundle]:
         # a boarding output its owner reclaimed after t_b leaves the queue

@@ -284,7 +284,7 @@ class Wallet:
                 return False
             if rst.outpoint(0) not in payment.ark.ins:
                 return self._reject("ark does not spend the reset")
-        return self._check_witnesses(payment)
+        return self.check_witnesses(payment)
 
     def receive_payment(self, payment: ArkPayment) -> Optional[Request]:
         """Audit a received payment; on acceptance store the transcript
@@ -331,7 +331,7 @@ class Wallet:
             return self._reject("reset expiry mismatch")
         return True
 
-    def _check_witnesses(self, payment: ArkPayment) -> bool:
+    def check_witnesses(self, payment: ArkPayment) -> bool:
         """Replay check: every transcript tx must carry a witness that
         satisfies the output it spends, spend each output once and create
         no value.

@@ -1,9 +1,12 @@
 import pytest
 
 from arksim import crypto
+from arksim.arkcore import nonce_bound_path, p2pk
+from arksim.crypto import SessionAborted
 from arksim.fastfinality import FfConfig, FfError
 from arksim.harness import PARAMS_TE60 as PARAMS, ff_double_spend_trace, ff_setup
-from arksim.operator_node import VtxoSpec
+from arksim.ledger import Output, Tx
+from arksim.operator_node import Reject, VtxoSpec
 
 
 def payment(sim, coord, vtxo, to, allow_conflict=False):
@@ -35,10 +38,53 @@ def test_honest_payment_accepted_after_2delta():
 
 def test_honest_operator_refuses_double_sign():
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
-    coord.ffop.byzantine = False
     payment(sim, coord, vtxo, "alice")
-    with pytest.raises(FfError):
+    with pytest.raises(Reject, match=r"^UnknownVtxo "):
         payment(sim, coord, vtxo, "bob")
+
+
+def test_nonce_bound_signer_refuses_a_second_spend_of_an_input():
+    # the single-spend rule lives in the operator's one table: a second,
+    # different spend of an input is refused unless allow_conflict
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    first = payment(sim, coord, vtxo, "alice")
+    rst = first.resets[0]
+    _, r_star = nonce_bound_path(rst.outs[0].lock)
+    other = Tx(ins=first.ark.ins, outs=(Output(rst.outs[0].value, p2pk(sim.wallets["bob"].pk)),))
+    spends = dict(sim.operator.cosigned_spends)
+    assert spends[(rst.txid, 0)] == first.ark.txid
+    with pytest.raises(FfError, match="double-sign"):
+        coord.ffop.sign_nonce_bound(other, r_star)
+    assert sim.operator.cosigned_spends == spends
+    coord.ffop.sign_nonce_bound(other, r_star, allow_conflict=True)
+    assert sim.operator.cosigned_spends[(rst.txid, 0)] == other.txid
+
+
+def test_a_payment_of_another_members_vtxo_is_refused_unsigned():
+    # bob names mallory's nonce-bound VTXO: the builder finds no secret for
+    # her key among bob's, so nothing is signed and nothing is booked
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    book = sim.operator.book
+    before = (dict(book.confirmedVTXO), set(book.spent), set(book.preSpent),
+              dict(book.preConfirmed), dict(sim.operator.cosigned_spends))
+    path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
+    with pytest.raises(SessionAborted,
+                       match=rf"^ark: signer {vtxo.owner_pk.hex()[:8]} absent$"):
+        coord.make_ff_payment("bob", [vtxo], [VtxoSpec(vtxo.value, "bob", sim.wallets["bob"].pk)],
+                              [path])
+    assert (dict(book.confirmedVTXO), set(book.spent), set(book.preSpent),
+            dict(book.preConfirmed), dict(sim.operator.cosigned_spends)) == before
+
+
+def test_a_fast_finality_payment_is_in_the_book_and_the_oracle():
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    pay = payment(sim, coord, vtxo, "alice")
+    sim.payments.append(pay)
+    state, book = sim.state(), sim.book_projection()
+    keys = {v.key() for v in pay.outputs}
+    assert keys and keys <= book.F and keys <= state.F
+    assert vtxo.key() in book.S
+    assert state.as_tuple() == book.as_tuple()
 
 
 def test_payment_without_witnesses_rejected_once():

@@ -1061,10 +1061,10 @@ def test_recheck_of_accepted_payment_is_free(point_mul_calls):
     bob = sim.wallets["bob"]
     del point_mul_calls[:]
     # every witness was verified on receipt, so the memo answers for all
-    assert bob._check_witnesses(payment)
+    assert bob.check_witnesses(payment)
     assert point_mul_calls == []
     crypto._verified.cache_clear()
-    assert bob._check_witnesses(payment)
+    assert bob.check_witnesses(payment)
     assert point_mul_calls
 
 
