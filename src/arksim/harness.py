@@ -70,7 +70,11 @@ class ArkState:
 
 def derive_state(chain: Chain, bundles: Sequence[Bundle],
                  payments: Sequence[ArkPayment]) -> ArkState:
-    """Recompute (C, F, S) from the ledger plus published transcripts."""
+    """Recompute (C, F, S) from the ledger plus published transcripts.  S
+    holds each payment's inputs, each confirmed commitment's forfeited and
+    exited VTXOs, and each leaf spent on chain before its batch expires;
+    C the other leaves of confirmed, unexpired batches that stay virtual;
+    F the payments' unexpired outputs that are in neither."""
     state = ArkState()
     consumed: Set[Tuple[str, int]] = set()
     for p in payments:
@@ -83,7 +87,8 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid):
             continue
-        consumed.update((op.txid, op.index) for op in b.anchors())  # the forfeited
+        consumed.update(v.key() for r in b.requests if r.kind in ("batch-swap", "exit")
+                        for v in r.inputs)
     for b in bundles:
         if not chain.is_confirmed(b.commitment.txid) or b.batch is None:
             continue
@@ -147,13 +152,10 @@ class Simulation:
         self.wallets[name] = w
         return w
 
-    def tick(self, rounds: int = 1, watch: bool = True, policies: bool = False) -> None:
+    def tick(self, rounds: int = 1, watch: bool = True) -> None:
         for _ in range(rounds):
             if watch:
                 self.operator.watch_step()
-            if policies:
-                for w in self.wallets.values():
-                    w.spend_policy_step()
             self.chain.advance_round()
             if watch:
                 self._distribute_confirmations()
@@ -252,12 +254,9 @@ class Simulation:
         return derive_state(self.chain, self.all_bundles, self.payments)
 
     def book_projection(self) -> ArkState:
-        book = self.operator.book
-        return ArkState(
-            C=set(book.confirmedVTXO.keys()),
-            F=set(book.preConfirmed.keys()),
-            S=set(book.spent),
-        )
+        vtxos = self.operator.book.vtxos
+        return ArkState(*({key for key, (s, _) in vtxos.items() if s == name}
+                          for name in "CFS"))
 
     def fee_accounting(self) -> Dict[str, Dict[str, int]]:
         """Per-party published footprint: tx count, vbytes, burned sats."""
@@ -673,7 +672,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     w2.holdings = {}
     swap = Request("batch-swap", "alice2", inputs=(old_vtxo,),
                    outputs=(VtxoSpec(old_vtxo.value, "alice2", alice.pk),))
-    op2.book.confirmedVTXO[old_vtxo.key()] = old_vtxo
+    op2.book.vtxos[old_vtxo.key()] = ("C", old_vtxo)
     op2.verify_batch_swap(swap)
     bundle2 = op2.assemble_commitment()
     # the outgoing operator cooperates in the ceremony: it countersigns
@@ -706,7 +705,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     sim.tick(p.k + 2)
 
     new_holding = [h for h in w2.holdings.values() if h.kind == "batch"]
-    forfeit_held = old_vtxo.key() in op2.book.spent
+    forfeit_held = op2.book.vtxos[old_vtxo.key()][0] == "S"
     verdicts = [
         _verdict("user_holds_vtxo_with_new_operator", bool(new_holding)),
         _verdict("old_operator_compensated",
@@ -760,7 +759,7 @@ def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = Non
                            sim.chain.height + 2 * p.k + p.t_e)
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")
-    sim.operator.book.confirmedVTXO[vtxo.key()] = vtxo
+    sim.operator.book.vtxos[vtxo.key()] = ("C", vtxo)
 
     delays = edge_delays or {}
     coord = FfCoordinator(cfg, sim.chain, ffop, dict(sim.wallets), collateral,
@@ -827,11 +826,8 @@ def run_scenario(name: str, **config) -> dict:
 def check_theorem(theorem_id: str, **config) -> dict:
     checks = {
         "T1-safety": _check_t1_safety,
-        "T1-liveness": _check_t1_liveness,
         "T2": _check_t2,
         "T3": _check_t3,
-        "T4": _check_t4,
-        "T5": _check_t5,
     }
     if theorem_id not in checks:
         raise KeyError(f"unknown theorem {theorem_id!r}")
@@ -859,25 +855,6 @@ def _check_t1_safety(seed: int = 0, **_) -> dict:
         pass
     return {"theorem": "T1-safety", "pass": not stolen,
             "detail": "operator-only spend of an honest VTXO rejected"}
-
-
-def _check_t1_liveness(k: int = 3, samples: Optional[int] = None,
-                       seed: int = 0, **_) -> dict:
-    """Exit at T_e - 2k - 1 confirms before expiry for every adversarial
-    delay assignment (exhaustive for small k)."""
-    rng = random.Random(seed)
-    if samples is None:
-        assignments = [(d1, d2) for d1 in range(2 * k) for d2 in range(2 * k)]
-    else:
-        assignments = [(rng.randrange(2 * k), rng.randrange(2 * k))
-                       for _ in range(samples)]
-    failures = []
-    for d in assignments:
-        res = exit_race(k, d)
-        if not res.exit_confirmed_before_expiry:
-            failures.append(d)
-    return {"theorem": "T1-liveness", "pass": not failures, "k": k,
-            "assignments": len(assignments), "failures": failures}
 
 
 def _check_t2(seed: int = 0, **_) -> dict:
@@ -932,22 +909,6 @@ def _check_t3(traces: int = 200, seed: int = 0, **_) -> dict:
                 violations.append({"trace": t, "step": step, "why": "no effect"})
     return {"theorem": "T3", "pass": not violations, "traces": traces,
             "violations": violations}
-
-
-def _check_t4(fee: int = 0, seed: int = 0, **_) -> dict:
-    rep = scenario_operator_shutdown(seed=seed, fee=fee)
-    ok = rep["verdicts"][0]["pass"]
-    return {"theorem": "T4", "pass": ok,
-            "operator_initial": rep["operator_initial"],
-            "operator_final": rep["operator_final"],
-            "collected_fees": rep["collected_fees"]}
-
-
-def _check_t5(seed: int = 0, **_) -> dict:
-    rep = scenario_ff_double_spend(seed=seed)
-    ok = all(v["pass"] for v in rep["verdicts"])
-    return {"theorem": "T5", "pass": ok, "collateral": rep["collateral"],
-            "coalition_gain": rep["coalition_gain"], "burned": rep["burned"]}
 
 
 def report_json(report: dict) -> str:

@@ -340,7 +340,7 @@ class Chain:
         rec.status = "replaced"
         self.note("ledger", rec.party, "replaced", txid)
 
-    def _try_include(self, p: _Pending, block_outs: Dict[OutPoint, int]) -> bool:
+    def _try_include(self, p: _Pending) -> bool:
         """Attempt to place one pending tx in the block being formed at
         self.height (already incremented). Returns True if included."""
         tx = p.tx
@@ -352,11 +352,6 @@ class Chain:
             if entry is not None:
                 resolved.append(entry.output)
                 confirm_heights.append(entry.confirm_height)
-                continue
-            if op in block_outs:
-                src = self.records[op.txid]
-                resolved.append(src.tx.outs[op.index])
-                confirm_heights.append(self.height)
                 continue
             spender = self.spent_by.get(op)
             if spender is not None:
@@ -385,7 +380,6 @@ class Chain:
         for i, out in enumerate(tx.outs):
             op = tx.outpoint(i)
             self.utxos[op] = _Utxo(out, self.height)
-            block_outs[op] = self.height
         self.records[tx.txid] = _Record(tx, p.party, self.height, "confirmed")
         self.blocks[-1].append(tx.txid)
         self.note("ledger", p.party, "confirmed", tx.txid)
@@ -420,13 +414,12 @@ class Chain:
         # verdicts in the verify memo
         if due and sum(len(w.signatures) for p in due for w in p.tx.wits) >= BATCH_MIN:
             verify_batch(self._signature_checks([p.tx for p in due]))
-        block_outs: Dict[OutPoint, int] = {}
         progress = True
         while progress:
             progress = False
             left = []
             for p in due:
-                if self._try_include(p, block_outs):
+                if self._try_include(p):
                     del self.mempool[p.tx.txid]
                     progress = True
                 else:

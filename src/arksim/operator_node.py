@@ -3,7 +3,8 @@ assembly, signing orchestration, the request queue, sweeping, and the
 per-round watch loop.
 
 Intake reads every input as booked, and derives each reset and expiry
-itself.  All effects flow through the book's request queue and VTXO sets.
+itself.  The book is the request queue and one VTXO map, each VTXO in one
+of the sets C, F or S; what a request holds is read from where it is.
 The signing ceremony derives every session of a commitment (tree nodes,
 forfeits, boarding inputs and exits), checks consent for all of them, and
 signs them in order, so it releases nothing until every required signature
@@ -109,22 +110,32 @@ def check_conservation(account: Dict[str, int]) -> None:
 
 
 def _held_keys(r: Request) -> List[Tuple[str, int]]:
-    """The outpoints a queued request holds in `OperatorBook.preSpent`."""
+    """The outpoints request `r` holds (`Operator.held`)."""
     if r.kind == "boarding":
         return [(r.boarding_outpoint.txid, r.boarding_outpoint.index)]
     return [v.key() for v in r.inputs]
+
+
+def forfeited_vtxos(requests: Sequence[Request]) -> List[Vtxo]:
+    """The VTXOs a commitment of `requests` forfeits: the swaps' inputs, in
+    request order."""
+    return [v for r in requests if r.kind == "batch-swap" for v in r.inputs]
+
+
+# a spent VTXO's entry in `OperatorBook.vtxos`: its set, and no VTXO
+SPENT = ("S", None)
 
 
 @dataclass
 class OperatorBook:
     """The operator's book.  `queue` holds the paper's three request lists
     (to board, to batch-swap, to exit) as one list in arrival order, told
-    apart by `Request.kind`."""
+    apart by `Request.kind`.  `vtxos` gives each VTXO's key its one set and,
+    unless spent, the VTXO: "C" is the paper's confirmedVTXO (a stable
+    commitment's leaf), "F" its preConfirmed (an ark output) and "S" its
+    spent (reset, forfeited or exited)."""
     queue: List[Request] = field(default_factory=list)
-    confirmedVTXO: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
-    spent: Set[Tuple[str, int]] = field(default_factory=set)  # S: reset or forfeited
-    preSpent: Set[Tuple[str, int]] = field(default_factory=set)
-    preConfirmed: Dict[Tuple[str, int], Vtxo] = field(default_factory=dict)
+    vtxos: Dict[Tuple[str, int], Tuple[str, Optional[Vtxo]]] = field(default_factory=dict)
 
 
 class Deadline(NamedTuple):
@@ -158,9 +169,9 @@ class Bundle:
 
     def anchors(self) -> Dict[Optional[OutPoint], OutPoint]:
         """Each forfeited VTXO's connector anchor, by the VTXO's outpoint:
-        the swaps' inputs, in request order, paired with the connector's."""
-        swapped = (v.outpoint for r in self.requests if r.kind == "batch-swap" for v in r.inputs)
-        return dict(zip(swapped, self.connector.anchors if self.connector else ()))
+        the `forfeited_vtxos` paired with the connector's anchors."""
+        return dict(zip((v.outpoint for v in forfeited_vtxos(self.requests)),
+                        self.connector.anchors if self.connector else ()))
 
 
 class Session(NamedTuple):
@@ -260,14 +271,16 @@ class Operator:
 
     # --- request intake --------------------------------------------------
 
-    def _enqueue(self, r: Request) -> None:
-        self.book.queue.append(r)
-        self.book.preSpent.update(_held_keys(r))
+    def held(self) -> Set[Tuple[str, int]]:
+        """The outpoints held by the queued requests and the pending
+        bundles': a key is held from intake until its commitment is stable
+        or its request is dropped (a rolled-back request is queued again)."""
+        pending = [r for b in self.pending_bundles for r in b.requests]
+        return {key for r in self.book.queue + pending for key in _held_keys(r)}
 
     def _drop(self, r: Request, reason: str) -> None:
-        """Take queued request `r` off the queue and release what it holds."""
+        """Take queued request `r` off the queue, releasing what it holds."""
         self.book.queue.remove(r)
-        self.book.preSpent.difference_update(_held_keys(r))
         self.chain.note("operator_node", self.name, "drop", reason)
 
     def verify_boarding(self, r: Request) -> None:
@@ -276,7 +289,7 @@ class Operator:
             raise Reject("boarding request names no outpoint")
         if not self.chain.unspent(r.boarding_outpoint, depth=self.params.k):
             raise Reject("boarding output not confirmed in the stable view")
-        if _held_keys(r)[0] in self.book.preSpent:
+        if _held_keys(r)[0] in self.held():
             raise Reject("boarding output already pending")
         out = self.chain.utxos[r.boarding_outpoint].output
         try:
@@ -286,30 +299,33 @@ class Operator:
             raise Reject(f"boarding lock unsafe: {e}")
         if out.value < sum(s.value for s in r.outputs) + self.fee:
             raise Reject("funds do not cover the requested VTXOs")
-        self._enqueue(r)
+        self.book.queue.append(r)
 
     def _check_inputs(self, r: Request, kind: str, out_value: int,
                       ffop: Optional[FfOperator] = None) -> None:
         """The intake rule for every request that spends VTXOs: each input
-        is a distinct VTXO the book holds, not pending, and given exactly as
-        booked, and `out_value` (outputs plus any fee) does not exceed them.
+        is a distinct, unexpired VTXO in the book's C or F, not held, given
+        exactly as booked, and `out_value` (outputs plus fee) does not exceed them.
         An input that does not exit needs a cosigned path for its forfeit or
         reset, or, paid in an ark request, a nonce-bound path whose nonce
         `ffop` holds."""
         _require_kind(r, kind)
         if not r.inputs:
             raise Reject("NoInput")
+        held = self.held()
         for i, v in enumerate(r.inputs):
             if v.outpoint is None:
                 raise Reject("input VTXO has no outpoint")
             key = v.key()
-            booked = self.book.confirmedVTXO.get(key) or self.book.preConfirmed.get(key)
+            booked = self.book.vtxos.get(key, SPENT)[1]
             if booked is None:
                 raise Reject(f"UnknownVtxo {key}")
-            if key in self.book.preSpent:
+            if key in held:
                 raise Reject(f"AlreadyPending {key}")
             if v != booked:
                 raise Reject(f"InputMismatch {key}")
+            if self.chain.height >= v.expiry:
+                raise Reject(f"Expired {key}")
             if v in r.inputs[:i]:
                 raise Reject(f"DuplicateInput {key}")
             bound = nonce_bound_path(v.lock) if kind == "ark" and ffop else None
@@ -322,30 +338,27 @@ class Operator:
     def verify_batch_swap(self, r: Request) -> None:
         self._check_inputs(r, "batch-swap",
                            sum(s.value for s in r.outputs) + self.fee)
-        self._enqueue(r)
+        self.book.queue.append(r)
 
     def verify_exit(self, r: Request) -> None:
         self._check_inputs(r, "exit", sum(v for v, _ in r.exit_outputs) + self.fee)
-        self._enqueue(r)
+        self.book.queue.append(r)
 
     # --- ark transactions ------------------------------------------------
 
     def verify_ark_request(self, r: Request, secrets: Dict[str, SecretKey],
                            ffop: Optional[FfOperator] = None) -> ArkPayment:
         """Take in an offchain payment: intake (`_check_inputs`), then
-        `build_payment`, then the book: each input is spent and its unroll
-        answered with its reset, each output preconfirmed."""
+        `build_payment`, then the book: each input goes to S, with or
+        without a reset, and each output to F.  An input's unroll is
+        answered with its reset."""
         self._check_inputs(r, "ark", sum(s.value for s in r.outputs), ffop)
         payment = self.build_payment(r, secrets, ffop)
-        for v in r.inputs:
-            self.book.confirmedVTXO.pop(v.key(), None)
-            self.book.preConfirmed.pop(v.key(), None)
-            self.book.preSpent.add(v.key())
+        self.book.vtxos.update((v.key(), SPENT) for v in r.inputs)
         for v, rst in zip(r.inputs, payment.resets):
             self._answer(v, rst)
             self.deadlines[rst.outpoint(0)] = Deadline("sweep-reset", v.expiry - 1, v.expiry)
-        for out in payment.outputs:
-            self.book.preConfirmed[out.key()] = out
+        self.book.vtxos.update((out.key(), ("F", out)) for out in payment.outputs)
         return payment
 
     def build_payment(self, r: Request, secrets: Dict[str, SecretKey],
@@ -408,7 +421,7 @@ class Operator:
         expiry = self.chain.height + 2 * self.params.k + self.params.t_e
 
         leaves = [self._make_leaf(s) for r in requests for s in r.outputs]
-        forfeited = [v for r in requests if r.kind == "batch-swap" for v in r.inputs]
+        forfeited = forfeited_vtxos(requests)
         exit_outs = [o for r in requests if r.kind == "exit" for o in r.exit_outputs]
         boarded = [r.boarding_outpoint for r in requests if r.kind == "boarding"]
 
@@ -594,31 +607,24 @@ class Operator:
         self.book.queue = [r for r in self.book.queue if r not in taken]
 
     def _apply_confirmed(self, bundle: Bundle) -> None:
-        """Book a stable commitment: sweep its batch at expiry, answer each
-        VTXO it forfeits with its forfeit, and reserve every output of its
-        connector tree until max(v.expiry) + t_u over those VTXOs.  Until
-        then an unrolled forfeited VTXO's owner can still claim it, and
-        the forfeit that must win that race spends a connector anchor.
-        Boarding and swap inputs leave `preSpent`, which intake no longer
-        needs for them; an exit's stay, as the book keeps its VTXO in C."""
+        """Book a stable commitment: its leaves go to C, with its batch
+        swept at expiry; each VTXO it forfeits goes to S, answered with its
+        forfeit, and each it exits to S.  Every output of its connector tree
+        is reserved until max(v.expiry) + t_u over the forfeited VTXOs.
+        Until then an unrolled forfeited VTXO's owner can still claim it,
+        and the forfeit that must win that race spends a connector anchor."""
         book, batch = self.book, bundle.batch
         if batch is not None:
             self.deadlines[batch.vtxt.funding] = Deadline(
                 "sweep-batch", batch.expiry - 1, batch.expiry, batch)
             for leaf in batch.vtxt.leaves:
-                v = leaf.vtxo
-                book.confirmedVTXO[v.key()] = v
-                book.preConfirmed.pop(v.key(), None)
-        forfeited = [v for r in bundle.requests if r.kind == "batch-swap"
-                     for v in r.inputs]
+                book.vtxos[leaf.vtxo.key()] = ("C", leaf.vtxo)
+        forfeited = forfeited_vtxos(bundle.requests)
         tree = bundle.connector.vtxt if bundle.connector else None
         for v in forfeited:
-            book.confirmedVTXO.pop(v.key(), None)
-            book.preConfirmed.pop(v.key(), None)
             self._answer(v, bundle.forfeits[v.key()], tree)
-        for r in bundle.requests:
-            if r.kind != "exit":
-                book.preSpent.difference_update(_held_keys(r))
+        book.vtxos.update((v.key(), SPENT) for r in bundle.requests if r.kind == "exit"
+                          for v in r.inputs)
         self.collected_fees += bundle.account.get("F", 0)
         if bundle.connector is not None:
             op = bundle.connector.funding
@@ -632,17 +638,9 @@ class Operator:
         v.expiry + t_u, the last height its owner's claim can open at."""
         if v.outpoint is None:
             raise InvariantError(f"spent VTXO of {v.owner} in the book has no outpoint")
-        self.book.spent.add(v.key())
+        self.book.vtxos[v.key()] = SPENT
         self.deadlines[v.outpoint] = Deadline(
             "answer", self.chain.height, v.expiry + self.params.t_u + 1, (tx, tree))
-
-    def _rollback(self, bundle: Bundle) -> None:
-        # the re-queued requests keep their outpoints in preSpent
-        book = self.book
-        book.queue.extend(bundle.requests)
-        if bundle.batch is not None:
-            for leaf in bundle.batch.vtxt.leaves:
-                book.preConfirmed.pop(leaf.vtxo.key(), None)
 
     # --- sweeping --------------------------------------------------------
 
@@ -694,7 +692,7 @@ class Operator:
             elif (bundle.submit_height is not None
                   and chain.height >= bundle.submit_height + self.params.t_r
                   and not chain.is_confirmed(bundle.commitment.txid)):
-                self._rollback(bundle)
+                self.book.queue.extend(bundle.requests)     # still held
                 self.pending_bundles.remove(bundle)
 
         due = [(op, d) for op, d in self.deadlines.items() if chain.height >= d.not_before]

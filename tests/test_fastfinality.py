@@ -65,15 +65,13 @@ def test_a_payment_of_another_members_vtxo_is_refused_unsigned():
     # her key among bob's, so nothing is signed and nothing is booked
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
     book = sim.operator.book
-    before = (dict(book.confirmedVTXO), set(book.spent), set(book.preSpent),
-              dict(book.preConfirmed), dict(sim.operator.cosigned_spends))
+    before = (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends))
     path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
     with pytest.raises(SessionAborted,
                        match=rf"^ark: signer {vtxo.owner_pk.hex()[:8]} absent$"):
         coord.make_ff_payment("bob", [vtxo], [VtxoSpec(vtxo.value, "bob", sim.wallets["bob"].pk)],
                               [path])
-    assert (dict(book.confirmedVTXO), set(book.spent), set(book.preSpent),
-            dict(book.preConfirmed), dict(sim.operator.cosigned_spends)) == before
+    assert (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends)) == before
 
 
 def test_a_fast_finality_payment_is_in_the_book_and_the_oracle():

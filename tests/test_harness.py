@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from arksim import crypto, harness
+from arksim import arkcore, crypto, harness
 from arksim.arkcore import p2pk
 from arksim.harness import (
     PARAMS_TE40 as PARAMS,
@@ -13,6 +13,7 @@ from arksim.harness import (
     check_theorem,
     derive_state,
     exit_race,
+    leaf_spend,
     report_json,
     run_scenario,
     scenario_censoring_operator,
@@ -69,6 +70,42 @@ def test_ark_payment_moves_vtxo_to_spent():
     after = sim.state()
     assert v.key() in after.S
     assert len(after.F) == 2    # payment output + change
+
+
+def test_oracle_reaches_every_leaf_branch():
+    # one batch of four leaves: unconfirmed, then confirmed, then one leaf
+    # unrolled to a plain UTXO, then that UTXO spent on chain, then expired
+    sim = Simulation(PARAMS, 0)
+    op = sim.operator
+    op.fund(100_000)
+    alice = sim.add_wallet("alice", [4_000])
+    sim.board("alice", [1_000] * 4)
+    bundle = op.assemble_commitment()
+    op.run_signing(bundle, sim.wallets)
+    op.submit_and_track(bundle)
+    sim.all_bundles.append(bundle)
+    assert sim.state().as_tuple() == (set(), set(), set())
+    sim.tick(PARAMS.k + 2)
+    v, *rest = sim.vtxos("alice")
+    keys = {u.key() for u in rest}
+    assert sim.state().as_tuple() == ({v.key()} | keys, set(), set())
+    sim.unroll("alice", v)
+    sim.tick(2 * PARAMS.k)
+    assert sim.chain.unspent(v.outpoint)
+    assert sim.state().as_tuple() == (keys, set(), set())
+    _, unilateral = arkcore.classify_paths(v.lock, op.pk, PARAMS.t_u)
+    claim = leaf_spend(v, unilateral[0], alice.sk)
+    sim.tick(PARAMS.t_u)
+    sim.chain.submit(claim, "alice")
+    sim.tick(1)
+    assert sim.chain.is_confirmed(claim.txid)
+    assert sim.state().as_tuple() == (keys, set(), {v.key()})
+    sim.tick(bundle.batch.expiry - sim.chain.height)
+    assert sim.state().as_tuple() == (set(), set(), set())
+
+
+def test_theorem_t1_safety_holds():
+    assert check_theorem("T1-safety")["pass"]
 
 
 def test_exit_race_result_fields():

@@ -204,6 +204,24 @@ def test_package_submission_same_block():
     assert chain.confirm_height(parent.txid) == chain.confirm_height(child.txid)
 
 
+@pytest.mark.parametrize("adversary", [None, MaxDelay(prefer_new=True)],
+                         ids=["default", "prefer_new"])
+def test_an_output_made_in_a_block_is_spent_once_in_it(adversary):
+    # a spends the grant to o, and b and c each spend o, all in one round:
+    # one of b and c confirms, and no sats are made
+    chain = make_chain(adversary=adversary)
+    op = chain.grant(1000, p2pk(PK))
+    a = spend(op, 1000, PK2)
+    b = spend(a.outpoint(0), 1000, PK, sk=SK2)
+    c = spend(a.outpoint(0), 1000, PK2, sk=SK2)
+    chain.submit_package([a, b, c], "user")
+    chain.advance_round()
+    assert chain.is_confirmed(a.txid)
+    assert [chain.is_confirmed(t.txid) for t in (b, c)].count(True) == 1
+    assert chain.total_value() == 1000
+    assert harness.value_conserved(chain)
+
+
 def test_conflicting_mempool_entries_first_valid_wins():
     chain = make_chain()
     op = chain.grant(1000, p2pk(PK))

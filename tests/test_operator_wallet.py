@@ -76,7 +76,7 @@ def test_happy_boarding_yields_confirmed_vtxo():
     sim = boarded_sim()
     v = sim.vtxos("alice")[0]
     assert v.value == 5_000
-    assert v.key() in sim.operator.book.confirmedVTXO
+    assert sim.operator.book.vtxos[v.key()] == ("C", v)
 
 
 # --- malformed requests ----------------------------------------------------
@@ -127,7 +127,7 @@ def test_a_reclaimed_boarding_output_leaves_the_queue():
     assert bundle.requests == [bob_request]
     assert sim.chain.is_stable(bundle.commitment.txid)
     assert [v.value for v in sim.vtxos("bob")] == [5_000]
-    assert sim.operator.book.queue == [] and sim.operator.book.preSpent == set()
+    assert sim.operator.book.queue == [] and sim.operator.held() == set()
     assert [e[1:] for e in sim.chain.trace if e.event == "drop"] == [
         ("operator_node", "operator", "drop", f"boarding output spent {op.txid[:8]}")]
     # her wallet forgets the reclaimed output too; it counted 0 already
@@ -223,25 +223,50 @@ def test_a_settled_boarding_is_refused_again():
     sim.add_wallet("alice", [5_000])
     req = sim.board("alice", [5_000])
     sim.settle_commitment()
-    assert sim.operator.book.preSpent == set()
+    assert sim.operator.held() == set()
     with pytest.raises(Reject, match="not confirmed"):
         sim.operator.verify_boarding(req)
 
 
 @pytest.mark.parametrize("kind", ["batch-swap", "exit"])
 def test_a_settled_input_is_refused_again(kind):
-    # a booked swap's inputs leave preSpent, as the book no longer knows
-    # them; an exited VTXO stays in confirmedVTXO, so it stays held
+    # a booked swap's or exit's input is in the book's S, not C or F, so
+    # intake no longer knows it
     sim = boarded_sim()
     alice = sim.wallets["alice"]
     v = sim.vtxos("alice")[0]
     submit_spend(sim, spend_request(kind, alice, v, v.value))
     sim.settle_commitment()
     assert not sim.operator.pending_bundles
-    reason = "UnknownVtxo" if kind == "batch-swap" else "AlreadyPending"
+    assert sim.operator.book.vtxos[v.key()] == ("S", None)
     for again in ("batch-swap", "exit", "ark"):
-        with pytest.raises(Reject, match=f"^{reason}"):
+        with pytest.raises(Reject, match="^UnknownVtxo"):
             submit_spend(sim, spend_request(again, alice, v, v.value))
+
+
+def test_a_settled_exit_is_spent_in_the_book_and_the_oracle():
+    sim = boarded_sim()
+    (v,) = sim.vtxos("alice")
+    sim.exit("alice", [v])
+    sim.settle_commitment()
+    state, book = sim.state(), sim.book_projection()
+    assert v.key() in state.S and v.key() in book.S
+    assert state.as_tuple() == book.as_tuple()
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "exit", "ark"])
+def test_an_expired_input_is_refused(kind):
+    # at the batch's expiry the watcher sweeps it, and the oracle no longer
+    # counts its leaves; intake refuses them by the same rule
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    sim.tick(v.expiry - sim.chain.height)
+    assert sim.chain.height == v.expiry and v.key() not in sim.state().C
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match=rf"^Expired \('{v.outpoint.txid}', 0\)$"):
+        submit_spend(sim, spend_request(kind, alice, v, v.value))
+    assert book_state(sim.operator.book) == book
 
 
 @pytest.mark.parametrize("kind", ["batch-swap", "ark"])
@@ -261,7 +286,7 @@ def test_an_input_without_a_cosigned_path_is_refused_where_it_would_be_cosigned(
     sim.operator.verify_boarding(req)
     sim.settle_commitment()
     (v,) = sim.vtxos("alice")
-    assert v.key() in sim.operator.book.confirmedVTXO
+    assert sim.operator.book.vtxos[v.key()] == ("C", v)
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=rf"^NotCosignable \('{v.outpoint.txid}', 0\)$"):
         submit_spend(sim, spend_request(kind, alice, v, v.value))
@@ -354,13 +379,13 @@ def test_a_cooperatively_exited_vtxo_cannot_be_claimed_again():
 def test_abort_releases_nothing():
     sim = boarded_sim()
     sim.swap("alice", sim.vtxos("alice"))
-    book_before = (dict(sim.operator.book.confirmedVTXO),
+    book_before = (dict(sim.operator.book.vtxos),
                    list(sim.operator.book.queue))
     trace_before = len(sim.chain.trace)
     with pytest.raises(SessionAborted):
         sim.settle_commitment(abort=lambda step, party: step == "fund")
-    # the queue and confirmed set are unchanged; no commitment onchain
-    assert dict(sim.operator.book.confirmedVTXO) == book_before[0]
+    # the queue and the VTXO map are unchanged; no commitment onchain
+    assert dict(sim.operator.book.vtxos) == book_before[0]
     assert list(sim.operator.book.queue) == book_before[1]
     assert all(e.event != "fund" for e in sim.chain.trace[trace_before:])
 
@@ -378,7 +403,7 @@ def test_rollback_requeues_requests():
     sim.tick(PARAMS.t_r + 2)
     assert bundle not in sim.operator.pending_bundles
     assert sim.operator.book.queue == [swap]
-    assert v.key() in sim.operator.book.confirmedVTXO
+    assert sim.operator.book.vtxos[v.key()] == ("C", v) and v.key() in sim.operator.held()
 
 
 def test_rollback_requeues_every_kind_in_order():
@@ -545,7 +570,7 @@ def test_sixty_swap_rounds_keep_funding_and_the_table_steady():
     seen = {}
     for r in range(1, 61):
         swap_round(sim)
-        assert op.book.preSpent == set()
+        assert op.held() == set()
         reserved = op.reserved()
         own = [(o, e) for o, e in chain.utxos.items() if e.output.lock == lock]
         spendable = sum(out.value for _, out in op.spendable_liquidity())
@@ -1241,13 +1266,13 @@ def test_a_refused_swap_leaves_the_queue_and_the_next_round_settles():
     assert drops(sim) == [("operator_node", "operator", "drop",
                            f"forfeit refused by alice {forfeit.txid[:8]}")]
     assert sim.operator.book.queue == [bob_request]
-    assert v.key() not in sim.operator.book.preSpent
+    assert v.key() not in sim.operator.held()
     settled = sim.settle_commitment()
     assert settled.requests == [bob_request]
     assert sim.chain.is_stable(settled.commitment.txid)
     assert [u.value for u in sim.vtxos("bob")] == [5_000]
     assert sim.vtxos("bob")[0].outpoint.txid in settled.batch.vtxt.txs
-    assert sim.vtxos("alice") == [v] and v.key() in sim.operator.book.confirmedVTXO
+    assert sim.vtxos("alice") == [v] and sim.operator.book.vtxos[v.key()] == ("C", v)
 
 
 def test_a_refused_boarding_leaves_the_queue_and_the_next_round_settles():
@@ -1313,7 +1338,7 @@ def test_a_boarding_of_another_wallets_output_beside_its_own_is_dropped(mallory_
     assert drops(sim) == [("operator_node", "operator", "drop",
                            f"boarding refused by alice {txid8}")]
     assert sim.operator.book.queue == [alice_request, bob_request]
-    assert (b_tx.txid, 0) not in sim.operator.book.preSpent
+    assert (b_tx.txid, 0) not in sim.operator.held()
     settled = sim.settle_commitment()
     assert settled.requests == [alice_request, bob_request]
     assert sim.chain.is_stable(settled.commitment.txid)
@@ -1406,7 +1431,7 @@ def test_an_exit_of_another_wallets_vtxo_is_refused_by_its_owner():
     assert settled.requests == [bob_request]
     assert sim.chain.is_stable(settled.commitment.txid)
     assert pays(sim, "mallory") == []
-    assert sim.vtxos("alice") == [v] and v.key() in sim.operator.book.confirmedVTXO
+    assert sim.vtxos("alice") == [v] and sim.operator.book.vtxos[v.key()] == ("C", v)
 
 
 def test_one_abort_drops_every_foreign_request_of_a_round():
