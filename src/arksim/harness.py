@@ -70,56 +70,30 @@ class ArkState:
 
 def derive_state(chain: Chain, bundles: Sequence[Bundle],
                  payments: Sequence[ArkPayment]) -> ArkState:
-    """Recompute (C, F, S) from the ledger plus published transcripts.  S
-    holds each payment's inputs, each confirmed commitment's forfeited and
-    exited VTXOs, and each leaf spent on chain before its batch expires;
-    C the other leaves of confirmed, unexpired batches that stay virtual;
-    F the payments' unexpired outputs that are in neither."""
+    """Recompute (C, F, S) from the ledger plus published transcripts, by
+    one rule per fact.  S is what was consumed offchain: each payment's
+    inputs and each stable (k-deep) commitment's forfeited and exited
+    VTXOs.  Any other VTXO counts until `chain.height >= v.expiry` or
+    until its own tx confirms, unrolling it to a plain UTXO: C holds the
+    stable commitments' leaves that still count, F the payments' outputs
+    that still count."""
     state = ArkState()
-    consumed: Set[Tuple[str, int]] = set()
     for p in payments:
         if p.resets:
-            for rst in p.resets:
-                consumed.add((rst.ins[0].txid, rst.ins[0].index))  # spent vtxo
+            state.S.update((rst.ins[0].txid, rst.ins[0].index) for rst in p.resets)
         else:
-            for op in p.ark.ins:
-                consumed.add((op.txid, op.index))  # legacy: ark spends directly
-    for b in bundles:
-        if not chain.is_confirmed(b.commitment.txid):
-            continue
-        consumed.update(v.key() for r in b.requests if r.kind in ("batch-swap", "exit")
-                        for v in r.inputs)
-    for b in bundles:
-        if not chain.is_confirmed(b.commitment.txid) or b.batch is None:
-            continue
-        batch_op = b.batch.vtxt.funding
-        swept = (not chain.unspent(batch_op)
-                 and chain.spent_by.get(batch_op) != b.batch.vtxt.root)
-        expired = chain.height >= b.batch.expiry
-        for leaf in b.batch.vtxt.leaves:
-            key = leaf.vtxo.key()
-            if key in consumed:
-                state.S.add(key)
-                continue
-            if swept or expired:
-                continue
-            op = leaf.vtxo.outpoint
-            if chain.spent_by.get(op) is not None:
-                state.S.add(key)
-                continue
-            if chain.unspent(op):
-                continue  # unrolled to a plain UTXO; no longer virtual
-            state.C.add(key)
-    for p in payments:
-        for v in p.outputs:
-            key = v.key()
-            if key in consumed:
-                state.S.add(key)
-            elif chain.height < v.expiry:
-                state.F.add(key)
-    state.S |= consumed
-    state.C -= state.S
-    state.F -= state.S | state.C
+            state.S.update((op.txid, op.index) for op in p.ark.ins)  # legacy: no resets
+    stable = [b for b in bundles if chain.is_stable(b.commitment.txid)]
+    state.S.update(v.key() for b in stable for r in b.requests
+                   if r.kind in ("batch-swap", "exit") for v in r.inputs)
+
+    def counts(v: Vtxo) -> bool:
+        return (v.key() not in state.S and chain.height < v.expiry
+                and not chain.is_confirmed(v.outpoint.txid))
+
+    state.C = {leaf.vtxo.key() for b in stable if b.batch is not None
+               for leaf in b.batch.vtxt.leaves if counts(leaf.vtxo)}
+    state.F = {v.key() for p in payments for v in p.outputs if counts(v)}
     state.check()
     return state
 

@@ -133,7 +133,9 @@ class OperatorBook:
     apart by `Request.kind`.  `vtxos` gives each VTXO's key its one set and,
     unless spent, the VTXO: "C" is the paper's confirmedVTXO (a stable
     commitment's leaf), "F" its preConfirmed (an ark output) and "S" its
-    spent (reset, forfeited or exited)."""
+    spent (reset, forfeited or exited).  A C or F entry leaves the map at
+    its expiry or once its own tx confirms (unrolled to a plain UTXO); an
+    S entry stays."""
     queue: List[Request] = field(default_factory=list)
     vtxos: Dict[Tuple[str, int], Tuple[str, Optional[Vtxo]]] = field(default_factory=dict)
 
@@ -304,8 +306,11 @@ class Operator:
     def _check_inputs(self, r: Request, kind: str, out_value: int,
                       ffop: Optional[FfOperator] = None) -> None:
         """The intake rule for every request that spends VTXOs: each input
-        is a distinct, unexpired VTXO in the book's C or F, not held, given
-        exactly as booked, and `out_value` (outputs plus fee) does not exceed them.
+        is a distinct, unexpired VTXO in the book's C or F (so not unrolled
+        to chain), not held, given exactly as booked, and `out_value`
+        (outputs plus fee) does not exceed them.  An entry whose expiry is
+        the current height stays in the book until the next watcher step,
+        so expiry is checked here too.
         An input that does not exit needs a cosigned path for its forfeit or
         reset, or, paid in an ark request, a nonce-bound path whose nonce
         `ffop` holds."""
@@ -679,9 +684,10 @@ class Operator:
 
     def watch_step(self) -> List[Tx]:
         """Routine-19 loop: book stable commitments, roll back lost ones,
-        then run the table's due entries: release connectors, sweep expired
-        batches and reset outputs, and answer each unrolled spent VTXO
-        with its stored reset or forfeit transaction."""
+        drop each C or F entry that has expired or whose own tx has
+        confirmed, then run the table's due entries: release connectors,
+        sweep expired batches and reset outputs, and answer each unrolled
+        spent VTXO with its stored reset or forfeit transaction."""
         chain = self.chain
         submitted: List[Tx] = []
 
@@ -694,6 +700,10 @@ class Operator:
                   and not chain.is_confirmed(bundle.commitment.txid)):
                 self.book.queue.extend(bundle.requests)     # still held
                 self.pending_bundles.remove(bundle)
+        gone = [key for key, (s, v) in self.book.vtxos.items() if s != "S"
+                and (chain.height >= v.expiry or chain.is_confirmed(v.outpoint.txid))]
+        for key in gone:
+            del self.book.vtxos[key]
 
         due = [(op, d) for op, d in self.deadlines.items() if chain.height >= d.not_before]
         for action in WATCH_ORDER:

@@ -21,6 +21,7 @@ from arksim.harness import (
     value_conserved,
 )
 from arksim.ledger import MaxDelay, Output, Params, Tx
+from arksim.operator_node import Operator
 from arksim.script import KEY_PATH, Witness
 
 
@@ -73,35 +74,83 @@ def test_ark_payment_moves_vtxo_to_spent():
 
 
 def test_oracle_reaches_every_leaf_branch():
-    # one batch of four leaves: unconfirmed, then confirmed, then one leaf
-    # unrolled to a plain UTXO, then that UTXO spent on chain, then expired
+    # one batch of four leaves through each rule of derive_state: a leaf
+    # counts in C once its commitment is k deep, and leaves C when its own
+    # tx confirms (unrolled, claimed or not) or at expiry; a payment's
+    # output counts in F until it is consumed (then in S for good), unrolled
+    # or expired
     sim = Simulation(PARAMS, 0)
     op = sim.operator
     op.fund(100_000)
     alice = sim.add_wallet("alice", [4_000])
+    sim.add_wallet("bob", [])
     sim.board("alice", [1_000] * 4)
     bundle = op.assemble_commitment()
     op.run_signing(bundle, sim.wallets)
     op.submit_and_track(bundle)
     sim.all_bundles.append(bundle)
     assert sim.state().as_tuple() == (set(), set(), set())
-    sim.tick(PARAMS.k + 2)
-    v, *rest = sim.vtxos("alice")
-    keys = {u.key() for u in rest}
-    assert sim.state().as_tuple() == ({v.key()} | keys, set(), set())
+    sim.tick(1)
+    assert sim.chain.is_confirmed(bundle.commitment.txid)
+    assert not sim.chain.is_stable(bundle.commitment.txid)
+    assert sim.state().as_tuple() == (set(), set(), set())
+    sim.tick(PARAMS.k + 1)
+    v, u, *rest = sim.vtxos("alice")
+    keys = {w.key() for w in rest}
+    assert sim.state().as_tuple() == ({v.key(), u.key()} | keys, set(), set())
     sim.unroll("alice", v)
     sim.tick(2 * PARAMS.k)
     assert sim.chain.unspent(v.outpoint)
-    assert sim.state().as_tuple() == (keys, set(), set())
+    assert sim.state().as_tuple() == ({u.key()} | keys, set(), set())
     _, unilateral = arkcore.classify_paths(v.lock, op.pk, PARAMS.t_u)
     claim = leaf_spend(v, unilateral[0], alice.sk)
     sim.tick(PARAMS.t_u)
     sim.chain.submit(claim, "alice")
     sim.tick(1)
     assert sim.chain.is_confirmed(claim.txid)
-    assert sim.state().as_tuple() == (keys, set(), {v.key()})
+    assert sim.state().as_tuple() == ({u.key()} | keys, set(), set())
+    first = sim.ark_pay("alice", "bob", [u], 600, auto_receive=False)
+    b1, a1 = first.outputs
+    assert sim.state().as_tuple() == (keys, {b1.key(), a1.key()}, {u.key()})
+    (b2,) = sim.ark_pay("alice", "bob", [a1], 400, auto_receive=False).outputs
+    assert sim.state().as_tuple() == (keys, {b1.key(), b2.key()}, {u.key(), a1.key()})
+    sim.unroll("alice", u, then=[*first.resets, first.ark])
+    sim.tick(2 * PARAMS.k)
+    assert sim.chain.is_confirmed(first.ark.txid)
+    assert sim.state().as_tuple() == (keys, {b2.key()}, {u.key(), a1.key()})
     sim.tick(bundle.batch.expiry - sim.chain.height)
-    assert sim.state().as_tuple() == (set(), set(), set())
+    assert sim.state().as_tuple() == (set(), set(), {u.key(), a1.key()})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"handover"}))
+def test_oracle_equals_book_after_every_watcher_step(monkeypatch, name, seed):
+    # the book reads the chain in watch_step, so that is where the two must
+    # agree; at the end of a tick the chain is a block ahead of the book.
+    # handover is exempt: it runs a second operator whose bundle is in
+    # all_bundles, while book_projection reads only the first one's book
+    sims, mismatches, steps = [], [], []
+    real_init, real_watch = Simulation.__init__, Operator.watch_step
+
+    def init(sim, *args, **kwargs):
+        real_init(sim, *args, **kwargs)
+        sims.append(sim)
+
+    def watch(op):
+        submitted = real_watch(op)
+        for sim in sims:
+            if sim.operator is op:
+                steps.append(sim.chain.height)
+                if sim.state().as_tuple() != sim.book_projection().as_tuple():
+                    mismatches.append(sim.chain.height)
+        return submitted
+
+    monkeypatch.setattr(Simulation, "__init__", init)
+    monkeypatch.setattr(Operator, "watch_step", watch)
+    run_scenario(name, seed=seed)
+    assert mismatches == []
+    # these two scenarios never tick
+    assert steps or name in ("censoring_operator", "ff_double_spend")
 
 
 def test_theorem_t1_safety_holds():

@@ -269,6 +269,63 @@ def test_an_expired_input_is_refused(kind):
     assert book_state(sim.operator.book) == book
 
 
+def claim(sim, owner, v):
+    """`owner` claims `v`, already unrolled, on its unilateral path once
+    t_u has passed."""
+    _, unilateral = classify_paths(v.lock, sim.operator.pk, PARAMS.t_u)
+    tx = leaf_spend(v, unilateral[0], owner.sk)
+    sim.tick(PARAMS.t_u)
+    sim.chain.submit(tx, owner.name)
+    sim.tick(1)
+    assert sim.chain.is_confirmed(tx.txid)
+
+
+@pytest.mark.parametrize("kind", ["batch-swap", "exit", "ark"])
+@pytest.mark.parametrize("case", ["leaf-unrolled", "leaf-claimed", "payment-claimed"])
+def test_an_unrolled_input_is_refused(kind, case):
+    # once a VTXO's own tx confirms it is a plain UTXO, no longer in C or
+    # F: its owner can claim it on chain, so a forfeit, exit or reset of it
+    # would pay it out a second time from the operator's funds
+    sim = boarded_sim()
+    owner = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    if case == "payment-claimed":
+        owner = sim.add_wallet("bob", [])
+        payment = sim.ark_pay("alice", "bob", [v], 1_500, auto_receive=False)
+        (v,) = (out for out in payment.outputs if out.owner == "bob")
+        owner.receive_payment(payment)
+        owner.unilateral_exit(v)
+    else:
+        sim.unroll("alice", v)
+    sim.tick(2 * PARAMS.k)
+    assert sim.chain.unspent(v.outpoint)
+    if case != "leaf-unrolled":
+        claim(sim, owner, v)
+    book, balances = book_state(sim.operator.book), sim.balances()
+    with pytest.raises(Reject, match=rf"^UnknownVtxo \('{v.outpoint.txid}', 0\)$"):
+        submit_spend(sim, spend_request(kind, owner, v, v.value))
+    assert book_state(sim.operator.book) == book
+    assert sim.balances() == balances
+
+
+def test_expired_vtxos_leave_the_book_and_the_oracle():
+    # the watcher's first step at a VTXO's expiry drops its C or F entry,
+    # as the oracle drops it; an S entry stays
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    sim.add_wallet("alice", [5_000])
+    sim.add_wallet("bob", [])
+    sim.board("alice", [2_500, 2_500])
+    sim.settle_commitment()
+    paid, kept = sim.vtxos("alice")
+    payment = sim.ark_pay("alice", "bob", [paid], 1_500, auto_receive=False)
+    book = sim.book_projection()
+    assert book.C == {kept.key()} and book.F == {v.key() for v in payment.outputs}
+    sim.tick(kept.expiry - sim.chain.height + 1)
+    assert sim.book_projection().as_tuple() == (set(), set(), {paid.key()})
+    assert sim.state().as_tuple() == sim.book_projection().as_tuple()
+
+
 @pytest.mark.parametrize("kind", ["batch-swap", "ark"])
 def test_an_input_without_a_cosigned_path_is_refused_where_it_would_be_cosigned(kind):
     # alice boards into a nonce-bound VTXO: its collaborative path takes
