@@ -2,7 +2,7 @@
 commitment on the base chain, the user pays off-chain, and everyone can
 still leave unilaterally."""
 
-from arksim.harness import Simulation
+from arksim.harness import Simulation, audit
 from arksim.ledger import Params
 
 params = Params(k=3, t_u=13, t_e=40, t_r=8)
@@ -36,6 +36,8 @@ sim.tick(2 * params.k)
 print(f"bob published {len(txs)} transactions and left without cooperation")
 
 state = sim.state()
-state.check()
+violations = audit(sim)
+if violations:
+    raise SystemExit(f"audit failed: {violations[0]}")
 print(f"\nledger state: |C|={len(state.C)} |F|={len(state.F)} |S|={len(state.S)}")
 print("conservation check passed")

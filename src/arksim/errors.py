@@ -1,9 +1,10 @@
 """The error every internal invariant raises.
 
-An invariant is a property the simulator itself guarantees (the state
-partition, value conservation, the calibrated shapes), not a check of its
+An invariant is a property the simulator itself guarantees (the calibrated
+shapes, a funding that spends no reserved connector), not a check of its
 input.  It raises `InvariantError` rather than resting on `assert`, so it
-still holds under `python -O`.
+still holds under `python -O`.  The protocol's invariants over a whole
+state are checked in one place, `harness.audit`.
 """
 
 

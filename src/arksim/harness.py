@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto, footprint
 from .arkcore import ANCHOR_LOCK, Vtxo, p2pk
 from .crypto import SessionAborted
-from .errors import InvariantError
 from .fastfinality import (
     FfConfig,
     FfCoordinator,
@@ -57,13 +56,6 @@ class ArkState:
     F: Set[Tuple[str, int]] = field(default_factory=set)
     S: Set[Tuple[str, int]] = field(default_factory=set)
 
-    def check(self) -> None:
-        """C, F and S are disjoint."""
-        if self.C & self.F:
-            raise InvariantError(f"in both C and F: {sorted(self.C & self.F)}")
-        if self.S & (self.C | self.F):
-            raise InvariantError(f"in S and in C or F: {sorted(self.S & (self.C | self.F))}")
-
     def as_tuple(self):
         return (frozenset(self.C), frozenset(self.F), frozenset(self.S))
 
@@ -94,7 +86,6 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
     state.C = {leaf.vtxo.key() for b in stable if b.batch is not None
                for leaf in b.batch.vtxt.leaves if counts(leaf.vtxo)}
     state.F = {v.key() for p in payments for v in p.outputs if counts(v)}
-    state.check()
     return state
 
 
@@ -269,6 +260,36 @@ def value_conserved(chain: Chain) -> bool:
     return granted == chain.total_value() + burned
 
 
+class Violation(NamedTuple):
+    invariant: str      # partition | oracle-book | conservation | liquidity
+    height: int
+    detail: str
+
+
+def audit(sim: Simulation) -> List[Violation]:
+    """The invariants `sim`'s state breaks, each defined here once: C, F and
+    S are disjoint; oracle == book (after the watcher's step, where the book
+    reads the chain); the chain conserves value; and the operator's outputs
+    are its funding, reserved connectors and change less than k deep."""
+    chain, op = sim.chain, sim.operator
+    state, book = sim.state(), sim.book_projection()
+    twice = (state.C & state.F) | (state.S & (state.C | state.F))
+    diff = {n: sorted(a ^ b) for n, a, b in zip("CFS", state.as_tuple(), book.as_tuple()) if a != b}
+    reserved, own, balance = op.reserved(), op._own_utxos(), op.onchain_balance()
+    # spendable, reserved, and young: a grant is spendable at any depth
+    parts = (sum(out.value for _, out in op.spendable_liquidity()),
+             sum(out.value for o, _, out in own if o in reserved),
+             sum(out.value for o, h, out in own if o not in reserved
+                 and chain.height - h < op.params.k and chain.records[o.txid].tx.ins))
+    checks = [
+        ("partition", not twice, f"in two of C, F and S: {sorted(twice)}"),
+        ("oracle-book", not diff, f"oracle and book differ on {diff}"),
+        ("conservation", value_conserved(chain), "granted != UTXO value + fees burned"),
+        ("liquidity", sum(parts) == balance, f"spendable, reserved, young {parts} != {balance}"),
+    ]
+    return [Violation(name, chain.height, detail) for name, ok, detail in checks if not ok]
+
+
 def tx_vbytes(tx: Tx) -> int:
     key_ins = sum(1 for w in tx.wits if w is not None and w.path_index == KEY_PATH)
     script_ins = len(tx.ins) - key_ins
@@ -405,16 +426,16 @@ def scenario_happy_path(seed: int = 0, params: Optional[Params] = None,
     sim.ark_pay("alice", "bob", sim.vtxos("alice")[:1], 2_500)
     sim.settle_commitment()     # bob's follow-up batch swap
     sim.tick(2)
-    state = sim.state()
-    book = sim.book_projection()
+    state, book = sim.state(), sim.book_projection()
+    broken = {v.invariant for v in audit(sim)}
     verdicts = [
-        _verdict("oracle_agreement", state.as_tuple() == book.as_tuple(),
+        _verdict("oracle_agreement", "oracle-book" not in broken,
                  f"oracle C={sorted(state.C)} book C={sorted(book.C)}"),
         _verdict("bob_has_confirmed_vtxo",
                  any(h.kind == "batch" and h.vtxo.value == 2_500
                      for h in sim.wallets["bob"].holdings.values())),
         _verdict("conservation_never_increases",
-                 value_conserved(sim.chain), "chain enforces per-tx conservation"),
+                 "conservation" not in broken, "chain enforces per-tx conservation"),
         _verdict("balances_positive", alice.balance() > 0),
     ]
     return _report("happy_path", seed, verdicts, sim.balances(),

@@ -297,6 +297,8 @@ class Chain:
         # conflicting mempool entries are allowed; inclusion decides the winner
         if in_total < sum(o.value for o in tx.outs):
             raise ValueCreated("outputs exceed inputs")
+        if any(o.value < 0 for o in tx.outs):
+            raise ValueCreated("negative output value")
         d = self.adversary.delay(tx, self.height, by)
         d = max(0, min(d, 2 * self.params.k - 1))
         due = self.height + 1 + min(d, self.params.k - 1)

@@ -97,16 +97,11 @@ class Request:
 
 
 def _require_kind(r: Request, kind: str) -> None:
+    """`r` is a `kind` request and asks for no negative output value."""
     if r.kind != kind:
         raise Reject(f"expected a {kind} request, got {r.kind!r}")
-
-
-def check_conservation(account: Dict[str, int]) -> None:
-    """The commitment's conservation identity: liquidity and boarding
-    inputs equal the batch, exit, change and connector outputs."""
-    if account["L"] + account["B"] != (account["V"] + account["U"] + account["M"]
-                                       + account["connector"]):
-        raise InvariantError(f"commitment does not conserve value: {account}")
+    if any(s.value < 0 for s in r.outputs) or any(v < 0 for v, _ in r.exit_outputs):
+        raise Reject("NegativeOutput")
 
 
 def _held_keys(r: Request) -> List[Tuple[str, int]]:
@@ -487,8 +482,6 @@ class Operator:
             "U": exit_value, "M": change, "F": request_fees,
             "connector": connector_value,
         }
-        check_conservation(account)
-
         return Bundle(commitment, batch, connector, requests, account=account)
 
     # --- signing ceremony ------------------------------------------------

@@ -1,8 +1,9 @@
 import signal
+from types import SimpleNamespace
 
 import pytest
 
-from arksim import crypto
+from arksim import InvariantError, crypto, harness
 
 
 @pytest.fixture
@@ -40,3 +41,29 @@ def no_hang():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Audit each simulation the test makes after every watcher step, and
+    raise `InvariantError` naming the first violation not in `exempt`, a
+    set the test may add to; `steps` lists each audited step's height."""
+    seen = SimpleNamespace(exempt=set(), steps=[])
+    real_init = harness.Simulation.__init__
+
+    def init(sim, *args, **kwargs):
+        real_init(sim, *args, **kwargs)
+        watch = sim.operator.watch_step
+
+        def audited_watch():
+            submitted = watch()
+            seen.steps.append(sim.chain.height)
+            found = [v for v in harness.audit(sim) if v.invariant not in seen.exempt]
+            if found:
+                raise InvariantError(str(found[0]))
+            return submitted
+
+        sim.operator.watch_step = audited_watch
+
+    monkeypatch.setattr(harness.Simulation, "__init__", init)
+    return seen

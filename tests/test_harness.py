@@ -8,10 +8,11 @@ from arksim.arkcore import p2pk
 from arksim.harness import (
     PARAMS_TE40 as PARAMS,
     SCENARIOS,
+    ArkState,
     RaceResult,
     Simulation,
+    audit,
     check_theorem,
-    derive_state,
     exit_race,
     leaf_spend,
     report_json,
@@ -21,7 +22,6 @@ from arksim.harness import (
     value_conserved,
 )
 from arksim.ledger import MaxDelay, Output, Params, Tx
-from arksim.operator_node import Operator
 from arksim.script import KEY_PATH, Witness
 
 
@@ -32,38 +32,18 @@ def test_all_scenarios_registered():
     }
 
 
-def test_state_sets_are_disjoint():
+def settled_sim():
     sim = Simulation(PARAMS, 0)
     sim.operator.fund(50_000)
     sim.add_wallet("alice", [4_000])
     sim.board("alice", [4_000])
     sim.settle_commitment()
-    state = sim.state()
-    state.check()
-    assert state.C and not state.F
-
-
-def test_oracle_agrees_with_operator_book():
-    sim = Simulation(PARAMS, 0)
-    sim.operator.fund(50_000)
-    sim.add_wallet("alice", [4_000])
-    sim.add_wallet("bob", [])
-    sim.board("alice", [4_000])
-    sim.settle_commitment()
-    v = sim.vtxos("alice")[0]
-    sim.ark_pay("alice", "bob", [v], 1_500)
-    state, book = sim.state(), sim.book_projection()
-    assert state.C == book.C
-    assert state.S == book.S
+    return sim
 
 
 def test_ark_payment_moves_vtxo_to_spent():
-    sim = Simulation(PARAMS, 0)
-    sim.operator.fund(50_000)
-    sim.add_wallet("alice", [4_000])
+    sim = settled_sim()
     sim.add_wallet("bob", [])
-    sim.board("alice", [4_000])
-    sim.settle_commitment()
     v = sim.vtxos("alice")[0]
     before = sim.state()
     assert v.key() in before.C
@@ -122,35 +102,37 @@ def test_oracle_reaches_every_leaf_branch():
     assert sim.state().as_tuple() == (set(), set(), {u.key(), a1.key()})
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"handover"}))
-def test_oracle_equals_book_after_every_watcher_step(monkeypatch, name, seed):
-    # the book reads the chain in watch_step, so that is where the two must
-    # agree; at the end of a tick the chain is a block ahead of the book.
-    # handover is exempt: it runs a second operator whose bundle is in
-    # all_bundles, while book_projection reads only the first one's book
-    sims, mismatches, steps = [], [], []
-    real_init, real_watch = Simulation.__init__, Operator.watch_step
-
-    def init(sim, *args, **kwargs):
-        real_init(sim, *args, **kwargs)
-        sims.append(sim)
-
-    def watch(op):
-        submitted = real_watch(op)
-        for sim in sims:
-            if sim.operator is op:
-                steps.append(sim.chain.height)
-                if sim.state().as_tuple() != sim.book_projection().as_tuple():
-                    mismatches.append(sim.chain.height)
-        return submitted
-
-    monkeypatch.setattr(Simulation, "__init__", init)
-    monkeypatch.setattr(Operator, "watch_step", watch)
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_oracle_equals_book_after_every_watcher_step(audited, name, seed):
+    # the whole audit holds after each watcher step.  handover is exempt
+    # from oracle == book only: its second operator's bundle is in
+    # all_bundles, but book_projection reads only the first one's book
+    if name == "handover":
+        audited.exempt.add("oracle-book")
     run_scenario(name, seed=seed)
-    assert mismatches == []
     # these two scenarios never tick
-    assert steps or name in ("censoring_operator", "ff_double_spend")
+    assert audited.steps or name in ("censoring_operator", "ff_double_spend")
+
+
+@pytest.mark.parametrize("invariant", ["partition", "oracle-book", "conservation", "liquidity"])
+def test_each_audit_clause_fires(monkeypatch, invariant):
+    sim = settled_sim()
+    leaf = sim.vtxos("alice")[0]
+    if invariant == "partition":
+        # the oracle and the book agree, on a key in both C and F
+        both = ArkState(C={leaf.key()}, F={leaf.key()})
+        monkeypatch.setattr(Simulation, "state", lambda sim: both)
+        monkeypatch.setattr(Simulation, "book_projection", lambda sim: both)
+    elif invariant == "oracle-book":
+        del sim.operator.book.vtxos[leaf.key()]
+    elif invariant == "conservation":
+        # an output no transaction created
+        entry = sim.chain.utxos[sim.all_bundles[0].commitment.outpoint(0)]
+        entry.output = replace(entry.output, value=entry.output.value + 1)
+    else:
+        monkeypatch.setattr(sim.operator, "spendable_liquidity", lambda: [])
+    assert [(v.invariant, v.height) for v in audit(sim)] == [(invariant, sim.chain.height)]
 
 
 def test_theorem_t1_safety_holds():
@@ -227,11 +209,7 @@ def test_happy_path_oracle_agreement_covers_spent_set(monkeypatch):
 
 
 def test_value_conserved_sees_minted_value():
-    sim = Simulation(PARAMS, 0)
-    sim.operator.fund(50_000)
-    sim.add_wallet("alice", [4_000])
-    sim.board("alice", [4_000])
-    sim.settle_commitment()
+    sim = settled_sim()
     assert value_conserved(sim.chain)
     # an output no transaction created breaks the identity
     entry = next(iter(sim.chain.utxos.values()))

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from arksim import InvariantError, crypto, footprint, harness, operator_node
+from arksim import InvariantError, crypto, footprint, harness
 from arksim.arkcore import Vtxo, p2pk
-from arksim.harness import PARAMS_TE40 as PARAMS, ArkState, Simulation
+from arksim.harness import PARAMS_TE40 as PARAMS, Simulation
 from arksim.ledger import Tx
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -29,17 +29,6 @@ def _raised(fn) -> str:
     except InvariantError as e:
         return f"InvariantError: {e}"
     return "nothing raised"
-
-
-def broken_partition() -> str:
-    key = ("ab" * 32, 0)
-    return _raised(ArkState(C={key}, F={key}).check)
-
-
-def broken_conservation() -> str:
-    account = {"L": 10_000, "B": 0, "V": 9_000, "U": 0, "M": 900, "F": 0,
-               "connector": 0}
-    return _raised(lambda: operator_node.check_conservation(account))
 
 
 def broken_calibration() -> str:
@@ -61,8 +50,6 @@ def broken_extraction() -> str:
 
 
 CASES = {
-    "broken_partition": "InvariantError: in both C and F: [('" + "ab" * 32 + "', 0)]",
-    "broken_conservation": "InvariantError: commitment does not conserve value",
     "broken_calibration": "InvariantError: TxShape(keypath_ins=0, scriptpath_ins=1,"
                           " p2tr_outs=1, anchor_outs=1) weighs 106 vB",
     "broken_spent_book": "InvariantError: spent VTXO of alice in the book has no outpoint",
@@ -87,9 +74,7 @@ def test_invariants_hold_on_a_settled_round():
     sim.add_wallet("alice", [4_000])
     sim.board("alice", [4_000])
     sim.settle_commitment()
-    sim.state().check()
-    for bundle in sim.all_bundles:
-        operator_node.check_conservation(bundle.account)
+    assert harness.audit(sim) == []
     assert footprint.calibrate() == footprint.DEFAULT_MODEL
 
 

@@ -74,6 +74,21 @@ def test_value_creation_rejected():
         chain.submit(spend(op, 1001, PK2), "user")
 
 
+def test_a_negative_output_value_is_refused():
+    # 2,000 and -1,000 sats sum to the 1,000-sat grant, yet would pay out
+    # 2,000 (Bitcoin's bad-txns-vout-negative); a 0-sat output stays valid
+    chain = make_chain()
+    op = chain.grant(1000, p2pk(PK))
+    tx = Tx(ins=(op,), outs=(Output(2000, p2pk(PK2)), Output(-1000, p2pk(PK))))
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(SK, tx.digest()),))]
+    with pytest.raises(ValueCreated, match="negative output value"):
+        chain.submit(tx, "user")
+    assert chain.mempool == {}
+    tx = Tx(ins=(op,), outs=(Output(1000, p2pk(PK2)), Output(0, p2pk(PK))))
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(SK, tx.digest()),))]
+    assert chain.submit(tx, "user")
+
+
 def test_an_outpoint_spent_twice_in_one_tx_is_refused():
     # the duplicate-input fault of Bitcoin Core's CVE-2018-17144: a
     # 1,000-sat grant listed twice would fund a 2,000-sat output

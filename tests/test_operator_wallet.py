@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from arksim import arkcore, crypto
+from arksim import arkcore, crypto, harness
 from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
@@ -214,6 +214,34 @@ def test_spending_intake_shares_one_rule(kind, fault, reason):
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=f"^{reason}"):
         submit_spend(sim, spend_request(kind, payer, v, value, inputs))
+    assert book_state(sim.operator.book) == book
+
+
+@pytest.mark.parametrize("kind", ["boarding", "batch-swap", "exit", "ark"])
+def test_a_negative_output_value_is_refused(kind):
+    # 10,000 and -5,000 sats do not exceed a 5,000-sat input, yet would pay
+    # out 10,000: every intake refuses a negative output before it books
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    values = (10_000, -5_000)
+    if kind == "boarding":
+        bob = sim.add_wallet("bob", [5_000])
+        tx, _ = submit_boarding(sim, "bob", [5_000])
+        sim.tick(PARAMS.k + 1)
+        r = Request("boarding", "bob", boarding_outpoint=tx.outpoint(0),
+                    outputs=tuple(VtxoSpec(x, "bob", bob.pk) for x in values))
+    elif kind == "exit":
+        r = Request("exit", "alice", inputs=tuple(sim.vtxos("alice")),
+                    exit_outputs=tuple((x, p2pk(alice.pk)) for x in values))
+    else:
+        r = Request(kind, "alice", inputs=tuple(sim.vtxos("alice")),
+                    outputs=tuple(VtxoSpec(x, "alice", alice.pk) for x in values))
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match="^NegativeOutput$"):
+        if kind == "boarding":
+            sim.operator.verify_boarding(r)
+        else:
+            submit_spend(sim, r)
     assert book_state(sim.operator.book) == book
 
 
@@ -623,19 +651,12 @@ def test_sixty_swap_rounds_keep_funding_and_the_table_steady():
     sim.add_wallet("alice", [5_000])
     sim.board("alice", [5_000])
     sim.settle_commitment()
-    op, chain, lock = sim.operator, sim.chain, p2pk(sim.operator.pk)
-    seen = {}
+    op, seen = sim.operator, {}
     for r in range(1, 61):
         swap_round(sim)
         assert op.held() == set()
-        reserved = op.reserved()
-        own = [(o, e) for o, e in chain.utxos.items() if e.output.lock == lock]
-        spendable = sum(out.value for _, out in op.spendable_liquidity())
-        held = sum(e.output.value for o, e in own if o in reserved)
-        young = sum(e.output.value for o, e in own if o not in reserved
-                    and chain.height - e.confirm_height < params.k)
-        assert spendable + held + young == op.onchain_balance()
-        seen[r] = (spendable, len(op.deadlines))
+        assert harness.audit(sim) == []
+        seen[r] = (sum(out.value for _, out in op.spendable_liquidity()), len(op.deadlines))
     assert seen[30] == seen[60]
 
 
