@@ -41,6 +41,25 @@ def settled_sim():
     return sim
 
 
+def test_state_sets_are_disjoint():
+    sim = settled_sim()
+    state = sim.state()
+    assert not (state.C & state.F or state.C & state.S or state.F & state.S)
+    assert [v for v in audit(sim) if v.invariant == "partition"] == []
+    assert state.C and not state.F
+
+
+def test_oracle_agrees_with_operator_book():
+    sim = settled_sim()
+    sim.add_wallet("bob", [])
+    v = sim.vtxos("alice")[0]
+    sim.ark_pay("alice", "bob", [v], 1_500)
+    state, book = sim.state(), sim.book_projection()
+    assert state.C == book.C
+    assert state.S == book.S
+    assert [v for v in audit(sim) if v.invariant == "oracle-book"] == []
+
+
 def test_ark_payment_moves_vtxo_to_spent():
     sim = settled_sim()
     sim.add_wallet("bob", [])
