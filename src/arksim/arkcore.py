@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .crypto import AggregateKey, PublicKey
@@ -244,12 +244,19 @@ class Vtxt:
 
 
 def tree_signature_checks(vtxt: Vtxt, height: int) -> List[crypto.Check]:
-    """The signature checks of every signed node of a tree, each against
-    the lock its input spends, as `script.evaluate` makes them at
-    `height`: the triples a wallet's audit of any path through the tree
-    would verify, for `crypto.verify_batch`."""
+    """The signature checks of every signed node of a tree: the triples a
+    wallet's audit of any path through the tree would verify, for
+    `crypto.verify_batch`."""
+    return node_signature_checks(vtxt, vtxt.txs.items(), height)
+
+
+def node_signature_checks(vtxt: Vtxt, nodes: Iterable[Tuple[str, Tx]],
+                          height: int) -> List[crypto.Check]:
+    """The signature checks of the (txid, tx) nodes, each against the lock
+    that node `txid` of the tree spends, as `script.evaluate` makes them
+    at `height`."""
     checks: List[crypto.Check] = []
-    for txid, tx in vtxt.txs.items():
+    for txid, tx in nodes:
         ctx = SpendContext(height, height, tx.digest())
         for wit in tx.wits[:1]:     # tree nodes are single-input
             checks += signature_checks(vtxt.spent(txid).lock, wit, ctx)

@@ -27,9 +27,11 @@ the reason for a refusal.
 A wallet also remembers the signed VTXT of every batch it cosigns, keyed
 by the tree's funding outpoint, from the batch's confirmation until its
 first audit of a payment path rooted in that tree, or until the batch
-expires, whichever comes first.  That first audit checks every signature
-in the tree in one `crypto.verify_batch` equation, so a later audit of
-any path through the tree finds its node signatures in the verify memo.
+expires, whichever comes first.  Unless the verify memo already knows
+that every signature on the payer's path verifies (another wallet of
+the process checked the tree), that first audit checks every signature in
+the tree in one `crypto.verify_batch` equation, so a later audit of any
+path through the tree finds its node signatures in the verify memo.
 Most of a tree's signatures are under internal-node aggregate keys that
 are each verified once, and the batch spares `verify` a comb table for
 every one of them.  A tree of fewer than `crypto.BATCH_MIN` signatures
@@ -277,6 +279,8 @@ class Wallet:
             out = payment.ark.outs[v.outpoint.index]
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 return self._reject("output script mismatch")
+        if not payment.ark.ins:
+            return self._reject("ark tx without inputs")
         if not len(payment.paths) == len(payment.resets) == len(payment.ark.ins):
             return self._reject("incomplete transcript")
         for pth, rst in zip(payment.paths, payment.resets):
@@ -338,10 +342,15 @@ class Wallet:
 
         A path rooted in a remembered tree is that tree's first audit: the
         tree is forgotten, and every signature in it is first checked in
-        one batch equation.  The batch only records `True` verdicts for
-        signatures that verify, and records nothing when its equation
-        fails, so the loop below reaches the same verdict on every witness
-        as it would without it; only the work moves."""
+        one batch equation.  The batch is skipped when the verify memo
+        already holds a `True` verdict for every signature on the payer's
+        path: it would check nothing that path needs, so the tree's checks
+        are not even built.  (For a path shorter than `crypto.BATCH_MIN`,
+        `verify_batch` of the path's checks reads exactly that.)  The
+        batch only records `True` verdicts for signatures that verify, and
+        records nothing when its equation fails, so the loop below reaches
+        the same verdict on every witness as it would without it; only the
+        work moves."""
         h = self.chain.height
         pool: List[Tx] = []
         for pth in payment.paths:
@@ -351,7 +360,10 @@ class Wallet:
             # each node of a signed tree carries one signature
             if batch is not None and batch.expiry > h \
                     and len(batch.vtxt.txs) >= BATCH_MIN:
-                verify_batch(arkcore.tree_signature_checks(batch.vtxt, h))
+                vtxt = batch.vtxt
+                own = [(tx.txid, tx) for tx in pth if tx.txid in vtxt.txs]
+                if not verify_batch(arkcore.node_signature_checks(vtxt, own, h)):
+                    verify_batch(arkcore.tree_signature_checks(vtxt, h))
         pool.extend(payment.resets)
         pool.append(payment.ark)
         pool_txs = {tx.txid: tx for tx in pool}

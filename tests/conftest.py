@@ -30,6 +30,21 @@ def point_mul_calls(monkeypatch):
 
 
 @pytest.fixture
+def multi_mul_terms(monkeypatch):
+    """The number of terms in each batch equation's `crypto._multi_mul`
+    call: one per R_i, and two GLV halves per key."""
+    sizes = []
+    real = crypto._multi_mul
+
+    def counting(terms):
+        sizes.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(crypto, "_multi_mul", counting)
+    return sizes
+
+
+@pytest.fixture
 def no_hang():
     """Fail the test, instead of hanging, if it runs longer than 10 s: a
     walk that never ends raises `TimeoutError` out of its loop."""

@@ -64,6 +64,37 @@ def test_check_names_what_is_wrong():
         "missing workload adversarial_traces"]
 
 
+def test_payment_lines_are_read_and_checked_where_a_record_carries_them():
+    stdout = ("payment_stream seed=1 passes=7\n"
+              "  pay_ms                                    2.14505 ms\n"
+              "  pay_p90_ms                                4.56353 ms\n"
+              "  check balances_match_tally: ok\n")
+    assert bench_record.printed_ms(stdout, "pay_ms") == 2.14505
+    assert bench_record.printed_ms(stdout, "pay_p90_ms") == 4.56353
+    assert bench_record.printed_ms(stdout, "reference_ms") is None
+    runs = [{"correct": True, "failed": 0, "reference_ms": 40.0,
+             "metrics": {name: {"value": float(vb), "unit": "u"}
+                         for name in bench_record.METRICS},
+             "extra": {"pay_ms": float(i), "pay_p90_ms": 2.0 * i}}
+            for i, vb in zip((3, 1, 2), (197, 197, 197))]
+    workloads = bench_record.summarize({"payment_stream": runs})
+    assert workloads["payment_stream"]["extra"] == {
+        "pay_ms": {"median": 2.0, "q1": 1.5, "q3": 2.5, "unit": "ms"},
+        "pay_p90_ms": {"median": 4.0, "q1": 3.0, "q3": 5.0, "unit": "ms"}}
+    record = json.loads(RECORDS[-1].read_text())
+    record["workloads"]["payment_stream"]["extra"] = workloads["payment_stream"]["extra"]
+    assert bench_record.check(record) == []
+    extra = record["workloads"]["payment_stream"]["extra"]
+    extra["pay_ms"]["q1"] = 9.0
+    del extra["pay_p90_ms"]
+    assert bench_record.check(record) == [
+        "payment_stream: pay_ms quartiles out of order",
+        "payment_stream: missing extra pay_p90_ms"]
+    # a record made before the lines were kept carries no `extra`
+    del record["workloads"]["payment_stream"]["extra"]
+    assert bench_record.check(record) == []
+
+
 def test_check_refuses_a_malformed_tree_digest():
     record = json.loads(RECORDS[0].read_text())
     record["tree_sha256"] = "ab" * 32

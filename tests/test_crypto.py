@@ -687,7 +687,7 @@ def test_every_memo_is_bounded():
         "arksim.crypto._comb_table", "arksim.crypto._public_point",
         "arksim.crypto._aggregate_members", "arksim.crypto._aggregate_secret",
         "arksim.crypto._signature", "arksim.crypto._verified",
-        "arksim.script._lock"}
+        "arksim.crypto._members_of", "arksim.script._lock"}
     # lru_cache(maxsize=None) is unbounded
     assert all(isinstance(m.cache_info().maxsize, int) for m in memos.values())
     # every memo empties on cache_clear, as a benchmark's cold set-up
@@ -845,6 +845,17 @@ def test_multi_mul_matches_separate_multiplications():
         assert crypto._affine(*crypto._multi_mul(terms)) == crypto._affine(*want)
 
 
+def test_multi_mul_sums_a_bucket_that_meets_equal_x():
+    # a term twice, and a term with its negation: their buckets meet a
+    # doubling and a sum to infinity, which the affine sums leave out
+    points = [crypto.point_mul(crypto.G, 0xFEED + i) for i in range(30)]
+    p, k = points[0], 2**128 + 12345
+    for extra in ([(k, p)], [(k, (p[0], crypto.P - p[1]))]):
+        terms = [(k, p)] + extra + [(3**i % 2**129, q) for i, q in enumerate(points[1:])]
+        want = crypto._jsum(ladder(q, n) for n, q in terms)
+        assert crypto._affine(*crypto._multi_mul(terms)) == crypto._affine(*want)
+
+
 def test_verify_batch_encodes_each_point_once(point_mul_calls, monkeypatch):
     # one key signs three times, so its encoding serves three challenges
     sk, pk = keygen(b"batch-0")
@@ -870,6 +881,125 @@ def test_verify_reads_the_encoding_its_key_holds(point_mul_calls, monkeypatch):
     crypto._verified.cache_clear()
     assert crypto._verified(pk.point, b"m", sig.R, sig.s)
     assert encoded == {sig.R: 2, pk.point: 1}
+
+
+# --- folded batch equations ---------------------------------------------
+
+FOLD_SKS = [keygen(b"fold-%d" % i)[0] for i in range(8)]
+FOLD_PKS = [sk.public() for sk in FOLD_SKS]
+# member sets, by index into FOLD_SKS: the aggregate memo holds HELD_SETS
+# and WIDE_SET, and has evicted EVICTED_SET.  Key 0 also signs alone.
+# Folding WIDE_SET, whose members sign nothing else, adds a point, so a
+# batch that has it folds only if the other folds save more.  The forged
+# key names members 0 and 1 but is key 5's point, which the point ->
+# members lookup is made to map to them
+HELD_SETS = ((0, 1), (1, 2), (0, 2), (0, 1, 2))
+WIDE_SET = (6, 7)
+EVICTED_SET = (2, 3, 4)
+FORGED = crypto.AggregateKey(FOLD_PKS[5], crypto._sorted_members(FOLD_PKS[:2]))
+
+
+def _fold_triples():
+    """(kind, triple) for every signature of the fold tests: plain keys,
+    held, wide and evicted aggregates, and the forged key."""
+    out = []
+    for kind, signers in ([("plain", [i]) for i in (0, 3)]
+                          + [("held", list(s)) for s in HELD_SETS]
+                          + [("wide", list(WIDE_SET)),
+                             ("evicted", list(EVICTED_SET)), ("forged", [5])]):
+        sks = [FOLD_SKS[i] for i in signers]
+        for j in range(3):
+            m = b"fold-%s-%d" % (bytes(signers), j)
+            if kind in ("plain", "forged"):
+                point, sig = sks[0].public().point, sign(sks[0], m)
+            else:
+                point = aggregate(sk.public() for sk in sks).point.point
+                sig = cosign(m, sks)
+            out.append((kind, (point, m, sig)))
+    return out
+
+
+FOLD_POOL = _fold_triples()
+FOLD_OTHER = _signed_triple(99)     # a valid triple of a key outside the pool
+
+
+def _fold_memos(mp):
+    """Private aggregate memo and point -> members lookup: the memo holds
+    exactly the held and wide sets' keys, the lookup also the evicted
+    set's and the forged key's; and a record of each `_folded` call's
+    input and output."""
+    mp.setattr(crypto, "_aggregate_members", crypto._insertable_cache(
+        maxsize=len(HELD_SETS) + 1)(crypto._aggregate_members.__wrapped__))
+    mp.setattr(crypto, "_members_of", crypto._insertable_cache(
+        maxsize=crypto._CACHE_SIZE)(crypto._members_of.__wrapped__))
+    for s in (EVICTED_SET, WIDE_SET) + HELD_SETS:     # the first is evicted
+        aggregate(FOLD_PKS[i] for i in s)
+    crypto._members_of.insert((FORGED.point.point,), FORGED.members)
+    calls = []
+    real = crypto._folded
+
+    def recording(per_key):
+        calls.append((dict(per_key), real(per_key)))
+        return calls[-1][1]
+
+    mp.setattr(crypto, "_folded", recording)
+    return calls
+
+
+def test_a_fold_keeps_the_equation_and_skips_unvouched_keys():
+    points = {kind: [t[0] for k, t in FOLD_POOL if k == kind][::3]
+              for kind in ("plain", "held", "evicted", "forged")}
+    per_key = {p: 0x5EED + 7919 * i
+               for i, p in enumerate(p for ps in points.values() for p in ps)}
+    with pytest.MonkeyPatch.context() as mp:
+        _fold_memos(mp)
+        folded = crypto._folded(per_key)
+    # the four held keys give way to their members 0, 1 and 2; key 0
+    # also signs alone, and key 3's term is its own
+    members = {pk.point for pk in FOLD_PKS[:3]}
+    assert set(folded) == members | set(points["plain"]) \
+        | set(points["evicted"]) | set(points["forged"])
+    assert len(folded) < len(per_key)
+    for kind in ("evicted", "forged"):
+        (p,) = points[kind]
+        assert folded[p] == per_key[p]
+    # the same sum of multiples either way
+    def total(terms):
+        return crypto._affine(*crypto._jsum(
+            crypto.point_mul(p, n) for p, n in terms.items()))
+    assert total(folded) == total(per_key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(range(len(FOLD_POOL))), min_size=8,
+                max_size=len(FOLD_POOL), unique=True), st.data())
+def test_a_folded_batch_decides_as_verify_does(picks, data):
+    batch = [FOLD_POOL[i][1] for i in picks]
+    kind = data.draw(st.sampled_from([None] + sorted(BATCH_CORRUPTIONS)))
+    if kind is not None:
+        i = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        batch[i] = BATCH_CORRUPTIONS[kind](batch[i], FOLD_OTHER)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _fold_memos(mp)
+        mp.setattr(crypto, "BATCH_MIN", 8)
+        crypto._verified.cache_clear()
+        proven = crypto.verify_batch(batch)
+        recorded = {k: crypto._verified.peek(k) for k in map(_memo_key, batch)}
+    crypto._verified.cache_clear()
+    singly = [verify(PublicKey(point), m, sig) for point, m, sig in batch]
+    assert proven == all(singly) == (kind is None)
+    assert all(v in (None, True) for v in recorded.values())
+    assert all(ok for k, ok in zip(recorded, singly) if recorded[k])
+    if kind is None:
+        assert all(recorded.values())
+    elif kind not in LEFT_OUT:
+        assert not any(recorded.values())
+    # never more points than keys, and the evicted and forged keys are
+    # never folded
+    unvouched = {t[0] for k, t in FOLD_POOL if k in ("evicted", "forged")}
+    for per_key, folded in calls:
+        assert len(folded) <= len(per_key)
+        assert all(folded[p] == n for p, n in per_key.items() if p in unvouched)
 
 
 # --- batched curve work --------------------------------------------------

@@ -327,6 +327,33 @@ def test_tree_block_is_one_batch_equation(tree, point_mul_calls):
     assert crypto._verified.cache_info().currsize == len(vtxt.txs)
 
 
+def test_a_tree_block_folds_its_node_keys_onto_their_members(
+        tree, point_mul_calls, multi_mul_terms):
+    # one term per R, and two GLV halves per key: the 64 users' and the
+    # operator's, where the 127 node keys took 127 + 2 * 127 = 381
+    _, vtxt = tree
+    unroll_in_one_block(tree)
+    assert len(vtxt.txs) == 127
+    assert multi_mul_terms == [127 + 2 * 65]
+
+
+def test_a_block_of_three_exits_keeps_its_node_keys(tree, point_mul_calls,
+                                                    multi_mul_terms):
+    # three leaves' paths share the root and then part: 18 nodes under 18
+    # keys.  Folding would add the root key's 65 members, so it is left out
+    lock, vtxt = tree
+    chain = Chain(TREE_PARAMS)
+    chain.grant(64_000, lock)
+    nodes = {tx.txid: tx for leaf in vtxt.leaves[::22]
+             for tx in vtxt.path_to(leaf.txid)}
+    for tx in nodes.values():
+        chain.submit(tx, "user")
+    chain.advance_round()
+    assert chain.blocks == [list(nodes)]
+    assert len(nodes) == 18
+    assert multi_mul_terms == [18 + 2 * 18]
+
+
 def test_bad_witness_in_a_batched_block(tree, point_mul_calls, monkeypatch):
     _, vtxt = tree
     bad_txid = vtxt.leaves[-1].txid

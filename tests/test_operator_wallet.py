@@ -1693,6 +1693,43 @@ def test_first_receipt_checks_the_whole_tree_in_one_equation(point_mul_calls,
     assert not set(point_mul_calls) & internal_node_keys(batch)
 
 
+def test_a_tree_equation_folds_its_node_keys_onto_their_members(
+        point_mul_calls, batch_sizes, multi_mul_terms):
+    # one term per R, and two GLV halves per key: the users' and the
+    # operator's, where the 31 node keys took 31 + 2 * 31 = 93
+    sim = tree_sim()
+    payment = sim.ark_pay("user0", "user1", sim.vtxos("user0"), 1_000,
+                          auto_receive=False)
+    del batch_sizes[:], multi_mul_terms[:]
+    assert sim.wallets["user1"].receive_payment(payment) is not None
+    nodes = 2 * TREE_USERS - 1
+    assert batch_sizes == [(nodes, True)]
+    assert multi_mul_terms == [nodes + 2 * (TREE_USERS + 1)]
+
+
+def test_a_checked_path_builds_no_tree_checks(batch_sizes, monkeypatch):
+    # user1's receipt checks the whole tree; user3's first receipt finds
+    # every signature of user2's path in the verify memo, so it neither
+    # builds the tree's checks nor runs an equation
+    sim = tree_sim()
+    assert receipt(sim, "user0", "user1")[2] == "payment_accepted"
+    built = []
+    real = arkcore.tree_signature_checks
+
+    def recording(vtxt, height):
+        built.append(vtxt)
+        return real(vtxt, height)
+
+    monkeypatch.setattr(arkcore, "tree_signature_checks", recording)
+    payment = sim.ark_pay("user2", "user3", sim.vtxos("user2"), 1_000,
+                          auto_receive=False)
+    del batch_sizes[:]
+    assert sim.wallets["user3"].trees != {}
+    assert sim.wallets["user3"].receive_payment(payment) is not None
+    assert built == [] and batch_sizes == []
+    assert sim.wallets["user3"].trees == {}
+
+
 def test_a_second_receipt_from_the_tree_checks_only_its_reset_and_ark(
         point_mul_calls, batch_sizes):
     sim = tree_sim()
@@ -1781,6 +1818,22 @@ def test_payment_rejected_without_transcript():
     assert bob.receive_payment(payment) is None
     assert any(e.actor == "bob" and e.event == "payment_rejected"
                for e in sim.chain.trace)
+
+
+def test_a_payment_without_inputs_is_refused():
+    # an ark tx that spends nothing, with no resets and no paths, paying
+    # bob 0 sat: the transcript's three lengths agree at 0, and 0 sat in
+    # covers 0 sat out, but there is no input to take an expiry from
+    sim = boarded_sim()
+    payment = payment_to_bob(sim)
+    bob = sim.wallets["bob"]
+    (mine,) = [v for v in payment.outputs if v.owner == "bob"]
+    ark = Tx((), (Output(0, payment.ark.outs[mine.outpoint.index].lock),))
+    mine.value, mine.outpoint = 0, OutPoint(ark.txid, 0)
+    assert bob.receive_payment(ArkPayment(ark, [], [], [mine])) is None
+    assert sim.chain.trace[-1][1:] == ("wallet", "bob", "payment_rejected",
+                                       "ark tx without inputs")
+    assert bob.holdings == {}
 
 
 def test_payment_without_outpoints_rejected_under_optimize():

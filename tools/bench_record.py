@@ -7,7 +7,9 @@ the fixed seeds 1, 2, ..., one run at a time and the workloads interleaved,
 and writes `BENCH_<label>.json` at the repo root (or into `--out`).  Per
 workload, the file holds the median and quartiles of each end-to-end
 metric, whether every run was `correct`, the failed operations summed over
-the runs, and `onchain_vb`; for the machine, the git commit, whether the
+the runs, and `onchain_vb`, and under `extra` the same spread of the lines
+named in `EXTRA` that the workload's runs print (`pay_ms` and `pay_p90_ms`
+on `payment_stream`); for the machine, the git commit, whether the
 measured code (`src/`, `perfbench/`) differed from it, a digest of that
 code as measured (`tree_sha256`, so a record made before its own commit
 names the tree it measured), the Python version,
@@ -28,7 +30,7 @@ import re
 import statistics
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
@@ -41,7 +43,9 @@ ONCHAIN_VB = {"wide_batch": 16495, "payment_stream": 197,
 KEYS = ("label", "commit", "dirty", "python", "cpu_count", "reference_ms",
         "runs", "seconds", "seeds", "workloads")
 WORKLOAD_KEYS = ("correct", "failed", "onchain_vb", "reference_ms", "metrics")
-_REFERENCE = re.compile(r"^\s+reference_ms\s+(\S+)\s+ms$", re.M)
+# lines a workload's run prints besides its end-to-end metrics, each in ms,
+# that a record keeps: a payment's median and 90th percentile
+EXTRA = {"payment_stream": ("pay_ms", "pay_p90_ms")}
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
@@ -68,9 +72,17 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
                          f" (exit {proc.returncode})")
     print(lines[0], flush=True)   # the run's header, with its fingerprint
     result = json.loads(lines[-1])
-    found = _REFERENCE.search(proc.stdout)
-    result["reference_ms"] = float(found.group(1)) if found else None
+    result["reference_ms"] = printed_ms(proc.stdout, "reference_ms")
+    result["extra"] = {name: printed_ms(proc.stdout, name)
+                       for name in EXTRA.get(workload, ())}
     return result
+
+
+def printed_ms(stdout: str, name: str) -> Optional[float]:
+    """The value of a run's `  name  value ms` line, or None if it printed
+    none."""
+    found = re.search(rf"^\s+{re.escape(name)}\s+(\S+)\s+ms$", stdout, re.M)
+    return float(found.group(1)) if found else None
 
 
 def summarize(results: Dict[str, List[dict]]) -> dict:
@@ -89,13 +101,23 @@ def summarize(results: Dict[str, List[dict]]) -> dict:
             "reference_ms": statistics.median(references) if references else None,
             "metrics": metrics,
         }
+        extra = {}
+        for name in EXTRA.get(workload, ()):
+            values = [r["extra"][name] for r in runs
+                      if r.get("extra", {}).get(name) is not None]
+            if values:
+                extra[name] = dict(spread(values), unit="ms")
+        if extra:
+            out[workload]["extra"] = extra
     return out
 
 
 def check(record: dict) -> List[str]:
     """What is wrong with a recorded file: missing keys, a malformed tree
-    digest, an incorrect run, a failed operation, or a commitment off the
-    paper's figure."""
+    digest, an incorrect run, a failed operation, a commitment off the
+    paper's figure, or, in a workload that carries `extra` (records made
+    before it have none), a missing `EXTRA` line or one whose quartiles
+    are out of order."""
     problems = [f"missing key {k}" for k in KEYS if k not in record]
     digest = record.get("tree_sha256")
     if digest is not None and not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
@@ -115,6 +137,12 @@ def check(record: dict) -> List[str]:
         if entry.get("onchain_vb") != ONCHAIN_VB[workload]:
             problems.append(f"{workload}: onchain_vb {entry.get('onchain_vb')},"
                             f" not {ONCHAIN_VB[workload]}")
+        for name in EXTRA.get(workload, ()) if "extra" in entry else ():
+            m = entry["extra"].get(name, {})
+            if not {"median", "q1", "q3"} <= m.keys():
+                problems.append(f"{workload}: missing extra {name}")
+            elif not m["q1"] <= m["median"] <= m["q3"]:
+                problems.append(f"{workload}: {name} quartiles out of order")
     return problems
 
 
