@@ -108,13 +108,15 @@ class FfOperator:
 
     def __init__(self, operator: Operator):
         self.operator = operator
-        self.nonces: Dict[bytes, int] = {}      # commitment hex -> scalar
+        self.nonces: Dict[bytes, int] = {}      # encoded R -> scalar r
 
     def fresh_nonce(self, seed: bytes) -> Tuple[int, Tuple[int, int]]:
         r = crypto._tagged("arksim/ffnonce", seed) % crypto.Q or 1
-        R = crypto.point_mul(crypto.G, r)
-        self.nonces[crypto.compress(R)] = r
-        return r, R
+        # R = r*G is a public key of r: read it, and its kept encoding,
+        # from the public-key memo
+        R = SecretKey(r).public()
+        self.nonces[R.encode()] = r
+        return r, R.point
 
     def sign_nonce_bound(self, tx: Tx, r_star: Tuple[int, int],
                          allow_conflict: bool = False) -> Signature:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import arkcore, crypto, footprint
 from .arkcore import ANCHOR_LOCK, Vtxo, p2pk
 from .crypto import SessionAborted
+from .errors import InvariantError
 from .fastfinality import (
     FfConfig,
     FfCoordinator,
@@ -324,18 +326,29 @@ def cosign_vtxt(vtxt: arkcore.Vtxt, secrets: Dict[str, crypto.SecretKey]) -> Non
             tx.wits = [Witness(idx, (sig,), lock.paths)]
 
 
-def signed_batch(chain: Chain, leaves: Sequence[Vtxo],
+def signed_batch(leaves: Sequence[Vtxo],
                  keys: Sequence[Tuple[crypto.SecretKey, crypto.PublicKey]],
                  expiry: int) -> Tuple[LockScript, arkcore.Vtxt]:
-    """Grant on `chain` a batch output paying `leaves`, build its VTXT and
-    cosign every node.  `keys` are the (secret, public) pairs of every
-    cosigner, the operator's first."""
+    """A batch output paying `leaves` and its VTXT with every node
+    cosigned, built on no chain: the tree spends output 0 of the grant tx
+    `Tx(ins=(), outs=(out,))`, which `grant_batch` puts on a chain.
+    `keys` are the (secret, public) pairs of every cosigner, the
+    operator's first."""
     op_pk = keys[0][1]
     arkcore.tree_keys(leaves, op_pk)
     out = arkcore.batch_output(leaves, op_pk, expiry)
-    vtxt, _ = arkcore.build_vtxt(chain.grant(out.value, out.lock), leaves, op_pk, expiry, 2)
+    funding = Tx(ins=(), outs=(out,)).outpoint(0)
+    vtxt, _ = arkcore.build_vtxt(funding, leaves, op_pk, expiry, 2)
     cosign_vtxt(vtxt, {pk.hex(): sk for sk, pk in keys})
     return out.lock, vtxt
+
+
+def grant_batch(chain: Chain, vtxt: arkcore.Vtxt) -> None:
+    """Grant on `chain` the batch output that funds `vtxt`, raising
+    `InvariantError` unless the grant is the tree's funding outpoint."""
+    out = vtxt.funding_out
+    if chain.grant(out.value, out.lock) != vtxt.funding:
+        raise InvariantError("the grant is not the tree's funding outpoint")
 
 
 def leaf_spend(vtxo: Vtxo, path: int, sk: crypto.SecretKey) -> Tx:
@@ -346,38 +359,58 @@ def leaf_spend(vtxo: Vtxo, path: int, sk: crypto.SecretKey) -> Tx:
     return tx
 
 
-def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
-              t_e: int = 30) -> RaceResult:
-    """Minimal sweep-versus-exit race: a two-leaf batch, a user exit
-    fired at T_e - 2k - 1 + late_by, an operator sweep timed to land at
-    expiry, and adversary-chosen inclusion delays for the exit txs."""
+class _RaceBatch(NamedTuple):
+    params: Params
+    vtxt: arkcore.Vtxt          # two leaves, alice's first, every node signed
+    path: Tuple[Tx, ...]        # root to alice's leaf
+    sweep: Tx                   # the operator's signed sweep of the batch
+
+
+# Bound on `_race_batch`: far above the (k, t_e) shapes one run races
+_RACE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_RACE_CACHE_SIZE)
+def _race_batch(k: int, t_e: int) -> _RaceBatch:
+    """The part of `exit_race` that (k, t_e) fixes, built once per process:
+    its keys, leaves, signed VTXT, alice's leaf path and the signed sweep.
+    It makes no `Chain`, so a race still builds exactly one ledger, and
+    nothing changes its txs after signing."""
     params = Params(k=k, t_u=4 * k + 1, t_e=t_e)
     op_sk, op_pk = crypto.keygen(b"race-op")
     a_sk, a_pk = crypto.keygen(b"race-alice")
     b_sk, b_pk = crypto.keygen(b"race-bob")
-
     leaves = [Vtxo(500, arkcore.vtxo_lock(a_pk, op_pk, params.t_u), "alice", a_pk),
               Vtxo(500, arkcore.vtxo_lock(b_pk, op_pk, params.t_u), "bob", b_pk)]
-    expiry = 2 * k + t_e
-    adversary = MaxDelay(prefer_new=True)
-    chain = Chain(params, adversary)
-    chain.register("alice")
-    chain.register("operator")
-    # fund the batch directly at height 0
-    lock, vtxt = signed_batch(chain, leaves, [(op_sk, op_pk), (a_sk, a_pk), (b_sk, b_pk)],
-                              expiry)
-
-    path_txs = vtxt.path_to(vtxt.leaves[0].txid)
-    delay_map = {tx.txid: d for tx, d in zip(path_txs, delays)}
-    adversary.per_tx = delay_map
-    adversary.exempt = ("operator",)
-
+    lock, vtxt = signed_batch(leaves, [(op_sk, op_pk), (a_sk, a_pk), (b_sk, b_pk)],
+                              2 * k + t_e)
     sweep = Tx(ins=(vtxt.funding,), outs=(Output(1000, p2pk(op_pk)),))
     sweep_index, _ = arkcore.sweep_path(lock)
     sweep.wits = [Witness(sweep_index, (crypto.sign(op_sk, sweep.digest()),), lock.paths)]
+    return _RaceBatch(params, vtxt, tuple(vtxt.path_to(vtxt.leaves[0].txid)), sweep)
+
+
+def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
+              t_e: int = 30) -> RaceResult:
+    """Minimal sweep-versus-exit race: a two-leaf batch, a user exit
+    fired at T_e - 2k - 1 + late_by, an operator sweep timed to land at
+    expiry, and adversary-chosen inclusion delays for the exit txs.  The
+    signed batch and sweep come from `_race_batch`; only the ledger is
+    new."""
+    race = _race_batch(k, t_e)
+    path_txs, sweep = race.path, race.sweep
+    expiry = 2 * k + t_e
+    adversary = MaxDelay(prefer_new=True,
+                         per_tx={tx.txid: d for tx, d in zip(path_txs, delays)},
+                         exempt=("operator",))
+    chain = Chain(race.params, adversary)
+    chain.register("alice")
+    chain.register("operator")
+    # fund the batch directly at height 0
+    grant_batch(chain, race.vtxt)
 
     exit_height = expiry - 2 * k - 1 + late_by
-    leaf_txid = vtxt.leaves[0].txid
+    leaf_txid = race.vtxt.leaves[0].txid
     sweep_submitted = False
     while chain.height < expiry + 2 * k:
         if chain.height == exit_height:
@@ -749,9 +782,10 @@ def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = Non
     _, r_star = ffop.fresh_nonce(b"mallory-vtxo")
     lock = arkcore.vtxo_lock(mallory.pk, sim.operator.pk, p.t_u, r_star)
     vtxo = Vtxo(value, lock, "mallory", mallory.pk)
-    _, vtxt = signed_batch(sim.chain, [vtxo],
+    _, vtxt = signed_batch([vtxo],
                            [(sim.operator.sk, sim.operator.pk), (mallory.sk, mallory.pk)],
                            sim.chain.height + 2 * p.k + p.t_e)
+    grant_batch(sim.chain, vtxt)
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")
     sim.operator.book.vtxos[vtxo.key()] = ("C", vtxo)

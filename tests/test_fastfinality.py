@@ -60,6 +60,27 @@ def test_nonce_bound_signer_refuses_a_second_spend_of_an_input():
     assert sim.operator.cosigned_spends[(rst.txid, 0)] == other.txid
 
 
+def test_the_nonce_bound_signer_refuses_an_unknown_commitment():
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    first = payment(sim, coord, vtxo, "alice")
+    spends = dict(sim.operator.cosigned_spends)
+    # a nonce point the operator never committed to
+    stranger = crypto.SecretKey(0x5EED).public().point
+    with pytest.raises(FfError, match="unknown nonce commitment"):
+        coord.ffop.sign_nonce_bound(first.ark, stranger)
+    assert sim.operator.cosigned_spends == spends
+
+
+def test_a_warm_double_spend_trace_multiplies_no_point(point_mul_calls):
+    # the nonce points come from the public-key memo, as every other
+    # public key does
+    ff_double_spend_trace(0, PARAMS, 1)
+    del point_mul_calls[:]
+    outcome = ff_double_spend_trace(0, PARAMS, 1)
+    assert outcome["burned"] and not outcome["both_accepted"]
+    assert point_mul_calls == []
+
+
 def test_a_payment_of_another_members_vtxo_is_refused_unsigned():
     # bob names mallory's nonce-bound VTXO: the builder finds no secret for
     # her key among bob's, so nothing is signed and nothing is booked

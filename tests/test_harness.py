@@ -21,7 +21,8 @@ from arksim.harness import (
     scenario_happy_path,
     value_conserved,
 )
-from arksim.ledger import MaxDelay, Output, Params, Tx
+from arksim.errors import InvariantError
+from arksim.ledger import Chain, MaxDelay, OutPoint, Output, Params, Tx
 from arksim.script import KEY_PATH, Witness
 
 
@@ -121,17 +122,25 @@ def test_oracle_reaches_every_leaf_branch():
     assert sim.state().as_tuple() == (set(), set(), {u.key(), a1.key()})
 
 
+# each scenario as the command line runs it, and the hostage attack
+# without resets, the one run whose payments take derive_state's
+# no-resets branch
+AUDITED_RUNS = {**{name: (name, {}) for name in SCENARIOS},
+                "hostage_attack-no-resets": ("hostage_attack", {"resets": False})}
+
+
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(AUDITED_RUNS))
 def test_oracle_equals_book_after_every_watcher_step(audited, name, seed):
     # the whole audit holds after each watcher step.  handover is exempt
     # from oracle == book only: its second operator's bundle is in
     # all_bundles, but book_projection reads only the first one's book
-    if name == "handover":
+    scenario, config = AUDITED_RUNS[name]
+    if scenario == "handover":
         audited.exempt.add("oracle-book")
-    run_scenario(name, seed=seed)
+    run_scenario(scenario, seed=seed, **config)
     # these two scenarios never tick
-    assert audited.steps or name in ("censoring_operator", "ff_double_spend")
+    assert audited.steps or scenario in ("censoring_operator", "ff_double_spend")
 
 
 @pytest.mark.parametrize("invariant", ["partition", "oracle-book", "conservation", "liquidity"])
@@ -162,6 +171,74 @@ def test_exit_race_result_fields():
     res = exit_race(2, (0, 0))
     assert res.exit_confirmed_before_expiry
     assert not res.sweep_confirmed
+
+
+def counted(monkeypatch, module, name):
+    """Calls of `module.name`, which keeps working."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_second_race_of_one_shape_builds_and_signs_nothing(monkeypatch):
+    harness._race_batch.cache_clear()
+    builds = counted(monkeypatch, arkcore, "build_vtxt")
+    cosigns = counted(monkeypatch, crypto, "cosign")
+    exit_race(2, (0, 0))
+    # one two-leaf tree: a root and two leaves, each cosigned
+    assert (len(builds), len(cosigns)) == (1, 3)
+    del builds[:], cosigns[:]
+    exit_race(2, (3, 1), late_by=1)
+    assert (builds, cosigns) == ([], [])
+
+
+def race_ledgers(monkeypatch):
+    """Every ledger `exit_race` builds, in order."""
+    made = []
+
+    class Recording(Chain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Chain", Recording)
+    return made
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_cached_race_batch_changes_no_race(monkeypatch, k):
+    # every delay pair the benchmark draws, and the late race at the worst
+    races = [((a, b), 0) for a in range(2 * k) for b in range(2 * k)]
+    races.append(((2 * k - 1, 2 * k - 1), 1))
+    ledgers = race_ledgers(monkeypatch)
+    harness._race_batch.cache_clear()
+    batch = harness._race_batch(k, 30)
+    cached = [*batch.vtxt.txs.values(), batch.sweep]
+    signed = [(Tx(tx.ins, tx.outs).txid, list(tx.wits)) for tx in cached]
+
+    def run_all():
+        results = [exit_race(k, delays, late_by=late_by) for delays, late_by in races]
+        return results, [chain.blocks for chain in ledgers[-len(races):]]
+
+    warm = run_all()
+    assert len(ledgers) == len(races)
+    # a cold build for each race: the memo's function, uncached
+    monkeypatch.setattr(harness, "_race_batch", harness._race_batch.__wrapped__)
+    assert run_all() == warm
+    assert [(Tx(tx.ins, tx.outs).txid, list(tx.wits)) for tx in cached] == signed
+    assert [tx.txid for tx in cached] == [txid for txid, _ in signed]
+
+
+def test_a_race_refuses_a_grant_that_is_not_its_funding(monkeypatch):
+    monkeypatch.setattr(Chain, "grant", lambda chain, value, lock: OutPoint("00" * 32, 0))
+    with pytest.raises(InvariantError, match="funding outpoint"):
+        exit_race(2, (0, 0))
 
 
 def test_report_shape():

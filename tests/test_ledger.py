@@ -294,13 +294,13 @@ TREE_PARAMS = Params(k=3, t_u=13, t_e=60)
 
 @pytest.fixture(scope="module")
 def tree():
-    """A cosigned 64-leaf VTXT over a granted batch output: unrolling it
-    confirms all 127 txs in one block."""
+    """A cosigned 64-leaf VTXT and its batch lock: unrolling it confirms
+    all 127 txs in one block."""
     op = crypto.keygen(b"tree-op")
     keys = [crypto.keygen(b"tree-user-%d" % i) for i in range(64)]
     leaves = [Vtxo(1_000, vtxo_lock(pk, op[1], TREE_PARAMS.t_u), f"u{i}", pk)
               for i, (_, pk) in enumerate(keys)]
-    return signed_batch(Chain(TREE_PARAMS), leaves, [op] + keys, 100)
+    return signed_batch(leaves, [op] + keys, 100)
 
 
 def unroll_in_one_block(tree, replace=None):

@@ -795,23 +795,71 @@ def root_past_its_tx(payment):
     payment.resets[0] = dataclasses.replace(rst, ins=(spent,))
 
 
+def drop_payee_output(payment):
+    payment.outputs = [v for v in payment.outputs if v.owner != "bob"]
+
+
+def inflate_payee_output(payment):
+    # bob's VTXO claims one sat more than the ark output it names
+    payment.outputs = [dataclasses.replace(v, value=v.value + 1) if v.owner == "bob" else v
+                       for v in payment.outputs]
+
+
+def drop_path(payment):
+    payment.paths = []
+
+
+def ark_spends_elsewhere(payment):
+    # the ark tx's one input is the reset's input, not the reset's output
+    payment.ark = dataclasses.replace(payment.ark, ins=payment.resets[0].ins)
+
+
+def repeat_path_root(payment):
+    # alice's leaf is the tree's root, so a second copy of it does not
+    # spend the first
+    payment.paths[0].append(payment.paths[0][0])
+
+
+def reset_spends_the_commitment(payment):
+    rst = payment.resets[0]
+    payment.resets[0] = dataclasses.replace(rst, ins=payment.paths[0][0].ins)
+
+
+def reset_past_the_leaf(payment):
+    # the reset spends an output index past the path leaf's outputs, and
+    # the ark tx is relinked to the new reset, so only the witness replay
+    # sees it
+    rst = payment.resets[0]
+    payment.resets[0] = dataclasses.replace(rst, ins=(OutPoint(rst.ins[0].txid, 99),))
+    payment.ark = dataclasses.replace(payment.ark, ins=(payment.resets[0].outpoint(0),))
+
+
 @pytest.mark.parametrize("damage, reason", [
+    (drop_payee_output, "no output"),
+    (inflate_payee_output, "output script mismatch"),
+    (drop_path, "incomplete transcript"),
+    (ark_spends_elsewhere, "ark does not spend the reset"),
     (strip_path_inputs, "path tx without inputs"),
     (root_past_its_tx, "path not rooted onchain"),
+    (repeat_path_root, "broken path"),
+    (reset_spends_the_commitment, "reset does not spend the path leaf"),
     (strip_reset_inputs, "reset without inputs"),
     (strip_reset_outputs, "reset without outputs"),
     (sweep_after_the_batch, "reset expiry mismatch"),
+    (reset_past_the_leaf, "unknown input"),
 ])
 def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
     # a rejection with its reason in the trace, not an IndexError or a
-    # ValueError out of receive_payment
+    # ValueError out of receive_payment, and the payee holds nothing new
     sim = boarded_sim()
-    sim.add_wallet("bob", [])
+    bob = sim.add_wallet("bob", [])
     payment = sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000,
                           auto_receive=False)
     damage(payment)
-    assert sim.wallets["bob"].receive_payment(payment) is None
+    holdings = dict(bob.holdings)
+    assert bob.receive_payment(payment) is None
     assert last_refusal(sim) == ("wallet", "bob", "payment_rejected", reason)
+    assert bob.holdings == holdings
 
 
 def colluding_payment(value, spends=1):
