@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .crypto import AggregateKey, PublicKey
-from .ledger import OutPoint, Output, Tx
+from .ledger import OutPoint, Output, Tx, value_fault
 from .script import (
     UNSPENDABLE,
     AbsTimelock,
@@ -311,15 +311,14 @@ def batch_output(leaves: Sequence[Vtxo], operator: PublicKey, expiry: int) -> Ou
 
 def tree_keys(leaves: Sequence[Vtxo], operator: PublicKey, arity: int = 2) -> None:
     """Aggregate the key of every output a tree over `leaves` pays, the
-    batch output's included, in one pass unless their terms fall short of
-    the batch minimum; run before `batch_output` and `build_vtxt`."""
+    batch output's included, in one `crypto.aggregate_batch` pass; run
+    before `batch_output` and `build_vtxt`."""
     groups, stack = [], [list(leaves)]
     while stack:
         groups.append(stack.pop())
         if len(groups[-1]) > 1:
             stack.extend(_chunks(groups[-1], arity))
-    if sum(map(len, groups)) + len(groups) >= crypto.AGGREGATE_BATCH_MIN:
-        crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
+    crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
 
 
 def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
@@ -440,12 +439,11 @@ def reset_tx(vtxo: Vtxo, operator: PublicKey, expiry: int, t_u: int) -> Tx:
 
 def ark_tx(reset_outs: Sequence[Tuple[OutPoint, int]], outputs: Sequence[Vtxo]) -> Tx:
     """Spend reset outputs into fresh VTXOs."""
-    in_total = sum(v for _, v in reset_outs)
-    out_total = sum(v.value for v in outputs)
-    if out_total > in_total:
-        raise ArkError("outputs exceed inputs")
-    tx = Tx(ins=tuple(op for op, _ in reset_outs),
-            outs=tuple(Output(v.value, v.lock) for v in outputs))
+    outs = tuple(Output(v.value, v.lock) for v in outputs)
+    fault = value_fault(sum(v for _, v in reset_outs), outs)
+    if fault:
+        raise ArkError(fault)
+    tx = Tx(ins=tuple(op for op, _ in reset_outs), outs=outs)
     for i, v in enumerate(outputs):
         v.outpoint = tx.outpoint(i)
     return tx

@@ -8,7 +8,9 @@ booked by the operator (`Operator.verify_ark_request`) and signed with the
 sender's key alone.  Only the operator's signature differs: it uses the
 nonce commitment fixed in the output script, so signing two conflicting
 spends of one output reveals the operator's private key; that key
-completes a committee-presigned burn of the collateral.
+completes a committee-presigned burn of the collateral.  Its payee audits
+it as any payment (`Wallet.audit_payment`), then checks that the sender
+is opted in and each reset's output is nonce-bound.
 """
 
 from __future__ import annotations
@@ -203,6 +205,9 @@ class FfCoordinator:
         if payload.recipient != member:
             return
         payment = payload.payment
+        # the wallet notes the precise reason for a refusal
+        if self.wallets[member].audit_payment(payment) is None:
+            return
         if payload.sender not in self.cfg.members:
             self._reject(member, "sender not opted in")
             return
@@ -212,9 +217,6 @@ class FfCoordinator:
             if nonce_bound_path(rst.outs[0].lock) is None:
                 self._reject(member, "incorrect output script")
                 return
-        # the wallet notes the precise reason for a failed witness check
-        if not self.wallets[member].check_witnesses(payment):
-            return
         # re-broadcast and wait 2 * delta before accepting
         self._broadcast(member, payload)
         self.pending[member].append(

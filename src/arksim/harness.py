@@ -806,6 +806,7 @@ def ff_double_spend_trace(seed: int, p: Params, delta: int,
     path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
     pay_a = coord.make_ff_payment("mallory", [vtxo],
                                   [VtxoSpec(vtxo.value, "alice", alice.pk)], [path])
+    sim.payments.append(pay_a)     # booked; the conflicting pay_b is not
     pay_b = coord.make_ff_payment("mallory", [vtxo],
                                   [VtxoSpec(vtxo.value, "bob", bob.pk)], [path],
                                   allow_conflict=True)

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crypto import BATCH_MIN, Check, verify_batch
 from .script import LockScript, SpendContext, Witness, evaluate, signature_checks
@@ -132,6 +132,16 @@ class MissingInput(SubmitError):
     pass
 
 
+def value_fault(in_value: int, outs: Sequence[Output]) -> str:
+    """The ledger's value rule: why a tx spending `in_value` into `outs`
+    breaks it, the first fault of the two below, or "" if it holds."""
+    if in_value < sum(o.value for o in outs):
+        return "outputs exceed inputs"
+    if any(o.value < 0 for o in outs):
+        return "negative output value"
+    return ""
+
+
 class Adversary:
     """Inclusion policy hooks. Delay is clamped so the 2k bound holds."""
 
@@ -181,7 +191,10 @@ class _Record:
     tx: Tx
     party: str
     height: Optional[int]  # None once evicted
-    status: str            # confirmed | replaced
+
+    @property
+    def status(self) -> str:
+        return "replaced" if self.height is None else "confirmed"
 
 
 @dataclass
@@ -214,7 +227,7 @@ class Chain:
     def grant(self, value: int, lock: LockScript) -> OutPoint:
         """Mint a genesis-style output (initial funding only)."""
         tx = Tx(ins=(), outs=(Output(value, lock),))
-        self.records[tx.txid] = _Record(tx, "genesis", self.height, "confirmed")
+        self.records[tx.txid] = _Record(tx, "genesis", self.height)
         op = tx.outpoint(0)
         self.utxos[op] = _Utxo(tx.outs[0], self.height)
         return op
@@ -222,19 +235,15 @@ class Chain:
     # --- queries ---------------------------------------------------------
 
     def is_stable(self, txid: str) -> bool:
-        rec = self.records.get(txid)
-        return (rec is not None and rec.status == "confirmed"
-                and rec.height is not None and self.height - rec.height >= self.params.k)
+        h = self.confirm_height(txid)
+        return h is not None and self.height - h >= self.params.k
 
     def is_confirmed(self, txid: str) -> bool:
-        rec = self.records.get(txid)
-        return rec is not None and rec.status == "confirmed" and rec.height is not None
+        return self.confirm_height(txid) is not None
 
     def confirm_height(self, txid: str) -> Optional[int]:
         rec = self.records.get(txid)
-        if rec is None or rec.status != "confirmed":
-            return None
-        return rec.height
+        return None if rec is None else rec.height
 
     def unspent(self, op: OutPoint, depth: int = 0) -> bool:
         entry = self.utxos.get(op)
@@ -250,8 +259,7 @@ class Chain:
         horizon = self.height - depth
         utxos = {op: e.output for op, e in self.utxos.items() if e.confirm_height <= horizon}
         confirmed = {txid for txid, rec in self.records.items()
-                     if rec.status == "confirmed" and rec.height is not None
-                     and rec.height <= horizon}
+                     if rec.height is not None and rec.height <= horizon}
         return {"height": self.height, "stable_height": horizon,
                 "utxos": utxos, "confirmed": confirmed}
 
@@ -295,10 +303,9 @@ class Chain:
                     raise MissingInput(f"{op} unknown")
             in_total += resolved.value
         # conflicting mempool entries are allowed; inclusion decides the winner
-        if in_total < sum(o.value for o in tx.outs):
-            raise ValueCreated("outputs exceed inputs")
-        if any(o.value < 0 for o in tx.outs):
-            raise ValueCreated("negative output value")
+        fault = value_fault(in_total, tx.outs)
+        if fault:
+            raise ValueCreated(fault)
         d = self.adversary.delay(tx, self.height, by)
         d = max(0, min(d, 2 * self.params.k - 1))
         due = self.height + 1 + min(d, self.params.k - 1)
@@ -318,7 +325,7 @@ class Chain:
 
     def _evict(self, txid: str) -> None:
         rec = self.records.get(txid)
-        if rec is None or rec.status != "confirmed":
+        if rec is None or rec.height is None:
             return
         # children first
         for i in range(len(rec.tx.outs)):
@@ -334,12 +341,11 @@ class Chain:
                 src = self.records.get(op.txid)
                 if src is not None and src.height is not None:
                     self.utxos[op] = _Utxo(src.tx.outs[op.index], src.height)
-        if rec.height is not None and rec.height - 1 < len(self.blocks):
+        if rec.height - 1 < len(self.blocks):
             blk = self.blocks[rec.height - 1]
             if txid in blk:
                 blk.remove(txid)
         rec.height = None
-        rec.status = "replaced"
         self.note("ledger", rec.party, "replaced", txid)
 
     def _try_include(self, p: _Pending) -> bool:
@@ -368,7 +374,7 @@ class Chain:
                     confirm_heights.append(src.height)
                     continue
             return False
-        if sum(o.value for o in resolved) < sum(o.value for o in tx.outs):
+        if value_fault(sum(o.value for o in resolved), tx.outs):
             return False
         for op, wit, out, ch in zip(tx.ins, tx.wits, resolved, confirm_heights):
             ctx = SpendContext(self.height, ch, tx.digest())
@@ -382,7 +388,7 @@ class Chain:
         for i, out in enumerate(tx.outs):
             op = tx.outpoint(i)
             self.utxos[op] = _Utxo(out, self.height)
-        self.records[tx.txid] = _Record(tx, p.party, self.height, "confirmed")
+        self.records[tx.txid] = _Record(tx, p.party, self.height)
         self.blocks[-1].append(tx.txid)
         self.note("ledger", p.party, "confirmed", tx.txid)
         return True

@@ -18,11 +18,13 @@ exit of a VTXO of its key is one it asked for.
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.  A
-payee refuses a transcript tx that creates value or spends an output
-twice, and takes each input's expiry from its reset's sweep height, no
-later than its path's batch's.  Every refused bundle or payment,
-accepted payment and unilateral exit is noted in the chain's trace, with
-the reason for a refusal.
+payee accepts a payment in either finality mode only through one audit
+(`audit_payment`): it refuses a transcript tx that spends an output
+twice or breaks the ledger's value rule (`ledger.value_fault`, which the
+tree and commitment audits apply too), and takes each input's expiry
+from its reset's sweep height, no later than its path's batch's.  Every
+refused bundle or payment, accepted payment and unilateral exit is noted
+in the chain's trace, with the reason for a refusal.
 
 A wallet also remembers the signed VTXT of every batch it cosigns, keyed
 by the tree's funding outpoint, from the batch's confirmation until its
@@ -46,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from . import arkcore
 from .arkcore import BatchOutput, Vtxo, cosigners, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
-from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
+from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx, value_fault
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
 from .script import SpendContext, evaluate
 
@@ -58,6 +60,16 @@ class Holding:
     kind: str                       # batch | ark
     intent: str = "hold"            # hold | swap | exit | pay
     exited: bool = False
+
+
+def transcript(payment: ArkPayment) -> List[Tx]:
+    """A holding's transcript out of `payment`: each tx of its paths once,
+    parents first, then its resets and its ark tx."""
+    txs: List[Tx] = []
+    for tx in (tx for pth in payment.paths for tx in pth):
+        if tx not in txs:
+            txs.append(tx)
+    return txs + list(payment.resets) + [payment.ark]
 
 
 class Wallet:
@@ -135,7 +147,7 @@ class Wallet:
         for tx, key in zip(txs, keys):
             if self.pk not in key.members:
                 return self._fail("own key missing from a path cosigner set")
-            if vtxt.spent(tx.txid).value < sum(o.value for o in tx.outs):
+            if value_fault(vtxt.spent(tx.txid).value, tx.outs):
                 return self._fail("value increases down the tree")
             for out in tx.outs[:-1] if tx.txid != vtxo.outpoint.txid else ():
                 if sweep_path_height(out.lock) != expiry:
@@ -174,7 +186,7 @@ class Wallet:
         spent = [self.chain.utxos.get(op) for op in bundle.commitment.ins]
         if any(e is None for e in spent):
             return self._fail("commitment spends an unknown output")
-        if sum(e.output.value for e in spent) < sum(o.value for o in bundle.commitment.outs):
+        if value_fault(sum(e.output.value for e in spent), bundle.commitment.outs):
             return self._fail("commitment creates value")
         if bundle.batch is not None:
             vtxt, i = bundle.batch.vtxt, bundle.batch.vtxt.funding.index
@@ -233,8 +245,8 @@ class Wallet:
         self.trees = {op: b for op, b in self.trees.items() if b.expiry > h}
         for r, leaves in self._mine(bundle):
             for leaf in leaves:
-                transcript = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
-                self.holdings[leaf.key()] = Holding(leaf, list(transcript), "batch")
+                path = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
+                self.holdings[leaf.key()] = Holding(leaf, list(path), "batch")
                 self.trees[bundle.batch.vtxt.funding] = bundle.batch
             if r.kind in ("batch-swap", "exit"):
                 for v in r.inputs:
@@ -244,39 +256,30 @@ class Wallet:
                                  if not self.chain.is_stable(self.chain.spent_by.get(op, ""))]
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
-        # the change inherits the inputs' transcripts, so read them before
-        # the inputs leave the holdings
-        transcript = self._input_transcripts(req) + list(payment.resets) \
-            + [payment.ark]
+        # the payment's paths are its inputs' transcripts (`Simulation.ark_pay`)
         for v in req.inputs:
             self.holdings.pop(v.key(), None)
         for out in payment.outputs:
             if out.owner == self.name:  # change output
-                self.holdings[out.key()] = Holding(out, list(transcript), "ark")
+                self.holdings[out.key()] = Holding(out, transcript(payment), "ark")
 
-    def _input_transcripts(self, req: Request) -> List[Tx]:
-        txs: List[Tx] = []
-        for v in req.inputs:
-            h = self.holdings.get(v.key())
-            if h is not None:
-                for tx in h.transcript:
-                    if tx not in txs:
-                        txs.append(tx)
-        return txs
-
-    def _reject(self, reason: str) -> bool:
+    def _reject(self, reason: str) -> None:
         self.chain.note("wallet", self.name, "payment_rejected", reason)
-        return False
 
-    def _audit_payment(self, payment: ArkPayment, mine: List[Vtxo]) -> bool:
+    def audit_payment(self, payment: ArkPayment) -> Optional[List[Vtxo]]:
+        """The outputs `payment` pays this wallet, or None to refuse it: the
+        one audit of a received payment in both finality modes.  Each output
+        must be a VTXO of this wallet's key, under the nonce its lock fixes,
+        if any."""
+        mine = [v for v in payment.outputs if v.owner == self.name]
         if not mine:
             return self._reject("no output")
         for v in mine:
-            expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u)
-            if v.outpoint is None or \
-                    not 0 <= v.outpoint.index < len(payment.ark.outs):
+            if v.outpoint is None or not 0 <= v.outpoint.index < len(payment.ark.outs):
                 return self._reject("output not in the ark tx")
             out = payment.ark.outs[v.outpoint.index]
+            r_star = (arkcore.nonce_bound_path(out.lock) or (None, None))[1]
+            expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u, r_star)
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 return self._reject("output script mismatch")
         if not payment.ark.ins:
@@ -285,34 +288,27 @@ class Wallet:
             return self._reject("incomplete transcript")
         for pth, rst in zip(payment.paths, payment.resets):
             if not self._check_path(pth, rst):
-                return False
+                return None
             if rst.outpoint(0) not in payment.ark.ins:
                 return self._reject("ark does not spend the reset")
-        return self.check_witnesses(payment)
+        return mine if self.check_witnesses(payment) else None
 
     def receive_payment(self, payment: ArkPayment) -> Optional[Request]:
         """Audit a received payment; on acceptance store the transcript
         and immediately request a batch swap of the new VTXO."""
-        mine = [v for v in payment.outputs if v.owner == self.name]
-        if not self._audit_payment(payment, mine):
+        mine = self.audit_payment(payment)
+        if mine is None:
             return None
-        transcript: List[Tx] = []
-        for pth in payment.paths:
-            for tx in pth:
-                if tx not in transcript:
-                    transcript.append(tx)
-        transcript.extend(payment.resets)
-        transcript.append(payment.ark)
         for v in mine:
             v.expiry = min(sweep_path_height(rst.outs[0].lock) for rst in payment.resets)
-            self.holdings[v.key()] = Holding(v, list(transcript), "ark")
+            self.holdings[v.key()] = Holding(v, transcript(payment), "ark")
         self.chain.note("wallet", self.name, "payment_accepted",
                         f"{sum(v.value for v in mine)} sat")
         values = [v.value for v in mine]
         values[0] -= self.fee   # swap fee comes out of the received value
         return self.make_swap(mine, values)
 
-    def _check_path(self, pth: List[Tx], rst: Tx) -> bool:
+    def _check_path(self, pth: List[Tx], rst: Tx) -> Optional[bool]:
         if not pth:
             return self._reject("empty path")
         if not all(tx.ins for tx in pth):
@@ -335,10 +331,10 @@ class Wallet:
             return self._reject("reset expiry mismatch")
         return True
 
-    def check_witnesses(self, payment: ArkPayment) -> bool:
-        """Replay check: every transcript tx must carry a witness that
-        satisfies the output it spends, spend each output once and create
-        no value.
+    def check_witnesses(self, payment: ArkPayment) -> Optional[bool]:
+        """Replay check, True or None to refuse: every tx of the payee's
+        transcript must carry a witness that satisfies the output it spends,
+        spend each output once and create no value.
 
         A path rooted in a remembered tree is that tree's first audit: the
         tree is forgotten, and every signature in it is first checked in
@@ -352,9 +348,7 @@ class Wallet:
         the same verdict on every witness as it would without it; only the
         work moves."""
         h = self.chain.height
-        pool: List[Tx] = []
         for pth in payment.paths:
-            pool.extend(pth)
             funding = pth[0].ins[0] if pth and pth[0].ins else None
             batch = self.trees.pop(funding, None)
             # each node of a signed tree carries one signature
@@ -364,8 +358,7 @@ class Wallet:
                 own = [(tx.txid, tx) for tx in pth if tx.txid in vtxt.txs]
                 if not verify_batch(arkcore.node_signature_checks(vtxt, own, h)):
                     verify_batch(arkcore.tree_signature_checks(vtxt, h))
-        pool.extend(payment.resets)
-        pool.append(payment.ark)
+        pool = transcript(payment)
         pool_txs = {tx.txid: tx for tx in pool}
         for tx in pool:
             if len(tx.wits) != len(tx.ins):
@@ -384,7 +377,7 @@ class Wallet:
                 ctx = SpendContext(h, h, tx.digest())
                 if not evaluate(out.lock, wit, ctx):
                     return self._reject("invalid witness")
-            if in_value < sum(o.value for o in tx.outs):
+            if value_fault(in_value, tx.outs):
                 return self._reject("transcript creates value")
         return True
 

@@ -9,6 +9,7 @@ from arksim.arkcore import (
     BATCH_UNROLL_PATH,
     ArkError,
     Vtxo,
+    ark_tx,
     batch_lock,
     boarding_lock,
     boarding_tx,
@@ -310,6 +311,18 @@ def test_reset_tx_relocks_same_terms():
     assert rst.outs[0].value == v.value
     # the reset output keeps a collaborative path and adds the sweep path
     assert sweep_path_height(rst.outs[0].lock) == 77
+
+
+@pytest.mark.parametrize("values, reason", [
+    ((600, 500), "outputs exceed inputs"),
+    ((1_001, -1), "negative output value"),
+])
+def test_ark_tx_keeps_the_ledger_value_rule(values, reason):
+    # 1,000 sats in: the second case's sum balances, but the chain would
+    # refuse its negative output
+    outputs = [Vtxo(v, p2pk(U_PK), "u", U_PK) for v in values]
+    with pytest.raises(ArkError, match=f"^{reason}$"):
+        ark_tx([(OutPoint("00" * 32, 0), 1_000)], outputs)
 
 
 def test_forfeit_pays_value_plus_epsilon():

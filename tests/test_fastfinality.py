@@ -1,12 +1,19 @@
 import pytest
 
-from arksim import crypto
-from arksim.arkcore import nonce_bound_path, p2pk
+from arksim import arkcore, crypto, harness
+from arksim.arkcore import Vtxo, nonce_bound_path, p2pk
 from arksim.crypto import SessionAborted
 from arksim.fastfinality import FfConfig, FfError
-from arksim.harness import PARAMS_TE60 as PARAMS, ff_double_spend_trace, ff_setup
+from arksim.harness import (
+    PARAMS_TE60 as PARAMS,
+    audit,
+    ff_double_spend_trace,
+    ff_setup,
+    grant_batch,
+    signed_batch,
+)
 from arksim.ledger import Output, Tx
-from arksim.operator_node import Reject, VtxoSpec
+from arksim.operator_node import Reject, Request, VtxoSpec
 
 
 def payment(sim, coord, vtxo, to, allow_conflict=False):
@@ -115,6 +122,68 @@ def test_payment_without_witnesses_rejected_once():
     assert not coord.accepted["alice"]
     assert [e[1:] for e in sim.chain.trace if e.event == "payment_rejected"] == [
         ("wallet", "alice", "payment_rejected", "missing witness")]
+
+
+def refusals(sim):
+    return [e[1:] for e in sim.chain.trace if e.event == "payment_rejected"]
+
+
+def paying_bob(sim, coord, vtxo):
+    return payment(sim, coord, vtxo, "bob")
+
+
+def with_a_reset_without_outputs(sim, coord, vtxo):
+    pay = payment(sim, coord, vtxo, "alice")
+    rst = pay.resets[0]
+    pay.resets[0] = Tx(ins=rst.ins, outs=(), wits=rst.wits)
+    return pay
+
+
+@pytest.mark.parametrize("forge, reason", [
+    (paying_bob, "no output"),
+    (with_a_reset_without_outputs, "reset without outputs"),
+])
+def test_the_payee_refuses_what_the_wallet_audit_refuses(forge, reason):
+    # a payment sent to alice is audited as her wallet audits any payment
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    coord.ff_send("mallory", "alice", forge(sim, coord, vtxo))
+    run(sim, coord, 3 * coord.cfg.delta + 2)
+    assert not coord.pending["alice"] and not coord.accepted["alice"]
+    assert refusals(sim) == [("wallet", "alice", "payment_rejected", reason)]
+
+
+def test_a_payment_whose_reset_is_not_nonce_bound_is_refused():
+    # mallory pays alice out of a VTXO that fixes no nonce: the wallet audit
+    # passes it, but conflicting spends of it would not force nonce reuse
+    sim, coord, _ = ff_setup(0, PARAMS, 1)
+    mallory, alice, op = sim.wallets["mallory"], sim.wallets["alice"], sim.operator
+    vtxo = Vtxo(4_000, arkcore.vtxo_lock(mallory.pk, op.pk, PARAMS.t_u), "mallory", mallory.pk)
+    _, vtxt = signed_batch([vtxo], [(op.sk, op.pk), (mallory.sk, mallory.pk)],
+                           sim.chain.height + 2 * PARAMS.k + PARAMS.t_e)
+    grant_batch(sim.chain, vtxt)
+    op.book.vtxos[vtxo.key()] = ("C", vtxo)
+    req = Request("ark", "mallory", inputs=(vtxo,),
+                  outputs=(VtxoSpec(vtxo.value, "alice", alice.pk),))
+    pay = op.verify_ark_request(req, {mallory.pk.hex(): mallory.sk})
+    pay.paths = [vtxt.path_to(vtxo.outpoint.txid)]
+    assert nonce_bound_path(pay.resets[0].outs[0].lock) is None
+    coord.ff_send("mallory", "alice", pay)
+    run(sim, coord, 3 * coord.cfg.delta + 2)
+    assert not coord.pending["alice"] and not coord.accepted["alice"]
+    assert refusals(sim) == [("fastfinality", "alice", "payment_rejected",
+                              "incorrect output script")]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_double_spend_trace_ends_with_the_oracle_equal_to_the_book(monkeypatch, seed):
+    # the booked payment is among the oracle's payments; the conflicting
+    # one, which only the byzantine builder saw, is not
+    setups = []
+    monkeypatch.setattr(harness, "ff_setup",
+                        lambda *args: setups.append(ff_setup(*args)) or setups[-1])
+    ff_double_spend_trace(seed, PARAMS, 1)
+    ((sim, _, _),) = setups
+    assert audit(sim) == []
 
 
 def test_double_sign_detected_and_burned():

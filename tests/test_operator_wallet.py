@@ -862,11 +862,11 @@ def test_wallet_rejects_a_malformed_payment_with_a_reason(damage, reason):
     assert bob.holdings == holdings
 
 
-def colluding_payment(value, spends=1):
+def colluding_payment(value, spends=1, debt=0):
     """A sim and alice's payment to bob of `value` sats, out of a reset
-    that spends her 5,000-sat leaf `spends` times: only an operator that
-    colludes with the payer signs these, and the transcript can never
-    confirm."""
+    that spends her 5,000-sat leaf `spends` times and, with `debt`, also
+    pays an output of -`debt` sats: only an operator that colludes with
+    the payer signs these, and the transcript can never confirm."""
     sim = boarded_sim()
     bob = sim.add_wallet("bob", [])
     alice, op = sim.wallets["alice"], sim.operator
@@ -875,7 +875,8 @@ def colluding_payment(value, spends=1):
     agg = crypto.aggregate([alice.pk, op.pk])
     sks = {alice.pk: alice.sk, op.pk: op.sk}
     rst = payment.resets[0]
-    reset = Tx(ins=rst.ins * spends, outs=(Output(value, rst.outs[0].lock),))
+    reset = Tx(ins=rst.ins * spends, outs=(Output(value, rst.outs[0].lock),)
+               + ((Output(-debt, rst.outs[0].lock),) if debt else ()))
     paid = arkcore.Vtxo(value, arkcore.vtxo_lock(bob.pk, op.pk, PARAMS.t_u),
                         "bob", bob.pk)
     ark = arkcore.ark_tx([(reset.outpoint(0), value)], [paid])
@@ -907,6 +908,37 @@ def test_wallet_rejects_a_transcript_tx_that_spends_an_output_twice():
                                  "transcript tx spends an output twice")
     assert bob.holdings == {}
     with pytest.raises(SubmitError, match="spent twice in one tx"):
+        sim.chain.submit(forged.resets[0], "bob")
+
+
+def test_a_holding_transcript_names_each_tx_once():
+    # alice pays bob out of both leaves of one batch: their paths share the
+    # root, which bob's transcript and her change's each hold once
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice, bob = sim.add_wallet("alice", [5_000]), sim.add_wallet("bob", [])
+    sim.board("alice", [2_500, 2_500])
+    vtxt = sim.settle_commitment().batch.vtxt
+    payment = sim.ark_pay("alice", "bob", sim.vtxos("alice"), 4_000)
+    expected = [vtxt.root, *(ref.txid for ref in vtxt.leaves),
+                *(rst.txid for rst in payment.resets), payment.ark.txid]
+    for w in (alice, bob):
+        (held,) = w.holdings.values()
+        assert [tx.txid for tx in held.transcript] == expected
+
+
+def test_wallet_rejects_a_transcript_tx_with_a_negative_output():
+    # a reset that splits alice's 5,000-sat leaf into 5,001 sats and -1 sat,
+    # and an ark tx that pays bob the 5,001: the sums balance, but the chain
+    # refuses the reset, so bob could never exit what he is paid
+    sim, forged = colluding_payment(5_001, debt=1)
+    bob = sim.wallets["bob"]
+    assert bob.receive_payment(forged) is None
+    assert last_refusal(sim) == ("wallet", "bob", "payment_rejected",
+                                 "transcript creates value")
+    assert bob.holdings == {}
+    sim.chain.submit_package(forged.paths[0], "bob")
+    with pytest.raises(SubmitError, match="^negative output value$"):
         sim.chain.submit(forged.resets[0], "bob")
 
 
@@ -994,6 +1026,13 @@ def underfunded_leaf(vtxt):
     rekey_leaf(vtxt, 1, Tx(ins=leaf.ins, outs=leaf.outs + (extra,)))
 
 
+def leaf_with_a_negative_output(vtxt):
+    # bob's leaf also pays -1 sat and +1 sat: its sum is unchanged
+    leaf = vtxt.txs[vtxt.leaves[1].txid]
+    lock = leaf.outs[0].lock
+    rekey_leaf(vtxt, 1, Tx(ins=leaf.ins, outs=leaf.outs + (Output(-1, lock), Output(1, lock))))
+
+
 @pytest.mark.parametrize("forge, owner, bystander, reason", [
     (leaf_with_two_inputs, "alice", "bob",
      "malformed batch tree: tree nodes are single-input transactions"),
@@ -1003,6 +1042,7 @@ def underfunded_leaf(vtxt):
     (leaf_and_root_under_each_others_keys, "alice", None,
      "malformed batch tree: tree node not keyed by its txid"),
     (underfunded_leaf, "bob", "alice", "value increases down the tree"),
+    (leaf_with_a_negative_output, "bob", "alice", "value increases down the tree"),
 ])
 def test_a_wallet_refuses_a_forged_branch_with_a_reason(no_hang, forge, owner, bystander,
                                                         reason):
