@@ -208,20 +208,20 @@ class Vtxt:
     def root(self) -> str:
         return next(iter(self.txs))
 
-    def spent(self, txid: str) -> Output:
-        """The output node `txid` spends: its parent's, or `funding_out` for the root."""
+    def spent(self, txid: str) -> Optional[Output]:
+        """The output node `txid` spends, its parent's or the root's `funding_out`; else None."""
         op = self.txs[txid].ins[0]
-        return self.funding_out if op == self.funding else self.txs[op.txid].outs[op.index]
+        parent = self.txs.get(op.txid)
+        return self.funding_out if op == self.funding else parent.output(op) if parent else None
 
     def session(self, txid: str) -> Tuple[LockScript, int, AggregateKey]:
         """(lock, index, key): the lock node `txid` spends and its cosigned
         path, the node's signing session; `ArkError` if there is none."""
+        out = self.spent(txid) if txid in self.txs and self.txs[txid].ins else None
+        if out is None:
+            raise ArkError(f"{txid[:8]} spends no output of the tree")
         try:
-            lock = self.spent(txid).lock
-        except (KeyError, IndexError):
-            raise ArkError(f"{txid[:8]} spends no output of the tree") from None
-        try:
-            return (lock, *collab_aggregate(lock))
+            return (out.lock, *collab_aggregate(out.lock))
         except ArkError:
             raise ArkError(f"{txid[:8]} spends no cosigned output") from None
 
@@ -440,7 +440,7 @@ def reset_tx(vtxo: Vtxo, operator: PublicKey, expiry: int, t_u: int) -> Tx:
 def ark_tx(reset_outs: Sequence[Tuple[OutPoint, int]], outputs: Sequence[Vtxo]) -> Tx:
     """Spend reset outputs into fresh VTXOs."""
     outs = tuple(Output(v.value, v.lock) for v in outputs)
-    fault = value_fault(sum(v for _, v in reset_outs), outs)
+    fault = value_fault((v for _, v in reset_outs), outs)
     if fault:
         raise ArkError(fault)
     tx = Tx(ins=tuple(op for op, _ in reset_outs), outs=outs)

@@ -245,7 +245,7 @@ class Simulation:
 
 def burned_fee(chain: Chain, tx: Tx) -> int:
     """Input value minus output value of a confirmed tx."""
-    in_value = sum(chain.records[op.txid].tx.outs[op.index].value for op in tx.ins)
+    in_value = sum(chain.output(op).value for op in tx.ins)
     return in_value - sum(o.value for o in tx.outs)
 
 

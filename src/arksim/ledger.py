@@ -7,6 +7,10 @@ displace an already included transaction as long as it is not yet k
 blocks deep.  An honest submission at height h is therefore in every
 stable view by height h + 2k.
 
+One rule judges a tx, `tx_fault`, and one lookup names the output an
+outpoint spends, `Tx.output` (over the chain, `Chain.output`): submission,
+inclusion and a payee's replay of its transcript share both.
+
 The chain also keeps the run's one trace, `Chain.trace`: a list of
 `Event(round, layer, actor, event, reason)` records, written through
 `Chain.note`, which stamps the current height as the round.  The chain
@@ -21,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crypto import BATCH_MIN, Check, verify_batch
 from .script import LockScript, SpendContext, Witness, evaluate, signature_checks
@@ -111,6 +115,11 @@ class Tx:
     def outpoint(self, index: int) -> OutPoint:
         return OutPoint(self.txid, index)
 
+    def output(self, op: OutPoint) -> Optional[Output]:
+        """The output `op` names, or None unless it names one of this tx's."""
+        named = op.txid == self.txid and 0 <= op.index < len(self.outs)
+        return self.outs[op.index] if named else None
+
 
 class SubmitError(Exception):
     pass
@@ -132,14 +141,46 @@ class MissingInput(SubmitError):
     pass
 
 
-def value_fault(in_value: int, outs: Sequence[Output]) -> str:
-    """The ledger's value rule: why a tx spending `in_value` into `outs`
-    breaks it, the first fault of the two below, or "" if it holds."""
-    if in_value < sum(o.value for o in outs):
+class MissingWitness(InvalidWitness):
+    pass
+
+
+def value_fault(in_values: Iterable[int], outs: Sequence[Output]) -> str:
+    """The ledger's value rule: why spending `in_values` into `outs` breaks
+    it, the first fault of the two below, or "" if it holds."""
+    if sum(in_values) < sum(o.value for o in outs):
         return "outputs exceed inputs"
     if any(o.value < 0 for o in outs):
         return "negative output value"
     return ""
+
+
+def tx_fault(tx: Tx, spent: Sequence[Optional[Output]], height: Optional[int] = None,
+             confirmed: Sequence[int] = ()) -> Optional[SubmitError]:
+    """The ledger's rule for one tx spending `spent` (None for an input
+    naming no known output): its first fault, or None.  In order: no input,
+    a witness count unlike the input count, an input twice, an unknown
+    input, the value rule and, given a `height`, a witness failing its lock
+    then, the output confirmed at its `confirmed` entry, else at `height`."""
+    if not tx.ins:
+        return MissingInput("tx without inputs")
+    if len(tx.wits) != len(tx.ins):
+        return MissingWitness("witness count mismatch")
+    if len(tx.ins) > 1 and len(set(tx.ins)) < len(tx.ins):
+        op = next(op for i, op in enumerate(tx.ins) if op in tx.ins[:i])
+        return DoubleSpend(f"{op} spent twice in one tx")
+    for op, out in zip(tx.ins, spent):
+        if out is None:
+            return MissingInput(f"{op} unknown")
+    fault = value_fault((o.value for o in spent), tx.outs)
+    if fault:
+        return ValueCreated(fault)
+    if height is not None:
+        digest = tx.digest()
+        for out, wit, ch in zip(spent, tx.wits, confirmed or [height] * len(spent)):
+            if not evaluate(out.lock, wit, SpendContext(height, ch, digest)):
+                return InvalidWitness("invalid witness")
+    return None
 
 
 class Adversary:
@@ -245,13 +286,15 @@ class Chain:
         rec = self.records.get(txid)
         return None if rec is None else rec.height
 
+    def output(self, op: OutPoint, pending: bool = False) -> Optional[Output]:
+        """The output `op` names in a recorded tx (confirmed or replaced
+        since), else, if `pending`, in a mempool tx; None if there is none."""
+        src = self.records.get(op.txid) or (self.mempool.get(op.txid) if pending else None)
+        return src.tx.output(op) if src is not None else None
+
     def unspent(self, op: OutPoint, depth: int = 0) -> bool:
         entry = self.utxos.get(op)
-        if entry is None:
-            return False
-        if depth > 0 and self.height - entry.confirm_height < depth:
-            return False
-        return True
+        return entry is not None and self.height - entry.confirm_height >= depth
 
     def view(self, party: str, depth: int = 0) -> dict:
         if party not in self.parties and party != "oracle":
@@ -268,44 +311,27 @@ class Chain:
 
     # --- submission ------------------------------------------------------
 
-    def _resolve_input(self, op: OutPoint) -> Optional[Output]:
-        entry = self.utxos.get(op)
-        if entry is not None:
-            return entry.output
-        parent = self.mempool.get(op.txid)
-        if parent is not None and 0 <= op.index < len(parent.tx.outs):
-            return parent.tx.outs[op.index]
-        return None
-
     def submit(self, tx: Tx, by: str) -> bool:
-        """Validate against the current view and queue for inclusion.
-        Inputs may be outputs of transactions already in the mempool
-        (package submission, parents first)."""
-        if len(tx.wits) != len(tx.ins):
-            raise InvalidWitness("witness count mismatch")
-        if len(tx.ins) > 1 and len(set(tx.ins)) < len(tx.ins):
-            op = next(op for i, op in enumerate(tx.ins) if op in tx.ins[:i])
-            raise DoubleSpend(f"{op} spent twice in one tx")
+        """Admit conflicts, apply `tx_fault` but for the witnesses, and queue
+        for inclusion.  Inputs may be outputs of mempool txs (package
+        submission, parents first); inclusion settles conflicting entries."""
         if self.is_confirmed(tx.txid) or tx.txid in self.mempool:
             return False
-        in_total = 0
+        spent: List[Optional[Output]] = []
         for op in tx.ins:
-            resolved = self._resolve_input(op)
-            if resolved is None:
-                spender = self.spent_by.get(op)
-                if spender is not None:
-                    if self.is_stable(spender):
-                        raise DoubleSpend(f"{op} spent by stable {spender[:8]}")
-                    if not self.adversary.prefer_newcomer(tx, self.records[spender].tx):
-                        raise DoubleSpend(f"{op} spent by {spender[:8]}")
-                    resolved = self.records[op.txid].tx.outs[op.index]
-                else:
-                    raise MissingInput(f"{op} unknown")
-            in_total += resolved.value
-        # conflicting mempool entries are allowed; inclusion decides the winner
-        fault = value_fault(in_total, tx.outs)
+            entry = self.utxos.get(op)
+            spender = self.spent_by.get(op) if entry is None else None
+            if spender is not None:
+                if self.is_stable(spender):
+                    raise DoubleSpend(f"{op} spent by stable {spender[:8]}")
+                if not self.adversary.prefer_newcomer(tx, self.records[spender].tx):
+                    raise DoubleSpend(f"{op} spent by {spender[:8]}")
+            # an output of a replaced tx, neither unspent nor spent, is unknown
+            known = spender is not None or op.txid in self.mempool
+            spent.append(entry.output if entry else self.output(op, pending=True) if known else None)
+        fault = tx_fault(tx, spent)
         if fault:
-            raise ValueCreated(fault)
+            raise fault
         d = self.adversary.delay(tx, self.height, by)
         d = max(0, min(d, 2 * self.params.k - 1))
         due = self.height + 1 + min(d, self.params.k - 1)
@@ -313,13 +339,10 @@ class Chain:
         return True
 
     def submit_package(self, txs: List[Tx], by: str) -> int:
-        count = 0
-        for tx in txs:
-            if self.is_confirmed(tx.txid):
-                continue
+        todo = [tx for tx in txs if not self.is_confirmed(tx.txid)]
+        for tx in todo:
             self.submit(tx, by)
-            count += 1
-        return count
+        return len(todo)
 
     # --- block production ------------------------------------------------
 
@@ -338,13 +361,10 @@ class Chain:
             spender = self.spent_by.get(op)
             if spender == txid:
                 del self.spent_by[op]
-                src = self.records.get(op.txid)
-                if src is not None and src.height is not None:
-                    self.utxos[op] = _Utxo(src.tx.outs[op.index], src.height)
-        if rec.height - 1 < len(self.blocks):
-            blk = self.blocks[rec.height - 1]
-            if txid in blk:
-                blk.remove(txid)
+                height = self.confirm_height(op.txid)
+                if height is not None:
+                    self.utxos[op] = _Utxo(self.output(op), height)
+        self.blocks[rec.height - 1].remove(txid)
         rec.height = None
         self.note("ledger", rec.party, "replaced", txid)
 
@@ -352,34 +372,23 @@ class Chain:
         """Attempt to place one pending tx in the block being formed at
         self.height (already incremented). Returns True if included."""
         tx = p.tx
-        confirm_heights: List[int] = []
-        resolved: List[Output] = []
+        spent: List[Output] = []
+        heights: List[int] = []
         evictions: List[str] = []
         for op in tx.ins:
             entry = self.utxos.get(op)
-            if entry is not None:
-                resolved.append(entry.output)
-                confirm_heights.append(entry.confirm_height)
-                continue
-            spender = self.spent_by.get(op)
-            if spender is not None:
-                # conflict: displaceable only while the spender is not stable
-                depth = self.height - 1 - (self.records[spender].height or 0)
-                if depth < self.params.k and self.adversary.prefer_newcomer(tx, self.records[spender].tx):
-                    src = self.records.get(op.txid)
-                    if src is None or src.height is None:
-                        return False
-                    evictions.append(spender)
-                    resolved.append(src.tx.outs[op.index])
-                    confirm_heights.append(src.height)
-                    continue
+            if entry is None:
+                # a conflict: displaceable while its spender is not stable at the last block
+                spender = self.spent_by.get(op)
+                if spender is None or self.height - self.records[spender].height > self.params.k \
+                        or not self.adversary.prefer_newcomer(tx, self.records[spender].tx):
+                    return False
+                evictions.append(spender)
+                entry = _Utxo(self.output(op), self.confirm_height(op.txid))
+            spent.append(entry.output)
+            heights.append(entry.confirm_height)
+        if tx_fault(tx, spent, self.height, heights):
             return False
-        if value_fault(sum(o.value for o in resolved), tx.outs):
-            return False
-        for op, wit, out, ch in zip(tx.ins, tx.wits, resolved, confirm_heights):
-            ctx = SpendContext(self.height, ch, tx.digest())
-            if not evaluate(out.lock, wit, ctx):
-                return False
         for victim in set(evictions):
             self._evict(victim)
         for op in tx.ins:
@@ -401,13 +410,12 @@ class Chain:
         for tx in txs:
             digest = tx.digest()
             for op, wit in zip(tx.ins, tx.wits):
-                src = self.records.get(op.txid) or self.mempool.get(op.txid)
-                if src is None or not 0 <= op.index < len(src.tx.outs):
+                out = self.output(op, pending=True)
+                if out is None:
                     continue
                 entry = self.utxos.get(op)
                 height = entry.confirm_height if entry is not None else self.height
-                checks += signature_checks(src.tx.outs[op.index].lock, wit,
-                                           SpendContext(self.height, height, digest))
+                checks += signature_checks(out.lock, wit, SpendContext(self.height, height, digest))
         return checks
 
     def advance_round(self) -> int:

@@ -19,12 +19,13 @@ A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.  A
 payee accepts a payment in either finality mode only through one audit
-(`audit_payment`): it refuses a transcript tx that spends an output
-twice or breaks the ledger's value rule (`ledger.value_fault`, which the
-tree and commitment audits apply too), and takes each input's expiry
-from its reset's sweep height, no later than its path's batch's.  Every
-refused bundle or payment, accepted payment and unilateral exit is noted
-in the chain's trace, with the reason for a refusal.
+(`audit_payment`): each output it is paid must be one of the ark tx's,
+and it replays its transcript under the ledger's own rule for one tx
+(`ledger.tx_fault`; the tree and commitment audits apply its value rule,
+`ledger.value_fault`).  It takes each input's expiry from its reset's
+sweep height, no later than its path's batch's.  Every refused bundle or
+payment, accepted payment and unilateral exit is noted in the chain's
+trace, with the reason for a refusal.
 
 A wallet also remembers the signed VTXT of every batch it cosigns, keyed
 by the tree's funding outpoint, from the batch's confirmation until its
@@ -48,9 +49,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from . import arkcore
 from .arkcore import BatchOutput, Vtxo, cosigners, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
-from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx, value_fault
+from .ledger import (Chain, DoubleSpend, InvalidWitness, MissingInput, MissingWitness, OutPoint,
+                     Output, Params, SubmitError, Tx, ValueCreated, tx_fault, value_fault)
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
-from .script import SpendContext, evaluate
+
+# the payee's reason for each fault of the ledger's rule in its transcript
+_REPLAY_REASONS = {MissingInput: "unknown input", MissingWitness: "missing witness",
+                   DoubleSpend: "transcript tx spends an output twice",
+                   ValueCreated: "transcript creates value", InvalidWitness: "invalid witness"}
 
 
 @dataclass
@@ -147,13 +153,12 @@ class Wallet:
         for tx, key in zip(txs, keys):
             if self.pk not in key.members:
                 return self._fail("own key missing from a path cosigner set")
-            if value_fault(vtxt.spent(tx.txid).value, tx.outs):
+            if value_fault([vtxt.spent(tx.txid).value], tx.outs):
                 return self._fail("value increases down the tree")
             for out in tx.outs[:-1] if tx.txid != vtxo.outpoint.txid else ():
                 if sweep_path_height(out.lock) != expiry:
                     return self._fail("internal output is not sweep-shaped at expiry")
-        i = vtxo.outpoint.index
-        if txs[-1].outs[i:i + 1] != (Output(vtxo.value, vtxo.lock),):
+        if txs[-1].output(vtxo.outpoint) != Output(vtxo.value, vtxo.lock):
             return self._fail("leaf output mismatch")
         return txs
 
@@ -162,9 +167,8 @@ class Wallet:
         if anchor is None:
             return self._fail("no anchor for forfeited vtxo")
         tree = bundle.connector.vtxt.txs if bundle.connector.vtxt else {}
-        tx = tree.get(anchor.txid, bundle.commitment)   # or else the commitment made it
-        outs = tx.outs[anchor.index:anchor.index + 1] if tx.txid == anchor.txid else ()
-        if [o.value for o in outs] != [self.params.epsilon]:
+        out = tree.get(anchor.txid, bundle.commitment).output(anchor)  # or the commitment's
+        if out is None or out.value != self.params.epsilon:
             return self._fail("anchor value is not epsilon")
         return anchor
 
@@ -186,12 +190,11 @@ class Wallet:
         spent = [self.chain.utxos.get(op) for op in bundle.commitment.ins]
         if any(e is None for e in spent):
             return self._fail("commitment spends an unknown output")
-        if value_fault(sum(e.output.value for e in spent), bundle.commitment.outs):
+        if value_fault((e.output.value for e in spent), bundle.commitment.outs):
             return self._fail("commitment creates value")
         if bundle.batch is not None:
-            vtxt, i = bundle.batch.vtxt, bundle.batch.vtxt.funding.index
-            if vtxt.funding.txid != bundle.commitment.txid \
-                    or bundle.commitment.outs[i:i + 1] != (vtxt.funding_out,):
+            vtxt = bundle.batch.vtxt
+            if bundle.commitment.output(vtxt.funding) != vtxt.funding_out:
                 return self._fail("batch tree not funded by the commitment")
             floor = self.chain.height + 2 * self.params.k + self.params.t_e
             if (bundle.batch.expiry or 0) < floor:
@@ -275,9 +278,9 @@ class Wallet:
         if not mine:
             return self._reject("no output")
         for v in mine:
-            if v.outpoint is None or not 0 <= v.outpoint.index < len(payment.ark.outs):
+            out = payment.ark.output(v.outpoint) if v.outpoint is not None else None
+            if out is None:
                 return self._reject("output not in the ark tx")
-            out = payment.ark.outs[v.outpoint.index]
             r_star = (arkcore.nonce_bound_path(out.lock) or (None, None))[1]
             expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u, r_star)
             if out.lock.commitment != expected.commitment or out.value != v.value:
@@ -318,35 +321,35 @@ class Wallet:
         if not rst.outs:
             return self._reject("reset without outputs")
         root = pth[0].ins[0]
-        outs = self.chain.records[root.txid].tx.outs if self.chain.is_confirmed(root.txid) else ()
-        if not 0 <= root.index < len(outs):
+        funding = self.chain.output(root) if self.chain.is_confirmed(root.txid) else None
+        if funding is None:
             return self._reject("path not rooted onchain")
         for parent, child in zip(pth, pth[1:]):
             if child.ins[0].txid != parent.txid:
                 return self._reject("broken path")
         if rst.ins[0].txid != pth[-1].txid:
             return self._reject("reset does not spend the path leaf")
-        sweep, batch = (sweep_path_height(o.lock) for o in (rst.outs[0], outs[root.index]))
+        sweep, batch = (sweep_path_height(o.lock) for o in (rst.outs[0], funding))
         if sweep is None or batch is None or sweep > batch:
             return self._reject("reset expiry mismatch")
         return True
 
     def check_witnesses(self, payment: ArkPayment) -> Optional[bool]:
-        """Replay check, True or None to refuse: every tx of the payee's
-        transcript must carry a witness that satisfies the output it spends,
-        spend each output once and create no value.
+        """Replay check, True or None to refuse: the payee replays its
+        transcript, parents first, under the ledger's rule (`tx_fault`) at
+        the current height.  A tx's inputs are outputs of the transcript's
+        earlier txs, or else of txs the chain has recorded, never of its
+        mempool.
 
         A path rooted in a remembered tree is that tree's first audit: the
         tree is forgotten, and every signature in it is first checked in
-        one batch equation.  The batch is skipped when the verify memo
-        already holds a `True` verdict for every signature on the payer's
-        path: it would check nothing that path needs, so the tree's checks
-        are not even built.  (For a path shorter than `crypto.BATCH_MIN`,
-        `verify_batch` of the path's checks reads exactly that.)  The
-        batch only records `True` verdicts for signatures that verify, and
-        records nothing when its equation fails, so the loop below reaches
-        the same verdict on every witness as it would without it; only the
-        work moves."""
+        one batch equation, unless the verify memo already holds a `True`
+        verdict for every signature on the payer's path (which, for a path
+        shorter than `crypto.BATCH_MIN`, `verify_batch` of the path's checks
+        reads).  The batch records `True` verdicts only for signatures that
+        verify, and nothing when its equation fails, so the replay reaches
+        the same verdict on every witness as without it; only the work
+        moves."""
         h = self.chain.height
         for pth in payment.paths:
             funding = pth[0].ins[0] if pth and pth[0].ins else None
@@ -358,27 +361,14 @@ class Wallet:
                 own = [(tx.txid, tx) for tx in pth if tx.txid in vtxt.txs]
                 if not verify_batch(arkcore.node_signature_checks(vtxt, own, h)):
                     verify_batch(arkcore.tree_signature_checks(vtxt, h))
-        pool = transcript(payment)
-        pool_txs = {tx.txid: tx for tx in pool}
-        for tx in pool:
-            if len(tx.wits) != len(tx.ins):
-                return self._reject("missing witness")
-            if len(set(tx.ins)) < len(tx.ins):
-                return self._reject("transcript tx spends an output twice")
-            in_value = 0
-            for op, wit in zip(tx.ins, tx.wits):
-                src = pool_txs.get(op.txid)
-                if src is None and op.txid in self.chain.records:
-                    src = self.chain.records[op.txid].tx
-                if src is None or not 0 <= op.index < len(src.outs):
-                    return self._reject("unknown input")
-                out = src.outs[op.index]
-                in_value += out.value
-                ctx = SpendContext(h, h, tx.digest())
-                if not evaluate(out.lock, wit, ctx):
-                    return self._reject("invalid witness")
-            if value_fault(in_value, tx.outs):
-                return self._reject("transcript creates value")
+        earlier: Dict[str, Tx] = {}
+        for tx in transcript(payment):
+            spent = [earlier[op.txid].output(op) if op.txid in earlier else self.chain.output(op)
+                     for op in tx.ins]
+            fault = tx_fault(tx, spent, h)
+            if fault:
+                return self._reject(_REPLAY_REASONS[type(fault)])
+            earlier[tx.txid] = tx
         return True
 
     # --- exits -----------------------------------------------------------

@@ -11,6 +11,7 @@ from arksim.ledger import (
     DoubleSpend,
     InvalidWitness,
     MaxDelay,
+    MissingInput,
     Output,
     Params,
     SubmitError,
@@ -102,6 +103,21 @@ def test_an_outpoint_spent_twice_in_one_tx_is_refused():
     assert not chain.is_confirmed(tx.txid)
     assert chain.unspent(op)
     assert chain.total_value() == 1000
+
+
+@pytest.mark.parametrize("outs", [(), (Output(0, p2pk(PK)),)])
+def test_a_tx_without_inputs_is_refused(outs):
+    # Bitcoin's bad-txns-vin-empty: only `grant` mints, so an input-less
+    # tx is neither queued nor confirmed, and the chain's state is as it was
+    chain = make_chain()
+    chain.grant(1000, p2pk(PK))
+    state = (dict(chain.utxos), dict(chain.records), chain.total_value())
+    with pytest.raises(MissingInput, match="^tx without inputs$"):
+        chain.submit(Tx((), outs), "user")
+    assert chain.mempool == {}
+    chain.advance_round()
+    assert (dict(chain.utxos), dict(chain.records), chain.total_value()) == state
+    assert not chain.is_confirmed(Tx((), outs).txid)
 
 
 def test_witness_count_checked():

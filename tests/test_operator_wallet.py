@@ -17,6 +17,7 @@ from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
 from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
 from arksim.operator_node import ArkPayment, Reject, Request, VtxoSpec
 from arksim.script import KEY_PATH, UNSPENDABLE, AbsTimelock, And, Witness, taproot
+from arksim.wallet import transcript as wallet_transcript
 
 
 def boarded_sim(seed=0, funds=5_000, use_resets=True, fee=0):
@@ -809,9 +810,23 @@ def drop_path(payment):
     payment.paths = []
 
 
+def relink_ark(payment, ins):
+    """The payment's ark tx respent from `ins`, its outputs renamed to
+    the new ark tx's txid."""
+    payment.ark = dataclasses.replace(payment.ark, ins=ins)
+    payment.outputs = [dataclasses.replace(v, outpoint=payment.ark.outpoint(v.outpoint.index))
+                       for v in payment.outputs]
+
+
 def ark_spends_elsewhere(payment):
     # the ark tx's one input is the reset's input, not the reset's output
-    payment.ark = dataclasses.replace(payment.ark, ins=payment.resets[0].ins)
+    relink_ark(payment, payment.resets[0].ins)
+
+
+def rename_payee_output(payment):
+    # bob's VTXO names an outpoint of some other tx than the ark tx
+    payment.outputs = [dataclasses.replace(v, outpoint=OutPoint("ee" * 32, 0))
+                       if v.owner == "bob" else v for v in payment.outputs]
 
 
 def repeat_path_root(payment):
@@ -831,12 +846,13 @@ def reset_past_the_leaf(payment):
     # sees it
     rst = payment.resets[0]
     payment.resets[0] = dataclasses.replace(rst, ins=(OutPoint(rst.ins[0].txid, 99),))
-    payment.ark = dataclasses.replace(payment.ark, ins=(payment.resets[0].outpoint(0),))
+    relink_ark(payment, (payment.resets[0].outpoint(0),))
 
 
 @pytest.mark.parametrize("damage, reason", [
     (drop_payee_output, "no output"),
     (inflate_payee_output, "output script mismatch"),
+    (rename_payee_output, "output not in the ark tx"),
     (drop_path, "incomplete transcript"),
     (ark_spends_elsewhere, "ark does not spend the reset"),
     (strip_path_inputs, "path tx without inputs"),
@@ -909,6 +925,69 @@ def test_wallet_rejects_a_transcript_tx_that_spends_an_output_twice():
     assert bob.holdings == {}
     with pytest.raises(SubmitError, match="spent twice in one tx"):
         sim.chain.submit(forged.resets[0], "bob")
+
+
+def strip_reset_witness(payment):
+    payment.resets[0] = dataclasses.replace(payment.resets[0], wits=[])
+
+
+def bend_reset_signature(payment):
+    rst = payment.resets[0]
+    wit = rst.wits[0]
+    sig = wit.signatures[0]
+    bent = Witness(wit.path_index, (crypto.Signature(sig.R, sig.s + 1),), wit.revealed_paths)
+    payment.resets[0] = dataclasses.replace(rst, wits=[bent])
+
+
+def honest_payment():
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    return sim, sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000, auto_receive=False)
+
+
+def damaged_payment(damage):
+    def build():
+        sim, payment = honest_payment()
+        damage(payment)
+        return sim, payment
+    return build
+
+
+def chain_confirms(sim, txs):
+    """The txs of `txs` the chain confirms within 2k rounds, each submitted
+    in order until the chain refuses one."""
+    for tx in txs:
+        try:
+            sim.chain.submit(tx, "bob")
+        except SubmitError:
+            break
+    for _ in range(2 * PARAMS.k):
+        sim.chain.advance_round()
+    return [tx for tx in txs if sim.chain.is_confirmed(tx.txid)]
+
+
+@pytest.mark.parametrize("forge, reason", [
+    (damaged_payment(strip_reset_witness), "missing witness"),
+    (lambda: colluding_payment(10_000, spends=2), "transcript tx spends an output twice"),
+    (damaged_payment(reset_past_the_leaf), "unknown input"),
+    (lambda: colluding_payment(50_000), "transcript creates value"),
+    (lambda: colluding_payment(5_001, debt=1), "transcript creates value"),
+    (damaged_payment(bend_reset_signature), "invalid witness"),
+    (honest_payment, None),
+], ids=["missing_witness", "spent_twice", "unknown_input", "value_created",
+        "negative_output", "invalid_witness", "honest"])
+def test_the_payee_and_the_chain_agree_on_a_transcript(forge, reason):
+    # the payee replays its transcript under the ledger's rule, so it
+    # refuses exactly the payments whose reset the chain never confirms
+    sim, payment = forge()
+    bob = sim.wallets["bob"]
+    accepted = bob.receive_payment(payment) is not None
+    assert accepted == (reason is None)
+    if reason is not None:
+        assert last_refusal(sim) == ("wallet", "bob", "payment_rejected", reason)
+    txs = wallet_transcript(payment)
+    reset = txs.index(payment.resets[0])
+    assert chain_confirms(sim, txs) == (txs if accepted else txs[:reset])
 
 
 def test_a_holding_transcript_names_each_tx_once():
