@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto
 from .crypto import AggregateKey, PublicKey
@@ -41,8 +41,6 @@ from .script import (
     NonceBound,
     Predicate,
     RelTimelock,
-    SpendContext,
-    signature_checks,
     taproot,
 )
 
@@ -243,26 +241,6 @@ class Vtxt:
         return path[::-1]
 
 
-def tree_signature_checks(vtxt: Vtxt, height: int) -> List[crypto.Check]:
-    """The signature checks of every signed node of a tree: the triples a
-    wallet's audit of any path through the tree would verify, for
-    `crypto.verify_batch`."""
-    return node_signature_checks(vtxt, vtxt.txs.items(), height)
-
-
-def node_signature_checks(vtxt: Vtxt, nodes: Iterable[Tuple[str, Tx]],
-                          height: int) -> List[crypto.Check]:
-    """The signature checks of the (txid, tx) nodes, each against the lock
-    that node `txid` of the tree spends, as `script.evaluate` makes them
-    at `height`."""
-    checks: List[crypto.Check] = []
-    for txid, tx in nodes:
-        ctx = SpendContext(height, height, tx.digest())
-        for wit in tx.wits[:1]:     # tree nodes are single-input
-            checks += signature_checks(vtxt.spent(txid).lock, wit, ctx)
-    return checks
-
-
 def check_vtxt(vtxt: Vtxt) -> None:
     """Structural validity: single-input nodes keyed by their txids; a
     first node, the root, that spends the funding outpoint; every other node
@@ -321,6 +299,22 @@ def tree_keys(leaves: Sequence[Vtxo], operator: PublicKey, arity: int = 2) -> No
     crypto.aggregate_batch({operator, *(v.owner_pk for v in g)} for g in groups)
 
 
+def _grow(vtxt: Vtxt, items: List, arity: int,
+          node: Callable[[OutPoint, List, List[List]], Optional[Tx]]) -> None:
+    """Add a tree over `items` to `vtxt.txs` in preorder, root first (a
+    node's first child's subtree before its second child): `node(outpoint,
+    group, chunks)` makes the tx spending `outpoint` whose output i pays
+    `chunks[i]` (a group of one has none), or None to make none there."""
+    stack = [(vtxt.funding, list(items))]
+    while stack:
+        outpoint, group = stack.pop()
+        chunks = _chunks(group, arity) if len(group) > 1 else []
+        tx = node(outpoint, group, chunks)
+        if tx is not None:
+            vtxt.txs[tx.txid] = tx
+            stack.extend((tx.outpoint(i), g) for i, g in reversed(list(enumerate(chunks))))
+
+
 def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
                expiry: int, arity: int = 2) -> Tuple[Vtxt, Output]:
     """Balanced VTXT over the funding outpoint, and the batch output that
@@ -331,24 +325,18 @@ def build_vtxt(funding: OutPoint, leaves: Sequence[Vtxo], operator: PublicKey,
     if not leaves:
         raise ArkError("empty leaf set")
     vtxt = Vtxt(funding, batch_output(leaves, operator, expiry))
-    # preorder, root first: a node's children are pushed last to first, so
-    # the first child's subtree is built before the second child
-    stack = [(funding, list(leaves))]
-    while stack:
-        outpoint, group = stack.pop()
-        if len(group) == 1:
-            v = group[0]
-            tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, ANCHOR_LOCK)))
-            v.outpoint = tx.outpoint(0)
-            v.expiry = expiry
-            vtxt.leaves.append(LeafRef(tx.txid, v))
-            groups = []
-        else:
-            groups = _chunks(group, arity)
-            tx = Tx(ins=(outpoint,), outs=(*(batch_output(g, operator, expiry) for g in groups),
-                                           Output(0, ANCHOR_LOCK)))
-        vtxt.txs[tx.txid] = tx
-        stack.extend((tx.outpoint(i), g) for i, g in reversed(list(enumerate(groups))))
+
+    def node(outpoint: OutPoint, group: List[Vtxo], chunks: List[List[Vtxo]]) -> Tx:
+        if chunks:
+            return Tx(ins=(outpoint,), outs=(*(batch_output(g, operator, expiry) for g in chunks),
+                                             Output(0, ANCHOR_LOCK)))
+        v = group[0]
+        tx = Tx(ins=(outpoint,), outs=(Output(v.value, v.lock), Output(0, ANCHOR_LOCK)))
+        v.outpoint, v.expiry = tx.outpoint(0), expiry
+        vtxt.leaves.append(LeafRef(tx.txid, v))
+        return tx
+
+    _grow(vtxt, leaves, arity, node)
     check_vtxt(vtxt)
     return vtxt, vtxt.funding_out
 
@@ -364,40 +352,32 @@ class BatchOutput:
 
 @dataclass
 class ConnectorOutput:
-    vtxt: Optional[Vtxt]                     # None when the output itself is the anchor
+    vtxt: Vtxt                               # without txs for a single anchor
     anchors: List[OutPoint]
 
     @property
     def funding(self) -> OutPoint:
         """The commitment output the anchors come from."""
-        return self.anchors[0] if self.vtxt is None else self.vtxt.funding
+        return self.vtxt.funding
 
 
 def build_connector(funding: OutPoint, anchor_count: int, operator: PublicKey,
                     epsilon: int, arity: int = 2) -> ConnectorOutput:
-    """Operator-only tree fanning the funding value out into
-    anchor_count dust anchors of value epsilon each."""
+    """Operator-only tree fanning the funding value out into anchor_count
+    dust anchors of value epsilon each, depth first; one is the funding."""
     if anchor_count < 1:
         raise ArkError("need at least one anchor")
     op_lock = p2pk(operator)
-    if anchor_count == 1:
-        return ConnectorOutput(None, [funding])
-    vtxt = Vtxt(funding, Output(anchor_count * epsilon, op_lock))
-    anchors: List[OutPoint] = []
+    conn = ConnectorOutput(Vtxt(funding, Output(anchor_count * epsilon, op_lock)), [])
 
-    # preorder, root first, as in build_vtxt; a popped count of 1 is an
-    # anchor, so anchors keep the order of a depth-first walk
-    stack: List[Tuple[OutPoint, int]] = [(funding, anchor_count)]
-    while stack:
-        outpoint, count = stack.pop()
-        if count == 1:
-            anchors.append(outpoint)
-            continue
-        groups = _chunks(list(range(count)), arity)
-        tx = Tx(ins=(outpoint,), outs=tuple(Output(len(g) * epsilon, op_lock) for g in groups))
-        vtxt.txs[tx.txid] = tx
-        stack.extend((tx.outpoint(i), len(g)) for i, g in reversed(list(enumerate(groups))))
-    return ConnectorOutput(vtxt, anchors)
+    def node(outpoint: OutPoint, group: List[int], chunks: List[List[int]]) -> Optional[Tx]:
+        if not chunks:
+            conn.anchors.append(outpoint)
+            return None
+        return Tx(ins=(outpoint,), outs=tuple(Output(len(g) * epsilon, op_lock) for g in chunks))
+
+    _grow(conn.vtxt, list(range(anchor_count)), arity, node)
+    return conn
 
 
 def boarding_lock(owner: PublicKey, operator: PublicKey, t_b: int) -> LockScript:

@@ -9,7 +9,9 @@ stable view by height h + 2k.
 
 One rule judges a tx, `tx_fault`, and one lookup names the output an
 outpoint spends, `Tx.output` (over the chain, `Chain.output`): submission,
-inclusion and a payee's replay of its transcript share both.
+inclusion and a payee's replay of its transcript share both.  One walk,
+`_spends`, pairs each input's witness with the lock it spends: `tx_fault`
+evaluates the pairs, and `witness_checks` returns the triples they verify.
 
 The chain also keeps the run's one trace, `Chain.trace`: a list of
 `Event(round, layer, actor, event, reason)` records, written through
@@ -25,7 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .crypto import BATCH_MIN, Check, verify_batch
 from .script import LockScript, SpendContext, Witness, evaluate, signature_checks
@@ -175,12 +177,37 @@ def tx_fault(tx: Tx, spent: Sequence[Optional[Output]], height: Optional[int] = 
     fault = value_fault((o.value for o in spent), tx.outs)
     if fault:
         return ValueCreated(fault)
-    if height is not None:
-        digest = tx.digest()
-        for out, wit, ch in zip(spent, tx.wits, confirmed or [height] * len(spent)):
-            if not evaluate(out.lock, wit, SpendContext(height, ch, digest)):
-                return InvalidWitness("invalid witness")
+    if height is not None and not _spends(tx, spent, height, confirmed, evaluate):
+        return InvalidWitness("invalid witness")
     return None
+
+
+def _spends(tx: Tx, spent: Sequence[Optional[Output]], height: int, confirmed: Sequence[int],
+            visit: Callable[[LockScript, Witness, SpendContext], bool]) -> bool:
+    """Whether `visit(lock, witness, context)` holds for each input of `tx`
+    spending a known output, in input order, up to the first that fails:
+    the one place a witness meets the lock it spends, at `height`, its
+    output confirmed at its `confirmed` entry, else at `height`."""
+    digest = tx.digest()
+    for out, wit, ch in zip(spent, tx.wits, confirmed or [height] * len(spent)):
+        if out is not None and not visit(out.lock, wit, SpendContext(height, ch, digest)):
+            return False
+    return True
+
+
+def witness_checks(tx: Tx, spent: Sequence[Optional[Output]], height: int,
+                   confirmed: Sequence[int] = ()) -> List[Check]:
+    """The (key point, message, signature) triples that `tx_fault` passes
+    to `crypto.verify` when each of them verifies, in input order, for
+    `crypto.verify_batch`."""
+    checks: List[Check] = []
+
+    def collect(lock: LockScript, wit: Witness, ctx: SpendContext) -> bool:
+        checks.extend(signature_checks(lock, wit, ctx))
+        return True
+
+    _spends(tx, spent, height, confirmed, collect)
+    return checks
 
 
 class Adversary:
@@ -311,6 +338,11 @@ class Chain:
 
     # --- submission ------------------------------------------------------
 
+    def _displaceable(self, spender: str, last: int) -> bool:
+        """Whether a conflict may displace `spender`, an included spend, in
+        the block after block `last`: until it is k deep as of that block."""
+        return last - self.records[spender].height < self.params.k
+
     def submit(self, tx: Tx, by: str) -> bool:
         """Admit conflicts, apply `tx_fault` but for the witnesses, and queue
         for inclusion.  Inputs may be outputs of mempool txs (package
@@ -322,7 +354,7 @@ class Chain:
             entry = self.utxos.get(op)
             spender = self.spent_by.get(op) if entry is None else None
             if spender is not None:
-                if self.is_stable(spender):
+                if not self._displaceable(spender, self.height):
                     raise DoubleSpend(f"{op} spent by stable {spender[:8]}")
                 if not self.adversary.prefer_newcomer(tx, self.records[spender].tx):
                     raise DoubleSpend(f"{op} spent by {spender[:8]}")
@@ -378,9 +410,9 @@ class Chain:
         for op in tx.ins:
             entry = self.utxos.get(op)
             if entry is None:
-                # a conflict: displaceable while its spender is not stable at the last block
+                # a conflict, judged as of the last block (this one is being formed)
                 spender = self.spent_by.get(op)
-                if spender is None or self.height - self.records[spender].height > self.params.k \
+                if spender is None or not self._displaceable(spender, self.height - 1) \
                         or not self.adversary.prefer_newcomer(tx, self.records[spender].tx):
                     return False
                 evictions.append(spender)
@@ -402,22 +434,6 @@ class Chain:
         self.note("ledger", p.party, "confirmed", tx.txid)
         return True
 
-    def _signature_checks(self, txs: List[Tx]) -> List[Check]:
-        """The signature checks of txs that may confirm in the block being
-        formed, each against the lock of the output it spends, whether
-        that output is confirmed or comes from a tx in the mempool."""
-        checks: List[Check] = []
-        for tx in txs:
-            digest = tx.digest()
-            for op, wit in zip(tx.ins, tx.wits):
-                out = self.output(op, pending=True)
-                if out is None:
-                    continue
-                entry = self.utxos.get(op)
-                height = entry.confirm_height if entry is not None else self.height
-                checks += signature_checks(out.lock, wit, SpendContext(self.height, height, digest))
-        return checks
-
     def advance_round(self) -> int:
         self.height += 1
         self.blocks.append([])
@@ -429,7 +445,10 @@ class Chain:
         # enough for one; the inclusion loop below then finds their
         # verdicts in the verify memo
         if due and sum(len(w.signatures) for p in due for w in p.tx.wits) >= BATCH_MIN:
-            verify_batch(self._signature_checks([p.tx for p in due]))
+            # an output spent is confirmed at its UTXO entry's height, else at this one
+            verify_batch([check for p in due for check in witness_checks(
+                p.tx, [self.output(op, pending=True) for op in p.tx.ins], self.height,
+                [getattr(self.utxos.get(op), "confirm_height", self.height) for op in p.tx.ins])])
         progress = True
         while progress:
             progress = False

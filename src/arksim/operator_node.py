@@ -626,8 +626,7 @@ class Operator:
         self.collected_fees += bundle.account.get("F", 0)
         if bundle.connector is not None:
             op = bundle.connector.funding
-            nodes = tree.txs.values() if tree else ()
-            held = [op] + [tx.outpoint(i) for tx in nodes for i in range(len(tx.outs))]
+            held = [op] + [tx.outpoint(i) for tx in tree.txs.values() for i in range(len(tx.outs))]
             released = max(v.expiry for v in forfeited) + self.params.t_u + 1
             self.deadlines[op] = Deadline("reserve", released, released, frozenset(held))
 

@@ -27,18 +27,17 @@ sweep height, no later than its path's batch's.  Every refused bundle or
 payment, accepted payment and unilateral exit is noted in the chain's
 trace, with the reason for a refusal.
 
-A wallet also remembers the signed VTXT of every batch it cosigns, keyed
-by the tree's funding outpoint, from the batch's confirmation until its
-first audit of a payment path rooted in that tree, or until the batch
-expires, whichever comes first.  Unless the verify memo already knows
-that every signature on the payer's path verifies (another wallet of
-the process checked the tree), that first audit checks every signature in
-the tree in one `crypto.verify_batch` equation, so a later audit of any
-path through the tree finds its node signatures in the verify memo.
-Most of a tree's signatures are under internal-node aggregate keys that
-are each verified once, and the batch spares `verify` a comb table for
-every one of them.  A tree of fewer than `crypto.BATCH_MIN` signatures
-is left to `verify`.
+A wallet also remembers the signed VTXT of every batch it cosigns, by the
+tree's funding outpoint, from the batch's confirmation until its first
+audit of a payment path rooted in that tree or the batch's expiry.  Unless
+the verify memo already knows that every signature on the payer's path
+verifies (another wallet of the process checked the tree), that audit
+checks every signature in the tree in one `crypto.verify_batch` equation
+over the ledger's checks of its nodes (`ledger.witness_checks`), so a
+later audit of any path through the tree finds them in the verify memo.
+Most are under internal-node aggregate keys verified once each, and the
+batch spares `verify` a comb table for each.  A tree of fewer than
+`crypto.BATCH_MIN` signatures is left to `verify`.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ from . import arkcore
 from .arkcore import BatchOutput, Vtxo, cosigners, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
 from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import (Chain, DoubleSpend, InvalidWitness, MissingInput, MissingWitness, OutPoint,
-                     Output, Params, SubmitError, Tx, ValueCreated, tx_fault, value_fault)
+                     Output, Params, SubmitError, Tx, ValueCreated, tx_fault, value_fault,
+                     witness_checks)
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
 
 # the payee's reason for each fault of the ledger's rule in its transcript
@@ -166,7 +166,7 @@ class Wallet:
         """A forfeited VTXO's anchor (`Bundle.anchors`), if it is an epsilon output."""
         if anchor is None:
             return self._fail("no anchor for forfeited vtxo")
-        tree = bundle.connector.vtxt.txs if bundle.connector.vtxt else {}
+        tree = bundle.connector.vtxt.txs
         out = tree.get(anchor.txid, bundle.commitment).output(anchor)  # or the commitment's
         if out is None or out.value != self.params.epsilon:
             return self._fail("anchor value is not epsilon")
@@ -342,14 +342,13 @@ class Wallet:
         mempool.
 
         A path rooted in a remembered tree is that tree's first audit: the
-        tree is forgotten, and every signature in it is first checked in
-        one batch equation, unless the verify memo already holds a `True`
-        verdict for every signature on the payer's path (which, for a path
-        shorter than `crypto.BATCH_MIN`, `verify_batch` of the path's checks
-        reads).  The batch records `True` verdicts only for signatures that
-        verify, and nothing when its equation fails, so the replay reaches
-        the same verdict on every witness as without it; only the work
-        moves."""
+        tree is forgotten, and `verify_batch` first checks the path's nodes,
+        then, unless each verifies (for a path shorter than
+        `crypto.BATCH_MIN`, by a `True` verdict already in the verify memo),
+        the whole tree, each node by `witness_checks`.  A batch records
+        `True` verdicts only for signatures that verify, and nothing when
+        its equation fails, so the replay reaches the same verdict on every
+        witness as without it; only the work moves."""
         h = self.chain.height
         for pth in payment.paths:
             funding = pth[0].ins[0] if pth and pth[0].ins else None
@@ -359,8 +358,10 @@ class Wallet:
                     and len(batch.vtxt.txs) >= BATCH_MIN:
                 vtxt = batch.vtxt
                 own = [(tx.txid, tx) for tx in pth if tx.txid in vtxt.txs]
-                if not verify_batch(arkcore.node_signature_checks(vtxt, own, h)):
-                    verify_batch(arkcore.tree_signature_checks(vtxt, h))
+                for nodes in (own, vtxt.txs.items()):
+                    if verify_batch([check for txid, tx in nodes
+                                     for check in witness_checks(tx, [vtxt.spent(txid)], h)]):
+                        break
         earlier: Dict[str, Tx] = {}
         for tx in transcript(payment):
             spent = [earlier[op.txid].output(op) if op.txid in earlier else self.chain.output(op)

@@ -28,7 +28,7 @@ from arksim.arkcore import (
     vtxo_lock,
 )
 from arksim.harness import cosign_vtxt
-from arksim.ledger import Chain, OutPoint, Output, Params, Tx
+from arksim.ledger import Chain, OutPoint, Output, Params, Tx, witness_checks
 from arksim.script import UNSPENDABLE, And, CheckAggSig, CheckSig, RelTimelock, taproot
 
 PARAMS = Params(k=3, t_u=13, t_e=40)
@@ -278,15 +278,14 @@ def test_batch_lock_paths():
 def test_connector_single_anchor_is_funding():
     _, funding = funded_chain(330)
     conn = build_connector(funding, 1, OP_PK, 330, 2)
-    assert conn.anchors == [funding]
-    assert conn.vtxt is None
+    assert conn.anchors == [funding] and conn.funding == funding
+    assert conn.vtxt.txs == {} and conn.vtxt.funding_out == Output(330, p2pk(OP_PK))
 
 
 def test_connector_tree_anchors():
     _, funding = funded_chain(330 * 4)
     conn = build_connector(funding, 4, OP_PK, 330, 2)
-    assert len(conn.anchors) == 4
-    assert conn.vtxt is not None
+    assert len(conn.anchors) == 4 and conn.funding == funding
     for anchor in conn.anchors:
         tx = conn.vtxt.txs[anchor.txid]
         assert tx.outs[anchor.index].value == 330
@@ -413,6 +412,7 @@ def test_cosigning_a_tree_signs_it_ahead(point_mul_calls):
     cosign_vtxt(vtxt, secrets)
     assert point_mul_calls == []
     assert len(vtxt.txs) == 143 > crypto.SIGN_BATCH_MAX
-    checks = arkcore.tree_signature_checks(vtxt, 0)
+    checks = [check for txid, tx in vtxt.txs.items()
+              for check in witness_checks(tx, [vtxt.spent(txid)], 0)]
     assert len(checks) == 143
     assert all(crypto.verify(crypto.PublicKey(point), m, sig) for point, m, sig in checks)

@@ -108,8 +108,9 @@ def test_the_tree_digest_is_stable_and_moves_with_one_byte(tmp_path):
     # a copy of the tracked files under src/ and perfbench/, tracked in a
     # repository of its own: the same paths and bytes give the same digest,
     # and one byte changed under src/ gives another
-    tracked = subprocess.run(["git", "ls-files", "--", "src", "perfbench"], cwd=ROOT,
-                             stdout=subprocess.PIPE, text=True, check=True).stdout.split()
+    listed = subprocess.run(["git", "ls-files", "--", "src", "perfbench"], cwd=ROOT,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    tracked = listed.stdout.split() if listed.returncode == 0 else []
     if not tracked:
         pytest.skip("the checkout is not a git repository")
     for path in tracked:
@@ -125,3 +126,13 @@ def test_the_tree_digest_is_stable_and_moves_with_one_byte(tmp_path):
     data[0] ^= 1
     target.write_bytes(bytes(data))
     assert bench_record.tree_sha256(str(tmp_path)) != digest
+
+
+def test_the_tree_digest_outside_a_git_checkout_is_an_error(tmp_path, monkeypatch):
+    # a plain directory, with git kept from finding a repository above it:
+    # no file list, so no digest, not the digest of an empty list
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "x.py").write_text("x = 1\n")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    with pytest.raises(RuntimeError, match="git ls-files -- src perfbench failed in "):
+        bench_record.tree_sha256(str(tmp_path))

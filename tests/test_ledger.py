@@ -17,8 +17,10 @@ from arksim.ledger import (
     SubmitError,
     Tx,
     ValueCreated,
+    tx_fault,
+    witness_checks,
 )
-from arksim.script import KEY_PATH, Witness
+from arksim.script import KEY_PATH, UNSPENDABLE, And, CheckSig, RelTimelock, Witness, taproot
 
 SK, PK = crypto.keygen(b"ledger-user")
 SK2, PK2 = crypto.keygen(b"ledger-other")
@@ -204,6 +206,95 @@ def test_no_displacement_once_stable():
     assert chain.is_stable(tx1.txid)
     with pytest.raises(DoubleSpend):
         chain.submit(spend(op, 900, PK), "other")
+
+
+def test_a_conflict_with_an_unstable_spend_is_refused_by_default():
+    # the default adversary keeps the included spend, so submission refuses
+    # the conflict though the spend is not yet stable
+    chain = make_chain(k=3)
+    op = chain.grant(1000, p2pk(PK))
+    tx1 = spend(op, 1000, PK2)
+    chain.submit(tx1, "user")
+    chain.advance_round()
+    assert not chain.is_stable(tx1.txid)
+    with pytest.raises(DoubleSpend, match=f"spent by {tx1.txid[:8]}$"):
+        chain.submit(spend(op, 900, PK), "other")
+    assert chain.mempool == {}
+
+
+def conflict_at_depth(k, depth):
+    """A chain whose spend tx1 of a granted output is `depth` blocks deep
+    under an adversary that prefers newcomers, and tx2, which spends that
+    output too."""
+    chain = make_chain(k=k, adversary=MaxDelay(prefer_new=True))
+    op = chain.grant(1000, p2pk(PK))
+    tx1 = spend(op, 1000, PK2)
+    chain.submit(tx1, "user")
+    chain.advance_round()
+    for _ in range(depth):
+        chain.advance_round()
+    return chain, tx1, spend(op, 900, PK)
+
+
+def test_submission_refuses_a_conflict_from_the_stable_depth_on():
+    k = 3
+    chain, tx1, tx2 = conflict_at_depth(k, k - 1)
+    assert chain.submit(tx2, "other") is True
+    chain, tx1, tx2 = conflict_at_depth(k, k)
+    with pytest.raises(DoubleSpend, match=f"spent by stable {tx1.txid[:8]}$"):
+        chain.submit(tx2, "other")
+    assert chain.mempool == {}
+
+
+@pytest.mark.parametrize("delay", [0, 1])
+def test_inclusion_displaces_a_spend_until_it_is_stable_as_of_the_last_block(delay):
+    # tx2 is admitted while tx1 is k - 1 deep.  In the next block tx1 is
+    # still not stable as of the last block, and tx2 displaces it; a block
+    # later tx1 is k deep, and tx2 is dropped instead
+    k = 3
+    chain, tx1, tx2 = conflict_at_depth(k, k - 1)
+    chain.adversary.per_tx[tx2.txid] = delay
+    chain.submit(tx2, "other")
+    for _ in range(1 + delay):
+        chain.advance_round()
+    assert chain.is_confirmed(tx2.txid) is (delay == 0)
+    assert chain.records[tx1.txid].status == ("replaced" if delay == 0 else "confirmed")
+    events = [(e.event, e.reason) for e in chain.trace]
+    assert events[-1] == (("confirmed", tx2.txid) if delay == 0 else ("dropped", tx2.txid))
+    assert chain.mempool == {}
+
+
+def test_witness_checks_are_the_triples_the_rule_verifies(monkeypatch):
+    # a tx spends a mempool parent's output by its key path, then a granted
+    # output on a path whose timelock comes before its signature: before
+    # the lock opens, the rule stops at the timelock and no triple is built
+    # for that input, and once it opens, each input gives one, in input order
+    chain = make_chain()
+    parent = spend(chain.grant(1000, p2pk(PK)), 1000, PK2)
+    chain.submit(parent, "user")
+    lock = taproot(UNSPENDABLE, [And(RelTimelock(3), CheckSig(PK))])
+    locked = chain.grant(500, lock)
+    tx = Tx(ins=(parent.outpoint(0), locked), outs=(Output(1500, p2pk(PK)),))
+    tx.wits = [Witness(KEY_PATH, (crypto.sign(SK2, tx.digest()),)),
+               Witness(0, (crypto.sign(SK, tx.digest()),), lock.paths)]
+    spent = [chain.output(op, pending=True) for op in tx.ins]
+    assert None not in spent
+    seen = []
+    real = crypto.verify
+
+    def recording(pk, m, sig):
+        seen.append((pk.point, m, sig))
+        return real(pk, m, sig)
+
+    monkeypatch.setattr(crypto, "verify", recording)
+    for height, opened in ((2, False), (3, True)):
+        del seen[:]
+        confirmed = [height, chain.confirm_height(locked.txid)]
+        fault = tx_fault(tx, spent, height, confirmed)
+        assert fault is None if opened else isinstance(fault, InvalidWitness)
+        assert witness_checks(tx, spent, height, confirmed) == seen
+        assert [point for point, _, _ in seen] == [PK2.point, PK.point][:len(seen)]
+    assert len(seen) == 2 and all(m == tx.digest() for _, m, _ in seen)
 
 
 def test_eviction_cascades_to_descendants():

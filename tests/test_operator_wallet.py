@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from arksim import arkcore, crypto, harness
+from arksim import arkcore, crypto, harness, wallet
 from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
@@ -71,6 +71,54 @@ def test_boarding_value_must_cover_request():
     sim.tick(PARAMS.k + 1)
     with pytest.raises(Reject):
         sim.operator.verify_boarding(bad)
+
+
+def test_a_boarding_output_already_pending_is_refused():
+    sim = Simulation(PARAMS, 1)
+    sim.operator.fund(10_000)
+    sim.add_wallet("alice", [1_000])
+    _, req = submit_boarding(sim, "alice", [1_000])
+    sim.tick(PARAMS.k + 1)
+    sim.operator.verify_boarding(req)
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match="^boarding output already pending$"):
+        sim.operator.verify_boarding(dataclasses.replace(req))   # a second request
+    assert book_state(sim.operator.book) == book
+
+
+@pytest.mark.parametrize("lock, reason", [
+    (lambda user, op: p2pk(user), "VTXO key path must be unspendable"),
+    (lambda user, op: arkcore.boarding_lock(user, op, PARAMS.t_b - 1),
+     "path 1 neither requires the operator nor waits t_u"),
+], ids=["key-path", "short-timeout"])
+def test_a_boarding_output_under_an_unsafe_lock_is_refused(lock, reason):
+    sim = Simulation(PARAMS, 1)
+    sim.operator.fund(10_000)
+    alice = sim.add_wallet("alice", [])
+    op = sim.chain.grant(1_000, lock(alice.pk, sim.operator.pk))
+    sim.tick(PARAMS.k + 1)
+    req = Request("boarding", "alice", boarding_outpoint=op,
+                  outputs=(VtxoSpec(1_000, "alice", alice.pk),))
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match=f"^boarding lock unsafe: {reason}$"):
+        sim.operator.verify_boarding(req)
+    assert book_state(sim.operator.book) == book
+
+
+def test_a_round_the_operator_cannot_fund_is_refused():
+    # boarding needs no operator funds; a swap needs its batch output and
+    # connector, and this operator has none
+    sim = Simulation(PARAMS, 0)
+    sim.add_wallet("alice", [5_000])
+    sim.board("alice", [5_000])
+    assert sim.settle_commitment() is not None
+    sim.swap("alice", sim.vtxos("alice"))
+    op = sim.operator
+    book, deadlines, trace = book_state(op.book), dict(op.deadlines), len(sim.chain.trace)
+    with pytest.raises(Reject, match="^InsufficientLiquidity$"):
+        op.assemble_commitment()
+    assert book_state(op.book) == book and op.deadlines == deadlines
+    assert op.pending_bundles == [] and sim.chain.trace[trace:] == []
 
 
 def test_happy_boarding_yields_confirmed_vtxo():
@@ -752,6 +800,53 @@ def test_wallet_rejects_a_tree_the_commitment_does_not_fund():
     assert not sim.wallets["alice"].verify_commitment(bundle)
     assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
                                  "batch tree not funded by the commitment")
+
+
+def refuses(sim, name, bundle, reason):
+    """`name` approves nothing of `bundle`, notes `reason` and keeps what it holds."""
+    held = dict(sim.wallets[name].holdings)
+    assert sim.wallets[name].verify_commitment(bundle) is None
+    assert last_refusal(sim) == ("wallet", name, "verify_failed", reason)
+    assert sim.wallets[name].holdings == held
+
+
+def test_wallet_rejects_a_leaf_outside_the_tree():
+    sim, bundle = pair_bundle()
+    bundle.batch.vtxt.leaves[0].vtxo.outpoint = OutPoint("ee" * 32, 0)     # alice's
+    refuses(sim, "alice", bundle, "leaf missing from the tree")
+
+
+def late_inner_locks(real, op, cosigners, expiry):
+    """The locks of the tree's inner outputs, each under one user's key
+    with the operator's, sweepable a block after the batch expiry; every
+    other lock honest."""
+    return real(op, cosigners, expiry + 1 if len(cosigners.members) == 2 else expiry)
+
+
+def test_wallet_rejects_an_inner_output_swept_after_the_batch(monkeypatch):
+    sim, bundle = pair_bundle(monkeypatch, late_inner_locks)
+    for name in ("alice", "bob"):
+        refuses(sim, name, bundle, "internal output is not sweep-shaped at expiry")
+
+
+def test_wallet_rejects_an_anchor_that_is_not_dust():
+    # the one anchor names the batch output instead of the connector output
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    assert sim.wallets["alice"].verify_commitment(bundle)
+    bundle.connector.anchors[0] = bundle.batch.vtxt.funding
+    refuses(sim, "alice", bundle, "anchor value is not epsilon")
+
+
+def test_wallet_rejects_an_exit_whose_output_the_commitment_lacks():
+    sim = boarded_sim()
+    sim.exit("alice", sim.vtxos("alice"))
+    bundle = sim.operator.assemble_commitment()
+    assert sim.wallets["alice"].verify_commitment(bundle)
+    (r,) = bundle.requests
+    ((value, lock),) = r.exit_outputs
+    bundle.requests[0] = dataclasses.replace(r, exit_outputs=((value + 1, lock),))
+    refuses(sim, "alice", bundle, "exit output missing")
 
 
 def test_wallet_rejects_a_leaf_index_past_its_tx():
@@ -1881,15 +1976,17 @@ def test_a_checked_path_builds_no_tree_checks(batch_sizes, monkeypatch):
     sim = tree_sim()
     assert receipt(sim, "user0", "user1")[2] == "payment_accepted"
     built = []
-    real = arkcore.tree_signature_checks
-
-    def recording(vtxt, height):
-        built.append(vtxt)
-        return real(vtxt, height)
-
-    monkeypatch.setattr(arkcore, "tree_signature_checks", recording)
+    real = wallet.witness_checks
     payment = sim.ark_pay("user2", "user3", sim.vtxos("user2"), 1_000,
                           auto_receive=False)
+    path = {tx.txid for pth in payment.paths for tx in pth}
+
+    def recording(tx, spent, height, confirmed=()):
+        if tx.txid not in path:     # a tree node off the payer's path
+            built.append(tx)
+        return real(tx, spent, height, confirmed)
+
+    monkeypatch.setattr(wallet, "witness_checks", recording)
     del batch_sizes[:]
     assert sim.wallets["user3"].trees != {}
     assert sim.wallets["user3"].receive_payment(payment) is not None

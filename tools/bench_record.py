@@ -146,9 +146,13 @@ def check(record: dict) -> List[str]:
     return problems
 
 
-def _git(*args: str, root: str = ROOT) -> str:
+def _git(*args: str, root: str = ROOT, check: bool = False) -> str:
+    """git's output, stripped; "" if git fails, unless `check`, which
+    raises `RuntimeError` with git's message instead."""
     proc = subprocess.run(["git", *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True, cwd=root)
+                          stderr=subprocess.PIPE, text=True, cwd=root)
+    if proc.returncode != 0 and check:
+        raise RuntimeError(f"git {' '.join(args)} failed in {root}: {proc.stderr.strip()}")
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
@@ -156,9 +160,11 @@ def tree_sha256(root: str = ROOT) -> str:
     """SHA-256 over every file git tracks under `root`'s src/ and
     perfbench/, in path order: each relative path and length, then its
     bytes as they are on disk (a tracked file deleted from disk is left
-    out)."""
+    out).  Raises `RuntimeError` if `root` is not in a git checkout, where
+    there is no file list to digest."""
     digest = hashlib.sha256()
-    for path in sorted(_git("ls-files", "--", "src", "perfbench", root=root).splitlines()):
+    files = _git("ls-files", "--", "src", "perfbench", root=root, check=True)
+    for path in sorted(files.splitlines()):
         full = os.path.join(root, path)
         if os.path.isfile(full):
             with open(full, "rb") as fh:
