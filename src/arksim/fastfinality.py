@@ -304,9 +304,7 @@ class FfCoordinator:
                 if self.chain.unspent(src) and not self.chain.is_confirmed(rst.txid):
                     package = [rst, payload.payment.ark]
                     try:
-                        self.chain.submit_package(
-                            [t for t in package
-                             if not self.chain.is_confirmed(t.txid)], member)
+                        self.chain.submit_package(package, member)
                         reactions.extend(package)
                     except SubmitError:
                         pass

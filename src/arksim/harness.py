@@ -211,9 +211,7 @@ class Simulation:
         path = next(b.batch.vtxt.path_to(vtxo.outpoint.txid)
                     for b in self.all_bundles
                     if b.batch is not None and vtxo.outpoint.txid in b.batch.vtxt.txs)
-        for tx in (*path, *then):
-            if not self.chain.is_confirmed(tx.txid):
-                self.chain.submit(tx, name)
+        self.chain.submit_package([*path, *then], name)
 
     # --- oracles ---------------------------------------------------------
 
@@ -280,9 +278,9 @@ def audit(sim: Simulation) -> List[Violation]:
     reserved, own, balance = op.reserved(), op._own_utxos(), op.onchain_balance()
     # spendable, reserved, and young: a grant is spendable at any depth
     parts = (sum(out.value for _, out in op.spendable_liquidity()),
-             sum(out.value for o, _, out in own if o in reserved),
-             sum(out.value for o, h, out in own if o not in reserved
-                 and chain.height - h < op.params.k and chain.records[o.txid].tx.ins))
+             sum(out.value for o, out in own if o in reserved),
+             sum(out.value for o, out in own if o not in reserved
+                 and not chain.is_stable(o.txid) and chain.records[o.txid].tx.ins))
     checks = [
         ("partition", not twice, f"in two of C, F and S: {sorted(twice)}"),
         ("oracle-book", not diff, f"oracle and book differ on {diff}"),
@@ -383,7 +381,7 @@ def _race_batch(k: int, t_e: int) -> _RaceBatch:
     leaves = [Vtxo(500, arkcore.vtxo_lock(a_pk, op_pk, params.t_u), "alice", a_pk),
               Vtxo(500, arkcore.vtxo_lock(b_pk, op_pk, params.t_u), "bob", b_pk)]
     lock, vtxt = signed_batch(leaves, [(op_sk, op_pk), (a_sk, a_pk), (b_sk, b_pk)],
-                              2 * k + t_e)
+                              params.batch_expiry(0))
     sweep = Tx(ins=(vtxt.funding,), outs=(Output(1000, p2pk(op_pk)),))
     sweep_index, _ = arkcore.sweep_path(lock)
     sweep.wits = [Witness(sweep_index, (crypto.sign(op_sk, sweep.digest()),), lock.paths)]
@@ -399,7 +397,7 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     new."""
     race = _race_batch(k, t_e)
     path_txs, sweep = race.path, race.sweep
-    expiry = 2 * k + t_e
+    expiry = race.params.batch_expiry(0)
     adversary = MaxDelay(prefer_new=True,
                          per_tx={tx.txid: d for tx, d in zip(path_txs, delays)},
                          exempt=("operator",))
@@ -409,7 +407,7 @@ def exit_race(k: int, delays: Sequence[int], late_by: int = 0,
     # fund the batch directly at height 0
     grant_batch(chain, race.vtxt)
 
-    exit_height = expiry - 2 * k - 1 + late_by
+    exit_height = race.params.exit_deadline(expiry) + late_by
     leaf_txid = race.vtxt.leaves[0].txid
     sweep_submitted = False
     while chain.height < expiry + 2 * k:
@@ -784,7 +782,7 @@ def ff_setup(seed: int, p: Params, delta: int, edge_delays: Optional[dict] = Non
     vtxo = Vtxo(value, lock, "mallory", mallory.pk)
     _, vtxt = signed_batch([vtxo],
                            [(sim.operator.sk, sim.operator.pk), (mallory.sk, mallory.pk)],
-                           sim.chain.height + 2 * p.k + p.t_e)
+                           p.batch_expiry(sim.chain.height))
     grant_batch(sim.chain, vtxt)
     mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid),
                                            "batch")

@@ -4,8 +4,11 @@ One block per round, unbounded block size, no explicit forks: reorg risk
 is folded into the depth-k stability rule.  The adversary controls a
 bounded per-transaction inclusion delay and, for conflicting spends, may
 displace an already included transaction as long as it is not yet k
-blocks deep.  An honest submission at height h is therefore in every
-stable view by height h + 2k.
+blocks deep.  The delay is at most k - 1 blocks past the next, so an
+honest submission at height h is included by h + k and is in every stable
+view by height h + 2k.  `Params` derives each deadline the protocol acts
+on from this bound, once: `batch_expiry`, `exit_deadline` and
+`claim_horizon`.
 
 One rule judges a tx, `tx_fault`, and one lookup names the output an
 outpoint spends, `Tx.output` (over the chain, `Chain.output`): submission,
@@ -53,6 +56,30 @@ class Params:
                                  f" got {value!r}")
         if not unsafe and self.t_u <= 4 * self.k:
             raise ValueError(f"t_u must exceed 4k (t_u={self.t_u}, k={self.k})")
+
+    # The timing model: a tx submitted at height h is included by h + k
+    # (`Chain.submit`) and stable, k deep, from h + 2k on (`Chain.is_stable`).
+
+    def batch_expiry(self, height: int) -> int:
+        """height + 2k + t_e: the expiry of a batch whose commitment is made
+        at `height`.  The commitment is stable by height + 2k, so the batch
+        lives t_e blocks in every stable view before its sweep path opens."""
+        return height + 2 * self.k + self.t_e
+
+    def exit_deadline(self, expiry: int) -> int:
+        """expiry - 2k - 1: the last height at which an owner can fire the
+        unilateral exit of a VTXO expiring at `expiry`.  Submitted then, its
+        path is stable by expiry - 1, before the operator's sweep can land."""
+        return expiry - 2 * self.k - 1
+
+    def claim_horizon(self, expiry: int) -> int:
+        """expiry + t_u + 1: the first height at which no unrolled VTXO
+        expiring at `expiry` can still open its owner's claim: the leaf
+        confirms by `expiry`, when the operator sweeps the batch, and the
+        claim waits t_u blocks after it.  A forfeit and its connector stay
+        answerable until then; t_u > 4k (`validate`) is what lets the
+        answer be stable before the claim opens."""
+        return expiry + self.t_u + 1
 
 
 @dataclass(frozen=True)
@@ -211,7 +238,9 @@ def witness_checks(tx: Tx, spent: Sequence[Optional[Output]], height: int,
 
 
 class Adversary:
-    """Inclusion policy hooks. Delay is clamped so the 2k bound holds."""
+    """Inclusion policy hooks.  `Chain.submit` clamps a delay to [0, k - 1]
+    blocks past the next, so a tx submitted at h is included by h + k and
+    stable by h + 2k, the bound `Params`' deadlines rest on."""
 
     def delay(self, tx: Tx, height: int, party: str) -> int:
         return 0
@@ -364,9 +393,8 @@ class Chain:
         fault = tx_fault(tx, spent)
         if fault:
             raise fault
-        d = self.adversary.delay(tx, self.height, by)
-        d = max(0, min(d, 2 * self.params.k - 1))
-        due = self.height + 1 + min(d, self.params.k - 1)
+        d = max(0, min(self.adversary.delay(tx, self.height, by), self.params.k - 1))
+        due = self.height + 1 + d
         self.mempool[tx.txid] = _Pending(tx, by, due)
         return True
 

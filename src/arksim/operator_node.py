@@ -219,11 +219,10 @@ class Operator:
     def fund(self, value: int) -> OutPoint:
         return self.chain.grant(value, p2pk(self.pk))
 
-    def _own_utxos(self) -> List[Tuple[OutPoint, int, Output]]:
-        """(outpoint, confirm height, output) of each operator UTXO."""
+    def _own_utxos(self) -> List[Tuple[OutPoint, Output]]:
+        """(outpoint, output) of each operator UTXO."""
         lock = p2pk(self.pk)
-        return [(op, e.confirm_height, e.output)
-                for op, e in self.chain.utxos.items() if e.output.lock == lock]
+        return [(op, e.output) for op, e in self.chain.utxos.items() if e.output.lock == lock]
 
     def reserved(self) -> Set[OutPoint]:
         """The outpoints of every connector still held out of funding."""
@@ -235,13 +234,13 @@ class Operator:
         are k blocks deep or were minted by `Chain.grant`, less the
         reserved connector outputs, largest first and then by outpoint."""
         chain, reserved = self.chain, self.reserved()
-        found = [(op, out) for op, height, out in self._own_utxos()
-                 if op not in reserved and (chain.height - height >= self.params.k
+        found = [(op, out) for op, out in self._own_utxos()
+                 if op not in reserved and (chain.is_stable(op.txid)
                                             or not chain.records[op.txid].tx.ins)]
         return sorted(found, key=lambda f: (-f[1].value, f[0].txid, f[0].index))
 
     def onchain_balance(self) -> int:
-        return sum(out.value for _, _, out in self._own_utxos())
+        return sum(out.value for _, out in self._own_utxos())
 
     # --- instrumented cosigning -----------------------------------------
 
@@ -418,7 +417,7 @@ class Operator:
                     for r in self.book.queue if r.kind == kind]
         if not requests:
             return None
-        expiry = self.chain.height + 2 * self.params.k + self.params.t_e
+        expiry = self.params.batch_expiry(self.chain.height)
 
         leaves = [self._make_leaf(s) for r in requests for s in r.outputs]
         forfeited = forfeited_vtxos(requests)
@@ -627,7 +626,7 @@ class Operator:
         if bundle.connector is not None:
             op = bundle.connector.funding
             held = [op] + [tx.outpoint(i) for tx in tree.txs.values() for i in range(len(tx.outs))]
-            released = max(v.expiry for v in forfeited) + self.params.t_u + 1
+            released = self.params.claim_horizon(max(v.expiry for v in forfeited))
             self.deadlines[op] = Deadline("reserve", released, released, frozenset(held))
 
     def _answer(self, v: Vtxo, tx: Tx, tree: Optional[Vtxt] = None) -> None:
@@ -637,7 +636,7 @@ class Operator:
             raise InvariantError(f"spent VTXO of {v.owner} in the book has no outpoint")
         self.book.vtxos[v.key()] = SPENT
         self.deadlines[v.outpoint] = Deadline(
-            "answer", self.chain.height, v.expiry + self.params.t_u + 1, (tx, tree))
+            "answer", self.chain.height, self.params.claim_horizon(v.expiry), (tx, tree))
 
     # --- sweeping --------------------------------------------------------
 

@@ -196,8 +196,7 @@ class Wallet:
             vtxt = bundle.batch.vtxt
             if bundle.commitment.output(vtxt.funding) != vtxt.funding_out:
                 return self._fail("batch tree not funded by the commitment")
-            floor = self.chain.height + 2 * self.params.k + self.params.t_e
-            if (bundle.batch.expiry or 0) < floor:
+            if (bundle.batch.expiry or 0) < self.params.batch_expiry(self.chain.height):
                 return self._fail("batch expiry below the local bound")
         anchors = bundle.anchors()
         approved: Set[bytes] = set()
@@ -395,29 +394,29 @@ class Wallet:
         return submitted
 
     def spend_policy_step(self) -> List[Tx]:
-        """Fire the unilateral fallback at exactly T_e - 2k - 1 for any
-        VTXO whose collaborative processing has not completed."""
+        """Fire the unilateral fallback at its exit deadline
+        (`Params.exit_deadline`) for any VTXO not yet exited."""
         submitted: List[Tx] = []
         h = self.chain.height
         for holding in list(self.holdings.values()):
             if holding.exited:
                 continue
-            deadline = holding.vtxo.expiry - 2 * self.params.k - 1
-            if h >= deadline:
+            if h >= self.params.exit_deadline(holding.vtxo.expiry):
                 submitted.extend(self.unilateral_exit(holding.vtxo))
         return submitted
 
     # --- balance ---------------------------------------------------------
 
     def balance(self) -> int:
-        """Unexpired VTXOs and unspent boarding outputs; a reclaimed boarding
-        output is a plain onchain output, outside the Ark balance."""
+        """VTXOs not past their exit deadline and unspent boarding outputs; a
+        reclaimed boarding output is a plain onchain output, outside the Ark
+        balance."""
         h = self.chain.height
         total = 0
         for holding in self.holdings.values():
             if holding.exited:
                 continue
-            if holding.vtxo.expiry - h > 2 * self.params.k:
+            if h <= self.params.exit_deadline(holding.vtxo.expiry):
                 total += holding.vtxo.value
         for op, out in self.boarding_outputs:
             if self.chain.unspent(op):

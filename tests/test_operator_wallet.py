@@ -507,6 +507,43 @@ def test_a_cooperatively_exited_vtxo_cannot_be_claimed_again():
     assert not sim.chain.is_confirmed(claim.txid)
 
 
+def _rewrite_queued(sim, req, **changes):
+    """Replace `req` in the operator's queue with a copy carrying `changes`."""
+    queue = sim.operator.book.queue
+    queue[queue.index(req)] = dataclasses.replace(req, **changes)
+
+
+def _exit_paid_to_the_operator(sim):
+    (v,) = sim.vtxos("alice")
+    req = sim.exit("alice", [v])
+    _rewrite_queued(sim, req, exit_outputs=((5_000, p2pk(sim.operator.pk)),))
+    bundle = sim.operator.assemble_commitment()
+    assert Output(5_000, p2pk(sim.operator.pk)) in bundle.commitment.outs
+    return bundle
+
+
+def _boarding_shrunk_to_one_sat(sim):
+    sim.add_wallet("bob", [5_000])
+    req = sim.board("bob", [5_000])
+    _rewrite_queued(sim, req, outputs=(VtxoSpec(1, "bob", sim.wallets["bob"].pk),))
+    bundle = sim.operator.assemble_commitment()
+    assert [leaf.vtxo.value for leaf in bundle.batch.vtxt.leaves] == [1]
+    return bundle
+
+
+@pytest.mark.xfail(strict=True, reason="a wallet audits the bundle's copy of its request,"
+                                       " not the request it made")
+@pytest.mark.parametrize("owner, rewrite", [("alice", _exit_paid_to_the_operator),
+                                            ("bob", _boarding_shrunk_to_one_sat)],
+                         ids=["exit-to-the-operator", "boarding-shrunk"])
+def test_a_wallet_refuses_a_commitment_that_rewrites_its_request(owner, rewrite):
+    # the operator swaps the request the wallet made for a copy that pays
+    # the wallet less; the wallet must refuse to approve the commitment
+    sim = boarded_sim()
+    bundle = rewrite(sim)
+    assert sim.wallets[owner].verify_commitment(bundle) is None
+
+
 # --- ceremony and rollback ----------------------------------------------
 
 
@@ -2132,6 +2169,24 @@ def test_balance_counts_unexpired_only():
     while sim.chain.height < v.expiry - 2 * PARAMS.k:
         sim.tick(1, watch=False)
     assert alice.balance() == 0     # too close to expiry to be safe
+
+
+def test_the_exit_deadline_is_expiry_less_2k_less_1():
+    # the deadline written out here, not read from Params
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    deadline = v.expiry - 2 * PARAMS.k - 1
+    sim.tick(deadline - 1 - sim.chain.height, watch=False)
+    assert sim.chain.height == deadline - 1
+    assert alice.spend_policy_step() == []
+    assert alice.balance() == 5_000
+    sim.tick(1, watch=False)
+    assert alice.balance() == 5_000     # counted until the exit fires
+    transcript = alice.holdings[v.key()].transcript
+    unconfirmed = [tx for tx in transcript if not sim.chain.is_confirmed(tx.txid)]
+    assert unconfirmed and alice.spend_policy_step() == unconfirmed
+    assert alice.balance() == 0
 
 
 def test_unilateral_exit_confirms():
