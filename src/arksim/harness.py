@@ -42,6 +42,7 @@ from .operator_node import (
     Request,
     VtxoSpec,
     chunked,
+    consumed_vtxos,
     sign_ahead,
 )
 from .script import KEY_PATH, LockScript, Witness
@@ -78,8 +79,7 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
         else:
             state.S.update((op.txid, op.index) for op in p.ark.ins)  # legacy: no resets
     stable = [b for b in bundles if chain.is_stable(b.commitment.txid)]
-    state.S.update(v.key() for b in stable for r in b.requests
-                   if r.kind in ("batch-swap", "exit") for v in r.inputs)
+    state.S.update(v.key() for b in stable for v in consumed_vtxos(b.requests))
 
     def counts(v: Vtxo) -> bool:
         return (v.key() not in state.S and chain.height < v.expiry
@@ -207,10 +207,11 @@ class Simulation:
 
     def unroll(self, name: str, vtxo: Vtxo, then: Sequence[Tx] = ()) -> None:
         """Publish as `name` the path from `vtxo`'s batch output to its
-        leaf, then `then`, skipping txs already confirmed."""
-        path = next(b.batch.vtxt.path_to(vtxo.outpoint.txid)
-                    for b in self.all_bundles
-                    if b.batch is not None and vtxo.outpoint.txid in b.batch.vtxt.txs)
+        leaf, then `then`, skipping confirmed txs; `ArkError` unless a bundle's tree holds it."""
+        path = next((b.batch.vtxt.path_to(vtxo.outpoint.txid) for b in self.all_bundles
+                     if b.batch is not None and vtxo.outpoint.txid in b.batch.vtxt.txs), None)
+        if path is None:
+            raise arkcore.ArkError(f"no bundle's tree holds VTXO {vtxo.outpoint.txid[:8]}")
         self.chain.submit_package([*path, *then], name)
 
     # --- oracles ---------------------------------------------------------
@@ -713,7 +714,7 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     w2.on_commitment_confirmed(bundle2)
 
     # reimbursement: O1 pays v to O2, anchored in O2's commitment
-    anchor = bundle2.anchors()[old_vtxo.outpoint]
+    anchor = next(a for _, _, forfeits in bundle2.entries() for v, a in forfeits if v is old_vtxo)
     o1_fund, o1_out = sim.operator.spendable_liquidity()[0]
     reimb = Tx(ins=(o1_fund, anchor),
                outs=(Output(old_vtxo.value + p.epsilon, p2pk(op2.pk)),

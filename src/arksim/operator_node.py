@@ -18,7 +18,9 @@ in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from . import arkcore, crypto
 from .arkcore import (
@@ -117,6 +119,11 @@ def forfeited_vtxos(requests: Sequence[Request]) -> List[Vtxo]:
     return [v for r in requests if r.kind == "batch-swap" for v in r.inputs]
 
 
+def consumed_vtxos(requests: Sequence[Request]) -> List[Vtxo]:
+    """What a stable commitment spends offchain: the swaps' and exits' inputs, in order."""
+    return [v for r in requests if r.kind in ("batch-swap", "exit") for v in r.inputs]
+
+
 # a spent VTXO's entry in `OperatorBook.vtxos`: its set, and no VTXO
 SPENT = ("S", None)
 
@@ -153,9 +160,9 @@ WATCH_ORDER = ("reserve", "sweep-batch", "sweep-reset", "answer")
 class Bundle:
     """Everything the parties inspect and sign for one commitment.
     `requests` holds the bundled requests in assembly order (boarding
-    requests, then batch swaps, then exits), and the batch tree's leaves
-    are their outputs in that order.  The commitment spends the funding
-    inputs first, then each boarding request's output."""
+    requests, then batch swaps, then exits).  Its layout is read through
+    one walk, `entries`.  The commitment spends the funding inputs first,
+    then each boarding request's output."""
     commitment: Tx
     batch: Optional[BatchOutput]
     connector: Optional[ConnectorOutput]
@@ -164,11 +171,15 @@ class Bundle:
     submit_height: Optional[int] = None
     account: Dict[str, int] = field(default_factory=dict)  # Lemma-4 style flows
 
-    def anchors(self) -> Dict[Optional[OutPoint], OutPoint]:
-        """Each forfeited VTXO's connector anchor, by the VTXO's outpoint:
-        the `forfeited_vtxos` paired with the connector's anchors."""
-        return dict(zip((v.outpoint for v in forfeited_vtxos(self.requests)),
-                        self.connector.anchors if self.connector else ()))
+    def entries(self) -> Iterator[Tuple[Request, List[Vtxo], List[Tuple[Vtxo, OutPoint | None]]]]:
+        """The layout, in request order: each request, the tree's leaves made
+        for its outputs, which are the requests' outputs in order, and each of
+        its `forfeited_vtxos` paired with the next connector anchor, or None."""
+        leaves = iter(self.batch.vtxt.leaves if self.batch is not None else ())
+        anchors = iter(self.connector.anchors if self.connector is not None else ())
+        for r in self.requests:
+            yield (r, [leaf.vtxo for leaf in islice(leaves, len(r.outputs))],
+                   [(v, next(anchors, None)) for v in forfeited_vtxos((r,))])
 
 
 class Session(NamedTuple):
@@ -525,11 +536,9 @@ class Operator:
                             for txid, tx in vtxt.txs.items()]
             except arkcore.ArkError as e:
                 raise SessionAborted(f"vtxt: {e}")
-        anchors = bundle.anchors()
-        sessions += [Session("forfeit", r, forfeit_tx(v, anchors[v.outpoint], self.pk,
-                                                      self.params.epsilon),
+        sessions += [Session("forfeit", r, forfeit_tx(v, anchor, self.pk, self.params.epsilon),
                              v.lock, *collab_aggregate(v.lock))
-                     for r in bundle.requests if r.kind == "batch-swap" for v in r.inputs]
+                     for r, _, forfeits in bundle.entries() for v, anchor in forfeits]
         boarding = [r for r in bundle.requests if r.kind == "boarding"]
         n_funding = len(commitment.ins) - len(boarding)
         locks = [self.chain.utxos[op].output.lock for op in commitment.ins[n_funding:]]
@@ -616,12 +625,11 @@ class Operator:
                 "sweep-batch", batch.expiry - 1, batch.expiry, batch)
             for leaf in batch.vtxt.leaves:
                 book.vtxos[leaf.vtxo.key()] = ("C", leaf.vtxo)
-        forfeited = forfeited_vtxos(bundle.requests)
+        book.vtxos.update((v.key(), SPENT) for v in consumed_vtxos(bundle.requests))
+        forfeited = [v for _, _, forfeits in bundle.entries() for v, _ in forfeits]
         tree = bundle.connector.vtxt if bundle.connector else None
         for v in forfeited:
             self._answer(v, bundle.forfeits[v.key()], tree)
-        book.vtxos.update((v.key(), SPENT) for r in bundle.requests if r.kind == "exit"
-                          for v in r.inputs)
         self.collected_fees += bundle.account.get("F", 0)
         if bundle.connector is not None:
             op = bundle.connector.funding

@@ -5,15 +5,16 @@ policy, and balance computation.
 The bundle audit reads only the chain, the commitment and the wallet's
 branch of the batch tree.  The commitment must spend outputs the chain
 holds, create no value and create the tree's funding output, whose sweep
-height is the batch expiry.  The tree's leaves are the requests' outputs
-in request order: the wallet takes its own from there and refuses two at
-one outpoint (another owner's leaf fails the lock check).  Every node on
-the path to each (`Vtxt.path_to`) must need its key, create no value and
-sweep-lock its outputs at the expiry.  The audit approves what the
-ceremony may sign under the wallet's key: those nodes, the forfeit of
-each VTXO it swaps and the commitment it boards into or exits from, if
-every input of the commitment locked to its key is one it boards and every
-exit of a VTXO of its key is one it asked for.
+height is the batch expiry.  The wallet reads its own requests' leaves
+and each forfeit's connector anchor from the bundle's one layout walk
+(`Bundle.entries`), and refuses two leaves at one outpoint (another
+owner's leaf fails the lock check).  Every node on the path to each
+(`Vtxt.path_to`) must need its key, create no value and sweep-lock its
+outputs at the expiry.  The audit approves what the ceremony may sign
+under the wallet's key: those nodes, the forfeit of each VTXO it swaps
+and the commitment it boards into or exits from, if every input of the
+commitment locked to its key is one it boards and every exit of a VTXO
+of its key is one it asked for.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -43,7 +44,7 @@ batch spares `verify` a comb table for each.  A tree of fewer than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import arkcore
 from .arkcore import BatchOutput, Vtxo, cosigners, forfeit_tx, p2pk, sweep_path_height, vtxo_lock
@@ -51,7 +52,7 @@ from .crypto import BATCH_MIN, PublicKey, SecretKey, verify_batch
 from .ledger import (Chain, DoubleSpend, InvalidWitness, MissingInput, MissingWitness, OutPoint,
                      Output, Params, SubmitError, Tx, ValueCreated, tx_fault, value_fault,
                      witness_checks)
-from .operator_node import ArkPayment, Bundle, Request, VtxoSpec
+from .operator_node import ArkPayment, Bundle, Request, VtxoSpec, consumed_vtxos
 
 # the payee's reason for each fault of the ledger's rule in its transcript
 _REPLAY_REASONS = {MissingInput: "unknown input", MissingWitness: "missing witness",
@@ -163,7 +164,7 @@ class Wallet:
         return txs
 
     def verify_connector(self, bundle: Bundle, anchor: Optional[OutPoint]) -> Optional[OutPoint]:
-        """A forfeited VTXO's anchor (`Bundle.anchors`), if it is an epsilon output."""
+        """A forfeited VTXO's anchor (`Bundle.entries`), if it is an epsilon output."""
         if anchor is None:
             return self._fail("no anchor for forfeited vtxo")
         tree = bundle.connector.vtxt.txs
@@ -171,16 +172,6 @@ class Wallet:
         if out is None or out.value != self.params.epsilon:
             return self._fail("anchor value is not epsilon")
         return anchor
-
-    def _mine(self, bundle: Bundle) -> Iterator[Tuple[Request, List[Vtxo]]]:
-        """This wallet's requests in the bundle, each with the tree's leaves
-        made for its outputs; an exit has none."""
-        leaves = bundle.batch.vtxt.leaves if bundle.batch is not None else []
-        end = 0
-        for r in bundle.requests:
-            start, end = end, end + len(r.outputs)
-            if r.party == self.name:
-                yield r, [leaf.vtxo for leaf in leaves[start:end]]
 
     def verify_commitment(self, bundle: Bundle) -> Optional[Set[bytes]]:
         """The digests this wallet approves (module docstring), or None to refuse."""
@@ -198,12 +189,13 @@ class Wallet:
                 return self._fail("batch tree not funded by the commitment")
             if (bundle.batch.expiry or 0) < self.params.batch_expiry(self.chain.height):
                 return self._fail("batch expiry below the local bound")
-        anchors = bundle.anchors()
         approved: Set[bytes] = set()
         seen: set[Tuple[str, int]] = set()
         boards: Set[OutPoint] = set()
         exits: Set[OutPoint] = set()
-        for r, made in self._mine(bundle):
+        for r, made, forfeits in bundle.entries():
+            if r.party != self.name:
+                continue
             for leaf, spec in zip(made, r.outputs):
                 expected = vtxo_lock(spec.owner_pk, self.operator_pk,
                                      self.params.t_u, spec.r_star)
@@ -216,12 +208,11 @@ class Wallet:
                     return self._fail("two requests aliased to one output")
                 seen.add(leaf.key())
                 approved.update(tx.digest() for tx in path)
-            if r.kind == "batch-swap":
-                for v in r.inputs:
-                    anchor = self.verify_connector(bundle, v.outpoint and anchors.get(v.outpoint))
-                    if anchor is None:
-                        return None
-                    approved.add(forfeit_tx(v, anchor, self.operator_pk, self.params.epsilon).digest())
+            for v, anchor in forfeits:
+                anchor = self.verify_connector(bundle, v.outpoint and anchor)
+                if anchor is None:
+                    return None
+                approved.add(forfeit_tx(v, anchor, self.operator_pk, self.params.epsilon).digest())
             if r.kind == "boarding":
                 boards.add(r.boarding_outpoint)
             if r.kind == "exit":
@@ -245,13 +236,13 @@ class Wallet:
     def on_commitment_confirmed(self, bundle: Bundle) -> None:
         h = self.chain.height
         self.trees = {op: b for op, b in self.trees.items() if b.expiry > h}
-        for r, leaves in self._mine(bundle):
-            for leaf in leaves:
-                path = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
-                self.holdings[leaf.key()] = Holding(leaf, list(path), "batch")
-                self.trees[bundle.batch.vtxt.funding] = bundle.batch
-            if r.kind in ("batch-swap", "exit"):
-                for v in r.inputs:
+        for r, leaves, _ in bundle.entries():
+            if r.party == self.name:
+                for leaf in leaves:
+                    path = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
+                    self.holdings[leaf.key()] = Holding(leaf, list(path), "batch")
+                    self.trees[bundle.batch.vtxt.funding] = bundle.batch
+                for v in consumed_vtxos([r]):
                     self.holdings.pop(v.key(), None)
         # a boarding output leaves once spent by a stable commitment or reclaim
         self.boarding_outputs = [(op, out) for op, out in self.boarding_outputs

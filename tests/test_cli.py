@@ -35,6 +35,17 @@ def test_run_scenario_writes_report(tmp_path):
     assert all(v["pass"] for v in rep["verdicts"])
 
 
+def test_run_hostage_attack_without_resets(tmp_path):
+    # without resets the operator bears the hostage VTXO's value as a
+    # deficit, and the report's one verdict checks exactly that
+    out = tmp_path / "report.json"
+    assert main(["run", "hostage_attack", "--no-resets", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["scenario"] == "hostage_attack"
+    assert [(v["name"], v["pass"]) for v in rep["verdicts"]] == [("operator_deficit", True)]
+    assert rep["deficit"] == rep["hostage_value"] == 5_000
+
+
 def test_seed_determinism_via_cli(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["run", "censoring_operator", "--seed", "8", "--out", str(a)])

@@ -14,6 +14,7 @@ from arksim.harness import (
 )
 from arksim.ledger import Output, Tx
 from arksim.operator_node import Reject, Request, VtxoSpec
+from arksim.wallet import transcript
 
 
 def payment(sim, coord, vtxo, to, allow_conflict=False):
@@ -200,6 +201,25 @@ def test_double_sign_detected_and_burned():
     # the burn destroys the collateral: the burn tx has no outputs
     burn = sim.chain.records[coord.burn_txid].tx
     assert burn.outs == ()
+
+
+def test_a_conflict_published_onchain_while_a_payment_waits_is_refused_and_burned():
+    # mallory publishes pay_b's path, reset and ark tx while alice waits out
+    # 2 * delta on pay_a; alice has seen no conflicting payload, so only
+    # the chain shows the conflict: she refuses pay_a and burns
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    pay_a = payment(sim, coord, vtxo, "alice")
+    pay_b = payment(sim, coord, vtxo, "bob", allow_conflict=True)
+    coord.ff_send("mallory", "alice", pay_a)
+    run(sim, coord, 1)
+    assert [p.payload.payment for p in coord.pending["alice"]] == [pay_a]
+    sim.chain.submit_package(transcript(pay_b), "mallory")
+    run(sim, coord, 6 * coord.cfg.delta + 4)
+    assert sim.chain.is_confirmed(pay_b.ark.txid)
+    assert not coord.pending["alice"] and not coord.accepted["alice"]
+    assert [e[1:] for e in sim.chain.trace if e.layer == "fastfinality"] == [
+        ("fastfinality", "alice", "payment_rejected", "conflict")]
+    assert coord.burned and sim.chain.is_confirmed(coord.burn_txid)
 
 
 def test_extracted_key_is_operator_key():

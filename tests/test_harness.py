@@ -122,6 +122,20 @@ def test_oracle_reaches_every_leaf_branch():
     assert sim.state().as_tuple() == (set(), set(), {u.key(), a1.key()})
 
 
+def test_unrolling_a_vtxo_that_no_tree_holds_is_a_typed_error():
+    # an ark output's tx is no node of any bundle's tree, so there is no
+    # path to publish: unroll refuses it with a reason, publishing nothing
+    sim = settled_sim()
+    sim.add_wallet("bob", [])
+    (v,) = sim.vtxos("alice")
+    paid, _ = sim.ark_pay("alice", "bob", [v], 1_000, auto_receive=False).outputs
+    mempool, trace = dict(sim.chain.mempool), list(sim.chain.trace)
+    with pytest.raises(arkcore.ArkError,
+                       match=f"^no bundle's tree holds VTXO {paid.outpoint.txid[:8]}$"):
+        sim.unroll("bob", paid)
+    assert sim.chain.mempool == mempool and sim.chain.trace == trace
+
+
 # each scenario as the command line runs it, and the hostage attack
 # without resets, the one run whose payments take derive_state's
 # no-resets branch

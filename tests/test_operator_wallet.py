@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from arksim.errors import InvariantError
 from arksim.fastfinality import FfOperator
 from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
 from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
-from arksim.operator_node import ArkPayment, Reject, Request, VtxoSpec
+from arksim.operator_node import ArkPayment, Bundle, Reject, Request, VtxoSpec, consumed_vtxos
 from arksim.script import KEY_PATH, UNSPENDABLE, AbsTimelock, And, Witness, taproot
 from arksim.wallet import transcript as wallet_transcript
 
@@ -1353,6 +1354,32 @@ def test_wallet_rejects_a_commitment_that_spends_a_spent_output():
                                  "commitment spends an unknown output")
 
 
+def test_the_bundle_walk_pairs_leaves_and_anchors_by_position():
+    # a hand-laid bundle, in an order assembly never makes (an exit first,
+    # a VTXO forfeited twice, one anchor short), so the walk alone decides:
+    # the leaves are the requests' outputs in request order, the anchors
+    # the forfeited VTXOs in that order, and each listing of a VTXO takes
+    # its own anchor, with None past the connector's last
+    spec = VtxoSpec(1, "x", None)
+    exit_ = Request("exit", "a", inputs=("e1",), exit_outputs=((1, None),))
+    swap = Request("batch-swap", "b", inputs=("s1", "s2"), outputs=(spec,))
+    again = Request("batch-swap", "c", inputs=("s1",), outputs=(spec, spec))
+    late = Request("batch-swap", "d", inputs=("s3",), outputs=(spec,))
+    board = Request("boarding", "e", outputs=(spec,))
+    leaves = [SimpleNamespace(vtxo=f"L{i}") for i in range(5)]
+    bundle = Bundle(None, SimpleNamespace(vtxt=SimpleNamespace(leaves=leaves)),
+                    SimpleNamespace(anchors=["A0", "A1", "A2"]),
+                    [exit_, swap, again, late, board])
+    assert list(bundle.entries()) == [
+        (exit_, [], []),
+        (swap, ["L0"], [("s1", "A0"), ("s2", "A1")]),
+        (again, ["L1", "L2"], [("s1", "A2")]),
+        (late, ["L3"], [("s3", None)]),
+        (board, ["L4"], []),
+    ]
+    assert consumed_vtxos(bundle.requests) == ["e1", "s1", "s2", "s1", "s3"]
+
+
 def test_wallet_rejects_a_connector_one_anchor_short():
     # alice's and bob's swaps forfeit against the connector's two anchors
     # in request order; with the last anchor gone, bob's VTXO has none
@@ -1365,7 +1392,7 @@ def test_wallet_rejects_a_connector_one_anchor_short():
     for name in ("alice", "bob"):
         sim.swap(name, sim.vtxos(name))
     bundle = sim.operator.assemble_commitment()
-    anchors = bundle.anchors()
+    anchors = {v.outpoint: a for _, _, forfeits in bundle.entries() for v, a in forfeits}
     assert list(anchors.values()) == bundle.connector.anchors
     bundle.connector.anchors.pop()
     assert sim.wallets["alice"].verify_commitment(bundle)
@@ -1609,7 +1636,7 @@ def test_a_swap_of_another_wallets_vtxo_aborts_unsigned():
     sim.operator.verify_batch_swap(Request(
         "batch-swap", "mallory", inputs=(v,), outputs=(VtxoSpec(v.value, "mallory", mallory.pk),)))
     bundle = sim.operator.assemble_commitment()
-    forfeit = arkcore.forfeit_tx(v, bundle.anchors()[v.outpoint], sim.operator.pk,
+    forfeit = arkcore.forfeit_tx(v, anchor_of(bundle, v), sim.operator.pk,
                                  PARAMS.epsilon)
     assert forfeit.digest() in mallory.verify_commitment(bundle)
     with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit.txid[:8]}$"):
@@ -1619,6 +1646,13 @@ def test_a_swap_of_another_wallets_vtxo_aborts_unsigned():
 
 def drops(sim):
     return [e[1:] for e in sim.chain.trace if e.event == "drop"]
+
+
+def anchor_of(bundle, vtxo):
+    """The connector anchor that `bundle`'s layout pairs with the forfeit
+    of `vtxo`."""
+    return next(a for _, _, forfeits in bundle.entries() for v, a in forfeits
+                if v.outpoint == vtxo.outpoint)
 
 
 def test_a_refused_swap_leaves_the_queue_and_the_next_round_settles():
@@ -1636,7 +1670,7 @@ def test_a_refused_swap_leaves_the_queue_and_the_next_round_settles():
     sim.operator.verify_batch_swap(mallory_request)
     bob_request = sim.swap("bob", sim.vtxos("bob"))
     bundle = sim.operator.assemble_commitment()
-    forfeit = arkcore.forfeit_tx(v, bundle.anchors()[v.outpoint], sim.operator.pk,
+    forfeit = arkcore.forfeit_tx(v, anchor_of(bundle, v), sim.operator.pk,
                                  PARAMS.epsilon)
     with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit.txid[:8]}$"):
         sim.operator.run_signing(bundle, sim.wallets)
@@ -1827,7 +1861,7 @@ def test_one_abort_drops_every_foreign_request_of_a_round():
                            exit_outputs=((5_000, p2pk(mallory.pk)),)))
     bob_request = sim.swap("bob", sim.vtxos("bob"))
     bundle = op.assemble_commitment()
-    forfeit8 = arkcore.forfeit_tx(v1, bundle.anchors()[v1.outpoint], op.pk,
+    forfeit8 = arkcore.forfeit_tx(v1, anchor_of(bundle, v1), op.pk,
                                   PARAMS.epsilon).txid[:8]
     txid8, trace = bundle.commitment.txid[:8], len(sim.chain.trace)
     with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit8}$"):
@@ -1854,7 +1888,7 @@ def test_a_swap_naming_two_foreign_vtxos_is_dropped_once():
         "batch-swap", "mallory", inputs=(v1, v2),
         outputs=(VtxoSpec(10_000, "mallory", mallory.pk),)))
     bundle = sim.operator.assemble_commitment()
-    forfeit8 = arkcore.forfeit_tx(v1, bundle.anchors()[v1.outpoint], sim.operator.pk,
+    forfeit8 = arkcore.forfeit_tx(v1, anchor_of(bundle, v1), sim.operator.pk,
                                   PARAMS.epsilon).txid[:8]
     with pytest.raises(SessionAborted, match=f"^forfeit: alice did not approve {forfeit8}$"):
         sim.operator.run_signing(bundle, sim.wallets)
@@ -1934,7 +1968,7 @@ def test_a_wallet_audits_only_its_own_branch():
     vtxt, op = bundle.batch.vtxt, sim.operator
     depth = len(vtxt.path_to(vtxt.leaves[0].txid)) - 1
     assert depth == 6
-    anchors = bundle.anchors()
+    anchors = {v.outpoint: a for _, _, forfeits in bundle.entries() for v, a in forfeits}
     vtxt.txs = ReadRecordingDict(vtxt.txs)
     for r, ref in zip(bundle.requests, list(vtxt.leaves)):
         vtxt.txs.reads.clear()
@@ -2196,6 +2230,61 @@ def test_unilateral_exit_confirms():
     alice.unilateral_exit(v)
     sim.tick(2 * PARAMS.k, watch=False)
     assert sim.chain.unspent(v.outpoint)
+
+
+def three_leaf_sim():
+    """alice, bob and carol each boarded 5,000 sat into one settled batch,
+    whose tree has a path of three txs to each leaf."""
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    for name in ("alice", "bob", "carol"):
+        sim.add_wallet(name, [5_000])
+        sim.board(name, [5_000])
+    sim.settle_commitment()
+    return sim
+
+
+def test_a_refused_exit_submission_is_noted_and_only_the_submitted_txs_returned():
+    sim = three_leaf_sim()
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    *parents, leaf = alice.holdings[v.key()].transcript
+    assert len(parents) == 2
+    leaf.wits = []
+    trace = len(sim.chain.trace)
+    assert alice.unilateral_exit(v) == parents
+    assert list(sim.chain.mempool) == [tx.txid for tx in parents]
+    assert [e[1:] for e in sim.chain.trace[trace:]] == [
+        ("wallet", "alice", "exit_submit_failed", "witness count mismatch"),
+        ("wallet", "alice", "unilateral_exit", "2 txs")]
+
+
+def test_an_exit_of_a_vtxo_the_wallet_does_not_hold_does_nothing():
+    sim = three_leaf_sim()
+    (v,) = sim.vtxos("bob")
+    trace = list(sim.chain.trace)
+    assert sim.wallets["alice"].unilateral_exit(v) == []
+    assert sim.chain.trace == trace and sim.chain.mempool == {}
+    assert not sim.wallets["bob"].holdings[v.key()].exited
+
+
+def test_a_boarding_output_counts_until_a_stable_commitment_spends_it():
+    # the boarding clause of balance(): the unspent boarding output counts;
+    # once the commitment spending it is stable, the wallet holds the VTXOs
+    # and forgets the output, so the balance is their value, never both
+    sim = Simulation(PARAMS, 0)
+    sim.operator.fund(100_000)
+    alice = sim.add_wallet("alice", [5_000])
+    assert alice.balance() == 0
+    sim.board("alice", [3_000, 2_000])
+    ((op, out),) = alice.boarding_outputs
+    assert sim.chain.unspent(op) and out.value == 5_000 and alice.holdings == {}
+    assert alice.balance() == 5_000
+    bundle = sim.settle_commitment()
+    assert sim.chain.is_stable(bundle.commitment.txid) and not sim.chain.unspent(op)
+    assert alice.boarding_outputs == []
+    assert sorted(v.value for v in sim.vtxos("alice")) == [2_000, 3_000]
+    assert alice.balance() == 5_000
 
 
 def test_change_vtxo_exits_unilaterally():
