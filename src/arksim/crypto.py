@@ -112,9 +112,10 @@ which is only ever filled, never computed.
 The aggregate secret is keyed on the signer list exactly as the caller
 passes it, not on the sorted member set: sorting needs each signer's
 public key and encoding, which is most of what a hit saves.  Every caller
-lists a session's signers in its lock's member order, so the ceremony's
-`sign_ahead` and the `cosign` that follows share one entry; a list in
-another order is another entry with the same secret.
+lists a session's signers in its lock's member order, so a ceremony's
+`sign_batch` and a later `cosign` under the same lock, such as a
+payment's, share one entry; a list in another order is another entry with
+the same secret.
 A batch multiplies each signer key about log n times while aggregating
 its subtrees, so a table is built once per key and reused.  The table is a function of the point
 alone, and the point is checked to lie on the curve before anything is
@@ -138,9 +139,10 @@ the largest repeated working set measured (acceptance criterion 8) needs
 new kept every one, which raised its peak RSS by about 4%.
 
 Batched curve work: `aggregate_batch` and `sign_batch` make many
-independent multiplications at once, and they only fill the memos that
-`aggregate` and `sign` read.  So those keep their bodies, and a memo hit
-still equals a fresh computation.
+independent multiplications at once, and record them in the memos that
+`aggregate` and `sign` read (`sign_batch` then reads each signature back
+through `sign`).  So those keep their bodies, and a memo hit still equals
+a fresh computation.
 
 - Kernel: `_affine_sums` sums many lists of affine points pairwise, level
   by level, and one inversion serves every addition of a level across all
@@ -156,13 +158,15 @@ still equals a fresh computation.
   A tree over 256 users reads 257 tables, where key-by-key aggregation
   evicted and rebuilt about half of them (518 misses).  Entries are made
   one column at a time, so only one column's are held.
-- `sign_batch(pairs)` computes the deterministic nonce point R of each
-  (secret, message) or (signers, message) pair the signing memo lacks,
-  and each of those secrets' public keys the public-key memo lacks, from
-  the G table, 32 scalars at a time: all 254 of a `wide_batch` round at
-  once raised its peak RSS by about 1 MB.  The keys are recorded too: a
-  later signature under the same aggregate secret, such as a payment's
-  cosignature under the forfeit's owner and operator, then finds its key.
+- `sign_batch(pairs)` returns the signature of each (secret, message) or
+  (signers, message) pair, in chunks of at most half the signing memo's
+  bound, which the memo still holds when it reads them back.  It computes
+  the nonce point R of each pair the memo lacks, and each of those
+  secrets' public keys the public-key memo lacks, from the G table, 32
+  scalars at a time: all 254 of a `wide_batch` round at once raised its
+  peak RSS by about 1 MB.  The keys are recorded too: a later signature
+  under the same aggregate secret, such as a payment's cosignature under
+  the forfeit's owner and operator, then finds its key.
 - Known keys: a session's aggregate secret sum a_i x_i has the key
   sum a_i P_i, which the aggregate memo already holds when the round
   built the lock it signs.  So `sign_batch` takes that key from the
@@ -176,9 +180,10 @@ still equals a fresh computation.
 - Exceptional pairs: two points with equal x (a doubling, or a sum to
   infinity) are never added.  The list that meets them is dropped, and
   nothing is recorded for its set or pair.  Nothing is recorded either for
-  an input the per-item path rejects: an empty set, a duplicate or an
-  off-curve or unreduced member, or an empty message.  `aggregate` and
-  `sign` then compute or reject each of these as before.
+  a set `aggregate` rejects: an empty set, a duplicate or an off-curve or
+  unreduced member.  `aggregate` and `sign` then compute or reject each of
+  these as before.  `sign_batch` rejects a session without signers and an
+  empty message, as `cosign` and `sign` do, before it signs any pair.
 - Measured minimum: on a 2-core x86 machine, with warm tables and medians
   of 9 interleaved runs, a batch took 1.06-1.17x the per-item time at
   12-16 fresh comb terms and 0.83-0.95x at 18-32, so
@@ -187,8 +192,7 @@ still equals a fresh computation.
   signature whose key is not yet known and 0.6-0.7x from 8 up, and 1.0x at
   two signatures under known keys.  `SIGN_BATCH_MIN` is 8, so that the
   ceremonies of a few signers, which a fixed key set mostly finds in the
-  memo, skip the aggregate secrets a batch needs.  Callers sign ahead in
-  chunks of at most `SIGN_BATCH_MAX` (half the signing memo's bound).
+  memo, are signed per item.
 """
 
 from __future__ import annotations
@@ -1025,9 +1029,9 @@ def extract_secret(
 # `sign`.  See the module docstring for the measurements.
 AGGREGATE_BATCH_MIN = 20
 SIGN_BATCH_MIN = 8
-# A caller signs ahead in chunks of at most this many signatures, so that
-# the signing memo still holds a chunk's signatures when it asks for them.
-SIGN_BATCH_MAX = _SIGN_CACHE_SIZE // 2
+# `sign_batch` records at most this many signatures before it reads them
+# back, so that the signing memo still holds them all
+_SIGN_CHUNK = _SIGN_CACHE_SIZE // 2
 # `sign_batch` sums this many scalars' G-table entries at a time
 _G_GROUP = 32
 
@@ -1147,28 +1151,46 @@ def _g_multiples(scalars: Sequence[int]) -> list:
     return out
 
 
-def sign_batch(pairs: Iterable[Tuple[SecretKey | Sequence[SecretKey], bytes]]) -> None:
-    """Record in the signing memo the signature of every pair it lacks,
-    each nonce point and each signing key computed from the G table in
-    one pass.  A pair is a secret and a message, signed as `sign` signs
-    it, or a session's signers and a message, signed as `cosign` signs
-    it, under their aggregate secret.  That secret's key is not computed
-    when the aggregate memo holds the key of exactly the signers' keys:
-    sum a_i x_i * G is sum a_i P_i, the same point.  A session without
-    signers and an empty message, which `cosign` and `sign` reject, are
-    left out, and so is a pair whose nonce point or key meets equal x."""
-    nonces: dict = {}     # memo key -> nonce
-    sessions: dict = {}   # aggregate secret's scalar -> its signers
+def sign_batch(pairs: Iterable[Tuple[SecretKey | Sequence[SecretKey], bytes]]) -> list:
+    """The signature of each pair, in order: a secret and a message, signed
+    as `sign` signs it, or a session's signers and a message, signed as
+    `cosign` signs it, under their aggregate secret.  A session without
+    signers and an empty message are rejected as there, before any pair is
+    signed.  Each chunk's fresh signatures are recorded, then read back
+    through `sign`."""
+    keyed = []
     for signer, m in pairs:
         if isinstance(signer, SecretKey):
             sk = signer
         elif signer:
             sk = aggregate_secret(signer)
-            sessions[sk.scalar] = signer
         else:
-            continue
+            raise SessionAborted("no signers present")
+        if not m:
+            raise CryptoError("empty message")
+        keyed.append((sk, m, signer))
+    sigs = []
+    for i in range(0, len(keyed), _SIGN_CHUNK):
+        chunk = keyed[i:i + _SIGN_CHUNK]
+        _record_signatures(chunk)
+        sigs += [sign(sk, m) for sk, m, _ in chunk]
+    return sigs
+
+
+def _record_signatures(chunk: Sequence[tuple]) -> None:
+    """Record in the signing memo the signature of each (secret, message,
+    signer) it lacks, from `SIGN_BATCH_MIN` of them up, each nonce point
+    and signing key from the G table in one pass.  A session's key is taken
+    from the aggregate memo when that holds the key of exactly its signers'
+    keys: sum a_i x_i * G is sum a_i P_i.  A pair whose nonce point or key
+    meets equal x is left to `sign`."""
+    nonces: dict = {}     # memo key -> nonce
+    sessions: dict = {}   # aggregate secret's scalar -> its signers
+    for sk, m, signer in chunk:
+        if not isinstance(signer, SecretKey):
+            sessions[sk.scalar] = signer
         key = (sk, m, Fresh())
-        if isinstance(m, bytes) and m and key not in nonces and _signature.peek(key) is None:
+        if key not in nonces and _signature.peek(key) is None:
             nonces[key] = _nonce(sk, m)
     if len(nonces) < SIGN_BATCH_MIN:
         return

@@ -54,7 +54,6 @@ class Collateral:
     output: Output
     burn_tx: Tx
     committee_sig: Signature    # presigned by the n-of-n committee
-    committee: crypto.AggregateKey
 
 
 def setup_collateral(operator: Operator, committee_seeds: Sequence[bytes],
@@ -75,7 +74,7 @@ def setup_collateral(operator: Operator, committee_seeds: Sequence[bytes],
     committee_sig = crypto.cosign(burn.digest(), [sk for sk, _ in committee_keys],
                                   committee)
     del committee_keys  # the honest committee deletes its signing keys
-    return Collateral(outpoint, Output(cfg.c, lock), burn, committee_sig, committee)
+    return Collateral(outpoint, Output(cfg.c, lock), burn, committee_sig)
 
 
 def burn_collateral(col: Collateral, operator_sk: SecretKey, chain: Chain,

@@ -41,9 +41,7 @@ from .operator_node import (
     Operator,
     Request,
     VtxoSpec,
-    chunked,
     consumed_vtxos,
-    sign_ahead,
 )
 from .script import KEY_PATH, LockScript, Witness
 from .wallet import Holding, Wallet
@@ -313,16 +311,14 @@ class RaceResult:
 
 
 def cosign_vtxt(vtxt: arkcore.Vtxt, secrets: Dict[str, crypto.SecretKey]) -> None:
-    """Cosign every node of `vtxt`, root first, under the cosigned key of
-    the lock it spends (`secrets` maps each member's hex key to its
-    secret), and attach that path's witness.  Each chunk of nodes is
-    signed ahead in one `crypto.sign_batch` pass."""
+    """Cosign every node of `vtxt`, root first, in one `crypto.sign_batch`
+    call, under the cosigned key of the lock it spends (`secrets` maps each
+    member's hex key to its secret), and attach that path's witness."""
     nodes = [(tx, *vtxt.session(txid)) for txid, tx in vtxt.txs.items()]
-    for chunk in chunked(nodes, crypto.SIGN_BATCH_MAX):
-        sign_ahead([(tx, key.members) for tx, _, _, key in chunk], secrets)
-        for tx, lock, idx, key in chunk:
-            sig = crypto.cosign(tx.digest(), [secrets[m.hex()] for m in key.members], key)
-            tx.wits = [Witness(idx, (sig,), lock.paths)]
+    sigs = crypto.sign_batch([([secrets[m.hex()] for m in key.members], tx.digest())
+                              for tx, _, _, key in nodes])
+    for (tx, lock, idx, _), sig in zip(nodes, sigs):
+        tx.wits = [Witness(idx, (sig,), lock.paths)]
 
 
 def signed_batch(leaves: Sequence[Vtxo],
@@ -696,7 +692,6 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     op2 = Operator("operator2", o2_sk, sim.chain, p)
     op2.fund(50_000)
     w2 = Wallet("alice2", alice.sk, sim.chain, p, op2.pk)
-    w2.holdings = {}
     swap = Request("batch-swap", "alice2", inputs=(old_vtxo,),
                    outputs=(VtxoSpec(old_vtxo.value, "alice2", alice.pk),))
     op2.book.vtxos[old_vtxo.key()] = ("C", old_vtxo)

@@ -52,28 +52,14 @@ class Reject(Exception):
     pass
 
 
-def chunked(items: Sequence, size: int) -> List[Sequence]:
-    """`items` in consecutive slices of at most `size`."""
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def sign_ahead(sessions: Sequence[Tuple[Tx, Sequence[PublicKey]]],
-               secrets: Dict[str, SecretKey],
-               solo: Sequence[Tuple[SecretKey, Tx]] = ()) -> None:
-    """Fill the signing memo, in one `crypto.sign_batch` pass, with what
-    a ceremony is about to sign: the cosignature of each (tx, members)
-    session, under its members' secrets in `secrets` (hex key -> secret),
-    and each (secret, tx) of `solo` signed alone.  A session's secrets are
-    listed in its members' order, as `Operator._cosign` lists them, so the
-    two share one aggregate-secret memo entry.  A caller then signs as
-    before, its checks and aborts first, and finds each signature in the
-    memo, so it passes at most `crypto.SIGN_BATCH_MAX` signatures.  Below
-    `crypto.SIGN_BATCH_MIN` nothing is computed."""
-    if len(sessions) + len(solo) < crypto.SIGN_BATCH_MIN:
-        return
-    crypto.sign_batch([(sk, tx.digest()) for sk, tx in solo]
-                      + [([secrets[m.hex()] for m in members], tx.digest())
-                         for tx, members in sessions])
+def _session_secrets(label: str, keys: Sequence[PublicKey],
+                     secrets: Dict[str, SecretKey]) -> List[SecretKey]:
+    """The secret of each of `keys` in `secrets` (hex key -> secret), in
+    the keys' order; a key without one aborts the `label` session."""
+    for m in keys:
+        if m.hex() not in secrets:
+            raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
+    return [secrets[m.hex()] for m in keys]
 
 
 @dataclass
@@ -255,8 +241,9 @@ class Operator:
 
     # --- instrumented cosigning -----------------------------------------
 
-    def _cosign(self, tx: Tx, agg: AggregateKey,
-                secrets: Dict[str, SecretKey], label: str) -> crypto.Signature:
+    def _cosign(self, tx: Tx, label: str, sig: crypto.Signature) -> crypto.Signature:
+        """Release the cosignature `sig` of `tx`, noted and recorded as a
+        spend of each of its inputs."""
         # honest single-spend discipline: never co-sign two different
         # transactions spending the same input
         for op in tx.ins:
@@ -264,13 +251,6 @@ class Operator:
             prior = self.cosigned_spends.get(key)
             if prior is not None and prior != tx.txid and label not in ("forfeit", "boarding"):
                 raise Reject(f"operator already co-signed a spend of {key}")
-        sks = []
-        for m in agg.members:
-            sk = secrets.get(m.hex())
-            if sk is None:
-                raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
-            sks.append(sk)
-        sig = crypto.cosign(tx.digest(), sks, agg)
         self.chain.note("operator_node", self.name, label, tx.txid[:8])
         for op in tx.ins:
             self.cosigned_spends[(op.txid, op.index)] = tx.txid
@@ -402,12 +382,11 @@ class Operator:
             bound = nonce_bound_path(lock)
             if bound is None:
                 idx, key = collab_aggregate(lock)
-                sigs = (self._cosign(tx, key, all_secrets, label),)
+                sks = _session_secrets(label, key.members, all_secrets)
+                sigs = (self._cosign(tx, label, crypto.cosign(tx.digest(), sks, key)),)
             else:
                 idx, r_star = bound
-                owner_sk = all_secrets.get(v.owner_pk.hex())
-                if owner_sk is None:
-                    raise SessionAborted(f"{label}: signer {v.owner_pk.hex()[:8]} absent")
+                owner_sk, = _session_secrets(label, [v.owner_pk], all_secrets)
                 sigs = (ffop.sign_nonce_bound(tx, r_star, allow_conflict),
                         crypto.sign(owner_sk, tx.digest()))
             tx.wits.append(Witness(idx, sigs, lock.paths))
@@ -472,7 +451,6 @@ class Operator:
         for v, lock in exit_outs:
             outs.append(Output(v, lock))
         if change > 0:
-            out_index["change"] = len(outs)
             outs.append(Output(change, p2pk(self.pk)))
         commitment = Tx(ins=tuple(ins), outs=tuple(outs))
 
@@ -570,29 +548,29 @@ class Operator:
             s, who = refused[0]
             raise SessionAborted(f"{s.label}: {who} did not approve {s.tx.txid[:8]}")
 
-        # step 4: each kind's sessions signed ahead in chunks (`sign_ahead`),
-        # a forfeit with its anchor signature, then cosigned one by one;
-        # each wallet that signs a session may abort it
+        # step 4: each kind's sessions signed in one `crypto.sign_batch`
+        # call, a forfeit followed by its anchor signature, then released one
+        # by one; each wallet that signs a session may abort it
         boarded: List[Witness] = []
-        for label, size in (("vtxt", crypto.SIGN_BATCH_MAX),
-                            ("forfeit", crypto.SIGN_BATCH_MAX // 2),
-                            ("boarding", crypto.SIGN_BATCH_MAX)):
-            for chunk in chunked([s for s in sessions if s.label == label], size):
-                sign_ahead([(s.tx, s.key.members) for s in chunk], secrets,
-                           [(self.sk, s.tx) for s in chunk if label == "forfeit"])
-                for s in chunk:
-                    for party in (party_of[m] for m in s.key.members if m in party_of):
-                        maybe_abort(label, party)
-                    wit = Witness(s.idx, (self._cosign(s.tx, s.key, secrets, label),),
-                                  s.lock.paths)
-                    if label == "vtxt":
-                        s.tx.wits = [wit]
-                    elif label == "forfeit":
-                        anchor_sig = crypto.sign(self.sk, s.tx.digest())
-                        s.tx.wits = [wit, Witness(KEY_PATH, (anchor_sig,))]
-                        bundle.forfeits[(s.tx.ins[0].txid, s.tx.ins[0].index)] = s.tx
-                    else:
-                        boarded.append(wit)
+        for label in ("vtxt", "forfeit", "boarding"):
+            kind = [s for s in sessions if s.label == label]
+            pairs = []
+            for s in kind:
+                pairs.append((_session_secrets(label, s.key.members, secrets), s.tx.digest()))
+                if label == "forfeit":
+                    pairs.append((self.sk, s.tx.digest()))
+            sigs = iter(crypto.sign_batch(pairs))
+            for s in kind:
+                for party in (party_of[m] for m in s.key.members if m in party_of):
+                    maybe_abort(label, party)
+                wit = Witness(s.idx, (self._cosign(s.tx, label, next(sigs)),), s.lock.paths)
+                if label == "vtxt":
+                    s.tx.wits = [wit]
+                elif label == "forfeit":
+                    s.tx.wits = [wit, Witness(KEY_PATH, (next(sigs),))]
+                    bundle.forfeits[(s.tx.ins[0].txid, s.tx.ins[0].index)] = s.tx
+                else:
+                    boarded.append(wit)
 
         # step 5: the operator funds the commitment only now
         maybe_abort("fund", self.name)

@@ -244,9 +244,13 @@ class Wallet:
                     self.trees[bundle.batch.vtxt.funding] = bundle.batch
                 for v in consumed_vtxos([r]):
                     self.holdings.pop(v.key(), None)
-        # a boarding output leaves once spent by a stable commitment or reclaim
         self.boarding_outputs = [(op, out) for op, out in self.boarding_outputs
-                                 if not self.chain.is_stable(self.chain.spent_by.get(op, ""))]
+                                 if self._boarding_counts(op)]
+
+    def _boarding_counts(self, op: OutPoint) -> bool:
+        """Whether boarding output `op` is still this wallet's: until a
+        stable tx, the commitment or a reclaim, spends it."""
+        return not self.chain.is_stable(self.chain.spent_by.get(op, ""))
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
         # the payment's paths are its inputs' transcripts (`Simulation.ark_pay`)
@@ -399,9 +403,10 @@ class Wallet:
     # --- balance ---------------------------------------------------------
 
     def balance(self) -> int:
-        """VTXOs not past their exit deadline and unspent boarding outputs; a
-        reclaimed boarding output is a plain onchain output, outside the Ark
-        balance."""
+        """VTXOs not past their exit deadline, and each boarding output
+        until a stable tx spends it: then the commitment's VTXOs count
+        instead, or the reclaimed output is a plain onchain output, outside
+        the Ark balance."""
         h = self.chain.height
         total = 0
         for holding in self.holdings.values():
@@ -409,8 +414,6 @@ class Wallet:
                 continue
             if h <= self.params.exit_deadline(holding.vtxo.expiry):
                 total += holding.vtxo.value
-        for op, out in self.boarding_outputs:
-            if self.chain.unspent(op):
-                total += out.value
-        return total
+        return total + sum(out.value for op, out in self.boarding_outputs
+                           if self._boarding_counts(op))
 

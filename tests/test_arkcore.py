@@ -65,6 +65,27 @@ def test_vtxo_lock_rejects_short_delay():
         classify_paths(lock, OP_PK, PARAMS.t_u)
 
 
+@pytest.mark.parametrize("build, reason", [
+    (lambda: vtxo_lock(U_PK, OP_PK, 0), "unilateral delay must be positive"),
+    (lambda: vtxo_lock(U_PK, OP_PK, -1), "unilateral delay must be positive"),
+    (lambda: classify_paths(taproot(UNSPENDABLE, [
+        And(CheckSig(U_PK), RelTimelock(PARAMS.t_u))]), OP_PK, PARAMS.t_u),
+     "no collaborative path"),
+    (lambda: classify_paths(taproot(UNSPENDABLE, [
+        CheckAggSig(crypto.aggregate([U_PK, OP_PK]))]), OP_PK, PARAMS.t_u),
+     "no unilateral path"),
+    (lambda: build_vtxt(funded_chain(200)[1], make_leaves(2), OP_PK, 300, arity=1),
+     "arity must be at least 2"),
+    (lambda: build_vtxt(funded_chain(100)[1], [], OP_PK, 300), "empty leaf set"),
+    (lambda: build_connector(funded_chain(330)[1], 0, OP_PK, 330),
+     "need at least one anchor"),
+], ids=["delay-0", "delay-negative", "no-collab", "no-unilateral", "arity-1",
+        "no-leaves", "no-anchors"])
+def test_a_malformed_lock_or_tree_is_rejected_with_its_reason(build, reason):
+    with pytest.raises(ArkError, match=f"^{reason}$"):
+        build()
+
+
 def users_reset_lock():
     v = Vtxo(100, vtxo_lock(U_PK, OP_PK, PARAMS.t_u), "u", U_PK)
     return reset_lock(v, OP_PK, 77, PARAMS.t_u)
@@ -399,7 +420,7 @@ def test_build_vtxt_fetches_each_comb_table_once(monkeypatch):
 
 
 def test_cosigning_a_tree_signs_it_ahead(point_mul_calls):
-    # 72 leaves make 143 nodes, signed ahead in two chunks (128 and 15):
+    # 72 leaves make 143 nodes, signed in one call, in two chunks (128 and 15):
     # no node's nonce point or aggregate secret key is multiplied alone
     leaves = make_leaves(72)
     _, funding = funded_chain(100 * 72)
@@ -411,7 +432,7 @@ def test_cosigning_a_tree_signs_it_ahead(point_mul_calls):
     del point_mul_calls[:]
     cosign_vtxt(vtxt, secrets)
     assert point_mul_calls == []
-    assert len(vtxt.txs) == 143 > crypto.SIGN_BATCH_MAX
+    assert len(vtxt.txs) == 143 > crypto._SIGN_CHUNK
     checks = [check for txid, tx in vtxt.txs.items()
               for check in witness_checks(tx, [vtxt.spent(txid)], 0)]
     assert len(checks) == 143

@@ -98,6 +98,25 @@ def test_cosign_aborts_on_extra_signer():
         cosign(b"d", [sk1, sk2], agg)
 
 
+_SIGNERS = [keygen(b"reject-%d" % i)[0] for i in range(2)]
+
+
+@pytest.mark.parametrize("call, error, reason", [
+    (lambda: cosign(b"d", []), SessionAborted, "no signers present"),
+    (lambda: cosign(b"d", [_SIGNERS[0], _SIGNERS[0]]), SessionAborted, "duplicate signer"),
+    (lambda: crypto.sign_batch([(_SIGNERS, b"d"), ([], b"d")]), SessionAborted,
+     "no signers present"),
+    (lambda: crypto.sign_batch([(_SIGNERS[0], b"d"), (_SIGNERS, b"")]), CryptoError,
+     "empty message"),
+], ids=["cosign-no-signers", "cosign-duplicate", "batch-no-signers", "batch-empty-message"])
+def test_a_bad_signing_session_is_rejected_before_anything_is_signed(call, error, reason):
+    # a batch checks every pair before it signs the first
+    before = crypto._signature.cache_info()
+    with pytest.raises(error, match=f"^{reason}$"):
+        call()
+    assert crypto._signature.cache_info() == before
+
+
 def test_singleton_aggregate_signable_alone():
     sk, pk = keygen(b"solo")
     agg = aggregate([pk])
@@ -1120,19 +1139,42 @@ def test_sign_batch_signs_a_session_as_cosign_does(batch_memos, monkeypatch):
     scalars, real = [], crypto._g_multiples
     monkeypatch.setattr(crypto, "_g_multiples",
                         lambda ns: scalars.extend(ns) or real(ns))
-    crypto.sign_batch(sessions + [([], b"none")])
+    sigs = crypto.sign_batch(sessions)
     secrets = [aggregate_secret(sks).scalar for sks, _ in sessions]
     # six nonces, and the keys of the three sets the aggregate memo lacks
     assert len(scalars) == 9 and scalars[6:] == secrets[3:]
-    for (sks, m), n in zip(sessions, secrets):
+    for (sks, m), n, sig in zip(sessions, secrets, sigs):
         key = crypto._public_point.peek((n,))
         assert key == crypto._public_point.__wrapped__(n)
-        recorded = crypto._signature.peek((crypto.SecretKey(n), m, Fresh()))
-        assert recorded is not None
-        assert cosign(m, sks) is recorded
-        assert verify(key, m, recorded)
+        assert crypto._signature.peek((crypto.SecretKey(n), m, Fresh())) is sig
+        assert cosign(m, sks) is sig
+        assert verify(key, m, sig)
     assert [crypto._public_point.peek((n,)) for n in secrets[:3]] == \
         [agg.point for agg in known]
+
+
+def test_sign_batch_returns_what_sign_and_cosign_return(point_mul_calls):
+    # more pairs than the signing memo holds, sessions and single secrets
+    # interleaved: two full chunks signed in G-table passes, then a last
+    # chunk below the batch minimum, signed per item
+    bound = crypto._signature.cache_info().maxsize
+    sessions = _sessions(bound // 2, 2, 0x5E55_3000)
+    solo = [(crypto.SecretKey(0x5010_0000 + i), b"m%d" % i) for i in range(bound // 2 + 3)]
+    pairs = [p for two in zip(solo, sessions) for p in two] + solo[len(sessions):]
+    assert len(pairs) == bound + 3
+    for sks, _ in sessions:
+        for sk in sks:
+            sk.public()   # the signers' own keys, into the emptied memo
+    del point_mul_calls[:]
+    sigs = crypto.sign_batch(pairs)
+    # only the last chunk's three nonce points and keys are multiplied alone
+    assert point_mul_calls == [crypto.G] * 6
+    assert len(sigs) == len(pairs)
+    for (signer, m), sig in zip(pairs, sigs):
+        solo_pair = isinstance(signer, crypto.SecretKey)
+        sk = signer if solo_pair else aggregate_secret(signer)
+        assert sig == crypto._signature.__wrapped__(sk, m, Fresh())
+        assert sig == (sign(signer, m) if solo_pair else cosign(m, signer))
 
 
 def test_sign_batch_takes_no_key_from_another_member_set(batch_memos, monkeypatch):
@@ -1202,7 +1244,8 @@ def test_batches_leave_rejected_inputs_to_the_per_item_path(batch_memos, monkeyp
             aggregate([p, _neg(p)])
     before = _memo_state()
     crypto.aggregate_batch([[], [pk, pk], [OFF_CURVE, pk]])
-    crypto.sign_batch([(sk, b""), (sk, b"")])
+    with pytest.raises(CryptoError, match="empty message"):
+        crypto.sign_batch([(sk, b""), (sk, b"")])
     assert _memo_state() == before
     assert crypto._comb_table.cache_info().currsize == tables
     with pytest.raises(CryptoError, match="empty member set"):
@@ -1216,9 +1259,15 @@ def test_batches_leave_rejected_inputs_to_the_per_item_path(batch_memos, monkeyp
 
 
 def test_batches_below_their_minimum_do_nothing(monkeypatch):
+    # below its minimum, a signing batch signs each pair as `sign` does,
+    # with no G-table pass
     fresh = [crypto.SecretKey(0x10C5 + i) for i in range(crypto.SIGN_BATCH_MIN - 1)]
+    passes = []
+    monkeypatch.setattr(crypto, "_g_multiples", passes.append)
+    sigs = crypto.sign_batch((sk, b"m") for sk in fresh)
+    assert passes == []
+    assert sigs == [crypto._signature.__wrapped__(sk, b"m", Fresh()) for sk in fresh]
     before = _memo_state()
-    crypto.sign_batch((sk, b"m") for sk in fresh)
     small = [BATCH_KEYS[:3], BATCH_KEYS[3:6]]
     assert sum(map(len, small)) < crypto.AGGREGATE_BATCH_MIN
     crypto.aggregate_batch(small)

@@ -203,13 +203,13 @@ def counted(monkeypatch, module, name):
 def test_a_second_race_of_one_shape_builds_and_signs_nothing(monkeypatch):
     harness._race_batch.cache_clear()
     builds = counted(monkeypatch, arkcore, "build_vtxt")
-    cosigns = counted(monkeypatch, crypto, "cosign")
+    batches = counted(monkeypatch, crypto, "sign_batch")
     exit_race(2, (0, 0))
-    # one two-leaf tree: a root and two leaves, each cosigned
-    assert (len(builds), len(cosigns)) == (1, 3)
-    del builds[:], cosigns[:]
+    # one two-leaf tree: a root and two leaves, cosigned in one call
+    assert len(builds) == 1 and [len(pairs) for pairs, in batches] == [3]
+    del builds[:], batches[:]
     exit_race(2, (3, 1), late_by=1)
-    assert (builds, cosigns) == ([], [])
+    assert (builds, batches) == ([], [])
 
 
 def race_ledgers(monkeypatch):

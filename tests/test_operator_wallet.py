@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -464,6 +465,40 @@ def test_ark_request_value_bounded():
     req = alice.make_ark_request([v], [VtxoSpec(v.value + 1, "alice", alice.pk)])
     with pytest.raises(Reject):
         sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+
+
+def test_the_operator_never_cosigns_a_second_spend_of_an_input():
+    # a second payment of alice's booked VTXO, built past intake with other
+    # outputs: its reset is the first one's, but its ark tx is another
+    # spend of that reset's output, which the operator refuses unsigned
+    sim = boarded_sim()
+    v = sim.vtxos("alice")[0]
+    first = payment_to_bob(sim)
+    alice, op = sim.wallets["alice"], sim.operator
+    again = Request("ark", "alice", inputs=(v,),
+                    outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    before = (dict(op.cosigned_spends), list(sim.chain.trace))
+    key = (first.ark.ins[0].txid, first.ark.ins[0].index)
+    refusal = f"operator already co-signed a spend of {key}"
+    with pytest.raises(Reject, match=f"^{re.escape(refusal)}$"):
+        op.build_payment(again, {alice.pk.hex(): alice.sk})
+    assert (dict(op.cosigned_spends), list(sim.chain.trace)) == before
+
+
+def test_a_payment_of_a_vtxo_without_its_owners_secret_is_aborted_unsigned():
+    # mallory names alice's VTXO with only her own secret: the ark tx's
+    # session lacks alice's, so nothing is signed, booked or noted
+    sim = boarded_sim()
+    v = sim.vtxos("alice")[0]
+    mallory = sim.add_wallet("mallory", [])
+    op = sim.operator
+    req = Request("ark", "mallory", inputs=(v,),
+                  outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
+    before = (book_state(op.book), dict(op.cosigned_spends), list(sim.chain.trace))
+    with pytest.raises(SessionAborted,
+                       match=rf"^ark: signer {v.owner_pk.hex()[:8]} absent$"):
+        op.verify_ark_request(req, {mallory.pk.hex(): mallory.sk})
+    assert (book_state(op.book), dict(op.cosigned_spends), list(sim.chain.trace)) == before
 
 
 def test_the_operator_derives_every_reset_of_a_payment():
@@ -1544,7 +1579,7 @@ def ceremony_round(kind, users=TREE_USERS):
 def test_the_ceremony_signs_its_sessions_ahead(point_mul_calls, monkeypatch, kind):
     # a round of TREE_USERS users: the 31 tree nodes (step 2), and the 16
     # forfeits with their anchor signatures (step 3) or the 16 boarding
-    # cosigns (step 4), are signed ahead in batches; only the funding
+    # cosigns (step 4), are each signed in one batch; only the funding
     # signature (step 5) is multiplied alone
     sim, bundle = ceremony_round(kind)
     op = sim.operator
@@ -1579,27 +1614,27 @@ def test_assembly_aggregates_a_fresh_tree_in_one_pass(point_mul_calls, monkeypat
 
 
 def test_a_swap_ceremony_derives_each_aggregate_secret_once(monkeypatch):
-    # signing ahead derives the aggregate secret of each distinct signer
-    # list once, and every cosign that follows finds it in the memo.  The
-    # 16 forfeits are signed by their owners' leaf nodes' lists (owner and
-    # operator), so 47 sessions have 31 distinct lists
+    # each session's aggregate secret is read once, and each distinct
+    # signer list derived once.  The 16 forfeits are signed by their owners'
+    # leaf nodes' lists (owner and operator), so 47 sessions have 31
+    # distinct lists, and only a list's first session misses the memo
     sim, bundle = ceremony_round("batch-swap")
     memo = crypto._aggregate_secret
     memo.cache_clear()
-    lists, misses, real = [], [], crypto.cosign
+    lists, misses, real = [], [], crypto.aggregate_secret
 
-    def cosign(digest, signers, expected=None):
+    def aggregate_secret(signers):
         before = memo.cache_info().misses
-        sig = real(digest, signers, expected)
+        secret = real(signers)
         lists.append(tuple(signers))
         misses.append(memo.cache_info().misses - before)
-        return sig
+        return secret
 
-    monkeypatch.setattr(crypto, "cosign", cosign)
+    monkeypatch.setattr(crypto, "aggregate_secret", aggregate_secret)
     sim.operator.run_signing(bundle, sim.wallets)
     assert len(lists) == 2 * TREE_USERS - 1 + TREE_USERS
     assert memo.cache_info().misses == len(set(lists)) == 2 * TREE_USERS - 1
-    assert misses == [0] * len(lists)
+    assert misses == [int(signers not in lists[:i]) for i, signers in enumerate(lists)]
 
 
 def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
@@ -1607,18 +1642,17 @@ def test_the_ceremony_signs_no_twin_root_of_the_batch(monkeypatch):
     # operator.  Every wallet approves its own branch, which the twin is
     # not on; its session names every wallet's key, so the ceremony aborts
     # at it.  Consent is checked for every session before any is signed,
-    # so nothing is signed at all, not even ahead
+    # so nothing is signed at all
     sim, bundle = ceremony_round("boarding")
     vtxt, op = bundle.batch.vtxt, sim.operator
     twin = Tx(ins=(vtxt.funding,), outs=(Output(vtxt.funding_out.value, p2pk(op.pk)),))
     vtxt.txs[twin.txid] = twin
     assert all(w.verify_commitment(bundle) for w in sim.wallets.values())
+    # every signature, batched or not, is read through `crypto.sign`
     signed = []
-    real_batch, real_cosign = crypto.sign_batch, crypto.cosign
-    monkeypatch.setattr(crypto, "sign_batch", lambda pairs: signed.extend(
-        d for _, d in pairs) or real_batch(pairs))
-    monkeypatch.setattr(crypto, "cosign", lambda digest, *a: signed.append(digest)
-                        or real_cosign(digest, *a))
+    real_sign = crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda sk, m, *a: signed.append(m)
+                        or real_sign(sk, m, *a))
     first = next(name for m in vtxt.session(twin.txid)[2].members
                  for name, w in sim.wallets.items() if w.pk == m)
     with pytest.raises(SessionAborted, match=f"^vtxt: {first} did not approve {twin.txid[:8]}$"):
@@ -2269,9 +2303,11 @@ def test_an_exit_of_a_vtxo_the_wallet_does_not_hold_does_nothing():
 
 
 def test_a_boarding_output_counts_until_a_stable_commitment_spends_it():
-    # the boarding clause of balance(): the unspent boarding output counts;
-    # once the commitment spending it is stable, the wallet holds the VTXOs
+    # the boarding clause of balance(): the boarding output counts until
+    # the commitment spending it is stable, also while that commitment is
+    # in a block but not yet k deep; from then the wallet holds the VTXOs
     # and forgets the output, so the balance is their value, never both
+    # and never neither
     sim = Simulation(PARAMS, 0)
     sim.operator.fund(100_000)
     alice = sim.add_wallet("alice", [5_000])
@@ -2280,11 +2316,21 @@ def test_a_boarding_output_counts_until_a_stable_commitment_spends_it():
     ((op, out),) = alice.boarding_outputs
     assert sim.chain.unspent(op) and out.value == 5_000 and alice.holdings == {}
     assert alice.balance() == 5_000
-    bundle = sim.settle_commitment()
-    assert sim.chain.is_stable(bundle.commitment.txid) and not sim.chain.unspent(op)
+    # `settle_commitment`, one block at a time
+    op_node = sim.operator
+    bundle = op_node.assemble_commitment()
+    op_node.run_signing(bundle, sim.wallets)
+    op_node.submit_and_track(bundle)
+    sim.all_bundles.append(bundle)
+    seen = []
+    for _ in range(PARAMS.k + 2):
+        sim.tick(1)
+        seen.append((sim.chain.unspent(op), sim.chain.is_stable(bundle.commitment.txid),
+                     alice.balance()))
+    # spent from the first block on, stable k blocks later
+    assert seen == [(False, False, 5_000)] * PARAMS.k + [(False, True, 5_000)] * 2
     assert alice.boarding_outputs == []
     assert sorted(v.value for v in sim.vtxos("alice")) == [2_000, 3_000]
-    assert alice.balance() == 5_000
 
 
 def test_change_vtxo_exits_unilaterally():
