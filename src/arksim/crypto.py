@@ -112,10 +112,9 @@ which is only ever filled, never computed.
 The aggregate secret is keyed on the signer list exactly as the caller
 passes it, not on the sorted member set: sorting needs each signer's
 public key and encoding, which is most of what a hit saves.  Every caller
-lists a session's signers in its lock's member order, so a ceremony's
-`sign_batch` and a later `cosign` under the same lock, such as a
-payment's, share one entry; a list in another order is another entry with
-the same secret.
+lists a session's signers in its lock's member order, so a round's
+`sign_batch` and a later payment's `sign_batch` under the same lock share
+one entry; a list in another order is another entry with the same secret.
 A batch multiplies each signer key about log n times while aggregating
 its subtrees, so a table is built once per key and reused.  The table is a function of the point
 alone, and the point is checked to lie on the curve before anything is
@@ -165,7 +164,7 @@ a fresh computation.
   secrets' public keys the public-key memo lacks, from the G table, 32
   scalars at a time: all 254 of a `wide_batch` round at once raised its
   peak RSS by about 1 MB.  The keys are recorded too: a later signature
-  under the same aggregate secret, such as a payment's cosignature under
+  under the same aggregate secret, such as a payment's signature under
   the forfeit's owner and operator, then finds its key.
 - Known keys: a session's aggregate secret sum a_i x_i has the key
   sum a_i P_i, which the aggregate memo already holds when the round
@@ -173,10 +172,10 @@ a fresh computation.
   aggregate memo, when its entry's members are exactly the signers' sorted
   keys, instead of a G multiplication: a 64-user `wide_batch` round makes
   257 fixed-base multiplications instead of 319, and its set-up 322
-  instead of 449.  The rule lives only here.  `cosign` is
-  called with the signers and an expected key, and reading the key there
-  would skip the multiplication that the per-item path, and the counts
-  pinned on it, make.
+  instead of 449.  The rule lives only here, from `SIGN_BATCH_MIN` fresh
+  pairs up.  Below that, as in a payment of fewer than four inputs, and
+  in `cosign`, `sign` multiplies each new key itself, as the per-item
+  path, and the counts pinned on it, do.
 - Exceptional pairs: two points with equal x (a doubling, or a sum to
   infinity) are never added.  The list that meets them is dropped, and
   nothing is recorded for its set or pair.  Nothing is recorded either for

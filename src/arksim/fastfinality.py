@@ -3,12 +3,13 @@ collaborative spends, broadcast gossip with bounded delay, conflict
 detection against the unordered offchain ledger, and collateral burning
 through nonce-reuse key extraction.
 
-A fast-finality payment is an ordinary payment, taken in, built and
-booked by the operator (`Operator.verify_ark_request`) and signed with the
-sender's key alone.  Only the operator's signature differs: it uses the
-nonce commitment fixed in the output script, so signing two conflicting
-spends of one output reveals the operator's private key; that key
-completes a committee-presigned burn of the collateral.  Its payee audits
+A fast-finality payment is an ordinary payment: requested by the
+sender's wallet, taken in, built, approved by the sender and booked as
+any other (`Operator.verify_ark_request`), and signed with the sender's
+key alone.  Only the operator's signature differs: it uses the nonce
+commitment fixed in the output script, so signing two conflicting spends
+of one output reveals the operator's private key; that key completes a
+committee-presigned burn of the collateral.  Its payee audits
 it as any payment (`Wallet.audit_payment`), then checks that the sender
 is opted in and each reset's output is nonce-bound.
 """
@@ -23,7 +24,7 @@ from .arkcore import Vtxo, nonce_bound_path
 from .crypto import Fixed, SecretKey, Signature
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, SubmitError, Tx
-from .operator_node import ArkPayment, Operator, Request, VtxoSpec
+from .operator_node import ArkPayment, Operator, VtxoSpec
 from .script import UNSPENDABLE, AbsTimelock, And, CheckAggSig, CheckSig, Witness, taproot
 
 
@@ -162,15 +163,14 @@ class FfCoordinator:
     def make_ff_payment(self, sender: str, vtxos: Sequence[Vtxo],
                         outputs: Sequence[VtxoSpec], paths: List[List[Tx]],
                         allow_conflict: bool = False) -> ArkPayment:
-        """`sender`'s payment of its nonce-bound `vtxos`, signed with its key
-        alone: through the operator's intake, builder and book, or, with
-        `allow_conflict`, a byzantine operator's second spend of them, which
-        only the builder sees."""
-        op, w = self.ffop.operator, self.wallets[sender]
-        r = Request("ark", sender, inputs=tuple(vtxos), outputs=tuple(outputs))
-        secrets = {w.pk.hex(): w.sk}
-        payment = op.build_payment(r, secrets, self.ffop, allow_conflict=True) if allow_conflict \
-            else op.verify_ark_request(r, secrets, self.ffop)
+        """`sender`'s payment of its nonce-bound `vtxos`, requested by its
+        wallet and signed with its key alone: through the operator's intake,
+        payment ceremony and book, or, with `allow_conflict`, a byzantine
+        operator's second spend of them, which only the ceremony sees."""
+        op = self.ffop.operator
+        r = self.wallets[sender].make_ark_request(vtxos, outputs)
+        payment = op.build_payment(r, self.wallets, self.ffop, allow_conflict=True) \
+            if allow_conflict else op.verify_ark_request(r, self.wallets, self.ffop)
         payment.paths = [list(p) for p in paths]
         return payment
 

@@ -174,10 +174,9 @@ class Simulation:
         if total > amount:
             specs.append(VtxoSpec(total - amount, sender, ws.pk))
         req = ws.make_ark_request(vtxos, specs)
-        payment = self.operator.verify_ark_request(
-            req, {ws.pk.hex(): ws.sk})
-        payment.paths = [list(ws.holdings[v.key()].transcript)
-                         if v.key() in ws.holdings else [] for v in vtxos]
+        payment = self.operator.verify_ark_request(req, self.wallets)
+        # `make_ark_request` refuses a VTXO the payer does not hold
+        payment.paths = [list(ws.holdings[v.key()].transcript) for v in vtxos]
         ws.on_payment_sent(req, payment)
         self.payments.append(payment)
         if auto_receive:

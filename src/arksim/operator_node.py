@@ -8,11 +8,12 @@ of the sets C, F or S; what a request holds is read from where it is.
 The signing ceremony derives every session of a commitment (tree nodes,
 forfeits, boarding inputs and exits), checks consent for all of them, and
 signs them in order, so it releases nothing until every required signature
-(including all forfeits) is held.  The operator's funding is derived from
-the chain, and one deadline table drives its watcher: sweeps at expiry
-(Routine 13), answers to unrolled spent VTXOs (Routine 19) and connector
-reservations.  Each cosign, funding signature, sweep and release is noted
-in the trace.
+(including all forfeits) is held.  A payment passes the same steps: its
+payer approves only the payment it asked for, then consent, then one
+signing call.  The operator's funding is derived from the chain, and one
+deadline table drives its watcher: sweeps at expiry (Routine 13), answers
+to unrolled spent VTXOs (Routine 19) and connector reservations.  Each
+cosign, funding signature, sweep and release is noted in the trace.
 """
 
 from __future__ import annotations
@@ -23,22 +24,9 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, O
                     Set, Tuple)
 
 from . import arkcore, crypto
-from .arkcore import (
-    BatchOutput,
-    ConnectorOutput,
-    Vtxo,
-    Vtxt,
-    build_connector,
-    build_vtxt,
-    classify_paths,
-    collab_aggregate,
-    cosigners,
-    forfeit_tx,
-    nonce_bound_path,
-    p2pk,
-    reset_tx,
-    sweep_path,
-)
+from .arkcore import (BatchOutput, ConnectorOutput, Vtxo, Vtxt, build_connector, build_vtxt,
+                      classify_paths, collab_aggregate, cosigners, forfeit_tx, nonce_bound_path,
+                      p2pk, reset_tx, sweep_path)
 from .crypto import AggregateKey, PublicKey, SecretKey, SessionAborted
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
@@ -46,20 +34,11 @@ from .script import KEY_PATH, LockScript, Witness
 
 if TYPE_CHECKING:
     from .fastfinality import FfOperator
+    from .wallet import Wallet
 
 
 class Reject(Exception):
     pass
-
-
-def _session_secrets(label: str, keys: Sequence[PublicKey],
-                     secrets: Dict[str, SecretKey]) -> List[SecretKey]:
-    """The secret of each of `keys` in `secrets` (hex key -> secret), in
-    the keys' order; a key without one aborts the `label` session."""
-    for m in keys:
-        if m.hex() not in secrets:
-            raise SessionAborted(f"{label}: signer {m.hex()[:8]} absent")
-    return [secrets[m.hex()] for m in keys]
 
 
 @dataclass
@@ -170,9 +149,10 @@ class Bundle:
 
 class Session(NamedTuple):
     """One session of a ceremony: `tx` on path `idx` of `lock`, cosigned
-    under `key`, and the request that named it (None for a tree node).  An
-    exit signs nothing: its VTXO's `owner` only approves the commitment."""
-    label: str                     # vtxt | forfeit | boarding | exit
+    under `key`, and the request that named it (None for a tree node).
+    Without a key, `owner` signs a nonce-bound spend beside the operator,
+    or only approves an exit's commitment, which signs nothing."""
+    label: str                     # vtxt | forfeit | boarding | exit | ark | reset
     request: Optional[Request]
     tx: Tx
     lock: LockScript
@@ -336,14 +316,14 @@ class Operator:
 
     # --- ark transactions ------------------------------------------------
 
-    def verify_ark_request(self, r: Request, secrets: Dict[str, SecretKey],
+    def verify_ark_request(self, r: Request, wallets: Dict[str, Wallet],
                            ffop: Optional[FfOperator] = None) -> ArkPayment:
-        """Take in an offchain payment: intake (`_check_inputs`), then
-        `build_payment`, then the book: each input goes to S, with or
-        without a reset, and each output to F.  An input's unroll is
-        answered with its reset."""
+        """Take in an offchain payment: intake (`_check_inputs`), then its
+        signing ceremony (`build_payment`), then the book: each input goes
+        to S, with or without a reset, and each output to F.  An input's
+        unroll is answered with its reset."""
         self._check_inputs(r, "ark", sum(s.value for s in r.outputs), ffop)
-        payment = self.build_payment(r, secrets, ffop)
+        payment = self.build_payment(r, wallets, ffop)
         self.book.vtxos.update((v.key(), SPENT) for v in r.inputs)
         for v, rst in zip(r.inputs, payment.resets):
             self._answer(v, rst)
@@ -351,17 +331,18 @@ class Operator:
         self.book.vtxos.update((out.key(), ("F", out)) for out in payment.outputs)
         return payment
 
-    def build_payment(self, r: Request, secrets: Dict[str, SecretKey],
+    def build_payment(self, r: Request, wallets: Dict[str, Wallet],
                       ffop: Optional[FfOperator] = None,
                       allow_conflict: bool = False) -> ArkPayment:
-        """Build and sign, booking nothing, the payment `r` asks for: a reset
-        per input and the ark tx, signed first, the resets last, so the payer
-        never holds a usable reset without the payment being complete.  Each
-        spend is signed on the path its lock offers: the cosigned path, or a
-        nonce-bound one by the owner's key in `secrets` and by `ffop` with the
-        lock's nonce (a second spend of an input only if `allow_conflict`).
+        """Build the payment `r` asks for, a reset per input and the ark tx,
+        and sign it in a round's steps, booking nothing: (1) the payer
+        approves digests (`Wallet.verify_payment`), (2) a session per spend
+        on its lock's path, the ark tx per input and then each reset, so the
+        payer never holds a usable reset without the whole payment, (3)
+        consent, (4) one signing call for the cosigned ones, released in
+        order.  A nonce-bound spend is signed by its owner and by `ffop` with
+        the lock's nonce (a second spend of an input only if `allow_conflict`).
         With `ffop`, an output that fixes no nonce gets a fresh one."""
-        all_secrets = {**secrets, self.pk.hex(): self.sk}
         resets = [reset_tx(v, self.pk, v.expiry, self.params.t_u)
                   for v in r.inputs] if self.use_resets else []
         specs = [s if ffop is None or s.r_star is not None else replace(
@@ -374,23 +355,23 @@ class Operator:
         spent = [(rst.outpoint(0), rst.outs[0]) for rst in resets] \
             or [(v.outpoint, Output(v.value, v.lock)) for v in r.inputs]
         ark = arkcore.ark_tx([(op, out.value) for op, out in spent], outputs)
-        # the ark tx first, the reset txs last
-        spends = [(ark, out.lock, v) for (_, out), v in zip(spent, r.inputs)] \
-            + [(rst, v.lock, v) for v, rst in zip(r.inputs, resets)]
-        for tx, lock, v in spends:
-            label = "ark" if tx is ark else "reset"
-            bound = nonce_bound_path(lock)
-            if bound is None:
-                idx, key = collab_aggregate(lock)
-                sks = _session_secrets(label, key.members, all_secrets)
-                sigs = (self._cosign(tx, label, crypto.cosign(tx.digest(), sks, key)),)
-            else:
-                idx, r_star = bound
-                owner_sk, = _session_secrets(label, [v.owner_pk], all_secrets)
-                sigs = (ffop.sign_nonce_bound(tx, r_star, allow_conflict),
-                        crypto.sign(owner_sk, tx.digest()))
-            tx.wits.append(Witness(idx, sigs, lock.paths))
-        return ArkPayment(ark, resets, [], outputs)
+        payment = ArkPayment(ark, resets, [], outputs)
+        approved, secrets = self._approvals(wallets, {r.party},
+                                            lambda p: wallets[p].verify_payment(payment), "payment")
+        spends = [("ark", ark, out.lock, v) for (_, out), v in zip(spent, r.inputs)] \
+            + [("reset", rst, v.lock, v) for v, rst in zip(r.inputs, resets)]
+        sessions = [Session(label, r, tx, lock, *collab_aggregate(lock)) if bound is None
+                    else Session(label, r, tx, lock, bound[0], None, v.owner_pk)
+                    for label, tx, lock, v in spends for bound in [nonce_bound_path(lock)]]
+        self._consent(sessions, wallets, approved, secrets)
+        sigs = iter(crypto.sign_batch([([secrets[m.hex()] for m in s.key.members], s.tx.digest())
+                                       for s in sessions if s.key is not None]))
+        for s in sessions:
+            signed = (self._cosign(s.tx, s.label, next(sigs)),) if s.key is not None else (
+                ffop.sign_nonce_bound(s.tx, nonce_bound_path(s.lock)[1], allow_conflict),
+                crypto.sign(secrets[s.owner.hex()], s.tx.digest()))
+            s.tx.wits.append(Witness(s.idx, signed, s.lock.paths))
+        return payment
 
     # --- commitment assembly --------------------------------------------
 
@@ -472,9 +453,50 @@ class Operator:
         }
         return Bundle(commitment, batch, connector, requests, account=account)
 
-    # --- signing ceremony ------------------------------------------------
+    # --- signing ceremonies ----------------------------------------------
 
-    def run_signing(self, bundle: Bundle, wallets: Dict[str, "object"],
+    def _approvals(self, wallets: Dict[str, Wallet], parties: Set[str],
+                   audit: Callable[[str], Optional[Set[bytes]]], what: str
+                   ) -> Tuple[Dict[str, Optional[Set[bytes]]], Dict[str, SecretKey]]:
+        """Step 1 of a ceremony: each of `parties`, in name order, returns the
+        digests of the `what` it approves (`audit`), or None to refuse it and
+        abort; other wallets approve nothing.  Also the operator's and the
+        parties' secrets, by hex key."""
+        approved: Dict[str, Optional[Set[bytes]]] = {name: set() for name in wallets}
+        for party in sorted(parties):
+            approved[party] = audit(party)
+            if approved[party] is None:
+                raise SessionAborted(f"verify: {party} rejected the {what}")
+        return approved, {self.pk.hex(): self.sk,
+                          **{wallets[p].pk.hex(): wallets[p].sk for p in parties}}
+
+    def _consent(self, sessions: Sequence[Session], wallets: Dict[str, Wallet],
+                 approved: Dict[str, Set[bytes]], secrets: Dict[str, SecretKey]) -> None:
+        """Step 3 of a ceremony, before anything is signed: a session that
+        names a wallet's key over a digest outside that wallet's approval,
+        or a key not in `secrets`, is refused.  A wallet refuses its own request only when
+        another request spends what its key locks, so the queued requests
+        refused by another party than their requester are dropped, or else
+        every refused one, each once, and the ceremony aborts."""
+        party_of = {w.pk: name for name, w in wallets.items()}
+        refused = []
+        for s in sessions:
+            digest = s.tx.digest()
+            for m in s.signers():
+                who = party_of.get(m)
+                if not (digest in approved[who] if who else m.hex() in secrets):
+                    refused.append((s, who or m.hex()[:8]))
+                    break
+        if refused:
+            culprits = [(s, who) for s, who in refused
+                        if s.request is not None and who != s.request.party] or refused
+            for s, who in culprits:
+                if s.request in self.book.queue:
+                    self._drop(s.request, f"{s.label} refused by {who} {s.tx.txid[:8]}")
+            s, who = refused[0]
+            raise SessionAborted(f"{s.label}: {who} did not approve {s.tx.txid[:8]}")
+
+    def run_signing(self, bundle: Bundle, wallets: Dict[str, Wallet],
                     abort: Optional[Callable[[str, str], bool]] = None,
                     extra_secrets: Optional[Dict[str, SecretKey]] = None) -> Bundle:
         """Gather every signature for a commitment, in the safe order:
@@ -488,19 +510,12 @@ class Operator:
             if abort is not None and abort(step, party):
                 raise SessionAborted(f"{step}: {party} unresponsive")
 
-        parties = {r.party for r in bundle.requests}
+        # step 1: each party audits the bundle
         party_of = {w.pk: name for name, w in wallets.items()}
-        # step 1: each party audits the bundle; other wallets approve nothing
-        approved: Dict[str, Optional[Set[bytes]]] = {name: set() for name in wallets}
-        for party in sorted(parties):
-            maybe_abort("verify", party)
-            approved[party] = wallets[party].verify_commitment(bundle)
-            if approved[party] is None:
-                raise SessionAborted(f"verify: {party} rejected the bundle")
-
-        secrets: Dict[str, SecretKey] = {
-            self.pk.hex(): self.sk, **{wallets[p].pk.hex(): wallets[p].sk for p in parties},
-            **(extra_secrets or {})}
+        approved, secrets = self._approvals(
+            wallets, {r.party for r in bundle.requests},
+            lambda p: maybe_abort("verify", p) or wallets[p].verify_commitment(bundle), "bundle")
+        secrets.update(extra_secrets or {})
 
         # step 2: every session, each read from the lock it spends.  A
         # forfeit's aggregate may name a previous operator (handover); the
@@ -525,28 +540,8 @@ class Operator:
         sessions += [Session("exit", r, commitment, v.lock, 0, None, v.owner_pk)
                      for r in bundle.requests if r.kind == "exit" for v in r.inputs]
 
-        # step 3: consent, for every session before any is signed.  A
-        # session that names a wallet's key over a digest it did not
-        # approve, or a key no signer here holds, is refused.  A wallet
-        # refuses its own request only when another request spends what its
-        # key locks, so the requests refused by another party than their
-        # requester are dropped, or else every refused one, each once
-        refused = []
-        for s in sessions:
-            digest = s.tx.digest()
-            for m in s.signers():
-                who = party_of.get(m)
-                if not (digest in approved[who] if who else m.hex() in secrets):
-                    refused.append((s, who or m.hex()[:8]))
-                    break
-        if refused:
-            culprits = [(s, who) for s, who in refused
-                        if s.request is not None and who != s.request.party] or refused
-            for s, who in culprits:
-                if s.request in self.book.queue:
-                    self._drop(s.request, f"{s.label} refused by {who} {s.tx.txid[:8]}")
-            s, who = refused[0]
-            raise SessionAborted(f"{s.label}: {who} did not approve {s.tx.txid[:8]}")
+        # step 3: consent
+        self._consent(sessions, wallets, approved, secrets)
 
         # step 4: each kind's sessions signed in one `crypto.sign_batch`
         # call, a forfeit followed by its anchor signature, then released one
@@ -556,7 +551,7 @@ class Operator:
             kind = [s for s in sessions if s.label == label]
             pairs = []
             for s in kind:
-                pairs.append((_session_secrets(label, s.key.members, secrets), s.tx.digest()))
+                pairs.append(([secrets[m.hex()] for m in s.key.members], s.tx.digest()))
                 if label == "forfeit":
                     pairs.append((self.sk, s.tx.digest()))
             sigs = iter(crypto.sign_batch(pairs))

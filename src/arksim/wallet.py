@@ -16,6 +16,15 @@ and the commitment it boards into or exits from, if every input of the
 commitment locked to its key is one it boards and every exit of a VTXO
 of its key is one it asked for.
 
+A payment is signed in a ceremony too, and its payer audits it first
+(`verify_payment`) against the one ark request it recorded in
+`make_ark_request`: each reset must be the one `arkcore.reset_tx` derives
+for an input of that request, and the ark tx must spend exactly those
+resets' outputs (or, without resets, the inputs) and pay exactly the
+requested outputs, each under the nonce its lock fixes, if any.  The
+audit approves the ark tx and the resets, and forgets the request either
+way.  A wallet builds a request only over VTXOs it holds.
+
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
 turn its balance into confirmed UTXOs without the operator's help.  A
@@ -96,6 +105,9 @@ class Wallet:
         # never read or written here; kept only because the benchmark's
         # workloads (perfbench/workloads.py) still append to it
         self.open_requests: List[Request] = []
+        # the ark request of the last `make_ark_request`, until a payment is
+        # audited against it (`verify_payment`)
+        self.ark_request: Optional[Request] = None
         self.fee = 0                # operator's flat per-request fee
         chain.register(name)
 
@@ -110,26 +122,31 @@ class Wallet:
                       outputs=specs)
         return tx, req
 
-    def make_swap(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
-        specs = tuple(VtxoSpec(v, self.name, self.pk) for v in values)
-        req = Request("batch-swap", self.name, inputs=tuple(vtxos), outputs=specs)
+    def _intend(self, vtxos: Sequence[Vtxo], intent: str) -> None:
+        """Mark each of `vtxos` with `intent`, or refuse them all, changing
+        nothing, if this wallet does not hold one."""
         for v in vtxos:
-            self.holdings[v.key()].intent = "swap"
-        return req
+            if v.key() not in self.holdings:
+                txid, index = v.key()
+                raise arkcore.ArkError(f"{self.name} holds no VTXO {txid[:8]}:{index}")
+        for v in vtxos:
+            self.holdings[v.key()].intent = intent
+
+    def make_swap(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
+        self._intend(vtxos, "swap")
+        specs = tuple(VtxoSpec(v, self.name, self.pk) for v in values)
+        return Request("batch-swap", self.name, inputs=tuple(vtxos), outputs=specs)
 
     def make_exit(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
+        self._intend(vtxos, "exit")
         outs = tuple((v, p2pk(self.pk)) for v in values)
-        req = Request("exit", self.name, inputs=tuple(vtxos), exit_outputs=outs)
-        for v in vtxos:
-            self.holdings[v.key()].intent = "exit"
-        return req
+        return Request("exit", self.name, inputs=tuple(vtxos), exit_outputs=outs)
 
     def make_ark_request(self, vtxos: Sequence[Vtxo],
                          outputs: Sequence[VtxoSpec]) -> Request:
-        req = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs))
-        for v in vtxos:
-            self.holdings[v.key()].intent = "pay"
-        return req
+        self._intend(vtxos, "pay")
+        self.ark_request = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs))
+        return self.ark_request
 
     # --- commitment verification (the user-side bundle audit) ------------
 
@@ -230,6 +247,30 @@ class Wallet:
         if (boards or exits) and locked <= boards and exited <= exits:
             approved.add(bundle.commitment.digest())
         return approved
+
+    def verify_payment(self, payment: ArkPayment) -> Optional[Set[bytes]]:
+        """The digests of unsigned `payment` this wallet approves as its
+        payer (module docstring), none if it asked for no payment, or None
+        to refuse.  Either way its request is forgotten."""
+        req, self.ark_request = self.ark_request, None
+        if req is None:
+            return set()
+        ark, resets = payment.ark, payment.resets
+        if resets and [rst.txid for rst in resets] != [
+                arkcore.reset_tx(v, self.operator_pk, v.expiry, self.params.t_u).txid
+                for v in req.inputs]:
+            return self._fail("reset not derived from a requested input")
+        if list(ark.ins) != ([rst.outpoint(0) for rst in resets]
+                             or [v.outpoint for v in req.inputs]):
+            return self._fail("ark tx spends other outputs")
+        if len(ark.outs) != len(req.outputs):
+            return self._fail("ark tx pays other outputs")
+        for spec, out in zip(req.outputs, ark.outs):
+            r_star = spec.r_star or (arkcore.nonce_bound_path(out.lock) or (None, None))[1]
+            if out != Output(spec.value, vtxo_lock(spec.owner_pk, self.operator_pk,
+                                                   self.params.t_u, r_star)):
+                return self._fail("ark tx pays other outputs")
+        return {ark.digest(), *(rst.digest() for rst in resets)}
 
     # --- lifecycle -------------------------------------------------------
 

@@ -2,7 +2,6 @@ import pytest
 
 from arksim import arkcore, crypto, harness
 from arksim.arkcore import Vtxo, nonce_bound_path, p2pk
-from arksim.crypto import SessionAborted
 from arksim.fastfinality import FfConfig, FfError
 from arksim.harness import (
     PARAMS_TE60 as PARAMS,
@@ -13,8 +12,8 @@ from arksim.harness import (
     signed_batch,
 )
 from arksim.ledger import Output, Tx
-from arksim.operator_node import Reject, Request, VtxoSpec
-from arksim.wallet import transcript
+from arksim.operator_node import Reject, VtxoSpec
+from arksim.wallet import Holding, transcript
 
 
 def payment(sim, coord, vtxo, to, allow_conflict=False):
@@ -68,6 +67,29 @@ def test_nonce_bound_signer_refuses_a_second_spend_of_an_input():
     assert sim.operator.cosigned_spends[(rst.txid, 0)] == other.txid
 
 
+def test_the_builder_refuses_a_second_payment_of_a_paid_nonce_bound_vtxo():
+    # mallory's VTXO is paid to alice; her second payment of it, to bob,
+    # past intake and without allow_conflict, is refused at the nonce-bound
+    # signer: no spend is recorded and nothing is noted
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    payment(sim, coord, vtxo, "alice")
+    mallory, bob = sim.wallets["mallory"], sim.wallets["bob"]
+    again = mallory.make_ark_request([vtxo], [VtxoSpec(vtxo.value, "bob", bob.pk)])
+    before = (dict(sim.operator.cosigned_spends), list(sim.chain.trace))
+    with pytest.raises(FfError, match="^refusing to double-sign a nonce-bound spend$"):
+        sim.operator.build_payment(again, sim.wallets, coord.ffop)
+    assert (dict(sim.operator.cosigned_spends), list(sim.chain.trace)) == before
+
+
+def test_a_fast_finality_payment_to_a_non_member_is_not_sent():
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    pay = payment(sim, coord, vtxo, "alice")
+    sim.add_wallet("carol", [])
+    with pytest.raises(FfError, match="^parties must be opted in$"):
+        coord.ff_send("mallory", "carol", pay)
+    assert all(inbox == [] for inbox in coord.inboxes.values())
+
+
 def test_the_nonce_bound_signer_refuses_an_unknown_commitment():
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
     first = payment(sim, coord, vtxo, "alice")
@@ -90,14 +112,14 @@ def test_a_warm_double_spend_trace_multiplies_no_point(point_mul_calls):
 
 
 def test_a_payment_of_another_members_vtxo_is_refused_unsigned():
-    # bob names mallory's nonce-bound VTXO: the builder finds no secret for
-    # her key among bob's, so nothing is signed and nothing is booked
+    # bob names mallory's nonce-bound VTXO: his wallet, which does not hold
+    # it, makes no request, so nothing is signed and nothing is booked
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
     book = sim.operator.book
     before = (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends))
     path = sim.wallets["mallory"].holdings[vtxo.key()].transcript
-    with pytest.raises(SessionAborted,
-                       match=rf"^ark: signer {vtxo.owner_pk.hex()[:8]} absent$"):
+    with pytest.raises(arkcore.ArkError,
+                       match=rf"^bob holds no VTXO {vtxo.outpoint.txid[:8]}:0$"):
         coord.make_ff_payment("bob", [vtxo], [VtxoSpec(vtxo.value, "bob", sim.wallets["bob"].pk)],
                               [path])
     assert (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends)) == before
@@ -163,9 +185,9 @@ def test_a_payment_whose_reset_is_not_nonce_bound_is_refused():
                            sim.chain.height + 2 * PARAMS.k + PARAMS.t_e)
     grant_batch(sim.chain, vtxt)
     op.book.vtxos[vtxo.key()] = ("C", vtxo)
-    req = Request("ark", "mallory", inputs=(vtxo,),
-                  outputs=(VtxoSpec(vtxo.value, "alice", alice.pk),))
-    pay = op.verify_ark_request(req, {mallory.pk.hex(): mallory.sk})
+    mallory.holdings[vtxo.key()] = Holding(vtxo, vtxt.path_to(vtxo.outpoint.txid), "batch")
+    req = mallory.make_ark_request([vtxo], [VtxoSpec(vtxo.value, "alice", alice.pk)])
+    pay = op.verify_ark_request(req, sim.wallets)
     pay.paths = [vtxt.path_to(vtxo.outpoint.txid)]
     assert nonce_bound_path(pay.resets[0].outs[0].lock) is None
     coord.ff_send("mallory", "alice", pay)

@@ -10,14 +10,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from arksim import arkcore, crypto, harness, wallet
+from arksim import arkcore, crypto, harness, operator_node, wallet
 from arksim.arkcore import classify_paths, p2pk
 from arksim.crypto import SessionAborted
 from arksim.errors import InvariantError
 from arksim.fastfinality import FfOperator
 from arksim.harness import PARAMS_TE40 as PARAMS, Simulation, leaf_spend
 from arksim.ledger import OutPoint, Output, Params, SubmitError, Tx
-from arksim.operator_node import ArkPayment, Bundle, Reject, Request, VtxoSpec, consumed_vtxos
+from arksim.operator_node import (ArkPayment, Bundle, Operator, Reject, Request, VtxoSpec,
+                                  consumed_vtxos)
 from arksim.script import KEY_PATH, UNSPENDABLE, AbsTimelock, And, Witness, taproot
 from arksim.wallet import transcript as wallet_transcript
 
@@ -59,8 +60,10 @@ def test_boarding_requires_stable_confirmation():
     sim.add_wallet("alice", [1_000])
     _, req = submit_boarding(sim, "alice", [1_000])
     sim.tick(1)     # confirmed but not yet k-deep
-    with pytest.raises(Reject):
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match="^boarding output not confirmed in the stable view$"):
         sim.operator.verify_boarding(req)
+    assert book_state(sim.operator.book) == book
 
 
 def test_boarding_value_must_cover_request():
@@ -71,8 +74,10 @@ def test_boarding_value_must_cover_request():
     bad = Request("boarding", "alice", boarding_outpoint=tx.outpoint(0),
                   outputs=(VtxoSpec(2_000, "alice", w.pk),))
     sim.tick(PARAMS.k + 1)
-    with pytest.raises(Reject):
+    book = book_state(sim.operator.book)
+    with pytest.raises(Reject, match="^funds do not cover the requested VTXOs$"):
         sim.operator.verify_boarding(bad)
+    assert book_state(sim.operator.book) == book
 
 
 def test_a_boarding_output_already_pending_is_refused():
@@ -147,7 +152,7 @@ def test_intake_rejects_wrong_kind(method, kind):
     else:
         r = Request("batch-swap", "alice", inputs=(v,),
                     outputs=(VtxoSpec(v.value, "alice", alice.pk),))
-    args = (r, {alice.pk.hex(): alice.sk}) if kind == "ark" else (r,)
+    args = (r, sim.wallets) if kind == "ark" else (r,)
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=f"expected a {kind} request"):
         getattr(sim.operator, method)(*args)
@@ -204,7 +209,7 @@ def test_input_without_outpoint_rejected(kind):
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match="no outpoint"):
         if kind == "ark":
-            sim.operator.verify_ark_request(r, {alice.pk.hex(): alice.sk})
+            sim.operator.verify_ark_request(r, sim.wallets)
         else:
             sim.operator.verify_batch_swap(r)
     assert book_state(sim.operator.book) == book
@@ -222,9 +227,8 @@ def spend_request(kind, owner, v, value, inputs=None):
 
 
 def submit_spend(sim, r):
-    payer = sim.wallets[r.party]
     if r.kind == "ark":
-        return sim.operator.verify_ark_request(r, {payer.pk.hex(): payer.sk})
+        return sim.operator.verify_ark_request(r, sim.wallets)
     if r.kind == "exit":
         return sim.operator.verify_exit(r)
     return sim.operator.verify_batch_swap(r)
@@ -455,7 +459,7 @@ def test_operator_refuses_ark_after_swap():
                 outputs=(VtxoSpec(v.value, "alice", alice.pk),)))
     req = alice.make_ark_request([v], [VtxoSpec(v.value, "alice", alice.pk)])
     with pytest.raises(Reject):
-        sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+        sim.operator.verify_ark_request(req, sim.wallets)
 
 
 def test_ark_request_value_bounded():
@@ -464,7 +468,7 @@ def test_ark_request_value_bounded():
     alice = sim.wallets["alice"]
     req = alice.make_ark_request([v], [VtxoSpec(v.value + 1, "alice", alice.pk)])
     with pytest.raises(Reject):
-        sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+        sim.operator.verify_ark_request(req, sim.wallets)
 
 
 def test_the_operator_never_cosigns_a_second_spend_of_an_input():
@@ -475,19 +479,19 @@ def test_the_operator_never_cosigns_a_second_spend_of_an_input():
     v = sim.vtxos("alice")[0]
     first = payment_to_bob(sim)
     alice, op = sim.wallets["alice"], sim.operator
-    again = Request("ark", "alice", inputs=(v,),
-                    outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    again = alice.make_ark_request([v], [VtxoSpec(v.value, "alice", alice.pk)])
     before = (dict(op.cosigned_spends), list(sim.chain.trace))
     key = (first.ark.ins[0].txid, first.ark.ins[0].index)
     refusal = f"operator already co-signed a spend of {key}"
     with pytest.raises(Reject, match=f"^{re.escape(refusal)}$"):
-        op.build_payment(again, {alice.pk.hex(): alice.sk})
+        op.build_payment(again, sim.wallets)
     assert (dict(op.cosigned_spends), list(sim.chain.trace)) == before
 
 
 def test_a_payment_of_a_vtxo_without_its_owners_secret_is_aborted_unsigned():
-    # mallory names alice's VTXO with only her own secret: the ark tx's
-    # session lacks alice's, so nothing is signed, booked or noted
+    # mallory names alice's VTXO: alice asked for no payment, so she approves
+    # nothing, the ark tx's session is refused, and nothing is signed,
+    # booked or noted
     sim = boarded_sim()
     v = sim.vtxos("alice")[0]
     mallory = sim.add_wallet("mallory", [])
@@ -495,10 +499,72 @@ def test_a_payment_of_a_vtxo_without_its_owners_secret_is_aborted_unsigned():
     req = Request("ark", "mallory", inputs=(v,),
                   outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
     before = (book_state(op.book), dict(op.cosigned_spends), list(sim.chain.trace))
-    with pytest.raises(SessionAborted,
-                       match=rf"^ark: signer {v.owner_pk.hex()[:8]} absent$"):
-        op.verify_ark_request(req, {mallory.pk.hex(): mallory.sk})
+    with pytest.raises(SessionAborted, match=r"^ark: alice did not approve [0-9a-f]{8}$"):
+        op.verify_ark_request(req, sim.wallets)
     assert (book_state(op.book), dict(op.cosigned_spends), list(sim.chain.trace)) == before
+
+
+def pay_a_third_key(monkeypatch, sim):
+    # every output the operator makes pays carol instead
+    carol = sim.add_wallet("carol", [])
+    real = Operator._make_leaf
+    monkeypatch.setattr(Operator, "_make_leaf", lambda op, spec, expiry=0: real(
+        op, dataclasses.replace(spec, owner="carol", owner_pk=carol.pk), expiry))
+
+
+def relock_the_reset(monkeypatch, sim):
+    # each reset pays the payer's VTXO to the operator's key alone
+    pk = sim.operator.pk
+    monkeypatch.setattr(operator_node, "reset_tx", lambda v, *_: Tx(
+        ins=(v.outpoint,), outs=(Output(v.value, p2pk(pk)),)))
+
+
+@pytest.mark.parametrize("rewrite, reason", [
+    (pay_a_third_key, "ark tx pays other outputs"),
+    (relock_the_reset, "reset not derived from a requested input"),
+], ids=["third-key", "reset-to-operator"])
+def test_a_payer_refuses_a_payment_it_did_not_ask_for(monkeypatch, rewrite, reason):
+    # the operator builds another payment than alice's request: she refuses
+    # it with her reason, and the ceremony aborts before anything is signed
+    sim = boarded_sim()
+    bob = sim.add_wallet("bob", [])
+    alice, op = sim.wallets["alice"], sim.operator
+    (v,) = sim.vtxos("alice")
+    req = alice.make_ark_request([v], [VtxoSpec(2_000, "bob", bob.pk),
+                                       VtxoSpec(v.value - 2_000, "alice", alice.pk)])
+    rewrite(monkeypatch, sim)
+    before = (book_state(op.book), dict(op.cosigned_spends), copy.deepcopy(alice.holdings))
+    with pytest.raises(SessionAborted, match="^verify: alice rejected the payment$"):
+        op.verify_ark_request(req, sim.wallets)
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed", reason)
+    assert not [e for e in sim.chain.trace if e.event in ("ark", "reset")]
+    assert (book_state(op.book), dict(op.cosigned_spends), alice.holdings) == before
+
+
+def test_a_payer_keeps_no_record_of_a_sent_payment():
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    alice = sim.wallets["alice"]
+    sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000)
+    assert alice.ark_request is None and sim.vtxos("alice")[0].value == 3_000
+    assert [e.event for e in sim.chain.trace if e.event in ("ark", "reset")] == ["ark", "reset"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda w, vtxos: w.make_swap(vtxos, [v.value for v in vtxos]),
+    lambda w, vtxos: w.make_exit(vtxos, [v.value for v in vtxos]),
+    lambda w, vtxos: w.make_ark_request(vtxos, [VtxoSpec(v.value, w.name, w.pk) for v in vtxos]),
+], ids=["swap", "exit", "ark"])
+def test_a_wallet_builds_no_request_over_a_vtxo_it_does_not_hold(make):
+    # alice names her VTXO and one she does not hold: a typed refusal,
+    # before her VTXO's intent or her payment record changes
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    foreign = dataclasses.replace(v, outpoint=OutPoint("ee" * 32, 3))
+    with pytest.raises(arkcore.ArkError, match="^alice holds no VTXO eeeeeeee:3$"):
+        make(alice, [v, foreign])
+    assert alice.holdings[v.key()].intent == "hold" and alice.ark_request is None
 
 
 def test_the_operator_derives_every_reset_of_a_payment():
@@ -883,6 +949,17 @@ def refuses(sim, name, bundle, reason):
     assert sim.wallets[name].holdings == held
 
 
+def test_wallet_refuses_a_change_output_that_creates_value():
+    # the operator's change output pays one sat more than the commitment spends
+    sim = boarded_sim()
+    bundle = swap_bundle(sim)
+    outs = bundle.commitment.outs
+    assert outs[-1].lock == p2pk(sim.operator.pk)
+    bundle.commitment = Tx(ins=bundle.commitment.ins,
+                           outs=outs[:-1] + (Output(outs[-1].value + 1, outs[-1].lock),))
+    refuses(sim, "alice", bundle, "commitment creates value")
+
+
 def test_wallet_rejects_a_leaf_outside_the_tree():
     sim, bundle = pair_bundle()
     bundle.batch.vtxt.leaves[0].vtxo.outpoint = OutPoint("ee" * 32, 0)     # alice's
@@ -978,6 +1055,10 @@ def drop_path(payment):
     payment.paths = []
 
 
+def empty_path(payment):
+    payment.paths[0] = []
+
+
 def relink_ark(payment, ins):
     """The payment's ark tx respent from `ins`, its outputs renamed to
     the new ark tx's txid."""
@@ -1022,6 +1103,7 @@ def reset_past_the_leaf(payment):
     (inflate_payee_output, "output script mismatch"),
     (rename_payee_output, "output not in the ark tx"),
     (drop_path, "incomplete transcript"),
+    (empty_path, "empty path"),
     (ark_spends_elsewhere, "ark does not spend the reset"),
     (strip_path_inputs, "path tx without inputs"),
     (root_past_its_tx, "path not rooted onchain"),
@@ -1492,7 +1574,7 @@ def payment_to_bob(sim):
     bob = sim.wallets["bob"]
     req = alice.make_ark_request([v], [VtxoSpec(2_000, "bob", bob.pk),
                                        VtxoSpec(v.value - 2_000, "alice", alice.pk)])
-    return sim.operator.verify_ark_request(req, {alice.pk.hex(): alice.sk})
+    return sim.operator.verify_ark_request(req, sim.wallets)
 
 
 def outpointless_payment_receipt():
