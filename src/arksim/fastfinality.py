@@ -167,10 +167,14 @@ class FfCoordinator:
         wallet and signed with its key alone: through the operator's intake,
         payment ceremony and book, or, with `allow_conflict`, a byzantine
         operator's second spend of them, which only the ceremony sees."""
-        op = self.ffop.operator
-        r = self.wallets[sender].make_ark_request(vtxos, outputs)
-        payment = op.build_payment(r, self.wallets, self.ffop, allow_conflict=True) \
-            if allow_conflict else op.verify_ark_request(r, self.wallets, self.ffop)
+        op, w = self.ffop.operator, self.wallets[sender]
+        r = w.make_ark_request(vtxos, outputs)
+        try:
+            payment = op.build_payment(r, self.wallets, self.ffop, allow_conflict=True) \
+                if allow_conflict else op.verify_ark_request(r, self.wallets, self.ffop)
+        except Exception:
+            w.withdraw(r)
+            raise
         payment.paths = [list(p) for p in paths]
         return payment
 

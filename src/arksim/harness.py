@@ -174,7 +174,11 @@ class Simulation:
         if total > amount:
             specs.append(VtxoSpec(total - amount, sender, ws.pk))
         req = ws.make_ark_request(vtxos, specs)
-        payment = self.operator.verify_ark_request(req, self.wallets)
+        try:
+            payment = self.operator.verify_ark_request(req, self.wallets)
+        except Exception:
+            ws.withdraw(req)
+            raise
         # `make_ark_request` refuses a VTXO the payer does not hold
         payment.paths = [list(ws.holdings[v.key()].transcript) for v in vtxos]
         ws.on_payment_sent(req, payment)

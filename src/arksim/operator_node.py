@@ -24,9 +24,22 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, O
                     Set, Tuple)
 
 from . import arkcore, crypto
-from .arkcore import (BatchOutput, ConnectorOutput, Vtxo, Vtxt, build_connector, build_vtxt,
-                      classify_paths, collab_aggregate, cosigners, forfeit_tx, nonce_bound_path,
-                      p2pk, reset_tx, sweep_path)
+from .arkcore import (
+    BatchOutput,
+    ConnectorOutput,
+    Vtxo,
+    Vtxt,
+    build_connector,
+    build_vtxt,
+    classify_paths,
+    collab_aggregate,
+    cosigners,
+    forfeit_tx,
+    nonce_bound_path,
+    p2pk,
+    reset_tx,
+    sweep_path,
+)
 from .crypto import AggregateKey, PublicKey, SecretKey, SessionAborted
 from .errors import InvariantError
 from .ledger import Chain, OutPoint, Output, Params, SubmitError, Tx
@@ -356,19 +369,25 @@ class Operator:
             or [(v.outpoint, Output(v.value, v.lock)) for v in r.inputs]
         ark = arkcore.ark_tx([(op, out.value) for op, out in spent], outputs)
         payment = ArkPayment(ark, resets, [], outputs)
-        approved, secrets = self._approvals(wallets, {r.party},
-                                            lambda p: wallets[p].verify_payment(payment), "payment")
+        payer = wallets[r.party]
+        approved = {r.party: payer.verify_payment(payment)}
+        if approved[r.party] is None:
+            raise SessionAborted(f"verify: {r.party} rejected the payment")
         spends = [("ark", ark, out.lock, v) for (_, out), v in zip(spent, r.inputs)] \
             + [("reset", rst, v.lock, v) for v, rst in zip(r.inputs, resets)]
-        sessions = [Session(label, r, tx, lock, *collab_aggregate(lock)) if bound is None
-                    else Session(label, r, tx, lock, bound[0], None, v.owner_pk)
-                    for label, tx, lock, v in spends for bound in [nonce_bound_path(lock)]]
-        self._consent(sessions, wallets, approved, secrets)
+        sessions, r_stars = [], []
+        for label, tx, lock, v in spends:
+            idx, r_star = nonce_bound_path(lock) or (None, None)
+            sessions.append(Session(label, r, tx, lock, *collab_aggregate(lock)) if r_star is None
+                            else Session(label, r, tx, lock, idx, None, v.owner_pk))
+            r_stars.append(r_star)
+        secrets = {self.pk.hex(): self.sk, payer.pk.hex(): payer.sk}
+        self._consent(sessions, {w.pk: name for name, w in wallets.items()}, approved, secrets)
         sigs = iter(crypto.sign_batch([([secrets[m.hex()] for m in s.key.members], s.tx.digest())
                                        for s in sessions if s.key is not None]))
-        for s in sessions:
-            signed = (self._cosign(s.tx, s.label, next(sigs)),) if s.key is not None else (
-                ffop.sign_nonce_bound(s.tx, nonce_bound_path(s.lock)[1], allow_conflict),
+        for s, r_star in zip(sessions, r_stars):
+            signed = (self._cosign(s.tx, s.label, next(sigs)),) if r_star is None else (
+                ffop.sign_nonce_bound(s.tx, r_star, allow_conflict),
                 crypto.sign(secrets[s.owner.hex()], s.tx.digest()))
             s.tx.wits.append(Witness(s.idx, signed, s.lock.paths))
         return payment
@@ -455,36 +474,21 @@ class Operator:
 
     # --- signing ceremonies ----------------------------------------------
 
-    def _approvals(self, wallets: Dict[str, Wallet], parties: Set[str],
-                   audit: Callable[[str], Optional[Set[bytes]]], what: str
-                   ) -> Tuple[Dict[str, Optional[Set[bytes]]], Dict[str, SecretKey]]:
-        """Step 1 of a ceremony: each of `parties`, in name order, returns the
-        digests of the `what` it approves (`audit`), or None to refuse it and
-        abort; other wallets approve nothing.  Also the operator's and the
-        parties' secrets, by hex key."""
-        approved: Dict[str, Optional[Set[bytes]]] = {name: set() for name in wallets}
-        for party in sorted(parties):
-            approved[party] = audit(party)
-            if approved[party] is None:
-                raise SessionAborted(f"verify: {party} rejected the {what}")
-        return approved, {self.pk.hex(): self.sk,
-                          **{wallets[p].pk.hex(): wallets[p].sk for p in parties}}
-
-    def _consent(self, sessions: Sequence[Session], wallets: Dict[str, Wallet],
+    def _consent(self, sessions: Sequence[Session], party_of: Dict[PublicKey, str],
                  approved: Dict[str, Set[bytes]], secrets: Dict[str, SecretKey]) -> None:
         """Step 3 of a ceremony, before anything is signed: a session that
-        names a wallet's key over a digest outside that wallet's approval,
-        or a key not in `secrets`, is refused.  A wallet refuses its own request only when
+        names a wallet's key (`party_of`) over a digest outside that wallet's
+        approval, none unless it is in `approved`, or a key not in `secrets`,
+        is refused.  A wallet refuses its own request only when
         another request spends what its key locks, so the queued requests
         refused by another party than their requester are dropped, or else
         every refused one, each once, and the ceremony aborts."""
-        party_of = {w.pk: name for name, w in wallets.items()}
         refused = []
         for s in sessions:
             digest = s.tx.digest()
             for m in s.signers():
                 who = party_of.get(m)
-                if not (digest in approved[who] if who else m.hex() in secrets):
+                if not (digest in approved.get(who, ()) if who else m.hex() in secrets):
                     refused.append((s, who or m.hex()[:8]))
                     break
         if refused:
@@ -510,12 +514,19 @@ class Operator:
             if abort is not None and abort(step, party):
                 raise SessionAborted(f"{step}: {party} unresponsive")
 
-        # step 1: each party audits the bundle
+        parties = {r.party for r in bundle.requests}
         party_of = {w.pk: name for name, w in wallets.items()}
-        approved, secrets = self._approvals(
-            wallets, {r.party for r in bundle.requests},
-            lambda p: maybe_abort("verify", p) or wallets[p].verify_commitment(bundle), "bundle")
-        secrets.update(extra_secrets or {})
+        # step 1: each party audits the bundle; other wallets approve nothing
+        approved: Dict[str, Optional[Set[bytes]]] = {}
+        for party in sorted(parties):
+            maybe_abort("verify", party)
+            approved[party] = wallets[party].verify_commitment(bundle)
+            if approved[party] is None:
+                raise SessionAborted(f"verify: {party} rejected the bundle")
+
+        secrets: Dict[str, SecretKey] = {
+            self.pk.hex(): self.sk, **{wallets[p].pk.hex(): wallets[p].sk for p in parties},
+            **(extra_secrets or {})}
 
         # step 2: every session, each read from the lock it spends.  A
         # forfeit's aggregate may name a previous operator (handover); the
@@ -541,7 +552,7 @@ class Operator:
                      for r in bundle.requests if r.kind == "exit" for v in r.inputs]
 
         # step 3: consent
-        self._consent(sessions, wallets, approved, secrets)
+        self._consent(sessions, party_of, approved, secrets)
 
         # step 4: each kind's sessions signed in one `crypto.sign_batch`
         # call, a forfeit followed by its anchor signature, then released one

@@ -21,9 +21,11 @@ A payment is signed in a ceremony too, and its payer audits it first
 `make_ark_request`: each reset must be the one `arkcore.reset_tx` derives
 for an input of that request, and the ark tx must spend exactly those
 resets' outputs (or, without resets, the inputs) and pay exactly the
-requested outputs, each under the nonce its lock fixes, if any.  The
-audit approves the ark tx and the resets, and forgets the request either
-way.  A wallet builds a request only over VTXOs it holds.
+requested outputs, each under the nonce its lock fixes, if any; the
+payment's outputs, of which the payer keeps its change, must be the ark
+tx's.  The audit approves the ark tx and the resets, and forgets the
+request either way.  A wallet builds a request only over VTXOs it holds,
+and withdraws one the operator refuses (`withdraw`).
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -62,6 +64,7 @@ from .ledger import (Chain, DoubleSpend, InvalidWitness, MissingInput, MissingWi
                      Output, Params, SubmitError, Tx, ValueCreated, tx_fault, value_fault,
                      witness_checks)
 from .operator_node import ArkPayment, Bundle, Request, VtxoSpec, consumed_vtxos
+from .script import LockScript
 
 # the payee's reason for each fault of the ledger's rule in its transcript
 _REPLAY_REASONS = {MissingInput: "unknown input", MissingWitness: "missing witness",
@@ -147,6 +150,14 @@ class Wallet:
         self._intend(vtxos, "pay")
         self.ark_request = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs))
         return self.ark_request
+
+    def withdraw(self, req: Request) -> None:
+        """Forget `req`, which the operator refused: its inputs are held
+        again, and a payment of it is no longer approved."""
+        for v in req.inputs:
+            self.holdings[v.key()].intent = "hold"
+        if self.ark_request is req:
+            self.ark_request = None
 
     # --- commitment verification (the user-side bundle audit) ------------
 
@@ -266,11 +277,20 @@ class Wallet:
         if len(ark.outs) != len(req.outputs):
             return self._fail("ark tx pays other outputs")
         for spec, out in zip(req.outputs, ark.outs):
-            r_star = spec.r_star or (arkcore.nonce_bound_path(out.lock) or (None, None))[1]
-            if out != Output(spec.value, vtxo_lock(spec.owner_pk, self.operator_pk,
-                                                   self.params.t_u, r_star)):
+            if out != Output(spec.value, self._expected_lock(spec.owner_pk, spec.r_star, out.lock)):
                 return self._fail("ark tx pays other outputs")
+        if [(v.value, v.lock, v.owner, v.outpoint) for v in payment.outputs] != [
+                (out.value, out.lock, spec.owner, ark.outpoint(i))
+                for i, (spec, out) in enumerate(zip(req.outputs, ark.outs))]:
+            return self._fail("payment outputs differ from the ark tx's")
         return {ark.digest(), *(rst.digest() for rst in resets)}
+
+    def _expected_lock(self, owner_pk: PublicKey, r_star: Optional[Tuple[int, int]],
+                       lock: LockScript) -> LockScript:
+        """The lock of a VTXO of `owner_pk` under nonce `r_star`, or else
+        under the nonce `lock` fixes, if any."""
+        r_star = r_star or (arkcore.nonce_bound_path(lock) or (None, None))[1]
+        return vtxo_lock(owner_pk, self.operator_pk, self.params.t_u, r_star)
 
     # --- lifecycle -------------------------------------------------------
 
@@ -316,8 +336,7 @@ class Wallet:
             out = payment.ark.output(v.outpoint) if v.outpoint is not None else None
             if out is None:
                 return self._reject("output not in the ark tx")
-            r_star = (arkcore.nonce_bound_path(out.lock) or (None, None))[1]
-            expected = vtxo_lock(self.pk, self.operator_pk, self.params.t_u, r_star)
+            expected = self._expected_lock(self.pk, None, out.lock)
             if out.lock.commitment != expected.commitment or out.value != v.value:
                 return self._reject("output script mismatch")
         if not payment.ark.ins:

@@ -2,6 +2,7 @@ import pytest
 
 from arksim import arkcore, crypto, harness
 from arksim.arkcore import Vtxo, nonce_bound_path, p2pk
+from arksim.crypto import SessionAborted
 from arksim.fastfinality import FfConfig, FfError
 from arksim.harness import (
     PARAMS_TE60 as PARAMS,
@@ -12,7 +13,7 @@ from arksim.harness import (
     signed_batch,
 )
 from arksim.ledger import Output, Tx
-from arksim.operator_node import Reject, VtxoSpec
+from arksim.operator_node import Reject, Request, VtxoSpec
 from arksim.wallet import Holding, transcript
 
 
@@ -48,6 +49,16 @@ def test_honest_operator_refuses_double_sign():
     payment(sim, coord, vtxo, "alice")
     with pytest.raises(Reject, match=r"^UnknownVtxo "):
         payment(sim, coord, vtxo, "bob")
+
+
+def test_a_refused_fast_finality_request_is_withdrawn():
+    # mallory's second payment of her paid VTXO is refused at intake: her
+    # wallet keeps no record of it, so it approves no later payment of it
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    payment(sim, coord, vtxo, "alice")
+    with pytest.raises(Reject, match=r"^UnknownVtxo "):
+        payment(sim, coord, vtxo, "bob")
+    assert sim.wallets["mallory"].ark_request is None
 
 
 def test_nonce_bound_signer_refuses_a_second_spend_of_an_input():
@@ -111,9 +122,27 @@ def test_a_warm_double_spend_trace_multiplies_no_point(point_mul_calls):
     assert point_mul_calls == []
 
 
-def test_a_payment_of_another_members_vtxo_is_refused_unsigned():
-    # bob names mallory's nonce-bound VTXO: his wallet, which does not hold
-    # it, makes no request, so nothing is signed and nothing is booked
+def test_a_payment_of_another_members_vtxo_is_refused_unsigned(monkeypatch):
+    # bob's request names mallory's nonce-bound VTXO: mallory asked for no
+    # payment, so she approves nothing, the ark tx's session is refused,
+    # and nothing is signed or booked
+    sim, coord, vtxo = ff_setup(0, PARAMS, 1)
+    book = sim.operator.book
+    before = (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends))
+    built = []
+    real = arkcore.ark_tx
+    monkeypatch.setattr(arkcore, "ark_tx", lambda *args: built.append(real(*args)) or built[-1])
+    r = Request("ark", "bob", inputs=(vtxo,),
+                outputs=(VtxoSpec(vtxo.value, "bob", sim.wallets["bob"].pk),))
+    with pytest.raises(SessionAborted) as refusal:
+        sim.operator.verify_ark_request(r, sim.wallets, coord.ffop)
+    assert str(refusal.value) == f"ark: mallory did not approve {built[0].txid[:8]}"
+    assert (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends)) == before
+
+
+def test_a_member_requests_no_payment_of_a_vtxo_it_does_not_hold():
+    # through the coordinator, bob's wallet refuses mallory's VTXO before
+    # the operator sees a request
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
     book = sim.operator.book
     before = (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends))

@@ -519,10 +519,22 @@ def relock_the_reset(monkeypatch, sim):
         ins=(v.outpoint,), outs=(Output(v.value, p2pk(pk)),)))
 
 
+def inflate_the_change(monkeypatch, sim):
+    # the change VTXO handed back claims 1,000 sats more than the ark tx pays
+    real = arkcore.ark_tx
+
+    def ark_tx(spent, outputs):
+        tx = real(spent, outputs)
+        outputs[-1].value += 1_000
+        return tx
+    monkeypatch.setattr(arkcore, "ark_tx", ark_tx)
+
+
 @pytest.mark.parametrize("rewrite, reason", [
     (pay_a_third_key, "ark tx pays other outputs"),
     (relock_the_reset, "reset not derived from a requested input"),
-], ids=["third-key", "reset-to-operator"])
+    (inflate_the_change, "payment outputs differ from the ark tx's"),
+], ids=["third-key", "reset-to-operator", "inflated-change"])
 def test_a_payer_refuses_a_payment_it_did_not_ask_for(monkeypatch, rewrite, reason):
     # the operator builds another payment than alice's request: she refuses
     # it with her reason, and the ceremony aborts before anything is signed
@@ -548,6 +560,25 @@ def test_a_payer_keeps_no_record_of_a_sent_payment():
     sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000)
     assert alice.ark_request is None and sim.vtxos("alice")[0].value == 3_000
     assert [e.event for e in sim.chain.trace if e.event in ("ark", "reset")] == ["ark", "reset"]
+
+
+@pytest.mark.parametrize("rewrite, amount, error, reason", [
+    (None, 5_001, Reject, "^ValueExceeded$"),
+    (pay_a_third_key, 2_000, SessionAborted, "^verify: alice rejected the payment$"),
+], ids=["intake", "ceremony"])
+def test_a_refused_payment_leaves_the_payer_as_before(monkeypatch, rewrite, amount, error, reason):
+    # a payment the operator refuses, at intake or in its ceremony, is
+    # withdrawn: alice holds her VTXO as before and approves no payment
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    assert v.value == 5_000
+    if rewrite is not None:
+        rewrite(monkeypatch, sim)
+    with pytest.raises(error, match=reason):
+        sim.ark_pay("alice", "bob", [v], amount)
+    assert alice.ark_request is None and alice.holdings[v.key()].intent == "hold"
 
 
 @pytest.mark.parametrize("make", [
