@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import arkcore, crypto, footprint
 from .arkcore import ANCHOR_LOCK, Vtxo, p2pk
@@ -89,6 +89,18 @@ def derive_state(chain: Chain, bundles: Sequence[Bundle],
     return state
 
 
+T = TypeVar("T")
+
+
+def _send(w: Wallet, req: Request, intake: Callable[[Request], T]) -> T:
+    """`intake(req)`; `w`, which made `req`, withdraws it if the operator refuses it."""
+    try:
+        return intake(req)
+    except Exception:
+        w.withdraw(req)
+        raise
+
+
 class Simulation:
     def __init__(self, params: Optional[Params] = None, seed: int = 0,
                  adversary: Optional[Adversary] = None, use_resets: bool = True,
@@ -153,7 +165,7 @@ class Simulation:
         w.boarding_outputs.append((tx.outpoint(0), tx.outs[0]))
         w.funds = []
         self.tick(self.params.k + 1)
-        self.operator.verify_boarding(req)
+        _send(w, req, self.operator.verify_boarding)
         return req
 
     def settle_commitment(self, abort=None) -> Optional[Bundle]:
@@ -174,11 +186,7 @@ class Simulation:
         if total > amount:
             specs.append(VtxoSpec(total - amount, sender, ws.pk))
         req = ws.make_ark_request(vtxos, specs)
-        try:
-            payment = self.operator.verify_ark_request(req, self.wallets)
-        except Exception:
-            ws.withdraw(req)
-            raise
+        payment = _send(ws, req, lambda r: self.operator.verify_ark_request(r, self.wallets))
         # `make_ark_request` refuses a VTXO the payer does not hold
         payment.paths = [list(ws.holdings[v.key()].transcript) for v in vtxos]
         ws.on_payment_sent(req, payment)
@@ -186,7 +194,7 @@ class Simulation:
         if auto_receive:
             swap_req = wr.receive_payment(payment)
             if swap_req is not None:
-                self.operator.verify_batch_swap(swap_req)
+                _send(wr, swap_req, self.operator.verify_batch_swap)
         return payment
 
     def vtxos(self, name: str) -> List[Vtxo]:
@@ -195,15 +203,14 @@ class Simulation:
     def swap(self, name: str, vtxos: Sequence[Vtxo]) -> Request:
         """Queue `name`'s swap of `vtxos` into the next batch, value for value."""
         req = self.wallets[name].make_swap(vtxos, [v.value for v in vtxos])
-        self.operator.verify_batch_swap(req)
+        _send(self.wallets[name], req, self.operator.verify_batch_swap)
         return req
 
     def exit(self, name: str, vtxos: Sequence[Vtxo]) -> Request:
         """Queue `name`'s cooperative exit of `vtxos` to one onchain output
         of their sum less the operator's fee."""
-        req = self.wallets[name].make_exit(
-            vtxos, [sum(v.value for v in vtxos) - self.operator.fee])
-        self.operator.verify_exit(req)
+        req = self.wallets[name].make_exit(vtxos, [sum(v.value for v in vtxos) - self.operator.fee])
+        _send(self.wallets[name], req, self.operator.verify_exit)
         return req
 
     def unroll(self, name: str, vtxo: Vtxo, then: Sequence[Tx] = ()) -> None:
@@ -695,8 +702,8 @@ def scenario_handover(seed: int = 0, params: Optional[Params] = None, **_) -> di
     op2 = Operator("operator2", o2_sk, sim.chain, p)
     op2.fund(50_000)
     w2 = Wallet("alice2", alice.sk, sim.chain, p, op2.pk)
-    swap = Request("batch-swap", "alice2", inputs=(old_vtxo,),
-                   outputs=(VtxoSpec(old_vtxo.value, "alice2", alice.pk),))
+    w2.holdings[old_vtxo.key()] = replace(alice.holdings[old_vtxo.key()])
+    swap = w2.make_swap([old_vtxo], [old_vtxo.value])
     op2.book.vtxos[old_vtxo.key()] = ("C", old_vtxo)
     op2.verify_batch_swap(swap)
     bundle2 = op2.assemble_commitment()

@@ -67,7 +67,9 @@ class VtxoSpec:
 class Request:
     """One party's request; compared and hashed by identity, so the book
     queues, bundles, re-queues and retires the request object itself.  The
-    operator reads a boarding output from the chain, an input from its book."""
+    operator reads a boarding output from the chain, an input from its book.
+    `party` routes the request, and no wallet trusts it: a wallet's own
+    requests are those it recorded (`Wallet.requests`)."""
     kind: str                      # boarding | batch-swap | exit | ark
     party: str
     boarding_outpoint: Optional[OutPoint] = None

@@ -1,6 +1,11 @@
 """User-side state machine: request construction, commitment
 verification, payment receipt, unilateral exit, the exit-deadline
-policy, and balance computation.
+policy, and balance computation.  Rounds and payments read one record
+of what the wallet asked for (`Wallet.requests`): each `make_*` records
+the request it builds, over VTXOs it holds, until the request settles,
+its payment is audited or the operator refuses it (`withdraw`).  A
+bundle that lists under the wallet's name a request the record lacks is
+refused, so `Request.party` only routes.
 
 The bundle audit reads only the chain, the commitment and the wallet's
 branch of the batch tree.  The commitment must spend outputs the chain
@@ -17,15 +22,13 @@ commitment locked to its key is one it boards and every exit of a VTXO
 of its key is one it asked for.
 
 A payment is signed in a ceremony too, and its payer audits it first
-(`verify_payment`) against the one ark request it recorded in
-`make_ark_request`: each reset must be the one `arkcore.reset_tx` derives
-for an input of that request, and the ark tx must spend exactly those
-resets' outputs (or, without resets, the inputs) and pay exactly the
-requested outputs, each under the nonce its lock fixes, if any; the
-payment's outputs, of which the payer keeps its change, must be the ark
-tx's.  The audit approves the ark tx and the resets, and forgets the
-request either way.  A wallet builds a request only over VTXOs it holds,
-and withdraws one the operator refuses (`withdraw`).
+(`verify_payment`) against the ark request in its record: each reset must
+be the one `arkcore.reset_tx` derives for an input of that request, and
+the ark tx must spend exactly those resets' outputs (or, without resets,
+the inputs) and pay exactly the requested outputs, each under the nonce
+its lock fixes, if any, as the payment's outputs must (`_paid`, which
+also gives the payer its change).  The audit approves the ark tx and the
+resets, and forgets the request either way.
 
 A wallet keeps a complete transcript (root-to-leaf unroll path, plus any
 reset and ark transactions) for every VTXO it holds, so it can always
@@ -41,15 +44,11 @@ trace, with the reason for a refusal.
 
 A wallet also remembers the signed VTXT of every batch it cosigns, by the
 tree's funding outpoint, from the batch's confirmation until its first
-audit of a payment path rooted in that tree or the batch's expiry.  Unless
-the verify memo already knows that every signature on the payer's path
-verifies (another wallet of the process checked the tree), that audit
-checks every signature in the tree in one `crypto.verify_batch` equation
-over the ledger's checks of its nodes (`ledger.witness_checks`), so a
-later audit of any path through the tree finds them in the verify memo.
-Most are under internal-node aggregate keys verified once each, and the
-batch spares `verify` a comb table for each.  A tree of fewer than
-`crypto.BATCH_MIN` signatures is left to `verify`.
+audit of a payment path rooted in that tree or the batch's expiry.  That
+audit checks the whole tree in one `crypto.verify_batch` equation
+(`check_witnesses`), so a later audit of any path through it finds every
+signature in the verify memo.  Most are under internal-node aggregate keys
+verified once each, and the batch spares `verify` a comb table for each.
 """
 
 from __future__ import annotations
@@ -108,9 +107,8 @@ class Wallet:
         # never read or written here; kept only because the benchmark's
         # workloads (perfbench/workloads.py) still append to it
         self.open_requests: List[Request] = []
-        # the ark request of the last `make_ark_request`, until a payment is
-        # audited against it (`verify_payment`)
-        self.ark_request: Optional[Request] = None
+        # what this wallet asked for: see the module docstring
+        self.requests: List[Request] = []
         self.fee = 0                # operator's flat per-request fee
         chain.register(name)
 
@@ -121,43 +119,41 @@ class Wallet:
         tx = arkcore.boarding_tx(funds, self.pk, self.operator_pk,
                                  self.params.t_b, sum(values) + self.fee)
         specs = tuple(VtxoSpec(v, self.name, self.pk) for v in values)
-        req = Request("boarding", self.name, boarding_outpoint=tx.outpoint(0),
-                      outputs=specs)
-        return tx, req
+        return tx, self._record(Request("boarding", self.name, boarding_outpoint=tx.outpoint(0),
+                                        outputs=specs))
 
-    def _intend(self, vtxos: Sequence[Vtxo], intent: str) -> None:
-        """Mark each of `vtxos` with `intent`, or refuse them all, changing
-        nothing, if this wallet does not hold one."""
-        for v in vtxos:
+    def _record(self, req: Request, intent: str = "hold") -> Request:
+        """Record `req` and mark each of its inputs with `intent`, or refuse
+        it, changing nothing, if this wallet does not hold one."""
+        for v in req.inputs:
             if v.key() not in self.holdings:
                 txid, index = v.key()
                 raise arkcore.ArkError(f"{self.name} holds no VTXO {txid[:8]}:{index}")
-        for v in vtxos:
+        for v in req.inputs:
             self.holdings[v.key()].intent = intent
+        self.requests.append(req)
+        return req
 
     def make_swap(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
-        self._intend(vtxos, "swap")
         specs = tuple(VtxoSpec(v, self.name, self.pk) for v in values)
-        return Request("batch-swap", self.name, inputs=tuple(vtxos), outputs=specs)
+        return self._record(Request("batch-swap", self.name, inputs=tuple(vtxos), outputs=specs),
+                            "swap")
 
     def make_exit(self, vtxos: Sequence[Vtxo], values: Sequence[int]) -> Request:
-        self._intend(vtxos, "exit")
         outs = tuple((v, p2pk(self.pk)) for v in values)
-        return Request("exit", self.name, inputs=tuple(vtxos), exit_outputs=outs)
+        return self._record(Request("exit", self.name, inputs=tuple(vtxos), exit_outputs=outs),
+                            "exit")
 
     def make_ark_request(self, vtxos: Sequence[Vtxo],
                          outputs: Sequence[VtxoSpec]) -> Request:
-        self._intend(vtxos, "pay")
-        self.ark_request = Request("ark", self.name, inputs=tuple(vtxos), outputs=tuple(outputs))
-        return self.ark_request
+        return self._record(Request("ark", self.name, inputs=tuple(vtxos),
+                                    outputs=tuple(outputs)), "pay")
 
     def withdraw(self, req: Request) -> None:
-        """Forget `req`, which the operator refused: its inputs are held
-        again, and a payment of it is no longer approved."""
+        """Forget `req`, which the operator refused: its inputs are held again."""
         for v in req.inputs:
             self.holdings[v.key()].intent = "hold"
-        if self.ark_request is req:
-            self.ark_request = None
+        self.requests = [r for r in self.requests if r is not req]
 
     # --- commitment verification (the user-side bundle audit) ------------
 
@@ -222,7 +218,9 @@ class Wallet:
         boards: Set[OutPoint] = set()
         exits: Set[OutPoint] = set()
         for r, made, forfeits in bundle.entries():
-            if r.party != self.name:
+            if r not in self.requests:
+                if r.party == self.name:
+                    return self._fail("request in its name that it did not make")
                 continue
             for leaf, spec in zip(made, r.outputs):
                 expected = vtxo_lock(spec.owner_pk, self.operator_pk,
@@ -263,9 +261,10 @@ class Wallet:
         """The digests of unsigned `payment` this wallet approves as its
         payer (module docstring), none if it asked for no payment, or None
         to refuse.  Either way its request is forgotten."""
-        req, self.ark_request = self.ark_request, None
+        req = next((r for r in self.requests if r.kind == "ark"), None)
         if req is None:
             return set()
+        self.requests.remove(req)
         ark, resets = payment.ark, payment.resets
         if resets and [rst.txid for rst in resets] != [
                 arkcore.reset_tx(v, self.operator_pk, v.expiry, self.params.t_u).txid
@@ -274,16 +273,20 @@ class Wallet:
         if list(ark.ins) != ([rst.outpoint(0) for rst in resets]
                              or [v.outpoint for v in req.inputs]):
             return self._fail("ark tx spends other outputs")
-        if len(ark.outs) != len(req.outputs):
+        if len(ark.outs) != len(req.outputs) or any(
+                out != Output(spec.value, self._expected_lock(spec.owner_pk, spec.r_star, out.lock))
+                for spec, out in zip(req.outputs, ark.outs)):
             return self._fail("ark tx pays other outputs")
-        for spec, out in zip(req.outputs, ark.outs):
-            if out != Output(spec.value, self._expected_lock(spec.owner_pk, spec.r_star, out.lock)):
-                return self._fail("ark tx pays other outputs")
-        if [(v.value, v.lock, v.owner, v.outpoint) for v in payment.outputs] != [
-                (out.value, out.lock, spec.owner, ark.outpoint(i))
-                for i, (spec, out) in enumerate(zip(req.outputs, ark.outs))]:
+        if payment.outputs != self._paid(req, ark):
             return self._fail("payment outputs differ from the ark tx's")
         return {ark.digest(), *(rst.digest() for rst in resets)}
+
+    @staticmethod
+    def _paid(req: Request, ark: Tx) -> List[Vtxo]:
+        """The VTXOs `ark` pays for `req`'s outputs, as the operator books them."""
+        expiry = min(v.expiry for v in req.inputs)
+        return [Vtxo(out.value, out.lock, spec.owner, spec.owner_pk, expiry, ark.outpoint(i))
+                for i, (spec, out) in enumerate(zip(req.outputs, ark.outs))]
 
     def _expected_lock(self, owner_pk: PublicKey, r_star: Optional[Tuple[int, int]],
                        lock: LockScript) -> LockScript:
@@ -298,7 +301,8 @@ class Wallet:
         h = self.chain.height
         self.trees = {op: b for op, b in self.trees.items() if b.expiry > h}
         for r, leaves, _ in bundle.entries():
-            if r.party == self.name:
+            if r in self.requests:
+                self.requests.remove(r)
                 for leaf in leaves:
                     path = bundle.batch.vtxt.path_to(leaf.outpoint.txid)
                     self.holdings[leaf.key()] = Holding(leaf, list(path), "batch")
@@ -314,10 +318,11 @@ class Wallet:
         return not self.chain.is_stable(self.chain.spent_by.get(op, ""))
 
     def on_payment_sent(self, req: Request, payment: ArkPayment) -> None:
-        # the payment's paths are its inputs' transcripts (`Simulation.ark_pay`)
+        # the payment's paths are its inputs' transcripts (`Simulation.ark_pay`);
+        # its change is read from the ark tx it approved
         for v in req.inputs:
             self.holdings.pop(v.key(), None)
-        for out in payment.outputs:
+        for out in self._paid(req, payment.ark):
             if out.owner == self.name:  # change output
                 self.holdings[out.key()] = Holding(out, transcript(payment), "ark")
 
@@ -391,18 +396,12 @@ class Wallet:
     def check_witnesses(self, payment: ArkPayment) -> Optional[bool]:
         """Replay check, True or None to refuse: the payee replays its
         transcript, parents first, under the ledger's rule (`tx_fault`) at
-        the current height.  A tx's inputs are outputs of the transcript's
-        earlier txs, or else of txs the chain has recorded, never of its
-        mempool.
-
-        A path rooted in a remembered tree is that tree's first audit: the
-        tree is forgotten, and `verify_batch` first checks the path's nodes,
-        then, unless each verifies (for a path shorter than
-        `crypto.BATCH_MIN`, by a `True` verdict already in the verify memo),
-        the whole tree, each node by `witness_checks`.  A batch records
-        `True` verdicts only for signatures that verify, and nothing when
-        its equation fails, so the replay reaches the same verdict on every
-        witness as without it; only the work moves."""
+        the current height, reading a tx's inputs from the transcript's
+        earlier txs, or else from the chain's records, never its mempool.
+        A path rooted in a remembered tree is that tree's first audit (module
+        docstring): `verify_batch` checks the path's nodes, then, unless each
+        verifies, the whole tree, each node by `witness_checks`.  A batch
+        records only `True` verdicts, so the replay's verdicts do not change."""
         h = self.chain.height
         for pth in payment.paths:
             funding = pth[0].ins[0] if pth and pth[0].ins else None

@@ -58,7 +58,7 @@ def test_a_refused_fast_finality_request_is_withdrawn():
     payment(sim, coord, vtxo, "alice")
     with pytest.raises(Reject, match=r"^UnknownVtxo "):
         payment(sim, coord, vtxo, "bob")
-    assert sim.wallets["mallory"].ark_request is None
+    assert sim.wallets["mallory"].requests == []
 
 
 def test_nonce_bound_signer_refuses_a_second_spend_of_an_input():
@@ -123,9 +123,9 @@ def test_a_warm_double_spend_trace_multiplies_no_point(point_mul_calls):
 
 
 def test_a_payment_of_another_members_vtxo_is_refused_unsigned(monkeypatch):
-    # bob's request names mallory's nonce-bound VTXO: mallory asked for no
-    # payment, so she approves nothing, the ark tx's session is refused,
-    # and nothing is signed or booked
+    # bob forges a request of mallory's nonce-bound VTXO: bob approves it,
+    # but mallory asked for no payment, so she approves nothing, the ark
+    # tx's session is refused, and nothing is signed or booked
     sim, coord, vtxo = ff_setup(0, PARAMS, 1)
     book = sim.operator.book
     before = (dict(book.vtxos), sim.operator.held(), dict(sim.operator.cosigned_spends))
@@ -134,6 +134,7 @@ def test_a_payment_of_another_members_vtxo_is_refused_unsigned(monkeypatch):
     monkeypatch.setattr(arkcore, "ark_tx", lambda *args: built.append(real(*args)) or built[-1])
     r = Request("ark", "bob", inputs=(vtxo,),
                 outputs=(VtxoSpec(vtxo.value, "bob", sim.wallets["bob"].pk),))
+    sim.wallets["bob"].requests.append(r)
     with pytest.raises(SessionAborted) as refusal:
         sim.operator.verify_ark_request(r, sim.wallets, coord.ffop)
     assert str(refusal.value) == f"ark: mallory did not approve {built[0].txid[:8]}"

@@ -44,6 +44,13 @@ def submit_boarding(sim, name, values, funds=None):
     return tx, req
 
 
+def forge(w, req):
+    """`req`, which `w`'s owner forges on purpose, recorded in its wallet
+    (`Wallet.requests`) as a request it made."""
+    w.requests.append(req)
+    return req
+
+
 def book_state(book):
     """A deep copy of the book's fields, with the queue given by the
     identities of its requests, since requests compare by identity."""
@@ -146,12 +153,7 @@ def test_intake_rejects_wrong_kind(method, kind):
     v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
     # a well-formed request, sent to the wrong intake
-    if kind == "batch-swap":
-        r = Request("exit", "alice", inputs=(v,),
-                    exit_outputs=((v.value, p2pk(alice.pk)),))
-    else:
-        r = Request("batch-swap", "alice", inputs=(v,),
-                    outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    r = own_request("exit" if kind == "batch-swap" else "batch-swap", alice, v, v.value)
     args = (r, sim.wallets) if kind == "ark" else (r,)
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=f"expected a {kind} request"):
@@ -217,13 +219,23 @@ def test_input_without_outpoint_rejected(kind):
 
 def spend_request(kind, owner, v, value, inputs=None):
     """A `kind` request spending `v` (or the tuple `inputs`) for `value`
-    back to `owner`."""
+    back to `owner`, built by hand as a request no wallet made: intake
+    refuses it or not by its own rule (`own_request` for a wallet's own)."""
     inputs = (v,) if inputs is None else inputs
     if kind == "exit":
         return Request("exit", owner.name, inputs=inputs,
                        exit_outputs=((value, p2pk(owner.pk)),))
     return Request(kind, owner.name, inputs=inputs,
                    outputs=(VtxoSpec(value, owner.name, owner.pk),))
+
+
+def own_request(kind, owner, v, value):
+    """`spend_request`'s request of `v`, made by `owner`'s wallet."""
+    if kind == "exit":
+        return owner.make_exit([v], [value])
+    if kind == "batch-swap":
+        return owner.make_swap([v], [value])
+    return owner.make_ark_request([v], [VtxoSpec(value, owner.name, owner.pk)])
 
 
 def submit_spend(sim, r):
@@ -250,7 +262,7 @@ def test_spending_intake_shares_one_rule(kind, fault, reason):
     if fault == "unknown":
         inputs = (dataclasses.replace(v, outpoint=OutPoint("ab" * 32, 7)),)
     elif fault == "pending":
-        sim.operator.verify_exit(spend_request("exit", payer, v, v.value))
+        sim.operator.verify_exit(own_request("exit", payer, v, v.value))
     elif fault == "value":
         value += 1
     elif fault == "empty":
@@ -318,7 +330,7 @@ def test_a_settled_input_is_refused_again(kind):
     sim = boarded_sim()
     alice = sim.wallets["alice"]
     v = sim.vtxos("alice")[0]
-    submit_spend(sim, spend_request(kind, alice, v, v.value))
+    submit_spend(sim, own_request(kind, alice, v, v.value))
     sim.settle_commitment()
     assert not sim.operator.pending_bundles
     assert sim.operator.book.vtxos[v.key()] == ("S", None)
@@ -348,7 +360,7 @@ def test_an_expired_input_is_refused(kind):
     assert sim.chain.height == v.expiry and v.key() not in sim.state().C
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=rf"^Expired \('{v.outpoint.txid}', 0\)$"):
-        submit_spend(sim, spend_request(kind, alice, v, v.value))
+        submit_spend(sim, own_request(kind, alice, v, v.value))
     assert book_state(sim.operator.book) == book
 
 
@@ -386,7 +398,7 @@ def test_an_unrolled_input_is_refused(kind, case):
         claim(sim, owner, v)
     book, balances = book_state(sim.operator.book), sim.balances()
     with pytest.raises(Reject, match=rf"^UnknownVtxo \('{v.outpoint.txid}', 0\)$"):
-        submit_spend(sim, spend_request(kind, owner, v, v.value))
+        submit_spend(sim, own_request(kind, owner, v, v.value))
     assert book_state(sim.operator.book) == book
     assert sim.balances() == balances
 
@@ -429,9 +441,9 @@ def test_an_input_without_a_cosigned_path_is_refused_where_it_would_be_cosigned(
     assert sim.operator.book.vtxos[v.key()] == ("C", v)
     book = book_state(sim.operator.book)
     with pytest.raises(Reject, match=rf"^NotCosignable \('{v.outpoint.txid}', 0\)$"):
-        submit_spend(sim, spend_request(kind, alice, v, v.value))
+        submit_spend(sim, own_request(kind, alice, v, v.value))
     assert book_state(sim.operator.book) == book
-    submit_spend(sim, spend_request("exit", alice, v, v.value))
+    submit_spend(sim, own_request("exit", alice, v, v.value))
 
 
 # --- single-spend discipline --------------------------------------------
@@ -441,11 +453,8 @@ def test_operator_refuses_double_swap_of_same_vtxo():
     sim = boarded_sim()
     v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
-    r1 = Request("batch-swap", "alice", inputs=(v,),
-                 outputs=(VtxoSpec(v.value, "alice", alice.pk),))
-    sim.operator.verify_batch_swap(r1)
-    r2 = Request("batch-swap", "alice", inputs=(v,),
-                 outputs=(VtxoSpec(v.value, "alice", alice.pk),))
+    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
+    r2 = alice.make_swap([v], [v.value])
     with pytest.raises(Reject):
         sim.operator.verify_batch_swap(r2)
 
@@ -454,9 +463,7 @@ def test_operator_refuses_ark_after_swap():
     sim = boarded_sim()
     v = sim.vtxos("alice")[0]
     alice = sim.wallets["alice"]
-    sim.operator.verify_batch_swap(
-        Request("batch-swap", "alice", inputs=(v,),
-                outputs=(VtxoSpec(v.value, "alice", alice.pk),)))
+    sim.operator.verify_batch_swap(alice.make_swap([v], [v.value]))
     req = alice.make_ark_request([v], [VtxoSpec(v.value, "alice", alice.pk)])
     with pytest.raises(Reject):
         sim.operator.verify_ark_request(req, sim.wallets)
@@ -489,15 +496,15 @@ def test_the_operator_never_cosigns_a_second_spend_of_an_input():
 
 
 def test_a_payment_of_a_vtxo_without_its_owners_secret_is_aborted_unsigned():
-    # mallory names alice's VTXO: alice asked for no payment, so she approves
-    # nothing, the ark tx's session is refused, and nothing is signed,
-    # booked or noted
+    # mallory names alice's VTXO: mallory approves the payment she asked
+    # for, but alice asked for none, so she approves nothing, the ark tx's
+    # session is refused, and nothing is signed, booked or noted
     sim = boarded_sim()
     v = sim.vtxos("alice")[0]
     mallory = sim.add_wallet("mallory", [])
     op = sim.operator
-    req = Request("ark", "mallory", inputs=(v,),
-                  outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
+    req = forge(mallory, Request("ark", "mallory", inputs=(v,),
+                                 outputs=(VtxoSpec(v.value, "mallory", mallory.pk),)))
     before = (book_state(op.book), dict(op.cosigned_spends), list(sim.chain.trace))
     with pytest.raises(SessionAborted, match=r"^ark: alice did not approve [0-9a-f]{8}$"):
         op.verify_ark_request(req, sim.wallets)
@@ -558,7 +565,7 @@ def test_a_payer_keeps_no_record_of_a_sent_payment():
     sim.add_wallet("bob", [])
     alice = sim.wallets["alice"]
     sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000)
-    assert alice.ark_request is None and sim.vtxos("alice")[0].value == 3_000
+    assert alice.requests == [] and sim.vtxos("alice")[0].value == 3_000
     assert [e.event for e in sim.chain.trace if e.event in ("ark", "reset")] == ["ark", "reset"]
 
 
@@ -578,7 +585,7 @@ def test_a_refused_payment_leaves_the_payer_as_before(monkeypatch, rewrite, amou
         rewrite(monkeypatch, sim)
     with pytest.raises(error, match=reason):
         sim.ark_pay("alice", "bob", [v], amount)
-    assert alice.ark_request is None and alice.holdings[v.key()].intent == "hold"
+    assert alice.requests == [] and alice.holdings[v.key()].intent == "hold"
 
 
 @pytest.mark.parametrize("make", [
@@ -595,7 +602,7 @@ def test_a_wallet_builds_no_request_over_a_vtxo_it_does_not_hold(make):
     foreign = dataclasses.replace(v, outpoint=OutPoint("ee" * 32, 3))
     with pytest.raises(arkcore.ArkError, match="^alice holds no VTXO eeeeeeee:3$"):
         make(alice, [v, foreign])
-    assert alice.holdings[v.key()].intent == "hold" and alice.ark_request is None
+    assert alice.holdings[v.key()].intent == "hold" and alice.requests == []
 
 
 def test_the_operator_derives_every_reset_of_a_payment():
@@ -664,8 +671,6 @@ def _boarding_shrunk_to_one_sat(sim):
     return bundle
 
 
-@pytest.mark.xfail(strict=True, reason="a wallet audits the bundle's copy of its request,"
-                                       " not the request it made")
 @pytest.mark.parametrize("owner, rewrite", [("alice", _exit_paid_to_the_operator),
                                             ("bob", _boarding_shrunk_to_one_sat)],
                          ids=["exit-to-the-operator", "boarding-shrunk"])
@@ -675,6 +680,87 @@ def test_a_wallet_refuses_a_commitment_that_rewrites_its_request(owner, rewrite)
     sim = boarded_sim()
     bundle = rewrite(sim)
     assert sim.wallets[owner].verify_commitment(bundle) is None
+    assert last_refusal(sim) == ("wallet", owner, "verify_failed", NOT_MADE)
+
+
+NOT_MADE = "request in its name that it did not make"
+
+
+def _impersonated_boarding(sim, mallory):
+    alice = sim.wallets["alice"]
+    alice.funds = [(sim.chain.grant(4_000, p2pk(alice.pk)), 4_000)]
+    tx, _ = submit_boarding(sim, "alice", [4_000])
+    sim.tick(PARAMS.k + 1)
+    r = Request("boarding", "alice", boarding_outpoint=tx.outpoint(0),
+                outputs=(VtxoSpec(4_000, "mallory", mallory.pk),))
+    return r, sim.operator.verify_boarding
+
+
+def _impersonated_swap(sim, mallory):
+    (v,) = sim.vtxos("alice")
+    r = Request("batch-swap", "alice", inputs=(v,),
+                outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
+    return r, sim.operator.verify_batch_swap
+
+
+def _impersonated_exit(sim, mallory):
+    (v,) = sim.vtxos("alice")
+    r = Request("exit", "alice", inputs=(v,), exit_outputs=((v.value, p2pk(mallory.pk)),))
+    return r, sim.operator.verify_exit
+
+
+@pytest.mark.parametrize("impersonate", [_impersonated_boarding, _impersonated_swap,
+                                         _impersonated_exit], ids=["boarding", "swap", "exit"])
+def test_a_wallet_refuses_a_request_queued_in_its_name_that_it_did_not_make(impersonate):
+    # mallory queues, under alice's name, a request over alice's funds that
+    # pays mallory: alice's record lacks it, so she refuses the bundle with
+    # that reason, and the round stalls at its first step, nothing signed
+    sim = boarded_sim()
+    alice, mallory = sim.wallets["alice"], sim.add_wallet("mallory", [])
+    r, intake = impersonate(sim, mallory)
+    intake(forge(mallory, r))
+    held, book = copy.deepcopy(alice.holdings), book_state(sim.operator.book)
+    with pytest.raises(SessionAborted, match="^verify: alice rejected the bundle$"):
+        sim.settle_commitment()
+    assert last_refusal(sim) == ("wallet", "alice", "verify_failed", NOT_MADE)
+    assert sim.operator.pending_bundles == [] and sim.operator.book.queue == [r]
+    assert pays(sim, "mallory") == [] and sim.vtxos("mallory") == []
+    assert alice.holdings == held and book_state(sim.operator.book) == book
+
+
+@pytest.mark.parametrize("flow", ["swap", "exit"])
+def test_a_refused_swap_or_exit_is_withdrawn(flow):
+    # at its batch's expiry alice's VTXO is refused at intake: her wallet
+    # withdraws the request, as for a refused payment, so her VTXO is held
+    # again and her record keeps nothing of it
+    sim = boarded_sim()
+    alice = sim.wallets["alice"]
+    (v,) = sim.vtxos("alice")
+    sim.tick(v.expiry - sim.chain.height)
+    with pytest.raises(Reject, match=r"^Expired "):
+        getattr(sim, flow)("alice", [v])
+    assert alice.holdings[v.key()].intent == "hold" and alice.requests == []
+
+
+def test_a_payer_takes_its_change_from_the_ark_tx_it_approved(monkeypatch):
+    # the change VTXO handed back after the ceremony claims 1,000 sats more
+    # than the ark tx pays: alice holds what the ark tx pays her instead,
+    # exactly as the operator booked it
+    sim = boarded_sim()
+    sim.add_wallet("bob", [])
+    alice, op = sim.wallets["alice"], sim.operator
+    real = Operator.verify_ark_request
+
+    def inflated(self, r, *args):
+        payment = real(self, r, *args)
+        payment.outputs[-1] = dataclasses.replace(payment.outputs[-1],
+                                                  value=payment.outputs[-1].value + 1_000)
+        return payment
+    monkeypatch.setattr(Operator, "verify_ark_request", inflated)
+    sim.ark_pay("alice", "bob", sim.vtxos("alice"), 2_000)
+    assert alice.balance() == 3_000
+    (change,) = sim.vtxos("alice")
+    assert op.book.vtxos[change.key()] == ("F", change)
 
 
 # --- ceremony and rollback ----------------------------------------------
@@ -738,7 +824,7 @@ def test_rollback_requeues_every_kind_in_order():
     assert sim.operator.book.queue == bundle.requests
     # the re-queued swap still holds its input
     with pytest.raises(Reject, match="^AlreadyPending"):
-        sim.operator.verify_batch_swap(spend_request(
+        sim.operator.verify_batch_swap(own_request(
             "batch-swap", w["alice"], swap_a.inputs[0], 5_000))
     again = sim.operator.assemble_commitment()
     assert again.requests == [boarding, swap_b, swap_a, exit_]
@@ -880,6 +966,12 @@ def test_sixty_swap_rounds_keep_funding_and_the_table_steady():
 
 
 # --- wallet-side bundle audit -------------------------------------------
+
+
+def forged_copy(bundle):
+    """A deep copy of `bundle` that lists the same request objects, those
+    its wallets recorded."""
+    return copy.deepcopy(bundle, {id(r): r for r in bundle.requests})
 
 
 def swap_bundle(sim):
@@ -1024,9 +1116,10 @@ def test_wallet_rejects_an_exit_whose_output_the_commitment_lacks():
     sim.exit("alice", sim.vtxos("alice"))
     bundle = sim.operator.assemble_commitment()
     assert sim.wallets["alice"].verify_commitment(bundle)
+    # alice's own request asks for one sat more than the commitment pays
     (r,) = bundle.requests
     ((value, lock),) = r.exit_outputs
-    bundle.requests[0] = dataclasses.replace(r, exit_outputs=((value + 1, lock),))
+    r.exit_outputs = ((value + 1, lock),)
     refuses(sim, "alice", bundle, "exit output missing")
 
 
@@ -1430,7 +1523,7 @@ def test_wallet_rejects_missing_own_leaf():
 def test_wallet_rejects_wrong_leaf_value():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
-    bad = copy.deepcopy(bundle)
+    bad = forged_copy(bundle)
     for leaf in bad.batch.vtxt.leaves:
         leaf.vtxo.value -= 1
     assert not sim.wallets["alice"].verify_commitment(bad)
@@ -1564,7 +1657,7 @@ def test_wallet_rejects_bundle_without_batch():
 def test_wallet_rejects_leaf_without_outpoint():
     sim = boarded_sim()
     bundle = swap_bundle(sim)
-    bad = copy.deepcopy(bundle)
+    bad = forged_copy(bundle)
     for leaf in bad.batch.vtxt.leaves:
         leaf.vtxo.outpoint = None
     alice = sim.wallets["alice"]
@@ -1576,8 +1669,9 @@ def test_wallet_rejects_leaf_without_outpoint():
 def test_wallet_rejects_a_forfeited_vtxo_without_outpoint():
     # its forfeit could not be built, so there is nothing to approve
     sim = boarded_sim()
-    bad = copy.deepcopy(swap_bundle(sim))
-    bad.requests[0].inputs[0].outpoint = None
+    bad = forged_copy(swap_bundle(sim))
+    r = bad.requests[0]
+    r.inputs = (dataclasses.replace(r.inputs[0], outpoint=None),)
     assert sim.wallets["alice"].verify_commitment(bad) is None
     assert last_refusal(sim) == ("wallet", "alice", "verify_failed",
                                  "no anchor for forfeited vtxo")
@@ -1780,8 +1874,8 @@ def test_a_swap_of_another_wallets_vtxo_aborts_unsigned():
     sim = boarded_sim()
     mallory = sim.add_wallet("mallory", [])
     (v,) = sim.vtxos("alice")
-    sim.operator.verify_batch_swap(Request(
-        "batch-swap", "mallory", inputs=(v,), outputs=(VtxoSpec(v.value, "mallory", mallory.pk),)))
+    sim.operator.verify_batch_swap(forge(mallory, Request(
+        "batch-swap", "mallory", inputs=(v,), outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))))
     bundle = sim.operator.assemble_commitment()
     forfeit = arkcore.forfeit_tx(v, anchor_of(bundle, v), sim.operator.pk,
                                  PARAMS.epsilon)
@@ -1812,8 +1906,8 @@ def test_a_refused_swap_leaves_the_queue_and_the_next_round_settles():
     sim.settle_commitment()
     mallory = sim.add_wallet("mallory", [])
     (v,) = sim.vtxos("alice")
-    mallory_request = Request("batch-swap", "mallory", inputs=(v,),
-                              outputs=(VtxoSpec(v.value, "mallory", mallory.pk),))
+    mallory_request = forge(mallory, Request("batch-swap", "mallory", inputs=(v,),
+                                             outputs=(VtxoSpec(v.value, "mallory", mallory.pk),)))
     sim.operator.verify_batch_swap(mallory_request)
     bob_request = sim.swap("bob", sim.vtxos("bob"))
     bundle = sim.operator.assemble_commitment()
@@ -1845,8 +1939,9 @@ def test_a_refused_boarding_leaves_the_queue_and_the_next_round_settles():
     mallory = sim.add_wallet("mallory", [])
     alice_tx, alice_request = submit_boarding(sim, "alice", [5_000])
     sim.tick(PARAMS.k + 1)
-    mallory_request = Request("boarding", "mallory", boarding_outpoint=alice_tx.outpoint(0),
-                              outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))
+    mallory_request = forge(mallory, Request(
+        "boarding", "mallory", boarding_outpoint=alice_tx.outpoint(0),
+        outputs=(VtxoSpec(5_000, "mallory", mallory.pk),)))
     sim.operator.verify_boarding(mallory_request)
     bob_request = sim.board("bob", [5_000])
     bundle = sim.operator.assemble_commitment()
@@ -1881,8 +1976,9 @@ def test_a_boarding_of_another_wallets_output_beside_its_own_is_dropped(mallory_
     _, alice_request = submit_boarding(sim, "alice", [5_000], alice.funds[:1])
     b_tx, _ = submit_boarding(sim, "alice", [3_000], alice.funds[1:])
     sim.tick(PARAMS.k + 1)
-    mallory_request = Request("boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
-                              outputs=(VtxoSpec(3_000, "mallory", mallory.pk),))
+    mallory_request = forge(mallory, Request(
+        "boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
+        outputs=(VtxoSpec(3_000, "mallory", mallory.pk),)))
     queued = [mallory_request, alice_request] if mallory_first else [alice_request, mallory_request]
     for r in queued:
         sim.operator.verify_boarding(r)
@@ -1919,8 +2015,9 @@ def test_a_boarding_lock_naming_no_signers_key_is_dropped():
     tx.wits = [Witness(KEY_PATH, (crypto.sign(mallory.sk, tx.digest()),))]
     sim.chain.submit(tx, "mallory")
     sim.tick(PARAMS.k + 1)
-    mallory_request = Request("boarding", "mallory", boarding_outpoint=tx.outpoint(0),
-                              outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))
+    mallory_request = forge(mallory, Request(
+        "boarding", "mallory", boarding_outpoint=tx.outpoint(0),
+        outputs=(VtxoSpec(5_000, "mallory", mallory.pk),)))
     sim.operator.verify_boarding(mallory_request)
     bob_request = sim.board("bob", [5_000])
     bundle = sim.operator.assemble_commitment()
@@ -1974,8 +2071,8 @@ def test_an_exit_of_another_wallets_vtxo_is_refused_by_its_owner():
     sim.settle_commitment()
     mallory = sim.add_wallet("mallory", [])
     (v,) = sim.vtxos("alice")
-    sim.operator.verify_exit(Request("exit", "mallory", inputs=(v,),
-                                     exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    sim.operator.verify_exit(forge(mallory, Request("exit", "mallory", inputs=(v,),
+                                                    exit_outputs=((5_000, p2pk(mallory.pk)),))))
     bob_request = sim.swap("bob", sim.vtxos("bob"))
     bundle = sim.operator.assemble_commitment()
     txid8 = bundle.commitment.txid[:8]
@@ -2000,12 +2097,13 @@ def test_one_abort_drops_every_foreign_request_of_a_round():
     sim, (v1, v2), b_tx = two_vtxo_sim()
     mallory = sim.wallets["mallory"]
     op = sim.operator
-    op.verify_batch_swap(Request("batch-swap", "mallory", inputs=(v1,),
-                                 outputs=(VtxoSpec(5_000, "mallory", mallory.pk),)))
-    op.verify_boarding(Request("boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
-                               outputs=(VtxoSpec(3_000, "mallory", mallory.pk),)))
-    op.verify_exit(Request("exit", "mallory", inputs=(v2,),
-                           exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    op.verify_batch_swap(forge(mallory, Request(
+        "batch-swap", "mallory", inputs=(v1,), outputs=(VtxoSpec(5_000, "mallory", mallory.pk),))))
+    op.verify_boarding(forge(mallory, Request(
+        "boarding", "mallory", boarding_outpoint=b_tx.outpoint(0),
+        outputs=(VtxoSpec(3_000, "mallory", mallory.pk),))))
+    op.verify_exit(forge(mallory, Request(
+        "exit", "mallory", inputs=(v2,), exit_outputs=((5_000, p2pk(mallory.pk)),))))
     bob_request = sim.swap("bob", sim.vtxos("bob"))
     bundle = op.assemble_commitment()
     forfeit8 = arkcore.forfeit_tx(v1, anchor_of(bundle, v1), op.pk,
@@ -2031,9 +2129,9 @@ def test_a_swap_naming_two_foreign_vtxos_is_dropped_once():
     # refused, and the request leaves the queue with one drop note
     sim, (v1, v2), _ = two_vtxo_sim()
     mallory = sim.wallets["mallory"]
-    sim.operator.verify_batch_swap(Request(
+    sim.operator.verify_batch_swap(forge(mallory, Request(
         "batch-swap", "mallory", inputs=(v1, v2),
-        outputs=(VtxoSpec(10_000, "mallory", mallory.pk),)))
+        outputs=(VtxoSpec(10_000, "mallory", mallory.pk),))))
     bundle = sim.operator.assemble_commitment()
     forfeit8 = arkcore.forfeit_tx(v1, anchor_of(bundle, v1), sim.operator.pk,
                                   PARAMS.epsilon).txid[:8]
@@ -2052,8 +2150,8 @@ def test_an_exit_of_its_own_vtxo_approves_no_foreign_exit():
     sim, (v1, v2), _ = two_vtxo_sim()
     mallory = sim.wallets["mallory"]
     alice_request = sim.exit("alice", [v1])
-    sim.operator.verify_exit(Request("exit", "mallory", inputs=(v2,),
-                                     exit_outputs=((5_000, p2pk(mallory.pk)),)))
+    sim.operator.verify_exit(forge(mallory, Request("exit", "mallory", inputs=(v2,),
+                                                    exit_outputs=((5_000, p2pk(mallory.pk)),))))
     bundle = sim.operator.assemble_commitment()
     txid8 = bundle.commitment.txid[:8]
     assert bundle.commitment.digest() not in sim.wallets["alice"].verify_commitment(bundle)
